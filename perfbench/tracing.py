@@ -5,7 +5,7 @@ that goes through a module-level name: ``simplify`` calling ``canonical``,
 ``moves`` calling ``make_diagram``, the benchmark calling ``apply_move``.
 Each call becomes a span (name, start, end, parent).  Self time is a span's
 duration minus the time of its child spans, accumulated as spans close.
-The first ``keep`` spans are also kept whole and written out at the end.
+The first ``KEEP_SPANS`` spans are also kept whole and written out at the end.
 
 Boundaries are fixed by name, so a boundary that a later change bypasses
 reads as zero calls, not as a missing row.
@@ -46,11 +46,11 @@ GENERATOR_SPANS = (
 )
 # far too frequent for a span each (thousands per R3 detection): counted only
 COUNTED = (("gaussdiag.moves", "analyze_triple", "moves.analyze_triple"),)
+KEEP_SPANS = 100_000
 
 
 class Tracer:
-    def __init__(self, keep: int = 100_000):
-        self.keep = keep
+    def __init__(self):
         self.calls = Counter()
         self.self_s = Counter()
         self.counts = Counter()
@@ -77,7 +77,7 @@ class Tracer:
         if parent is not None:
             parent[2] += duration
             self.counts[f"{parent[1]}>{name}"] += 1
-        if len(self.spans) < self.keep:
+        if len(self.spans) < KEEP_SPANS:
             self.spans.append((frame[0], name, start, end, parent[0] if parent else None))
 
     def parent_name(self):

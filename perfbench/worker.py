@@ -1,13 +1,15 @@
 """One workload in one single-threaded process; prints one JSON line.
 
     PYTHONPATH=src python3 perfbench/worker.py --workload sweep --seed 1 \
-        --seconds 20 --mode run
+        --seconds 30 --mode run
 
 Modes:
   setup  import gaussdiag and prepare the inputs, report when that ended;
-  run    set up, then time whole rounds of the workload for --seconds;
+  run    set up, then time as many whole rounds of the workload as fill
+         --seconds at its nominal round time (at least three);
   trace  set up, time whole rounds untraced for a third of --seconds, then
-         traced for another third, and fit the growth slopes.
+         as many traced, fit the growth slopes, and write the spans to
+         perfbench/out/<workload>-seed<seed>-trace1.spans.json.
 
 ``run.py`` starts this process and turns its report into the metrics.
 """
@@ -23,16 +25,24 @@ import statistics
 import sys
 import time
 from array import array
+from pathlib import Path
 
+OUT = Path(__file__).resolve().parent / "out"
 MIN_ROUNDS = 3
 
 
-def timed_rounds(workload, checker, seconds, min_rounds):
-    """Run whole rounds until ``seconds`` have passed and at least
-    ``min_rounds`` rounds are done; returns each round's per-input times."""
+def round_count(workload, seconds, least):
+    """The number of whole rounds that fills ``seconds`` at the workload's
+    nominal round time.  It depends on ``--seconds`` alone, never on how
+    fast the rounds run, so both commits of a comparison time the same
+    rounds."""
+    return max(least, int(seconds / workload.nominal_round_s))
+
+
+def timed_rounds(workload, checker, count):
+    """Run ``count`` whole rounds; returns each round's per-input times."""
     rounds = []
-    begin = time.perf_counter()
-    while len(rounds) < min_rounds or time.perf_counter() - begin < seconds:
+    for _ in range(count):
         times = array("d")
         t = time.perf_counter()
         for _ in workload.operations(checker):
@@ -43,34 +53,38 @@ def timed_rounds(workload, checker, seconds, min_rounds):
     return rounds
 
 
-def per_input_best(rounds):
-    """Each input's fastest time over the rounds.  On a shared machine the
-    same round can take 30% longer from one minute to the next, with CPU
+def inputs_per_s(rounds):
+    """Inputs per round over the fastest whole round.  On a shared machine
+    the same round can take 30% longer from one minute to the next, with CPU
     time tracking wall time; such spells only ever add time, so the fastest
-    of several rounds is the figure least moved by them."""
-    return [min(times) for times in zip(*rounds)]
+    round is the figure least moved by them.  Costs that land anywhere in a
+    round, such as cyclic-GC passes, stay in it."""
+    return len(rounds[0]) / min(sum(r) for r in rounds)
 
 
-def throughput(rounds):
-    """Inputs per second over all rounds, without the median."""
-    return sum(len(r) for r in rounds) / sum(sum(r) for r in rounds)
+def input_p50_ms(rounds):
+    """The median over the inputs of each input's fastest time, in ms."""
+    return statistics.median(min(times) for times in zip(*rounds)) * 1000
 
 
 # ------------------------------------------------------------ growth slopes
 
 GROWTH_SIZES = (16, 32, 64)
+GROWTH_BATCHES = 3
+GROWTH_BATCH_S = 0.02
 
 
-def _seconds_per_call(fn, arg, repeats=3, min_batch_s=0.02):
-    """Median over ``repeats`` batches of the time per call."""
+def _seconds_per_call(fn, arg):
+    """Median over GROWTH_BATCHES batches of at least GROWTH_BATCH_S of the
+    time per call."""
     per_call = []
-    for _ in range(repeats):
+    for _ in range(GROWTH_BATCHES):
         calls, start = 0, time.perf_counter()
         while True:
             fn(arg)
             calls += 1
             elapsed = time.perf_counter() - start
-            if elapsed >= min_batch_s:
+            if elapsed >= GROWTH_BATCH_S:
                 break
         per_call.append(elapsed / calls)
     return statistics.median(per_call)
@@ -110,9 +124,8 @@ def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seed", type=int, required=True)
-    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--mode", choices=("setup", "run", "trace"), required=True)
-    parser.add_argument("--trace-file")
     args = parser.parse_args(argv)
 
     import gaussdiag  # its import is part of set-up
@@ -128,30 +141,31 @@ def main(argv=None):
 
     checker = Checker()
     if args.mode == "run":
-        rounds = timed_rounds(workload, checker, args.seconds, MIN_ROUNDS)
-        best = per_input_best(rounds)
+        rounds = timed_rounds(workload, checker, round_count(workload, args.seconds, MIN_ROUNDS))
         report.update(
             rounds=len(rounds),
             round_s=[sum(r) for r in rounds],
-            inputs_per_s=len(best) / sum(best),
-            input_p50_ms=statistics.median(best) * 1000,
+            inputs_per_s=inputs_per_s(rounds),
+            input_p50_ms=input_p50_ms(rounds),
             peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
         )
     else:
         from tracing import Tracer
 
-        plain = timed_rounds(workload, checker, args.seconds / 3, 1)
+        count = round_count(workload, args.seconds / 3, 1)
+        plain = timed_rounds(workload, checker, count)
         tracer = Tracer()
         tracer.install()
         try:
-            traced = timed_rounds(workload, checker, args.seconds / 3, 1)
+            traced = timed_rounds(workload, checker, count)
         finally:
             tracer.uninstall()
         metrics = tracer.metrics(len(traced))
-        metrics["trace.overhead"] = ((throughput(plain) / throughput(traced) - 1) * 100, "%")
+        metrics["trace.overhead"] = (
+            (inputs_per_s(plain) / inputs_per_s(traced) - 1) * 100, "%")
         metrics.update(growth_slopes(P))
-        if args.trace_file:
-            tracer.write(args.trace_file)
+        OUT.mkdir(exist_ok=True)
+        tracer.write(OUT / f"{args.workload}-seed{args.seed}-trace1.spans.json")
         rounds = plain + traced
         report["per_layer"] = {k: {"value": v, "unit": u} for k, (v, u) in metrics.items()}
         report["rounds"] = len(rounds)

@@ -1,6 +1,8 @@
 """The three workloads: sweep, descent and insertion.
 
-A workload prepares its inputs in ``__init__`` (this is set-up) and offers
+A workload prepares its inputs in ``__init__`` (this is set-up), names its
+``nominal_round_s`` (a round's time on the reference machine of README.md,
+which sets how many rounds fill ``--seconds``) and offers
 ``operations()``, a generator that carries one input through the program and
 through its checks, then yields.  The time between two yields is that
 input's time.  Every call into the program goes through a module attribute
@@ -28,24 +30,26 @@ class Program:
             setattr(self, name, importlib.import_module(f"gaussdiag.{name}"))
 
 
+KEEP_ERRORS = 20  # error messages kept for the report; all are counted
+
+
 class Checker:
     """Collects failed checks and failed operations."""
 
-    def __init__(self, keep: int = 20):
+    def __init__(self):
         self.errors = []
         self.error_count = 0
         self.failed = 0
-        self.keep = keep
 
     def check(self, errors, context):
         for error in errors:
             self.error_count += 1
-            if len(self.errors) < self.keep:
+            if len(self.errors) < KEEP_ERRORS:
                 self.errors.append(f"{context}: {error}")
 
     def operation_failed(self, context, exc):
         self.failed += 1
-        if len(self.errors) < self.keep:
+        if len(self.errors) < KEEP_ERRORS:
             self.errors.append(f"{context}: operation failed: {exc!r}")
 
 
@@ -91,6 +95,8 @@ class Sweep:
     every diagram with <= 4 chords (streamed from ``enumerate_diagrams``) and
     of 1000 seeded random diagrams with <= 8 chords, each random diagram also
     taking one R1 and one R2 insertion that its deletion must undo."""
+
+    nominal_round_s = 9.0
 
     def __init__(self, P, seed):
         self.P = P
@@ -213,6 +219,7 @@ class Descent(_Search):
     """``simplify`` without insertions on scrambles of the unknot (30
     chords) and of the virtual trefoil (10 chords)."""
 
+    nominal_round_s = 7.0
     budget = 20_000
     insertions = False
     make_inputs = staticmethod(inputs.descent_inputs)
@@ -223,6 +230,7 @@ class Insertion(_Search):
     diagrams: random ones with J != 0 and with J == 0, and scrambles of the
     empty diagram."""
 
+    nominal_round_s = 2.4
     budget = 60
     insertions = True
     make_inputs = staticmethod(inputs.insertion_inputs)
