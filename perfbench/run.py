@@ -64,19 +64,21 @@ def main(argv=None):
     if args.trace:
         report, _ = spawn(common + ["--mode", "trace"], deadline)
         metrics = report["per_layer"]
+        record = {"rounds": report["rounds"]}
     else:
         report, start = spawn(common + ["--mode", "run"], deadline)
-        setups = [report["ready"] - start]
-        # the fastest set-up: slow spells of the machine only ever add time
+        setups = [(report["ready"] - start) * report["setup_scale"]]
         for _ in range(SETUP_SAMPLES):
             sample, start = spawn(common + ["--mode", "setup"], deadline)
-            setups.append(sample["ready"] - start)
+            setups.append((sample["ready"] - start) * sample["setup_scale"])
         metrics = {
             "setup_s": {"value": min(setups), "unit": "s"},
             "inputs_per_s": {"value": report["inputs_per_s"], "unit": "1/s"},
             "input_p50_ms": {"value": report["input_p50_ms"], "unit": "ms"},
             "peak_rss_mb": {"value": report["peak_rss_mb"], "unit": "MB"},
         }
+        record = {key: report[key] for key in ("rounds", "round_s", "round_scale")}
+        record["setup_s"] = setups
 
     for error in report["errors"]:
         print(f"check failed: {error}", file=sys.stderr)
@@ -86,7 +88,7 @@ def main(argv=None):
         "failed": report["failed"],
         "metrics": metrics,
     }
-    (OUT / f"{name}.result.json").write_text(json.dumps(dict(result, rounds=report["rounds"], round_s=report.get("round_s"))) + "\n")
+    (OUT / f"{name}.result.json").write_text(json.dumps(dict(result, **record)) + "\n")
     print(json.dumps(result))
     return 0
 

@@ -4,7 +4,8 @@
         --seconds 30 --mode run
 
 Modes:
-  setup  import gaussdiag and prepare the inputs, report when that ended;
+  setup  import gaussdiag and prepare the inputs, report when that ended
+         and the speed of calibration slices run right after;
   run    set up, then time as many whole rounds of the workload as fill
          --seconds at its nominal round time (at least three);
   trace  set up, time whole rounds untraced for a third of --seconds, then
@@ -17,6 +18,7 @@ Modes:
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import random
@@ -26,6 +28,9 @@ import sys
 import time
 from array import array
 from pathlib import Path
+
+import reference as ref
+from inputs import random_tokens
 
 OUT = Path(__file__).resolve().parent / "out"
 MIN_ROUNDS = 3
@@ -39,32 +44,83 @@ def round_count(workload, seconds, least):
     return max(least, int(seconds / workload.nominal_round_s))
 
 
+# ----------------------------------------------------------- machine speed
+#
+# The machine's speed wanders by up to a factor of two over minutes, with CPU
+# time tracking wall time, and a whole run can fall in a slow spell.  So the
+# timed pass also times, about every CAL_EVERY_S of the program's time, one
+# slice of fixed work that does not touch gaussdiag, and scales the
+# program's times by how fast those slices ran: times are reported in
+# seconds of a machine on which one slice takes CAL_REF_S.
+
+CAL_DIAGRAMS = [random_tokens(n, random.Random(f"calibration-{n}-{i}"))
+                for n in range(4, 13) for i in range(15)]
+CAL_EVERY_S = 0.05
+CAL_REF_S = 0.0025
+SETUP_SLICES = 11
+
+
+def calibration_slice():
+    """Time one slice of reference computations on fixed diagrams.  The
+    cyclic GC is held off meanwhile, so that no collection of the program's
+    objects lands in the slice; the slice keeps nothing, so it leaves the
+    program's GC counts as they were."""
+    enabled = gc.isenabled()
+    gc.disable()
+    start = time.perf_counter()
+    for tokens in CAL_DIAGRAMS:
+        ref.odd_writhe(tokens)
+        ref.r2_sites(tokens)
+        ref.code_of(tokens)
+    elapsed = time.perf_counter() - start
+    if enabled:
+        gc.enable()
+    return elapsed
+
+
+class Round:
+    """One round's per-input wall times and the speed scale of the machine
+    over it: CAL_REF_S over the mean slice time."""
+
+    def __init__(self, times, slices):
+        self.times = times
+        self.scale = CAL_REF_S / statistics.fmean(slices)
+
+    def seconds(self):
+        return sum(self.times) * self.scale
+
+
 def timed_rounds(workload, checker, count):
-    """Run ``count`` whole rounds; returns each round's per-input times."""
+    """Run ``count`` whole rounds, with calibration slices between inputs
+    (outside the inputs' times)."""
     rounds = []
     for _ in range(count):
-        times = array("d")
+        times, slices = array("d"), array("d", [calibration_slice()])
+        since = 0.0
         t = time.perf_counter()
         for _ in workload.operations(checker):
-            now = time.perf_counter()
-            times.append(now - t)
-            t = now
-        rounds.append(times)
+            elapsed = time.perf_counter() - t
+            times.append(elapsed)
+            since += elapsed
+            if since >= CAL_EVERY_S:
+                slices.append(calibration_slice())
+                since = 0.0
+            t = time.perf_counter()
+        slices.append(calibration_slice())
+        rounds.append(Round(times, slices))
     return rounds
 
 
 def inputs_per_s(rounds):
-    """Inputs per round over the fastest whole round.  On a shared machine
-    the same round can take 30% longer from one minute to the next, with CPU
-    time tracking wall time; such spells only ever add time, so the fastest
-    round is the figure least moved by them.  Costs that land anywhere in a
-    round, such as cyclic-GC passes, stay in it."""
-    return len(rounds[0]) / min(sum(r) for r in rounds)
+    """Inputs per round over the median round's scaled time.  Everything
+    that happens in a round counts, including costs that land on different
+    inputs from round to round, such as cyclic-GC passes."""
+    return len(rounds[0].times) / statistics.median(r.seconds() for r in rounds)
 
 
 def input_p50_ms(rounds):
-    """The median over the inputs of each input's fastest time, in ms."""
-    return statistics.median(min(times) for times in zip(*rounds)) * 1000
+    """The median of the scaled times of every input in every round, in ms."""
+    return statistics.median(t * r.scale for r in rounds for t in r.times) * 1000
 
 
 # ------------------------------------------------------------ growth slopes
@@ -93,11 +149,8 @@ def _seconds_per_call(fn, arg):
 def growth_slopes(P):
     """Log-log slope of one call's time over GROWTH_SIZES chords, on fixed
     random diagrams (the same for every seed)."""
-    from inputs import random_tokens
-    from reference import code_of
-
     diagrams = [
-        P.codec.parse_gauss_code(code_of(random_tokens(n, random.Random(f"growth-{n}"))))
+        P.codec.parse_gauss_code(ref.code_of(random_tokens(n, random.Random(f"growth-{n}"))))
         for n in GROWTH_SIZES
     ]
     calls = {
@@ -134,7 +187,10 @@ def main(argv=None):
     P = Program()
     workload = WORKLOADS[args.workload](P, args.seed)
     ready = time.monotonic()
-    report = {"ready": ready, "gaussdiag": gaussdiag.__file__}
+    calibration_slice()  # warm-up
+    setup_slice = statistics.median(calibration_slice() for _ in range(SETUP_SLICES))
+    report = {"ready": ready, "gaussdiag": gaussdiag.__file__,
+              "setup_scale": CAL_REF_S / setup_slice}
     if args.mode == "setup":
         print(json.dumps(report))
         return 0
@@ -144,7 +200,8 @@ def main(argv=None):
         rounds = timed_rounds(workload, checker, round_count(workload, args.seconds, MIN_ROUNDS))
         report.update(
             rounds=len(rounds),
-            round_s=[sum(r) for r in rounds],
+            round_s=[sum(r.times) for r in rounds],
+            round_scale=[r.scale for r in rounds],
             inputs_per_s=inputs_per_s(rounds),
             input_p50_ms=input_p50_ms(rounds),
             peak_rss_mb=resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
@@ -172,7 +229,7 @@ def main(argv=None):
 
     workload.final_checks(checker)
     report.update(
-        attempted=sum(len(r) for r in rounds),
+        attempted=sum(len(r.times) for r in rounds),
         failed=checker.failed,
         check_errors=checker.error_count,
         errors=checker.errors,
