@@ -11,28 +11,21 @@ from __future__ import annotations
 
 import argparse
 import time
-from dataclasses import dataclass
 
 from gaussdiag import census_movable_triples
 
 
-@dataclass
-class CensusConfig:
-    chords: int = 3
-
-
-def parse_args() -> CensusConfig:
+def parse_args() -> argparse.Namespace:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--chords", type=int, default=3,
                         help="chords per diagram (3..5, default 3)")
-    args = parser.parse_args()
-    return CensusConfig(chords=args.chords)
+    return parser.parse_args()
 
 
 def main() -> None:
-    config = parse_args()
+    args = parse_args()
     t0 = time.time()
-    res = census_movable_triples(config.chords)
+    res = census_movable_triples(args.chords)
     elapsed = time.time() - t0
     print(f"chords                    {res.chords}")
     print(f"diagrams                  {res.total}")

@@ -27,7 +27,7 @@ LABEL_CHARS = frozenset(
 
 def valid_label(text) -> bool:
     """Chord labels are nonempty strings over [A-Za-z0-9_]."""
-    return isinstance(text, str) and text != "" and all(c in LABEL_CHARS for c in text)
+    return isinstance(text, str) and text != "" and LABEL_CHARS.issuperset(text)
 
 
 def label_key(label: str):
@@ -61,38 +61,39 @@ class GaussDiagram:
     def __post_init__(self):
         endpoints = tuple(self.endpoints)
         object.__setattr__(self, "endpoints", endpoints)
-        seen = {}
-        for ep in endpoints:
+        pos = {}  # chord -> {role: position}
+        for i, ep in enumerate(endpoints):
             if not isinstance(ep, Endpoint):
                 raise ValueError(f"not an Endpoint: {ep!r}")
             if not valid_label(ep.chord):
                 raise ValueError(f"invalid chord label {ep.chord!r}")
             if ep.role not in (TAIL, HEAD):
                 raise ValueError(f"invalid role {ep.role!r} for chord {ep.chord}")
-            roles = seen.setdefault(ep.chord, [])
+            roles = pos.setdefault(ep.chord, {})
             if ep.role in roles:
                 raise ValueError(f"duplicate {ep.role} for chord {ep.chord}")
-            roles.append(ep.role)
-        for chord, roles in seen.items():
+            roles[ep.role] = i
+        for chord, roles in pos.items():
             if len(roles) == 1:
                 raise ValueError(f"chord {chord} appears only once")
         signs = dict(self.signs)
         for chord, sign in signs.items():
-            if chord not in seen:
+            if chord not in pos:
                 raise ValueError(f"sign given for unknown chord {chord}")
             if sign not in (1, -1):
                 raise ValueError(f"sign for chord {chord} must be +1 or -1, got {sign!r}")
-        for chord in seen:
+        for chord in pos:
             if chord not in signs:
                 raise ValueError(f"missing sign for chord {chord}")
         object.__setattr__(self, "signs", MappingProxyType(signs))
-        pos = {}
-        for i, ep in enumerate(endpoints):
-            pos.setdefault(ep.chord, {})[ep.role] = i
         object.__setattr__(self, "_pos", pos)
 
     def __hash__(self):
         return hash((self.endpoints, tuple(sorted(self.signs.items()))))
+
+    def __reduce__(self):
+        # pickle cannot copy the signs proxy; rebuild through validation
+        return (GaussDiagram, (self.endpoints, dict(self.signs)))
 
     def __repr__(self):
         if not self.endpoints:
@@ -112,11 +113,7 @@ class GaussDiagram:
 
     def chords(self) -> list:
         """Chord labels in order of first appearance around the circle."""
-        out = []
-        for ep in self.endpoints:
-            if ep.chord not in out:
-                out.append(ep.chord)
-        return out
+        return list(dict.fromkeys(ep.chord for ep in self.endpoints))
 
     def chord_at(self, p: int) -> str:
         return self.endpoints[p % len(self.endpoints)].chord
@@ -186,44 +183,51 @@ def rotate(d: GaussDiagram, k: int) -> GaussDiagram:
     return make_diagram(d.endpoints[k:] + d.endpoints[:k], d.signs)
 
 
-def _encode(d: GaussDiagram):
-    """Relabel chords 1..n by first appearance and encode each endpoint as
-    (role O<U, chord number, sign +<-); the key for canonical comparison."""
-    mapping = {}
-    for ep in d.endpoints:
-        if ep.chord not in mapping:
-            mapping[ep.chord] = len(mapping) + 1
-    enc = tuple(
-        (
-            0 if ep.role == TAIL else 1,
-            mapping[ep.chord],
-            0 if d.signs[ep.chord] > 0 else 1,
-        )
-        for ep in d.endpoints
-    )
-    return enc, mapping
+def _least_rotations(d: GaussDiagram):
+    """The least encoding of d over its rotations, and every shift k whose
+    rotation (basepoint at position k) attains it.  Each endpoint encodes
+    as (role O<U, chord number by first appearance, sign +<-)."""
+    eps = d.endpoints
+    m = len(eps)
+    keys = [(0 if ep.role == TAIL else 1, 0 if d.signs[ep.chord] > 0 else 1) for ep in eps]
+    # A least encoding starts with (tail, 1, +), or (tail, 1, -) when no
+    # chord is positive, so only rotations starting there can attain it.
+    first = min(keys)
+    best, shifts = None, []
+    for k in [k for k in range(m) if keys[k] == first]:
+        numbers, code = {}, []
+        less = best is None
+        for i in range(m):
+            p = (k + i) % m
+            role, negative = keys[p]
+            entry = (role, numbers.setdefault(eps[p].chord, len(numbers) + 1), negative)
+            if not less:
+                if entry > best[i]:
+                    break
+                less = entry < best[i]
+            code.append(entry)
+        else:  # no break: this rotation ties with or beats best
+            if less:
+                best, shifts = tuple(code), []
+            shifts.append(k)
+    return best, shifts
 
 
 def canonical(d: GaussDiagram) -> GaussDiagram:
     """Canonical representative under rotation and relabeling.
 
-    Among all 2n rotations, relabel chords by order of first appearance and
+    Among all 2n rotations, relabel chords 1..n by first appearance and
     keep the rotation whose encoded endpoint sequence is lexicographically
-    least.  Idempotent and rotation-invariant; mirror images are NOT
-    identified.
+    least.  Only rotations starting at a positive chord's tail (any tail if
+    none is positive) are tried; every other start encodes larger at its
+    first endpoint, so the result is unchanged.  Idempotent and
+    rotation-invariant; mirror images are NOT identified.
     """
     if d.n == 0:
         return d
-    best = None
-    for k in range(len(d.endpoints)):
-        rot = rotate(d, k)
-        enc, mapping = _encode(rot)
-        if best is None or enc < best[0]:
-            best = (enc, rot, mapping)
-    _, rot, mapping = best
-    relabel = {old: str(new) for old, new in mapping.items()}
-    endpoints = tuple(Endpoint(relabel[ep.chord], ep.role) for ep in rot.endpoints)
-    signs = {relabel[c]: s for c, s in rot.signs.items()}
+    code = _least_rotations(d)[0]
+    endpoints = [Endpoint(str(number), TAIL if role == 0 else HEAD) for role, number, _ in code]
+    signs = {str(number): -1 if negative else 1 for _, number, negative in code}
     return make_diagram(endpoints, signs)
 
 

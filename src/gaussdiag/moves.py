@@ -36,12 +36,12 @@ from .diagram import (
     TAIL,
     Endpoint,
     GaussDiagram,
-    _encode,
+    _least_rotations,
+    adjacent,
     chords_cross,
     enumerate_diagrams,
     label_key,
     make_diagram,
-    rotate,
 )
 
 
@@ -133,24 +133,31 @@ def r1_removable_chords(d: GaussDiagram) -> list:
     return out
 
 
+def _r2_blocker(d: GaussDiagram, a: str, b: str):
+    """Why chords a and b are not an R2 site, or None when they are."""
+    if d.signs[a] == d.signs[b]:
+        return f"chords {a} and {b} have the same sign"
+    if not adjacent(d, d.head_position(a), d.head_position(b)):
+        return f"heads of chords {a} and {b} are not adjacent"
+    if not adjacent(d, d.tail_position(a), d.tail_position(b)):
+        return f"tails of chords {a} and {b} are not adjacent"
+    return None
+
+
 def r2_removable_pairs(d: GaussDiagram) -> list:
     """Unordered pairs {a, b} with adjacent heads, adjacent tails, and
     opposite signs; ordered by their sorted endpoint positions."""
-    m = len(d.endpoints)
+    def order(c):  # label_key order; equal keys ("2", "02") by first appearance
+        return label_key(c), d.positions_of(c)[0]
+
     found = []
-    labels = d.chords()
-    for a, b in itertools.combinations(sorted(labels, key=label_key), 2):
-        if d.signs[a] == d.signs[b]:
-            continue
-        ha, hb = d.head_position(a), d.head_position(b)
-        ta, tb = d.tail_position(a), d.tail_position(b)
-        if (hb - ha) % m not in (1, m - 1):
-            continue
-        if (tb - ta) % m not in (1, m - 1):
-            continue
-        found.append((tuple(sorted((ha, hb, ta, tb))), (a, b)))
-    found.sort()
-    return [pair for _, pair in found]
+    # every R2 site has adjacent heads; adjacent heads never share a chord
+    for p in range(len(d.endpoints)):
+        x, y = d.endpoints[p - 1], d.endpoints[p]
+        if x.role == y.role == HEAD and _r2_blocker(d, x.chord, y.chord) is None:
+            a, b = sorted((x.chord, y.chord), key=order)
+            found.append((sorted(d.positions_of(a) + d.positions_of(b)), (a, b)))
+    return [pair for _, pair in sorted(found)]
 
 
 def _classify_tiling(d: GaussDiagram, pairs):
@@ -290,14 +297,12 @@ def _check_gap(d: GaussDiagram, gap: int):
 
 def apply_move(d: GaussDiagram, move: Move) -> GaussDiagram:
     """Apply one move, or raise MoveNotApplicable naming the failed condition."""
-    m = len(d.endpoints)
-
     if isinstance(move, R1Delete):
         c = move.chord
         if c not in d.signs:
             raise MoveNotApplicable(f"chord {c} not in diagram")
         t, h = d.tail_position(c), d.head_position(c)
-        if (h - t) % m not in (1, m - 1):
+        if not adjacent(d, t, h):
             raise MoveNotApplicable(
                 f"chord {c} endpoints are not adjacent (positions {t} and {h})"
             )
@@ -310,14 +315,9 @@ def apply_move(d: GaussDiagram, move: Move) -> GaussDiagram:
         for c in (a, b):
             if c not in d.signs:
                 raise MoveNotApplicable(f"chord {c} not in diagram")
-        if d.signs[a] == d.signs[b]:
-            raise MoveNotApplicable(f"chords {a} and {b} have the same sign")
-        ha, hb = d.head_position(a), d.head_position(b)
-        if (hb - ha) % m not in (1, m - 1):
-            raise MoveNotApplicable(f"heads of chords {a} and {b} are not adjacent")
-        ta, tb = d.tail_position(a), d.tail_position(b)
-        if (tb - ta) % m not in (1, m - 1):
-            raise MoveNotApplicable(f"tails of chords {a} and {b} are not adjacent")
+        blocker = _r2_blocker(d, a, b)
+        if blocker is not None:
+            raise MoveNotApplicable(blocker)
         eps = [ep for ep in d.endpoints if ep.chord not in (a, b)]
         signs = {k: v for k, v in d.signs.items() if k not in (a, b)}
         return make_diagram(eps, signs)
@@ -431,7 +431,7 @@ def _parse_sign(text: str, spec: str) -> int:
 
 
 def _parse_gap(text: str, spec: str, what: str = "gap") -> int:
-    if not text.isdigit():
+    if not (text.isascii() and text.isdigit()):
         raise ValueError(f"move spec {spec!r}: {what} must be a nonnegative integer")
     return int(text)
 
@@ -497,15 +497,10 @@ def _configuration_orbit_key(d: GaussDiagram, arcs) -> tuple:
     with it.
     """
     m = len(d.endpoints)
-    pair_positions = tuple((a, b) for a, b in arcs)
-    best = None
-    for k in range(m):
-        code = _encode(rotate(d, k))[0]
-        shifted = tuple(sorted(((a - k) % m, (b - k) % m) for a, b in pair_positions))
-        key = (code, shifted)
-        if best is None or key < best:
-            best = key
-    return best
+    code, shifts = _least_rotations(d)
+    return code, min(
+        tuple(sorted(((a - k) % m, (b - k) % m) for a, b in arcs)) for k in shifts
+    )
 
 
 def census_movable_triples(n: int) -> CensusResult:

@@ -79,10 +79,6 @@ def reduce_greedy(d: GaussDiagram) -> SimplifyResult:
     )
 
 
-def _state_key(d: GaussDiagram) -> str:
-    return serialize_gauss_code(canonical(d))
-
-
 def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> SimplifyResult:
     """Best-first search for a minimum-chord-count diagram.
 
@@ -97,9 +93,10 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
     if limits.allow_insertions and max_chords < d.n:
         raise ValueError("max_chords must be at least the input's chord count")
 
-    start_key = _state_key(d)
+    start_canon = canonical(d)
+    start_key = serialize_gauss_code(start_canon)
     # key -> (concrete diagram, parent key, move from parent, canonical form)
-    info = {start_key: (d, None, None, canonical(d))}
+    info = {start_key: (d, None, None, start_canon)}
     frontier = [(d.n, start_key)]
     best = (d.n, start_key)
     explored = 0

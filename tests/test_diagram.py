@@ -3,6 +3,8 @@ enumeration, and the seeded generator."""
 
 from __future__ import annotations
 
+import copy
+import pickle
 import re
 
 import pytest
@@ -90,6 +92,13 @@ def test_endpoint_repr():
 
 def test_diagram_repr_shows_code():
     assert repr(trefoil()) == "GaussDiagram('O1- O2- U1- U2-')"
+
+
+def test_pickle_and_deepcopy_roundtrip():
+    for d in [trefoil(), EMPTY] + [random_diagram(seed % 6, seed) for seed in range(6)]:
+        for clone in (pickle.loads(pickle.dumps(d)), copy.deepcopy(d)):
+            assert clone == d
+            assert hash(clone) == hash(d)
 
 
 # ----------------------------------------------------------------- accessors

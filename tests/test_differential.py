@@ -1,0 +1,168 @@
+"""Differential tests: the least-rotation scan and the shared R2
+precondition against the code they replaced.
+
+The oracles below are the earlier implementations, kept verbatim: a
+``canonical`` and a census orbit key that rebuild the diagram for every
+one of the 2n rotations, and an R2 detector that tests every chord pair.
+The program must agree with them on the exhaustive n <= 4 corpus and the
+seeded random corpus (the orbit key on every movable configuration at
+n = 3 and n = 4).
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from gaussdiag import (
+    Endpoint,
+    GaussDiagram,
+    MoveNotApplicable,
+    R2Delete,
+    apply_move,
+    canonical,
+    enumerate_diagrams,
+    make_diagram,
+    parse_gauss_code,
+    r2_removable_pairs,
+    rotate,
+)
+from gaussdiag.diagram import TAIL, label_key
+from gaussdiag.moves import _configuration_orbit_key, _qualifying_tilings
+
+# ------------------------------------------------------------------ oracles
+
+
+def _encode(d: GaussDiagram):
+    """Relabel chords 1..n by first appearance and encode each endpoint as
+    (role O<U, chord number, sign +<-); the key for canonical comparison."""
+    mapping = {}
+    for ep in d.endpoints:
+        if ep.chord not in mapping:
+            mapping[ep.chord] = len(mapping) + 1
+    enc = tuple(
+        (
+            0 if ep.role == TAIL else 1,
+            mapping[ep.chord],
+            0 if d.signs[ep.chord] > 0 else 1,
+        )
+        for ep in d.endpoints
+    )
+    return enc, mapping
+
+
+def oracle_canonical(d: GaussDiagram) -> GaussDiagram:
+    """Canonical representative under rotation and relabeling.
+
+    Among all 2n rotations, relabel chords by order of first appearance and
+    keep the rotation whose encoded endpoint sequence is lexicographically
+    least.  Idempotent and rotation-invariant; mirror images are NOT
+    identified.
+    """
+    if d.n == 0:
+        return d
+    best = None
+    for k in range(len(d.endpoints)):
+        rot = rotate(d, k)
+        enc, mapping = _encode(rot)
+        if best is None or enc < best[0]:
+            best = (enc, rot, mapping)
+    _, rot, mapping = best
+    relabel = {old: str(new) for old, new in mapping.items()}
+    endpoints = tuple(Endpoint(relabel[ep.chord], ep.role) for ep in rot.endpoints)
+    signs = {relabel[c]: s for c, s in rot.signs.items()}
+    return make_diagram(endpoints, signs)
+
+
+def oracle_configuration_orbit_key(d: GaussDiagram, arcs) -> tuple:
+    """Rotation-invariant key for a (diagram, qualifying tiling) pair.
+
+    Minimises, over all rotations, the label-free diagram encoding paired
+    with the rotated arc positions, so two configurations share a key iff
+    some rotation carries one diagram onto the other and the tiling along
+    with it.
+    """
+    m = len(d.endpoints)
+    pair_positions = tuple((a, b) for a, b in arcs)
+    best = None
+    for k in range(m):
+        code = _encode(rotate(d, k))[0]
+        shifted = tuple(sorted(((a - k) % m, (b - k) % m) for a, b in pair_positions))
+        key = (code, shifted)
+        if best is None or key < best:
+            best = key
+    return best
+
+
+def oracle_r2_removable_pairs(d: GaussDiagram) -> list:
+    """Unordered pairs {a, b} with adjacent heads, adjacent tails, and
+    opposite signs; ordered by their sorted endpoint positions."""
+    m = len(d.endpoints)
+    found = []
+    labels = d.chords()
+    for a, b in itertools.combinations(sorted(labels, key=label_key), 2):
+        if d.signs[a] == d.signs[b]:
+            continue
+        ha, hb = d.head_position(a), d.head_position(b)
+        ta, tb = d.tail_position(a), d.tail_position(b)
+        if (hb - ha) % m not in (1, m - 1):
+            continue
+        if (tb - ta) % m not in (1, m - 1):
+            continue
+        found.append((tuple(sorted((ha, hb, ta, tb))), (a, b)))
+    found.sort()
+    return [pair for _, pair in found]
+
+
+def oracle_r2_delete(d: GaussDiagram, move: R2Delete) -> GaussDiagram:
+    """The R2Delete branch of the earlier apply_move."""
+    m = len(d.endpoints)
+    a, b = move.chords
+    for c in (a, b):
+        if c not in d.signs:
+            raise MoveNotApplicable(f"chord {c} not in diagram")
+    if d.signs[a] == d.signs[b]:
+        raise MoveNotApplicable(f"chords {a} and {b} have the same sign")
+    ha, hb = d.head_position(a), d.head_position(b)
+    if (hb - ha) % m not in (1, m - 1):
+        raise MoveNotApplicable(f"heads of chords {a} and {b} are not adjacent")
+    ta, tb = d.tail_position(a), d.tail_position(b)
+    if (tb - ta) % m not in (1, m - 1):
+        raise MoveNotApplicable(f"tails of chords {a} and {b} are not adjacent")
+    eps = [ep for ep in d.endpoints if ep.chord not in (a, b)]
+    signs = {k: v for k, v in d.signs.items() if k not in (a, b)}
+    return make_diagram(eps, signs)
+
+
+# -------------------------------------------------------------------- tests
+
+
+def _outcome(apply, d, move):
+    try:
+        return apply(d, move)
+    except MoveNotApplicable as exc:
+        return str(exc)
+
+
+def test_canonical_matches_oracle(exhaustive_corpus, random_corpus):
+    for d in exhaustive_corpus + random_corpus:
+        assert canonical(d) == oracle_canonical(d), d
+
+
+def test_orbit_key_matches_oracle_on_movable_configurations():
+    for n in (3, 4):
+        for d in enumerate_diagrams(n):
+            for triple in itertools.combinations(d.chords(), 3):
+                for arcs, _numbers, movable in _qualifying_tilings(d, triple):
+                    if movable:
+                        expected = oracle_configuration_orbit_key(d, arcs)
+                        assert _configuration_orbit_key(d, arcs) == expected, (d, arcs)
+
+
+def test_r2_pairs_and_messages_match_oracle(exhaustive_corpus, random_corpus):
+    # labels "2" and "02" sort as equal; ties keep first-appearance order
+    tie = parse_gauss_code("O2+ U02- U2+ O02-")
+    for d in exhaustive_corpus + random_corpus + [tie]:
+        assert r2_removable_pairs(d) == oracle_r2_removable_pairs(d), d
+        for pair in itertools.combinations(d.chords(), 2):
+            move = R2Delete(pair)
+            assert _outcome(apply_move, d, move) == _outcome(oracle_r2_delete, d, move)

@@ -327,6 +327,8 @@ def test_move_spec_roundtrip(move, text):
         ("r9:del:1", "move spec 'r9:del:1': unknown move kind"),
         ("r1:del", "move spec 'r1:del': r1:del needs a chord label"),
         ("r1:ins:x:+:hf", "move spec 'r1:ins:x:+:hf': gap must be a nonnegative integer"),
+        ("r1:ins:\u0663:+:hf", "move spec 'r1:ins:\u0663:+:hf': gap must be a nonnegative integer"),
+        ("r1:ins:\u00b2:+:hf", "move spec 'r1:ins:\u00b2:+:hf': gap must be a nonnegative integer"),
         ("r2:del:1", "move spec 'r2:del:1': r2:del needs chord,chord"),
         ("r3:1,2", "move spec 'r3:1,2': r3 needs chord,chord,chord"),
         ("", "move spec '': unknown move kind"),
