@@ -8,6 +8,13 @@ undercrossing pass, letter U).  The empty diagram presents the unknot.
 
 The basepoint is representational only: every semantic operation is
 rotation-invariant, and ``canonical`` quotients it away.
+
+Validation happens once, at the trust boundary: the public constructor
+(``GaussDiagram(...)``, ``make_diagram``) checks every invariant, and so
+do the codec's ``parse_gauss_code`` and ``from_structured``, which build
+through it.  Internal rewrites whose results are valid by construction
+(rotation, the canonical decode, enumeration, seeded random diagrams and
+``moves.apply_move``) build through ``_trusted`` and skip revalidation.
 """
 
 from __future__ import annotations
@@ -52,7 +59,10 @@ class GaussDiagram:
 
     Construction validates the invariants: every chord label appears exactly
     twice (once as tail, once as head) and the sign map covers exactly the
-    labels present.  Instances are immutable; operations return new values.
+    labels present.  This constructor is the trust boundary; the library's
+    own rewrites build their valid-by-construction results through
+    ``_trusted`` without revalidating.  Instances are immutable; operations
+    return new values.
     """
 
     endpoints: tuple
@@ -115,9 +125,6 @@ class GaussDiagram:
         """Chord labels in order of first appearance around the circle."""
         return list(dict.fromkeys(ep.chord for ep in self.endpoints))
 
-    def chord_at(self, p: int) -> str:
-        return self.endpoints[p % len(self.endpoints)].chord
-
     def sign_of(self, chord: str) -> int:
         try:
             return self.signs[chord]
@@ -141,6 +148,22 @@ class GaussDiagram:
 def make_diagram(endpoints: Iterable[Endpoint], signs: Mapping[str, int]) -> GaussDiagram:
     """Validate and build a diagram; preserves the given order and basepoint."""
     return GaussDiagram(tuple(endpoints), signs)
+
+
+def _trusted(endpoints: Iterable[Endpoint], signs: Mapping[str, int]) -> GaussDiagram:
+    """Build a diagram from parts that are valid by construction, without
+    validating them: the caller guarantees every chord appears once as tail
+    and once as head, and that ``signs`` maps exactly those chords to +-1.
+    Sets the same attributes as the public constructor."""
+    d = object.__new__(GaussDiagram)
+    endpoints = tuple(endpoints)
+    pos = {}
+    for i, ep in enumerate(endpoints):
+        pos.setdefault(ep.chord, {})[ep.role] = i
+    object.__setattr__(d, "endpoints", endpoints)
+    object.__setattr__(d, "signs", MappingProxyType(dict(signs)))
+    object.__setattr__(d, "_pos", pos)
+    return d
 
 
 EMPTY = make_diagram((), {})
@@ -180,7 +203,7 @@ def rotate(d: GaussDiagram, k: int) -> GaussDiagram:
     if m == 0:
         return d
     k %= m
-    return make_diagram(d.endpoints[k:] + d.endpoints[:k], d.signs)
+    return _trusted(d.endpoints[k:] + d.endpoints[:k], d.signs)
 
 
 def _least_rotations(d: GaussDiagram):
@@ -228,7 +251,7 @@ def canonical(d: GaussDiagram) -> GaussDiagram:
     code = _least_rotations(d)[0]
     endpoints = [Endpoint(str(number), TAIL if role == 0 else HEAD) for role, number, _ in code]
     signs = {str(number): -1 if negative else 1 for _, number, negative in code}
-    return make_diagram(endpoints, signs)
+    return _trusted(endpoints, signs)
 
 
 def same_diagram(d1: GaussDiagram, d2: GaussDiagram) -> bool:
@@ -265,7 +288,7 @@ def enumerate_diagrams(n: int) -> Iterator[GaussDiagram]:
                     tp, hp = (p, q) if t == 0 else (q, p)
                     eps[tp] = Endpoint(lab, TAIL)
                     eps[hp] = Endpoint(lab, HEAD)
-                yield make_diagram(eps, dict(zip(labels, signs)))
+                yield _trusted(eps, dict(zip(labels, signs)))
 
 
 def random_diagram(n: int, seed: int) -> GaussDiagram:
@@ -294,4 +317,4 @@ def random_diagram(n: int, seed: int) -> GaussDiagram:
         eps[tp] = Endpoint(lab, TAIL)
         eps[hp] = Endpoint(lab, HEAD)
         signs[lab] = 1 if rng.randrange(2) == 0 else -1
-    return make_diagram(eps, signs)
+    return _trusted(eps, signs)

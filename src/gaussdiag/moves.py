@@ -23,6 +23,14 @@ equal 3-signs.  Analysis results report the witness tiling: the first
 movable one (preferring the pairing that starts at the least position),
 else the first qualifying one.  This keeps every verdict
 rotation-invariant.
+
+Every matched triple contains two chords a, b whose heads are adjacent,
+and its third chord has its tail next to a's or b's tail, so
+``r3_movable_triples`` analyses only the at most four candidates each
+head adjacency yields: O(n) triples, not all C(n, 3).
+
+``apply_move`` checks each move's precondition before rewriting, so its
+results are valid by construction and are built without revalidation.
 """
 
 from __future__ import annotations
@@ -37,11 +45,13 @@ from .diagram import (
     Endpoint,
     GaussDiagram,
     _least_rotations,
+    _trusted,
     adjacent,
     chords_cross,
     enumerate_diagrams,
     label_key,
-    make_diagram,
+    # not called here; imported so that perfbench/tracing.py can patch it
+    make_diagram,  # noqa: F401
 )
 
 
@@ -269,10 +279,35 @@ def analyze_triple(d: GaussDiagram, triple) -> TripleAnalysis:
 
 
 def r3_movable_triples(d: GaussDiagram) -> list:
-    """All movable triples, as label tuples in sorted order."""
+    """All movable triples, as label tuples in sorted order.
+
+    Candidates come from head adjacencies.  A qualifying tiling pairs the
+    heads of two chords a, b on its heads arc, so the third chord c has its
+    head on the mixed arc, next to a tail of a or b, and its tail on the
+    tails arc (the mixed arc joins two distinct chords), next to the other
+    tail of a or b.  So c's tail is a cyclic neighbour of a's or b's tail:
+    at most four candidates per head adjacency, O(n) triples in all, each
+    analysed in full.  Triples and the list follow the rank of each label in
+    ``sorted(d.chords(), key=label_key)``, i.e. ``itertools.combinations``
+    order, with labels of equal key (such as "1" and "01") in order of
+    first appearance.
+    """
+    eps = d.endpoints
     labels = sorted(d.chords(), key=label_key)
+    rank = {c: i for i, c in enumerate(labels)}
+    candidates = set()
+    for p in range(len(eps)):
+        x, y = eps[p - 1], eps[p]
+        if x.role == y.role == HEAD:
+            a, b = x.chord, y.chord
+            for t in (d.tail_position(a), d.tail_position(b)):
+                for q in (t - 1, (t + 1) % len(eps)):
+                    c = eps[q].chord
+                    if eps[q].role == TAIL and c != a and c != b:
+                        candidates.add(tuple(sorted((rank[a], rank[b], rank[c]))))
     out = []
-    for triple in itertools.combinations(labels, 3):
+    for ranks in sorted(candidates):
+        triple = tuple(labels[i] for i in ranks)
         if analyze_triple(d, triple).movable:
             out.append(triple)
     return out
@@ -308,7 +343,7 @@ def apply_move(d: GaussDiagram, move: Move) -> GaussDiagram:
             )
         eps = [ep for ep in d.endpoints if ep.chord != c]
         signs = {k: v for k, v in d.signs.items() if k != c}
-        return make_diagram(eps, signs)
+        return _trusted(eps, signs)
 
     if isinstance(move, R2Delete):
         a, b = move.chords
@@ -320,7 +355,7 @@ def apply_move(d: GaussDiagram, move: Move) -> GaussDiagram:
             raise MoveNotApplicable(blocker)
         eps = [ep for ep in d.endpoints if ep.chord not in (a, b)]
         signs = {k: v for k, v in d.signs.items() if k not in (a, b)}
-        return make_diagram(eps, signs)
+        return _trusted(eps, signs)
 
     if isinstance(move, R1Insert):
         _check_gap(d, move.gap)
@@ -336,7 +371,7 @@ def apply_move(d: GaussDiagram, move: Move) -> GaussDiagram:
         eps[move.gap : move.gap] = block
         signs = dict(d.signs)
         signs[lab] = move.sign
-        return make_diagram(eps, signs)
+        return _trusted(eps, signs)
 
     if isinstance(move, R2Insert):
         _check_gap(d, move.head_gap)
@@ -362,7 +397,7 @@ def apply_move(d: GaussDiagram, move: Move) -> GaussDiagram:
         signs = dict(d.signs)
         signs[x] = move.first_sign
         signs[y] = -move.first_sign
-        return make_diagram(eps, signs)
+        return _trusted(eps, signs)
 
     if isinstance(move, R3):
         analysis = analyze_triple(d, move.chords)
@@ -375,7 +410,7 @@ def apply_move(d: GaussDiagram, move: Move) -> GaussDiagram:
         eps = list(d.endpoints)
         for a, b in (analysis.heads_arc, analysis.tails_arc, analysis.mixed_arc):
             eps[a], eps[b] = eps[b], eps[a]
-        return make_diagram(eps, d.signs)
+        return _trusted(eps, d.signs)
 
     raise MoveNotApplicable(f"unknown move {move!r}")
 

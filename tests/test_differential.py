@@ -1,29 +1,40 @@
-"""Differential tests: the least-rotation scan and the shared R2
-precondition against the code they replaced.
+"""Differential tests: the least-rotation scan, the shared R2
+precondition, the head-adjacency R3 detector and the unvalidated rewrite
+constructor against the code they replaced.
 
 The oracles below are the earlier implementations, kept verbatim: a
 ``canonical`` and a census orbit key that rebuild the diagram for every
-one of the 2n rotations, and an R2 detector that tests every chord pair.
-The program must agree with them on the exhaustive n <= 4 corpus and the
+one of the 2n rotations, an R2 detector that tests every chord pair, and
+an R3 detector that analyses every one of the C(n, 3) triples.  The
+program must agree with them on the exhaustive n <= 4 corpus and the
 seeded random corpus (the orbit key on every movable configuration at
-n = 3 and n = 4).
+n = 3 and n = 4; the R3 lists also on larger seeded diagrams).  Results
+that internal rewrites build without validation must equal the same
+parts rebuilt through ``make_diagram``.
 """
 
 from __future__ import annotations
 
 import itertools
+from types import MappingProxyType
 
 from gaussdiag import (
     Endpoint,
     GaussDiagram,
     MoveNotApplicable,
+    R1Insert,
     R2Delete,
+    R2Insert,
+    analyze_triple,
     apply_move,
     canonical,
     enumerate_diagrams,
+    enumerate_moves,
     make_diagram,
     parse_gauss_code,
     r2_removable_pairs,
+    r3_movable_triples,
+    random_diagram,
     rotate,
 )
 from gaussdiag.diagram import TAIL, label_key
@@ -133,6 +144,16 @@ def oracle_r2_delete(d: GaussDiagram, move: R2Delete) -> GaussDiagram:
     return make_diagram(eps, signs)
 
 
+def oracle_r3_movable_triples(d: GaussDiagram) -> list:
+    """All movable triples, as label tuples in sorted order."""
+    labels = sorted(d.chords(), key=label_key)
+    out = []
+    for triple in itertools.combinations(labels, 3):
+        if analyze_triple(d, triple).movable:
+            out.append(triple)
+    return out
+
+
 # -------------------------------------------------------------------- tests
 
 
@@ -166,3 +187,34 @@ def test_r2_pairs_and_messages_match_oracle(exhaustive_corpus, random_corpus):
         for pair in itertools.combinations(d.chords(), 2):
             move = R2Delete(pair)
             assert _outcome(apply_move, d, move) == _outcome(oracle_r2_delete, d, move)
+
+
+def test_r3_triples_match_oracle(exhaustive_corpus, random_corpus):
+    seeded = [random_diagram(9 + s % 21, 20_000 + s) for s in range(300)]
+    # labels "1" and "01" sort as equal; ties keep first-appearance order
+    ties = [
+        parse_gauss_code("O3+ U01- O1+ U2- U1+ U3+ O2- O01-"),
+        parse_gauss_code("O3+ U1- O01+ U2- U01+ U3+ O2- O1-"),
+    ]
+    for d in exhaustive_corpus + random_corpus + seeded + ties:
+        assert r3_movable_triples(d) == oracle_r3_movable_triples(d), d
+
+
+def test_trusted_results_match_validated_construction(exhaustive_corpus, random_corpus):
+    for d in [d for d in exhaustive_corpus if d.n <= 3] + random_corpus:
+        half = max(1, len(d.endpoints)) // 2
+        insertions = [
+            R1Insert(0, 1, True),
+            R1Insert(half, -1, False),
+            R2Insert(0, half, 1, True),
+            R2Insert(half, 0, -1, False),
+            R2Insert(0, 0, 1, True),
+        ]
+        results = [d, canonical(d)]
+        results += [rotate(d, k) for k in range(len(d.endpoints))]
+        results += [apply_move(d, move) for move in enumerate_moves(d) + insertions]
+        for out in results:
+            rebuilt = make_diagram(out.endpoints, dict(out.signs))
+            assert isinstance(out.signs, MappingProxyType), out
+            assert out == rebuilt and out._pos == rebuilt._pos, out
+            assert hash(out) == hash(rebuilt), out
