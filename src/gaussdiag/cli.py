@@ -12,8 +12,8 @@ import argparse
 import json
 import sys
 
-from .codec import ParseError, parse_gauss_code, serialize_gauss_code
-from .diagram import canonical, random_diagram, writhe
+from .codec import ParseError, _canonical_code, parse_gauss_code, serialize_gauss_code
+from .diagram import random_diagram, writhe
 from .moves import (
     MoveNotApplicable,
     apply_move,
@@ -110,7 +110,7 @@ def _cmd_simplify(args) -> int:
 
 def _cmd_canonical(args) -> int:
     d = parse_gauss_code(_read_code(args.code))
-    print(serialize_gauss_code(canonical(d)))
+    print(_canonical_code(d))
     return 0
 
 

@@ -17,6 +17,7 @@ from .diagram import (
     TAIL,
     Endpoint,
     GaussDiagram,
+    _least_rotations,
     make_diagram,
 )
 
@@ -100,15 +101,27 @@ def parse_gauss_code(text: str) -> GaussDiagram:
     return make_diagram(endpoints, signs)
 
 
+def _token(head: int, label: str, negative: int) -> str:
+    """The one emitted token spelling: role letter (0 tail O, 1 head U),
+    label, ASCII sign (0 +, 1 -)."""
+    return "OU"[head] + label + "+-"[negative]
+
+
 def serialize_gauss_code(d: GaussDiagram) -> str:
     """Emit the code from the current basepoint: uppercase roles, ASCII
     signs, single-space separated.  parse(serialize(d)) == d exactly."""
     return " ".join(
-        ("O" if ep.role == TAIL else "U")
-        + ep.chord
-        + ("+" if d.signs[ep.chord] > 0 else "-")
-        for ep in d.endpoints
+        _token(ep.role == HEAD, ep.chord, d.signs[ep.chord] < 0) for ep in d.endpoints
     )
+
+
+def _canonical_code(d: GaussDiagram) -> str:
+    """serialize_gauss_code(canonical(d)), spelled straight from the
+    least-rotation encoding without building the canonical diagram."""
+    code = _least_rotations(d)[0]
+    if code is None:
+        return ""
+    return " ".join(_token(head, str(number), negative) for head, number, negative in code)
 
 
 def to_structured(d: GaussDiagram) -> dict:

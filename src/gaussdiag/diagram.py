@@ -106,15 +106,9 @@ class GaussDiagram:
         return (GaussDiagram, (self.endpoints, dict(self.signs)))
 
     def __repr__(self):
-        if not self.endpoints:
-            return "GaussDiagram('')"
-        toks = " ".join(
-            ("O" if ep.role == TAIL else "U")
-            + ep.chord
-            + ("+" if self.signs[ep.chord] > 0 else "-")
-            for ep in self.endpoints
-        )
-        return f"GaussDiagram({toks!r})"
+        from .codec import serialize_gauss_code  # codec imports this module
+
+        return f"GaussDiagram({serialize_gauss_code(self)!r})"
 
     @property
     def n(self) -> int:
@@ -209,13 +203,14 @@ def rotate(d: GaussDiagram, k: int) -> GaussDiagram:
 def _least_rotations(d: GaussDiagram):
     """The least encoding of d over its rotations, and every shift k whose
     rotation (basepoint at position k) attains it.  Each endpoint encodes
-    as (role O<U, chord number by first appearance, sign +<-)."""
+    as (role O<U, chord number by first appearance, sign +<-).  The empty
+    diagram has encoding None and no shifts."""
     eps = d.endpoints
     m = len(eps)
     keys = [(0 if ep.role == TAIL else 1, 0 if d.signs[ep.chord] > 0 else 1) for ep in eps]
     # A least encoding starts with (tail, 1, +), or (tail, 1, -) when no
     # chord is positive, so only rotations starting there can attain it.
-    first = min(keys)
+    first = min(keys, default=None)
     best, shifts = None, []
     for k in [k for k in range(m) if keys[k] == first]:
         numbers, code = {}, []
@@ -256,7 +251,7 @@ def canonical(d: GaussDiagram) -> GaussDiagram:
 
 def same_diagram(d1: GaussDiagram, d2: GaussDiagram) -> bool:
     """True iff the diagrams agree up to rotation and relabeling."""
-    return canonical(d1) == canonical(d2)
+    return _least_rotations(d1)[0] == _least_rotations(d2)[0]
 
 
 def _matchings(positions: list) -> Iterator[list]:

@@ -25,9 +25,10 @@ else the first qualifying one.  This keeps every verdict
 rotation-invariant.
 
 Every matched triple contains two chords a, b whose heads are adjacent,
-and its third chord has its tail next to a's or b's tail, so
-``r3_movable_triples`` analyses only the at most four candidates each
-head adjacency yields: O(n) triples, not all C(n, 3).
+and its third chord has its tail next to a's or b's tail.  So one
+candidate generator, ``_r3_candidates``, yields the at most four triples
+each head adjacency gives: O(n) triples, not all C(n, 3).  Both
+``r3_movable_triples`` and the census analyse only those.
 
 ``apply_move`` checks each move's precondition before rewriting, so its
 results are valid by construction and are built without revalidation.
@@ -35,7 +36,6 @@ results are valid by construction and are built without revalidation.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Mapping, Union
 
@@ -278,35 +278,45 @@ def analyze_triple(d: GaussDiagram, triple) -> TripleAnalysis:
     )
 
 
-def r3_movable_triples(d: GaussDiagram) -> list:
-    """All movable triples, as label tuples in sorted order.
+def _r3_candidates(d: GaussDiagram) -> set:
+    """Candidate R3 triples, as frozensets of labels: every matched triple,
+    and few others.
 
     Candidates come from head adjacencies.  A qualifying tiling pairs the
     heads of two chords a, b on its heads arc, so the third chord c has its
     head on the mixed arc, next to a tail of a or b, and its tail on the
     tails arc (the mixed arc joins two distinct chords), next to the other
     tail of a or b.  So c's tail is a cyclic neighbour of a's or b's tail:
-    at most four candidates per head adjacency, O(n) triples in all, each
-    analysed in full.  Triples and the list follow the rank of each label in
-    ``sorted(d.chords(), key=label_key)``, i.e. ``itertools.combinations``
-    order, with labels of equal key (such as "1" and "01") in order of
-    first appearance.
+    at most four candidates per head adjacency, O(n) triples in all.
     """
     eps = d.endpoints
-    labels = sorted(d.chords(), key=label_key)
-    rank = {c: i for i, c in enumerate(labels)}
+    m = len(eps)
+    pos = d._pos
     candidates = set()
-    for p in range(len(eps)):
+    for p in range(m):
         x, y = eps[p - 1], eps[p]
         if x.role == y.role == HEAD:
             a, b = x.chord, y.chord
-            for t in (d.tail_position(a), d.tail_position(b)):
-                for q in (t - 1, (t + 1) % len(eps)):
-                    c = eps[q].chord
-                    if eps[q].role == TAIL and c != a and c != b:
-                        candidates.add(tuple(sorted((rank[a], rank[b], rank[c]))))
+            for t in (pos[a][TAIL], pos[b][TAIL]):
+                for z in (eps[t - 1], eps[(t + 1) % m]):
+                    c = z.chord
+                    if z.role == TAIL and c != a and c != b:
+                        candidates.add(frozenset((a, b, c)))
+    return candidates
+
+
+def r3_movable_triples(d: GaussDiagram) -> list:
+    """All movable triples, as label tuples in sorted order.
+
+    Each of the ``_r3_candidates`` is analysed in full.  Triples and the
+    list follow the rank of each label in ``sorted(d.chords(),
+    key=label_key)``, i.e. ``itertools.combinations`` order, with labels of
+    equal key (such as "1" and "01") in order of first appearance.
+    """
+    labels = sorted(d.chords(), key=label_key)
+    rank = {c: i for i, c in enumerate(labels)}
     out = []
-    for ranks in sorted(candidates):
+    for ranks in sorted(sorted(map(rank.__getitem__, t)) for t in _r3_candidates(d)):
         triple = tuple(labels[i] for i in ranks)
         if analyze_triple(d, triple).movable:
             out.append(triple)
@@ -546,7 +556,9 @@ def census_movable_triples(n: int) -> CensusResult:
     when the triple's endpoints fill the whole circle).  Counts matched
     configurations, movable ones (all three 3-signs equal), and the
     movable configurations up to rotation of the underlying diagram.
-    n is capped at 5 to keep (2n-1)!! * 4^n enumeration at desk scale.
+    Only ``_r3_candidates`` are analysed; every other triple has no
+    qualifying tiling.  n is capped at 5 to keep (2n-1)!! * 4^n
+    enumeration at desk scale.
     """
     if n < 3:
         raise ValueError("census needs at least 3 chords")
@@ -556,7 +568,7 @@ def census_movable_triples(n: int) -> CensusResult:
     movable_orbits = set()
     for d in enumerate_diagrams(n):
         total += 1
-        for triple in itertools.combinations(d.chords(), 3):
+        for triple in _r3_candidates(d):
             for arcs, _numbers, is_movable in _qualifying_tilings(d, triple):
                 matched += 1
                 if is_movable:

@@ -3,8 +3,9 @@
 reduce_greedy applies the first available deletion until stuck, which is
 enough for diagrams whose simplification never needs R3.  simplify runs a
 best-first search over everything reachable by deletions and R3 (plus
-bounded insertions when enabled), deduplicating states by canonical form,
-and returns a minimum-chord-count state with a replayable trace.
+bounded insertions when enabled), deduplicating states by their canonical
+code string, and returns a minimum-chord-count state with a replayable
+trace.  Canonical diagrams are built only for the states on that trace.
 """
 
 from __future__ import annotations
@@ -13,12 +14,11 @@ import heapq
 from dataclasses import dataclass
 from typing import Optional
 
-from .codec import serialize_gauss_code
+from .codec import _canonical_code, serialize_gauss_code
 from .diagram import GaussDiagram, canonical
 from .moves import (
     MoveNotApplicable,
     R1Delete,
-    R1Insert,
     R2Delete,
     R2Insert,
     apply_move,
@@ -42,7 +42,9 @@ class SearchLimits:
 @dataclass(frozen=True)
 class SimplifyResult:
     """final diagram, trace of (move, canonical form after the move),
-    states explored, and whether the state budget truncated the search."""
+    states explored, and whether the state budget truncated the search.
+    The final diagram is the concrete state the search reached; each trace
+    entry's canonical form is built from the concrete state after its move."""
 
     final: GaussDiagram
     trace: tuple
@@ -82,10 +84,13 @@ def reduce_greedy(d: GaussDiagram) -> SimplifyResult:
 def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> SimplifyResult:
     """Best-first search for a minimum-chord-count diagram.
 
-    States are deduplicated by canonical form; the frontier is ordered by
+    States are keyed by canonical code, the serialized canonical form
+    spelled straight from the least-rotation encoding; canonical diagrams
+    are built only for the returned trace.  The frontier is ordered by
     (chord count, canonical code), which fixes the expansion order and
     makes the result deterministic for given limits.  Ties among final
     states break toward the lexicographically least canonical code.
+    Insertions are generated only while they fit under max_chords.
     """
     if limits.max_states < 1:
         raise ValueError("max_states must be positive")
@@ -93,10 +98,9 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
     if limits.allow_insertions and max_chords < d.n:
         raise ValueError("max_chords must be at least the input's chord count")
 
-    start_canon = canonical(d)
-    start_key = serialize_gauss_code(start_canon)
-    # key -> (concrete diagram, parent key, move from parent, canonical form)
-    info = {start_key: (d, None, None, start_canon)}
+    start_key = _canonical_code(d)
+    # canonical code -> (concrete diagram, parent's code, move from parent)
+    info = {start_key: (d, None, None)}
     frontier = [(d.n, start_key)]
     best = (d.n, start_key)
     explored = 0
@@ -111,17 +115,16 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
         explored += 1
         if count == 0:
             break
-        for move in enumerate_moves(state, include_insertions=limits.allow_insertions):
-            if isinstance(move, R1Insert) and state.n + 1 > max_chords:
-                continue
-            if isinstance(move, R2Insert) and state.n + 2 > max_chords:
+        room = max_chords - count  # chords an insertion may still add
+        insertions = limits.allow_insertions and room >= 1
+        for move in enumerate_moves(state, include_insertions=insertions):
+            if room < 2 and isinstance(move, R2Insert):
                 continue
             child = apply_move(state, move)
-            child_canon = canonical(child)
-            child_key = serialize_gauss_code(child_canon)
+            child_key = _canonical_code(child)
             if child_key in info:
                 continue
-            info[child_key] = (child, key, move, child_canon)
+            info[child_key] = (child, key, move)
             entry = (child.n, child_key)
             if entry < best:
                 best = entry
@@ -132,8 +135,8 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
     steps = []
     key = best[1]
     while info[key][1] is not None:
-        _, parent, move, canon = info[key]
-        steps.append((move, canon))
+        child, parent, move = info[key]
+        steps.append((move, canonical(child)))
         key = parent
     steps.reverse()
     return SimplifyResult(

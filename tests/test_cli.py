@@ -157,6 +157,12 @@ def test_canonical(capsys):
     assert out == "O1- U1- O2- U2-\n"
 
 
+def test_canonical_of_empty_code(capsys):
+    code, out, _ = run(capsys, "canonical", "")
+    assert code == 0
+    assert out == "\n"
+
+
 def test_render_ascii_stdout(capsys):
     code, out, _ = run(capsys, "render", "--format", "ascii", TREFOIL)
     assert code == 0

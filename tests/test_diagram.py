@@ -92,6 +92,7 @@ def test_endpoint_repr():
 
 def test_diagram_repr_shows_code():
     assert repr(trefoil()) == "GaussDiagram('O1- O2- U1- U2-')"
+    assert repr(EMPTY) == "GaussDiagram('')"
 
 
 def test_pickle_and_deepcopy_roundtrip():
@@ -179,6 +180,12 @@ def test_same_diagram_accepts_relabeling():
 def test_same_diagram_reverse_reading():
     # reading the trefoil code backwards lands in the same rotation class
     assert same_diagram(trefoil(), parse_gauss_code("U2- U1- O2- O1-"))
+
+
+def test_same_diagram_empty():
+    assert same_diagram(parse_gauss_code(""), EMPTY)
+    assert not same_diagram(parse_gauss_code(""), trefoil())
+    assert not same_diagram(trefoil(), parse_gauss_code(""))
 
 
 # ------------------------------------------------------ enumeration, random

@@ -1,20 +1,24 @@
 """Differential tests: the least-rotation scan, the shared R2
-precondition, the head-adjacency R3 detector and the unvalidated rewrite
-constructor against the code they replaced.
+precondition, the head-adjacency R3 detector, the unvalidated rewrite
+constructor and the code-keyed search against the code they replaced.
 
 The oracles below are the earlier implementations, kept verbatim: a
 ``canonical`` and a census orbit key that rebuild the diagram for every
-one of the 2n rotations, an R2 detector that tests every chord pair, and
-an R3 detector that analyses every one of the C(n, 3) triples.  The
-program must agree with them on the exhaustive n <= 4 corpus and the
-seeded random corpus (the orbit key on every movable configuration at
-n = 3 and n = 4; the R3 lists also on larger seeded diagrams).  Results
-that internal rewrites build without validation must equal the same
-parts rebuilt through ``make_diagram``.
+one of the 2n rotations, an R2 detector that tests every chord pair, an
+R3 detector that analyses every one of the C(n, 3) triples, and
+``oracle_simplify``, the search that built and serialized a canonical
+diagram for every child and filtered insertions one by one.  The program
+must agree with them on the exhaustive n <= 4 corpus and the seeded
+random corpus (the orbit key on every movable configuration at n = 3 and
+n = 4; the R3 lists also on larger seeded diagrams; the search on every
+diagram with n <= 3, with insertions on n <= 2, and on seeded diagrams
+with 5 to 10 chords).  Results that internal rewrites build without
+validation must equal the same parts rebuilt through ``make_diagram``.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from types import MappingProxyType
 
@@ -25,18 +29,24 @@ from gaussdiag import (
     R1Insert,
     R2Delete,
     R2Insert,
+    SearchLimits,
+    SimplifyResult,
     analyze_triple,
     apply_move,
     canonical,
     enumerate_diagrams,
     enumerate_moves,
+    format_move,
     make_diagram,
     parse_gauss_code,
     r2_removable_pairs,
     r3_movable_triples,
     random_diagram,
     rotate,
+    serialize_gauss_code,
+    simplify,
 )
+from gaussdiag.codec import _canonical_code
 from gaussdiag.diagram import TAIL, label_key
 from gaussdiag.moves import _configuration_orbit_key, _qualifying_tilings
 
@@ -154,6 +164,71 @@ def oracle_r3_movable_triples(d: GaussDiagram) -> list:
     return out
 
 
+def oracle_simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> SimplifyResult:
+    """Best-first search for a minimum-chord-count diagram.
+
+    States are deduplicated by canonical form; the frontier is ordered by
+    (chord count, canonical code), which fixes the expansion order and
+    makes the result deterministic for given limits.  Ties among final
+    states break toward the lexicographically least canonical code.
+    """
+    if limits.max_states < 1:
+        raise ValueError("max_states must be positive")
+    max_chords = limits.max_chords if limits.max_chords is not None else d.n + 2
+    if limits.allow_insertions and max_chords < d.n:
+        raise ValueError("max_chords must be at least the input's chord count")
+
+    start_canon = canonical(d)
+    start_key = serialize_gauss_code(start_canon)
+    # key -> (concrete diagram, parent key, move from parent, canonical form)
+    info = {start_key: (d, None, None, start_canon)}
+    frontier = [(d.n, start_key)]
+    best = (d.n, start_key)
+    explored = 0
+    limit_hit = False
+
+    while frontier:
+        if explored >= limits.max_states:
+            limit_hit = True
+            break
+        count, key = heapq.heappop(frontier)
+        state = info[key][0]
+        explored += 1
+        if count == 0:
+            break
+        for move in enumerate_moves(state, include_insertions=limits.allow_insertions):
+            if isinstance(move, R1Insert) and state.n + 1 > max_chords:
+                continue
+            if isinstance(move, R2Insert) and state.n + 2 > max_chords:
+                continue
+            child = apply_move(state, move)
+            child_canon = canonical(child)
+            child_key = serialize_gauss_code(child_canon)
+            if child_key in info:
+                continue
+            info[child_key] = (child, key, move, child_canon)
+            entry = (child.n, child_key)
+            if entry < best:
+                best = entry
+            heapq.heappush(frontier, entry)
+        if best[0] == 0:
+            break  # an empty diagram was found; nothing can beat it
+
+    steps = []
+    key = best[1]
+    while info[key][1] is not None:
+        _, parent, move, canon = info[key]
+        steps.append((move, canon))
+        key = parent
+    steps.reverse()
+    return SimplifyResult(
+        final=info[best[1]][0],
+        trace=tuple(steps),
+        states_explored=explored,
+        limit_hit=limit_hit,
+    )
+
+
 # -------------------------------------------------------------------- tests
 
 
@@ -218,3 +293,40 @@ def test_trusted_results_match_validated_construction(exhaustive_corpus, random_
             assert isinstance(out.signs, MappingProxyType), out
             assert out == rebuilt and out._pos == rebuilt._pos, out
             assert hash(out) == hash(rebuilt), out
+
+
+def _search_outcome(result: SimplifyResult):
+    """Everything a search returns, in comparable form: the final code and
+    sign order, each trace move's spec with its canonical form's code and
+    sign order, the expansion count and the truncation flag."""
+    final = result.final
+    return (
+        serialize_gauss_code(final),
+        tuple(final.signs),
+        [(format_move(m), serialize_gauss_code(c), tuple(c.signs)) for m, c in result.trace],
+        result.states_explored,
+        result.limit_hit,
+    )
+
+
+def test_canonical_code_matches_serialized_canonical(exhaustive_corpus, random_corpus):
+    for d in exhaustive_corpus + random_corpus:
+        code = serialize_gauss_code(canonical(d))
+        assert _canonical_code(d) == code, d
+        for k in range(1, len(d.endpoints)):
+            assert _canonical_code(rotate(d, k)) == code, (d, k)
+
+
+def test_simplify_matches_oracle_without_insertions(exhaustive_corpus):
+    seeded = [random_diagram(5 + s % 6, 900 + s) for s in range(100)]
+    for d in [d for d in exhaustive_corpus if d.n <= 3] + seeded:
+        assert _search_outcome(simplify(d)) == _search_outcome(oracle_simplify(d)), d
+
+
+def test_simplify_matches_oracle_with_insertions(exhaustive_corpus):
+    for d in [d for d in exhaustive_corpus if d.n <= 2]:
+        # default cap (room 2), room 1 (R1 insertions only) and room 0
+        for max_chords in (None, d.n + 1, d.n):
+            limits = SearchLimits(max_states=40, allow_insertions=True, max_chords=max_chords)
+            expected = _search_outcome(oracle_simplify(d, limits))
+            assert _search_outcome(simplify(d, limits)) == expected, (d, max_chords)
