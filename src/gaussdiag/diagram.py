@@ -181,9 +181,13 @@ def chords_cross(d: GaussDiagram, a: str, b: str) -> bool:
     the counterclockwise arc between a's endpoints.  Symmetric in a, b."""
     if a == b:
         raise ValueError("chords_cross needs two distinct chords")
-    p1, p2 = d.positions_of(a)
-    inside = sum(1 for q in d.positions_of(b) if p1 < q < p2)
-    return inside == 1
+    return _interleaved(*d.positions_of(a), *d.positions_of(b))
+
+
+def _interleaved(p1: int, p2: int, q1: int, q2: int) -> bool:
+    """True iff exactly one of the distinct positions q1, q2 lies strictly
+    between p1 and p2 (in either order): q lies between iff (q-p1)(q-p2) < 0."""
+    return (q1 - p1) * (q1 - p2) * (q2 - p1) * (q2 - p2) < 0
 
 
 def writhe(d: GaussDiagram) -> int:
@@ -275,15 +279,19 @@ def enumerate_diagrams(n: int) -> Iterator[GaussDiagram]:
     import itertools
 
     labels = [str(i + 1) for i in range(n)]
+    ends = [(Endpoint(lab, TAIL), Endpoint(lab, HEAD)) for lab in labels]
+    sign_maps = [dict(zip(labels, signs)) for signs in itertools.product((1, -1), repeat=n)]
     for matching in _matchings(list(range(2 * n))):
         for tails in itertools.product((0, 1), repeat=n):
-            for signs in itertools.product((1, -1), repeat=n):
-                eps = [None] * (2 * n)
-                for (p, q), lab, t in zip(matching, labels, tails):
-                    tp, hp = (p, q) if t == 0 else (q, p)
-                    eps[tp] = Endpoint(lab, TAIL)
-                    eps[hp] = Endpoint(lab, HEAD)
-                yield _trusted(eps, dict(zip(labels, signs)))
+            eps = [None] * (2 * n)
+            for (p, q), (tail, head), t in zip(matching, ends, tails):
+                tp, hp = (p, q) if t == 0 else (q, p)
+                eps[tp] = tail
+                eps[hp] = head
+            eps = tuple(eps)
+            # shared by the 2^n sign choices: _trusted copies the sign map
+            for signs in sign_maps:
+                yield _trusted(eps, signs)
 
 
 def random_diagram(n: int, seed: int) -> GaussDiagram:

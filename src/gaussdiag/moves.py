@@ -24,6 +24,12 @@ movable one (preferring the pairing that starts at the least position),
 else the first qualifying one.  This keeps every verdict
 rotation-invariant.
 
+One integer kernel, ``_qualifying_tilings``, computes all of this from the
+triple's six endpoint positions: the tilings from their sorted order, each
+chord's parity from how its positions interleave with the other two
+chords' and its direction from the arcs holding its ends.  ``analyze_triple``
+(and through it R3 detection and ``apply_move``) and the census all call it.
+
 Every matched triple contains two chords a, b whose heads are adjacent,
 and its third chord has its tail next to a's or b's tail.  So one
 candidate generator, ``_r3_candidates``, yields the at most four triples
@@ -44,10 +50,10 @@ from .diagram import (
     TAIL,
     Endpoint,
     GaussDiagram,
+    _interleaved,
     _least_rotations,
     _trusted,
     adjacent,
-    chords_cross,
     enumerate_diagrams,
     label_key,
     # not called here; imported so that perfbench/tracing.py can patch it
@@ -170,83 +176,82 @@ def r2_removable_pairs(d: GaussDiagram) -> list:
     return [pair for _, pair in sorted(found)]
 
 
-def _classify_tiling(d: GaussDiagram, pairs):
-    """Check one candidate tiling (three ccw-oriented position pairs).
-
-    Returns (heads_arc, tails_arc, mixed_arc) when every pair is adjacent
-    in the full diagram and the pairs classify as exactly one heads-pair,
-    one tails-pair, and one mixed pair with head and tail of distinct
-    chords; otherwise None.
-    """
-    m = len(d.endpoints)
-    heads = tails = mixed = None
-    for a, b in pairs:
-        if b != (a + 1) % m:
-            return None
-        ra, rb = d.endpoints[a].role, d.endpoints[b].role
-        if ra == HEAD and rb == HEAD:
-            if heads is not None:
-                return None
-            heads = (a, b)
-        elif ra == TAIL and rb == TAIL:
-            if tails is not None:
-                return None
-            tails = (a, b)
-        else:
-            if mixed is not None:
-                return None
-            if d.endpoints[a].chord == d.endpoints[b].chord:
-                return None
-            mixed = (a, b)
-    if heads is None or tails is None or mixed is None:
-        return None
-    return heads, tails, mixed
-
-
-def _chord_numbers(d: GaussDiagram, triple, arcs) -> dict:
-    # arcs in ccw cyclic order = ascending start position (the wrap arc,
-    # if any, starts at 2n-1 and sorts last)
-    ordered = sorted(arcs)
-    arc_of = {}
-    for idx, (a, b) in enumerate(ordered):
-        arc_of[a] = idx
-        arc_of[b] = idx
-    numbers = {}
-    for c in triple:
-        i = arc_of[d.tail_position(c)]
-        j = arc_of[d.head_position(c)]
-        direction = 1 if j == (i + 1) % 3 else -1
-        crossings = sum(1 for x in triple if x != c and chords_cross(d, c, x))
-        parity = 1 if crossings % 2 == 0 else -1
-        sign = d.signs[c]
-        numbers[c] = ChordNumbers(
-            sign=sign, parity=parity, direction=direction,
-            three_sign=sign * parity * direction,
-        )
-    return numbers
+# every (sign, parity, direction) record, shared: a frozen value, built once
+_NUMBERS = {
+    (sign, parity, direction): ChordNumbers(sign, parity, direction, sign * parity * direction)
+    for sign in (1, -1) for parity in (1, -1) for direction in (1, -1)
+}
 
 
 def _qualifying_tilings(d: GaussDiagram, labels) -> list:
-    """Both candidate tilings of the triple's six endpoints, filtered to
-    the qualifying ones; each entry is (arcs, numbers, movable).
+    """The qualifying tilings of the triple's six endpoints, each as
+    (arcs, {label: ChordNumbers}, movable) with arcs = (heads_arc,
+    tails_arc, mixed_arc).
 
     The six positions, sorted as q0 < ... < q5, admit exactly two tilings
     into consecutive pairs: (q0 q1)(q2 q3)(q4 q5) and (q1 q2)(q3 q4)(q5 q0).
-    Both can qualify only when the six endpoints fill the whole circle.
+    Both can qualify only when the six endpoints fill the whole circle.  A
+    tiling qualifies when each pair is adjacent in the full diagram, one
+    pair joins two heads (then another joins two tails, and the third a
+    head and a tail) and the mixed pair joins distinct chords.
+
+    Everything is read from the endpoint positions: a chord's direction
+    from the indices of the arcs holding its tail and head (arcs in ccw
+    order = ascending start), its parity from the interleaving of its
+    positions with those of the other two chords.  The numbers dict follows
+    the order of ``labels``.
     """
-    q = sorted(p for c in labels for p in d.positions_of(c))
-    candidates = (
-        ((q[0], q[1]), (q[2], q[3]), (q[4], q[5])),
-        ((q[1], q[2]), (q[3], q[4]), (q[5], q[0])),
-    )
+    eps = d.endpoints
+    m = len(eps)
+    pos = d._pos
+    a, b, c = labels
+    ta, ha = pos[a][TAIL], pos[a][HEAD]
+    tb, hb = pos[b][TAIL], pos[b][HEAD]
+    tc, hc = pos[c][TAIL], pos[c][HEAD]
+    chords = ((a, ta, ha), (b, tb, hb), (c, tc, hc))
+    q0, q1, q2, q3, q4, q5 = sorted((ta, ha, tb, hb, tc, hc))
+    tilings = []
+    if q1 == q0 + 1 and q3 == q2 + 1 and q5 == q4 + 1:
+        tilings.append(((q0, q1), (q2, q3), (q4, q5)))
+    if q2 == q1 + 1 and q4 == q3 + 1 and q0 == 0 and q5 == m - 1:
+        tilings.append(((q1, q2), (q3, q4), (q5, q0)))
     out = []
-    for pairs in candidates:
-        arcs = _classify_tiling(d, pairs)
-        if arcs is None:
+    parities = None
+    for pairs in tilings:
+        heads = tails = mixed = None
+        for pair in pairs:
+            x, y = eps[pair[0]], eps[pair[1]]
+            if x.role != y.role:
+                mixed = pair if x.chord != y.chord else None
+            elif x.role == HEAD:
+                heads = pair
+            else:
+                tails = pair
+        # 3 heads and 3 tails: with a heads pair, the other two pairs are a
+        # tails pair and a mixed pair, which must join distinct chords
+        if heads is None or mixed is None:
             continue
-        numbers = _chord_numbers(d, labels, arcs)
-        movable = len({rec.three_sign for rec in numbers.values()}) == 1
-        out.append((arcs, numbers, movable))
+        if parities is None:
+            # +1 iff a chord crosses an even number of the other two
+            xab = _interleaved(ta, ha, tb, hb)
+            xac = _interleaved(ta, ha, tc, hc)
+            xbc = _interleaved(tb, hb, tc, hc)
+            parities = (
+                1 if xab == xac else -1,
+                1 if xab == xbc else -1,
+                1 if xac == xbc else -1,
+            )
+        # the arcs, in ccw order, start at s0 < s1 < s2; mod 3, a position's
+        # arc index is the number of starts at or before it
+        s0, s1, s2 = pairs[0][0], pairs[1][0], pairs[2][0]
+        numbers = {}
+        for (label, t, h), parity in zip(chords, parities):
+            i = (t >= s0) + (t >= s1) + (t >= s2)
+            j = (h >= s0) + (h >= s1) + (h >= s2)
+            direction = 1 if (j - i) % 3 == 1 else -1
+            numbers[label] = _NUMBERS[d.signs[label], parity, direction]
+        three_a, three_b, three_c = (rec.three_sign for rec in numbers.values())
+        out.append(((heads, tails, mixed), numbers, three_a == three_b == three_c))
     return out
 
 
@@ -254,7 +259,7 @@ def analyze_triple(d: GaussDiagram, triple) -> TripleAnalysis:
     """Full matched/movable analysis of a chord triple.
 
     The triple is matched iff at least one tiling qualifies (see
-    _classify_tiling) and movable iff some qualifying tiling has all
+    _qualifying_tilings) and movable iff some qualifying tiling has all
     three 3-signs equal.  The reported arcs and numbers come from the
     witness: the first movable tiling, else the first qualifying one.
     """
@@ -333,6 +338,12 @@ def _fresh_labels(d: GaussDiagram, count: int) -> list:
     return out
 
 
+def _check_chords(d: GaussDiagram, chords):
+    for c in chords:
+        if c not in d.signs:
+            raise MoveNotApplicable(f"chord {c} not in diagram")
+
+
 def _check_gap(d: GaussDiagram, gap: int):
     m = len(d.endpoints)
     limit = max(1, m)
@@ -344,8 +355,7 @@ def apply_move(d: GaussDiagram, move: Move) -> GaussDiagram:
     """Apply one move, or raise MoveNotApplicable naming the failed condition."""
     if isinstance(move, R1Delete):
         c = move.chord
-        if c not in d.signs:
-            raise MoveNotApplicable(f"chord {c} not in diagram")
+        _check_chords(d, (c,))
         t, h = d.tail_position(c), d.head_position(c)
         if not adjacent(d, t, h):
             raise MoveNotApplicable(
@@ -357,9 +367,7 @@ def apply_move(d: GaussDiagram, move: Move) -> GaussDiagram:
 
     if isinstance(move, R2Delete):
         a, b = move.chords
-        for c in (a, b):
-            if c not in d.signs:
-                raise MoveNotApplicable(f"chord {c} not in diagram")
+        _check_chords(d, move.chords)
         blocker = _r2_blocker(d, a, b)
         if blocker is not None:
             raise MoveNotApplicable(blocker)
@@ -410,6 +418,7 @@ def apply_move(d: GaussDiagram, move: Move) -> GaussDiagram:
         return _trusted(eps, signs)
 
     if isinstance(move, R3):
+        _check_chords(d, move.chords)
         analysis = analyze_triple(d, move.chords)
         if not analysis.matched:
             raise MoveNotApplicable(f"triple {move.chords} is not matched")

@@ -97,6 +97,13 @@ def test_apply_not_applicable_exits_2(capsys):
     assert err == "error: chord 1 endpoints are not adjacent (positions 0 and 2)\n"
 
 
+def test_apply_r3_unknown_chord_exits_2(capsys):
+    code, out, err = run(capsys, "apply", TREFOIL, "--move", "r3:1,2,9")
+    assert code == 2
+    assert out == ""
+    assert err == "error: chord 9 not in diagram\n"
+
+
 def test_apply_malformed_spec_exits_1(capsys):
     code, _, err = run(capsys, "apply", TREFOIL, "--move", "r9:x")
     assert code == 1

@@ -1,19 +1,24 @@
 """Differential tests: the least-rotation scan, the shared R2
-precondition, the head-adjacency R3 detector, the unvalidated rewrite
-constructor and the code-keyed search against the code they replaced.
+precondition, the head-adjacency R3 detector, the positional
+triple-analysis kernel, the unvalidated rewrite constructor and the
+code-keyed search against the code they replaced.
 
 The oracles below are the earlier implementations, kept verbatim: a
 ``canonical`` and a census orbit key that rebuild the diagram for every
 one of the 2n rotations, an R2 detector that tests every chord pair, an
-R3 detector that analyses every one of the C(n, 3) triples, and
-``oracle_simplify``, the search that built and serialized a canonical
-diagram for every child and filtered insertions one by one.  The program
-must agree with them on the exhaustive n <= 4 corpus and the seeded
-random corpus (the orbit key on every movable configuration at n = 3 and
-n = 4; the R3 lists also on larger seeded diagrams; the search on every
-diagram with n <= 3, with insertions on n <= 2, and on seeded diagrams
-with 5 to 10 chords).  Results that internal rewrites build without
-validation must equal the same parts rebuilt through ``make_diagram``.
+R3 detector that analyses every one of the C(n, 3) triples, the triple
+analysis that classified each tiling and took every chord's parity from
+``chords_cross`` per pair, and ``oracle_simplify``, the search that
+built and serialized a canonical diagram for every child and filtered
+insertions one by one.  The program must agree with them on the
+exhaustive n <= 4 corpus and the seeded random corpus (the orbit key on
+every movable configuration at n = 3 and n = 4; the R3 lists also on
+larger seeded diagrams; the search on every diagram with n <= 3, with
+insertions on n <= 2, and on seeded diagrams with 5 to 10 chords; the
+triple analysis on every triple in every label order with n <= 3, every
+census candidate at n = 4 and every triple of the seeded corpus).
+Results that internal rewrites build without validation must equal the
+same parts rebuilt through ``make_diagram``.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ import itertools
 from types import MappingProxyType
 
 from gaussdiag import (
+    ChordNumbers,
     Endpoint,
     GaussDiagram,
     MoveNotApplicable,
@@ -34,6 +40,7 @@ from gaussdiag import (
     analyze_triple,
     apply_move,
     canonical,
+    chords_cross,
     enumerate_diagrams,
     enumerate_moves,
     format_move,
@@ -47,8 +54,8 @@ from gaussdiag import (
     simplify,
 )
 from gaussdiag.codec import _canonical_code
-from gaussdiag.diagram import TAIL, label_key
-from gaussdiag.moves import _configuration_orbit_key, _qualifying_tilings
+from gaussdiag.diagram import HEAD, TAIL, label_key
+from gaussdiag.moves import _configuration_orbit_key, _qualifying_tilings, _r3_candidates
 
 # ------------------------------------------------------------------ oracles
 
@@ -164,6 +171,96 @@ def oracle_r3_movable_triples(d: GaussDiagram) -> list:
     return out
 
 
+def oracle_chords_cross(d: GaussDiagram, a: str, b: str) -> bool:
+    """Interleaving test: exactly one endpoint of b lies strictly inside
+    the counterclockwise arc between a's endpoints.  Symmetric in a, b."""
+    if a == b:
+        raise ValueError("chords_cross needs two distinct chords")
+    p1, p2 = d.positions_of(a)
+    inside = sum(1 for q in d.positions_of(b) if p1 < q < p2)
+    return inside == 1
+
+
+def oracle_classify_tiling(d: GaussDiagram, pairs):
+    """Check one candidate tiling (three ccw-oriented position pairs).
+
+    Returns (heads_arc, tails_arc, mixed_arc) when every pair is adjacent
+    in the full diagram and the pairs classify as exactly one heads-pair,
+    one tails-pair, and one mixed pair with head and tail of distinct
+    chords; otherwise None.
+    """
+    m = len(d.endpoints)
+    heads = tails = mixed = None
+    for a, b in pairs:
+        if b != (a + 1) % m:
+            return None
+        ra, rb = d.endpoints[a].role, d.endpoints[b].role
+        if ra == HEAD and rb == HEAD:
+            if heads is not None:
+                return None
+            heads = (a, b)
+        elif ra == TAIL and rb == TAIL:
+            if tails is not None:
+                return None
+            tails = (a, b)
+        else:
+            if mixed is not None:
+                return None
+            if d.endpoints[a].chord == d.endpoints[b].chord:
+                return None
+            mixed = (a, b)
+    if heads is None or tails is None or mixed is None:
+        return None
+    return heads, tails, mixed
+
+
+def oracle_chord_numbers(d: GaussDiagram, triple, arcs) -> dict:
+    # arcs in ccw cyclic order = ascending start position (the wrap arc,
+    # if any, starts at 2n-1 and sorts last)
+    ordered = sorted(arcs)
+    arc_of = {}
+    for idx, (a, b) in enumerate(ordered):
+        arc_of[a] = idx
+        arc_of[b] = idx
+    numbers = {}
+    for c in triple:
+        i = arc_of[d.tail_position(c)]
+        j = arc_of[d.head_position(c)]
+        direction = 1 if j == (i + 1) % 3 else -1
+        crossings = sum(1 for x in triple if x != c and oracle_chords_cross(d, c, x))
+        parity = 1 if crossings % 2 == 0 else -1
+        sign = d.signs[c]
+        numbers[c] = ChordNumbers(
+            sign=sign, parity=parity, direction=direction,
+            three_sign=sign * parity * direction,
+        )
+    return numbers
+
+
+def oracle_qualifying_tilings(d: GaussDiagram, labels) -> list:
+    """Both candidate tilings of the triple's six endpoints, filtered to
+    the qualifying ones; each entry is (arcs, numbers, movable).
+
+    The six positions, sorted as q0 < ... < q5, admit exactly two tilings
+    into consecutive pairs: (q0 q1)(q2 q3)(q4 q5) and (q1 q2)(q3 q4)(q5 q0).
+    Both can qualify only when the six endpoints fill the whole circle.
+    """
+    q = sorted(p for c in labels for p in d.positions_of(c))
+    candidates = (
+        ((q[0], q[1]), (q[2], q[3]), (q[4], q[5])),
+        ((q[1], q[2]), (q[3], q[4]), (q[5], q[0])),
+    )
+    out = []
+    for pairs in candidates:
+        arcs = oracle_classify_tiling(d, pairs)
+        if arcs is None:
+            continue
+        numbers = oracle_chord_numbers(d, labels, arcs)
+        movable = len({rec.three_sign for rec in numbers.values()}) == 1
+        out.append((arcs, numbers, movable))
+    return out
+
+
 def oracle_simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> SimplifyResult:
     """Best-first search for a minimum-chord-count diagram.
 
@@ -273,6 +370,39 @@ def test_r3_triples_match_oracle(exhaustive_corpus, random_corpus):
     ]
     for d in exhaustive_corpus + random_corpus + seeded + ties:
         assert r3_movable_triples(d) == oracle_r3_movable_triples(d), d
+
+
+def _tilings_outcome(tilings):
+    """Each qualifying tiling's arcs, its numbers as (label, (sign, parity,
+    direction, 3-sign)) in dict order, and its movable flag."""
+    return [
+        (arcs, [(c, (r.sign, r.parity, r.direction, r.three_sign)) for c, r in numbers.items()],
+         movable)
+        for arcs, numbers, movable in tilings
+    ]
+
+
+def test_qualifying_tilings_match_oracle(exhaustive_corpus, random_corpus):
+    # every triple in every label order up to 3 chords, the census's
+    # candidate sets at n = 4, every triple of the seeded corpus
+    cases = [
+        (d, triple)
+        for d in exhaustive_corpus if d.n <= 3
+        for triple in itertools.permutations(d.chords(), 3)
+    ]
+    cases += [(d, triple) for d in enumerate_diagrams(4) for triple in _r3_candidates(d)]
+    cases += [
+        (d, triple) for d in random_corpus for triple in itertools.combinations(d.chords(), 3)
+    ]
+    for d, triple in cases:
+        expected = _tilings_outcome(oracle_qualifying_tilings(d, triple))
+        assert _tilings_outcome(_qualifying_tilings(d, triple)) == expected, (d, triple)
+
+
+def test_chords_cross_matches_oracle(exhaustive_corpus, random_corpus):
+    for d in [d for d in exhaustive_corpus if d.n <= 3] + random_corpus:
+        for a, b in itertools.permutations(d.chords(), 2):
+            assert chords_cross(d, a, b) == oracle_chords_cross(d, a, b), (d, a, b)
 
 
 def test_trusted_results_match_validated_construction(exhaustive_corpus, random_corpus):

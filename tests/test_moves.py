@@ -228,6 +228,11 @@ def test_apply_r3_unmatched_rejected():
         apply_move(d(EX2), R3(("1", "2", "3")))
 
 
+def test_apply_r3_unknown_chord_rejected():
+    with pytest.raises(MoveNotApplicable, match=re.escape("chord 9 not in diagram")):
+        apply_move(d("O1-O2-U1-U2-"), R3(("1", "2", "9")))
+
+
 def test_apply_r3_unequal_signs_rejected():
     with pytest.raises(MoveNotApplicable, match="3-signs differ"):
         apply_move(d(FIG_C), R3(("1", "2", "3")))
@@ -356,6 +361,15 @@ def test_census_three_chords():
     assert res.matched == 768
     assert res.movable == 192
     assert res.movable_up_to_rotation == 32
+
+
+def test_census_four_chords():
+    res = census_movable_triples(4)
+    assert res.chords == 4
+    assert res.total == 26_880
+    assert res.matched == 24_576
+    assert res.movable == 6_144
+    assert res.movable_up_to_rotation == 768
 
 
 def test_census_bounds():
