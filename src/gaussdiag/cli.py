@@ -2,8 +2,8 @@
 
 Subcommands: validate, moves, apply, simplify, canonical, render, random,
 census.  A CODE argument of "-" reads the code from standard input.
-Exit codes: 0 success, 1 parse/validation/usage error, 2 move not
-applicable.
+Exit codes, set only by ``main``: 0 success, 1 parse/validation/usage/file
+error, 2 move not applicable.  With --json, failures fill the envelope.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import argparse
 import json
 import sys
 
-from .codec import ParseError, _canonical_code, parse_gauss_code, serialize_gauss_code
+from .codec import _canonical_code, parse_gauss_code, serialize_gauss_code
 from .diagram import random_diagram, writhe
 from .moves import (
     MoveNotApplicable,
@@ -25,13 +25,8 @@ from .moves import (
 from .render import RenderOptions, render
 from .simplify import SearchLimits, format_trace, simplify
 
-
-class _Parser(argparse.ArgumentParser):
-    # argparse exits 2 on usage errors; this tool reserves 2 for
-    # move-not-applicable, so remap usage problems to exit 1
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        self.exit(1, f"{self.prog}: error: {message}\n")
+# random_diagram is quadratic: 10,000 chords take 0.1 s, 300,000 over 10 s
+_MAX_RANDOM_CHORDS = 10_000
 
 
 def _read_code(arg: str) -> str:
@@ -49,13 +44,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_moves(args) -> int:
-    try:
-        d = parse_gauss_code(_read_code(args.code))
-    except ParseError as exc:
-        if args.json:
-            _emit_json(False, None, str(exc))
-            return 1
-        raise
+    d = parse_gauss_code(_read_code(args.code))
     specs = [format_move(m) for m in enumerate_moves(d, args.insertions)]
     if args.json:
         _emit_json(True, specs, None)
@@ -73,19 +62,13 @@ def _cmd_apply(args) -> int:
 
 
 def _cmd_simplify(args) -> int:
-    try:
-        d = parse_gauss_code(_read_code(args.code))
-        limits = SearchLimits(
-            max_states=args.max_states,
-            allow_insertions=args.insertions,
-            max_chords=args.max_chords,
-        )
-        result = simplify(d, limits)
-    except (ParseError, ValueError) as exc:
-        if args.json:
-            _emit_json(False, None, str(exc))
-            return 1
-        raise
+    d = parse_gauss_code(_read_code(args.code))
+    limits = SearchLimits(
+        max_states=args.max_states,
+        allow_insertions=args.insertions,
+        max_chords=args.max_chords,
+    )
+    result = simplify(d, limits)
     if args.json:
         trace = [
             {"move": format_move(move), "result": serialize_gauss_code(canon)}
@@ -126,6 +109,8 @@ def _cmd_render(args) -> int:
 
 
 def _cmd_random(args) -> int:
+    if args.chords > _MAX_RANDOM_CHORDS:
+        raise ValueError(f"random is capped at {_MAX_RANDOM_CHORDS} chords")
     print(serialize_gauss_code(random_diagram(args.chords, args.seed)))
     return 0
 
@@ -140,7 +125,7 @@ def _cmd_census(args) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="gaussdiag", description=__doc__.splitlines()[0])
+    parser = argparse.ArgumentParser(prog="gaussdiag", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="parse a Gauss code and report basics")
@@ -191,19 +176,20 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
+    args = None
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 1
-    try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
-    except MoveNotApplicable as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (ParseError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except SystemExit as exc:
+        # argparse exits 0 after --help and 2 on a usage error; this tool
+        # reserves 2 for move-not-applicable, so usage errors exit 1
+        return 0 if exc.code == 0 else 1
+    except (MoveNotApplicable, ValueError, OSError) as exc:
+        if getattr(args, "json", False):
+            _emit_json(False, None, str(exc))
+        else:
+            print(f"error: {exc}", file=sys.stderr)
+        return 2 if isinstance(exc, MoveNotApplicable) else 1
 
 
 if __name__ == "__main__":

@@ -7,6 +7,11 @@ SIGN is + or -.  Tokens may be juxtaposed or separated by whitespace or
 commas: every token ends at its sign character, so "O1-O2-U1-U2-" lexes
 unambiguously.  The typographic minus U+2212 is accepted on input and
 never emitted.
+
+Both readers are trust boundaries.  The parser's token checks, whose
+messages name the token, prove every diagram invariant, so it builds
+through ``diagram._trusted``; ``from_structured`` checks only the
+document's shape and builds through the validating ``make_diagram``.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ from .diagram import (
     Endpoint,
     GaussDiagram,
     _least_rotations,
+    _trusted,
     make_diagram,
 )
 
@@ -98,7 +104,7 @@ def parse_gauss_code(text: str) -> GaussDiagram:
         if len(occurrences) == 1:
             ti = next(iter(occurrences.values()))
             raise ParseError(f"token {ti}: chord {label} appears only once", ti)
-    return make_diagram(endpoints, signs)
+    return _trusted(endpoints, signs)
 
 
 def _token(head: int, label: str, negative: int) -> str:
@@ -146,8 +152,6 @@ def from_structured(doc) -> GaussDiagram:
     for i, item in enumerate(raw):
         if not isinstance(item, dict) or "chord" not in item or "role" not in item:
             raise ParseError(f'endpoint {i}: expected {{"chord", "role"}}')
-        if item["role"] not in (TAIL, HEAD):
-            raise ParseError(f'endpoint {i}: role must be "tail" or "head"')
         endpoints.append(Endpoint(item["chord"], item["role"]))
     signs = doc["signs"]
     if not isinstance(signs, dict):

@@ -9,12 +9,13 @@ undercrossing pass, letter U).  The empty diagram presents the unknot.
 The basepoint is representational only: every semantic operation is
 rotation-invariant, and ``canonical`` quotients it away.
 
-Validation happens once, at the trust boundary: the public constructor
-(``GaussDiagram(...)``, ``make_diagram``) checks every invariant, and so
-do the codec's ``parse_gauss_code`` and ``from_structured``, which build
-through it.  Internal rewrites whose results are valid by construction
-(rotation, the canonical decode, enumeration, seeded random diagrams and
-``moves.apply_move``) build through ``_trusted`` and skip revalidation.
+The invariants (each chord once as tail and once as head, with a sign of
+exactly +1 or -1) are checked once, where outside input enters: by the
+public constructor (``GaussDiagram(...)``, ``make_diagram``, and through
+it ``codec.from_structured``), by ``codec.parse_gauss_code``'s own token
+checks, and by ``moves.apply_move``'s move preconditions.  The parser,
+applied moves and every internal rewrite then build through ``_trusted``
+without revalidating; both paths set attributes only in ``_assemble``.
 """
 
 from __future__ import annotations
@@ -35,6 +36,11 @@ LABEL_CHARS = frozenset(
 def valid_label(text) -> bool:
     """Chord labels are nonempty strings over [A-Za-z0-9_]."""
     return isinstance(text, str) and text != "" and LABEL_CHARS.issuperset(text)
+
+
+def _valid_sign(sign) -> bool:
+    """Crossing signs are exactly the ints +1 and -1: no bool, no float."""
+    return type(sign) is int and sign in (1, -1)
 
 
 def label_key(label: str):
@@ -70,7 +76,6 @@ class GaussDiagram:
 
     def __post_init__(self):
         endpoints = tuple(self.endpoints)
-        object.__setattr__(self, "endpoints", endpoints)
         pos = {}  # chord -> {role: position}
         for i, ep in enumerate(endpoints):
             if not isinstance(ep, Endpoint):
@@ -90,13 +95,12 @@ class GaussDiagram:
         for chord, sign in signs.items():
             if chord not in pos:
                 raise ValueError(f"sign given for unknown chord {chord}")
-            if sign not in (1, -1):
+            if not _valid_sign(sign):
                 raise ValueError(f"sign for chord {chord} must be +1 or -1, got {sign!r}")
         for chord in pos:
             if chord not in signs:
                 raise ValueError(f"missing sign for chord {chord}")
-        object.__setattr__(self, "signs", MappingProxyType(signs))
-        object.__setattr__(self, "_pos", pos)
+        _assemble(self, endpoints, signs, pos)
 
     def __hash__(self):
         return hash((self.endpoints, tuple(sorted(self.signs.items()))))
@@ -147,15 +151,19 @@ def make_diagram(endpoints: Iterable[Endpoint], signs: Mapping[str, int]) -> Gau
 def _trusted(endpoints: Iterable[Endpoint], signs: Mapping[str, int]) -> GaussDiagram:
     """Build a diagram from parts that are valid by construction, without
     validating them: the caller guarantees every chord appears once as tail
-    and once as head, and that ``signs`` maps exactly those chords to +-1.
-    Sets the same attributes as the public constructor."""
-    d = object.__new__(GaussDiagram)
+    and once as head, and that ``signs`` maps exactly those chords to +-1."""
     endpoints = tuple(endpoints)
     pos = {}
     for i, ep in enumerate(endpoints):
         pos.setdefault(ep.chord, {})[ep.role] = i
+    return _assemble(object.__new__(GaussDiagram), endpoints, dict(signs), pos)
+
+
+def _assemble(d: GaussDiagram, endpoints: tuple, signs: dict, pos: dict) -> GaussDiagram:
+    """Set d's three attributes; no other code does.  d takes ``signs`` over
+    behind a read-only view; ``pos`` maps chord -> {role: position}."""
     object.__setattr__(d, "endpoints", endpoints)
-    object.__setattr__(d, "signs", MappingProxyType(dict(signs)))
+    object.__setattr__(d, "signs", MappingProxyType(signs))
     object.__setattr__(d, "_pos", pos)
     return d
 

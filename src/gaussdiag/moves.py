@@ -53,6 +53,7 @@ from .diagram import (
     _interleaved,
     _least_rotations,
     _trusted,
+    _valid_sign,
     adjacent,
     enumerate_diagrams,
     label_key,
@@ -377,7 +378,7 @@ def apply_move(d: GaussDiagram, move: Move) -> GaussDiagram:
 
     if isinstance(move, R1Insert):
         _check_gap(d, move.gap)
-        if move.sign not in (1, -1):
+        if not _valid_sign(move.sign):
             raise MoveNotApplicable(f"sign must be +1 or -1, got {move.sign!r}")
         (lab,) = _fresh_labels(d, 1)
         block = (
@@ -394,7 +395,7 @@ def apply_move(d: GaussDiagram, move: Move) -> GaussDiagram:
     if isinstance(move, R2Insert):
         _check_gap(d, move.head_gap)
         _check_gap(d, move.tail_gap)
-        if move.first_sign not in (1, -1):
+        if not _valid_sign(move.first_sign):
             raise MoveNotApplicable(f"sign must be +1 or -1, got {move.first_sign!r}")
         x, y = _fresh_labels(d, 2)
         heads_block = [Endpoint(x, HEAD), Endpoint(y, HEAD)]

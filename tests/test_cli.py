@@ -8,8 +8,10 @@ import subprocess
 import sys
 import xml.etree.ElementTree as ET
 
+import pytest
+
 from gaussdiag import parse_gauss_code
-from gaussdiag.cli import main
+from gaussdiag.cli import _MAX_RANDOM_CHORDS, main
 
 EX1 = "O1- U2- O3- U1- U4+ U3- O2- O4+"
 EX2 = "O3+ U4- O1+ U2- U1+ U3+ O2- O4-"
@@ -149,6 +151,12 @@ def test_simplify_json(capsys):
     }
 
 
+def test_simplify_json_invalid_limits(capsys):
+    code, out, err = run(capsys, "simplify", "--json", "--max-states", "0", EX1)
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"ok": False, "result": None, "error": "max_states must be positive"}
+
+
 def test_simplify_max_states(capsys):
     code, out, _ = run(capsys, "simplify", "--json", "--max-states", "1", EX2)
     assert code == 0
@@ -186,6 +194,14 @@ def test_render_svg_to_file(capsys, tmp_path):
     ET.fromstring(text)
 
 
+@pytest.mark.parametrize("target", [".", "missing/x.svg"])
+def test_render_to_unwritable_path_exits_1(capsys, tmp_path, target):
+    code, out, err = run(capsys, "render", "--format", "svg", "-o", str(tmp_path / target), TREFOIL)
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_render_requires_format(capsys):
     code, _, err = run(capsys, "render", TREFOIL)
     assert code == 1
@@ -204,6 +220,13 @@ def test_random_seed_42(capsys):
     code, out, _ = run(capsys, "random", "--chords", "3", "--seed", "42")
     assert code == 0
     assert parse_gauss_code(out).n == 3
+
+
+@pytest.mark.parametrize("chords", [str(_MAX_RANDOM_CHORDS + 1), "99999999999999999999"])
+def test_random_above_cap_exits_1(capsys, chords):
+    code, out, err = run(capsys, "random", "--chords", chords, "--seed", "1")
+    assert (code, out) == (1, "")
+    assert err == f"error: random is capped at {_MAX_RANDOM_CHORDS} chords\n"
 
 
 # -------------------------------------------------------------------- census

@@ -142,6 +142,8 @@ def test_structured_rejects_bad_documents():
         lambda doc: doc["endpoints"][0].pop("role"),
         lambda doc: doc["endpoints"][0].update(role="over"),
         lambda doc: doc["signs"].update({"1": "plus"}),
+        lambda doc: doc["signs"].update({"1": True}),
+        lambda doc: doc["signs"].update({"1": 1.0}),
     ):
         doc = {"endpoints": [dict(e) for e in good["endpoints"]], "signs": dict(good["signs"])}
         mutate(doc)

@@ -77,6 +77,12 @@ def test_validation_errors(endpoints, signs, message):
         make_diagram([Endpoint(c, r) for c, r in endpoints], signs)
 
 
+@pytest.mark.parametrize("sign", [True, 1.0, -1.0])
+def test_signs_must_be_exact_ints(sign):
+    with pytest.raises(ValueError, match=re.escape(f"must be +1 or -1, got {sign!r}")):
+        make_diagram([Endpoint("1", TAIL), Endpoint("1", HEAD)], {"1": sign})
+
+
 def test_diagram_is_immutable_and_hashable():
     d = trefoil()
     with pytest.raises(Exception):

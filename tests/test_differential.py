@@ -17,8 +17,8 @@ larger seeded diagrams; the search on every diagram with n <= 3, with
 insertions on n <= 2, and on seeded diagrams with 5 to 10 chords; the
 triple analysis on every triple in every label order with n <= 3, every
 census candidate at n = 4 and every triple of the seeded corpus).
-Results that internal rewrites build without validation must equal the
-same parts rebuilt through ``make_diagram``.
+Results that internal rewrites and the Gauss-code parser build without
+validation must equal the same parts rebuilt through ``make_diagram``.
 """
 
 from __future__ import annotations
@@ -415,7 +415,9 @@ def test_trusted_results_match_validated_construction(exhaustive_corpus, random_
             R2Insert(half, 0, -1, False),
             R2Insert(0, 0, 1, True),
         ]
-        results = [d, canonical(d)]
+        parsed = parse_gauss_code(serialize_gauss_code(d))
+        assert parsed == make_diagram(d.endpoints, dict(d.signs)), d
+        results = [d, parsed, canonical(d)]
         results += [rotate(d, k) for k in range(len(d.endpoints))]
         results += [apply_move(d, move) for move in enumerate_moves(d) + insertions]
         for out in results:

@@ -262,6 +262,20 @@ def test_insertion_into_empty_diagram():
     assert serialize_gauss_code(apply_move(EMPTY, R2Insert(0, 0, 1, True))) == "O1+ O2- U1+ U2-"
 
 
+@pytest.mark.parametrize(
+    "move, sign",
+    [
+        (R1Insert(0, True, True), True),
+        (R1Insert(0, -1.0, False), -1.0),
+        (R2Insert(0, 0, 1.0, True), 1.0),
+        (R2Insert(0, 0, True, False), True),
+    ],
+)
+def test_insertion_sign_must_be_an_exact_int(move, sign):
+    with pytest.raises(MoveNotApplicable, match=re.escape(f"sign must be +1 or -1, got {sign!r}")):
+        apply_move(EMPTY, move)
+
+
 def test_insertion_picks_smallest_free_labels():
     out = apply_move(d("O2+ U2+"), R2Insert(0, 1, 1, False))
     assert serialize_gauss_code(out) == "U1+ U3- O2+ O3- O1+ U2+"
