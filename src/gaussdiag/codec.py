@@ -22,6 +22,7 @@ from .diagram import (
     TAIL,
     Endpoint,
     GaussDiagram,
+    _entry_parts,
     _least_rotations,
     _trusted,
     make_diagram,
@@ -121,13 +122,26 @@ def serialize_gauss_code(d: GaussDiagram) -> str:
     )
 
 
+class _TokenTable(dict):
+    """Least-rotation entry -> its token, spelled by ``_token`` on first
+    use: at most four tokens (role x sign) per chord number seen."""
+
+    def __missing__(self, entry):
+        head, number, negative = _entry_parts(entry)
+        token = self[entry] = _token(head, str(number), negative)
+        return token
+
+
+_TOKENS = _TokenTable()
+
+
 def _canonical_code(d: GaussDiagram) -> str:
     """serialize_gauss_code(canonical(d)), spelled straight from the
     least-rotation encoding without building the canonical diagram."""
     code = _least_rotations(d)[0]
     if code is None:
         return ""
-    return " ".join(_token(head, str(number), negative) for head, number, negative in code)
+    return " ".join(map(_TOKENS.__getitem__, code))
 
 
 def to_structured(d: GaussDiagram) -> dict:

@@ -214,33 +214,55 @@ def rotate(d: GaussDiagram, k: int) -> GaussDiagram:
 
 def _least_rotations(d: GaussDiagram):
     """The least encoding of d over its rotations, and every shift k whose
-    rotation (basepoint at position k) attains it.  Each endpoint encodes
-    as (role O<U, chord number by first appearance, sign +<-).  The empty
-    diagram has encoding None and no shifts."""
+    rotation (basepoint at position k) attains it, ascending.
+
+    Each endpoint encodes as one int entry, ``head << 32 | number << 1 |
+    negative`` (role O<U, chord number by first appearance, sign +<-),
+    which orders exactly like the tuple (head, number, negative); see
+    ``_entry_parts``.  A least encoding starts with a positive chord's tail
+    (any tail if none is positive), so only rotations starting there are
+    tried.  Each is compared against the best so far lazily: the best's
+    entries and first-appearance numbering are extended only as far as a
+    comparison reaches, and a rotation that wins at entry i becomes the
+    best with its i + 1 entries.  Only ties run the full length; the rest
+    of the final best is encoded once at the end.  The empty diagram has
+    encoding None and no shifts."""
     eps = d.endpoints
     m = len(eps)
-    keys = [(0 if ep.role == TAIL else 1, 0 if d.signs[ep.chord] > 0 else 1) for ep in eps]
-    # A least encoding starts with (tail, 1, +), or (tail, 1, -) when no
-    # chord is positive, so only rotations starting there can attain it.
-    first = min(keys, default=None)
-    best, shifts = None, []
-    for k in [k for k in range(m) if keys[k] == first]:
-        numbers, code = {}, []
-        less = best is None
+    if m == 0:
+        return None, []
+    signs = d.signs
+    chords = [ep.chord for ep in eps] * 2  # doubled: rotation k reads k..k+m-1
+    bases = [(ep.role == HEAD) << 32 | (signs[ep.chord] < 0) for ep in eps] * 2
+    first = min(bases)
+    starts = [k for k in range(m) if bases[k] == first]
+    best = starts[0]
+    code, numbers = [], {}  # the best rotation's entries so far, its numbering
+    shifts = [best]
+    for k in starts[1:]:
+        mine = {}
         for i in range(m):
-            p = (k + i) % m
-            role, negative = keys[p]
-            entry = (role, numbers.setdefault(eps[p].chord, len(numbers) + 1), negative)
-            if not less:
-                if entry > best[i]:
-                    break
-                less = entry < best[i]
-            code.append(entry)
-        else:  # no break: this rotation ties with or beats best
-            if less:
-                best, shifts = tuple(code), []
+            p = k + i
+            entry = bases[p] | mine.setdefault(chords[p], len(mine) + 1) << 1
+            if i == len(code):
+                q = best + i
+                code.append(bases[q] | numbers.setdefault(chords[q], len(numbers) + 1) << 1)
+            if entry != code[i]:
+                if entry < code[i]:  # k wins: the common prefix, then its entry
+                    del code[i:]
+                    code.append(entry)
+                    best, numbers, shifts = k, mine, [k]
+                break
+        else:  # k ties with best
             shifts.append(k)
-    return best, shifts
+    for q in range(best + len(code), best + m):
+        code.append(bases[q] | numbers.setdefault(chords[q], len(numbers) + 1) << 1)
+    return tuple(code), shifts
+
+
+def _entry_parts(entry: int) -> tuple:
+    """(head, number, negative) of one ``_least_rotations`` entry."""
+    return entry >> 32, entry >> 1 & 0x7FFFFFFF, entry & 1
 
 
 def canonical(d: GaussDiagram) -> GaussDiagram:
@@ -255,9 +277,9 @@ def canonical(d: GaussDiagram) -> GaussDiagram:
     """
     if d.n == 0:
         return d
-    code = _least_rotations(d)[0]
-    endpoints = [Endpoint(str(number), TAIL if role == 0 else HEAD) for role, number, _ in code]
-    signs = {str(number): -1 if negative else 1 for _, number, negative in code}
+    parts = [_entry_parts(entry) for entry in _least_rotations(d)[0]]
+    endpoints = [Endpoint(str(number), HEAD if head else TAIL) for head, number, _ in parts]
+    signs = {str(number): -1 if negative else 1 for _, number, negative in parts}
     return _trusted(endpoints, signs)
 
 

@@ -346,10 +346,10 @@ def _check_chords(d: GaussDiagram, chords):
 
 
 def _check_gap(d: GaussDiagram, gap: int):
-    m = len(d.endpoints)
-    limit = max(1, m)
-    if not 0 <= gap < limit:
-        raise MoveNotApplicable(f"invalid gap {gap}: valid gaps are 0..{limit - 1}")
+    """Gaps are exact ints (no bool, no float) in 0..max(1, 2n) - 1."""
+    limit = max(1, len(d.endpoints))
+    if type(gap) is not int or not 0 <= gap < limit:
+        raise MoveNotApplicable(f"invalid gap {gap!r}: valid gaps are 0..{limit - 1}")
 
 
 def apply_move(d: GaussDiagram, move: Move) -> GaussDiagram:
@@ -442,17 +442,26 @@ def enumerate_moves(d: GaussDiagram, include_insertions: bool = False) -> list:
     moves += [R2Delete(pair) for pair in r2_removable_pairs(d)]
     moves += [R3(t) for t in r3_movable_triples(d)]
     if include_insertions:
-        gaps = range(max(1, len(d.endpoints)))
+        moves += _insertion_moves(d, 2)
+    return moves
+
+
+def _insertion_moves(d: GaussDiagram, room: int):
+    """The insertions that add at most ``room`` chords, in
+    ``enumerate_moves`` order: every R1 insertion when room >= 1, then
+    every R2 insertion when room >= 2."""
+    gaps = range(max(1, len(d.endpoints)))
+    if room >= 1:
         for gap in gaps:
             for sign in (1, -1):
                 for head_first in (True, False):
-                    moves.append(R1Insert(gap, sign, head_first))
+                    yield R1Insert(gap, sign, head_first)
+    if room >= 2:
         for head_gap in gaps:
             for tail_gap in gaps:
                 for sign in (1, -1):
                     for crossed in (True, False):
-                        moves.append(R2Insert(head_gap, tail_gap, sign, crossed))
-    return moves
+                        yield R2Insert(head_gap, tail_gap, sign, crossed)
 
 
 # ---------------------------------------------------------------- move specs

@@ -3,14 +3,16 @@
 reduce_greedy applies the first available deletion until stuck, which is
 enough for diagrams whose simplification never needs R3.  simplify runs a
 best-first search over everything reachable by deletions and R3 (plus
-bounded insertions when enabled), deduplicating states by their canonical
-code string, and returns a minimum-chord-count state with a replayable
-trace.  Canonical diagrams are built only for the states on that trace.
+insertions under a chord cap when enabled), deduplicating states by their
+canonical code string, and returns a minimum-chord-count state with a
+replayable trace.  Insertion moves are built only where they fit under the
+cap, and canonical diagrams only for the states on the trace.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -20,7 +22,7 @@ from .moves import (
     MoveNotApplicable,
     R1Delete,
     R2Delete,
-    R2Insert,
+    _insertion_moves,
     apply_move,
     enumerate_moves,
     format_move,
@@ -31,8 +33,9 @@ from .moves import (
 
 @dataclass(frozen=True)
 class SearchLimits:
-    """Knobs for simplify.  max_chords bounds growth when insertions are
-    on; None means input chord count + 2."""
+    """Limits for simplify: max_states bounds the states expanded,
+    allow_insertions turns R1/R2 insertions on, and max_chords caps the
+    chord count they may grow a state to (None: input chord count + 2)."""
 
     max_states: int = 100000
     allow_insertions: bool = False
@@ -90,7 +93,11 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
     (chord count, canonical code), which fixes the expansion order and
     makes the result deterministic for given limits.  Ties among final
     states break toward the lexicographically least canonical code.
-    Insertions are generated only while they fit under max_chords.
+
+    An expanded state's children come from its deletions and R3 rewrites,
+    then from its R1 insertions when one more chord fits under max_chords
+    and its R2 insertions when two more do; insertions that cannot fit are
+    never built.
     """
     if limits.max_states < 1:
         raise ValueError("max_states must be positive")
@@ -115,11 +122,9 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
         explored += 1
         if count == 0:
             break
-        room = max_chords - count  # chords an insertion may still add
-        insertions = limits.allow_insertions and room >= 1
-        for move in enumerate_moves(state, include_insertions=insertions):
-            if room < 2 and isinstance(move, R2Insert):
-                continue
+        room = max_chords - count if limits.allow_insertions else 0
+        # deletions and R3, then only the insertions that fit in room
+        for move in itertools.chain(enumerate_moves(state), _insertion_moves(state, room)):
             child = apply_move(state, move)
             child_key = _canonical_code(child)
             if child_key in info:

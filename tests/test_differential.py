@@ -1,22 +1,28 @@
 """Differential tests: the least-rotation scan, the shared R2
 precondition, the head-adjacency R3 detector, the positional
-triple-analysis kernel, the unvalidated rewrite constructor and the
-code-keyed search against the code they replaced.
+triple-analysis kernel, the unvalidated rewrite constructor, the
+code-keyed search and its insertion generation against the code they
+replaced.
 
 The oracles below are the earlier implementations, kept verbatim: a
 ``canonical`` and a census orbit key that rebuild the diagram for every
-one of the 2n rotations, an R2 detector that tests every chord pair, an
-R3 detector that analyses every one of the C(n, 3) triples, the triple
-analysis that classified each tiling and took every chord's parity from
-``chords_cross`` per pair, and ``oracle_simplify``, the search that
-built and serialized a canonical diagram for every child and filtered
-insertions one by one.  The program must agree with them on the
-exhaustive n <= 4 corpus and the seeded random corpus (the orbit key on
-every movable configuration at n = 3 and n = 4; the R3 lists also on
-larger seeded diagrams; the search on every diagram with n <= 3, with
-insertions on n <= 2, and on seeded diagrams with 5 to 10 chords; the
-triple analysis on every triple in every label order with n <= 3, every
-census candidate at n = 4 and every triple of the seeded corpus).
+one of the 2n rotations, the tuple-encoded least-rotation scan and the
+canonical code spelled from it, an R2 detector that tests every chord
+pair, an R3 detector that analyses every one of the C(n, 3) triples, the
+triple analysis that classified each tiling and took every chord's parity
+from ``chords_cross`` per pair, ``enumerate_moves`` building every
+insertion inline, and ``oracle_simplify``, the search that built and
+serialized a canonical diagram for every child and filtered insertions
+one by one.  The program must agree with them on the exhaustive n <= 4
+corpus and the seeded random corpus (the orbit key on every movable
+configuration at n = 3 and n = 4; the least-rotation scan also on seeded
+diagrams of 16 to 64 chords and on rotationally symmetric ones; the R3
+lists also on larger seeded diagrams; the search on every diagram with
+n <= 3, with insertions on n <= 2, and on seeded diagrams with 5 to 10
+chords; the moves the search generates on every diagram with n <= 3 at
+room 0, 1 and 2; the triple analysis on every triple in every label order
+with n <= 3, every census candidate at n = 4 and every triple of the
+seeded corpus).
 Results that internal rewrites and the Gauss-code parser build without
 validation must equal the same parts rebuilt through ``make_diagram``.
 """
@@ -24,7 +30,9 @@ validation must equal the same parts rebuilt through ``make_diagram``.
 from __future__ import annotations
 
 import heapq
+import importlib
 import itertools
+import random
 from types import MappingProxyType
 
 from gaussdiag import (
@@ -32,9 +40,11 @@ from gaussdiag import (
     Endpoint,
     GaussDiagram,
     MoveNotApplicable,
+    R1Delete,
     R1Insert,
     R2Delete,
     R2Insert,
+    R3,
     SearchLimits,
     SimplifyResult,
     analyze_triple,
@@ -46,6 +56,7 @@ from gaussdiag import (
     format_move,
     make_diagram,
     parse_gauss_code,
+    r1_removable_chords,
     r2_removable_pairs,
     r3_movable_triples,
     random_diagram,
@@ -53,9 +64,14 @@ from gaussdiag import (
     serialize_gauss_code,
     simplify,
 )
-from gaussdiag.codec import _canonical_code
-from gaussdiag.diagram import HEAD, TAIL, label_key
-from gaussdiag.moves import _configuration_orbit_key, _qualifying_tilings, _r3_candidates
+from gaussdiag.codec import _canonical_code, _token
+from gaussdiag.diagram import HEAD, TAIL, _entry_parts, _least_rotations, label_key
+from gaussdiag.moves import (
+    _configuration_orbit_key,
+    _insertion_moves,
+    _qualifying_tilings,
+    _r3_candidates,
+)
 
 # ------------------------------------------------------------------ oracles
 
@@ -119,6 +135,66 @@ def oracle_configuration_orbit_key(d: GaussDiagram, arcs) -> tuple:
         if best is None or key < best:
             best = key
     return best
+
+
+def oracle_least_rotations(d: GaussDiagram):
+    """The least encoding of d over its rotations, and every shift k whose
+    rotation (basepoint at position k) attains it.  Each endpoint encodes
+    as (role O<U, chord number by first appearance, sign +<-).  The empty
+    diagram has encoding None and no shifts."""
+    eps = d.endpoints
+    m = len(eps)
+    keys = [(0 if ep.role == TAIL else 1, 0 if d.signs[ep.chord] > 0 else 1) for ep in eps]
+    # A least encoding starts with (tail, 1, +), or (tail, 1, -) when no
+    # chord is positive, so only rotations starting there can attain it.
+    first = min(keys, default=None)
+    best, shifts = None, []
+    for k in [k for k in range(m) if keys[k] == first]:
+        numbers, code = {}, []
+        less = best is None
+        for i in range(m):
+            p = (k + i) % m
+            role, negative = keys[p]
+            entry = (role, numbers.setdefault(eps[p].chord, len(numbers) + 1), negative)
+            if not less:
+                if entry > best[i]:
+                    break
+                less = entry < best[i]
+            code.append(entry)
+        else:  # no break: this rotation ties with or beats best
+            if less:
+                best, shifts = tuple(code), []
+            shifts.append(k)
+    return best, shifts
+
+
+def oracle_canonical_code(d: GaussDiagram) -> str:
+    """serialize_gauss_code(canonical(d)), spelled straight from the
+    least-rotation encoding without building the canonical diagram."""
+    code = oracle_least_rotations(d)[0]
+    if code is None:
+        return ""
+    return " ".join(_token(head, str(number), negative) for head, number, negative in code)
+
+
+def oracle_enumerate_moves(d: GaussDiagram, include_insertions: bool = False) -> list:
+    """All applicable moves: R1 deletions, R2 deletions, R3 triples, then
+    (optionally) every parameterized insertion."""
+    moves = [R1Delete(c) for c in r1_removable_chords(d)]
+    moves += [R2Delete(pair) for pair in r2_removable_pairs(d)]
+    moves += [R3(t) for t in r3_movable_triples(d)]
+    if include_insertions:
+        gaps = range(max(1, len(d.endpoints)))
+        for gap in gaps:
+            for sign in (1, -1):
+                for head_first in (True, False):
+                    moves.append(R1Insert(gap, sign, head_first))
+        for head_gap in gaps:
+            for tail_gap in gaps:
+                for sign in (1, -1):
+                    for crossed in (True, False):
+                        moves.append(R2Insert(head_gap, tail_gap, sign, crossed))
+    return moves
 
 
 def oracle_r2_removable_pairs(d: GaussDiagram) -> list:
@@ -341,6 +417,51 @@ def test_canonical_matches_oracle(exhaustive_corpus, random_corpus):
         assert canonical(d) == oracle_canonical(d), d
 
 
+def _decode(code):
+    """The program's least-rotation entries as the oracle's (head, number,
+    negative) tuples."""
+    return None if code is None else tuple(map(_entry_parts, code))
+
+
+def _symmetric_diagram(block: int, copies: int, seed: int) -> GaussDiagram:
+    """A diagram that rotation by 2 * block positions carries onto itself:
+    ``copies`` copies of a random template of ``block`` chords, template
+    chord j of copy c running from one slot of copy c to another slot of
+    copy c + delta_j (mod copies), with the sign of template chord j."""
+    rng = random.Random(seed)
+    width = 2 * block
+    slots = rng.sample(range(width), width)
+    template = [
+        (slots[2 * j], slots[2 * j + 1], rng.randrange(copies), rng.choice((1, -1)))
+        for j in range(block)
+    ]
+    eps = [None] * (width * copies)
+    signs = {}
+    for c in range(copies):
+        for j, (tail_slot, head_slot, delta, sign) in enumerate(template):
+            label = str(c * block + j + 1)
+            eps[c * width + tail_slot] = Endpoint(label, TAIL)
+            eps[(c + delta) % copies * width + head_slot] = Endpoint(label, HEAD)
+            signs[label] = sign
+    return make_diagram(eps, signs)
+
+
+def test_least_rotations_match_oracle(exhaustive_corpus, random_corpus):
+    large = [random_diagram(n, 30_000 + 100 * n + s) for n in range(16, 65) for s in range(3)]
+    symmetric = [
+        _symmetric_diagram(block, copies, seed)
+        for block in range(1, 7) for copies in range(2, 7) for seed in range(4)
+    ]
+    symmetric += [parse_gauss_code("O1+ U1+ O2+ U2+ O3+ U3+"), parse_gauss_code("O1+ U2+ O2+ U1+")]
+    for d in symmetric:
+        assert len(oracle_least_rotations(d)[1]) >= 2, d
+    for d in exhaustive_corpus + random_corpus + large + symmetric:
+        code, shifts = oracle_least_rotations(d)
+        got_code, got_shifts = _least_rotations(d)
+        assert (_decode(got_code), got_shifts) == (code, shifts), d
+        assert _canonical_code(d) == oracle_canonical_code(d), d
+
+
 def test_orbit_key_matches_oracle_on_movable_configurations():
     for n in (3, 4):
         for d in enumerate_diagrams(n):
@@ -348,7 +469,8 @@ def test_orbit_key_matches_oracle_on_movable_configurations():
                 for arcs, _numbers, movable in _qualifying_tilings(d, triple):
                     if movable:
                         expected = oracle_configuration_orbit_key(d, arcs)
-                        assert _configuration_orbit_key(d, arcs) == expected, (d, arcs)
+                        code, shifted_arcs = _configuration_orbit_key(d, arcs)
+                        assert (_decode(code), shifted_arcs) == expected, (d, arcs)
 
 
 def test_r2_pairs_and_messages_match_oracle(exhaustive_corpus, random_corpus):
@@ -462,3 +584,30 @@ def test_simplify_matches_oracle_with_insertions(exhaustive_corpus):
             limits = SearchLimits(max_states=40, allow_insertions=True, max_chords=max_chords)
             expected = _search_outcome(oracle_simplify(d, limits))
             assert _search_outcome(simplify(d, limits)) == expected, (d, max_chords)
+
+
+def test_search_generates_only_insertions_that_fit(exhaustive_corpus, monkeypatch):
+    # record every move simplify applies while expanding its start state;
+    # returning the state itself makes each child a known state
+    search = importlib.import_module("gaussdiag.simplify")
+    generated = []
+
+    def record(state, move):
+        generated.append(move)
+        return state
+
+    monkeypatch.setattr(search, "apply_move", record)
+    for d in [d for d in exhaustive_corpus if d.n <= 3]:
+        for room in (0, 1, 2):
+            expected = [
+                move for move in oracle_enumerate_moves(d, include_insertions=room >= 1)
+                if room >= 2 or not isinstance(move, R2Insert)
+            ]
+            insertions = [move for move in expected if isinstance(move, (R1Insert, R2Insert))]
+            assert list(_insertion_moves(d, room)) == insertions, (d, room)
+            if d.n == 0:
+                continue  # the search never expands the empty diagram
+            generated.clear()
+            limits = SearchLimits(max_states=1, allow_insertions=True, max_chords=d.n + room)
+            simplify(d, limits)
+            assert generated == expected, (d, room)

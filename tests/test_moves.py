@@ -286,6 +286,22 @@ def test_insertion_invalid_gap():
         apply_move(d("O1-O2-U1-U2-"), R1Insert(4, 1, True))
 
 
+@pytest.mark.parametrize(
+    "move, gap",
+    [
+        (R1Insert(1.5, 1, True), 1.5),
+        (R1Insert(True, 1, True), True),
+        (R1Insert(1.0, -1, False), 1.0),
+        (R2Insert(0.5, 0, 1, True), 0.5),
+        (R2Insert(0, True, 1, False), True),
+        (R2Insert("0", 0, -1, True), "0"),
+    ],
+)
+def test_insertion_gap_must_be_an_exact_int(move, gap):
+    with pytest.raises(MoveNotApplicable, match=re.escape(f"invalid gap {gap!r}: valid gaps are 0..1")):
+        apply_move(d("O1+U1+"), move)
+
+
 def test_inserted_pair_is_immediately_removable():
     out = apply_move(d("O1-O2-U1-U2-"), R2Insert(0, 2, 1, True))
     assert ("3", "4") in r2_removable_pairs(out)
