@@ -93,7 +93,7 @@ def _cmd_simplify(args) -> int:
 
 def _cmd_canonical(args) -> int:
     d = parse_gauss_code(_read_code(args.code))
-    print(_canonical_code(d))
+    print(_canonical_code(d.endpoints, d.signs))
     return 0
 
 

@@ -135,10 +135,11 @@ class _TokenTable(dict):
 _TOKENS = _TokenTable()
 
 
-def _canonical_code(d: GaussDiagram) -> str:
-    """serialize_gauss_code(canonical(d)), spelled straight from the
-    least-rotation encoding without building the canonical diagram."""
-    code = _least_rotations(d)[0]
+def _canonical_code(endpoints, signs) -> str:
+    """serialize_gauss_code(canonical(d)) for the diagram d with these
+    parts, spelled straight from the least-rotation encoding without
+    building d or its canonical form."""
+    code = _least_rotations(endpoints, signs)[0]
     if code is None:
         return ""
     return " ".join(map(_TOKENS.__getitem__, code))

@@ -212,9 +212,11 @@ def rotate(d: GaussDiagram, k: int) -> GaussDiagram:
     return _trusted(d.endpoints[k:] + d.endpoints[:k], d.signs)
 
 
-def _least_rotations(d: GaussDiagram):
-    """The least encoding of d over its rotations, and every shift k whose
-    rotation (basepoint at position k) attains it, ascending.
+def _least_rotations(endpoints, signs):
+    """The least encoding over the rotations of the diagram with these
+    parts, and every shift k whose rotation (basepoint at position k)
+    attains it, ascending.  Taking the parts, not a diagram, lets the
+    search key a child straight from ``moves._rewrite``'s output.
 
     Each endpoint encodes as one int entry, ``head << 32 | number << 1 |
     negative`` (role O<U, chord number by first appearance, sign +<-),
@@ -227,13 +229,11 @@ def _least_rotations(d: GaussDiagram):
     best with its i + 1 entries.  Only ties run the full length; the rest
     of the final best is encoded once at the end.  The empty diagram has
     encoding None and no shifts."""
-    eps = d.endpoints
-    m = len(eps)
+    m = len(endpoints)
     if m == 0:
         return None, []
-    signs = d.signs
-    chords = [ep.chord for ep in eps] * 2  # doubled: rotation k reads k..k+m-1
-    bases = [(ep.role == HEAD) << 32 | (signs[ep.chord] < 0) for ep in eps] * 2
+    chords = [ep.chord for ep in endpoints] * 2  # doubled: rotation k reads k..k+m-1
+    bases = [(ep.role == HEAD) << 32 | (signs[ep.chord] < 0) for ep in endpoints] * 2
     first = min(bases)
     starts = [k for k in range(m) if bases[k] == first]
     best = starts[0]
@@ -277,7 +277,7 @@ def canonical(d: GaussDiagram) -> GaussDiagram:
     """
     if d.n == 0:
         return d
-    parts = [_entry_parts(entry) for entry in _least_rotations(d)[0]]
+    parts = [_entry_parts(entry) for entry in _least_rotations(d.endpoints, d.signs)[0]]
     endpoints = [Endpoint(str(number), HEAD if head else TAIL) for head, number, _ in parts]
     signs = {str(number): -1 if negative else 1 for _, number, negative in parts}
     return _trusted(endpoints, signs)
@@ -285,7 +285,8 @@ def canonical(d: GaussDiagram) -> GaussDiagram:
 
 def same_diagram(d1: GaussDiagram, d2: GaussDiagram) -> bool:
     """True iff the diagrams agree up to rotation and relabeling."""
-    return _least_rotations(d1)[0] == _least_rotations(d2)[0]
+    code = _least_rotations(d1.endpoints, d1.signs)[0]
+    return code == _least_rotations(d2.endpoints, d2.signs)[0]
 
 
 def _matchings(positions: list) -> Iterator[list]:

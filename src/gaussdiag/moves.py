@@ -36,8 +36,9 @@ candidate generator, ``_r3_candidates``, yields the at most four triples
 each head adjacency gives: O(n) triples, not all C(n, 3).  Both
 ``r3_movable_triples`` and the census analyse only those.
 
-``apply_move`` checks each move's precondition before rewriting, so its
-results are valid by construction and are built without revalidation.
+``_rewrite`` checks each move's precondition before rewriting, so the
+parts it returns are valid by construction: ``apply_move`` builds them
+without revalidation, and the search keys them without building them.
 """
 
 from __future__ import annotations
@@ -353,7 +354,21 @@ def _check_gap(d: GaussDiagram, gap: int):
 
 
 def apply_move(d: GaussDiagram, move: Move) -> GaussDiagram:
-    """Apply one move, or raise MoveNotApplicable naming the failed condition."""
+    """Apply one move, or raise MoveNotApplicable naming the failed condition.
+
+    The result is ``_rewrite``'s parts, which its checks make valid by
+    construction, built through ``_trusted``."""
+    return _trusted(*_rewrite(d, move))
+
+
+# chords each move kind adds (or, negative, removes)
+_CHORD_CHANGE = {R1Delete: -1, R2Delete: -2, R3: 0, R1Insert: 1, R2Insert: 2}
+
+
+def _rewrite(d: GaussDiagram, move: Move) -> tuple:
+    """The parts (endpoints, signs) of ``apply_move(d, move)``, without the
+    diagram: every precondition is checked here, so the search can key a
+    child it never builds.  Raises MoveNotApplicable like apply_move."""
     if isinstance(move, R1Delete):
         c = move.chord
         _check_chords(d, (c,))
@@ -364,7 +379,7 @@ def apply_move(d: GaussDiagram, move: Move) -> GaussDiagram:
             )
         eps = [ep for ep in d.endpoints if ep.chord != c]
         signs = {k: v for k, v in d.signs.items() if k != c}
-        return _trusted(eps, signs)
+        return eps, signs
 
     if isinstance(move, R2Delete):
         a, b = move.chords
@@ -374,7 +389,7 @@ def apply_move(d: GaussDiagram, move: Move) -> GaussDiagram:
             raise MoveNotApplicable(blocker)
         eps = [ep for ep in d.endpoints if ep.chord not in (a, b)]
         signs = {k: v for k, v in d.signs.items() if k not in (a, b)}
-        return _trusted(eps, signs)
+        return eps, signs
 
     if isinstance(move, R1Insert):
         _check_gap(d, move.gap)
@@ -390,7 +405,7 @@ def apply_move(d: GaussDiagram, move: Move) -> GaussDiagram:
         eps[move.gap : move.gap] = block
         signs = dict(d.signs)
         signs[lab] = move.sign
-        return _trusted(eps, signs)
+        return eps, signs
 
     if isinstance(move, R2Insert):
         _check_gap(d, move.head_gap)
@@ -416,7 +431,7 @@ def apply_move(d: GaussDiagram, move: Move) -> GaussDiagram:
         signs = dict(d.signs)
         signs[x] = move.first_sign
         signs[y] = -move.first_sign
-        return _trusted(eps, signs)
+        return eps, signs
 
     if isinstance(move, R3):
         _check_chords(d, move.chords)
@@ -430,7 +445,7 @@ def apply_move(d: GaussDiagram, move: Move) -> GaussDiagram:
         eps = list(d.endpoints)
         for a, b in (analysis.heads_arc, analysis.tails_arc, analysis.mixed_arc):
             eps[a], eps[b] = eps[b], eps[a]
-        return _trusted(eps, d.signs)
+        return eps, d.signs
 
     raise MoveNotApplicable(f"unknown move {move!r}")
 
@@ -561,7 +576,7 @@ def _configuration_orbit_key(d: GaussDiagram, arcs) -> tuple:
     with it.
     """
     m = len(d.endpoints)
-    code, shifts = _least_rotations(d)
+    code, shifts = _least_rotations(d.endpoints, d.signs)
     return code, min(
         tuple(sorted(((a - k) % m, (b - k) % m) for a, b in arcs)) for k in shifts
     )

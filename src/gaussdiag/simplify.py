@@ -6,7 +6,10 @@ best-first search over everything reachable by deletions and R3 (plus
 insertions under a chord cap when enabled), deduplicating states by their
 canonical code string, and returns a minimum-chord-count state with a
 replayable trace.  Insertion moves are built only where they fit under the
-cap, and canonical diagrams only for the states on the trace.
+cap.  The search stores each state as its parent's code and the move from
+it, keys children from ``moves._rewrite``'s parts one chord count at a
+time, and builds diagrams only for the states it expands and the trace it
+replays.
 """
 
 from __future__ import annotations
@@ -19,10 +22,12 @@ from typing import Optional
 from .codec import _canonical_code, serialize_gauss_code
 from .diagram import GaussDiagram, canonical
 from .moves import (
+    _CHORD_CHANGE,
     MoveNotApplicable,
     R1Delete,
     R2Delete,
     _insertion_moves,
+    _rewrite,
     apply_move,
     enumerate_moves,
     format_move,
@@ -46,8 +51,9 @@ class SearchLimits:
 class SimplifyResult:
     """final diagram, trace of (move, canonical form after the move),
     states explored, and whether the state budget truncated the search.
-    The final diagram is the concrete state the search reached; each trace
-    entry's canonical form is built from the concrete state after its move."""
+    The trace is the search's stored moves replayed from the input: the
+    final diagram is where that replay ends, and each trace entry's
+    canonical form is built from the replayed state after its move."""
 
     final: GaussDiagram
     trace: tuple
@@ -88,64 +94,87 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
     """Best-first search for a minimum-chord-count diagram.
 
     States are keyed by canonical code, the serialized canonical form
-    spelled straight from the least-rotation encoding; canonical diagrams
-    are built only for the returned trace.  The frontier is ordered by
-    (chord count, canonical code), which fixes the expansion order and
-    makes the result deterministic for given limits.  Ties among final
-    states break toward the lexicographically least canonical code.
+    spelled straight from the least-rotation encoding of a child's
+    ``_rewrite`` parts.  The frontier is ordered by (chord count, canonical
+    code), which fixes the expansion order and makes the result
+    deterministic for given limits.  Ties among final states break toward
+    the lexicographically least canonical code.
 
     An expanded state's children come from its deletions and R3 rewrites,
     then from its R1 insertions when one more chord fits under max_chords
     and its R2 insertions when two more do; insertions that cannot fit are
     never built.
+
+    Each state stores only its parent's code and the move from it.  A
+    child can share a code only with states of its own chord count, so
+    children wait, in generation order, in a pending list per chord count:
+    a count's list is keyed (and deduplicated, the first generated child
+    of a code winning) before the frontier can pop a state of that count
+    or higher.  A generated empty child is keyed at once and ends the
+    search.  Diagrams are built only for the states the search pops, each
+    by applying its move to its parent's, and for the trace, which
+    replays the stored moves from d.
     """
     if limits.max_states < 1:
         raise ValueError("max_states must be positive")
     max_chords = limits.max_chords if limits.max_chords is not None else d.n + 2
     if limits.allow_insertions and max_chords < d.n:
         raise ValueError("max_chords must be at least the input's chord count")
+    if d.n == 0:
+        return SimplifyResult(final=d, trace=(), states_explored=1, limit_hit=False)
 
-    start_key = _canonical_code(d)
-    # canonical code -> (concrete diagram, parent's code, move from parent)
-    info = {start_key: (d, None, None)}
+    start_key = _canonical_code(d.endpoints, d.signs)
+    info = {start_key: (None, None)}  # canonical code -> (parent's code, move)
+    concrete = {start_key: d}  # canonical code -> diagram, for popped states
+    pending = {}  # chord count -> [(parent's code, move)], not yet keyed
     frontier = [(d.n, start_key)]
     best = (d.n, start_key)
     explored = 0
     limit_hit = False
 
-    while frontier:
+    while True:
+        # key every pending count that could hold the next state to pop
+        while pending and (not frontier or min(pending) <= frontier[0][0]):
+            count = min(pending)
+            for parent, move in pending.pop(count):
+                child_key = _canonical_code(*_rewrite(concrete[parent], move))
+                if child_key in info:
+                    continue
+                info[child_key] = (parent, move)
+                entry = (count, child_key)
+                if entry < best:
+                    best = entry
+                heapq.heappush(frontier, entry)
+        if best[0] == 0:
+            break  # an empty diagram was found; nothing can beat it
+        if not frontier:
+            break
         if explored >= limits.max_states:
             limit_hit = True
             break
         count, key = heapq.heappop(frontier)
-        state = info[key][0]
+        parent, move = info[key]
+        if parent is not None:
+            concrete[key] = apply_move(concrete[parent], move)
+        state = concrete[key]
         explored += 1
-        if count == 0:
-            break
         room = max_chords - count if limits.allow_insertions else 0
         # deletions and R3, then only the insertions that fit in room
         for move in itertools.chain(enumerate_moves(state), _insertion_moves(state, room)):
-            child = apply_move(state, move)
-            child_key = _canonical_code(child)
-            if child_key in info:
-                continue
-            info[child_key] = (child, key, move)
-            entry = (child.n, child_key)
-            if entry < best:
-                best = entry
-            heapq.heappush(frontier, entry)
-        if best[0] == 0:
-            break  # an empty diagram was found; nothing can beat it
+            pending.setdefault(count + _CHORD_CHANGE[type(move)], []).append((key, move))
 
-    steps = []
+    path = []
     key = best[1]
-    while info[key][1] is not None:
-        child, parent, move = info[key]
-        steps.append((move, canonical(child)))
-        key = parent
-    steps.reverse()
+    while info[key][0] is not None:
+        key, move = info[key]
+        path.append(move)
+    final = d
+    steps = []
+    for move in reversed(path):
+        final = apply_move(final, move)
+        steps.append((move, canonical(final)))
     return SimplifyResult(
-        final=info[best[1]][0],
+        final=final,
         trace=tuple(steps),
         states_explored=explored,
         limit_hit=limit_hit,

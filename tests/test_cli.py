@@ -163,6 +163,19 @@ def test_simplify_max_states(capsys):
     assert json.loads(out)["result"]["limit_hit"] is True
 
 
+def test_simplify_insertions_truncated_wide_search(capsys):
+    # 300 expansions generate tens of thousands of children, keyed from
+    # their parts and stored as moves: a fraction of a second, tens of MB
+    code, out, _ = run(
+        capsys, "simplify", "--insertions", "--max-states", "300", "--json",
+        "U1- O1- O2+ O3+ U2+ O4+ U4+ U3+",
+    )
+    assert code == 0
+    result = json.loads(out)["result"]
+    assert parse_gauss_code(result["final"]).n == 2
+    assert result["limit_hit"] is True
+
+
 # ---------------------------------------------------- canonical, render, random
 
 

@@ -19,10 +19,11 @@ configuration at n = 3 and n = 4; the least-rotation scan also on seeded
 diagrams of 16 to 64 chords and on rotationally symmetric ones; the R3
 lists also on larger seeded diagrams; the search on every diagram with
 n <= 3, with insertions on n <= 2, and on seeded diagrams with 5 to 10
-chords; the moves the search generates on every diagram with n <= 3 at
-room 0, 1 and 2; the triple analysis on every triple in every label order
-with n <= 3, every census candidate at n = 4 and every triple of the
-seeded corpus).
+chords, and stopped after a few expansions, with insertions, on n <= 2 and
+on seeded diagrams with 3 and 4 chords; the moves the search keys on
+every diagram with n <= 3 at room 0, 1 and 2; the triple analysis on
+every triple in every label order with n <= 3, every census candidate at
+n = 4 and every triple of the seeded corpus).
 Results that internal rewrites and the Gauss-code parser build without
 validation must equal the same parts rebuilt through ``make_diagram``.
 """
@@ -33,7 +34,7 @@ import heapq
 import importlib
 import itertools
 import random
-from types import MappingProxyType
+from types import MappingProxyType, SimpleNamespace
 
 from gaussdiag import (
     ChordNumbers,
@@ -457,9 +458,9 @@ def test_least_rotations_match_oracle(exhaustive_corpus, random_corpus):
         assert len(oracle_least_rotations(d)[1]) >= 2, d
     for d in exhaustive_corpus + random_corpus + large + symmetric:
         code, shifts = oracle_least_rotations(d)
-        got_code, got_shifts = _least_rotations(d)
+        got_code, got_shifts = _least_rotations(d.endpoints, d.signs)
         assert (_decode(got_code), got_shifts) == (code, shifts), d
-        assert _canonical_code(d) == oracle_canonical_code(d), d
+        assert _canonical_code(d.endpoints, d.signs) == oracle_canonical_code(d), d
 
 
 def test_orbit_key_matches_oracle_on_movable_configurations():
@@ -566,9 +567,10 @@ def _search_outcome(result: SimplifyResult):
 def test_canonical_code_matches_serialized_canonical(exhaustive_corpus, random_corpus):
     for d in exhaustive_corpus + random_corpus:
         code = serialize_gauss_code(canonical(d))
-        assert _canonical_code(d) == code, d
+        assert _canonical_code(d.endpoints, d.signs) == code, d
         for k in range(1, len(d.endpoints)):
-            assert _canonical_code(rotate(d, k)) == code, (d, k)
+            rotated = rotate(d, k)
+            assert _canonical_code(rotated.endpoints, rotated.signs) == code, (d, k)
 
 
 def test_simplify_matches_oracle_without_insertions(exhaustive_corpus):
@@ -586,17 +588,56 @@ def test_simplify_matches_oracle_with_insertions(exhaustive_corpus):
             assert _search_outcome(simplify(d, limits)) == expected, (d, max_chords)
 
 
-def test_search_generates_only_insertions_that_fit(exhaustive_corpus, monkeypatch):
-    # record every move simplify applies while expanding its start state;
-    # returning the state itself makes each child a known state
+def test_truncated_simplify_matches_oracle(exhaustive_corpus, monkeypatch):
+    # every diagram with n <= 2 at room 0, 1 and 2, and seeded diagrams,
+    # 3 chords at room 2 and 4 at room 1, each stopped after a few expansions
+    small = [d for d in exhaustive_corpus if d.n <= 2]
+    cases = [(d, max_chords) for d in small for max_chords in (d.n, d.n + 1, d.n + 2)]
+    cases += [(random_diagram(3 + s % 2, 800 + s), 5) for s in range(12)]
+    # spy on the keying: a chord count keyed between two pops that pushes
+    # no new state is a pending count holding only duplicates
     search = importlib.import_module("gaussdiag.simplify")
+    rewrite = search._rewrite
+    keyed, pushed, all_duplicates = set(), set(), []
+
+    def spy_rewrite(state, move):
+        parts = rewrite(state, move)
+        keyed.add(len(parts[0]) // 2)
+        return parts
+
+    def spy_push(heap, entry):
+        pushed.add(entry[0])
+        heapq.heappush(heap, entry)
+
+    def spy_pop(heap):
+        all_duplicates.extend(keyed - pushed)
+        keyed.clear()
+        pushed.clear()
+        return heapq.heappop(heap)
+
+    monkeypatch.setattr(search, "_rewrite", spy_rewrite)
+    monkeypatch.setattr(search, "heapq", SimpleNamespace(heappush=spy_push, heappop=spy_pop))
+    for d, max_chords in cases:
+        for max_states in (1, 2, 3, 5, 8, 13):
+            limits = SearchLimits(max_states, allow_insertions=True, max_chords=max_chords)
+            expected = _search_outcome(oracle_simplify(d, limits))
+            assert _search_outcome(simplify(d, limits)) == expected, (d, max_chords, max_states)
+    assert all_duplicates
+
+
+def test_search_generates_only_insertions_that_fit(exhaustive_corpus, monkeypatch):
+    # record every move simplify keys after expanding its start state;
+    # returning the state's own parts makes each child a known state, so
+    # every chord count's children are keyed in turn, fewest chords first
+    search = importlib.import_module("gaussdiag.simplify")
+    change = {R1Delete: -1, R2Delete: -2, R3: 0, R1Insert: 1, R2Insert: 2}
     generated = []
 
     def record(state, move):
         generated.append(move)
-        return state
+        return state.endpoints, state.signs
 
-    monkeypatch.setattr(search, "apply_move", record)
+    monkeypatch.setattr(search, "_rewrite", record)
     for d in [d for d in exhaustive_corpus if d.n <= 3]:
         for room in (0, 1, 2):
             expected = [
@@ -610,4 +651,4 @@ def test_search_generates_only_insertions_that_fit(exhaustive_corpus, monkeypatc
             generated.clear()
             limits = SearchLimits(max_states=1, allow_insertions=True, max_chords=d.n + room)
             simplify(d, limits)
-            assert generated == expected, (d, room)
+            assert generated == sorted(expected, key=lambda move: change[type(move)]), (d, room)

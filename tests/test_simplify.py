@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import importlib
+
 import pytest
 
 from gaussdiag import (
@@ -10,6 +12,7 @@ from gaussdiag import (
     R2Delete,
     R3,
     SearchLimits,
+    apply_move,
     canonical,
     format_trace,
     parse_gauss_code,
@@ -22,6 +25,8 @@ from gaussdiag import (
 EX1 = "O1- U2- O3- U1- U4+ U3- O2- O4+"
 EX2 = "O3+ U4- O1+ U2- U1+ U3+ O2- O4-"
 TREFOIL = "O1- O2- U1- U2-"
+# with insertions, 100 expansions generate over 26,000 children
+STORED = "U1- O1- O2+ O3+ U2+ O4+ U4+ U3+"
 
 
 def d(code):
@@ -142,6 +147,30 @@ def test_search_never_worse_than_greedy_exhaustive_small():
     for n in range(4):
         for start in enumerate_diagrams(n):
             assert simplify(start).final.n <= reduce_greedy(start).final.n
+
+
+def test_search_builds_only_popped_states_and_the_trace(monkeypatch):
+    # every popped state but the start is built once, and so is every
+    # trace step; children are keyed without being built
+    search = importlib.import_module("gaussdiag.simplify")
+    built = []
+
+    def apply_and_count(state, move):
+        built.append(move)
+        return apply_move(state, move)
+
+    monkeypatch.setattr(search, "apply_move", apply_and_count)
+    cases = [
+        (EX1, SearchLimits()),
+        (EX2, SearchLimits()),
+        (TREFOIL, SearchLimits(max_states=50, allow_insertions=True)),
+        (STORED, SearchLimits(max_states=30, allow_insertions=True)),
+    ]
+    for code, limits in cases:
+        built.clear()
+        res = simplify(d(code), limits)
+        assert len(built) <= res.states_explored - 1 + len(res.trace), code
+        assert verify_trace(d(code), res.trace), code
 
 
 def test_search_limit_defaults():
