@@ -44,8 +44,10 @@ def _valid_sign(sign) -> bool:
 
 
 def label_key(label: str):
-    """Sort key putting numeric labels in numeric order ("2" before "10")."""
-    return (0, int(label), "") if label.isdigit() else (1, 0, label)
+    """Sort key and total order on labels: ASCII digit strings first, in
+    numeric order ("2" before "10") with equal numbers by the string ("02"
+    before "2"), then every other label by the string."""
+    return (0, int(label), label) if label.isascii() and label.isdigit() else (1, 0, label)
 
 
 @dataclass(frozen=True)

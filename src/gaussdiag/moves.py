@@ -27,8 +27,10 @@ rotation-invariant.
 One integer kernel, ``_qualifying_tilings``, computes all of this from the
 triple's six endpoint positions: the tilings from their sorted order, each
 chord's parity from how its positions interleave with the other two
-chords' and its direction from the arcs holding its ends.  ``analyze_triple``
-(and through it R3 detection and ``apply_move``) and the census all call it.
+chords' and its direction from the arcs holding its ends.  R3 detection,
+``_rewrite`` (and through it ``apply_move``) and the census call it
+directly; ``analyze_triple`` is the public report, which validates its
+labels and packages the witness tiling as a ``TripleAnalysis``.
 
 Every matched triple contains two chords a, b whose heads are adjacent,
 and its third chord has its tail next to a's or b's tail.  So one
@@ -164,16 +166,14 @@ def _r2_blocker(d: GaussDiagram, a: str, b: str):
 
 def r2_removable_pairs(d: GaussDiagram) -> list:
     """Unordered pairs {a, b} with adjacent heads, adjacent tails, and
-    opposite signs; ordered by their sorted endpoint positions."""
-    def order(c):  # label_key order; equal keys ("2", "02") by first appearance
-        return label_key(c), d.positions_of(c)[0]
-
+    opposite signs; ordered by their sorted endpoint positions, each pair
+    in ``label_key`` order."""
     found = []
     # every R2 site has adjacent heads; adjacent heads never share a chord
     for p in range(len(d.endpoints)):
         x, y = d.endpoints[p - 1], d.endpoints[p]
         if x.role == y.role == HEAD and _r2_blocker(d, x.chord, y.chord) is None:
-            a, b = sorted((x.chord, y.chord), key=order)
+            a, b = sorted((x.chord, y.chord), key=label_key)
             found.append((sorted(d.positions_of(a) + d.positions_of(b)), (a, b)))
     return [pair for _, pair in sorted(found)]
 
@@ -258,12 +258,15 @@ def _qualifying_tilings(d: GaussDiagram, labels) -> list:
 
 
 def analyze_triple(d: GaussDiagram, triple) -> TripleAnalysis:
-    """Full matched/movable analysis of a chord triple.
+    """Full matched/movable analysis of a chord triple: the public,
+    validating report of the ``_qualifying_tilings`` kernel.
 
-    The triple is matched iff at least one tiling qualifies (see
-    _qualifying_tilings) and movable iff some qualifying tiling has all
-    three 3-signs equal.  The reported arcs and numbers come from the
-    witness: the first movable tiling, else the first qualifying one.
+    The labels must be three distinct chords of ``d`` (else ValueError).
+    The triple is matched iff at least one tiling qualifies and movable iff
+    some qualifying tiling has all three 3-signs equal.  The reported arcs
+    and numbers come from the witness: the first movable tiling (the one
+    ``apply_move`` swaps), else the first qualifying one.  The library's
+    own callers read the kernel directly.
     """
     labels = tuple(dict.fromkeys(triple))
     if len(labels) != 3:
@@ -315,17 +318,17 @@ def _r3_candidates(d: GaussDiagram) -> set:
 def r3_movable_triples(d: GaussDiagram) -> list:
     """All movable triples, as label tuples in sorted order.
 
-    Each of the ``_r3_candidates`` is analysed in full.  Triples and the
-    list follow the rank of each label in ``sorted(d.chords(),
-    key=label_key)``, i.e. ``itertools.combinations`` order, with labels of
-    equal key (such as "1" and "01") in order of first appearance.
+    Each of the ``_r3_candidates`` is kept when one of its
+    ``_qualifying_tilings`` is movable.  Triples and the list follow the
+    ``label_key`` rank of each label, i.e. ``itertools.combinations`` order
+    over the labels sorted by ``label_key``.
     """
-    labels = sorted(d.chords(), key=label_key)
+    labels = sorted(d.signs, key=label_key)
     rank = {c: i for i, c in enumerate(labels)}
     out = []
     for ranks in sorted(sorted(map(rank.__getitem__, t)) for t in _r3_candidates(d)):
         triple = tuple(labels[i] for i in ranks)
-        if analyze_triple(d, triple).movable:
+        if any(movable for _, _, movable in _qualifying_tilings(d, triple)):
             out.append(triple)
     return out
 
@@ -435,15 +438,17 @@ def _rewrite(d: GaussDiagram, move: Move) -> tuple:
 
     if isinstance(move, R3):
         _check_chords(d, move.chords)
-        analysis = analyze_triple(d, move.chords)
-        if not analysis.matched:
+        tilings = _qualifying_tilings(d, move.chords)
+        if not tilings:
             raise MoveNotApplicable(f"triple {move.chords} is not matched")
-        if not analysis.movable:
+        # the witness: the first movable tiling
+        arcs = next((arcs for arcs, _, movable in tilings if movable), None)
+        if arcs is None:
             raise MoveNotApplicable(
                 f"triple {move.chords} is matched but its 3-signs differ"
             )
         eps = list(d.endpoints)
-        for a, b in (analysis.heads_arc, analysis.tails_arc, analysis.mixed_arc):
+        for a, b in arcs:
             eps[a], eps[b] = eps[b], eps[a]
         return eps, d.signs
 

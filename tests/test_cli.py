@@ -106,6 +106,18 @@ def test_apply_r3_unknown_chord_exits_2(capsys):
     assert err == "error: chord 9 not in diagram\n"
 
 
+@pytest.mark.parametrize(
+    "code_text, spec",
+    [("O1-U1-", "r2:del:\u00b2,1"), (TREFOIL, "r2:del:\u00b2,1"), (TREFOIL, "r3:\u00b2,1,2")],
+)
+def test_apply_non_ascii_digit_label_exits_2(capsys, code_text, spec):
+    # "\u00b2" (superscript two) is a digit to str.isdigit but not to int()
+    code, out, err = run(capsys, "apply", code_text, "--move", spec)
+    assert code == 2
+    assert out == ""
+    assert err == "error: chord \u00b2 not in diagram\n"
+
+
 def test_apply_malformed_spec_exits_1(capsys):
     code, _, err = run(capsys, "apply", TREFOIL, "--move", "r9:x")
     assert code == 1

@@ -1,17 +1,18 @@
 """Differential tests: the least-rotation scan, the shared R2
 precondition, the head-adjacency R3 detector, the positional
-triple-analysis kernel, the unvalidated rewrite constructor, the
-code-keyed search and its insertion generation against the code they
-replaced.
+triple-analysis kernel and the R3 rewrite read from it, the unvalidated
+rewrite constructor, the code-keyed search and its insertion generation
+against the code they replaced.
 
 The oracles below are the earlier implementations, kept verbatim: a
 ``canonical`` and a census orbit key that rebuild the diagram for every
 one of the 2n rotations, the tuple-encoded least-rotation scan and the
 canonical code spelled from it, an R2 detector that tests every chord
 pair, an R3 detector that analyses every one of the C(n, 3) triples, the
-triple analysis that classified each tiling and took every chord's parity
-from ``chords_cross`` per pair, ``enumerate_moves`` building every
-insertion inline, and ``oracle_simplify``, the search that built and
+R3 rewrite that read its arcs from ``analyze_triple``, the triple
+analysis that classified each tiling and took every chord's parity from
+``chords_cross`` per pair, ``enumerate_moves`` building every insertion
+inline, and ``oracle_simplify``, the search that built and
 serialized a canonical diagram for every child and filtered insertions
 one by one.  The program must agree with them on the exhaustive n <= 4
 corpus and the seeded random corpus (the orbit key on every movable
@@ -21,9 +22,9 @@ lists also on larger seeded diagrams; the search on every diagram with
 n <= 3, with insertions on n <= 2, and on seeded diagrams with 5 to 10
 chords, and stopped after a few expansions, with insertions, on n <= 2 and
 on seeded diagrams with 3 and 4 chords; the moves the search keys on
-every diagram with n <= 3 at room 0, 1 and 2; the triple analysis on
-every triple in every label order with n <= 3, every census candidate at
-n = 4 and every triple of the seeded corpus).
+every diagram with n <= 3 at room 0, 1 and 2; the triple analysis and
+the R3 rewrite on every triple in every label order with n <= 3, every
+census candidate at n = 4 and every triple of the seeded corpus).
 Results that internal rewrites and the Gauss-code parser build without
 validation must equal the same parts rebuilt through ``make_diagram``.
 """
@@ -236,6 +237,24 @@ def oracle_r2_delete(d: GaussDiagram, move: R2Delete) -> GaussDiagram:
     eps = [ep for ep in d.endpoints if ep.chord not in (a, b)]
     signs = {k: v for k, v in d.signs.items() if k not in (a, b)}
     return make_diagram(eps, signs)
+
+
+def oracle_r3_rewrite(d: GaussDiagram, move: R3) -> GaussDiagram:
+    """The R3 branch of the earlier apply_move, through analyze_triple."""
+    for c in move.chords:
+        if c not in d.signs:
+            raise MoveNotApplicable(f"chord {c} not in diagram")
+    analysis = analyze_triple(d, move.chords)
+    if not analysis.matched:
+        raise MoveNotApplicable(f"triple {move.chords} is not matched")
+    if not analysis.movable:
+        raise MoveNotApplicable(
+            f"triple {move.chords} is matched but its 3-signs differ"
+        )
+    eps = list(d.endpoints)
+    for a, b in (analysis.heads_arc, analysis.tails_arc, analysis.mixed_arc):
+        eps[a], eps[b] = eps[b], eps[a]
+    return make_diagram(eps, d.signs)
 
 
 def oracle_r3_movable_triples(d: GaussDiagram) -> list:
@@ -475,7 +494,7 @@ def test_orbit_key_matches_oracle_on_movable_configurations():
 
 
 def test_r2_pairs_and_messages_match_oracle(exhaustive_corpus, random_corpus):
-    # labels "2" and "02" sort as equal; ties keep first-appearance order
+    # labels "2" and "02" are the same number; the string breaks the tie
     tie = parse_gauss_code("O2+ U02- U2+ O02-")
     for d in exhaustive_corpus + random_corpus + [tie]:
         assert r2_removable_pairs(d) == oracle_r2_removable_pairs(d), d
@@ -486,13 +505,30 @@ def test_r2_pairs_and_messages_match_oracle(exhaustive_corpus, random_corpus):
 
 def test_r3_triples_match_oracle(exhaustive_corpus, random_corpus):
     seeded = [random_diagram(9 + s % 21, 20_000 + s) for s in range(300)]
-    # labels "1" and "01" sort as equal; ties keep first-appearance order
+    # labels "1" and "01" are the same number; the string breaks the tie
     ties = [
         parse_gauss_code("O3+ U01- O1+ U2- U1+ U3+ O2- O01-"),
         parse_gauss_code("O3+ U1- O01+ U2- U01+ U3+ O2- O1-"),
     ]
     for d in exhaustive_corpus + random_corpus + seeded + ties:
         assert r3_movable_triples(d) == oracle_r3_movable_triples(d), d
+
+
+def test_r3_rewrite_matches_oracle(exhaustive_corpus, random_corpus):
+    # every triple in every label order up to 3 chords, the census's
+    # candidate sets at n = 4, every triple of the seeded corpus
+    cases = [
+        (d, triple)
+        for d in exhaustive_corpus if d.n <= 3
+        for triple in itertools.permutations(d.chords(), 3)
+    ]
+    cases += [(d, triple) for d in enumerate_diagrams(4) for triple in _r3_candidates(d)]
+    cases += [
+        (d, triple) for d in random_corpus for triple in itertools.combinations(d.chords(), 3)
+    ]
+    for d, triple in cases:
+        move = R3(tuple(triple))
+        assert _outcome(apply_move, d, move) == _outcome(oracle_r3_rewrite, d, move), (d, triple)
 
 
 def _tilings_outcome(tilings):

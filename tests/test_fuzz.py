@@ -11,16 +11,19 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import tempfile
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gaussdiag import (
     ParseError,
+    R2Delete,
+    R3,
     format_move,
     make_diagram,
     parse_gauss_code,
@@ -51,7 +54,11 @@ move_specs = st.one_of(
     texts,
     st.lists(
         st.one_of(
-            st.sampled_from(["r1", "r2", "r3", "del", "ins", "0", "1", "+", "-", "hf", "x", "1,2", "1,2,3"]),
+            st.sampled_from(
+                ["r1", "r2", "r3", "del", "ins", "0", "1", "+", "-", "hf", "x", "1,2", "1,2,3",
+                 # numerically equal labels, and a digit that int() rejects
+                 "02", "\u00b2", "2,02", "\u00b2,1", "1,01,2"]
+            ),
             st.text(max_size=4),
         ),
         max_size=6,
@@ -144,12 +151,19 @@ def test_parse_gauss_code_raises_only_parse_error(text):
 
 
 @given(move_specs)
+@example("r2:del:2,02")
+@example("r3:1,01,2")
 def test_parse_move_raises_only_value_error(spec):
     try:
         move = parse_move(spec)
     except ValueError:
         return
     assert parse_move(format_move(move)) == move
+    if isinstance(move, (R2Delete, R3)):
+        # each move has exactly one spec: every order of its chords names it
+        kind = format_move(move).rsplit(":", 1)[0]
+        for chords in itertools.permutations(move.chords):
+            assert parse_move(kind + ":" + ",".join(chords)) == move, chords
 
 
 @pytest.mark.parametrize("command", COMMAND_LINES)

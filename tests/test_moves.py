@@ -381,6 +381,19 @@ def test_move_normalization():
         R3(("1", "2", "1"))
 
 
+def test_numerically_equal_labels_have_one_order():
+    # "02" and "2" are the same number: the string breaks the tie
+    assert R2Delete(("2", "02")) == R2Delete(("02", "2"))
+    assert format_move(R2Delete(("2", "02"))) == "r2:del:02,2"
+    assert format_move(R2Delete(("02", "2"))) == "r2:del:02,2"
+    assert format_move(R3(("2", "02", "1"))) == "r3:1,02,2"
+    assert format_move(R3(("02", "2", "1"))) == "r3:1,02,2"
+    assert r2_removable_pairs(d("O2+ U02- U2+ O02-")) == [("02", "2")]
+    # both label orders of the tie give the same list
+    for code in ("O3+ U01- O1+ U2- U1+ U3+ O2- O01-", "O3+ U1- O01+ U2- U01+ U3+ O2- O1-"):
+        assert r3_movable_triples(d(code)) == [("01", "1", "2"), ("01", "1", "3")]
+
+
 # -------------------------------------------------------------------- census
 
 
