@@ -183,7 +183,13 @@ def adjacent(d: GaussDiagram, p: int, q: int) -> bool:
             raise ValueError(f"position {x} out of range for {m} endpoints")
     if p == q:
         raise ValueError("positions must differ")
-    return q == (p + 1) % m or p == (q + 1) % m
+    return _adjacent(m, p, q)
+
+
+def _adjacent(m: int, p: int, q: int) -> bool:
+    """``adjacent`` on trusted input: p and q are distinct positions of a
+    diagram with m endpoints, e.g. read from its position map."""
+    return (p - q) % m in (1, m - 1)
 
 
 def chords_cross(d: GaussDiagram, a: str, b: str) -> bool:
@@ -228,8 +234,10 @@ def _least_rotations(endpoints, signs):
     tried.  Each is compared against the best so far lazily: the best's
     entries and first-appearance numbering are extended only as far as a
     comparison reaches, and a rotation that wins at entry i becomes the
-    best with its i + 1 entries.  Only ties run the full length; the rest
-    of the final best is encoded once at the end.  The empty diagram has
+    best with its i + 1 entries.  Only a tie runs the full length, and the
+    first one ends the scan: a diagram that ties with itself at shift k is
+    periodic, so its shifts follow from the period.  The rest of the final
+    best is encoded once at the end.  The empty diagram has
     encoding None and no shifts."""
     m = len(endpoints)
     if m == 0:
@@ -255,8 +263,11 @@ def _least_rotations(endpoints, signs):
                     code.append(entry)
                     best, numbers, shifts = k, mine, [k]
                 break
-        else:  # k ties with best
-            shifts.append(k)
+        else:  # k ties with best, so the diagram repeats every k - best
+            # positions: no start before k beat best or tied, so nothing
+            # beats it, and the ties are best plus multiples of k - best
+            shifts = list(range(best, best + m, k - best))
+            break
     for q in range(best + len(code), best + m):
         code.append(bases[q] | numbers.setdefault(chords[q], len(numbers) + 1) << 1)
     return tuple(code), shifts

@@ -36,7 +36,18 @@ Every matched triple contains two chords a, b whose heads are adjacent,
 and its third chord has its tail next to a's or b's tail.  So one
 candidate generator, ``_r3_candidates``, yields the at most four triples
 each head adjacency gives: O(n) triples, not all C(n, 3).  Both
-``r3_movable_triples`` and the census analyse only those.
+``r3_movable_triples`` and the census analyse only those, and
+``r3_movable_triples`` sorts only the triples it keeps.
+
+Every precondition is an adjacency, read one way.  ``_adjacent_pairs`` is
+the one walk over cyclically adjacent endpoint pairs: R1 detection keeps
+the pairs that join one chord, R2 detection and ``_r3_candidates`` the
+pairs of heads.  ``diagram._adjacent`` is the one test on two positions
+read from the diagram's position map; ``_r2_blocker`` and the R1 rewrite
+call it.  The validating accessors (``adjacent``, ``sign_of`` and the
+position getters) are for outside callers; here only ``analyze_triple``,
+the public report, calls them.  The chords a move names are outside
+input, so ``_check_chords`` guards them before any lookup.
 
 ``_rewrite`` checks each move's precondition before rewriting, so the
 parts it returns are valid by construction: ``apply_move`` builds them
@@ -53,11 +64,11 @@ from .diagram import (
     TAIL,
     Endpoint,
     GaussDiagram,
+    _adjacent,
     _interleaved,
     _least_rotations,
     _trusted,
     _valid_sign,
-    adjacent,
     enumerate_diagrams,
     label_key,
     # not called here; imported so that perfbench/tracing.py can patch it
@@ -141,25 +152,28 @@ class TripleAnalysis:
     chords: Mapping[str, ChordNumbers]
 
 
+def _adjacent_pairs(d: GaussDiagram):
+    """Each cyclically adjacent endpoint pair: the endpoints at positions p
+    and p + 1 (mod 2n), for p = 0 .. 2n - 1."""
+    eps = d.endpoints
+    return zip(eps, eps[1:] + eps[:1])
+
+
 def r1_removable_chords(d: GaussDiagram) -> list:
     """Chords whose head and tail are adjacent, ordered by the position
     where the adjacent pair starts (the p of the (p, p+1) adjacency)."""
-    m = len(d.endpoints)
-    out = []
-    for p in range(m):
-        if d.endpoints[p].chord == d.endpoints[(p + 1) % m].chord:
-            if d.endpoints[p].chord not in out:
-                out.append(d.endpoints[p].chord)
-    return out
+    return list(dict.fromkeys(x.chord for x, y in _adjacent_pairs(d) if x.chord == y.chord))
 
 
 def _r2_blocker(d: GaussDiagram, a: str, b: str):
     """Why chords a and b are not an R2 site, or None when they are."""
     if d.signs[a] == d.signs[b]:
         return f"chords {a} and {b} have the same sign"
-    if not adjacent(d, d.head_position(a), d.head_position(b)):
+    m = len(d.endpoints)
+    pa, pb = d._pos[a], d._pos[b]
+    if not _adjacent(m, pa[HEAD], pb[HEAD]):
         return f"heads of chords {a} and {b} are not adjacent"
-    if not adjacent(d, d.tail_position(a), d.tail_position(b)):
+    if not _adjacent(m, pa[TAIL], pb[TAIL]):
         return f"tails of chords {a} and {b} are not adjacent"
     return None
 
@@ -168,13 +182,13 @@ def r2_removable_pairs(d: GaussDiagram) -> list:
     """Unordered pairs {a, b} with adjacent heads, adjacent tails, and
     opposite signs; ordered by their sorted endpoint positions, each pair
     in ``label_key`` order."""
+    pos = d._pos
     found = []
     # every R2 site has adjacent heads; adjacent heads never share a chord
-    for p in range(len(d.endpoints)):
-        x, y = d.endpoints[p - 1], d.endpoints[p]
+    for x, y in _adjacent_pairs(d):
         if x.role == y.role == HEAD and _r2_blocker(d, x.chord, y.chord) is None:
             a, b = sorted((x.chord, y.chord), key=label_key)
-            found.append((sorted(d.positions_of(a) + d.positions_of(b)), (a, b)))
+            found.append((sorted((*pos[a].values(), *pos[b].values())), (a, b)))
     return [pair for _, pair in sorted(found)]
 
 
@@ -303,8 +317,7 @@ def _r3_candidates(d: GaussDiagram) -> set:
     m = len(eps)
     pos = d._pos
     candidates = set()
-    for p in range(m):
-        x, y = eps[p - 1], eps[p]
+    for x, y in _adjacent_pairs(d):
         if x.role == y.role == HEAD:
             a, b = x.chord, y.chord
             for t in (pos[a][TAIL], pos[b][TAIL]):
@@ -319,18 +332,18 @@ def r3_movable_triples(d: GaussDiagram) -> list:
     """All movable triples, as label tuples in sorted order.
 
     Each of the ``_r3_candidates`` is kept when one of its
-    ``_qualifying_tilings`` is movable.  Triples and the list follow the
-    ``label_key`` rank of each label, i.e. ``itertools.combinations`` order
-    over the labels sorted by ``label_key``.
+    ``_qualifying_tilings`` is movable (a verdict that does not depend on
+    the label order).  Only the kept triples are sorted: each by
+    ``label_key``, then the list by their labels' keys, which is
+    ``itertools.combinations`` order over the labels sorted by
+    ``label_key``.
     """
-    labels = sorted(d.signs, key=label_key)
-    rank = {c: i for i, c in enumerate(labels)}
-    out = []
-    for ranks in sorted(sorted(map(rank.__getitem__, t)) for t in _r3_candidates(d)):
-        triple = tuple(labels[i] for i in ranks)
-        if any(movable for _, _, movable in _qualifying_tilings(d, triple)):
-            out.append(triple)
-    return out
+    kept = [
+        tuple(sorted(t, key=label_key))
+        for t in _r3_candidates(d)
+        if any(movable for _, _, movable in _qualifying_tilings(d, t))
+    ]
+    return sorted(kept, key=lambda t: tuple(map(label_key, t)))
 
 
 def _fresh_labels(d: GaussDiagram, count: int) -> list:
@@ -375,8 +388,8 @@ def _rewrite(d: GaussDiagram, move: Move) -> tuple:
     if isinstance(move, R1Delete):
         c = move.chord
         _check_chords(d, (c,))
-        t, h = d.tail_position(c), d.head_position(c)
-        if not adjacent(d, t, h):
+        t, h = d._pos[c][TAIL], d._pos[c][HEAD]
+        if not _adjacent(len(d.endpoints), t, h):
             raise MoveNotApplicable(
                 f"chord {c} endpoints are not adjacent (positions {t} and {h})"
             )
@@ -423,9 +436,9 @@ def _rewrite(d: GaussDiagram, move: Move) -> tuple:
             else [Endpoint(y, TAIL), Endpoint(x, TAIL)]
         )
         eps = list(d.endpoints)
-        if move.head_gap == move.tail_gap:
-            eps[move.head_gap : move.head_gap] = tails_block + heads_block
-        elif move.head_gap > move.tail_gap:
+        # the later gap first, so the earlier one keeps its index; on a
+        # shared gap the tails go in last, so they come before the heads
+        if move.head_gap >= move.tail_gap:
             eps[move.head_gap : move.head_gap] = heads_block
             eps[move.tail_gap : move.tail_gap] = tails_block
         else:

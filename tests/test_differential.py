@@ -1,30 +1,36 @@
-"""Differential tests: the least-rotation scan, the shared R2
-precondition, the head-adjacency R3 detector, the positional
-triple-analysis kernel and the R3 rewrite read from it, the unvalidated
-rewrite constructor, the code-keyed search and its insertion generation
-against the code they replaced.
+"""Differential tests: the least-rotation scan, the adjacency test, R1
+detection and deletion, the shared R2 precondition, the R2 insertion,
+the head-adjacency R3 detector, the positional triple-analysis kernel
+and the R3 rewrite read from it, the unvalidated rewrite constructor,
+the code-keyed search and its insertion generation against the code they
+replaced.
 
 The oracles below are the earlier implementations, kept verbatim: a
 ``canonical`` and a census orbit key that rebuild the diagram for every
 one of the 2n rotations, the tuple-encoded least-rotation scan and the
-canonical code spelled from it, an R2 detector that tests every chord
-pair, an R3 detector that analyses every one of the C(n, 3) triples, the
-R3 rewrite that read its arcs from ``analyze_triple``, the triple
-analysis that classified each tiling and took every chord's parity from
-``chords_cross`` per pair, ``enumerate_moves`` building every insertion
-inline, and ``oracle_simplify``, the search that built and
-serialized a canonical diagram for every child and filtered insertions
-one by one.  The program must agree with them on the exhaustive n <= 4
-corpus and the seeded random corpus (the orbit key on every movable
-configuration at n = 3 and n = 4; the least-rotation scan also on seeded
-diagrams of 16 to 64 chords and on rotationally symmetric ones; the R3
-lists also on larger seeded diagrams; the search on every diagram with
-n <= 3, with insertions on n <= 2, and on seeded diagrams with 5 to 10
-chords, and stopped after a few expansions, with insertions, on n <= 2 and
-on seeded diagrams with 3 and 4 chords; the moves the search keys on
-every diagram with n <= 3 at room 0, 1 and 2; the triple analysis and
-the R3 rewrite on every triple in every label order with n <= 3, every
-census candidate at n = 4 and every triple of the seeded corpus).
+canonical code spelled from it, ``adjacent`` and the R1 detector and
+deletion that walked positions by index, an R2 detector that tests every
+chord pair, the three-branch R2 insertion, an R3 detector that analyses
+every one of the C(n, 3) triples, the R3 rewrite that read its arcs from
+``analyze_triple``, the triple analysis that classified each tiling and
+took every chord's parity from ``chords_cross`` per pair,
+``enumerate_moves`` building every insertion inline, and
+``oracle_simplify``, the search that built and serialized a canonical
+diagram for every child and filtered insertions one by one. The program
+must agree with them on the exhaustive n <= 4 corpus and the seeded
+random corpus (the orbit key on every movable configuration at n = 3 and
+n = 4; the least-rotation scan also on seeded diagrams of 16 to 64
+chords and on rotationally symmetric ones, and within a time bound on a
+3,000-chord periodic chain; ``adjacent`` on every position pair,
+out-of-range ones included, with n <= 3; the R2 insertion on every gap
+pair, sign and pattern with n <= 2; the R3 lists also on larger seeded
+diagrams; the search on every diagram with n <= 3, with insertions on
+n <= 2, and on seeded diagrams with 5 to 10 chords, and stopped after a
+few expansions, with insertions, on n <= 2 and on seeded diagrams with 3
+and 4 chords; the moves the search keys on every diagram with n <= 3 at
+room 0, 1 and 2; the triple analysis and the R3 rewrite on every triple
+in every label order with n <= 3, every census candidate at n = 4 and
+every triple of the seeded corpus).
 Results that internal rewrites and the Gauss-code parser build without
 validation must equal the same parts rebuilt through ``make_diagram``.
 """
@@ -35,6 +41,7 @@ import heapq
 import importlib
 import itertools
 import random
+import time
 from types import MappingProxyType, SimpleNamespace
 
 from gaussdiag import (
@@ -49,6 +56,7 @@ from gaussdiag import (
     R3,
     SearchLimits,
     SimplifyResult,
+    adjacent,
     analyze_triple,
     apply_move,
     canonical,
@@ -236,6 +244,77 @@ def oracle_r2_delete(d: GaussDiagram, move: R2Delete) -> GaussDiagram:
         raise MoveNotApplicable(f"tails of chords {a} and {b} are not adjacent")
     eps = [ep for ep in d.endpoints if ep.chord not in (a, b)]
     signs = {k: v for k, v in d.signs.items() if k not in (a, b)}
+    return make_diagram(eps, signs)
+
+
+def oracle_adjacent(d: GaussDiagram, p: int, q: int) -> bool:
+    """True iff positions p and q are cyclically consecutive in d."""
+    m = len(d.endpoints)
+    if m == 0:
+        raise ValueError("empty diagram has no positions")
+    for x in (p, q):
+        if not 0 <= x < m:
+            raise ValueError(f"position {x} out of range for {m} endpoints")
+    if p == q:
+        raise ValueError("positions must differ")
+    return q == (p + 1) % m or p == (q + 1) % m
+
+
+def oracle_r1_removable_chords(d: GaussDiagram) -> list:
+    """Chords whose head and tail are adjacent, ordered by the position
+    where the adjacent pair starts (the p of the (p, p+1) adjacency)."""
+    m = len(d.endpoints)
+    out = []
+    for p in range(m):
+        if d.endpoints[p].chord == d.endpoints[(p + 1) % m].chord:
+            if d.endpoints[p].chord not in out:
+                out.append(d.endpoints[p].chord)
+    return out
+
+
+def oracle_r1_delete(d: GaussDiagram, move: R1Delete) -> GaussDiagram:
+    """The R1Delete branch of the earlier apply_move."""
+    c = move.chord
+    if c not in d.signs:
+        raise MoveNotApplicable(f"chord {c} not in diagram")
+    t, h = d.tail_position(c), d.head_position(c)
+    if not oracle_adjacent(d, t, h):
+        raise MoveNotApplicable(
+            f"chord {c} endpoints are not adjacent (positions {t} and {h})"
+        )
+    eps = [ep for ep in d.endpoints if ep.chord != c]
+    signs = {k: v for k, v in d.signs.items() if k != c}
+    return make_diagram(eps, signs)
+
+
+def oracle_r2_insert(d: GaussDiagram, move: R2Insert) -> GaussDiagram:
+    """The R2Insert branch of the earlier apply_move, with its gap and
+    sign checks and its fresh labels."""
+    limit = max(1, len(d.endpoints))
+    for gap in (move.head_gap, move.tail_gap):
+        if type(gap) is not int or not 0 <= gap < limit:
+            raise MoveNotApplicable(f"invalid gap {gap!r}: valid gaps are 0..{limit - 1}")
+    if not (type(move.first_sign) is int and move.first_sign in (1, -1)):
+        raise MoveNotApplicable(f"sign must be +1 or -1, got {move.first_sign!r}")
+    x, y = itertools.islice((str(k) for k in itertools.count(1) if str(k) not in d.signs), 2)
+    heads_block = [Endpoint(x, HEAD), Endpoint(y, HEAD)]
+    tails_block = (
+        [Endpoint(x, TAIL), Endpoint(y, TAIL)]
+        if move.crossed
+        else [Endpoint(y, TAIL), Endpoint(x, TAIL)]
+    )
+    eps = list(d.endpoints)
+    if move.head_gap == move.tail_gap:
+        eps[move.head_gap : move.head_gap] = tails_block + heads_block
+    elif move.head_gap > move.tail_gap:
+        eps[move.head_gap : move.head_gap] = heads_block
+        eps[move.tail_gap : move.tail_gap] = tails_block
+    else:
+        eps[move.tail_gap : move.tail_gap] = tails_block
+        eps[move.head_gap : move.head_gap] = heads_block
+    signs = dict(d.signs)
+    signs[x] = move.first_sign
+    signs[y] = -move.first_sign
     return make_diagram(eps, signs)
 
 
@@ -482,6 +561,34 @@ def test_least_rotations_match_oracle(exhaustive_corpus, random_corpus):
         assert _canonical_code(d.endpoints, d.signs) == oracle_canonical_code(d), d
 
 
+def test_least_rotations_stop_at_the_first_tie():
+    # in the chain O1+ U1+ O2+ U2+ ... every positive tail's rotation ties;
+    # the scan must read the period off the first tie, not compare each
+    # rotation in full (quadratic: seconds at this size)
+    chain = parse_gauss_code(" ".join(f"O{i}+ U{i}+" for i in range(1, 3001)))
+    start = time.perf_counter()
+    code, shifts = _least_rotations(chain.endpoints, chain.signs)
+    key = _canonical_code(chain.endpoints, chain.signs)
+    assert time.perf_counter() - start < 1.0
+    assert shifts == list(range(0, 6000, 2))
+    assert _decode(code) == tuple((i % 2, i // 2 + 1, 0) for i in range(6000))
+    assert key == serialize_gauss_code(chain)
+    # smaller chains, periodic diagrams with many copies and their
+    # rotations (the least rotation need not start at 0) against the oracle
+    periodic = [
+        parse_gauss_code(" ".join(f"O{i}+ U{i}+" for i in range(1, 301))),
+        parse_gauss_code(" ".join(f"O{i}{'+-'[i % 2]} U{i}{'+-'[i % 2]}" for i in range(1, 301))),
+    ]
+    periodic += [_symmetric_diagram(block, 60, seed) for block in (1, 2, 3) for seed in range(3)]
+    for d in periodic:
+        for k in (0, 1, 5):
+            r = rotate(d, k)
+            expected = oracle_least_rotations(r)
+            got_code, got_shifts = _least_rotations(r.endpoints, r.signs)
+            assert len(got_shifts) >= 2, (d, k)
+            assert (_decode(got_code), got_shifts) == expected, (d, k)
+
+
 def test_orbit_key_matches_oracle_on_movable_configurations():
     for n in (3, 4):
         for d in enumerate_diagrams(n):
@@ -501,6 +608,46 @@ def test_r2_pairs_and_messages_match_oracle(exhaustive_corpus, random_corpus):
         for pair in itertools.combinations(d.chords(), 2):
             move = R2Delete(pair)
             assert _outcome(apply_move, d, move) == _outcome(oracle_r2_delete, d, move)
+
+
+def test_r1_chords_and_deletion_match_oracle(exhaustive_corpus, random_corpus):
+    for d in exhaustive_corpus + random_corpus:
+        assert r1_removable_chords(d) == oracle_r1_removable_chords(d), d
+        # every chord, and "0", which no corpus diagram has
+        for c in d.chords() + ["0"]:
+            move = R1Delete(c)
+            assert _outcome(apply_move, d, move) == _outcome(oracle_r1_delete, d, move), (d, c)
+
+
+def _value_outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_adjacent_matches_oracle(exhaustive_corpus, random_corpus):
+    # every position pair, one out of range on each side, up to 3 chords
+    for d in [d for d in exhaustive_corpus + random_corpus if d.n <= 3]:
+        positions = range(-1, len(d.endpoints) + 1)
+        for p, q in itertools.product(positions, repeat=2):
+            expected = _value_outcome(oracle_adjacent, d, p, q)
+            assert _value_outcome(adjacent, d, p, q) == expected, (d, p, q)
+
+
+def test_r2_insert_matches_oracle(exhaustive_corpus):
+    # every gap pair, one invalid gap on each side, up to 2 chords
+    for d in [d for d in exhaustive_corpus if d.n <= 2]:
+        gaps = range(-1, max(1, len(d.endpoints)) + 1)
+        for head_gap, tail_gap in itertools.product(gaps, repeat=2):
+            for sign in (1, -1):
+                for crossed in (True, False):
+                    move = R2Insert(head_gap, tail_gap, sign, crossed)
+                    expected = _outcome(oracle_r2_insert, d, move)
+                    got = _outcome(apply_move, d, move)
+                    assert got == expected, (d, move)
+                    if not isinstance(got, str):
+                        assert tuple(got.signs) == tuple(expected.signs), (d, move)
 
 
 def test_r3_triples_match_oracle(exhaustive_corpus, random_corpus):

@@ -9,9 +9,13 @@ The worked diagrams reused throughout:
 
 from __future__ import annotations
 
+import ast
 import re
+from pathlib import Path
 
 import pytest
+
+import gaussdiag.moves
 
 from gaussdiag import (
     EMPTY,
@@ -420,3 +424,19 @@ def test_census_bounds():
         census_movable_triples(2)
     with pytest.raises(ValueError, match="capped at 5"):
         census_movable_triples(6)
+
+
+def test_only_analyze_triple_uses_the_validating_accessors():
+    # the module's own code reads the position map; the accessors that
+    # validate their chord or positions are for outside callers, and
+    # analyze_triple is the public report that validates its labels
+    validating = {"adjacent", "head_position", "positions_of", "sign_of", "tail_position"}
+    tree = ast.parse(Path(gaussdiag.moves.__file__).read_text())
+    uses = set()
+    for stmt in tree.body:
+        owner = getattr(stmt, "name", "<module>")
+        for node in ast.walk(stmt):
+            for field in ("id", "attr", "name"):  # a name, an attribute, an import
+                if getattr(node, field, None) in validating:
+                    uses.add((owner, getattr(node, field)))
+    assert uses == {("analyze_triple", "sign_of")}
