@@ -22,7 +22,9 @@ EITHER tiling qualifies, and movable when either qualifying tiling has
 equal 3-signs.  Analysis results report the witness tiling: the first
 movable one (preferring the pairing that starts at the least position),
 else the first qualifying one.  This keeps every verdict
-rotation-invariant.
+rotation-invariant.  ``_witness`` is that rule, written once:
+``analyze_triple`` reports the tiling it picks and the R3 rewrite swaps
+it.
 
 One integer kernel, ``_qualifying_tilings``, computes all of this from the
 triple's six endpoint positions: the tilings from their sorted order, each
@@ -52,6 +54,12 @@ input, so ``_check_chords`` guards them before any lookup.
 ``_rewrite`` checks each move's precondition before rewriting, so the
 parts it returns are valid by construction: ``apply_move`` builds them
 without revalidation, and the search keys them without building them.
+Each move family is written once.  Both deletions return ``_without``,
+the one removal of named chords.  Both insertions pass
+``_check_insertion``, the one check of gaps, then sign, then the
+``head_first`` or ``crossed`` flag, and return ``_inserted``, the one
+splice of endpoint blocks (later gap first) that appends the new signs
+after the old ones.  The R3 rewrite swaps the arcs of the ``_witness``.
 """
 
 from __future__ import annotations
@@ -60,6 +68,7 @@ from dataclasses import dataclass
 from typing import Mapping, Union
 
 from .diagram import (
+    EMPTY,
     HEAD,
     TAIL,
     Endpoint,
@@ -80,6 +89,18 @@ class MoveNotApplicable(Exception):
     """The move's precondition fails on the target diagram."""
 
 
+def _sorted_labels(move) -> tuple:
+    """The labels an R2Delete or an R3 names, in ``label_key`` order;
+    ValueError for a bare string or a label that is not a string."""
+    chords = move.chords
+    try:
+        if not isinstance(chords, str):
+            return tuple(sorted(chords, key=label_key))
+    except (AttributeError, TypeError):
+        pass
+    raise ValueError(f"{type(move).__name__} needs a tuple of label strings, got {chords!r}")
+
+
 @dataclass(frozen=True)
 class R1Delete:
     chord: str
@@ -97,7 +118,7 @@ class R2Delete:
     chords: tuple
 
     def __post_init__(self):
-        pair = tuple(sorted(self.chords, key=label_key))
+        pair = _sorted_labels(self)
         if len(pair) != 2 or pair[0] == pair[1]:
             raise ValueError("R2Delete needs two distinct chords")
         object.__setattr__(self, "chords", pair)
@@ -116,7 +137,7 @@ class R3:
     chords: tuple
 
     def __post_init__(self):
-        triple = tuple(sorted(self.chords, key=label_key))
+        triple = _sorted_labels(self)
         if len(triple) != 3 or len(set(triple)) != 3:
             raise ValueError("R3 needs three distinct chords")
         object.__setattr__(self, "chords", triple)
@@ -271,6 +292,12 @@ def _qualifying_tilings(d: GaussDiagram, labels) -> list:
     return out
 
 
+def _witness(tilings):
+    """The tiling a verdict reports and an R3 move swaps: the first movable
+    one of the nonempty ``_qualifying_tilings``, else the first."""
+    return next((t for t in tilings if t[2]), tilings[0])
+
+
 def analyze_triple(d: GaussDiagram, triple) -> TripleAnalysis:
     """Full matched/movable analysis of a chord triple: the public,
     validating report of the ``_qualifying_tilings`` kernel.
@@ -290,8 +317,7 @@ def analyze_triple(d: GaussDiagram, triple) -> TripleAnalysis:
     qualifying = _qualifying_tilings(d, labels)
     if not qualifying:
         return TripleAnalysis(False, False, None, None, None, {})
-    witness = next((w for w in qualifying if w[2]), qualifying[0])
-    (heads, tails, mixed), numbers, movable = witness
+    (heads, tails, mixed), numbers, movable = _witness(qualifying)
     return TripleAnalysis(
         matched=True,
         movable=movable,
@@ -362,11 +388,39 @@ def _check_chords(d: GaussDiagram, chords):
             raise MoveNotApplicable(f"chord {c} not in diagram")
 
 
-def _check_gap(d: GaussDiagram, gap: int):
-    """Gaps are exact ints (no bool, no float) in 0..max(1, 2n) - 1."""
+def _check_insertion(d: GaussDiagram, gaps, sign, flag: str, value, error=MoveNotApplicable):
+    """Raise ``error`` unless an insertion's parameters are valid, checked
+    in this order: each gap, an exact int (no bool, no float) in
+    0..max(1, 2n) - 1; the sign, the int +1 or -1; the ``flag``
+    (``head_first`` or ``crossed``), a bool."""
     limit = max(1, len(d.endpoints))
-    if type(gap) is not int or not 0 <= gap < limit:
-        raise MoveNotApplicable(f"invalid gap {gap!r}: valid gaps are 0..{limit - 1}")
+    for gap in gaps:
+        if type(gap) is not int or not 0 <= gap < limit:
+            raise error(f"invalid gap {gap!r}: valid gaps are 0..{limit - 1}")
+    if not _valid_sign(sign):
+        raise error(f"sign must be +1 or -1, got {sign!r}")
+    if type(value) is not bool:
+        raise error(f"{flag} must be True or False, got {value!r}")
+
+
+def _without(d: GaussDiagram, chords) -> tuple:
+    """The parts (endpoints, signs) of ``d`` with ``chords`` removed."""
+    eps = [ep for ep in d.endpoints if ep.chord not in chords]
+    signs = {k: v for k, v in d.signs.items() if k not in chords}
+    return eps, signs
+
+
+def _inserted(d: GaussDiagram, blocks, new_signs) -> tuple:
+    """The parts (endpoints, signs) of ``d`` with each of the one or two
+    (gap, endpoints) blocks spliced in at its gap and ``new_signs`` after
+    the old signs.
+
+    The later gap goes in first, so the earlier one keeps its index.  Two
+    blocks sharing a gap go in as listed, so the second lands first."""
+    eps = list(d.endpoints)
+    for gap, block in blocks if blocks[0][0] >= blocks[-1][0] else blocks[::-1]:
+        eps[gap:gap] = block
+    return eps, {**d.signs, **new_signs}
 
 
 def apply_move(d: GaussDiagram, move: Move) -> GaussDiagram:
@@ -393,9 +447,7 @@ def _rewrite(d: GaussDiagram, move: Move) -> tuple:
             raise MoveNotApplicable(
                 f"chord {c} endpoints are not adjacent (positions {t} and {h})"
             )
-        eps = [ep for ep in d.endpoints if ep.chord != c]
-        signs = {k: v for k, v in d.signs.items() if k != c}
-        return eps, signs
+        return _without(d, (c,))
 
     if isinstance(move, R2Delete):
         a, b = move.chords
@@ -403,60 +455,31 @@ def _rewrite(d: GaussDiagram, move: Move) -> tuple:
         blocker = _r2_blocker(d, a, b)
         if blocker is not None:
             raise MoveNotApplicable(blocker)
-        eps = [ep for ep in d.endpoints if ep.chord not in (a, b)]
-        signs = {k: v for k, v in d.signs.items() if k not in (a, b)}
-        return eps, signs
+        return _without(d, (a, b))
 
     if isinstance(move, R1Insert):
-        _check_gap(d, move.gap)
-        if not _valid_sign(move.sign):
-            raise MoveNotApplicable(f"sign must be +1 or -1, got {move.sign!r}")
+        _check_insertion(d, (move.gap,), move.sign, "head_first", move.head_first)
         (lab,) = _fresh_labels(d, 1)
-        block = (
-            [Endpoint(lab, HEAD), Endpoint(lab, TAIL)]
-            if move.head_first
-            else [Endpoint(lab, TAIL), Endpoint(lab, HEAD)]
-        )
-        eps = list(d.endpoints)
-        eps[move.gap : move.gap] = block
-        signs = dict(d.signs)
-        signs[lab] = move.sign
-        return eps, signs
+        head, tail = Endpoint(lab, HEAD), Endpoint(lab, TAIL)
+        block = [head, tail] if move.head_first else [tail, head]
+        return _inserted(d, [(move.gap, block)], {lab: move.sign})
 
     if isinstance(move, R2Insert):
-        _check_gap(d, move.head_gap)
-        _check_gap(d, move.tail_gap)
-        if not _valid_sign(move.first_sign):
-            raise MoveNotApplicable(f"sign must be +1 or -1, got {move.first_sign!r}")
+        gaps = (move.head_gap, move.tail_gap)
+        _check_insertion(d, gaps, move.first_sign, "crossed", move.crossed)
         x, y = _fresh_labels(d, 2)
-        heads_block = [Endpoint(x, HEAD), Endpoint(y, HEAD)]
-        tails_block = (
-            [Endpoint(x, TAIL), Endpoint(y, TAIL)]
-            if move.crossed
-            else [Endpoint(y, TAIL), Endpoint(x, TAIL)]
-        )
-        eps = list(d.endpoints)
-        # the later gap first, so the earlier one keeps its index; on a
-        # shared gap the tails go in last, so they come before the heads
-        if move.head_gap >= move.tail_gap:
-            eps[move.head_gap : move.head_gap] = heads_block
-            eps[move.tail_gap : move.tail_gap] = tails_block
-        else:
-            eps[move.tail_gap : move.tail_gap] = tails_block
-            eps[move.head_gap : move.head_gap] = heads_block
-        signs = dict(d.signs)
-        signs[x] = move.first_sign
-        signs[y] = -move.first_sign
-        return eps, signs
+        heads = [Endpoint(x, HEAD), Endpoint(y, HEAD)]
+        tails = [Endpoint(x, TAIL), Endpoint(y, TAIL)]
+        blocks = [(move.head_gap, heads), (move.tail_gap, tails if move.crossed else tails[::-1])]
+        return _inserted(d, blocks, {x: move.first_sign, y: -move.first_sign})
 
     if isinstance(move, R3):
         _check_chords(d, move.chords)
         tilings = _qualifying_tilings(d, move.chords)
         if not tilings:
             raise MoveNotApplicable(f"triple {move.chords} is not matched")
-        # the witness: the first movable tiling
-        arcs = next((arcs for arcs, _, movable in tilings if movable), None)
-        if arcs is None:
+        arcs, _, movable = _witness(tilings)
+        if not movable:
             raise MoveNotApplicable(
                 f"triple {move.chords} is matched but its 3-signs differ"
             )
@@ -499,7 +522,12 @@ def _insertion_moves(d: GaussDiagram, room: int):
 
 # ---------------------------------------------------------------- move specs
 
-_SIGN_TEXT = {1: "+", -1: "-"}
+def _insertion_text(sign, flag: str, value, texts) -> tuple:
+    """An insertion spec's sign and flag fields, the flag's from ``texts``
+    (False, True); ValueError when either field has no spec.  A spec holds
+    no diagram, so its gaps are not checked."""
+    _check_insertion(EMPTY, (), sign, flag, value, ValueError)
+    return ("+" if sign == 1 else "-"), texts[value]
 
 
 def format_move(move: Move) -> str:
@@ -507,13 +535,13 @@ def format_move(move: Move) -> str:
     if isinstance(move, R1Delete):
         return f"r1:del:{move.chord}"
     if isinstance(move, R1Insert):
-        order = "hf" if move.head_first else "tf"
-        return f"r1:ins:{move.gap}:{_SIGN_TEXT[move.sign]}:{order}"
+        sign, order = _insertion_text(move.sign, "head_first", move.head_first, ("tf", "hf"))
+        return f"r1:ins:{move.gap}:{sign}:{order}"
     if isinstance(move, R2Delete):
         return "r2:del:{},{}".format(*move.chords)
     if isinstance(move, R2Insert):
-        pattern = "x" if move.crossed else "u"
-        return f"r2:ins:{move.head_gap}:{move.tail_gap}:{_SIGN_TEXT[move.first_sign]}:{pattern}"
+        sign, pattern = _insertion_text(move.first_sign, "crossed", move.crossed, ("u", "x"))
+        return f"r2:ins:{move.head_gap}:{move.tail_gap}:{sign}:{pattern}"
     if isinstance(move, R3):
         return "r3:{},{},{}".format(*move.chords)
     raise ValueError(f"unknown move {move!r}")

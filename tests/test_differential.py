@@ -1,16 +1,17 @@
 """Differential tests: the least-rotation scan, the adjacency test, R1
-detection and deletion, the shared R2 precondition, the R2 insertion,
-the head-adjacency R3 detector, the positional triple-analysis kernel
-and the R3 rewrite read from it, the unvalidated rewrite constructor,
-the code-keyed search and its insertion generation against the code they
-replaced.
+detection, deletion and insertion, the shared R2 precondition, the R2
+insertion, the head-adjacency R3 detector, the positional
+triple-analysis kernel and the R3 rewrite read from it, the unvalidated
+rewrite constructor, the code-keyed search and its insertion generation
+against the code they replaced.
 
 The oracles below are the earlier implementations, kept verbatim: a
 ``canonical`` and a census orbit key that rebuild the diagram for every
 one of the 2n rotations, the tuple-encoded least-rotation scan and the
 canonical code spelled from it, ``adjacent`` and the R1 detector and
 deletion that walked positions by index, an R2 detector that tests every
-chord pair, the three-branch R2 insertion, an R3 detector that analyses
+chord pair, the R1 insertion and the three-branch R2 insertion, each with
+its own gap and sign checks, an R3 detector that analyses
 every one of the C(n, 3) triples, the R3 rewrite that read its arcs from
 ``analyze_triple``, the triple analysis that classified each tiling and
 took every chord's parity from ``chords_cross`` per pair,
@@ -22,8 +23,9 @@ random corpus (the orbit key on every movable configuration at n = 3 and
 n = 4; the least-rotation scan also on seeded diagrams of 16 to 64
 chords and on rotationally symmetric ones, and within a time bound on a
 3,000-chord periodic chain; ``adjacent`` on every position pair,
-out-of-range ones included, with n <= 3; the R2 insertion on every gap
-pair, sign and pattern with n <= 2; the R3 lists also on larger seeded
+out-of-range ones included, with n <= 3; the R1 insertion on every gap,
+sign and order and the R2 insertion on every gap pair, sign and pattern
+with n <= 2; the R3 lists also on larger seeded
 diagrams; the search on every diagram with n <= 3, with insertions on
 n <= 2, and on seeded diagrams with 5 to 10 chords, and stopped after a
 few expansions, with insertions, on n <= 2 and on seeded diagrams with 3
@@ -284,6 +286,27 @@ def oracle_r1_delete(d: GaussDiagram, move: R1Delete) -> GaussDiagram:
         )
     eps = [ep for ep in d.endpoints if ep.chord != c]
     signs = {k: v for k, v in d.signs.items() if k != c}
+    return make_diagram(eps, signs)
+
+
+def oracle_r1_insert(d: GaussDiagram, move: R1Insert) -> GaussDiagram:
+    """The R1Insert branch of the earlier apply_move, with its gap and sign
+    checks and its fresh label."""
+    limit = max(1, len(d.endpoints))
+    if type(move.gap) is not int or not 0 <= move.gap < limit:
+        raise MoveNotApplicable(f"invalid gap {move.gap!r}: valid gaps are 0..{limit - 1}")
+    if not (type(move.sign) is int and move.sign in (1, -1)):
+        raise MoveNotApplicable(f"sign must be +1 or -1, got {move.sign!r}")
+    (lab,) = itertools.islice((str(k) for k in itertools.count(1) if str(k) not in d.signs), 1)
+    block = (
+        [Endpoint(lab, HEAD), Endpoint(lab, TAIL)]
+        if move.head_first
+        else [Endpoint(lab, TAIL), Endpoint(lab, HEAD)]
+    )
+    eps = list(d.endpoints)
+    eps[move.gap : move.gap] = block
+    signs = dict(d.signs)
+    signs[lab] = move.sign
     return make_diagram(eps, signs)
 
 
@@ -644,6 +667,21 @@ def test_r2_insert_matches_oracle(exhaustive_corpus):
                 for crossed in (True, False):
                     move = R2Insert(head_gap, tail_gap, sign, crossed)
                     expected = _outcome(oracle_r2_insert, d, move)
+                    got = _outcome(apply_move, d, move)
+                    assert got == expected, (d, move)
+                    if not isinstance(got, str):
+                        assert tuple(got.signs) == tuple(expected.signs), (d, move)
+
+
+def test_r1_insert_matches_oracle(exhaustive_corpus):
+    # every gap, one invalid gap on each side, up to 2 chords; sign 0 is
+    # invalid too
+    for d in [d for d in exhaustive_corpus if d.n <= 2]:
+        for gap in range(-1, max(1, len(d.endpoints)) + 1):
+            for sign in (1, -1, 0):
+                for head_first in (True, False):
+                    move = R1Insert(gap, sign, head_first)
+                    expected = _outcome(oracle_r1_insert, d, move)
                     got = _outcome(apply_move, d, move)
                     assert got == expected, (d, move)
                     if not isinstance(got, str):

@@ -280,6 +280,27 @@ def test_insertion_sign_must_be_an_exact_int(move, sign):
         apply_move(EMPTY, move)
 
 
+@pytest.mark.parametrize(
+    "move, flag",
+    [
+        (R1Insert(0, 1, "x"), "head_first must be True or False, got 'x'"),
+        (R1Insert(0, -1, 1), "head_first must be True or False, got 1"),
+        (R2Insert(0, 0, 1, None), "crossed must be True or False, got None"),
+        (R2Insert(0, 0, -1, 0), "crossed must be True or False, got 0"),
+    ],
+)
+def test_insertion_flag_must_be_a_bool(move, flag):
+    with pytest.raises(MoveNotApplicable, match="^" + re.escape(flag) + "$"):
+        apply_move(EMPTY, move)
+
+
+def test_insertion_checks_gaps_then_sign_then_flag():
+    with pytest.raises(MoveNotApplicable, match=re.escape("invalid gap 5: valid gaps are 0..0")):
+        apply_move(EMPTY, R2Insert(0, 5, 2, "x"))
+    with pytest.raises(MoveNotApplicable, match=re.escape("sign must be +1 or -1, got 2")):
+        apply_move(EMPTY, R1Insert(0, 2, "x"))
+
+
 def test_insertion_picks_smallest_free_labels():
     out = apply_move(d("O2+ U2+"), R2Insert(0, 1, 1, False))
     assert serialize_gauss_code(out) == "U1+ U3- O2+ O3- O1+ U2+"
@@ -378,6 +399,38 @@ def test_move_spec_errors(spec, message):
         parse_move(spec)
 
 
+@pytest.mark.parametrize(
+    "move, message",
+    [
+        (R1Insert(0, 2, True), "sign must be +1 or -1, got 2"),
+        (R1Insert(0, True, True), "sign must be +1 or -1, got True"),
+        (R1Insert(0, 1, "x"), "head_first must be True or False, got 'x'"),
+        (R2Insert(0, 0, -1.0, True), "sign must be +1 or -1, got -1.0"),
+        (R2Insert(0, 0, 1, None), "crossed must be True or False, got None"),
+    ],
+)
+def test_format_move_rejects_what_has_no_spec(move, message):
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        format_move(move)
+
+
+@pytest.mark.parametrize(
+    "make, chords",
+    [
+        (R2Delete, (1, 2)),
+        (R2Delete, ("1", None)),
+        (R2Delete, "12"),
+        (R2Delete, 12),
+        (R3, "abc"),
+        (R3, ("a", 2, "c")),
+    ],
+)
+def test_chords_must_be_a_tuple_of_label_strings(make, chords):
+    message = f"{make.__name__} needs a tuple of label strings, got {chords!r}"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        make(chords)
+
+
 def test_move_normalization():
     assert R2Delete(("5", "2")).chords == ("2", "5")
     assert R3(("c", "a", "b")).chords == ("a", "b", "c")
@@ -440,3 +493,18 @@ def test_only_analyze_triple_uses_the_validating_accessors():
                 if getattr(node, field, None) in validating:
                     uses.add((owner, getattr(node, field)))
     assert uses == {("analyze_triple", "sign_of")}
+
+
+def test_chord_change_matches_every_rewrite(exhaustive_corpus):
+    # the search files each child under count + _CHORD_CHANGE[type(move)]
+    chord_change = gaussdiag.moves._CHORD_CHANGE
+    assert set(chord_change) == {R1Delete, R1Insert, R2Delete, R2Insert, R3}
+    seen = set()
+    for g in exhaustive_corpus:
+        if g.n > 3:
+            continue
+        for move in enumerate_moves(g, include_insertions=True):
+            endpoints, _ = gaussdiag.moves._rewrite(g, move)
+            assert len(endpoints) // 2 - g.n == chord_change[type(move)], (g, move)
+            seen.add(type(move))
+    assert seen == set(chord_change)
