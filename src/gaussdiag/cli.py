@@ -13,7 +13,7 @@ import json
 import sys
 
 from .codec import _canonical_code, parse_gauss_code, serialize_gauss_code
-from .diagram import random_diagram, writhe
+from .diagram import _rows, random_diagram, writhe
 from .moves import (
     MoveNotApplicable,
     apply_move,
@@ -93,7 +93,7 @@ def _cmd_simplify(args) -> int:
 
 def _cmd_canonical(args) -> int:
     d = parse_gauss_code(_read_code(args.code))
-    print(_canonical_code(d.endpoints, d.signs))
+    print(_canonical_code(*_rows(d.endpoints, d.signs)))
     return 0
 
 

@@ -12,6 +12,9 @@ Both readers are trust boundaries.  The parser's token checks, whose
 messages name the token, prove every diagram invariant, so it builds
 through ``diagram._trusted``; ``from_structured`` checks only the
 document's shape and builds through the validating ``make_diagram``.
+
+``_canonical_code`` spells the canonical code from the scan of a
+diagram's rows, so the search keys a child without building it.
 """
 
 from __future__ import annotations
@@ -135,11 +138,11 @@ class _TokenTable(dict):
 _TOKENS = _TokenTable()
 
 
-def _canonical_code(endpoints, signs) -> str:
+def _canonical_code(chords, bases) -> str:
     """serialize_gauss_code(canonical(d)) for the diagram d with these
-    parts, spelled straight from the least-rotation encoding without
-    building d or its canonical form."""
-    code = _least_rotations(endpoints, signs)[0]
+    ``diagram._rows``, spelled straight from the least-rotation encoding
+    without building d or its canonical form."""
+    code = _least_rotations(chords, bases)[0]
     if code is None:
         return ""
     return " ".join(map(_TOKENS.__getitem__, code))

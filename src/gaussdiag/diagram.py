@@ -16,6 +16,9 @@ it ``codec.from_structured``), by ``codec.parse_gauss_code``'s own token
 checks, and by ``moves.apply_move``'s move preconditions.  The parser,
 applied moves and every internal rewrite then build through ``_trusted``
 without revalidating; both paths set attributes only in ``_assemble``.
+
+Every normal form scans (``_least_rotations``) a diagram's two position
+rows (``_rows``): chord labels, and one int per role and sign.
 """
 
 from __future__ import annotations
@@ -220,30 +223,36 @@ def rotate(d: GaussDiagram, k: int) -> GaussDiagram:
     return _trusted(d.endpoints[k:] + d.endpoints[:k], d.signs)
 
 
-def _least_rotations(endpoints, signs):
-    """The least encoding over the rotations of the diagram with these
-    parts, and every shift k whose rotation (basepoint at position k)
-    attains it, ascending.  Taking the parts, not a diagram, lets the
-    search key a child straight from ``moves._rewrite``'s output.
+def _rows(endpoints, signs) -> tuple:
+    """Each endpoint's chord label, and its base ``head << 32 | negative``
+    (role O<U, sign +<-): the rows ``_least_rotations`` scans."""
+    chords = [ep.chord for ep in endpoints]
+    return chords, [(ep.role == HEAD) << 32 | (signs[ep.chord] < 0) for ep in endpoints]
 
-    Each endpoint encodes as one int entry, ``head << 32 | number << 1 |
-    negative`` (role O<U, chord number by first appearance, sign +<-),
-    which orders exactly like the tuple (head, number, negative); see
-    ``_entry_parts``.  A least encoding starts with a positive chord's tail
-    (any tail if none is positive), so only rotations starting there are
-    tried.  Each is compared against the best so far lazily: the best's
-    entries and first-appearance numbering are extended only as far as a
-    comparison reaches, and a rotation that wins at entry i becomes the
-    best with its i + 1 entries.  Only a tie runs the full length, and the
-    first one ends the scan: a diagram that ties with itself at shift k is
-    periodic, so its shifts follow from the period.  The rest of the final
-    best is encoded once at the end.  The empty diagram has
-    encoding None and no shifts."""
-    m = len(endpoints)
+
+def _least_rotations(chords, bases):
+    """The least encoding over the rotations of the diagram with these
+    ``_rows``, and every shift k whose rotation (basepoint at position k)
+    attains it, ascending.  Taking rows, not a diagram, lets the search key
+    a child from its parent's rows edited by ``moves._rewrite``.
+
+    Each endpoint encodes as one int entry, its base with its chord number
+    (by first appearance) in bits 1..31: ``head << 32 | number << 1 |
+    negative``, which orders exactly like the tuple (head, number,
+    negative); see ``_entry_parts``.  A least encoding starts with a
+    positive chord's tail (any tail if none is positive), so only rotations
+    starting there are tried.  Each is compared against the best so far
+    lazily: the best's entries and first-appearance numbering are extended
+    only as far as a comparison reaches, and a rotation that wins at entry
+    i becomes the best with its i + 1 entries.  Only a tie runs the full
+    length, and the first one ends the scan: a diagram that ties with
+    itself at shift k is periodic, so its shifts follow from the period.
+    The rest of the final best is encoded once at the end.  The empty
+    diagram has encoding None and no shifts."""
+    m = len(chords)
     if m == 0:
         return None, []
-    chords = [ep.chord for ep in endpoints] * 2  # doubled: rotation k reads k..k+m-1
-    bases = [(ep.role == HEAD) << 32 | (signs[ep.chord] < 0) for ep in endpoints] * 2
+    chords, bases = chords * 2, bases * 2  # doubled: rotation k reads k..k+m-1
     first = min(bases)
     starts = [k for k in range(m) if bases[k] == first]
     best = starts[0]
@@ -290,7 +299,7 @@ def canonical(d: GaussDiagram) -> GaussDiagram:
     """
     if d.n == 0:
         return d
-    parts = [_entry_parts(entry) for entry in _least_rotations(d.endpoints, d.signs)[0]]
+    parts = [_entry_parts(entry) for entry in _least_rotations(*_rows(d.endpoints, d.signs))[0]]
     endpoints = [Endpoint(str(number), HEAD if head else TAIL) for head, number, _ in parts]
     signs = {str(number): -1 if negative else 1 for _, number, negative in parts}
     return _trusted(endpoints, signs)
@@ -298,8 +307,8 @@ def canonical(d: GaussDiagram) -> GaussDiagram:
 
 def same_diagram(d1: GaussDiagram, d2: GaussDiagram) -> bool:
     """True iff the diagrams agree up to rotation and relabeling."""
-    code = _least_rotations(d1.endpoints, d1.signs)[0]
-    return code == _least_rotations(d2.endpoints, d2.signs)[0]
+    code = _least_rotations(*_rows(d1.endpoints, d1.signs))[0]
+    return code == _least_rotations(*_rows(d2.endpoints, d2.signs))[0]
 
 
 def _matchings(positions: list) -> Iterator[list]:

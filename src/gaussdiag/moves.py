@@ -51,15 +51,13 @@ position getters) are for outside callers; here only ``analyze_triple``,
 the public report, calls them.  The chords a move names are outside
 input, so ``_check_chords`` guards them before any lookup.
 
-``_rewrite`` checks each move's precondition before rewriting, so the
-parts it returns are valid by construction: ``apply_move`` builds them
-without revalidation, and the search keys them without building them.
-Each move family is written once.  Both deletions return ``_without``,
-the one removal of named chords.  Both insertions pass
-``_check_insertion``, the one check of gaps, then sign, then the
-``head_first`` or ``crossed`` flag, and return ``_inserted``, the one
-splice of endpoint blocks (later gap first) that appends the new signs
-after the old ones.  The R3 rewrite swaps the arcs of the ``_witness``.
+``_rewrite`` checks each move's preconditions, written once, then makes
+the move as one positional edit, which ``_edited`` applies by slicing: a
+deletion cuts positions, an insertion splices blocks in at its gaps after
+``_check_insertion`` (gaps, then sign, then flag), and R3 swaps the arcs
+of the ``_witness``.  ``apply_move`` edits the endpoint tuple and builds
+the result without revalidation; the search edits a parent's
+``diagram._rows`` and keys the child without building it.
 """
 
 from __future__ import annotations
@@ -76,6 +74,7 @@ from .diagram import (
     _adjacent,
     _interleaved,
     _least_rotations,
+    _rows,
     _trusted,
     _valid_sign,
     enumerate_diagrams,
@@ -373,13 +372,9 @@ def r3_movable_triples(d: GaussDiagram) -> list:
 
 
 def _fresh_labels(d: GaussDiagram, count: int) -> list:
-    out = []
-    k = 1
-    while len(out) < count:
-        if str(k) not in d.signs:
-            out.append(str(k))
-        k += 1
-    return out
+    """The ``count`` least positive integers not used as labels in d."""
+    candidates = map(str, range(1, len(d.signs) + count + 1))
+    return [lab for lab in candidates if lab not in d.signs][:count]
 
 
 def _check_chords(d: GaussDiagram, chords):
@@ -403,24 +398,18 @@ def _check_insertion(d: GaussDiagram, gaps, sign, flag: str, value, error=MoveNo
         raise error(f"{flag} must be True or False, got {value!r}")
 
 
-def _without(d: GaussDiagram, chords) -> tuple:
-    """The parts (endpoints, signs) of ``d`` with ``chords`` removed."""
-    eps = [ep for ep in d.endpoints if ep.chord not in chords]
-    signs = {k: v for k, v in d.signs.items() if k not in chords}
-    return eps, signs
-
-
-def _inserted(d: GaussDiagram, blocks, new_signs) -> tuple:
-    """The parts (endpoints, signs) of ``d`` with each of the one or two
-    (gap, endpoints) blocks spliced in at its gap and ``new_signs`` after
-    the old signs.
-
-    The later gap goes in first, so the earlier one keeps its index.  Two
-    blocks sharing a gap go in as listed, so the second lands first."""
-    eps = list(d.endpoints)
-    for gap, block in blocks if blocks[0][0] >= blocks[-1][0] else blocks[::-1]:
-        eps[gap:gap] = block
-    return eps, {**d.signs, **new_signs}
+def _edited(column, cuts, splices, arcs, field: int) -> list:
+    """A copy of ``column`` (one value per endpoint) edited by slicing:
+    ``cuts`` deleted in order, then each splice's block ``splice[field]``
+    put in at its gap ``splice[0]`` in order, then each arc swapped."""
+    column = list(column)
+    for p in cuts:
+        del column[p]
+    for splice in splices:
+        column[splice[0]:splice[0]] = splice[field]
+    for a, b in arcs:
+        column[a], column[b] = column[b], column[a]
+    return column
 
 
 def apply_move(d: GaussDiagram, move: Move) -> GaussDiagram:
@@ -435,10 +424,20 @@ def apply_move(d: GaussDiagram, move: Move) -> GaussDiagram:
 _CHORD_CHANGE = {R1Delete: -1, R2Delete: -2, R3: 0, R1Insert: 1, R2Insert: 2}
 
 
-def _rewrite(d: GaussDiagram, move: Move) -> tuple:
-    """The parts (endpoints, signs) of ``apply_move(d, move)``, without the
-    diagram: every precondition is checked here, so the search can key a
-    child it never builds.  Raises MoveNotApplicable like apply_move."""
+def _rewrite(d: GaussDiagram, move: Move, rows=None, fresh=None):
+    """Check every precondition of ``move`` on d (MoveNotApplicable like
+    apply_move), then apply the move as one ``_edited`` edit: to d's
+    endpoints, giving the parts (endpoints, signs) of apply_move's result,
+    or to d's ``diagram._rows``, giving the child's rows.  Insertions take
+    their labels from ``fresh``, ``_fresh_labels(d, 2)``, when given.
+
+    A deletion cuts its 2 or 4 positions, the last first.  An insertion
+    splices a block at each gap, the later gap first (a shared gap: the
+    second block lands first); a splice is (gap, endpoints, labels, bases),
+    the endpoints a lazy map, built only if the endpoint tuple is edited.
+    R3 swaps the three arcs of the ``_witness``."""
+    cuts = splices = arcs = gone = ()  # gone: the chords cut
+    add = {}  # the signs of the chords added
     if isinstance(move, R1Delete):
         c = move.chord
         _check_chords(d, (c,))
@@ -447,48 +446,46 @@ def _rewrite(d: GaussDiagram, move: Move) -> tuple:
             raise MoveNotApplicable(
                 f"chord {c} endpoints are not adjacent (positions {t} and {h})"
             )
-        return _without(d, (c,))
-
-    if isinstance(move, R2Delete):
+        gone, cuts = (c,), ((t, h) if t > h else (h, t))
+    elif isinstance(move, R2Delete):
         a, b = move.chords
         _check_chords(d, move.chords)
         blocker = _r2_blocker(d, a, b)
         if blocker is not None:
             raise MoveNotApplicable(blocker)
-        return _without(d, (a, b))
-
-    if isinstance(move, R1Insert):
+        gone = move.chords
+        cuts = sorted((*d._pos[a].values(), *d._pos[b].values()), reverse=True)
+    elif isinstance(move, R1Insert):
         _check_insertion(d, (move.gap,), move.sign, "head_first", move.head_first)
-        (lab,) = _fresh_labels(d, 1)
-        head, tail = Endpoint(lab, HEAD), Endpoint(lab, TAIL)
-        block = [head, tail] if move.head_first else [tail, head]
-        return _inserted(d, [(move.gap, block)], {lab: move.sign})
-
-    if isinstance(move, R2Insert):
-        gaps = (move.head_gap, move.tail_gap)
-        _check_insertion(d, gaps, move.first_sign, "crossed", move.crossed)
-        x, y = _fresh_labels(d, 2)
-        heads = [Endpoint(x, HEAD), Endpoint(y, HEAD)]
-        tails = [Endpoint(x, TAIL), Endpoint(y, TAIL)]
-        blocks = [(move.head_gap, heads), (move.tail_gap, tails if move.crossed else tails[::-1])]
-        return _inserted(d, blocks, {x: move.first_sign, y: -move.first_sign})
-
-    if isinstance(move, R3):
+        lab, negative = (fresh or _fresh_labels(d, 2))[0], int(move.sign < 0)
+        order = 1 if move.head_first else -1  # head then tail, or tail then head
+        roles, bases = (HEAD, TAIL)[::order], (1 << 32 | negative, negative)[::order]
+        add = {lab: move.sign}
+        splices = [(move.gap, map(Endpoint, (lab, lab), roles), (lab, lab), bases)]
+    elif isinstance(move, R2Insert):
+        hg, tg = move.head_gap, move.tail_gap
+        _check_insertion(d, (hg, tg), move.first_sign, "crossed", move.crossed)
+        x, y = fresh or _fresh_labels(d, 2)
+        nx, ny = (0, 1) if move.first_sign == 1 else (1, 0)
+        add = {x: move.first_sign, y: -move.first_sign}
+        xy, bases = ((x, y), (nx, ny)) if move.crossed else ((y, x), (ny, nx))
+        heads = (hg, map(Endpoint, (x, y), (HEAD, HEAD)), (x, y), (1 << 32 | nx, 1 << 32 | ny))
+        tails = (tg, map(Endpoint, xy, (TAIL, TAIL)), xy, bases)
+        splices = [heads, tails] if hg >= tg else [tails, heads]
+    elif isinstance(move, R3):
         _check_chords(d, move.chords)
         tilings = _qualifying_tilings(d, move.chords)
         if not tilings:
             raise MoveNotApplicable(f"triple {move.chords} is not matched")
         arcs, _, movable = _witness(tilings)
         if not movable:
-            raise MoveNotApplicable(
-                f"triple {move.chords} is matched but its 3-signs differ"
-            )
-        eps = list(d.endpoints)
-        for a, b in arcs:
-            eps[a], eps[b] = eps[b], eps[a]
-        return eps, d.signs
-
-    raise MoveNotApplicable(f"unknown move {move!r}")
+            raise MoveNotApplicable(f"triple {move.chords} is matched but its 3-signs differ")
+    else:
+        raise MoveNotApplicable(f"unknown move {move!r}")
+    if rows is not None:  # the rows take a splice's labels and bases
+        return _edited(rows[0], cuts, splices, arcs, 2), _edited(rows[1], cuts, splices, arcs, 3)
+    signs = {c: s for c, s in d.signs.items() if c not in gone} if gone else {**d.signs, **add}
+    return _edited(d.endpoints, cuts, splices, arcs, 1), signs
 
 
 def enumerate_moves(d: GaussDiagram, include_insertions: bool = False) -> list:
@@ -524,35 +521,38 @@ def _insertion_moves(d: GaussDiagram, room: int):
 
 def _insertion_text(sign, flag: str, value, texts) -> tuple:
     """An insertion spec's sign and flag fields, the flag's from ``texts``
-    (False, True); ValueError when either field has no spec.  A spec holds
-    no diagram, so its gaps are not checked."""
+    (False, True); ValueError when either field has no spec."""
     _check_insertion(EMPTY, (), sign, flag, value, ValueError)
     return ("+" if sign == 1 else "-"), texts[value]
 
 
 def format_move(move: Move) -> str:
-    """Compact one-line spec, the CLI's move syntax."""
+    """Compact one-line spec, the CLI's move syntax.  ValueError for a move
+    without one: a sign or flag ``_insertion_text`` rejects, or a spec that
+    ``parse_move`` rejects (its error) or reads back as another move."""
     if isinstance(move, R1Delete):
-        return f"r1:del:{move.chord}"
-    if isinstance(move, R1Insert):
+        spec = f"r1:del:{move.chord}"
+    elif isinstance(move, R1Insert):
         sign, order = _insertion_text(move.sign, "head_first", move.head_first, ("tf", "hf"))
-        return f"r1:ins:{move.gap}:{sign}:{order}"
-    if isinstance(move, R2Delete):
-        return "r2:del:{},{}".format(*move.chords)
-    if isinstance(move, R2Insert):
+        spec = f"r1:ins:{move.gap}:{sign}:{order}"
+    elif isinstance(move, R2Delete):
+        spec = "r2:del:{},{}".format(*move.chords)
+    elif isinstance(move, R2Insert):
         sign, pattern = _insertion_text(move.first_sign, "crossed", move.crossed, ("u", "x"))
-        return f"r2:ins:{move.head_gap}:{move.tail_gap}:{sign}:{pattern}"
-    if isinstance(move, R3):
-        return "r3:{},{},{}".format(*move.chords)
-    raise ValueError(f"unknown move {move!r}")
+        spec = f"r2:ins:{move.head_gap}:{move.tail_gap}:{sign}:{pattern}"
+    elif isinstance(move, R3):
+        spec = "r3:{},{},{}".format(*move.chords)
+    else:
+        raise ValueError(f"unknown move {move!r}")
+    if parse_move(spec) != move:  # else parse_move raises on the spec
+        raise ValueError(f"{move!r} has no spec: {spec!r} parses to another move")
+    return spec
 
 
 def _parse_sign(text: str, spec: str) -> int:
-    if text == "+":
-        return 1
-    if text == "-":
-        return -1
-    raise ValueError(f"move spec {spec!r}: sign must be + or -, got {text!r}")
+    if text not in ("+", "-"):
+        raise ValueError(f"move spec {spec!r}: sign must be + or -, got {text!r}")
+    return 1 if text == "+" else -1
 
 
 def _parse_gap(text: str, spec: str, what: str = "gap") -> int:
@@ -577,9 +577,7 @@ def parse_move(spec: str) -> Move:
             raise ValueError(f"move spec {spec!r}: order must be hf or tf")
         return R1Insert(gap, sign, parts[4] == "hf")
     if parts[0] == "r2" and len(parts) >= 2 and parts[1] == "del":
-        if len(parts) != 3:
-            raise ValueError(f"move spec {spec!r}: r2:del needs chord,chord")
-        chords = parts[2].split(",")
+        chords = parts[2].split(",") if len(parts) == 3 else []
         if len(chords) != 2 or not all(chords):
             raise ValueError(f"move spec {spec!r}: r2:del needs chord,chord")
         return R2Delete(tuple(chords))
@@ -593,9 +591,7 @@ def parse_move(spec: str) -> Move:
             raise ValueError(f"move spec {spec!r}: pattern must be x or u")
         return R2Insert(head_gap, tail_gap, sign, parts[5] == "x")
     if parts[0] == "r3":
-        if len(parts) != 2:
-            raise ValueError(f"move spec {spec!r}: r3 needs chord,chord,chord")
-        chords = parts[1].split(",")
+        chords = parts[1].split(",") if len(parts) == 2 else []
         if len(chords) != 3 or not all(chords):
             raise ValueError(f"move spec {spec!r}: r3 needs chord,chord,chord")
         return R3(tuple(chords))
@@ -622,7 +618,7 @@ def _configuration_orbit_key(d: GaussDiagram, arcs) -> tuple:
     with it.
     """
     m = len(d.endpoints)
-    code, shifts = _least_rotations(d.endpoints, d.signs)
+    code, shifts = _least_rotations(*_rows(d.endpoints, d.signs))
     return code, min(
         tuple(sorted(((a - k) % m, (b - k) % m) for a, b in arcs)) for k in shifts
     )

@@ -7,9 +7,9 @@ insertions under a chord cap when enabled), deduplicating states by their
 canonical code string, and returns a minimum-chord-count state with a
 replayable trace.  Insertion moves are built only where they fit under the
 cap.  The search stores each state as its parent's code and the move from
-it, keys children from ``moves._rewrite``'s parts one chord count at a
-time, and builds diagrams only for the states it expands and the trace it
-replays.
+it, keys children one chord count at a time, each from its parent's
+``diagram._rows`` edited by ``moves._rewrite``, and builds diagrams only
+for the states it expands, from which it reads the trace back.
 """
 
 from __future__ import annotations
@@ -20,12 +20,13 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .codec import _canonical_code, serialize_gauss_code
-from .diagram import GaussDiagram, canonical
+from .diagram import GaussDiagram, _rows, canonical
 from .moves import (
     _CHORD_CHANGE,
     MoveNotApplicable,
     R1Delete,
     R2Delete,
+    _fresh_labels,
     _insertion_moves,
     _rewrite,
     apply_move,
@@ -51,9 +52,9 @@ class SearchLimits:
 class SimplifyResult:
     """final diagram, trace of (move, canonical form after the move),
     states explored, and whether the state budget truncated the search.
-    The trace is the search's stored moves replayed from the input: the
-    final diagram is where that replay ends, and each trace entry's
-    canonical form is built from the replayed state after its move."""
+    The trace is the search's stored moves from the input: the final
+    diagram is where they lead, and each trace entry's canonical form is
+    built from the state after its move."""
 
     final: GaussDiagram
     trace: tuple
@@ -94,11 +95,12 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
     """Best-first search for a minimum-chord-count diagram.
 
     States are keyed by canonical code, the serialized canonical form
-    spelled straight from the least-rotation encoding of a child's
-    ``_rewrite`` parts.  The frontier is ordered by (chord count, canonical
-    code), which fixes the expansion order and makes the result
-    deterministic for given limits.  Ties among final states break toward
-    the lexicographically least canonical code.
+    spelled straight from the least-rotation encoding of a child's rows:
+    its parent's ``_rows`` edited by ``_rewrite``.  The frontier is
+    ordered by (chord count, canonical code), which fixes the expansion
+    order and makes the result deterministic for given limits.  Ties
+    among final states break toward the lexicographically least canonical
+    code.
 
     An expanded state's children come from its deletions and R3 rewrites,
     then from its R1 insertions when one more chord fits under max_chords
@@ -111,9 +113,11 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
     a count's list is keyed (and deduplicated, the first generated child
     of a code winning) before the frontier can pop a state of that count
     or higher.  A generated empty child is keyed at once and ends the
-    search.  Diagrams are built only for the states the search pops, each
-    by applying its move to its parent's, and for the trace, which
-    replays the stored moves from d.
+    search.  One expansion's children sit together in each list, so the
+    parent's rows and fresh labels are made once per run of them.
+    Diagrams are built only for the states the search pops, each by
+    applying its move to its parent's, and at most one for the trace:
+    every state on its path but the last was popped.
     """
     if limits.max_states < 1:
         raise ValueError("max_states must be positive")
@@ -123,7 +127,7 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
     if d.n == 0:
         return SimplifyResult(final=d, trace=(), states_explored=1, limit_hit=False)
 
-    start_key = _canonical_code(d.endpoints, d.signs)
+    start_key = _canonical_code(*_rows(d.endpoints, d.signs))
     info = {start_key: (None, None)}  # canonical code -> (parent's code, move)
     concrete = {start_key: d}  # canonical code -> diagram, for popped states
     pending = {}  # chord count -> [(parent's code, move)], not yet keyed
@@ -136,8 +140,12 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
         # key every pending count that could hold the next state to pop
         while pending and (not frontier or min(pending) <= frontier[0][0]):
             count = min(pending)
+            run = None  # the parent of the run of children being keyed
             for parent, move in pending.pop(count):
-                child_key = _canonical_code(*_rewrite(concrete[parent], move))
+                if parent != run:
+                    run, state = parent, concrete[parent]
+                    rows, fresh = _rows(state.endpoints, state.signs), _fresh_labels(state, 2)
+                child_key = _canonical_code(*_rewrite(state, move, rows, fresh))
                 if child_key in info:
                     continue
                 info[child_key] = (parent, move)
@@ -163,22 +171,17 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
         for move in itertools.chain(enumerate_moves(state), _insertion_moves(state, room)):
             pending.setdefault(count + _CHORD_CHANGE[type(move)], []).append((key, move))
 
-    path = []
+    # the trace, read back from the final state to the start
     key = best[1]
-    while info[key][0] is not None:
-        key, move = info[key]
-        path.append(move)
-    final = d
+    parent, move = info[key]
+    final = concrete[key] if key in concrete else apply_move(concrete[parent], move)
     steps = []
-    for move in reversed(path):
-        final = apply_move(final, move)
-        steps.append((move, canonical(final)))
-    return SimplifyResult(
-        final=final,
-        trace=tuple(steps),
-        states_explored=explored,
-        limit_hit=limit_hit,
-    )
+    while parent is not None:
+        steps.append((move, canonical(concrete.get(key, final))))
+        key = parent
+        parent, move = info[key]
+    trace = tuple(reversed(steps))
+    return SimplifyResult(final=final, trace=trace, states_explored=explored, limit_hit=limit_hit)
 
 
 def verify_trace(start: GaussDiagram, trace) -> TraceCheck:

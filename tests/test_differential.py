@@ -2,8 +2,8 @@
 detection, deletion and insertion, the shared R2 precondition, the R2
 insertion, the head-adjacency R3 detector, the positional
 triple-analysis kernel and the R3 rewrite read from it, the unvalidated
-rewrite constructor, the code-keyed search and its insertion generation
-against the code they replaced.
+rewrite constructor, the code-keyed search and its insertion generation,
+and the rewrite's endpoint and row paths against the code they replaced.
 
 The oracles below are the earlier implementations, kept verbatim: a
 ``canonical`` and a census orbit key that rebuild the diagram for every
@@ -15,9 +15,11 @@ its own gap and sign checks, an R3 detector that analyses
 every one of the C(n, 3) triples, the R3 rewrite that read its arcs from
 ``analyze_triple``, the triple analysis that classified each tiling and
 took every chord's parity from ``chords_cross`` per pair,
-``enumerate_moves`` building every insertion inline, and
+``enumerate_moves`` building every insertion inline,
 ``oracle_simplify``, the search that built and serialized a canonical
-diagram for every child and filtered insertions one by one. The program
+diagram for every child and filtered insertions one by one, and
+``oracle_rewrite``, the rewrite that built each child's endpoint list and
+sign dict (with its removal, its splice and its fresh-label loop). The program
 must agree with them on the exhaustive n <= 4 corpus and the seeded
 random corpus (the orbit key on every movable configuration at n = 3 and
 n = 4; the least-rotation scan also on seeded diagrams of 16 to 64
@@ -32,7 +34,10 @@ few expansions, with insertions, on n <= 2 and on seeded diagrams with 3
 and 4 chords; the moves the search keys on every diagram with n <= 3 at
 room 0, 1 and 2; the triple analysis and the R3 rewrite on every triple
 in every label order with n <= 3, every census candidate at n = 4 and
-every triple of the seeded corpus).
+every triple of the seeded corpus; the rewrite's two paths on every
+deletion and R3, applicable or not, with n <= 3 and on the seeded corpus,
+every applicable one with n = 4, every insertion with n <= 2 and every
+insertion that fits two chords of the seeded three-chord diagrams).
 Results that internal rewrites and the Gauss-code parser build without
 validation must equal the same parts rebuilt through ``make_diagram``.
 """
@@ -77,12 +82,18 @@ from gaussdiag import (
     simplify,
 )
 from gaussdiag.codec import _canonical_code, _token
-from gaussdiag.diagram import HEAD, TAIL, _entry_parts, _least_rotations, label_key
+from gaussdiag.diagram import HEAD, TAIL, _adjacent, _entry_parts, _least_rotations, _rows, label_key
 from gaussdiag.moves import (
+    _check_chords,
+    _check_insertion,
     _configuration_orbit_key,
+    _fresh_labels,
     _insertion_moves,
     _qualifying_tilings,
+    _r2_blocker,
     _r3_candidates,
+    _rewrite,
+    _witness,
 )
 
 # ------------------------------------------------------------------ oracles
@@ -459,6 +470,92 @@ def oracle_qualifying_tilings(d: GaussDiagram, labels) -> list:
     return out
 
 
+def oracle_fresh_labels(d: GaussDiagram, count: int) -> list:
+    out = []
+    k = 1
+    while len(out) < count:
+        if str(k) not in d.signs:
+            out.append(str(k))
+        k += 1
+    return out
+
+
+def oracle_without(d: GaussDiagram, chords) -> tuple:
+    """The parts (endpoints, signs) of ``d`` with ``chords`` removed."""
+    eps = [ep for ep in d.endpoints if ep.chord not in chords]
+    signs = {k: v for k, v in d.signs.items() if k not in chords}
+    return eps, signs
+
+
+def oracle_inserted(d: GaussDiagram, blocks, new_signs) -> tuple:
+    """The parts (endpoints, signs) of ``d`` with each of the one or two
+    (gap, endpoints) blocks spliced in at its gap and ``new_signs`` after
+    the old signs.
+
+    The later gap goes in first, so the earlier one keeps its index.  Two
+    blocks sharing a gap go in as listed, so the second lands first."""
+    eps = list(d.endpoints)
+    for gap, block in blocks if blocks[0][0] >= blocks[-1][0] else blocks[::-1]:
+        eps[gap:gap] = block
+    return eps, {**d.signs, **new_signs}
+
+
+def oracle_rewrite(d: GaussDiagram, move) -> tuple:
+    """The parts (endpoints, signs) of ``apply_move(d, move)``, without the
+    diagram: every precondition is checked here, so the search can key a
+    child it never builds.  Raises MoveNotApplicable like apply_move."""
+    if isinstance(move, R1Delete):
+        c = move.chord
+        _check_chords(d, (c,))
+        t, h = d._pos[c][TAIL], d._pos[c][HEAD]
+        if not _adjacent(len(d.endpoints), t, h):
+            raise MoveNotApplicable(
+                f"chord {c} endpoints are not adjacent (positions {t} and {h})"
+            )
+        return oracle_without(d, (c,))
+
+    if isinstance(move, R2Delete):
+        a, b = move.chords
+        _check_chords(d, move.chords)
+        blocker = _r2_blocker(d, a, b)
+        if blocker is not None:
+            raise MoveNotApplicable(blocker)
+        return oracle_without(d, (a, b))
+
+    if isinstance(move, R1Insert):
+        _check_insertion(d, (move.gap,), move.sign, "head_first", move.head_first)
+        (lab,) = oracle_fresh_labels(d, 1)
+        head, tail = Endpoint(lab, HEAD), Endpoint(lab, TAIL)
+        block = [head, tail] if move.head_first else [tail, head]
+        return oracle_inserted(d, [(move.gap, block)], {lab: move.sign})
+
+    if isinstance(move, R2Insert):
+        gaps = (move.head_gap, move.tail_gap)
+        _check_insertion(d, gaps, move.first_sign, "crossed", move.crossed)
+        x, y = oracle_fresh_labels(d, 2)
+        heads = [Endpoint(x, HEAD), Endpoint(y, HEAD)]
+        tails = [Endpoint(x, TAIL), Endpoint(y, TAIL)]
+        blocks = [(move.head_gap, heads), (move.tail_gap, tails if move.crossed else tails[::-1])]
+        return oracle_inserted(d, blocks, {x: move.first_sign, y: -move.first_sign})
+
+    if isinstance(move, R3):
+        _check_chords(d, move.chords)
+        tilings = _qualifying_tilings(d, move.chords)
+        if not tilings:
+            raise MoveNotApplicable(f"triple {move.chords} is not matched")
+        arcs, _, movable = _witness(tilings)
+        if not movable:
+            raise MoveNotApplicable(
+                f"triple {move.chords} is matched but its 3-signs differ"
+            )
+        eps = list(d.endpoints)
+        for a, b in arcs:
+            eps[a], eps[b] = eps[b], eps[a]
+        return eps, d.signs
+
+    raise MoveNotApplicable(f"unknown move {move!r}")
+
+
 def oracle_simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> SimplifyResult:
     """Best-first search for a minimum-chord-count diagram.
 
@@ -579,9 +676,9 @@ def test_least_rotations_match_oracle(exhaustive_corpus, random_corpus):
         assert len(oracle_least_rotations(d)[1]) >= 2, d
     for d in exhaustive_corpus + random_corpus + large + symmetric:
         code, shifts = oracle_least_rotations(d)
-        got_code, got_shifts = _least_rotations(d.endpoints, d.signs)
+        got_code, got_shifts = _least_rotations(*_rows(d.endpoints, d.signs))
         assert (_decode(got_code), got_shifts) == (code, shifts), d
-        assert _canonical_code(d.endpoints, d.signs) == oracle_canonical_code(d), d
+        assert _canonical_code(*_rows(d.endpoints, d.signs)) == oracle_canonical_code(d), d
 
 
 def test_least_rotations_stop_at_the_first_tie():
@@ -590,8 +687,8 @@ def test_least_rotations_stop_at_the_first_tie():
     # rotation in full (quadratic: seconds at this size)
     chain = parse_gauss_code(" ".join(f"O{i}+ U{i}+" for i in range(1, 3001)))
     start = time.perf_counter()
-    code, shifts = _least_rotations(chain.endpoints, chain.signs)
-    key = _canonical_code(chain.endpoints, chain.signs)
+    code, shifts = _least_rotations(*_rows(chain.endpoints, chain.signs))
+    key = _canonical_code(*_rows(chain.endpoints, chain.signs))
     assert time.perf_counter() - start < 1.0
     assert shifts == list(range(0, 6000, 2))
     assert _decode(code) == tuple((i % 2, i // 2 + 1, 0) for i in range(6000))
@@ -607,7 +704,7 @@ def test_least_rotations_stop_at_the_first_tie():
         for k in (0, 1, 5):
             r = rotate(d, k)
             expected = oracle_least_rotations(r)
-            got_code, got_shifts = _least_rotations(r.endpoints, r.signs)
+            got_code, got_shifts = _least_rotations(*_rows(r.endpoints, r.signs))
             assert len(got_shifts) >= 2, (d, k)
             assert (_decode(got_code), got_shifts) == expected, (d, k)
 
@@ -716,6 +813,77 @@ def test_r3_rewrite_matches_oracle(exhaustive_corpus, random_corpus):
         assert _outcome(apply_move, d, move) == _outcome(oracle_r3_rewrite, d, move), (d, triple)
 
 
+def _raised(fn, *args):
+    """fn's result, or the type and message of the MoveNotApplicable it
+    raised; any other exception fails the test."""
+    try:
+        return fn(*args)
+    except MoveNotApplicable as exc:
+        return type(exc), str(exc)
+
+
+def _rewrite_cases(exhaustive_corpus, random_corpus):
+    """(diagram, move) pairs: every deletion and R3, valid or not, with
+    n <= 3 and on the seeded corpus, and every applicable one with n = 4;
+    every insertion, invalid ones included, with n <= 2; every insertion
+    that fits two chords on the seeded diagrams with 3 chords; and moves
+    with a field of the wrong type, or no move at all."""
+    cases = []
+    for d in [d for d in exhaustive_corpus if d.n <= 3] + random_corpus:
+        chords = d.chords() + ["0"]  # "0" names no chord of any corpus diagram
+        moves = [R1Delete(c) for c in chords]
+        moves += [R2Delete(pair) for pair in itertools.combinations(chords, 2)]
+        moves += [R3(triple) for triple in itertools.combinations(chords, 3)]
+        gaps = range(-1, max(1, len(d.endpoints)) + 1)
+        if d.n <= 2:
+            moves += [
+                R1Insert(gap, sign, flag)
+                for gap in gaps for sign in (1, -1, 0) for flag in (True, False)
+            ]
+            moves += [
+                R2Insert(head_gap, tail_gap, sign, crossed)
+                for head_gap, tail_gap in itertools.product(gaps, repeat=2)
+                for sign in (1, -1) for crossed in (True, False)
+            ]
+        cases += [(d, move) for move in moves]
+    cases += [(d, move) for d in random_corpus if d.n == 3 for move in _insertion_moves(d, 2)]
+    cases += [(d, move) for d in exhaustive_corpus if d.n == 4 for move in enumerate_moves(d)]
+    d = parse_gauss_code("O1+ U2- U1+ O2-")
+    cases += [
+        (d, move)
+        for move in (R1Insert(True, 1, True), R1Insert(0, 1.0, True), R2Insert(0, 0, 1, "x"), "r1")
+    ]
+    return cases
+
+
+def test_row_rewrite_matches_endpoint_oracle(exhaustive_corpus, random_corpus):
+    # the endpoint path returns the oracle's parts, sign order included; the
+    # row path keys the child apply_move builds and edits the rows to the
+    # child's rows; an invalid move raises the same error on every path
+    cases = _rewrite_cases(exhaustive_corpus, random_corpus)
+    assert len(cases) > 100_000
+    for d, move in cases:
+        expected = _raised(oracle_rewrite, d, move)
+        got = _raised(_rewrite, d, move)
+        rows = _raised(_rewrite, d, move, _rows(d.endpoints, d.signs), _fresh_labels(d, 2))
+        if isinstance(expected[0], type):
+            assert got == rows == expected, (d, move)
+            continue
+        assert (list(got[0]), list(got[1].items())) == (
+            list(expected[0]), list(expected[1].items())), (d, move)
+        child = apply_move(d, move)
+        assert list(rows) == list(_rows(child.endpoints, child.signs)), (d, move)
+        assert _canonical_code(*rows) == serialize_gauss_code(canonical(child)), (d, move)
+
+
+def test_fresh_labels_match_oracle(exhaustive_corpus, random_corpus):
+    relabelled = [parse_gauss_code("O2+ U2+ O4- U3- O3- U4-"), parse_gauss_code("O01+ U01+")]
+    for d in [d for d in exhaustive_corpus if d.n <= 3] + random_corpus + relabelled:
+        for count in (1, 2, 3):
+            assert _fresh_labels(d, count) == oracle_fresh_labels(d, count), (d, count)
+        assert _fresh_labels(d, 2)[:1] == _fresh_labels(d, 1), d
+
+
 def _tilings_outcome(tilings):
     """Each qualifying tiling's arcs, its numbers as (label, (sign, parity,
     direction, 3-sign)) in dict order, and its movable flag."""
@@ -788,10 +956,10 @@ def _search_outcome(result: SimplifyResult):
 def test_canonical_code_matches_serialized_canonical(exhaustive_corpus, random_corpus):
     for d in exhaustive_corpus + random_corpus:
         code = serialize_gauss_code(canonical(d))
-        assert _canonical_code(d.endpoints, d.signs) == code, d
+        assert _canonical_code(*_rows(d.endpoints, d.signs)) == code, d
         for k in range(1, len(d.endpoints)):
             rotated = rotate(d, k)
-            assert _canonical_code(rotated.endpoints, rotated.signs) == code, (d, k)
+            assert _canonical_code(*_rows(rotated.endpoints, rotated.signs)) == code, (d, k)
 
 
 def test_simplify_matches_oracle_without_insertions(exhaustive_corpus):
@@ -821,10 +989,10 @@ def test_truncated_simplify_matches_oracle(exhaustive_corpus, monkeypatch):
     rewrite = search._rewrite
     keyed, pushed, all_duplicates = set(), set(), []
 
-    def spy_rewrite(state, move):
-        parts = rewrite(state, move)
-        keyed.add(len(parts[0]) // 2)
-        return parts
+    def spy_rewrite(state, move, rows, fresh):
+        child_rows = rewrite(state, move, rows, fresh)
+        keyed.add(len(child_rows[0]) // 2)
+        return child_rows
 
     def spy_push(heap, entry):
         pushed.add(entry[0])
@@ -848,15 +1016,15 @@ def test_truncated_simplify_matches_oracle(exhaustive_corpus, monkeypatch):
 
 def test_search_generates_only_insertions_that_fit(exhaustive_corpus, monkeypatch):
     # record every move simplify keys after expanding its start state;
-    # returning the state's own parts makes each child a known state, so
+    # returning the state's own rows makes each child a known state, so
     # every chord count's children are keyed in turn, fewest chords first
     search = importlib.import_module("gaussdiag.simplify")
     change = {R1Delete: -1, R2Delete: -2, R3: 0, R1Insert: 1, R2Insert: 2}
     generated = []
 
-    def record(state, move):
+    def record(state, move, rows, fresh):
         generated.append(move)
-        return state.endpoints, state.signs
+        return rows
 
     monkeypatch.setattr(search, "_rewrite", record)
     for d in [d for d in exhaustive_corpus if d.n <= 3]:

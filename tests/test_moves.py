@@ -407,6 +407,22 @@ def test_move_spec_errors(spec, message):
         (R1Insert(0, 1, "x"), "head_first must be True or False, got 'x'"),
         (R2Insert(0, 0, -1.0, True), "sign must be +1 or -1, got -1.0"),
         (R2Insert(0, 0, 1, None), "crossed must be True or False, got None"),
+        # fields that a spec would not carry back: parse_move rejects the
+        # spec, or reads back another move
+        (R1Insert(-1, 1, True), "move spec 'r1:ins:-1:+:hf': gap must be a nonnegative integer"),
+        (R1Insert("x", 1, True), "move spec 'r1:ins:x:+:hf': gap must be a nonnegative integer"),
+        (R1Insert(True, 1, True),
+         "move spec 'r1:ins:True:+:hf': gap must be a nonnegative integer"),
+        (R2Insert(0, True, 1, False),
+         "move spec 'r2:ins:0:True:+:u': tail gap must be a nonnegative integer"),
+        (R2Insert(1.0, 0, -1, True),
+         "move spec 'r2:ins:1.0:0:-:x': head gap must be a nonnegative integer"),
+        (R2Delete(("a,b", "c")), "move spec 'r2:del:a,b,c': r2:del needs chord,chord"),
+        (R1Delete("a:b"), "move spec 'r1:del:a:b': r1:del needs a chord label"),
+        (R3(("a", "b", "c:d")), "move spec 'r3:a,b,c:d': r3 needs chord,chord,chord"),
+        (R1Delete(""), "move spec 'r1:del:': r1:del needs a chord label"),
+        (R1Delete(5), "R1Delete(chord=5) has no spec: 'r1:del:5' parses to another move"),
+        (R1Delete("a "), "R1Delete(chord='a ') has no spec: 'r1:del:a ' parses to another move"),
     ],
 )
 def test_format_move_rejects_what_has_no_spec(move, message):
