@@ -53,15 +53,22 @@ input, so ``_check_chords`` guards them before any lookup.
 
 ``_rewrite`` checks each move's preconditions, written once, then makes
 the move as one positional edit, which ``_edited`` applies by slicing: a
-deletion cuts positions, an insertion splices blocks in at its gaps after
-``_check_insertion`` (gaps, then sign, then flag), and R3 swaps the arcs
-of the ``_witness``.  ``apply_move`` edits the endpoint tuple and builds
-the result without revalidation; the search edits a parent's
-``diagram._rows`` and keys the child without building it.
+deletion cuts positions, an insertion splices its ``_insertion_blocks`` in
+at its gaps after ``_check_insertion`` (gaps, then sign, then flag), and
+R3 swaps the arcs of the ``_witness``.  ``apply_move`` edits the endpoint
+tuple and builds the result without revalidation; the search edits a
+parent's ``diagram._rows`` and keys the child without building it.
+
+Insertions are generated from one source, ``_insertion_fields``: it gives
+``_insertion_moves`` (and so ``enumerate_moves``) its moves, and
+``_spliced_rows``, the search's walk over a parent's insertions, the
+fields it splices with the same ``_insertion_blocks``, unchecked, since
+every insertion it generates is valid.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Mapping, Union
 
@@ -432,10 +439,9 @@ def _rewrite(d: GaussDiagram, move: Move, rows=None, fresh=None):
     their labels from ``fresh``, ``_fresh_labels(d, 2)``, when given.
 
     A deletion cuts its 2 or 4 positions, the last first.  An insertion
-    splices a block at each gap, the later gap first (a shared gap: the
-    second block lands first); a splice is (gap, endpoints, labels, bases),
-    the endpoints a lazy map, built only if the endpoint tuple is edited.
-    R3 swaps the three arcs of the ``_witness``."""
+    splices in its ``_insertion_blocks``, each (gap, labels, bases); the
+    endpoint tuple takes endpoints read off the labels and bases.  R3 swaps
+    the three arcs of the ``_witness``."""
     cuts = splices = arcs = gone = ()  # gone: the chords cut
     add = {}  # the signs of the chords added
     if isinstance(move, R1Delete):
@@ -455,23 +461,11 @@ def _rewrite(d: GaussDiagram, move: Move, rows=None, fresh=None):
             raise MoveNotApplicable(blocker)
         gone = move.chords
         cuts = sorted((*d._pos[a].values(), *d._pos[b].values()), reverse=True)
-    elif isinstance(move, R1Insert):
-        _check_insertion(d, (move.gap,), move.sign, "head_first", move.head_first)
-        lab, negative = (fresh or _fresh_labels(d, 2))[0], int(move.sign < 0)
-        order = 1 if move.head_first else -1  # head then tail, or tail then head
-        roles, bases = (HEAD, TAIL)[::order], (1 << 32 | negative, negative)[::order]
-        add = {lab: move.sign}
-        splices = [(move.gap, map(Endpoint, (lab, lab), roles), (lab, lab), bases)]
-    elif isinstance(move, R2Insert):
-        hg, tg = move.head_gap, move.tail_gap
-        _check_insertion(d, (hg, tg), move.first_sign, "crossed", move.crossed)
-        x, y = fresh or _fresh_labels(d, 2)
-        nx, ny = (0, 1) if move.first_sign == 1 else (1, 0)
-        add = {x: move.first_sign, y: -move.first_sign}
-        xy, bases = ((x, y), (nx, ny)) if move.crossed else ((y, x), (ny, nx))
-        heads = (hg, map(Endpoint, (x, y), (HEAD, HEAD)), (x, y), (1 << 32 | nx, 1 << 32 | ny))
-        tails = (tg, map(Endpoint, xy, (TAIL, TAIL)), xy, bases)
-        splices = [heads, tails] if hg >= tg else [tails, heads]
+    elif isinstance(move, (R1Insert, R2Insert)):
+        fields = tuple(vars(move).values())  # gap(s), sign, flag: _insertion_fields order
+        flag = "head_first" if isinstance(move, R1Insert) else "crossed"
+        _check_insertion(d, fields[:-2], fields[-2], flag, fields[-1])
+        splices, add = _insertion_blocks(fields, fresh or _fresh_labels(d, 2))
     elif isinstance(move, R3):
         _check_chords(d, move.chords)
         tilings = _qualifying_tilings(d, move.chords)
@@ -483,8 +477,12 @@ def _rewrite(d: GaussDiagram, move: Move, rows=None, fresh=None):
     else:
         raise MoveNotApplicable(f"unknown move {move!r}")
     if rows is not None:  # the rows take a splice's labels and bases
-        return _edited(rows[0], cuts, splices, arcs, 2), _edited(rows[1], cuts, splices, arcs, 3)
+        return _edited(rows[0], cuts, splices, arcs, 1), _edited(rows[1], cuts, splices, arcs, 2)
     signs = {c: s for c, s in d.signs.items() if c not in gone} if gone else {**d.signs, **add}
+    splices = [
+        (gap, [Endpoint(lab, HEAD if base >> 32 else TAIL) for lab, base in zip(labels, bases)])
+        for gap, labels, bases in splices
+    ]
     return _edited(d.endpoints, cuts, splices, arcs, 1), signs
 
 
@@ -499,22 +497,58 @@ def enumerate_moves(d: GaussDiagram, include_insertions: bool = False) -> list:
     return moves
 
 
+def _insertion_fields(m: int, added: int):
+    """The fields of every insertion that adds ``added`` chords (1: an
+    R1Insert, 2: an R2Insert) to a diagram with m endpoints, in
+    ``enumerate_moves`` order: the gap (R2: head gap, then tail gap), then
+    the sign, then the flag, the sign + before - and the flag True first."""
+    gaps = range(max(1, m))
+    return itertools.product(*(gaps,) * added, (1, -1), (True, False))
+
+
 def _insertion_moves(d: GaussDiagram, room: int):
     """The insertions that add at most ``room`` chords, in
     ``enumerate_moves`` order: every R1 insertion when room >= 1, then
     every R2 insertion when room >= 2."""
-    gaps = range(max(1, len(d.endpoints)))
-    if room >= 1:
-        for gap in gaps:
-            for sign in (1, -1):
-                for head_first in (True, False):
-                    yield R1Insert(gap, sign, head_first)
-    if room >= 2:
-        for head_gap in gaps:
-            for tail_gap in gaps:
-                for sign in (1, -1):
-                    for crossed in (True, False):
-                        yield R2Insert(head_gap, tail_gap, sign, crossed)
+    for added, kind in ((1, R1Insert), (2, R2Insert)):
+        if room >= added:
+            yield from itertools.starmap(kind, _insertion_fields(len(d.endpoints), added))
+
+
+def _insertion_blocks(fields, fresh) -> tuple:
+    """The blocks the insertion with these ``_insertion_fields`` splices
+    in, in the order they go in, each (gap, labels, bases), and the signs of
+    the chords it adds.  R1 adds chord ``fresh[0]``, its head first when
+    the flag is set.  R2 adds x = ``fresh[0]``, signed first_sign, and y =
+    ``fresh[1]``: heads (x, y) at the head gap and tails (x, y) if crossed
+    else (y, x) at the tail gap, the later gap first (a shared gap: heads
+    first, so the tails land before them)."""
+    if len(fields) == 3:
+        gap, sign, head_first = fields
+        lab, negative = fresh[0], int(sign < 0)
+        bases = (1 << 32 | negative, negative) if head_first else (negative, 1 << 32 | negative)
+        return ((gap, (lab, lab), bases),), {lab: sign}
+    head_gap, tail_gap, sign, crossed = fields
+    x, y = fresh[0], fresh[1]
+    nx, ny = (0, 1) if sign == 1 else (1, 0)
+    heads = (head_gap, (x, y), (1 << 32 | nx, 1 << 32 | ny))
+    tails = (tail_gap, (x, y), (nx, ny)) if crossed else (tail_gap, (y, x), (ny, nx))
+    blocks = (heads, tails) if head_gap >= tail_gap else (tails, heads)
+    return blocks, {x: sign, y: -sign}
+
+
+def _spliced_rows(rows, fresh, added: int):
+    """Each insertion that adds ``added`` chords, as (fields, chords,
+    bases): its ``_insertion_fields`` and the child's rows, the parent's
+    ``diagram._rows`` with its ``_insertion_blocks`` spliced in.  The
+    search keys children from these; no move is built or checked."""
+    chords, bases = tuple(rows[0]), tuple(rows[1])
+    for fields in _insertion_fields(len(chords), added):
+        child_chords, child_bases = chords, bases
+        for gap, labels, block in _insertion_blocks(fields, fresh)[0]:
+            child_chords = child_chords[:gap] + labels + child_chords[gap:]
+            child_bases = child_bases[:gap] + block + child_bases[gap:]
+        yield fields, child_chords, child_bases
 
 
 # ---------------------------------------------------------------- move specs

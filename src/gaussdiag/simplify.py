@@ -5,17 +5,20 @@ enough for diagrams whose simplification never needs R3.  simplify runs a
 best-first search over everything reachable by deletions and R3 (plus
 insertions under a chord cap when enabled), deduplicating states by their
 canonical code string, and returns a minimum-chord-count state with a
-replayable trace.  Insertion moves are built only where they fit under the
-cap.  The search stores each state as its parent's code and the move from
-it, keys children one chord count at a time, each from its parent's
-``diagram._rows`` edited by ``moves._rewrite``, and builds diagrams only
-for the states it expands, from which it reads the trace back.
+replayable trace.  The search stores each state as its parent's code and
+the move from it, and keys children one chord count at a time from their
+parent's ``diagram._rows``.  A pending entry is a parent's code with one
+deletion or R3 move, which ``moves._rewrite`` applies to the rows, or with
+the number of chords (1 or 2) an insertion kind adds where it fits under
+the cap: ``moves._spliced_rows`` walks all of that kind's insertions, and
+an insertion move is built only for a child whose code is new.  Diagrams
+are built only for the states the search expands, from which it reads the
+trace back.
 """
 
 from __future__ import annotations
 
 import heapq
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -25,10 +28,12 @@ from .moves import (
     _CHORD_CHANGE,
     MoveNotApplicable,
     R1Delete,
+    R1Insert,
     R2Delete,
+    R2Insert,
     _fresh_labels,
-    _insertion_moves,
     _rewrite,
+    _spliced_rows,
     apply_move,
     enumerate_moves,
     format_move,
@@ -105,7 +110,7 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
     An expanded state's children come from its deletions and R3 rewrites,
     then from its R1 insertions when one more chord fits under max_chords
     and its R2 insertions when two more do; insertions that cannot fit are
-    never built.
+    never generated.
 
     Each state stores only its parent's code and the move from it.  A
     child can share a code only with states of its own chord count, so
@@ -113,11 +118,17 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
     a count's list is keyed (and deduplicated, the first generated child
     of a code winning) before the frontier can pop a state of that count
     or higher.  A generated empty child is keyed at once and ends the
-    search.  One expansion's children sit together in each list, so the
-    parent's rows and fresh labels are made once per run of them.
-    Diagrams are built only for the states the search pops, each by
-    applying its move to its parent's, and at most one for the trace:
-    every state on its path but the last was popped.
+    search.  A pending entry is (parent's code, move) for a deletion or an
+    R3 rewrite, and (parent's code, 1) or (parent's code, 2) for all of the
+    parent's R1 or R2 insertions: keying it walks them in ``enumerate_moves``
+    order, splicing each into the parent's rows without building or
+    checking a move, and builds the ``R1Insert`` or ``R2Insert`` only for a
+    child whose code is new.  One expansion's entries sit together in each
+    list, so the parent's rows are made once per run of them, and fresh
+    labels only for an insertion entry.  Diagrams are built only for the
+    states the search pops, each by applying its move to its parent's, and
+    at most one for the trace: every state on its path but the last was
+    popped.
     """
     if limits.max_states < 1:
         raise ValueError("max_states must be positive")
@@ -130,7 +141,8 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
     start_key = _canonical_code(*_rows(d.endpoints, d.signs))
     info = {start_key: (None, None)}  # canonical code -> (parent's code, move)
     concrete = {start_key: d}  # canonical code -> diagram, for popped states
-    pending = {}  # chord count -> [(parent's code, move)], not yet keyed
+    # chord count -> [(parent's code, move, or 1 or 2: its R1 or R2 insertions)]
+    pending = {}
     frontier = [(d.n, start_key)]
     best = (d.n, start_key)
     explored = 0
@@ -140,19 +152,26 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
         # key every pending count that could hold the next state to pop
         while pending and (not frontier or min(pending) <= frontier[0][0]):
             count = min(pending)
-            run = None  # the parent of the run of children being keyed
+            run = None  # the parent of the run of entries being keyed
             for parent, move in pending.pop(count):
                 if parent != run:
                     run, state = parent, concrete[parent]
-                    rows, fresh = _rows(state.endpoints, state.signs), _fresh_labels(state, 2)
-                child_key = _canonical_code(*_rewrite(state, move, rows, fresh))
-                if child_key in info:
-                    continue
-                info[child_key] = (parent, move)
-                entry = (count, child_key)
-                if entry < best:
-                    best = entry
-                heapq.heappush(frontier, entry)
+                    rows = _rows(state.endpoints, state.signs)
+                if type(move) is int:  # every insertion adding `move` chords
+                    kind = R1Insert if move == 1 else R2Insert
+                    children = _spliced_rows(rows, _fresh_labels(state, 2), move)
+                else:
+                    kind = None
+                    children = ((move, *_rewrite(state, move, rows)),)
+                for step, chords, bases in children:
+                    child_key = _canonical_code(chords, bases)
+                    if child_key in info:
+                        continue
+                    info[child_key] = (parent, kind(*step) if kind else step)
+                    entry = (count, child_key)
+                    if entry < best:
+                        best = entry
+                    heapq.heappush(frontier, entry)
         if best[0] == 0:
             break  # an empty diagram was found; nothing can beat it
         if not frontier:
@@ -166,10 +185,12 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
             concrete[key] = apply_move(concrete[parent], move)
         state = concrete[key]
         explored += 1
-        room = max_chords - count if limits.allow_insertions else 0
-        # deletions and R3, then only the insertions that fit in room
-        for move in itertools.chain(enumerate_moves(state), _insertion_moves(state, room)):
+        for move in enumerate_moves(state):  # deletions and R3
             pending.setdefault(count + _CHORD_CHANGE[type(move)], []).append((key, move))
+        # one entry per insertion kind that fits: its moves are walked when keyed
+        for added in (1, 2):
+            if limits.allow_insertions and count + added <= max_chords:
+                pending.setdefault(count + added, []).append((key, added))
 
     # the trace, read back from the final state to the start
     key = best[1]

@@ -51,6 +51,8 @@ import random
 import time
 from types import MappingProxyType, SimpleNamespace
 
+import pytest
+
 from gaussdiag import (
     ChordNumbers,
     Endpoint,
@@ -93,6 +95,7 @@ from gaussdiag.moves import (
     _r2_blocker,
     _r3_candidates,
     _rewrite,
+    _spliced_rows,
     _witness,
 )
 
@@ -977,6 +980,66 @@ def test_simplify_matches_oracle_with_insertions(exhaustive_corpus):
             assert _search_outcome(simplify(d, limits)) == expected, (d, max_chords)
 
 
+# with insertions, these searches walk far more insertions than they keep;
+# each outcome was recorded from the search that stored every insertion
+# move it generated, before insertions were walked lazily
+STORED = "U1- O1- O2+ O3+ U2+ O4+ U4+ U3+"
+STORED_OUTCOME = (
+    "O2+ O3+ U2+ U3+",
+    ("2", "3"),
+    [
+        ("r1:del:1", "O1+ O2+ U1+ O3+ U3+ U2+", ("1", "2", "3")),
+        ("r1:del:4", "O1+ O2+ U1+ U2+", ("1", "2")),
+    ],
+)
+PINNED_SEARCHES = [
+    (
+        lambda: random_diagram(16, 3),
+        200,
+        (
+            "U1- O4+ O5+ U6+ U7- U8- O1- U4+ U9- O10- O8- U10- O11+ O12- O13- U14- U5+ "
+            "U15- O14- U12- O9- O15- U11+ O7- U13- U16- O6+ O16-",
+            ("1", "4", "5", "6", "7", "8", "9", "10", "11", "12", "13", "14", "15", "16"),
+            [
+                (
+                    "r2:del:2,3",
+                    "O1+ O2+ U3+ U4- U5- O6- U1+ U7- O8- O5- U8- O9+ O10- O11- U12- U2+ "
+                    "U13- O12- U10- O7- O13- U9+ O4- U11- U14- O3+ O14- U6-",
+                    tuple(str(i) for i in range(1, 15)),
+                )
+            ],
+            200,
+            True,
+        ),
+    ),
+    (lambda: parse_gauss_code(STORED), 300, (*STORED_OUTCOME, 300, True)),
+    (lambda: parse_gauss_code(STORED), 3000, (*STORED_OUTCOME, 3000, True)),
+]
+
+
+@pytest.mark.parametrize("start, max_states, expected", PINNED_SEARCHES)
+def test_pinned_insertion_searches(start, max_states, expected):
+    limits = SearchLimits(max_states=max_states, allow_insertions=True)
+    assert _search_outcome(simplify(start(), limits)) == expected
+
+
+def test_spliced_rows_match_rewrite(exhaustive_corpus, random_corpus):
+    # the search's walk yields each insertion's fields in _insertion_moves
+    # order, with the rows the checked rewrite gives and apply_move builds
+    corpus = [d for d in exhaustive_corpus if d.n <= 3] + [d for d in random_corpus if d.n == 3]
+    for d in corpus:
+        rows, fresh = _rows(d.endpoints, d.signs), _fresh_labels(d, 2)
+        walked = list(_spliced_rows(rows, fresh, 1)) + list(_spliced_rows(rows, fresh, 2))
+        moves = list(_insertion_moves(d, 2))
+        named = [(R1Insert if len(fields) == 3 else R2Insert)(*fields) for fields, _, _ in walked]
+        assert named == moves, d
+        for move, (_, chords, bases) in zip(moves, walked):
+            expected = [list(row) for row in _rewrite(d, move, rows, fresh)]
+            assert [list(chords), list(bases)] == expected, (d, move)
+            child = apply_move(d, move)
+            assert [list(chords), list(bases)] == list(_rows(child.endpoints, child.signs)), (d, move)
+
+
 def test_truncated_simplify_matches_oracle(exhaustive_corpus, monkeypatch):
     # every diagram with n <= 2 at room 0, 1 and 2, and seeded diagrams,
     # 3 chords at room 2 and 4 at room 1, each stopped after a few expansions
@@ -986,13 +1049,18 @@ def test_truncated_simplify_matches_oracle(exhaustive_corpus, monkeypatch):
     # spy on the keying: a chord count keyed between two pops that pushes
     # no new state is a pending count holding only duplicates
     search = importlib.import_module("gaussdiag.simplify")
-    rewrite = search._rewrite
+    rewrite, spliced_rows = search._rewrite, search._spliced_rows
     keyed, pushed, all_duplicates = set(), set(), []
 
-    def spy_rewrite(state, move, rows, fresh):
+    def spy_rewrite(state, move, rows, fresh=None):
         child_rows = rewrite(state, move, rows, fresh)
         keyed.add(len(child_rows[0]) // 2)
         return child_rows
+
+    def spy_spliced_rows(rows, fresh, added):
+        for fields, chords, bases in spliced_rows(rows, fresh, added):
+            keyed.add(len(chords) // 2)
+            yield fields, chords, bases
 
     def spy_push(heap, entry):
         pushed.add(entry[0])
@@ -1005,6 +1073,7 @@ def test_truncated_simplify_matches_oracle(exhaustive_corpus, monkeypatch):
         return heapq.heappop(heap)
 
     monkeypatch.setattr(search, "_rewrite", spy_rewrite)
+    monkeypatch.setattr(search, "_spliced_rows", spy_spliced_rows)
     monkeypatch.setattr(search, "heapq", SimpleNamespace(heappush=spy_push, heappop=spy_pop))
     for d, max_chords in cases:
         for max_states in (1, 2, 3, 5, 8, 13):
@@ -1015,18 +1084,26 @@ def test_truncated_simplify_matches_oracle(exhaustive_corpus, monkeypatch):
 
 
 def test_search_generates_only_insertions_that_fit(exhaustive_corpus, monkeypatch):
-    # record every move simplify keys after expanding its start state;
-    # returning the state's own rows makes each child a known state, so
-    # every chord count's children are keyed in turn, fewest chords first
+    # record every move simplify keys after expanding its start state, the
+    # insertions as the moves their walk's fields name; returning the
+    # state's own rows makes each child a known state, so every chord
+    # count's children are keyed in turn, fewest chords first
     search = importlib.import_module("gaussdiag.simplify")
     change = {R1Delete: -1, R2Delete: -2, R3: 0, R1Insert: 1, R2Insert: 2}
+    spliced_rows = search._spliced_rows
     generated = []
 
-    def record(state, move, rows, fresh):
+    def record(state, move, rows, fresh=None):
         generated.append(move)
         return rows
 
+    def record_walk(rows, fresh, added):
+        for fields, _, _ in spliced_rows(rows, fresh, added):
+            generated.append((R1Insert if added == 1 else R2Insert)(*fields))
+            yield fields, rows[0], rows[1]
+
     monkeypatch.setattr(search, "_rewrite", record)
+    monkeypatch.setattr(search, "_spliced_rows", record_walk)
     for d in [d for d in exhaustive_corpus if d.n <= 3]:
         for room in (0, 1, 2):
             expected = [

@@ -96,12 +96,15 @@ COMMAND_LINES = {
     "validate": _argv(st.just(["validate"]), _one(st.one_of(codes, st.just("-")))),
     "moves": _argv(st.just(["moves"]), _one(codes), _flag("--insertions"), _flag("--json")),
     "apply": _argv(st.just(["apply"]), _one(codes), st.just(["--move"]), _one(move_specs)),
-    # without --insertions: max_states bounds expansions, not stored states
+    # at most 20 expansions of at most 6 chords, with or without
+    # --insertions: a search keys a parent's insertions only when their
+    # chord count comes up, so even with them an example takes milliseconds
     "simplify": _argv(
         st.just(["simplify"]),
         _one(codes),
         st.just(["--max-states"]),
         _one(_int_text(st.integers(-1, 20))),
+        _flag("--insertions"),
         _flag("--trace"),
         _flag("--json"),
     ),

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import heapq
 import importlib
+from types import SimpleNamespace
 
 import pytest
 
@@ -16,6 +18,7 @@ from gaussdiag import (
     canonical,
     format_trace,
     parse_gauss_code,
+    random_diagram,
     reduce_greedy,
     serialize_gauss_code,
     simplify,
@@ -174,6 +177,35 @@ def test_search_builds_only_popped_states_and_the_trace(monkeypatch):
         # replay reuses those and builds at most its last state
         assert len(built) - (res.states_explored - 1) <= 1, code
         assert verify_trace(d(code), res.trace), code
+
+
+def test_search_builds_insertion_moves_only_for_kept_children(monkeypatch):
+    # an insertion is walked as rows and becomes a move only when its
+    # child's code is new, so no more are built than states are pushed
+    search = importlib.import_module("gaussdiag.simplify")
+    built, pushed = [], []
+
+    def counting(kind):
+        def build(*fields):
+            built.append(kind)
+            return kind(*fields)
+
+        return build
+
+    def push(heap, entry):
+        pushed.append(entry)
+        heapq.heappush(heap, entry)
+
+    monkeypatch.setattr(search, "R1Insert", counting(search.R1Insert))
+    monkeypatch.setattr(search, "R2Insert", counting(search.R2Insert))
+    monkeypatch.setattr(search, "heapq", SimpleNamespace(heappush=push, heappop=heapq.heappop))
+    cases = [(random_diagram(16, 3), 5), (random_diagram(16, 3), 20), (d(STORED), 30), (d(STORED), 100)]
+    for start, max_states in cases:
+        built.clear()
+        pushed.clear()
+        simplify(start, SearchLimits(max_states=max_states, allow_insertions=True))
+        assert built, (start, max_states)
+        assert len(built) <= len(pushed), (start, max_states)
 
 
 def test_search_limit_defaults():
