@@ -25,7 +25,7 @@ from .diagram import (
     TAIL,
     Endpoint,
     GaussDiagram,
-    _entry_parts,
+    _EntryTable,
     _least_rotations,
     _trusted,
     make_diagram,
@@ -125,17 +125,7 @@ def serialize_gauss_code(d: GaussDiagram) -> str:
     )
 
 
-class _TokenTable(dict):
-    """Least-rotation entry -> its token, spelled by ``_token`` on first
-    use: at most four tokens (role x sign) per chord number seen."""
-
-    def __missing__(self, entry):
-        head, number, negative = _entry_parts(entry)
-        token = self[entry] = _token(head, str(number), negative)
-        return token
-
-
-_TOKENS = _TokenTable()
+_TOKENS = _EntryTable(_token)  # least-rotation entry -> its token
 
 
 def _canonical_code(chords, bases) -> str:

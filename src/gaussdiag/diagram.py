@@ -287,6 +287,28 @@ def _entry_parts(entry: int) -> tuple:
     return entry >> 32, entry >> 1 & 0x7FFFFFFF, entry & 1
 
 
+class _EntryTable(dict):
+    """Least-rotation entry -> ``spell(head, label, negative)``, with the
+    label its chord number's string, made on first use and kept: at most
+    four entries (role x sign) per chord number."""
+
+    def __init__(self, spell):
+        super().__init__()
+        self.spell = spell
+
+    def __missing__(self, entry):
+        head, number, negative = _entry_parts(entry)
+        value = self[entry] = self.spell(head, str(number), negative)
+        return value
+
+
+# a canonical form's endpoint and sign at each entry; endpoints are frozen,
+# so every canonical form shares them
+_CANONICAL_ENDS = _EntryTable(
+    lambda head, label, negative: (Endpoint(label, HEAD if head else TAIL), -1 if negative else 1)
+)
+
+
 def canonical(d: GaussDiagram) -> GaussDiagram:
     """Canonical representative under rotation and relabeling.
 
@@ -299,10 +321,9 @@ def canonical(d: GaussDiagram) -> GaussDiagram:
     """
     if d.n == 0:
         return d
-    parts = [_entry_parts(entry) for entry in _least_rotations(*_rows(d.endpoints, d.signs))[0]]
-    endpoints = [Endpoint(str(number), HEAD if head else TAIL) for head, number, _ in parts]
-    signs = {str(number): -1 if negative else 1 for _, number, negative in parts}
-    return _trusted(endpoints, signs)
+    code = _least_rotations(*_rows(d.endpoints, d.signs))[0]
+    ends = list(map(_CANONICAL_ENDS.__getitem__, code))
+    return _trusted([ep for ep, _ in ends], {ep.chord: sign for ep, sign in ends})
 
 
 def same_diagram(d1: GaussDiagram, d2: GaussDiagram) -> bool:

@@ -53,17 +53,23 @@ input, so ``_check_chords`` guards them before any lookup.
 
 ``_rewrite`` checks each move's preconditions, written once, then makes
 the move as one positional edit, which ``_edited`` applies by slicing: a
-deletion cuts positions, an insertion splices its ``_insertion_blocks`` in
-at its gaps after ``_check_insertion`` (gaps, then sign, then flag), and
-R3 swaps the arcs of the ``_witness``.  ``apply_move`` edits the endpoint
-tuple and builds the result without revalidation; the search edits a
-parent's ``diagram._rows`` and keys the child without building it.
+deletion cuts its chords' positions, an insertion splices its
+``_insertion_blocks`` in at its gaps after ``_check_insertion`` (gaps,
+then sign, then flag), and R3 swaps the arcs of the ``_witness``.
+``apply_move`` edits the endpoint tuple and builds the result without
+revalidation; the row path edits a parent's ``diagram._rows`` instead.
 
-Insertions are generated from one source, ``_insertion_fields``: it gives
-``_insertion_moves`` (and so ``enumerate_moves``) its moves, and
-``_spliced_rows``, the search's walk over a parent's insertions, the
-fields it splices with the same ``_insertion_blocks``, unchecked, since
-every insertion it generates is valid.
+The search keys children from two walks over one move family of a
+parent, each yielding the moves' fields with the child's rows, the
+parent's rows edited as ``_rewrite`` edits them but with no check and no
+move built.  ``_detected_rows`` walks the R1 deletions, the R2 deletions or
+the R3s that detection finds, cutting their chords' positions or swapping
+their ``_witness``'s arcs.  ``_spliced_rows`` walks the insertions that add one
+or two chords.  Insertions are generated from one source,
+``_insertion_fields``: it gives ``_insertion_moves`` (and so
+``enumerate_moves``) its moves, and ``_spliced_rows`` the fields it
+splices with the same ``_insertion_blocks``, unchecked, since every
+insertion it generates is valid.
 """
 
 from __future__ import annotations
@@ -427,10 +433,6 @@ def apply_move(d: GaussDiagram, move: Move) -> GaussDiagram:
     return _trusted(*_rewrite(d, move))
 
 
-# chords each move kind adds (or, negative, removes)
-_CHORD_CHANGE = {R1Delete: -1, R2Delete: -2, R3: 0, R1Insert: 1, R2Insert: 2}
-
-
 def _rewrite(d: GaussDiagram, move: Move, rows=None, fresh=None):
     """Check every precondition of ``move`` on d (MoveNotApplicable like
     apply_move), then apply the move as one ``_edited`` edit: to d's
@@ -549,6 +551,31 @@ def _spliced_rows(rows, fresh, added: int):
             child_chords = child_chords[:gap] + labels + child_chords[gap:]
             child_bases = child_bases[:gap] + block + child_bases[gap:]
         yield fields, child_chords, child_bases
+
+
+def _detected_rows(d: GaussDiagram, change: int):
+    """Each R1 deletion (``change`` -1), R2 deletion (-2) or R3 (0) of d,
+    in ``enumerate_moves`` order, as (fields, chords, bases): the move's
+    fields and the child's rows, d's ``diagram._rows`` edited as
+    ``_rewrite`` edits them, cutting the deleted chords' positions, the
+    last first, or swapping the arcs of the triple's ``_witness``.  The
+    detectors found every site, so none is checked again, and d's rows are
+    made only when one is found.  The search keys children from these; no
+    move is built."""
+    pos = d._pos
+    if change == -1:
+        sites = [((c,), sorted(pos[c].values(), reverse=True), ()) for c in r1_removable_chords(d)]
+    elif change == -2:
+        sites = [
+            ((pair,), sorted((*pos[pair[0]].values(), *pos[pair[1]].values()), reverse=True), ())
+            for pair in r2_removable_pairs(d)
+        ]
+    else:
+        sites = [((t,), (), _witness(_qualifying_tilings(d, t))[0]) for t in r3_movable_triples(d)]
+    if sites:
+        chords, bases = _rows(d.endpoints, d.signs)
+    for fields, cuts, arcs in sites:
+        yield fields, _edited(chords, cuts, (), arcs, 1), _edited(bases, cuts, (), arcs, 2)
 
 
 # ---------------------------------------------------------------- move specs

@@ -8,12 +8,14 @@ canonical code string, and returns a minimum-chord-count state with a
 replayable trace.  The search stores each state as its parent's code and
 the move from it, and keys children one chord count at a time from their
 parent's ``diagram._rows``.  A pending entry is a parent's code with one
-deletion or R3 move, which ``moves._rewrite`` applies to the rows, or with
-the number of chords (1 or 2) an insertion kind adds where it fits under
-the cap: ``moves._spliced_rows`` walks all of that kind's insertions, and
-an insertion move is built only for a child whose code is new.  Diagrams
-are built only for the states the search expands, from which it reads the
-trace back.
+move family, tagged by the chords it adds: -1 for its R1 deletions, -2
+for its R2 deletions, 0 for its R3s, and 1 and 2 for its R1 and R2
+insertions where they fit under the cap.  A family's moves are found only
+when its chord count is keyed: ``moves._detected_rows`` detects a
+deletion or R3 family and ``moves._spliced_rows`` generates an insertion
+family, each yielding the children's rows, and a move is built only for a
+child whose code is new.  Diagrams are built only for the states the
+search expands, from which it reads the trace back.
 """
 
 from __future__ import annotations
@@ -25,17 +27,18 @@ from typing import Optional
 from .codec import _canonical_code, serialize_gauss_code
 from .diagram import GaussDiagram, _rows, canonical
 from .moves import (
-    _CHORD_CHANGE,
     MoveNotApplicable,
     R1Delete,
     R1Insert,
     R2Delete,
     R2Insert,
+    R3,
+    _detected_rows,
     _fresh_labels,
-    _rewrite,
     _spliced_rows,
     apply_move,
-    enumerate_moves,
+    # not called here; imported so that perfbench/tracing.py can patch it
+    enumerate_moves,  # noqa: F401
     format_move,
     r1_removable_chords,
     r2_removable_pairs,
@@ -101,11 +104,11 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
 
     States are keyed by canonical code, the serialized canonical form
     spelled straight from the least-rotation encoding of a child's rows:
-    its parent's ``_rows`` edited by ``_rewrite``.  The frontier is
-    ordered by (chord count, canonical code), which fixes the expansion
-    order and makes the result deterministic for given limits.  Ties
-    among final states break toward the lexicographically least canonical
-    code.
+    its parent's ``_rows`` edited by one of the ``moves`` walks.  The
+    frontier is ordered by (chord count, canonical code), which fixes the
+    expansion order and makes the result deterministic for given limits.
+    Ties among final states break toward the lexicographically least
+    canonical code.
 
     An expanded state's children come from its deletions and R3 rewrites,
     then from its R1 insertions when one more chord fits under max_chords
@@ -114,21 +117,23 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
 
     Each state stores only its parent's code and the move from it.  A
     child can share a code only with states of its own chord count, so
-    children wait, in generation order, in a pending list per chord count:
-    a count's list is keyed (and deduplicated, the first generated child
-    of a code winning) before the frontier can pop a state of that count
-    or higher.  A generated empty child is keyed at once and ends the
-    search.  A pending entry is (parent's code, move) for a deletion or an
-    R3 rewrite, and (parent's code, 1) or (parent's code, 2) for all of the
-    parent's R1 or R2 insertions: keying it walks them in ``enumerate_moves``
-    order, splicing each into the parent's rows without building or
-    checking a move, and builds the ``R1Insert`` or ``R2Insert`` only for a
-    child whose code is new.  One expansion's entries sit together in each
-    list, so the parent's rows are made once per run of them, and fresh
-    labels only for an insertion entry.  Diagrams are built only for the
-    states the search pops, each by applying its move to its parent's, and
-    at most one for the trace: every state on its path but the last was
-    popped.
+    children wait in a pending list per chord count: a count's list is
+    keyed (and deduplicated, the first generated child of a code winning)
+    before the frontier can pop a state of that count or higher.  A
+    generated empty child is keyed at once and ends the search.  An
+    expansion queues one pending entry per move family, (parent's code,
+    chords the family adds), at the count its children have: its R1
+    deletions (-1), R2 deletions (-2) and R3s (0), where that count is not
+    negative, and its R1 (1) and R2 (2) insertions, where they fit.  Each
+    family goes to its own count, so a list holds each parent at most
+    once and its entries in expansion order, and the children are keyed
+    in ``enumerate_moves`` order.  Keying an entry detects or generates the
+    family's moves then, so a family whose count the search never keys is
+    never detected, and a parent's rows are made only for a family that
+    has a move.  A move is built only for a child whose code is new.
+    Diagrams are built only for the states the search pops, each by
+    applying its move to its parent's, and at most one for the trace:
+    every state on its path but the last was popped.
     """
     if limits.max_states < 1:
         raise ValueError("max_states must be positive")
@@ -138,11 +143,12 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
     if d.n == 0:
         return SimplifyResult(final=d, trace=(), states_explored=1, limit_hit=False)
 
+    # the move families by the chords they add, in enumerate_moves order
+    kinds = {-1: R1Delete, -2: R2Delete, 0: R3, 1: R1Insert, 2: R2Insert}
     start_key = _canonical_code(*_rows(d.endpoints, d.signs))
     info = {start_key: (None, None)}  # canonical code -> (parent's code, move)
     concrete = {start_key: d}  # canonical code -> diagram, for popped states
-    # chord count -> [(parent's code, move, or 1 or 2: its R1 or R2 insertions)]
-    pending = {}
+    pending = {}  # chord count -> [(parent's code, chords its family adds)]
     frontier = [(d.n, start_key)]
     best = (d.n, start_key)
     explored = 0
@@ -150,24 +156,22 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
 
     while True:
         # key every pending count that could hold the next state to pop
-        while pending and (not frontier or min(pending) <= frontier[0][0]):
+        while pending:
             count = min(pending)
-            run = None  # the parent of the run of entries being keyed
-            for parent, move in pending.pop(count):
-                if parent != run:
-                    run, state = parent, concrete[parent]
+            if frontier and count > frontier[0][0]:
+                break
+            for parent, change in pending.pop(count):
+                state = concrete[parent]
+                if change > 0:
                     rows = _rows(state.endpoints, state.signs)
-                if type(move) is int:  # every insertion adding `move` chords
-                    kind = R1Insert if move == 1 else R2Insert
-                    children = _spliced_rows(rows, _fresh_labels(state, 2), move)
+                    children = _spliced_rows(rows, _fresh_labels(state, 2), change)
                 else:
-                    kind = None
-                    children = ((move, *_rewrite(state, move, rows)),)
-                for step, chords, bases in children:
+                    children = _detected_rows(state, change)
+                for fields, chords, bases in children:
                     child_key = _canonical_code(chords, bases)
                     if child_key in info:
                         continue
-                    info[child_key] = (parent, kind(*step) if kind else step)
+                    info[child_key] = (parent, kinds[change](*fields))
                     entry = (count, child_key)
                     if entry < best:
                         best = entry
@@ -183,14 +187,11 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
         parent, move = info[key]
         if parent is not None:
             concrete[key] = apply_move(concrete[parent], move)
-        state = concrete[key]
         explored += 1
-        for move in enumerate_moves(state):  # deletions and R3
-            pending.setdefault(count + _CHORD_CHANGE[type(move)], []).append((key, move))
-        # one entry per insertion kind that fits: its moves are walked when keyed
-        for added in (1, 2):
-            if limits.allow_insertions and count + added <= max_chords:
-                pending.setdefault(count + added, []).append((key, added))
+        top = max_chords if limits.allow_insertions else count  # the most chords a child has
+        for change in kinds:  # one entry per family: its moves are found when keyed
+            if 0 <= count + change <= top:
+                pending.setdefault(count + change, []).append((key, change))
 
     # the trace, read back from the final state to the start
     key = best[1]

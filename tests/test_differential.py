@@ -37,7 +37,9 @@ in every label order with n <= 3, every census candidate at n = 4 and
 every triple of the seeded corpus; the rewrite's two paths on every
 deletion and R3, applicable or not, with n <= 3 and on the seeded corpus,
 every applicable one with n = 4, every insertion with n <= 2 and every
-insertion that fits two chords of the seeded three-chord diagrams).
+insertion that fits two chords of the seeded three-chord diagrams; the
+search's walk over each deletion and R3 family against ``enumerate_moves``
+and both rewrite paths on every diagram of both corpora).
 Results that internal rewrites and the Gauss-code parser build without
 validation must equal the same parts rebuilt through ``make_diagram``.
 """
@@ -89,6 +91,7 @@ from gaussdiag.moves import (
     _check_chords,
     _check_insertion,
     _configuration_orbit_key,
+    _detected_rows,
     _fresh_labels,
     _insertion_moves,
     _qualifying_tilings,
@@ -1040,6 +1043,29 @@ def test_spliced_rows_match_rewrite(exhaustive_corpus, random_corpus):
             assert [list(chords), list(bases)] == list(_rows(child.endpoints, child.signs)), (d, move)
 
 
+def test_detected_rows_match_rewrite(exhaustive_corpus, random_corpus):
+    # the search's walk over a deletion or R3 family yields the family's
+    # enumerate_moves moves in order, each with the rows the checked
+    # rewrite gives and apply_move builds
+    families = {-1: R1Delete, -2: R2Delete, 0: R3}
+    walked_moves = 0
+    for d in exhaustive_corpus + random_corpus:
+        moves = enumerate_moves(d)
+        rows = _rows(d.endpoints, d.signs)
+        for change, kind in families.items():
+            walked = list(_detected_rows(d, change))
+            named = [kind(*fields) for fields, _, _ in walked]
+            assert named == [move for move in moves if type(move) is kind], (d, change)
+            for move, (_, chords, bases) in zip(named, walked):
+                expected = [list(row) for row in _rewrite(d, move, rows)]
+                assert [list(chords), list(bases)] == expected, (d, move)
+                child = apply_move(d, move)
+                child_rows = _rows(child.endpoints, child.signs)
+                assert [list(chords), list(bases)] == list(child_rows), (d, move)
+            walked_moves += len(walked)
+    assert walked_moves > 40_000
+
+
 def test_truncated_simplify_matches_oracle(exhaustive_corpus, monkeypatch):
     # every diagram with n <= 2 at room 0, 1 and 2, and seeded diagrams,
     # 3 chords at room 2 and 4 at room 1, each stopped after a few expansions
@@ -1049,13 +1075,13 @@ def test_truncated_simplify_matches_oracle(exhaustive_corpus, monkeypatch):
     # spy on the keying: a chord count keyed between two pops that pushes
     # no new state is a pending count holding only duplicates
     search = importlib.import_module("gaussdiag.simplify")
-    rewrite, spliced_rows = search._rewrite, search._spliced_rows
+    detected_rows, spliced_rows = search._detected_rows, search._spliced_rows
     keyed, pushed, all_duplicates = set(), set(), []
 
-    def spy_rewrite(state, move, rows, fresh=None):
-        child_rows = rewrite(state, move, rows, fresh)
-        keyed.add(len(child_rows[0]) // 2)
-        return child_rows
+    def spy_detected_rows(state, change):
+        for fields, chords, bases in detected_rows(state, change):
+            keyed.add(len(chords) // 2)
+            yield fields, chords, bases
 
     def spy_spliced_rows(rows, fresh, added):
         for fields, chords, bases in spliced_rows(rows, fresh, added):
@@ -1072,7 +1098,7 @@ def test_truncated_simplify_matches_oracle(exhaustive_corpus, monkeypatch):
         pushed.clear()
         return heapq.heappop(heap)
 
-    monkeypatch.setattr(search, "_rewrite", spy_rewrite)
+    monkeypatch.setattr(search, "_detected_rows", spy_detected_rows)
     monkeypatch.setattr(search, "_spliced_rows", spy_spliced_rows)
     monkeypatch.setattr(search, "heapq", SimpleNamespace(heappush=spy_push, heappop=spy_pop))
     for d, max_chords in cases:
@@ -1084,25 +1110,28 @@ def test_truncated_simplify_matches_oracle(exhaustive_corpus, monkeypatch):
 
 
 def test_search_generates_only_insertions_that_fit(exhaustive_corpus, monkeypatch):
-    # record every move simplify keys after expanding its start state, the
-    # insertions as the moves their walk's fields name; returning the
-    # state's own rows makes each child a known state, so every chord
-    # count's children are keyed in turn, fewest chords first
+    # record every move simplify keys after expanding its start state, as
+    # the moves its walks' fields name; yielding the state's own rows makes
+    # each child a known state, so every chord count's children are keyed
+    # in turn, fewest chords first
     search = importlib.import_module("gaussdiag.simplify")
     change = {R1Delete: -1, R2Delete: -2, R3: 0, R1Insert: 1, R2Insert: 2}
-    spliced_rows = search._spliced_rows
+    kind = {added: kind for kind, added in change.items()}
+    detected_rows, spliced_rows = search._detected_rows, search._spliced_rows
     generated = []
 
-    def record(state, move, rows, fresh=None):
-        generated.append(move)
-        return rows
+    def record(state, removed):
+        rows = _rows(state.endpoints, state.signs)
+        for fields, _, _ in detected_rows(state, removed):
+            generated.append(kind[removed](*fields))
+            yield fields, rows[0], rows[1]
 
     def record_walk(rows, fresh, added):
         for fields, _, _ in spliced_rows(rows, fresh, added):
-            generated.append((R1Insert if added == 1 else R2Insert)(*fields))
+            generated.append(kind[added](*fields))
             yield fields, rows[0], rows[1]
 
-    monkeypatch.setattr(search, "_rewrite", record)
+    monkeypatch.setattr(search, "_detected_rows", record)
     monkeypatch.setattr(search, "_spliced_rows", record_walk)
     for d in [d for d in exhaustive_corpus if d.n <= 3]:
         for room in (0, 1, 2):

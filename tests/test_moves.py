@@ -38,6 +38,7 @@ from gaussdiag import (
     rotate,
     serialize_gauss_code,
 )
+from gaussdiag.diagram import _rows
 
 EX1 = "O1- U2- O3- U1- U4+ U3- O2- O4+"
 EX2 = "O3+ U4- O1+ U2- U1+ U3+ O2- O4-"
@@ -512,15 +513,20 @@ def test_only_analyze_triple_uses_the_validating_accessors():
 
 
 def test_chord_change_matches_every_rewrite(exhaustive_corpus):
-    # the search files each child under count + _CHORD_CHANGE[type(move)]
-    chord_change = gaussdiag.moves._CHORD_CHANGE
-    assert set(chord_change) == {R1Delete, R1Insert, R2Delete, R2Insert, R3}
+    # the search files each move family under count + the chords it adds:
+    # every child that family's walk yields has that many chords more
+    moves = gaussdiag.moves
     seen = set()
     for g in exhaustive_corpus:
         if g.n > 3:
             continue
-        for move in enumerate_moves(g, include_insertions=True):
-            endpoints, _ = gaussdiag.moves._rewrite(g, move)
-            assert len(endpoints) // 2 - g.n == chord_change[type(move)], (g, move)
-            seen.add(type(move))
-    assert seen == set(chord_change)
+        rows, fresh = _rows(g.endpoints, g.signs), moves._fresh_labels(g, 2)
+        for change in (-1, -2, 0, 1, 2):
+            if change > 0:
+                children = moves._spliced_rows(rows, fresh, change)
+            else:
+                children = moves._detected_rows(g, change)
+            for _, chords, bases in children:
+                assert len(chords) == len(bases) == 2 * (g.n + change), (g, change)
+                seen.add(change)
+    assert seen == {-1, -2, 0, 1, 2}

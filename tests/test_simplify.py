@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import heapq
 import importlib
+from collections import Counter
 from types import SimpleNamespace
 
 import pytest
@@ -16,6 +17,7 @@ from gaussdiag import (
     SearchLimits,
     apply_move,
     canonical,
+    format_move,
     format_trace,
     parse_gauss_code,
     random_diagram,
@@ -30,6 +32,92 @@ EX2 = "O3+ U4- O1+ U2- U1+ U3+ O2- O4-"
 TREFOIL = "O1- O2- U1- U2-"
 # with insertions, 100 expansions generate over 26,000 children
 STORED = "U1- O1- O2+ O3+ U2+ O4+ U4+ U3+"
+
+# the first and last inputs of the benchmark's descent workload at seed 1:
+# a 30-chord unknot scrambled by R2 insertions only, and a 10-chord
+# scramble of TREFOIL by R1 and R2 insertions
+R2_SCRAMBLE = (
+    "O29+ O30- O13- O14+ U7+ U8- U27+ U28- U25- U26+ O17+ O18- O20- O19+ U15- U16+ U21- "
+    "U22+ O23- O24+ O9- O10+ U9- U10+ U17+ U18- O5- O6+ O4- O3+ O1- O2+ U1- U2+ U23- U24+ "
+    "U29+ U30- O7+ O8- O28- O27+ U11+ U12- O26+ O25- U5- U6+ U3+ U4- O16+ O15- O21- O22+ "
+    "O12- O11+ U13- U14+ U19+ U20-"
+)
+TREFOIL_SCRAMBLE = (
+    "O9+ O10- O4+ O3- O1- U7+ O7+ O2- U8+ O8+ U1- O6+ O5- U9+ U10- U5- U6+ U3- U4+ U2-"
+)
+
+# each search's final code and sign order, each trace step's move spec
+# with its canonical code and sign order, the expansions and the
+# truncation flag, recorded from the search that detected every move
+# family of every state it expanded
+R2_SCRAMBLE_OUTCOME = ("", (),
+ [("r2:del:11,12",
+   "O1+ O2+ O3- U4- U5+ U6+ U7- O8+ O9- O10- O11+ U12- U13+ U14+ U15- O16+ O17- O12- O13+ "
+   "U18+ U19- U1+ U20- U3- U2+ O21+ O22- O15- O14+ U9- U8+ U10- U11+ O23- O24+ O25- O26+ U25- "
+   "U26+ U21+ U22- O4- O5+ O7- O6+ O27- O28+ U27- U28+ U23- U24+ U16+ U17- O18+ O19- O20-",
+   ("1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "11", "12", "13", "14", "15", "16",
+    "17", "18", "19", "20", "21", "22", "23", "24", "25", "26", "27", "28")),
+  ("r2:del:5,6",
+   "O1+ O2+ O3- U4+ U5- O6+ O7- O8- O9+ U10- U11+ U12+ U13- O14+ O15- O10- O11+ U16+ U17- U1+ "
+   "U18- U3- U2+ O19+ O20- O13- O12+ U7- U6+ U8- U9+ O21- O22+ O23- O24+ U23- U24+ U19+ U20- "
+   "O5- O4+ O25- O26+ U25- U26+ U21- U22+ U14+ U15- O16+ O17- O18-",
+   ("1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "11", "12", "13", "14", "15", "16",
+    "17", "18", "19", "20", "21", "22", "23", "24", "25", "26")),
+  ("r2:del:3,4",
+   "O1+ O2+ O3- O4+ O5- O6- O7+ U8- U9+ U10+ U11- O12+ O13- O8- O9+ U14+ U15- U1+ U16- U3- "
+   "U2+ O17+ O18- O11- O10+ U5- U4+ U6- U7+ O19- O20+ O21- O22+ U21- U22+ U17+ U18- O23- O24+ "
+   "U23- U24+ U19- U20+ U12+ U13- O14+ O15- O16-",
+   ("1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "11", "12", "13", "14", "15", "16",
+    "17", "18", "19", "20", "21", "22", "23", "24")),
+  ("r2:del:13,14",
+   "O1+ O2+ O3- O4+ O5- O6- O7+ U8+ U9- O10+ O11- U12+ U13- U1+ U14- U3- U2+ O15+ O16- O9- "
+   "O8+ U5- U4+ U6- U7+ O17- O18+ O19- O20+ U19- U20+ U15+ U16- O21- O22+ U21- U22+ U17- U18+ "
+   "U10+ U11- O12+ O13- O14-",
+   ("1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "11", "12", "13", "14", "15", "16",
+    "17", "18", "19", "20", "21", "22")),
+  ("r2:del:19,20",
+   "O1+ O2+ O3- O4+ O5- O6- O7+ O8+ O9- U10+ U11- U1+ U12- U3- U2+ O13+ O14- U5- U4+ U6- U7+ "
+   "O15- O16+ O17- O18+ U17- U18+ U13+ U14- O19- O20+ U19- U20+ U15- U16+ U8+ U9- O10+ O11- "
+   "O12-",
+   ("1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "11", "12", "13", "14", "15", "16",
+    "17", "18", "19", "20")),
+  ("r2:del:21,22",
+   "O1+ O2+ O3- O4+ O5- O6+ O7- U8+ U9- U1+ U10- U3- U2+ O11+ O12- U5- U4+ O13- O14+ O15- "
+   "O16+ U15- U16+ U11+ U12- O17- O18+ U17- U18+ U13- U14+ U6+ U7- O8+ O9- O10-",
+   ("1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "11", "12", "13", "14", "15", "16",
+    "17", "18")),
+  ("r2:del:7,8",
+   "O1+ O2+ O3- O4+ O5- O6+ O7- U1+ U8- U3- U2+ O9+ O10- U5- U4+ O11- O12+ O13- O14+ U13- "
+   "U14+ U9+ U10- O15- O16+ U15- U16+ U11- U12+ U6+ U7- O8-",
+   ("1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "11", "12", "13", "14", "15", "16")),
+  ("r2:del:1,2",
+   "O1+ O2+ O3- O4+ O5- O6+ O7- U1+ U8- U3- U2+ O9+ O10- U5- U4+ O11- O12+ O13- O14+ U13- "
+   "U14+ U9+ U10- U11- U12+ U6+ U7- O8-",
+   ("1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "11", "12", "13", "14")),
+  ("r2:del:23,24",
+   "O1+ O2+ O3- O4+ O5- O6+ O7- U1+ U8- U3- U2+ O9+ O10- U5- U4+ O11- O12+ U11- U12+ U9+ U10- "
+   "U6+ U7- O8-",
+   ("1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "11", "12")),
+  ("r2:del:9,10",
+   "O1+ O2+ O3- O4+ O5- O6+ O7- U1+ U8- U3- U2+ O9+ O10- U5- U4+ U9+ U10- U6+ U7- O8-",
+   ("1", "2", "3", "4", "5", "6", "7", "8", "9", "10")),
+  ("r2:del:17,18", "O1+ O2+ O3- O4+ O5- O6+ O7- U1+ U8- U3- U2+ U5- U4+ U6+ U7- O8-",
+   ("1", "2", "3", "4", "5", "6", "7", "8")),
+  ("r2:del:25,26", "O1+ O2+ O3- O4+ O5- U1+ U6- U3- U2+ U4+ U5- O6-",
+   ("1", "2", "3", "4", "5", "6")),
+  ("r2:del:15,16", "O1+ O2+ O3- U1+ U4- U2+ U3- O4-", ("1", "2", "3", "4")),
+  ("r2:del:27,28", "O1+ O2- U1+ U2-", ("1", "2")), ("r2:del:29,30", "", ())],
+ 15, False)
+
+TREFOIL_SCRAMBLE_OUTCOME = ("O1- O2- U1- U2-", ("1", "2"),
+ [("r2:del:5,6", "O1+ O2- O3+ O4- O5- U6+ O6+ O7- U8+ O8+ U5- U1+ U2- U4- U3+ U7-",
+   ("1", "2", "3", "4", "5", "6", "7", "8")),
+  ("r2:del:3,4", "O1+ O2- O3- U4+ O4+ O5- U6+ O6+ U3- U1+ U2- U5-",
+   ("1", "2", "3", "4", "5", "6")),
+  ("r2:del:9,10", "O1+ O2- U3+ O3+ U4- U2- O4- U1+", ("1", "2", "3", "4")),
+  ("r1:del:8", "O1+ O2- U3- U2- O3- U1+", ("1", "2", "3")),
+  ("r1:del:7", "O1- O2- U1- U2-", ("1", "2"))],
+ 48, False)
 
 
 def d(code):
@@ -206,6 +294,37 @@ def test_search_builds_insertion_moves_only_for_kept_children(monkeypatch):
         simplify(start, SearchLimits(max_states=max_states, allow_insertions=True))
         assert built, (start, max_states)
         assert len(built) <= len(pushed), (start, max_states)
+
+
+def test_search_detects_only_the_families_it_keys(monkeypatch):
+    # each state of the R2 scramble has an R2 deletion, so the search keys
+    # the count two below it next and never returns to the counts where its
+    # R1 deletions and R3s wait: no R1 or R3 detection runs (detecting every
+    # family of every expanded state ran each detector 15 times)
+    moves = importlib.import_module("gaussdiag.moves")
+    calls = Counter()
+    for name in ("r1_removable_chords", "r2_removable_pairs", "r3_movable_triples"):
+        def spy(diagram, detect=getattr(moves, name), name=name):
+            calls[name] += 1
+            return detect(diagram)
+
+        monkeypatch.setattr(moves, name, spy)
+    res = simplify(d(R2_SCRAMBLE))
+    assert res.final == EMPTY and not res.limit_hit
+    assert res.states_explored == 15
+    assert calls == {"r2_removable_pairs": 15}
+
+
+@pytest.mark.parametrize(
+    "code, expected",
+    [(R2_SCRAMBLE, R2_SCRAMBLE_OUTCOME), (TREFOIL_SCRAMBLE, TREFOIL_SCRAMBLE_OUTCOME)],
+    ids=["r2-scramble", "trefoil-scramble"],
+)
+def test_pinned_descents(code, expected):
+    res = simplify(d(code))
+    trace = [(format_move(m), serialize_gauss_code(c), tuple(c.signs)) for m, c in res.trace]
+    outcome = serialize_gauss_code(res.final), tuple(res.final.signs), trace
+    assert (*outcome, res.states_explored, res.limit_hit) == expected
 
 
 def test_search_limit_defaults():
