@@ -344,10 +344,11 @@ def _matchings(positions: list) -> Iterator[list]:
             yield [(first, positions[i])] + tail
 
 
-def enumerate_diagrams(n: int) -> Iterator[GaussDiagram]:
-    """Every diagram on 2n positions with chords labeled 1..n by first
-    appearance: all perfect matchings x orientations x signs, so
-    (2n-1)!! * 4^n diagrams, no duplicates.  Intended for small n."""
+def _arrangements(n: int) -> Iterator[tuple]:
+    """Each endpoint arrangement on 2n positions with chords labeled 1..n by
+    first appearance, all perfect matchings x orientations, as (endpoints,
+    sign maps): the 2^n sign maps, + before - chord by chord, one list
+    shared by every arrangement, so callers must not change them."""
     if n < 0:
         raise ValueError("chord count must be nonnegative")
     import itertools
@@ -362,10 +363,16 @@ def enumerate_diagrams(n: int) -> Iterator[GaussDiagram]:
                 tp, hp = (p, q) if t == 0 else (q, p)
                 eps[tp] = tail
                 eps[hp] = head
-            eps = tuple(eps)
-            # shared by the 2^n sign choices: _trusted copies the sign map
-            for signs in sign_maps:
-                yield _trusted(eps, signs)
+            yield tuple(eps), sign_maps
+
+
+def enumerate_diagrams(n: int) -> Iterator[GaussDiagram]:
+    """Every diagram on 2n positions with chords labeled 1..n by first
+    appearance: each of the ``_arrangements`` with each of its sign maps,
+    so (2n-1)!! * 4^n diagrams, no duplicates.  Intended for small n."""
+    for eps, sign_maps in _arrangements(n):
+        for signs in sign_maps:  # _trusted copies the shared sign map
+            yield _trusted(eps, signs)
 
 
 def random_diagram(n: int, seed: int) -> GaussDiagram:

@@ -35,9 +35,10 @@ directly; ``analyze_triple`` is the public report, which validates its
 labels and packages the witness tiling as a ``TripleAnalysis``.
 
 Every matched triple contains two chords a, b whose heads are adjacent,
-and its third chord has its tail next to a's or b's tail.  So one
-candidate generator, ``_r3_candidates``, yields the at most four triples
-each head adjacency gives: O(n) triples, not all C(n, 3).  Both
+and its third chord has its tail next to one of a's and b's tails and its
+head next to the other.  So one candidate generator, ``_r3_candidates``,
+yields the at most four triples each head adjacency gives, which are
+exactly the matched triples: O(n) triples, not all C(n, 3).  Both
 ``r3_movable_triples`` and the census analyse only those, and
 ``r3_movable_triples`` sorts only the triples it keeps.
 
@@ -85,16 +86,16 @@ from .diagram import (
     Endpoint,
     GaussDiagram,
     _adjacent,
+    _arrangements,
     _interleaved,
     _least_rotations,
     _rows,
     _trusted,
     _valid_sign,
-    enumerate_diagrams,
     label_key,
-    # not called here; imported so that perfbench/tracing.py can patch it
-    make_diagram,  # noqa: F401
 )
+# not called here; imported so that perfbench/tracing.py can patch them
+from .diagram import enumerate_diagrams, make_diagram  # noqa: F401
 
 
 class MoveNotApplicable(Exception):
@@ -341,15 +342,17 @@ def analyze_triple(d: GaussDiagram, triple) -> TripleAnalysis:
 
 
 def _r3_candidates(d: GaussDiagram) -> set:
-    """Candidate R3 triples, as frozensets of labels: every matched triple,
-    and few others.
+    """The matched triples, as frozensets of labels.
 
     Candidates come from head adjacencies.  A qualifying tiling pairs the
     heads of two chords a, b on its heads arc, so the third chord c has its
     head on the mixed arc, next to a tail of a or b, and its tail on the
     tails arc (the mixed arc joins two distinct chords), next to the other
-    tail of a or b.  So c's tail is a cyclic neighbour of a's or b's tail:
-    at most four candidates per head adjacency, O(n) triples in all.
+    tail of a or b.  So c's tail is a cyclic neighbour of one tail of a, b
+    and c's head of the other: at most four candidates per head adjacency,
+    O(n) triples in all.  Conversely, three disjoint adjacent pairs of six
+    endpoints always form one of the two tilings ``_qualifying_tilings``
+    tries, and these pairs qualify, so every candidate is matched.
     """
     eps = d.endpoints
     m = len(eps)
@@ -358,10 +361,12 @@ def _r3_candidates(d: GaussDiagram) -> set:
     for x, y in _adjacent_pairs(d):
         if x.role == y.role == HEAD:
             a, b = x.chord, y.chord
-            for t in (pos[a][TAIL], pos[b][TAIL]):
+            ta, tb = pos[a][TAIL], pos[b][TAIL]
+            for t, other in ((ta, tb), (tb, ta)):
                 for z in (eps[t - 1], eps[(t + 1) % m]):
                     c = z.chord
-                    if z.role == TAIL and c != a and c != b:
+                    if (z.role == TAIL and c != a and c != b
+                            and _adjacent(m, pos[c][HEAD], other)):
                         candidates.add(frozenset((a, b, c)))
     return candidates
 
@@ -670,19 +675,21 @@ class CensusResult:
     movable_up_to_rotation: int
 
 
-def _configuration_orbit_key(d: GaussDiagram, arcs) -> tuple:
-    """Rotation-invariant key for a (diagram, qualifying tiling) pair.
+def _configuration_orbit_keys(chords, bases, arc_lists) -> list:
+    """Rotation-invariant keys for the qualifying tilings ``arc_lists`` of
+    the diagram with these ``diagram._rows``, one scan for them all.
 
-    Minimises, over all rotations, the label-free diagram encoding paired
-    with the rotated arc positions, so two configurations share a key iff
-    some rotation carries one diagram onto the other and the tiling along
-    with it.
+    Each key is the diagram's least label-free encoding paired with the
+    least rotation of the arc positions over the shifts attaining it, so
+    two configurations share a key iff some rotation carries one diagram
+    onto the other and the tiling along with it.
     """
-    m = len(d.endpoints)
-    code, shifts = _least_rotations(*_rows(d.endpoints, d.signs))
-    return code, min(
-        tuple(sorted(((a - k) % m, (b - k) % m) for a, b in arcs)) for k in shifts
-    )
+    m = len(chords)
+    code, shifts = _least_rotations(chords, bases)
+    return [
+        (code, min(tuple(sorted(((a - k) % m, (b - k) % m) for a, b in arcs)) for k in shifts))
+        for arcs in arc_lists
+    ]
 
 
 def census_movable_triples(n: int) -> CensusResult:
@@ -692,10 +699,19 @@ def census_movable_triples(n: int) -> CensusResult:
     triple contributes one configuration per qualifying tiling (two only
     when the triple's endpoints fill the whole circle).  Counts matched
     configurations, movable ones (all three 3-signs equal), and the
-    movable configurations up to rotation of the underlying diagram.
-    Only ``_r3_candidates`` are analysed; every other triple has no
-    qualifying tiling.  n is capped at 5 to keep (2n-1)!! * 4^n
-    enumeration at desk scale.
+    movable configurations up to rotation of the underlying diagram, as
+    distinct orbit keys.
+
+    The (2n-1)!! * 4^n diagrams are walked as the (2n-1)!! * 2^n endpoint
+    ``diagram._arrangements`` times their 2^n sign maps.  The matched
+    triples (``_r3_candidates``), their tilings and each chord's parity and
+    direction depend on the endpoints only, so each arrangement is analysed
+    once, and a 3-sign is the chord's sign times its sign-free factor
+    parity * direction.  A sign map then makes a tiling movable iff the
+    three signed factors agree, and only a sign map with a movable tiling
+    pays for one least-rotation scan, which keys all its movable tilings.
+    n is capped at 5 (967,680 diagrams, a few seconds) to keep the walk at
+    desk scale.
     """
     if n < 3:
         raise ValueError("census needs at least 3 chords")
@@ -703,12 +719,24 @@ def census_movable_triples(n: int) -> CensusResult:
         raise ValueError("census is capped at 5 chords")
     total = matched = movable = 0
     movable_orbits = set()
-    for d in enumerate_diagrams(n):
-        total += 1
-        for triple in _r3_candidates(d):
-            for arcs, _numbers, is_movable in _qualifying_tilings(d, triple):
-                matched += 1
-                if is_movable:
-                    movable += 1
-                    movable_orbits.add(_configuration_orbit_key(d, arcs))
+    for endpoints, sign_maps in _arrangements(n):
+        total += len(sign_maps)
+        d = _trusted(endpoints, sign_maps[0])
+        # each tiling's arcs and its chords' (label, parity * direction)
+        tilings = [
+            (arcs, [(c, r.parity * r.direction) for c, r in numbers.items()])
+            for triple in _r3_candidates(d)
+            for arcs, numbers, _ in _qualifying_tilings(d, triple)
+        ]
+        if not tilings:
+            continue
+        matched += len(tilings) * len(sign_maps)
+        for signs in sign_maps:
+            found = [
+                arcs for arcs, ((a, fa), (b, fb), (c, fc)) in tilings
+                if signs[a] * fa == signs[b] * fb == signs[c] * fc
+            ]
+            if found:
+                movable += len(found)
+                movable_orbits.update(_configuration_orbit_keys(*_rows(endpoints, signs), found))
     return CensusResult(n, total, matched, movable, len(movable_orbits))

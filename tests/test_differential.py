@@ -1,6 +1,7 @@
 """Differential tests: the least-rotation scan, the adjacency test, R1
 detection, deletion and insertion, the shared R2 precondition, the R2
-insertion, the head-adjacency R3 detector, the positional
+insertion, the head-adjacency R3 detector and its candidates, diagram
+enumeration, the census by endpoint arrangement, the positional
 triple-analysis kernel and the R3 rewrite read from it, the unvalidated
 rewrite constructor, the code-keyed search and its insertion generation,
 and the rewrite's endpoint and row paths against the code they replaced.
@@ -12,7 +13,10 @@ canonical code spelled from it, ``adjacent`` and the R1 detector and
 deletion that walked positions by index, an R2 detector that tests every
 chord pair, the R1 insertion and the three-branch R2 insertion, each with
 its own gap and sign checks, an R3 detector that analyses
-every one of the C(n, 3) triples, the R3 rewrite that read its arcs from
+every one of the C(n, 3) triples, the wider R3 candidate generator that
+kept every chord with a tail beside a tail of a head adjacency, the
+diagram enumeration that made each diagram in one loop, the census that
+analysed every diagram alone, the R3 rewrite that read its arcs from
 ``analyze_triple``, the triple analysis that classified each tiling and
 took every chord's parity from ``chords_cross`` per pair,
 ``enumerate_moves`` building every insertion inline,
@@ -33,11 +37,13 @@ n <= 2, and on seeded diagrams with 5 to 10 chords, and stopped after a
 few expansions, with insertions, on n <= 2 and on seeded diagrams with 3
 and 4 chords; the moves the search keys on every diagram with n <= 3 at
 room 0, 1 and 2; the triple analysis and the R3 rewrite on every triple
-in every label order with n <= 3, every census candidate at n = 4 and
-every triple of the seeded corpus; the rewrite's two paths on every
-deletion and R3, applicable or not, with n <= 3 and on the seeded corpus,
-every applicable one with n = 4, every insertion with n <= 2 and every
-insertion that fits two chords of the seeded three-chord diagrams; the
+in every label order with n <= 3, every triple the wider candidate
+generator yields at n = 4 and every triple of the seeded corpus; the
+enumeration for n <= 4 and the census at n = 3 and 4; the rewrite's two
+paths on every deletion and R3, applicable or not, with n <= 3 and on the
+seeded corpus, every applicable one with n = 4, every insertion with
+n <= 2 and every insertion that fits two chords of the seeded three-chord
+diagrams; the
 search's walk over each deletion and R3 family against ``enumerate_moves``
 and both rewrite paths on every diagram of both corpora).
 Results that internal rewrites and the Gauss-code parser build without
@@ -56,6 +62,7 @@ from types import MappingProxyType, SimpleNamespace
 import pytest
 
 from gaussdiag import (
+    CensusResult,
     ChordNumbers,
     Endpoint,
     GaussDiagram,
@@ -71,6 +78,7 @@ from gaussdiag import (
     analyze_triple,
     apply_move,
     canonical,
+    census_movable_triples,
     chords_cross,
     enumerate_diagrams,
     enumerate_moves,
@@ -86,11 +94,20 @@ from gaussdiag import (
     simplify,
 )
 from gaussdiag.codec import _canonical_code, _token
-from gaussdiag.diagram import HEAD, TAIL, _adjacent, _entry_parts, _least_rotations, _rows, label_key
+from gaussdiag.diagram import (
+    HEAD,
+    TAIL,
+    _adjacent,
+    _entry_parts,
+    _least_rotations,
+    _matchings,
+    _rows,
+    label_key,
+)
 from gaussdiag.moves import (
     _check_chords,
     _check_insertion,
-    _configuration_orbit_key,
+    _configuration_orbit_keys,
     _detected_rows,
     _fresh_labels,
     _insertion_moves,
@@ -384,6 +401,59 @@ def oracle_r3_movable_triples(d: GaussDiagram) -> list:
         if analyze_triple(d, triple).movable:
             out.append(triple)
     return out
+
+
+def oracle_r3_candidates(d: GaussDiagram) -> set:
+    """Candidate R3 triples, as frozensets of labels: every matched triple,
+    and few others: for each head adjacency a, b, each chord whose tail is
+    a cyclic neighbour of a's or b's tail."""
+    eps = d.endpoints
+    m = len(eps)
+    pos = d._pos
+    candidates = set()
+    for x, y in zip(eps, eps[1:] + eps[:1]):
+        if x.role == y.role == HEAD:
+            a, b = x.chord, y.chord
+            for t in (pos[a][TAIL], pos[b][TAIL]):
+                for z in (eps[t - 1], eps[(t + 1) % m]):
+                    c = z.chord
+                    if z.role == TAIL and c != a and c != b:
+                        candidates.add(frozenset((a, b, c)))
+    return candidates
+
+
+def oracle_enumerate_diagrams(n: int):
+    """Every diagram on 2n positions with chords labeled 1..n by first
+    appearance: all perfect matchings x orientations x signs."""
+    labels = [str(i + 1) for i in range(n)]
+    ends = [(Endpoint(lab, TAIL), Endpoint(lab, HEAD)) for lab in labels]
+    sign_maps = [dict(zip(labels, signs)) for signs in itertools.product((1, -1), repeat=n)]
+    for matching in _matchings(list(range(2 * n))):
+        for tails in itertools.product((0, 1), repeat=n):
+            eps = [None] * (2 * n)
+            for (p, q), (tail, head), t in zip(matching, ends, tails):
+                tp, hp = (p, q) if t == 0 else (q, p)
+                eps[tp] = tail
+                eps[hp] = head
+            eps = tuple(eps)
+            for signs in sign_maps:
+                yield make_diagram(eps, signs)
+
+
+def oracle_census(n: int) -> CensusResult:
+    """The census walked diagram by diagram: every candidate triple of
+    every diagram analysed, and every movable configuration keyed alone."""
+    total = matched = movable = 0
+    movable_orbits = set()
+    for d in oracle_enumerate_diagrams(n):
+        total += 1
+        for triple in oracle_r3_candidates(d):
+            for arcs, _numbers, is_movable in _qualifying_tilings(d, triple):
+                matched += 1
+                if is_movable:
+                    movable += 1
+                    movable_orbits.add(oracle_configuration_orbit_key(d, arcs))
+    return CensusResult(n, total, matched, movable, len(movable_orbits))
 
 
 def oracle_chords_cross(d: GaussDiagram, a: str, b: str) -> bool:
@@ -722,7 +792,8 @@ def test_orbit_key_matches_oracle_on_movable_configurations():
                 for arcs, _numbers, movable in _qualifying_tilings(d, triple):
                     if movable:
                         expected = oracle_configuration_orbit_key(d, arcs)
-                        code, shifted_arcs = _configuration_orbit_key(d, arcs)
+                        rows = _rows(d.endpoints, d.signs)
+                        [(code, shifted_arcs)] = _configuration_orbit_keys(*rows, [arcs])
                         assert (_decode(code), shifted_arcs) == expected, (d, arcs)
 
 
@@ -802,6 +873,30 @@ def test_r3_triples_match_oracle(exhaustive_corpus, random_corpus):
         assert r3_movable_triples(d) == oracle_r3_movable_triples(d), d
 
 
+def test_r3_candidates_are_the_matched_triples(exhaustive_corpus, random_corpus):
+    # and every one the earlier, wider generator yields that is matched
+    for d in exhaustive_corpus + random_corpus:
+        matched = {
+            frozenset(t) for t in itertools.combinations(d.chords(), 3)
+            if _qualifying_tilings(d, t)
+        }
+        assert _r3_candidates(d) == matched, d
+        assert matched <= oracle_r3_candidates(d), d
+
+
+def test_enumerate_diagrams_matches_oracle():
+    # the same diagrams in the same order, sign maps in the same key order
+    for n in range(5):
+        got = [(d.endpoints, list(d.signs.items())) for d in enumerate_diagrams(n)]
+        expected = [(d.endpoints, list(d.signs.items())) for d in oracle_enumerate_diagrams(n)]
+        assert got == expected, n
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_census_matches_oracle(n):
+    assert census_movable_triples(n) == oracle_census(n)
+
+
 def test_r3_rewrite_matches_oracle(exhaustive_corpus, random_corpus):
     # every triple in every label order up to 3 chords, the census's
     # candidate sets at n = 4, every triple of the seeded corpus
@@ -810,7 +905,7 @@ def test_r3_rewrite_matches_oracle(exhaustive_corpus, random_corpus):
         for d in exhaustive_corpus if d.n <= 3
         for triple in itertools.permutations(d.chords(), 3)
     ]
-    cases += [(d, triple) for d in enumerate_diagrams(4) for triple in _r3_candidates(d)]
+    cases += [(d, triple) for d in enumerate_diagrams(4) for triple in oracle_r3_candidates(d)]
     cases += [
         (d, triple) for d in random_corpus for triple in itertools.combinations(d.chords(), 3)
     ]
@@ -908,7 +1003,7 @@ def test_qualifying_tilings_match_oracle(exhaustive_corpus, random_corpus):
         for d in exhaustive_corpus if d.n <= 3
         for triple in itertools.permutations(d.chords(), 3)
     ]
-    cases += [(d, triple) for d in enumerate_diagrams(4) for triple in _r3_candidates(d)]
+    cases += [(d, triple) for d in enumerate_diagrams(4) for triple in oracle_r3_candidates(d)]
     cases += [
         (d, triple) for d in random_corpus for triple in itertools.combinations(d.chords(), 3)
     ]

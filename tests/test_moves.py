@@ -38,7 +38,7 @@ from gaussdiag import (
     rotate,
     serialize_gauss_code,
 )
-from gaussdiag.diagram import _rows
+from gaussdiag.diagram import _arrangements, _rows, make_diagram
 
 EX1 = "O1- U2- O3- U1- U4+ U3- O2- O4+"
 EX2 = "O3+ U4- O1+ U2- U1+ U3+ O2- O4-"
@@ -471,6 +471,10 @@ def test_numerically_equal_labels_have_one_order():
 # -------------------------------------------------------------------- census
 
 
+# movable == 2n * movable_up_to_rotation in both pins: a rotation that fixes
+# a configuration fixes its single heads arc, so it is the identity
+
+
 def test_census_three_chords():
     res = census_movable_triples(3)
     assert res.chords == 3
@@ -487,6 +491,29 @@ def test_census_four_chords():
     assert res.matched == 24_576
     assert res.movable == 6_144
     assert res.movable_up_to_rotation == 768
+
+
+def test_three_sign_factors_into_sign_and_a_sign_free_part():
+    # every matched configuration with n <= 4: the 3-sign is sign * parity
+    # * direction, and arcs, parity and direction are the same for every
+    # sign map of one endpoint arrangement, which the census relies on
+    configurations = 0
+    for n in range(5):
+        for endpoints, sign_maps in _arrangements(n):
+            views = []
+            for signs in sign_maps:
+                g = make_diagram(endpoints, signs)
+                view = []
+                for triple in sorted(map(sorted, gaussdiag.moves._r3_candidates(g))):
+                    for arcs, numbers, _ in gaussdiag.moves._qualifying_tilings(g, triple):
+                        for c, r in numbers.items():
+                            assert r.sign == signs[c], (g, triple)
+                            assert r.three_sign == r.sign * r.parity * r.direction, (g, triple)
+                        view.append((arcs, [(c, r.parity, r.direction) for c, r in numbers.items()]))
+                views.append(view)
+                configurations += len(view)
+            assert all(view == views[0] for view in views), endpoints
+    assert configurations == 768 + 24_576
 
 
 def test_census_bounds():
