@@ -234,7 +234,7 @@ def _least_rotations(chords, bases):
     """The least encoding over the rotations of the diagram with these
     ``_rows``, and every shift k whose rotation (basepoint at position k)
     attains it, ascending.  Taking rows, not a diagram, lets the search key
-    a child from its parent's rows edited by ``moves._rewrite``.
+    a child from its parent's rows edited by ``moves._family_rows``.
 
     Each endpoint encodes as one int entry, its base with its chord number
     (by first appearance) in bits 1..31: ``head << 32 | number << 1 |

@@ -53,24 +53,22 @@ the public report, calls them.  The chords a move names are outside
 input, so ``_check_chords`` guards them before any lookup.
 
 ``_rewrite`` checks each move's preconditions, written once, then makes
-the move as one positional edit, which ``_edited`` applies by slicing: a
-deletion cuts its chords' positions, an insertion splices its
-``_insertion_blocks`` in at its gaps after ``_check_insertion`` (gaps,
-then sign, then flag), and R3 swaps the arcs of the ``_witness``.
-``apply_move`` edits the endpoint tuple and builds the result without
-revalidation; the row path edits a parent's ``diagram._rows`` instead.
+the move as one positional edit (cuts, splices, arcs), which ``_edited``,
+the only code that cuts or splices, applies by slicing: a deletion cuts
+its chords' positions, the ``_cuts``; an insertion splices its
+``_insertion_blocks`` in at its gaps after ``_check_insertion`` (gaps, then
+sign, then flag); and R3 swaps the arcs of the ``_witness``.
+``apply_move`` builds the edited endpoint tuple without revalidation.
 
-The search keys children from two walks over one move family of a
-parent, each yielding the moves' fields with the child's rows, the
-parent's rows edited as ``_rewrite`` edits them but with no check and no
-move built.  ``_detected_rows`` walks the R1 deletions, the R2 deletions or
-the R3s that detection finds, cutting their chords' positions or swapping
-their ``_witness``'s arcs.  ``_spliced_rows`` walks the insertions that add one
-or two chords.  Insertions are generated from one source,
-``_insertion_fields``: it gives ``_insertion_moves`` (and so
-``enumerate_moves``) its moves, and ``_spliced_rows`` the fields it
-splices with the same ``_insertion_blocks``, unchecked, since every
-insertion it generates is valid.
+The search keys children from one walk, ``_family_rows(d, change)``, over
+the move family of a parent that adds ``change`` chords: its R1 deletions
+(-1), R2 deletions (-2), R3s (0), R1 insertions (1) or R2 insertions (2).
+It describes each site as the edit ``_rewrite`` would make and has
+``_edited`` apply it to the parent's ``diagram._rows``, yielding the
+moves' fields with the child's rows, with no check and no move built.
+Deletions and R3s come from the detectors; insertions come from one
+source, ``_insertion_fields``, which also gives ``enumerate_moves`` its
+insertion moves, and take the parent's ``_fresh_labels``.
 """
 
 from __future__ import annotations
@@ -93,6 +91,7 @@ from .diagram import (
     _trusted,
     _valid_sign,
     label_key,
+    valid_label,
 )
 # not called here; imported so that perfbench/tracing.py can patch them
 from .diagram import enumerate_diagrams, make_diagram  # noqa: F401
@@ -117,6 +116,10 @@ def _sorted_labels(move) -> tuple:
 @dataclass(frozen=True)
 class R1Delete:
     chord: str
+
+    def __post_init__(self):
+        if not isinstance(self.chord, str):
+            raise ValueError(f"R1Delete needs a label string, got {self.chord!r}")
 
 
 @dataclass(frozen=True)
@@ -416,6 +419,12 @@ def _check_insertion(d: GaussDiagram, gaps, sign, flag: str, value, error=MoveNo
         raise error(f"{flag} must be True or False, got {value!r}")
 
 
+def _cuts(d: GaussDiagram, chords) -> list:
+    """The positions of ``chords``' endpoints in d, the last first: the
+    order a deletion cuts them in."""
+    return sorted([p for c in chords for p in d._pos[c].values()], reverse=True)
+
+
 def _edited(column, cuts, splices, arcs, field: int) -> list:
     """A copy of ``column`` (one value per endpoint) edited by slicing:
     ``cuts`` deleted in order, then each splice's block ``splice[field]``
@@ -438,18 +447,16 @@ def apply_move(d: GaussDiagram, move: Move) -> GaussDiagram:
     return _trusted(*_rewrite(d, move))
 
 
-def _rewrite(d: GaussDiagram, move: Move, rows=None, fresh=None):
+def _rewrite(d: GaussDiagram, move: Move):
     """Check every precondition of ``move`` on d (MoveNotApplicable like
-    apply_move), then apply the move as one ``_edited`` edit: to d's
-    endpoints, giving the parts (endpoints, signs) of apply_move's result,
-    or to d's ``diagram._rows``, giving the child's rows.  Insertions take
-    their labels from ``fresh``, ``_fresh_labels(d, 2)``, when given.
+    apply_move), then apply the move as one ``_edited`` edit of d's
+    endpoints, giving the parts (endpoints, signs) of apply_move's result.
 
-    A deletion cuts its 2 or 4 positions, the last first.  An insertion
-    splices in its ``_insertion_blocks``, each (gap, labels, bases); the
-    endpoint tuple takes endpoints read off the labels and bases.  R3 swaps
-    the three arcs of the ``_witness``."""
-    cuts = splices = arcs = gone = ()  # gone: the chords cut
+    A deletion cuts its chords' ``_cuts``.  An insertion splices in its
+    ``_insertion_blocks``, each (gap, labels, bases), as the endpoints read
+    off the labels and bases.  R3 swaps the three arcs of the ``_witness``.
+    ``_family_rows`` makes the same edits on the rows, unchecked."""
+    splices = arcs = gone = ()  # gone: the chords cut
     add = {}  # the signs of the chords added
     if isinstance(move, R1Delete):
         c = move.chord
@@ -459,20 +466,22 @@ def _rewrite(d: GaussDiagram, move: Move, rows=None, fresh=None):
             raise MoveNotApplicable(
                 f"chord {c} endpoints are not adjacent (positions {t} and {h})"
             )
-        gone, cuts = (c,), ((t, h) if t > h else (h, t))
+        gone = (c,)
     elif isinstance(move, R2Delete):
-        a, b = move.chords
         _check_chords(d, move.chords)
-        blocker = _r2_blocker(d, a, b)
+        blocker = _r2_blocker(d, *move.chords)
         if blocker is not None:
             raise MoveNotApplicable(blocker)
         gone = move.chords
-        cuts = sorted((*d._pos[a].values(), *d._pos[b].values()), reverse=True)
     elif isinstance(move, (R1Insert, R2Insert)):
         fields = tuple(vars(move).values())  # gap(s), sign, flag: _insertion_fields order
         flag = "head_first" if isinstance(move, R1Insert) else "crossed"
         _check_insertion(d, fields[:-2], fields[-2], flag, fields[-1])
-        splices, add = _insertion_blocks(fields, fresh or _fresh_labels(d, 2))
+        blocks, add = _insertion_blocks(fields, _fresh_labels(d, 2))
+        splices = [
+            (gap, [Endpoint(lab, HEAD if base >> 32 else TAIL) for lab, base in zip(labels, bases)])
+            for gap, labels, bases in blocks
+        ]
     elif isinstance(move, R3):
         _check_chords(d, move.chords)
         tilings = _qualifying_tilings(d, move.chords)
@@ -483,13 +492,8 @@ def _rewrite(d: GaussDiagram, move: Move, rows=None, fresh=None):
             raise MoveNotApplicable(f"triple {move.chords} is matched but its 3-signs differ")
     else:
         raise MoveNotApplicable(f"unknown move {move!r}")
-    if rows is not None:  # the rows take a splice's labels and bases
-        return _edited(rows[0], cuts, splices, arcs, 1), _edited(rows[1], cuts, splices, arcs, 2)
+    cuts = _cuts(d, gone) if gone else ()
     signs = {c: s for c, s in d.signs.items() if c not in gone} if gone else {**d.signs, **add}
-    splices = [
-        (gap, [Endpoint(lab, HEAD if base >> 32 else TAIL) for lab, base in zip(labels, bases)])
-        for gap, labels, bases in splices
-    ]
     return _edited(d.endpoints, cuts, splices, arcs, 1), signs
 
 
@@ -500,7 +504,8 @@ def enumerate_moves(d: GaussDiagram, include_insertions: bool = False) -> list:
     moves += [R2Delete(pair) for pair in r2_removable_pairs(d)]
     moves += [R3(t) for t in r3_movable_triples(d)]
     if include_insertions:
-        moves += _insertion_moves(d, 2)
+        for added, kind in ((1, R1Insert), (2, R2Insert)):
+            moves += itertools.starmap(kind, _insertion_fields(len(d.endpoints), added))
     return moves
 
 
@@ -511,15 +516,6 @@ def _insertion_fields(m: int, added: int):
     the sign, then the flag, the sign + before - and the flag True first."""
     gaps = range(max(1, m))
     return itertools.product(*(gaps,) * added, (1, -1), (True, False))
-
-
-def _insertion_moves(d: GaussDiagram, room: int):
-    """The insertions that add at most ``room`` chords, in
-    ``enumerate_moves`` order: every R1 insertion when room >= 1, then
-    every R2 insertion when room >= 2."""
-    for added, kind in ((1, R1Insert), (2, R2Insert)):
-        if room >= added:
-            yield from itertools.starmap(kind, _insertion_fields(len(d.endpoints), added))
 
 
 def _insertion_blocks(fields, fresh) -> tuple:
@@ -544,43 +540,31 @@ def _insertion_blocks(fields, fresh) -> tuple:
     return blocks, {x: sign, y: -sign}
 
 
-def _spliced_rows(rows, fresh, added: int):
-    """Each insertion that adds ``added`` chords, as (fields, chords,
-    bases): its ``_insertion_fields`` and the child's rows, the parent's
-    ``diagram._rows`` with its ``_insertion_blocks`` spliced in.  The
-    search keys children from these; no move is built or checked."""
-    chords, bases = tuple(rows[0]), tuple(rows[1])
-    for fields in _insertion_fields(len(chords), added):
-        child_chords, child_bases = chords, bases
-        for gap, labels, block in _insertion_blocks(fields, fresh)[0]:
-            child_chords = child_chords[:gap] + labels + child_chords[gap:]
-            child_bases = child_bases[:gap] + block + child_bases[gap:]
-        yield fields, child_chords, child_bases
-
-
-def _detected_rows(d: GaussDiagram, change: int):
-    """Each R1 deletion (``change`` -1), R2 deletion (-2) or R3 (0) of d,
-    in ``enumerate_moves`` order, as (fields, chords, bases): the move's
-    fields and the child's rows, d's ``diagram._rows`` edited as
-    ``_rewrite`` edits them, cutting the deleted chords' positions, the
-    last first, or swapping the arcs of the triple's ``_witness``.  The
-    detectors found every site, so none is checked again, and d's rows are
-    made only when one is found.  The search keys children from these; no
-    move is built."""
-    pos = d._pos
+def _family_rows(d: GaussDiagram, change: int):
+    """Each move of d that adds ``change`` chords, in ``enumerate_moves``
+    order, as (fields, chords, bases): the move's fields and the child's
+    rows.  The family is d's R1 deletions (-1), R2 deletions (-2), R3s (0),
+    R1 insertions (1) or R2 insertions (2).  Each site is the (cuts,
+    splices, arcs) edit ``_rewrite`` makes after its checks, applied by
+    ``_edited`` to d's ``diagram._rows``, which are made only once the
+    family has a site.  The detectors found every deletion and R3 and every
+    generated insertion is valid, so no site is checked again and no move
+    is built: the search keys children from these."""
     if change == -1:
-        sites = [((c,), sorted(pos[c].values(), reverse=True), ()) for c in r1_removable_chords(d)]
+        sites = [((c,), _cuts(d, (c,)), (), ()) for c in r1_removable_chords(d)]
     elif change == -2:
-        sites = [
-            ((pair,), sorted((*pos[pair[0]].values(), *pos[pair[1]].values()), reverse=True), ())
-            for pair in r2_removable_pairs(d)
-        ]
+        sites = [((pair,), _cuts(d, pair), (), ()) for pair in r2_removable_pairs(d)]
+    elif change == 0:
+        sites = [((t,), (), (), _witness(_qualifying_tilings(d, t))[0])
+                 for t in r3_movable_triples(d)]
     else:
-        sites = [((t,), (), _witness(_qualifying_tilings(d, t))[0]) for t in r3_movable_triples(d)]
+        fresh = _fresh_labels(d, 2)
+        sites = [(fields, (), _insertion_blocks(fields, fresh)[0], ())
+                 for fields in _insertion_fields(len(d.endpoints), change)]
     if sites:
         chords, bases = _rows(d.endpoints, d.signs)
-    for fields, cuts, arcs in sites:
-        yield fields, _edited(chords, cuts, (), arcs, 1), _edited(bases, cuts, (), arcs, 2)
+    for fields, cuts, blocks, arcs in sites:
+        yield fields, _edited(chords, cuts, blocks, arcs, 1), _edited(bases, cuts, blocks, arcs, 2)
 
 
 # ---------------------------------------------------------------- move specs
@@ -627,13 +611,23 @@ def _parse_gap(text: str, spec: str, what: str = "gap") -> int:
     return int(text)
 
 
+def _parse_labels(texts, spec: str) -> tuple:
+    """The chord labels of a spec; ValueError naming the first that
+    ``valid_label`` rejects, since no diagram holds it."""
+    for text in texts:
+        if not valid_label(text):
+            raise ValueError(f"move spec {spec!r}: invalid chord label {text!r}")
+    return tuple(texts)
+
+
 def parse_move(spec: str) -> Move:
-    """Inverse of format_move; errors name the malformed field."""
+    """Inverse of format_move; errors name the malformed field, and a
+    well-formed spec's invalid chord label."""
     parts = spec.strip().split(":")
     if parts[0] == "r1" and len(parts) >= 2 and parts[1] == "del":
         if len(parts) != 3 or not parts[2]:
             raise ValueError(f"move spec {spec!r}: r1:del needs a chord label")
-        return R1Delete(parts[2])
+        return R1Delete(*_parse_labels(parts[2:], spec))
     if parts[0] == "r1" and len(parts) >= 2 and parts[1] == "ins":
         if len(parts) != 5:
             raise ValueError(f"move spec {spec!r}: r1:ins needs gap:sign:hf|tf")
@@ -646,7 +640,7 @@ def parse_move(spec: str) -> Move:
         chords = parts[2].split(",") if len(parts) == 3 else []
         if len(chords) != 2 or not all(chords):
             raise ValueError(f"move spec {spec!r}: r2:del needs chord,chord")
-        return R2Delete(tuple(chords))
+        return R2Delete(_parse_labels(chords, spec))
     if parts[0] == "r2" and len(parts) >= 2 and parts[1] == "ins":
         if len(parts) != 6:
             raise ValueError(f"move spec {spec!r}: r2:ins needs hgap:tgap:sign:x|u")
@@ -660,7 +654,7 @@ def parse_move(spec: str) -> Move:
         chords = parts[1].split(",") if len(parts) == 2 else []
         if len(chords) != 3 or not all(chords):
             raise ValueError(f"move spec {spec!r}: r3 needs chord,chord,chord")
-        return R3(tuple(chords))
+        return R3(_parse_labels(chords, spec))
     raise ValueError(f"move spec {spec!r}: unknown move kind")
 
 

@@ -11,11 +11,12 @@ parent's ``diagram._rows``.  A pending entry is a parent's code with one
 move family, tagged by the chords it adds: -1 for its R1 deletions, -2
 for its R2 deletions, 0 for its R3s, and 1 and 2 for its R1 and R2
 insertions where they fit under the cap.  A family's moves are found only
-when its chord count is keyed: ``moves._detected_rows`` detects a
-deletion or R3 family and ``moves._spliced_rows`` generates an insertion
-family, each yielding the children's rows, and a move is built only for a
-child whose code is new.  Diagrams are built only for the states the
-search expands, from which it reads the trace back.
+when its chord count is keyed, by one walk, ``moves._family_rows``: it
+detects a deletion or R3 family or generates an insertion family and
+yields the children's rows, the parent's rows edited by
+``moves._edited``, and a move is built only for a child whose code is
+new.  Diagrams are built only for the states the search expands, from
+which it reads the trace back.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .codec import _canonical_code, serialize_gauss_code
-from .diagram import GaussDiagram, _rows, canonical
+from .diagram import GaussDiagram, canonical
 from .moves import (
     MoveNotApplicable,
     R1Delete,
@@ -33,9 +34,7 @@ from .moves import (
     R2Delete,
     R2Insert,
     R3,
-    _detected_rows,
-    _fresh_labels,
-    _spliced_rows,
+    _family_rows,
     apply_move,
     # not called here; imported so that perfbench/tracing.py can patch it
     enumerate_moves,  # noqa: F401
@@ -104,7 +103,7 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
 
     States are keyed by canonical code, the serialized canonical form
     spelled straight from the least-rotation encoding of a child's rows:
-    its parent's ``_rows`` edited by one of the ``moves`` walks.  The
+    its parent's rows as ``moves._family_rows`` edits them.  The
     frontier is ordered by (chord count, canonical code), which fixes the
     expansion order and makes the result deterministic for given limits.
     Ties among final states break toward the lexicographically least
@@ -127,10 +126,10 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
     negative, and its R1 (1) and R2 (2) insertions, where they fit.  Each
     family goes to its own count, so a list holds each parent at most
     once and its entries in expansion order, and the children are keyed
-    in ``enumerate_moves`` order.  Keying an entry detects or generates the
-    family's moves then, so a family whose count the search never keys is
-    never detected, and a parent's rows are made only for a family that
-    has a move.  A move is built only for a child whose code is new.
+    in ``enumerate_moves`` order.  Keying an entry walks the family then,
+    through ``moves._family_rows``, so a family whose count the search
+    never keys is never detected, and a parent's rows are made only for a
+    family that has a move.  A move is built only for a child whose code is new.
     Diagrams are built only for the states the search pops, each by
     applying its move to its parent's, and at most one for the trace:
     every state on its path but the last was popped.
@@ -145,7 +144,7 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
 
     # the move families by the chords they add, in enumerate_moves order
     kinds = {-1: R1Delete, -2: R2Delete, 0: R3, 1: R1Insert, 2: R2Insert}
-    start_key = _canonical_code(*_rows(d.endpoints, d.signs))
+    start_key = serialize_gauss_code(canonical(d))
     info = {start_key: (None, None)}  # canonical code -> (parent's code, move)
     concrete = {start_key: d}  # canonical code -> diagram, for popped states
     pending = {}  # chord count -> [(parent's code, chords its family adds)]
@@ -161,13 +160,7 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
             if frontier and count > frontier[0][0]:
                 break
             for parent, change in pending.pop(count):
-                state = concrete[parent]
-                if change > 0:
-                    rows = _rows(state.endpoints, state.signs)
-                    children = _spliced_rows(rows, _fresh_labels(state, 2), change)
-                else:
-                    children = _detected_rows(state, change)
-                for fields, chords, bases in children:
+                for fields, chords, bases in _family_rows(concrete[parent], change):
                     child_key = _canonical_code(chords, bases)
                     if child_key in info:
                         continue

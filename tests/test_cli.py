@@ -110,12 +110,13 @@ def test_apply_r3_unknown_chord_exits_2(capsys):
     "code_text, spec",
     [("O1-U1-", "r2:del:\u00b2,1"), (TREFOIL, "r2:del:\u00b2,1"), (TREFOIL, "r3:\u00b2,1,2")],
 )
-def test_apply_non_ascii_digit_label_exits_2(capsys, code_text, spec):
-    # "\u00b2" (superscript two) is a digit to str.isdigit but not to int()
+def test_apply_non_ascii_digit_label_exits_1(capsys, code_text, spec):
+    # "\u00b2" (superscript two) is a digit to str.isdigit but not to int(),
+    # and no chord label: the spec is malformed, not the move inapplicable
     code, out, err = run(capsys, "apply", code_text, "--move", spec)
-    assert code == 2
+    assert code == 1
     assert out == ""
-    assert err == "error: chord \u00b2 not in diagram\n"
+    assert err == f"error: move spec {spec!r}: invalid chord label '\u00b2'\n"
 
 
 def test_apply_malformed_spec_exits_1(capsys):

@@ -4,7 +4,8 @@ insertion, the head-adjacency R3 detector and its candidates, diagram
 enumeration, the census by endpoint arrangement, the positional
 triple-analysis kernel and the R3 rewrite read from it, the unvalidated
 rewrite constructor, the code-keyed search and its insertion generation,
-and the rewrite's endpoint and row paths against the code they replaced.
+the rewrite, and the search's one walk over a move family against the
+code they replaced.
 
 The oracles below are the earlier implementations, kept verbatim: a
 ``canonical`` and a census orbit key that rebuild the diagram for every
@@ -23,7 +24,12 @@ took every chord's parity from ``chords_cross`` per pair,
 ``oracle_simplify``, the search that built and serialized a canonical
 diagram for every child and filtered insertions one by one, and
 ``oracle_rewrite``, the rewrite that built each child's endpoint list and
-sign dict (with its removal, its splice and its fresh-label loop). The program
+sign dict (with its removal, its splice and its fresh-label loop), the
+insertion generator that took the room left for chords
+(``oracle_insertion_moves``), and the two walks the search keyed children
+by: ``oracle_detected_rows`` over a deletion or R3 family and
+``oracle_spliced_rows``, which spliced an insertion family by tuple
+concatenation. The program
 must agree with them on the exhaustive n <= 4 corpus and the seeded
 random corpus (the orbit key on every movable configuration at n = 3 and
 n = 4; the least-rotation scan also on seeded diagrams of 16 to 64
@@ -39,13 +45,15 @@ and 4 chords; the moves the search keys on every diagram with n <= 3 at
 room 0, 1 and 2; the triple analysis and the R3 rewrite on every triple
 in every label order with n <= 3, every triple the wider candidate
 generator yields at n = 4 and every triple of the seeded corpus; the
-enumeration for n <= 4 and the census at n = 3 and 4; the rewrite's two
-paths on every deletion and R3, applicable or not, with n <= 3 and on the
-seeded corpus, every applicable one with n = 4, every insertion with
-n <= 2 and every insertion that fits two chords of the seeded three-chord
-diagrams; the
-search's walk over each deletion and R3 family against ``enumerate_moves``
-and both rewrite paths on every diagram of both corpora).
+enumeration for n <= 4 and the census at n = 3 and 4; the rewrite, and
+the walk's rows of each applicable move, on every deletion and R3,
+applicable or not, with n <= 3 and on the seeded corpus, every applicable
+one with n = 4, every insertion with n <= 2 and every insertion that fits
+two chords of the seeded three-chord diagrams; the walk over each
+deletion and R3 family against ``enumerate_moves`` and the rewrite on
+every diagram of both corpora, over each insertion family likewise with
+n <= 3 and on the seeded three-chord diagrams, and over every family
+against the two walks it replaced with n <= 3 and on the seeded corpus).
 Results that internal rewrites and the Gauss-code parser build without
 validation must equal the same parts rebuilt through ``make_diagram``.
 """
@@ -108,14 +116,15 @@ from gaussdiag.moves import (
     _check_chords,
     _check_insertion,
     _configuration_orbit_keys,
-    _detected_rows,
+    _edited,
+    _family_rows,
     _fresh_labels,
-    _insertion_moves,
+    _insertion_blocks,
+    _insertion_fields,
     _qualifying_tilings,
     _r2_blocker,
     _r3_candidates,
     _rewrite,
-    _spliced_rows,
     _witness,
 )
 
@@ -632,6 +641,54 @@ def oracle_rewrite(d: GaussDiagram, move) -> tuple:
     raise MoveNotApplicable(f"unknown move {move!r}")
 
 
+def oracle_insertion_moves(d: GaussDiagram, room: int):
+    """The insertions that add at most ``room`` chords, in
+    ``enumerate_moves`` order: every R1 insertion when room >= 1, then
+    every R2 insertion when room >= 2."""
+    for added, kind in ((1, R1Insert), (2, R2Insert)):
+        if room >= added:
+            yield from itertools.starmap(kind, _insertion_fields(len(d.endpoints), added))
+
+
+def oracle_spliced_rows(rows, fresh, added: int):
+    """Each insertion that adds ``added`` chords, as (fields, chords,
+    bases): its ``_insertion_fields`` and the child's rows, the parent's
+    ``diagram._rows`` with its ``_insertion_blocks`` spliced in.  The
+    search keys children from these; no move is built or checked."""
+    chords, bases = tuple(rows[0]), tuple(rows[1])
+    for fields in _insertion_fields(len(chords), added):
+        child_chords, child_bases = chords, bases
+        for gap, labels, block in _insertion_blocks(fields, fresh)[0]:
+            child_chords = child_chords[:gap] + labels + child_chords[gap:]
+            child_bases = child_bases[:gap] + block + child_bases[gap:]
+        yield fields, child_chords, child_bases
+
+
+def oracle_detected_rows(d: GaussDiagram, change: int):
+    """Each R1 deletion (``change`` -1), R2 deletion (-2) or R3 (0) of d,
+    in ``enumerate_moves`` order, as (fields, chords, bases): the move's
+    fields and the child's rows, d's ``diagram._rows`` edited as
+    ``_rewrite`` edits them, cutting the deleted chords' positions, the
+    last first, or swapping the arcs of the triple's ``_witness``.  The
+    detectors found every site, so none is checked again, and d's rows are
+    made only when one is found.  The search keys children from these; no
+    move is built."""
+    pos = d._pos
+    if change == -1:
+        sites = [((c,), sorted(pos[c].values(), reverse=True), ()) for c in r1_removable_chords(d)]
+    elif change == -2:
+        sites = [
+            ((pair,), sorted((*pos[pair[0]].values(), *pos[pair[1]].values()), reverse=True), ())
+            for pair in r2_removable_pairs(d)
+        ]
+    else:
+        sites = [((t,), (), _witness(_qualifying_tilings(d, t))[0]) for t in r3_movable_triples(d)]
+    if sites:
+        chords, bases = _rows(d.endpoints, d.signs)
+    for fields, cuts, arcs in sites:
+        yield fields, _edited(chords, cuts, (), arcs, 1), _edited(bases, cuts, (), arcs, 2)
+
+
 def oracle_simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> SimplifyResult:
     """Best-first search for a minimum-chord-count diagram.
 
@@ -947,7 +1004,9 @@ def _rewrite_cases(exhaustive_corpus, random_corpus):
                 for sign in (1, -1) for crossed in (True, False)
             ]
         cases += [(d, move) for move in moves]
-    cases += [(d, move) for d in random_corpus if d.n == 3 for move in _insertion_moves(d, 2)]
+    cases += [
+        (d, move) for d in random_corpus if d.n == 3 for move in oracle_insertion_moves(d, 2)
+    ]
     cases += [(d, move) for d in exhaustive_corpus if d.n == 4 for move in enumerate_moves(d)]
     d = parse_gauss_code("O1+ U2- U1+ O2-")
     cases += [
@@ -957,21 +1016,32 @@ def _rewrite_cases(exhaustive_corpus, random_corpus):
     return cases
 
 
+CHANGE = {R1Delete: -1, R2Delete: -2, R3: 0, R1Insert: 1, R2Insert: 2}
+
+
 def test_row_rewrite_matches_endpoint_oracle(exhaustive_corpus, random_corpus):
-    # the endpoint path returns the oracle's parts, sign order included; the
-    # row path keys the child apply_move builds and edits the rows to the
-    # child's rows; an invalid move raises the same error on every path
+    # the rewrite returns the oracle's parts, sign order included, or raises
+    # the same error with the same message; the search's row edit of each
+    # applicable move, its family walk's rows, are the rows of the child
+    # apply_move builds and key it as its serialized canonical form
     cases = _rewrite_cases(exhaustive_corpus, random_corpus)
     assert len(cases) > 100_000
+    walks = {}  # (diagram's id, change) -> {move: rows}, walked once
     for d, move in cases:
         expected = _raised(oracle_rewrite, d, move)
         got = _raised(_rewrite, d, move)
-        rows = _raised(_rewrite, d, move, _rows(d.endpoints, d.signs), _fresh_labels(d, 2))
         if isinstance(expected[0], type):
-            assert got == rows == expected, (d, move)
+            assert got == expected, (d, move)
             continue
         assert (list(got[0]), list(got[1].items())) == (
             list(expected[0]), list(expected[1].items())), (d, move)
+        kind = type(move)
+        key = (id(d), CHANGE[kind])
+        if key not in walks:
+            walks[key] = {
+                kind(*fields): (chords, bases) for fields, chords, bases in _family_rows(d, key[1])
+            }
+        rows = walks[key][move]
         child = apply_move(d, move)
         assert list(rows) == list(_rows(child.endpoints, child.signs)), (d, move)
         assert _canonical_code(*rows) == serialize_gauss_code(canonical(child)), (d, move)
@@ -1122,43 +1192,54 @@ def test_pinned_insertion_searches(start, max_states, expected):
 
 
 def test_spliced_rows_match_rewrite(exhaustive_corpus, random_corpus):
-    # the search's walk yields each insertion's fields in _insertion_moves
-    # order, with the rows the checked rewrite gives and apply_move builds
+    # the search's walk over the insertion families yields each insertion's
+    # fields in enumerate_moves order, with the rows of the parts the
+    # checked rewrite gives and of the child apply_move builds
     corpus = [d for d in exhaustive_corpus if d.n <= 3] + [d for d in random_corpus if d.n == 3]
     for d in corpus:
-        rows, fresh = _rows(d.endpoints, d.signs), _fresh_labels(d, 2)
-        walked = list(_spliced_rows(rows, fresh, 1)) + list(_spliced_rows(rows, fresh, 2))
-        moves = list(_insertion_moves(d, 2))
+        walked = list(_family_rows(d, 1)) + list(_family_rows(d, 2))
+        moves = [move for move in enumerate_moves(d, True) if CHANGE[type(move)] > 0]
         named = [(R1Insert if len(fields) == 3 else R2Insert)(*fields) for fields, _, _ in walked]
         assert named == moves, d
         for move, (_, chords, bases) in zip(moves, walked):
-            expected = [list(row) for row in _rewrite(d, move, rows, fresh)]
-            assert [list(chords), list(bases)] == expected, (d, move)
+            assert [chords, bases] == list(_rows(*_rewrite(d, move))), (d, move)
             child = apply_move(d, move)
-            assert [list(chords), list(bases)] == list(_rows(child.endpoints, child.signs)), (d, move)
+            assert [chords, bases] == list(_rows(child.endpoints, child.signs)), (d, move)
 
 
 def test_detected_rows_match_rewrite(exhaustive_corpus, random_corpus):
     # the search's walk over a deletion or R3 family yields the family's
-    # enumerate_moves moves in order, each with the rows the checked
-    # rewrite gives and apply_move builds
+    # enumerate_moves moves in order, each with the rows of the parts the
+    # checked rewrite gives and of the child apply_move builds
     families = {-1: R1Delete, -2: R2Delete, 0: R3}
     walked_moves = 0
     for d in exhaustive_corpus + random_corpus:
         moves = enumerate_moves(d)
-        rows = _rows(d.endpoints, d.signs)
         for change, kind in families.items():
-            walked = list(_detected_rows(d, change))
+            walked = list(_family_rows(d, change))
             named = [kind(*fields) for fields, _, _ in walked]
             assert named == [move for move in moves if type(move) is kind], (d, change)
             for move, (_, chords, bases) in zip(named, walked):
-                expected = [list(row) for row in _rewrite(d, move, rows)]
-                assert [list(chords), list(bases)] == expected, (d, move)
+                assert [chords, bases] == list(_rows(*_rewrite(d, move))), (d, move)
                 child = apply_move(d, move)
                 child_rows = _rows(child.endpoints, child.signs)
-                assert [list(chords), list(bases)] == list(child_rows), (d, move)
+                assert [chords, bases] == list(child_rows), (d, move)
             walked_moves += len(walked)
     assert walked_moves > 40_000
+
+
+def test_family_rows_match_oracles(exhaustive_corpus, random_corpus):
+    # the one walk yields what the two walks it replaced yielded for every
+    # family: the same fields, the same rows, in the same order
+    for d in [d for d in exhaustive_corpus if d.n <= 3] + random_corpus:
+        rows, fresh = _rows(d.endpoints, d.signs), _fresh_labels(d, 2)
+        for change in (-1, -2, 0, 1, 2):
+            if change > 0:
+                expected = oracle_spliced_rows(rows, fresh, change)
+            else:
+                expected = oracle_detected_rows(d, change)
+            expected = [(fields, list(chords), list(bases)) for fields, chords, bases in expected]
+            assert list(_family_rows(d, change)) == expected, (d, change)
 
 
 def test_truncated_simplify_matches_oracle(exhaustive_corpus, monkeypatch):
@@ -1170,16 +1251,11 @@ def test_truncated_simplify_matches_oracle(exhaustive_corpus, monkeypatch):
     # spy on the keying: a chord count keyed between two pops that pushes
     # no new state is a pending count holding only duplicates
     search = importlib.import_module("gaussdiag.simplify")
-    detected_rows, spliced_rows = search._detected_rows, search._spliced_rows
+    family_rows = search._family_rows
     keyed, pushed, all_duplicates = set(), set(), []
 
-    def spy_detected_rows(state, change):
-        for fields, chords, bases in detected_rows(state, change):
-            keyed.add(len(chords) // 2)
-            yield fields, chords, bases
-
-    def spy_spliced_rows(rows, fresh, added):
-        for fields, chords, bases in spliced_rows(rows, fresh, added):
+    def spy_family_rows(state, change):
+        for fields, chords, bases in family_rows(state, change):
             keyed.add(len(chords) // 2)
             yield fields, chords, bases
 
@@ -1193,8 +1269,7 @@ def test_truncated_simplify_matches_oracle(exhaustive_corpus, monkeypatch):
         pushed.clear()
         return heapq.heappop(heap)
 
-    monkeypatch.setattr(search, "_detected_rows", spy_detected_rows)
-    monkeypatch.setattr(search, "_spliced_rows", spy_spliced_rows)
+    monkeypatch.setattr(search, "_family_rows", spy_family_rows)
     monkeypatch.setattr(search, "heapq", SimpleNamespace(heappush=spy_push, heappop=spy_pop))
     for d, max_chords in cases:
         for max_states in (1, 2, 3, 5, 8, 13):
@@ -1206,28 +1281,21 @@ def test_truncated_simplify_matches_oracle(exhaustive_corpus, monkeypatch):
 
 def test_search_generates_only_insertions_that_fit(exhaustive_corpus, monkeypatch):
     # record every move simplify keys after expanding its start state, as
-    # the moves its walks' fields name; yielding the state's own rows makes
+    # the moves its walk's fields name; yielding the state's own rows makes
     # each child a known state, so every chord count's children are keyed
     # in turn, fewest chords first
     search = importlib.import_module("gaussdiag.simplify")
-    change = {R1Delete: -1, R2Delete: -2, R3: 0, R1Insert: 1, R2Insert: 2}
-    kind = {added: kind for kind, added in change.items()}
-    detected_rows, spliced_rows = search._detected_rows, search._spliced_rows
+    kind = {added: kind for kind, added in CHANGE.items()}
+    family_rows = search._family_rows
     generated = []
 
-    def record(state, removed):
+    def record(state, change):
         rows = _rows(state.endpoints, state.signs)
-        for fields, _, _ in detected_rows(state, removed):
-            generated.append(kind[removed](*fields))
+        for fields, _, _ in family_rows(state, change):
+            generated.append(kind[change](*fields))
             yield fields, rows[0], rows[1]
 
-    def record_walk(rows, fresh, added):
-        for fields, _, _ in spliced_rows(rows, fresh, added):
-            generated.append(kind[added](*fields))
-            yield fields, rows[0], rows[1]
-
-    monkeypatch.setattr(search, "_detected_rows", record)
-    monkeypatch.setattr(search, "_spliced_rows", record_walk)
+    monkeypatch.setattr(search, "_family_rows", record)
     for d in [d for d in exhaustive_corpus if d.n <= 3]:
         for room in (0, 1, 2):
             expected = [
@@ -1235,10 +1303,10 @@ def test_search_generates_only_insertions_that_fit(exhaustive_corpus, monkeypatc
                 if room >= 2 or not isinstance(move, R2Insert)
             ]
             insertions = [move for move in expected if isinstance(move, (R1Insert, R2Insert))]
-            assert list(_insertion_moves(d, room)) == insertions, (d, room)
+            assert list(oracle_insertion_moves(d, room)) == insertions, (d, room)
             if d.n == 0:
                 continue  # the search never expands the empty diagram
             generated.clear()
             limits = SearchLimits(max_states=1, allow_insertions=True, max_chords=d.n + room)
             simplify(d, limits)
-            assert generated == sorted(expected, key=lambda move: change[type(move)]), (d, room)
+            assert generated == sorted(expected, key=lambda move: CHANGE[type(move)]), (d, room)

@@ -38,7 +38,7 @@ from gaussdiag import (
     rotate,
     serialize_gauss_code,
 )
-from gaussdiag.diagram import _arrangements, _rows, make_diagram
+from gaussdiag.diagram import _arrangements, make_diagram
 
 EX1 = "O1- U2- O3- U1- U4+ U3- O2- O4+"
 EX2 = "O3+ U4- O1+ U2- U1+ U3+ O2- O4-"
@@ -393,6 +393,11 @@ def test_move_spec_roundtrip(move, text):
         ("r2:del:1", "move spec 'r2:del:1': r2:del needs chord,chord"),
         ("r3:1,2", "move spec 'r3:1,2': r3 needs chord,chord,chord"),
         ("", "move spec '': unknown move kind"),
+        # a well-formed spec whose label no diagram can hold
+        ("r1:del:\u00e9", "move spec 'r1:del:\u00e9': invalid chord label '\u00e9'"),
+        ("r2:del:\u00b2,1", "move spec 'r2:del:\u00b2,1': invalid chord label '\u00b2'"),
+        ("r3:\u00b2,1,2", "move spec 'r3:\u00b2,1,2': invalid chord label '\u00b2'"),
+        ("r2:del:1,a b", "move spec 'r2:del:1,a b': invalid chord label 'a b'"),
     ],
 )
 def test_move_spec_errors(spec, message):
@@ -422,7 +427,7 @@ def test_move_spec_errors(spec, message):
         (R1Delete("a:b"), "move spec 'r1:del:a:b': r1:del needs a chord label"),
         (R3(("a", "b", "c:d")), "move spec 'r3:a,b,c:d': r3 needs chord,chord,chord"),
         (R1Delete(""), "move spec 'r1:del:': r1:del needs a chord label"),
-        (R1Delete(5), "R1Delete(chord=5) has no spec: 'r1:del:5' parses to another move"),
+        (R1Delete("\u00e9"), "move spec 'r1:del:\u00e9': invalid chord label '\u00e9'"),
         (R1Delete("a "), "R1Delete(chord='a ') has no spec: 'r1:del:a ' parses to another move"),
     ],
 )
@@ -446,6 +451,13 @@ def test_chords_must_be_a_tuple_of_label_strings(make, chords):
     message = f"{make.__name__} needs a tuple of label strings, got {chords!r}"
     with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
         make(chords)
+
+
+@pytest.mark.parametrize("chord", [5, ["1"], None, ("1",)])
+def test_chord_must_be_a_label_string(chord):
+    message = f"R1Delete needs a label string, got {chord!r}"
+    with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+        R1Delete(chord)
 
 
 def test_move_normalization():
@@ -547,13 +559,8 @@ def test_chord_change_matches_every_rewrite(exhaustive_corpus):
     for g in exhaustive_corpus:
         if g.n > 3:
             continue
-        rows, fresh = _rows(g.endpoints, g.signs), moves._fresh_labels(g, 2)
         for change in (-1, -2, 0, 1, 2):
-            if change > 0:
-                children = moves._spliced_rows(rows, fresh, change)
-            else:
-                children = moves._detected_rows(g, change)
-            for _, chords, bases in children:
+            for _, chords, bases in moves._family_rows(g, change):
                 assert len(chords) == len(bases) == 2 * (g.n + change), (g, change)
                 seen.add(change)
     assert seen == {-1, -2, 0, 1, 2}

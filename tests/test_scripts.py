@@ -1,4 +1,4 @@
-"""The worked-example script runs clean against this checkout's sources."""
+"""The scripts run clean against this checkout's sources."""
 
 from __future__ import annotations
 
@@ -26,3 +26,42 @@ def test_reproduce_examples_script():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "all reproduced values matched"
+
+
+SAMPLE = '''"""A module docstring,
+on two lines."""
+
+# a comment
+import os  # a trailing comment
+
+
+def f():
+    """A function docstring."""
+    text = """a string
+    on two lines"""
+    return text
+'''
+
+
+def _code_lines(*args):
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "code_lines.py"), *map(str, args)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return [line.split() for line in proc.stdout.splitlines()]
+
+
+def test_code_lines_script(tmp_path):
+    # one row per module of the package, then the total, their sum
+    *modules, (total, label) = _code_lines()
+    package = sorted(path.name for path in (ROOT / "src" / "gaussdiag").glob("*.py"))
+    assert label == "total"
+    assert [name for _, name in modules] == package
+    assert int(total) == sum(int(count) for count, _ in modules) > 0
+    # blank lines, comments and docstrings are left out; the import, the
+    # def, both lines of the string and the return are code
+    (tmp_path / "sample.py").write_text(SAMPLE)
+    assert _code_lines(tmp_path) == [["5", "sample.py"], ["5", "total"]]
