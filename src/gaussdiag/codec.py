@@ -132,7 +132,7 @@ def _canonical_code(chords, bases) -> str:
     """serialize_gauss_code(canonical(d)) for the diagram d with these
     ``diagram._rows``, spelled straight from the least-rotation encoding
     without building d or its canonical form."""
-    code = _least_rotations(chords, bases)[0]
+    code = _least_rotations(chords, bases)
     if code is None:
         return ""
     return " ".join(map(_TOKENS.__getitem__, code))

@@ -232,9 +232,8 @@ def _rows(endpoints, signs) -> tuple:
 
 def _least_rotations(chords, bases):
     """The least encoding over the rotations of the diagram with these
-    ``_rows``, and every shift k whose rotation (basepoint at position k)
-    attains it, ascending.  Taking rows, not a diagram, lets the search key
-    a child from its parent's rows edited by ``moves._family_rows``.
+    ``_rows``.  Taking rows, not a diagram, lets the search key a child
+    from its parent's rows edited by ``moves._family_rows``.
 
     Each endpoint encodes as one int entry, its base with its chord number
     (by first appearance) in bits 1..31: ``head << 32 | number << 1 |
@@ -246,18 +245,17 @@ def _least_rotations(chords, bases):
     only as far as a comparison reaches, and a rotation that wins at entry
     i becomes the best with its i + 1 entries.  Only a tie runs the full
     length, and the first one ends the scan: a diagram that ties with
-    itself at shift k is periodic, so its shifts follow from the period.
+    itself at shift k is periodic, so no later start can beat the best.
     The rest of the final best is encoded once at the end.  The empty
-    diagram has encoding None and no shifts."""
+    diagram has encoding None."""
     m = len(chords)
     if m == 0:
-        return None, []
+        return None
     chords, bases = chords * 2, bases * 2  # doubled: rotation k reads k..k+m-1
     first = min(bases)
     starts = [k for k in range(m) if bases[k] == first]
     best = starts[0]
     code, numbers = [], {}  # the best rotation's entries so far, its numbering
-    shifts = [best]
     for k in starts[1:]:
         mine = {}
         for i in range(m):
@@ -270,16 +268,14 @@ def _least_rotations(chords, bases):
                 if entry < code[i]:  # k wins: the common prefix, then its entry
                     del code[i:]
                     code.append(entry)
-                    best, numbers, shifts = k, mine, [k]
+                    best, numbers = k, mine
                 break
         else:  # k ties with best, so the diagram repeats every k - best
-            # positions: no start before k beat best or tied, so nothing
-            # beats it, and the ties are best plus multiples of k - best
-            shifts = list(range(best, best + m, k - best))
+            # positions: no start before k beat best, so nothing beats it
             break
     for q in range(best + len(code), best + m):
         code.append(bases[q] | numbers.setdefault(chords[q], len(numbers) + 1) << 1)
-    return tuple(code), shifts
+    return tuple(code)
 
 
 def _entry_parts(entry: int) -> tuple:
@@ -321,15 +317,15 @@ def canonical(d: GaussDiagram) -> GaussDiagram:
     """
     if d.n == 0:
         return d
-    code = _least_rotations(*_rows(d.endpoints, d.signs))[0]
+    code = _least_rotations(*_rows(d.endpoints, d.signs))
     ends = list(map(_CANONICAL_ENDS.__getitem__, code))
     return _trusted([ep for ep, _ in ends], {ep.chord: sign for ep, sign in ends})
 
 
 def same_diagram(d1: GaussDiagram, d2: GaussDiagram) -> bool:
     """True iff the diagrams agree up to rotation and relabeling."""
-    code = _least_rotations(*_rows(d1.endpoints, d1.signs))[0]
-    return code == _least_rotations(*_rows(d2.endpoints, d2.signs))[0]
+    code = _least_rotations(*_rows(d1.endpoints, d1.signs))
+    return code == _least_rotations(*_rows(d2.endpoints, d2.signs))
 
 
 def _matchings(positions: list) -> Iterator[list]:

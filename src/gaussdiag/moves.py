@@ -75,6 +75,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Mapping, Union
 
 from .diagram import (
@@ -86,7 +87,6 @@ from .diagram import (
     _adjacent,
     _arrangements,
     _interleaved,
-    _least_rotations,
     _rows,
     _trusted,
     _valid_sign,
@@ -422,7 +422,11 @@ def _check_insertion(d: GaussDiagram, gaps, sign, flag: str, value, error=MoveNo
 def _cuts(d: GaussDiagram, chords) -> list:
     """The positions of ``chords``' endpoints in d, the last first: the
     order a deletion cuts them in."""
-    return sorted([p for c in chords for p in d._pos[c].values()], reverse=True)
+    cuts = []
+    for c in chords:
+        cuts.extend(d._pos[c].values())
+    cuts.sort(reverse=True)
+    return cuts
 
 
 def _edited(column, cuts, splices, arcs, field: int) -> list:
@@ -669,21 +673,23 @@ class CensusResult:
     movable_up_to_rotation: int
 
 
-def _configuration_orbit_keys(chords, bases, arc_lists) -> list:
-    """Rotation-invariant keys for the qualifying tilings ``arc_lists`` of
-    the diagram with these ``diagram._rows``, one scan for them all.
+def _heads_arc_key(endpoints, arcs) -> tuple:
+    """The sign-free part of the orbit key of a configuration with these
+    endpoints and tiling ``arcs``, and a reader of its signs in key order.
 
-    Each key is the diagram's least label-free encoding paired with the
-    least rotation of the arc positions over the shifts attaining it, so
-    two configurations share a key iff some rotation carries one diagram
-    onto the other and the tiling along with it.
+    The diagram is read from the start h of the tiling's one heads arc,
+    each endpoint as ``number << 1 | head`` with its chord numbered by
+    first appearance from h, then the tails and mixed arcs' starts less h
+    (mod 2n).  A rotation carries the heads arc along with the diagram, so
+    every configuration of an orbit reads the same, and the reading gives
+    back the diagram rotated to h up to labels, and its tiling.  So two
+    configurations share ``key + read(signs)`` iff they share an orbit.
     """
-    m = len(chords)
-    code, shifts = _least_rotations(chords, bases)
-    return [
-        (code, min(tuple(sorted(((a - k) % m, (b - k) % m) for a, b in arcs)) for k in shifts))
-        for arcs in arc_lists
-    ]
+    m, h = len(endpoints), arcs[0][0]
+    numbers = {}
+    key = [numbers.setdefault(ep.chord, len(numbers) + 1) << 1 | (ep.role == HEAD)
+           for ep in endpoints[h:] + endpoints[:h]]
+    return (*key, *[(start - h) % m for start, _ in arcs[1:]]), itemgetter(*numbers)
 
 
 def census_movable_triples(n: int) -> CensusResult:
@@ -694,18 +700,17 @@ def census_movable_triples(n: int) -> CensusResult:
     when the triple's endpoints fill the whole circle).  Counts matched
     configurations, movable ones (all three 3-signs equal), and the
     movable configurations up to rotation of the underlying diagram, as
-    distinct orbit keys.
+    distinct ``_heads_arc_key`` orbit keys.
 
     The (2n-1)!! * 4^n diagrams are walked as the (2n-1)!! * 2^n endpoint
     ``diagram._arrangements`` times their 2^n sign maps.  The matched
-    triples (``_r3_candidates``), their tilings and each chord's parity and
-    direction depend on the endpoints only, so each arrangement is analysed
-    once, and a 3-sign is the chord's sign times its sign-free factor
-    parity * direction.  A sign map then makes a tiling movable iff the
-    three signed factors agree, and only a sign map with a movable tiling
-    pays for one least-rotation scan, which keys all its movable tilings.
-    n is capped at 5 (967,680 diagrams, a few seconds) to keep the walk at
-    desk scale.
+    triples (``_r3_candidates``), their tilings, each chord's parity and
+    direction and the sign-free part of each tiling's key depend on the
+    endpoints only, so each arrangement is analysed once, and a 3-sign is
+    the chord's sign times its sign-free factor parity * direction.  A sign
+    map then makes a tiling movable iff the three signed factors agree, and
+    keys it by appending its chords' signs.  n is capped at 5 (967,680
+    diagrams, about 1.3 s) to keep the walk at desk scale.
     """
     if n < 3:
         raise ValueError("census needs at least 3 chords")
@@ -716,9 +721,11 @@ def census_movable_triples(n: int) -> CensusResult:
     for endpoints, sign_maps in _arrangements(n):
         total += len(sign_maps)
         d = _trusted(endpoints, sign_maps[0])
-        # each tiling's arcs and its chords' (label, parity * direction)
+        # each tiling's sign-free key, its sign reader and its chords'
+        # (label, parity * direction)
         tilings = [
-            (arcs, [(c, r.parity * r.direction) for c, r in numbers.items()])
+            (*_heads_arc_key(endpoints, arcs),
+             [(c, r.parity * r.direction) for c, r in numbers.items()])
             for triple in _r3_candidates(d)
             for arcs, numbers, _ in _qualifying_tilings(d, triple)
         ]
@@ -726,11 +733,8 @@ def census_movable_triples(n: int) -> CensusResult:
             continue
         matched += len(tilings) * len(sign_maps)
         for signs in sign_maps:
-            found = [
-                arcs for arcs, ((a, fa), (b, fb), (c, fc)) in tilings
-                if signs[a] * fa == signs[b] * fb == signs[c] * fc
-            ]
-            if found:
-                movable += len(found)
-                movable_orbits.update(_configuration_orbit_keys(*_rows(endpoints, signs), found))
+            for key, read, ((a, fa), (b, fb), (c, fc)) in tilings:
+                if signs[a] * fa == signs[b] * fb == signs[c] * fc:
+                    movable += 1
+                    movable_orbits.add(key + read(signs))
     return CensusResult(n, total, matched, movable, len(movable_orbits))

@@ -84,8 +84,8 @@ def _int_text(values):
 
 
 def _census_is_small(text):
-    # census at 4 and 5 chords walks (2n-1)!! * 4^n diagrams (about 0.15 s
-    # and 5 s); other tests pin those counts, so the fuzz leaves them out
+    # census at 4 and 5 chords walks (2n-1)!! * 4^n diagrams (about 0.04 s
+    # and 1.3 s); other tests pin those counts, so the fuzz leaves them out
     try:
         return int(text) not in (4, 5)
     except ValueError:

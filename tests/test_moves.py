@@ -483,7 +483,7 @@ def test_numerically_equal_labels_have_one_order():
 # -------------------------------------------------------------------- census
 
 
-# movable == 2n * movable_up_to_rotation in both pins: a rotation that fixes
+# movable == 2n * movable_up_to_rotation in every pin: a rotation that fixes
 # a configuration fixes its single heads arc, so it is the identity
 
 
@@ -503,6 +503,17 @@ def test_census_four_chords():
     assert res.matched == 24_576
     assert res.movable == 6_144
     assert res.movable_up_to_rotation == 768
+
+
+def test_census_five_chords():
+    # the README's figures; the only check of the census key at five
+    # chords, where the oracle's rotation-minimised key is too slow to run
+    res = census_movable_triples(5)
+    assert res.chords == 5
+    assert res.total == 967_680
+    assert res.matched == 921_600
+    assert res.movable == 230_400
+    assert res.movable_up_to_rotation == 23_040
 
 
 def test_three_sign_factors_into_sign_and_a_sign_free_part():
