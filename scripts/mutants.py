@@ -1,0 +1,330 @@
+"""One-line mutants of ``src/gaussdiag`` and a runner that checks the tests
+kill each one.
+
+``MUTANTS`` is the mutant table: one row per mutant, giving its name, the
+module it edits, the exact source line (without its indentation, which
+must occur exactly once in the module), the one line that replaces it and
+the layer it breaks.  The layers are the scan and canonical code, move
+detection, the R3 triple kernel, the rewrite, the search's walk over a
+move family, the census and the search.
+
+For each mutant the runner copies ``src/`` to a temporary directory,
+applies the mutant there and runs the tier-1 pytest command with ``-x``
+from the repository root, with the copy first on ``PYTHONPATH``.  It
+prints ``killed`` with the first test that failed, or ``survived``, and
+exits 1 if any mutant survived.  The one tier-1 test that fails by
+design, criterion 6, is deselected, since under ``-x`` it would kill
+every mutant.  Two tests are timed (criterion 7 within 10 s, the
+3,000-chord chain's scan within 1 s); on a loaded machine they can fail
+on their own and report false kills, so run the gate on an idle one.
+
+    python scripts/mutants.py                    # every mutant, whole suite
+    python scripts/mutants.py witness-first      # only the named mutants
+    python scripts/mutants.py --tests tests/test_differential.py
+"""
+
+from __future__ import annotations
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+LAYERS = ("scan", "detection", "kernel", "rewrite", "walk", "census", "search")
+KNOWN_FAILURE = "tests/test_acceptance.py::test_criterion_6_rearrangement_preserves_structure"
+TIMEOUT = 1800  # seconds per mutant; a mutant that hangs the suite counts as killed
+
+
+class Mutant(NamedTuple):
+    name: str
+    module: str  # file name under src/gaussdiag
+    line: str  # the source line, stripped
+    replacement: str  # the line put in its place, stripped
+    layer: str
+
+
+MUTANTS = (
+    # the scan and canonical code
+    Mutant(
+        "scan-tie-stop", "diagram.py",
+        "else:  # k ties with best, so the diagram repeats every k - best",
+        "if False:  # every tie is compared in full",
+        "scan",
+    ),
+    Mutant(
+        "scan-greater-wins", "diagram.py",
+        "if entry < code[i]:  # k wins: the common prefix, then its entry",
+        "if entry > code[i]:",
+        "scan",
+    ),
+    Mutant(
+        "scan-last-start", "diagram.py",
+        "starts = [k for k in range(m) if bases[k] == first]",
+        "starts = [k for k in range(m - 1) if bases[k] == first]",
+        "scan",
+    ),
+    Mutant(
+        "scan-numbering", "diagram.py",
+        "entry = bases[p] | mine.setdefault(chords[p], len(mine) + 1) << 1",
+        "entry = bases[p] | mine.setdefault(chords[p], len(mine) + 2) << 1",
+        "scan",
+    ),
+    # detection
+    Mutant(
+        "label-key-tie", "diagram.py",
+        "return (0, int(label), label) if label.isascii() and label.isdigit() else (1, 0, label)",
+        'return (0, int(label), "") if label.isascii() and label.isdigit() else (1, 0, label)',
+        "detection",
+    ),
+    Mutant(
+        "adjacent-one-way", "diagram.py",
+        "return (p - q) % m in (1, m - 1)",
+        "return (p - q) % m == 1",
+        "detection",
+    ),
+    Mutant(
+        "no-wrap-pair", "moves.py",
+        "return zip(eps, eps[1:] + eps[:1])",
+        "return zip(eps, eps[1:])",
+        "detection",
+    ),
+    Mutant(
+        "r2-tails-unchecked", "moves.py",
+        "if not _adjacent(m, pa[TAIL], pb[TAIL]):",
+        "if False:",
+        "detection",
+    ),
+    Mutant(
+        "r2-order", "moves.py",
+        "return [pair for _, pair in sorted(found)]",
+        "return [pair for _, pair in found]",
+        "detection",
+    ),
+    Mutant(
+        "r3-candidate-side", "moves.py",
+        "for z in (eps[t - 1], eps[(t + 1) % m]):",
+        "for z in (eps[(t + 1) % m],):",
+        "detection",
+    ),
+    # the R3 triple kernel
+    Mutant(
+        "witness-first", "moves.py",
+        "return next((t for t in tilings if t[2]), tilings[0])",
+        "return tilings[0]",
+        "kernel",
+    ),
+    Mutant(
+        "wrap-tiling-end", "moves.py",
+        "if q2 == q1 + 1 and q4 == q3 + 1 and q0 == 0 and q5 == m - 1:",
+        "if q2 == q1 + 1 and q4 == q3 + 1 and q0 == 0:",
+        "kernel",
+    ),
+    Mutant(
+        "parity", "moves.py",
+        "1 if xab == xbc else -1,",
+        "1 if xab != xbc else -1,",
+        "kernel",
+    ),
+    Mutant(
+        "direction", "moves.py",
+        "direction = 1 if (j - i) % 3 == 1 else -1",
+        "direction = 1 if (i - j) % 3 == 1 else -1",
+        "kernel",
+    ),
+    Mutant(
+        "mixed-same-chord", "moves.py",
+        "mixed = pair if x.chord != y.chord else None",
+        "mixed = pair",
+        "kernel",
+    ),
+    # the rewrite
+    Mutant(
+        "gap-off-by-one", "moves.py",
+        "if type(gap) is not int or not 0 <= gap < limit:",
+        "if type(gap) is not int or not 0 <= gap <= limit:",
+        "rewrite",
+    ),
+    Mutant(
+        "fresh-short", "moves.py",
+        "candidates = map(str, range(1, len(d.signs) + count + 1))",
+        "candidates = map(str, range(1, len(d.signs) + count))",
+        "rewrite",
+    ),
+    Mutant(
+        "cut-order", "moves.py",
+        "cuts.sort(reverse=True)",
+        "cuts.sort()",
+        "rewrite",
+    ),
+    Mutant(
+        "sign-order", "moves.py",
+        "signs = {c: s for c, s in d.signs.items() if c not in gone} if gone else {**d.signs, **add}",
+        "signs = {c: s for c, s in d.signs.items() if c not in gone} if gone else {**add, **d.signs}",
+        "rewrite",
+    ),
+    Mutant(
+        "r2-shared-gap", "moves.py",
+        "blocks = (heads, tails) if head_gap >= tail_gap else (tails, heads)",
+        "blocks = (heads, tails) if head_gap > tail_gap else (tails, heads)",
+        "rewrite",
+    ),
+    Mutant(
+        "r1-head-first", "moves.py",
+        "bases = (1 << 32 | negative, negative) if head_first else (negative, 1 << 32 | negative)",
+        "bases = (1 << 32 | negative, negative) if not head_first else (negative, 1 << 32 | negative)",
+        "rewrite",
+    ),
+    # the search's walk over a move family
+    Mutant(
+        "insertion-sign-order", "moves.py",
+        "return itertools.product(*(gaps,) * added, (1, -1), (True, False))",
+        "return itertools.product(*(gaps,) * added, (-1, 1), (True, False))",
+        "walk",
+    ),
+    Mutant(
+        "insertion-last-gap", "moves.py",
+        "gaps = range(max(1, m))",
+        "gaps = range(max(1, m - 1))",
+        "walk",
+    ),
+    Mutant(
+        "walk-first-tiling", "moves.py",
+        "sites = [((t,), (), (), _witness(_qualifying_tilings(d, t))[0])",
+        "sites = [((t,), (), (), _qualifying_tilings(d, t)[0][0])",
+        "walk",
+    ),
+    Mutant(
+        "walk-r2-sign-bits", "moves.py",
+        "nx, ny = (0, 1) if sign == 1 else (1, 0)",
+        "nx, ny = (0, 0) if sign == 1 else (1, 1)",
+        "walk",
+    ),
+    Mutant(
+        "walk-one-fresh-label", "moves.py",
+        "fresh = _fresh_labels(d, 2)",
+        "fresh = _fresh_labels(d, 1) * 2",
+        "walk",
+    ),
+    # the census
+    Mutant(
+        "census-heads-arc-start", "moves.py",
+        "m, h = len(endpoints), arcs[0][0]",
+        "m, h = len(endpoints), 0",
+        "census",
+    ),
+    Mutant(
+        "census-two-signs", "moves.py",
+        "if signs[a] * fa == signs[b] * fb == signs[c] * fc:",
+        "if signs[a] * fa == signs[b] * fb:",
+        "census",
+    ),
+    Mutant(
+        "census-matched", "moves.py",
+        "matched += len(tilings) * len(sign_maps)",
+        "matched += len(tilings)",
+        "census",
+    ),
+    # the search
+    Mutant(
+        "search-key-late", "simplify.py",
+        "if frontier and count > frontier[0][0]:",
+        "if frontier and count >= frontier[0][0]:",
+        "search",
+    ),
+    Mutant(
+        "search-best-tie", "simplify.py",
+        "if entry < best:",
+        "if entry[0] < best[0]:",
+        "search",
+    ),
+    Mutant(
+        "search-budget", "simplify.py",
+        "if explored >= limits.max_states:",
+        "if explored > limits.max_states:",
+        "search",
+    ),
+    Mutant(
+        "search-no-empty-child", "simplify.py",
+        "if 0 <= count + change <= top:",
+        "if 0 < count + change <= top:",
+        "search",
+    ),
+    Mutant(
+        "search-insertions-always", "simplify.py",
+        "top = max_chords if limits.allow_insertions else count  # the most chords a child has",
+        "top = max_chords",
+        "search",
+    ),
+)
+
+
+def mutated(source: str, mutant: Mutant) -> str:
+    """``source`` with the mutant's line replaced, its indentation kept;
+    ValueError unless the line occurs exactly once."""
+    lines = source.splitlines(keepends=True)
+    found = [i for i, line in enumerate(lines) if line.strip() == mutant.line]
+    if len(found) != 1:
+        raise ValueError(f"{mutant.name}: line occurs {len(found)} times in {mutant.module}")
+    (i,) = found
+    indent = lines[i][: len(lines[i]) - len(lines[i].lstrip())]
+    lines[i] = indent + mutant.replacement + "\n"
+    return "".join(lines)
+
+
+def run(mutant: Mutant, tests) -> tuple:
+    """Run the tests against a copy of ``src/`` with the mutant applied:
+    (killed, the first failing test or what stopped the run)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "src"
+        shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+        path = src / "gaussdiag" / mutant.module
+        path.write_text(mutated(path.read_text(), mutant))
+        paths = [str(src), *filter(None, os.environ.get("PYTHONPATH", "").split(os.pathsep))]
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(paths)}
+        command = [
+            sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors",
+            "-x", "-rfE", "-p", "no:cacheprovider", "--deselect", KNOWN_FAILURE, *tests,
+        ]
+        try:
+            proc = subprocess.run(
+                command, cwd=ROOT, env=env, capture_output=True, text=True, timeout=TIMEOUT
+            )
+        except subprocess.TimeoutExpired:
+            return True, f"timed out after {TIMEOUT} s"
+    if proc.returncode == 0:
+        return False, ""
+    for line in proc.stdout.splitlines():
+        if line.startswith(("FAILED ", "ERROR ")):
+            return True, line.split(" - ")[0]
+    return True, (proc.stdout.strip().splitlines() or [f"exit status {proc.returncode}"])[-1]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
+    parser.add_argument("--tests", nargs="+", default=[], help="test paths (default: tier-1)")
+    args = parser.parse_args(argv)
+    chosen = [m for m in MUTANTS if not args.names or m.name in args.names]
+    unknown = set(args.names) - {m.name for m in chosen}
+    if unknown:
+        parser.error(f"unknown mutants: {', '.join(sorted(unknown))}")
+    survivors = 0
+    for mutant in chosen:
+        start = time.perf_counter()
+        killed, by = run(mutant, args.tests)
+        survivors += not killed
+        verdict = "killed" if killed else "survived"
+        seconds = time.perf_counter() - start
+        print(f"{mutant.name:<26} {mutant.layer:<9} {verdict:<8} {seconds:6.1f} s  {by}", flush=True)
+    print(f"{len(chosen) - survivors} of {len(chosen)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -318,16 +318,21 @@ def analyze_triple(d: GaussDiagram, triple) -> TripleAnalysis:
     """Full matched/movable analysis of a chord triple: the public,
     validating report of the ``_qualifying_tilings`` kernel.
 
-    The labels must be three distinct chords of ``d`` (else ValueError).
+    ``triple`` holds exactly three distinct label strings naming chords of
+    ``d``, in any iterable but a string (else ValueError); ``chords``
+    keeps their order.
     The triple is matched iff at least one tiling qualifies and movable iff
     some qualifying tiling has all three 3-signs equal.  The reported arcs
     and numbers come from the witness: the first movable tiling (the one
     ``apply_move`` swaps), else the first qualifying one.  The library's
     own callers read the kernel directly.
     """
-    labels = tuple(dict.fromkeys(triple))
-    if len(labels) != 3:
-        raise ValueError(f"need three distinct chords, got {tuple(triple)!r}")
+    try:
+        labels = () if isinstance(triple, str) else tuple(triple)
+    except TypeError:  # not iterable
+        labels = ()
+    if len(labels) != 3 or not all(isinstance(c, str) for c in labels) or len(set(labels)) != 3:
+        raise ValueError(f"need three distinct chords, got {triple!r}")
     for c in labels:
         d.sign_of(c)
     qualifying = _qualifying_tilings(d, labels)

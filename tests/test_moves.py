@@ -163,8 +163,11 @@ def test_analysis_is_rotation_invariant():
 
 
 def test_analyze_triple_rejects_duplicates():
-    with pytest.raises(ValueError, match="three distinct chords"):
-        analyze_triple(d(FIG_A), ("1", "1", "2"))
+    # a repeated label, a bare string of three labels, four labels of
+    # which three are distinct, and no iterable at all
+    for triple in (("1", "1", "2"), "123", ["1", "1", "2", "3"], 5):
+        with pytest.raises(ValueError, match="three distinct chords"):
+            analyze_triple(d(FIG_A), triple)
 
 
 def test_analyze_triple_rejects_unknown_chord():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -65,3 +66,23 @@ def test_code_lines_script(tmp_path):
     # def, both lines of the string and the return are code
     (tmp_path / "sample.py").write_text(SAMPLE)
     assert _code_lines(tmp_path) == [["5", "sample.py"], ["5", "total"]]
+
+
+def test_mutant_table_lines_occur_once():
+    # each mutant replaces one source line that occurs exactly once in its
+    # module; no test is run
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "scripts" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    assert len({m.name for m in mutants.MUTANTS}) == len(mutants.MUTANTS) >= 20
+    assert {m.layer for m in mutants.MUTANTS} == set(mutants.LAYERS)
+    for mutant in mutants.MUTANTS:
+        source = (ROOT / "src" / "gaussdiag" / mutant.module).read_text()
+        changed = [
+            (old, new)
+            for old, new in zip(source.splitlines(), mutants.mutated(source, mutant).splitlines())
+            if old != new
+        ]
+        assert [(old.strip(), new.strip()) for old, new in changed] == [
+            (mutant.line, mutant.replacement)
+        ], mutant.name
