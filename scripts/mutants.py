@@ -6,7 +6,7 @@ module it edits, the exact source line (without its indentation, which
 must occur exactly once in the module), the one line that replaces it and
 the layer it breaks.  The layers are the scan and canonical code, move
 detection, the R3 triple kernel, the rewrite, the search's walk over a
-move family, the census and the search.
+move family, the census, the search and the value types' record base.
 
 For each mutant the runner copies ``src/`` to a temporary directory,
 applies the mutant there and runs the tier-1 pytest command with ``-x``
@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
-LAYERS = ("scan", "detection", "kernel", "rewrite", "walk", "census", "search")
+LAYERS = ("scan", "detection", "kernel", "rewrite", "walk", "census", "search", "values")
 KNOWN_FAILURE = "tests/test_acceptance.py::test_criterion_6_rearrangement_preserves_structure"
 TIMEOUT = 1800  # seconds per mutant; a mutant that hangs the suite counts as killed
 
@@ -260,6 +260,19 @@ MUTANTS = (
         "top = max_chords if limits.allow_insertions else count  # the most chords a child has",
         "top = max_chords",
         "search",
+    ),
+    # the value types' record base
+    Mutant(
+        "record-eq-any-class", "diagram.py",
+        "if other.__class__ is not self.__class__:",
+        "if False:",
+        "values",
+    ),
+    Mutant(
+        "record-drop-last-field", "diagram.py",
+        'cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")',
+        'cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")[:-1]',
+        "values",
     ),
 )
 

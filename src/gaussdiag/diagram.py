@@ -19,14 +19,18 @@ without revalidating; both paths set attributes only in ``_assemble``.
 
 Every normal form scans (``_least_rotations``) a diagram's two position
 rows (``_rows``): chord labels, and one int per role and sign.
+
+Every value type of the package, here and in ``moves``, ``simplify`` and
+``render``, is a ``_Record``: its fields are its ``__slots__``, and the
+base writes equality, hash, repr, pickling and immutability once.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from collections.abc import Iterable, Iterator, Mapping
+from operator import attrgetter
 from types import MappingProxyType
-from typing import Iterable, Iterator, Mapping
 
 TAIL = "tail"  # overcrossing pass, letter O
 HEAD = "head"  # undercrossing pass, letter U
@@ -53,19 +57,69 @@ def label_key(label: str):
     return (0, int(label), label) if label.isascii() and label.isdigit() else (1, 0, label)
 
 
-@dataclass(frozen=True)
-class Endpoint:
+# how a record's __init__ sets its slots, past the record's __setattr__
+_set = object.__setattr__
+
+
+class _Record:
+    """Base of the library's immutable value types.
+
+    A record lists its fields once, as its ``__slots__`` (a slot whose name
+    starts with ``_`` is not a field), and its own ``__init__`` sets them
+    with ``_set``.  Two records are equal when they are of one class with
+    equal fields; a record hashes and prints (``Name(field=value, ...)``)
+    as its fields, pickles and copies through its constructor, and refuses
+    assignment and deletion.  ``__match_args__`` is the fields in order.
+    """
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")
+        cls.__match_args__ = cls._fields
+        # the class and then the field values: what == and hash compare
+        cls._key = attrgetter("__class__", *cls._fields)
+
+    def _values(self) -> tuple:
+        """The field values in field order: the constructor's arguments."""
+        return self._key(self)[1:]
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._key(self) == other._key(other)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class Endpoint(_Record):
     """One chord occurrence on the circle: a label plus its tail/head role."""
 
-    chord: str
-    role: str
+    __slots__ = ("chord", "role")
+
+    def __init__(self, chord: str, role: str):
+        _set(self, "chord", chord)
+        _set(self, "role", role)
 
     def __repr__(self):
         return "{}{}".format("T" if self.role == TAIL else "H", self.chord)
 
 
-@dataclass(frozen=True)
-class GaussDiagram:
+class GaussDiagram(_Record):
     """2n chord endpoints read counterclockwise, plus one sign per chord.
 
     Construction validates the invariants: every chord label appears exactly
@@ -76,11 +130,10 @@ class GaussDiagram:
     return new values.
     """
 
-    endpoints: tuple
-    signs: Mapping[str, int]
+    __slots__ = ("endpoints", "signs", "_pos")  # _pos: chord -> {role: position}
 
-    def __post_init__(self):
-        endpoints = tuple(self.endpoints)
+    def __init__(self, endpoints: Iterable[Endpoint], signs: Mapping[str, int]):
+        endpoints = tuple(endpoints)
         pos = {}  # chord -> {role: position}
         for i, ep in enumerate(endpoints):
             if not isinstance(ep, Endpoint):
@@ -96,7 +149,7 @@ class GaussDiagram:
         for chord, roles in pos.items():
             if len(roles) == 1:
                 raise ValueError(f"chord {chord} appears only once")
-        signs = dict(self.signs)
+        signs = dict(signs)
         for chord, sign in signs.items():
             if chord not in pos:
                 raise ValueError(f"sign given for unknown chord {chord}")
@@ -165,11 +218,11 @@ def _trusted(endpoints: Iterable[Endpoint], signs: Mapping[str, int]) -> GaussDi
 
 
 def _assemble(d: GaussDiagram, endpoints: tuple, signs: dict, pos: dict) -> GaussDiagram:
-    """Set d's three attributes; no other code does.  d takes ``signs`` over
+    """Set d's three slots; no other code does.  d takes ``signs`` over
     behind a read-only view; ``pos`` maps chord -> {role: position}."""
-    object.__setattr__(d, "endpoints", endpoints)
-    object.__setattr__(d, "signs", MappingProxyType(signs))
-    object.__setattr__(d, "_pos", pos)
+    _set(d, "endpoints", endpoints)
+    _set(d, "signs", MappingProxyType(signs))
+    _set(d, "_pos", pos)
     return d
 
 

@@ -74,9 +74,8 @@ insertion moves, and take the parent's ``_fresh_labels``.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Mapping
 from operator import itemgetter
-from typing import Mapping, Union
 
 from .diagram import (
     EMPTY,
@@ -87,7 +86,9 @@ from .diagram import (
     _adjacent,
     _arrangements,
     _interleaved,
+    _Record,
     _rows,
+    _set,
     _trusted,
     _valid_sign,
     label_key,
@@ -101,10 +102,9 @@ class MoveNotApplicable(Exception):
     """The move's precondition fails on the target diagram."""
 
 
-def _sorted_labels(move) -> tuple:
+def _sorted_labels(move, chords) -> tuple:
     """The labels an R2Delete or an R3 names, in ``label_key`` order;
     ValueError for a bare string or a label that is not a string."""
-    chords = move.chords
     try:
         if not isinstance(chords, str):
             return tuple(sorted(chords, key=label_key))
@@ -113,67 +113,71 @@ def _sorted_labels(move) -> tuple:
     raise ValueError(f"{type(move).__name__} needs a tuple of label strings, got {chords!r}")
 
 
-@dataclass(frozen=True)
-class R1Delete:
-    chord: str
+class R1Delete(_Record):
+    __slots__ = ("chord",)
 
-    def __post_init__(self):
-        if not isinstance(self.chord, str):
-            raise ValueError(f"R1Delete needs a label string, got {self.chord!r}")
-
-
-@dataclass(frozen=True)
-class R1Insert:
-    gap: int
-    sign: int
-    head_first: bool  # True: head immediately counterclockwise-before tail
+    def __init__(self, chord: str):
+        if not isinstance(chord, str):
+            raise ValueError(f"R1Delete needs a label string, got {chord!r}")
+        _set(self, "chord", chord)
 
 
-@dataclass(frozen=True)
-class R2Delete:
-    chords: tuple
+class R1Insert(_Record):
+    # head_first True: head immediately counterclockwise-before tail
+    __slots__ = ("gap", "sign", "head_first")
 
-    def __post_init__(self):
-        pair = _sorted_labels(self)
+    def __init__(self, gap: int, sign: int, head_first: bool):
+        _set(self, "gap", gap)
+        _set(self, "sign", sign)
+        _set(self, "head_first", head_first)
+
+
+class R2Delete(_Record):
+    __slots__ = ("chords",)
+
+    def __init__(self, chords: tuple):
+        pair = _sorted_labels(self, chords)
         if len(pair) != 2 or pair[0] == pair[1]:
             raise ValueError("R2Delete needs two distinct chords")
-        object.__setattr__(self, "chords", pair)
+        _set(self, "chords", pair)
 
 
-@dataclass(frozen=True)
-class R2Insert:
-    head_gap: int
-    tail_gap: int
-    first_sign: int
-    crossed: bool
+class R2Insert(_Record):
+    __slots__ = ("head_gap", "tail_gap", "first_sign", "crossed")
+
+    def __init__(self, head_gap: int, tail_gap: int, first_sign: int, crossed: bool):
+        _set(self, "head_gap", head_gap)
+        _set(self, "tail_gap", tail_gap)
+        _set(self, "first_sign", first_sign)
+        _set(self, "crossed", crossed)
 
 
-@dataclass(frozen=True)
-class R3:
-    chords: tuple
+class R3(_Record):
+    __slots__ = ("chords",)
 
-    def __post_init__(self):
-        triple = _sorted_labels(self)
+    def __init__(self, chords: tuple):
+        triple = _sorted_labels(self, chords)
         if len(triple) != 3 or len(set(triple)) != 3:
             raise ValueError("R3 needs three distinct chords")
-        object.__setattr__(self, "chords", triple)
+        _set(self, "chords", triple)
 
 
-Move = Union[R1Delete, R1Insert, R2Delete, R2Insert, R3]
+Move = R1Delete | R1Insert | R2Delete | R2Insert | R3
 
 
-@dataclass(frozen=True)
-class ChordNumbers:
+class ChordNumbers(_Record):
     """Per-chord analysis record for a matched triple."""
 
-    sign: int
-    parity: int
-    direction: int
-    three_sign: int
+    __slots__ = ("sign", "parity", "direction", "three_sign")
+
+    def __init__(self, sign: int, parity: int, direction: int, three_sign: int):
+        _set(self, "sign", sign)
+        _set(self, "parity", parity)
+        _set(self, "direction", direction)
+        _set(self, "three_sign", three_sign)
 
 
-@dataclass(frozen=True)
-class TripleAnalysis:
+class TripleAnalysis(_Record):
     """Verdict for one chord triple.
 
     When matched, the three arcs are reported as (start, end) position
@@ -181,12 +185,17 @@ class TripleAnalysis:
     its ChordNumbers.  movable == matched and all three 3-signs equal.
     """
 
-    matched: bool
-    movable: bool
-    heads_arc: tuple | None
-    tails_arc: tuple | None
-    mixed_arc: tuple | None
-    chords: Mapping[str, ChordNumbers]
+    __slots__ = ("matched", "movable", "heads_arc", "tails_arc", "mixed_arc", "chords")
+
+    def __init__(self, matched: bool, movable: bool, heads_arc: tuple | None,
+                 tails_arc: tuple | None, mixed_arc: tuple | None,
+                 chords: Mapping[str, ChordNumbers]):
+        _set(self, "matched", matched)
+        _set(self, "movable", movable)
+        _set(self, "heads_arc", heads_arc)
+        _set(self, "tails_arc", tails_arc)
+        _set(self, "mixed_arc", mixed_arc)
+        _set(self, "chords", chords)
 
 
 def _adjacent_pairs(d: GaussDiagram):
@@ -483,7 +492,7 @@ def _rewrite(d: GaussDiagram, move: Move):
             raise MoveNotApplicable(blocker)
         gone = move.chords
     elif isinstance(move, (R1Insert, R2Insert)):
-        fields = tuple(vars(move).values())  # gap(s), sign, flag: _insertion_fields order
+        fields = move._values()  # gap(s), sign, flag: _insertion_fields order
         flag = "head_first" if isinstance(move, R1Insert) else "crossed"
         _check_insertion(d, fields[:-2], fields[-2], flag, fields[-1])
         blocks, add = _insertion_blocks(fields, _fresh_labels(d, 2))
@@ -669,13 +678,16 @@ def parse_move(spec: str) -> Move:
 
 # ------------------------------------------------------------------- census
 
-@dataclass(frozen=True)
-class CensusResult:
-    chords: int
-    total: int
-    matched: int
-    movable: int
-    movable_up_to_rotation: int
+class CensusResult(_Record):
+    __slots__ = ("chords", "total", "matched", "movable", "movable_up_to_rotation")
+
+    def __init__(self, chords: int, total: int, matched: int, movable: int,
+                 movable_up_to_rotation: int):
+        _set(self, "chords", chords)
+        _set(self, "total", total)
+        _set(self, "matched", matched)
+        _set(self, "movable", movable)
+        _set(self, "movable_up_to_rotation", movable_up_to_rotation)
 
 
 def _heads_arc_key(endpoints, arcs) -> tuple:

@@ -11,18 +11,19 @@ grid plus a legend line per chord: "label: tailpos->headpos sign".
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from .diagram import TAIL, GaussDiagram
+from .diagram import TAIL, GaussDiagram, _Record, _set
 
 ASCII_FORMAT = "ascii"
 SVG_FORMAT = "svg"
 
 
-@dataclass(frozen=True)
-class RenderOptions:
-    format: str = ASCII_FORMAT
-    size: int = 480
+class RenderOptions(_Record):
+    __slots__ = ("format", "size")
+
+    def __init__(self, format: str = ASCII_FORMAT, size: int = 480):
+        _set(self, "format", format)
+        _set(self, "size", size)
 
 
 def _angle(d: GaussDiagram, pos: int) -> float:

@@ -22,11 +22,9 @@ which it reads the trace back.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Optional
 
 from .codec import _canonical_code, serialize_gauss_code
-from .diagram import GaussDiagram, canonical
+from .diagram import GaussDiagram, _Record, _set, canonical
 from .moves import (
     MoveNotApplicable,
     R1Delete,
@@ -44,35 +42,42 @@ from .moves import (
 )
 
 
-@dataclass(frozen=True)
-class SearchLimits:
+class SearchLimits(_Record):
     """Limits for simplify: max_states bounds the states expanded,
     allow_insertions turns R1/R2 insertions on, and max_chords caps the
     chord count they may grow a state to (None: input chord count + 2)."""
 
-    max_states: int = 100000
-    allow_insertions: bool = False
-    max_chords: Optional[int] = None
+    __slots__ = ("max_states", "allow_insertions", "max_chords")
+
+    def __init__(self, max_states: int = 100000, allow_insertions: bool = False,
+                 max_chords: int | None = None):
+        _set(self, "max_states", max_states)
+        _set(self, "allow_insertions", allow_insertions)
+        _set(self, "max_chords", max_chords)
 
 
-@dataclass(frozen=True)
-class SimplifyResult:
+class SimplifyResult(_Record):
     """final diagram, trace of (move, canonical form after the move),
     states explored, and whether the state budget truncated the search.
     The trace is the search's stored moves from the input: the final
     diagram is where they lead, and each trace entry's canonical form is
     built from the state after its move."""
 
-    final: GaussDiagram
-    trace: tuple
-    states_explored: int
-    limit_hit: bool
+    __slots__ = ("final", "trace", "states_explored", "limit_hit")
+
+    def __init__(self, final: GaussDiagram, trace: tuple, states_explored: int, limit_hit: bool):
+        _set(self, "final", final)
+        _set(self, "trace", trace)
+        _set(self, "states_explored", states_explored)
+        _set(self, "limit_hit", limit_hit)
 
 
-@dataclass(frozen=True)
-class TraceCheck:
-    ok: bool
-    failed_step: Optional[int] = None
+class TraceCheck(_Record):
+    __slots__ = ("ok", "failed_step")
+
+    def __init__(self, ok: bool, failed_step: int | None = None):
+        _set(self, "ok", ok)
+        _set(self, "failed_step", failed_step)
 
     def __bool__(self):
         return self.ok

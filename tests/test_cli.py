@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import io
 import json
+import os
 import subprocess
 import sys
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import pytest
 
+import gaussdiag
 from gaussdiag import parse_gauss_code
 from gaussdiag.cli import _MAX_RANDOM_CHORDS, main
 
@@ -294,3 +297,21 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "ok: 2 chords, writhe -2\n"
+
+
+def test_start_up_imports_no_code_generation_machinery():
+    # the package and its CLI import neither dataclasses nor inspect nor
+    # typing, even in an interpreter whose site module imported nothing
+    src = Path(gaussdiag.__file__).resolve().parents[1]
+    check = (
+        "import sys, gaussdiag, gaussdiag.cli; "
+        "print(sorted({'dataclasses', 'inspect', 'typing'} & set(sys.modules)))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", check],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(src)),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

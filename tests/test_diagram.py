@@ -1,5 +1,6 @@
 """Core diagram type: validation, positions, crossing, canonical form,
-enumeration, and the seeded generator."""
+enumeration, and the seeded generator; the value types' shared record
+behaviour (equality, hash, repr, pickling, immutability)."""
 
 from __future__ import annotations
 
@@ -13,14 +14,28 @@ from gaussdiag import (
     EMPTY,
     HEAD,
     TAIL,
+    CensusResult,
+    ChordNumbers,
     Endpoint,
+    R1Delete,
+    R1Insert,
+    R2Delete,
+    R2Insert,
+    R3,
+    RenderOptions,
+    SearchLimits,
+    SimplifyResult,
+    TraceCheck,
+    TripleAnalysis,
     adjacent,
+    analyze_triple,
     canonical,
     chords_cross,
     enumerate_diagrams,
     make_diagram,
     parse_gauss_code,
     random_diagram,
+    reduce_greedy,
     rotate,
     same_diagram,
     serialize_gauss_code,
@@ -32,6 +47,77 @@ TREFOIL = "O1- O2- U1- U2-"
 
 def trefoil():
     return parse_gauss_code(TREFOIL)
+
+
+def _movable_triple():
+    return analyze_triple(parse_gauss_code("O1- O2- U1- O3- U2- U3-"), ("1", "2", "3"))
+
+
+# every value type: (a builder of one value, a value that differs from it,
+# in its last field where it has more than one, the builder's value's repr,
+# and the fields in order)
+RECORDS = {
+    "Endpoint": (lambda: Endpoint("1", TAIL), Endpoint("1", HEAD), "T1", ("chord", "role")),
+    "GaussDiagram": (
+        trefoil, parse_gauss_code("O1+ O2+ U1+ U2+"),
+        "GaussDiagram('O1- O2- U1- U2-')", ("endpoints", "signs"),
+    ),
+    "R1Delete": (lambda: R1Delete("1"), R1Delete("2"), "R1Delete(chord='1')", ("chord",)),
+    "R1Insert": (
+        lambda: R1Insert(0, 1, True), R1Insert(0, 1, False),
+        "R1Insert(gap=0, sign=1, head_first=True)", ("gap", "sign", "head_first"),
+    ),
+    "R2Delete": (
+        lambda: R2Delete(("2", "1")), R2Delete(("1", "3")),
+        "R2Delete(chords=('1', '2'))", ("chords",),
+    ),
+    "R2Insert": (
+        lambda: R2Insert(0, 1, -1, False), R2Insert(0, 1, -1, True),
+        "R2Insert(head_gap=0, tail_gap=1, first_sign=-1, crossed=False)",
+        ("head_gap", "tail_gap", "first_sign", "crossed"),
+    ),
+    "R3": (lambda: R3(("3", "1", "2")), R3(("1", "2", "4")), "R3(chords=('1', '2', '3'))", ("chords",)),
+    "ChordNumbers": (
+        lambda: ChordNumbers(1, -1, 1, -1), ChordNumbers(1, -1, 1, 1),
+        "ChordNumbers(sign=1, parity=-1, direction=1, three_sign=-1)",
+        ("sign", "parity", "direction", "three_sign"),
+    ),
+    "TripleAnalysis": (
+        _movable_triple, TripleAnalysis(True, True, (4, 5), (0, 1), (2, 3), {}),
+        "TripleAnalysis(matched=True, movable=True, heads_arc=(4, 5), tails_arc=(0, 1), "
+        "mixed_arc=(2, 3), chords={"
+        "'1': ChordNumbers(sign=-1, parity=-1, direction=1, three_sign=1), "
+        "'2': ChordNumbers(sign=-1, parity=1, direction=-1, three_sign=1), "
+        "'3': ChordNumbers(sign=-1, parity=-1, direction=1, three_sign=1)})",
+        ("matched", "movable", "heads_arc", "tails_arc", "mixed_arc", "chords"),
+    ),
+    "CensusResult": (
+        lambda: CensusResult(3, 960, 768, 192, 32), CensusResult(3, 960, 768, 192, 31),
+        "CensusResult(chords=3, total=960, matched=768, movable=192, movable_up_to_rotation=32)",
+        ("chords", "total", "matched", "movable", "movable_up_to_rotation"),
+    ),
+    "SearchLimits": (
+        SearchLimits, SearchLimits(max_chords=4),
+        "SearchLimits(max_states=100000, allow_insertions=False, max_chords=None)",
+        ("max_states", "allow_insertions", "max_chords"),
+    ),
+    "SimplifyResult": (
+        lambda: reduce_greedy(parse_gauss_code("O1+ U1+ O2- U2-")),
+        SimplifyResult(EMPTY, (), 3, True),
+        "SimplifyResult(final=GaussDiagram(''), trace=((R1Delete(chord='1'), "
+        "GaussDiagram('O1- U1-')), (R1Delete(chord='2'), GaussDiagram(''))), "
+        "states_explored=3, limit_hit=False)",
+        ("final", "trace", "states_explored", "limit_hit"),
+    ),
+    "TraceCheck": (
+        lambda: TraceCheck(True), TraceCheck(True, 0), "TraceCheck(ok=True, failed_step=None)",
+        ("ok", "failed_step"),
+    ),
+    "RenderOptions": (
+        RenderOptions, RenderOptions(size=100), "RenderOptions(format='ascii', size=480)",
+        ("format", "size"),
+    ),
+}
 
 
 # ------------------------------------------------------------- construction
@@ -89,6 +175,20 @@ def test_diagram_is_immutable_and_hashable():
         d.endpoints = ()
     assert hash(d) == hash(trefoil())
     assert d == trefoil()
+    # every value type: no field can be set or deleted, nor a new attribute
+    # added; equal values hash alike, but a dict field cannot hash
+    for make, _, _, fields in RECORDS.values():
+        value = make()
+        for name in (*fields, "extra"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
+        if isinstance(value, TripleAnalysis):
+            with pytest.raises(TypeError):
+                hash(value)
+        else:
+            assert hash(value) == hash(make())
 
 
 def test_endpoint_repr():
@@ -106,6 +206,29 @@ def test_pickle_and_deepcopy_roundtrip():
         for clone in (pickle.loads(pickle.dumps(d)), copy.deepcopy(d)):
             assert clone == d
             assert hash(clone) == hash(d)
+    for make, _, _, _ in RECORDS.values():
+        value = make()
+        for clone in (pickle.loads(pickle.dumps(value)), copy.copy(value), copy.deepcopy(value)):
+            assert type(clone) is type(value)
+            assert clone == value and repr(clone) == repr(value)
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_value_type_parity(name):
+    # each value type behaves as it did as a frozen dataclass: equal only to
+    # an equal value of its class, the same repr, keyword construction with
+    # the same defaults, and __match_args__ in field order
+    make, other, text, fields = RECORDS[name]
+    value = make()
+    assert type(value).__name__ == name
+    assert value == make() and not value != make()
+    assert value != other and not value == other
+    for foreign in (object(), None, text, dict(zip(fields, fields))):
+        assert value.__eq__(foreign) is NotImplemented
+        assert value != foreign and not value == foreign
+    assert repr(value) == text
+    assert type(value).__match_args__ == fields
+    assert type(value)(**{field: getattr(value, field) for field in fields}) == value
 
 
 # ----------------------------------------------------------------- accessors
