@@ -4,9 +4,10 @@ kill each one.
 ``MUTANTS`` is the mutant table: one row per mutant, giving its name, the
 module it edits, the exact source line (without its indentation, which
 must occur exactly once in the module), the one line that replaces it and
-the layer it breaks.  The layers are the scan and canonical code, move
-detection, the R3 triple kernel, the rewrite, the search's walk over a
-move family, the census, the search and the value types' record base.
+the layer it breaks.  The layers are the Gauss-code reader, the scan and
+canonical code, move detection, the R3 triple kernel, the rewrite, the
+search's walk over a move family, the census, the search and the value
+types' record base.
 
 For each mutant the runner copies ``src/`` to a temporary directory,
 applies the mutant there and runs the tier-1 pytest command with ``-x``
@@ -36,7 +37,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
-LAYERS = ("scan", "detection", "kernel", "rewrite", "walk", "census", "search", "values")
+LAYERS = ("codec", "scan", "detection", "kernel", "rewrite", "walk", "census", "search", "values")
 KNOWN_FAILURE = "tests/test_acceptance.py::test_criterion_6_rearrangement_preserves_structure"
 TIMEOUT = 1800  # seconds per mutant; a mutant that hangs the suite counts as killed
 
@@ -50,6 +51,31 @@ class Mutant(NamedTuple):
 
 
 MUTANTS = (
+    # the Gauss-code reader
+    Mutant(
+        "codec-chord-error-at-once", "codec.py",
+        'held = ParseError(f"token {ti}: sign mismatch for chord {label}", ti, start)',
+        'raise ParseError(f"token {ti}: sign mismatch for chord {label}", ti, start)',
+        "codec",
+    ),
+    Mutant(
+        "codec-offset-one-past", "codec.py",
+        'f"token {ti}: chord {label} has two {ch.upper()} occurrences", ti, start',
+        'f"token {ti}: chord {label} has two {ch.upper()} occurrences", ti, start + 1',
+        "codec",
+    ),
+    Mutant(
+        "codec-repeated-role", "codec.py",
+        "if held is None and role in roles:",
+        "if False:",
+        "codec",
+    ),
+    Mutant(
+        "codec-later-chord-error", "codec.py",
+        "elif held is None and signs.setdefault(label, sign) != sign:",
+        "elif signs.setdefault(label, sign) != sign:",
+        "codec",
+    ),
     # the scan and canonical code
     Mutant(
         "scan-tie-stop", "diagram.py",

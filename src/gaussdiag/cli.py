@@ -9,7 +9,6 @@ error, 2 move not applicable.  With --json, failures fill the envelope.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 
 from .codec import _canonical_code, parse_gauss_code, serialize_gauss_code
@@ -34,6 +33,8 @@ def _read_code(arg: str) -> str:
 
 
 def _emit_json(ok: bool, result, error):
+    import json  # only --json output needs it, so other commands do not load it
+
     print(json.dumps({"ok": ok, "result": result, "error": error}))
 
 

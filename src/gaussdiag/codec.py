@@ -4,14 +4,19 @@ A Gauss code is a sequence of tokens, one per chord endpoint in
 counterclockwise order.  Each token is ROLE LABEL SIGN where ROLE is O
 (over, chord tail) or U (under, chord head), LABEL is [A-Za-z0-9_]+ and
 SIGN is + or -.  Tokens may be juxtaposed or separated by whitespace or
-commas: every token ends at its sign character, so "O1-O2-U1-U2-" lexes
+commas: every token ends at its sign character, so "O1-O2-U1-U2-" reads
 unambiguously.  The typographic minus U+2212 is accepted on input and
 never emitted.
 
-Both readers are trust boundaries.  The parser's token checks, whose
-messages name the token, prove every diagram invariant, so it builds
-through ``diagram._trusted``; ``from_structured`` checks only the
-document's shape and builds through the validating ``make_diagram``.
+Both readers are trust boundaries.  ``parse_gauss_code`` reads the text
+in one pass, checking each token's chord as it goes: an unreadable token
+raises at once, but a chord error (a repeated role, a changed sign) is
+held until the whole text is read, so an unreadable token later on wins
+over it; a chord that appears only once is reported last.  Those checks,
+whose messages name the token, prove every diagram invariant, so the
+parser builds through ``diagram._trusted``; ``from_structured`` checks
+only the document's shape and builds through the validating
+``make_diagram``.
 
 ``_canonical_code`` spells the canonical code from the scan of a
 diagram's rows, so the search keys a child without building it.
@@ -48,31 +53,28 @@ class ParseError(ValueError):
         self.position = position
 
 
-def _lex(text: str):
-    tokens = []
-    i = 0
-    ti = 0
+def parse_gauss_code(text: str) -> GaussDiagram:
+    """Parse a Gauss code in one pass; token i becomes endpoint i.  Raises
+    ParseError with the offending token index on any malformed or
+    inconsistent input, in the order the module docstring gives."""
+    endpoints, signs, seen = [], {}, {}  # seen: label -> {role: token index}
+    held = None  # the first chord error, raised once every token is read
+    i = ti = 0
     while i < len(text):
-        ch = text[i]
+        start, ch = i, text[i]
+        i += 1
         if ch in _SEPARATORS:
-            i += 1
             continue
-        start = i
         if ch not in "OoUu":
             raise ParseError(
-                f"token {ti} (char {i}): expected role letter O or U, found {ch!r}",
-                ti,
-                i,
+                f"token {ti} (char {start}): expected role letter O or U, found {ch!r}", ti, start
             )
-        role = TAIL if ch in "Oo" else HEAD
-        i += 1
-        lab_start = i
         while i < len(text) and text[i] in LABEL_CHARS:
             i += 1
-        label = text[lab_start:i]
+        label = text[start + 1 : i]
         if not label:
             raise ParseError(f"token {ti} (char {start}): empty label", ti, start)
-        if i >= len(text) or text[i] not in _SIGN_CHARS:
+        if i == len(text) or text[i] not in _SIGN_CHARS:
             found = repr(text[i]) if i < len(text) else "end of input"
             raise ParseError(
                 f"token {ti} (char {start}): missing sign after label {label!r}, found {found}",
@@ -81,32 +83,22 @@ def _lex(text: str):
             )
         sign = _SIGN_CHARS[text[i]]
         i += 1
-        tokens.append((role, label, sign, ti, start))
-        ti += 1
-    return tokens
-
-
-def parse_gauss_code(text: str) -> GaussDiagram:
-    """Parse a Gauss code; token i becomes endpoint i.  Raises ParseError
-    with the offending token index on any malformed or inconsistent input."""
-    endpoints = []
-    signs = {}
-    seen = {}
-    for role, label, sign, ti, pos in _lex(text):
-        occurrences = seen.setdefault(label, {})
-        if role in occurrences:
-            letter = "O" if role == TAIL else "U"
-            raise ParseError(
-                f"token {ti}: chord {label} has two {letter} occurrences", ti, pos
+        role = TAIL if ch in "Oo" else HEAD
+        roles = seen.setdefault(label, {})
+        if held is None and role in roles:
+            held = ParseError(
+                f"token {ti}: chord {label} has two {ch.upper()} occurrences", ti, start
             )
-        if label in signs and signs[label] != sign:
-            raise ParseError(f"token {ti}: sign mismatch for chord {label}", ti, pos)
-        occurrences[role] = ti
-        signs[label] = sign
+        elif held is None and signs.setdefault(label, sign) != sign:
+            held = ParseError(f"token {ti}: sign mismatch for chord {label}", ti, start)
+        roles[role] = ti
         endpoints.append(Endpoint(label, role))
-    for label, occurrences in seen.items():
-        if len(occurrences) == 1:
-            ti = next(iter(occurrences.values()))
+        ti += 1
+    if held is not None:
+        raise held
+    for label, roles in seen.items():
+        if len(roles) == 1:
+            (ti,) = roles.values()
             raise ParseError(f"token {ti}: chord {label} appears only once", ti)
     return _trusted(endpoints, signs)
 

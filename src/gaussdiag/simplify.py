@@ -24,7 +24,7 @@ from __future__ import annotations
 import heapq
 
 from .codec import _canonical_code, serialize_gauss_code
-from .diagram import GaussDiagram, _Record, _set, canonical
+from .diagram import GaussDiagram, _Record, _rows, _set, canonical
 from .moves import (
     MoveNotApplicable,
     R1Delete,
@@ -107,10 +107,11 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
     """Best-first search for a minimum-chord-count diagram.
 
     States are keyed by canonical code, the serialized canonical form
-    spelled straight from the least-rotation encoding of a child's rows:
-    its parent's rows as ``moves._family_rows`` edits them.  The
-    frontier is ordered by (chord count, canonical code), which fixes the
-    expansion order and makes the result deterministic for given limits.
+    spelled straight from the least-rotation encoding of a state's rows:
+    the input's own for the start, and for a child its parent's rows as
+    ``moves._family_rows`` edits them.  The frontier is ordered by (chord
+    count, canonical code), which fixes the expansion order and makes the
+    result deterministic for given limits.
     Ties among final states break toward the lexicographically least
     canonical code.
 
@@ -149,7 +150,7 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
 
     # the move families by the chords they add, in enumerate_moves order
     kinds = {-1: R1Delete, -2: R2Delete, 0: R3, 1: R1Insert, 2: R2Insert}
-    start_key = serialize_gauss_code(canonical(d))
+    start_key = _canonical_code(*_rows(d.endpoints, d.signs))
     info = {start_key: (None, None)}  # canonical code -> (parent's code, move)
     concrete = {start_key: d}  # canonical code -> diagram, for popped states
     pending = {}  # chord count -> [(parent's code, chords its family adds)]

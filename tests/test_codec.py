@@ -2,7 +2,9 @@
 
 The malformed-input table below is the rejection contract: twenty cases
 covering sign mismatch, triple occurrence, lone occurrence, empty label,
-and bad character, each pinned to its exact diagnostic.
+and bad character, each pinned to its exact diagnostic.  The location
+table pins where each error is reported, and which error wins when a
+text has two.
 """
 
 from __future__ import annotations
@@ -60,6 +62,56 @@ def test_error_table_has_twenty_cases():
 def test_malformed_input_rejected(text, message):
     with pytest.raises(ParseError, match="^" + re.escape(message) + "$"):
         parse_gauss_code(text)
+
+
+# (input, token_index, position): every ERROR_TABLE input, in its order,
+# then texts with two errors.  An unreadable token wins over a chord error
+# before it, the first chord error over a later one, and a chord error
+# over a lone chord ("O1+ U2+" above: the first lone chord wins).  Chord
+# errors give their token's char offset, a lone chord none.
+LOCATION_TABLE = [
+    ("O1+ U1-", 1, 4),
+    ("U2- O2+", 1, 4),
+    ("O1- U2+ U1+ O2+", 2, 8),
+    ("Oa+ Ua− Ua+", 1, 4),
+    ("O1+ U1+ O1+", 2, 8),
+    ("O1+ U1+ U1+", 2, 8),
+    ("O1- O1-", 1, 4),
+    ("U3+ U3+ O3+", 1, 4),
+    ("O1+", 0, None),
+    ("O1+ U2+", 0, None),
+    ("O1- U1- O5+", 2, None),
+    ("U2- O2- O4+", 2, None),
+    ("O+ U+", 0, 0),
+    ("O1+ U+", 1, 4),
+    ("U- O-", 0, 0),
+    ("O1+U1+O-U-", 2, 6),
+    ("X1+ U1+", 0, 0),
+    ("O1* U1*", 0, 0),
+    ("O1", 0, 0),
+    ("O1!+ U1+", 0, 0),
+    # two errors
+    ("O1+ O1+ X", 2, 8),  # the role letter, not two O occurrences
+    ("O1+ U1- O2", 2, 8),  # the missing sign, not the sign mismatch
+    ("O1+ O1+ U1-", 1, 4),  # two O occurrences, not the sign mismatch
+    ("O1+ O1+ U2+", 1, 4),  # two O occurrences, not the lone chord 2
+    ("O1+ U1- U2+", 1, 4),  # the sign mismatch, not the lone chord 2
+]
+
+
+def test_location_table_has_twenty_five_cases():
+    assert len(LOCATION_TABLE) == 25
+    assert [text for text, _, _ in LOCATION_TABLE[:20]] == [text for text, _ in ERROR_TABLE]
+
+
+@pytest.mark.parametrize(
+    "text, token_index, position", LOCATION_TABLE, ids=range(len(LOCATION_TABLE))
+)
+def test_error_location(text, token_index, position):
+    with pytest.raises(ParseError) as caught:
+        parse_gauss_code(text)
+    assert (caught.value.token_index, caught.value.position) == (token_index, position)
+    assert str(caught.value).startswith(f"token {token_index}")
 
 
 def test_parse_error_is_value_error():
