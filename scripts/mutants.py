@@ -259,8 +259,14 @@ MUTANTS = (
     # the search
     Mutant(
         "search-key-late", "simplify.py",
-        "if frontier and count > frontier[0][0]:",
-        "if frontier and count >= frontier[0][0]:",
+        "entry = (count, 1, child_key)",
+        "entry = (count, -1, child_key)",
+        "search",
+    ),
+    Mutant(
+        "search-newest-family-first", "simplify.py",
+        "heapq.heappush(queue, (count + change, 0, explored, key, change))",
+        "heapq.heappush(queue, (count + change, 0, -explored, key, change))",
         "search",
     ),
     Mutant(

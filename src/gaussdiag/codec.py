@@ -123,11 +123,8 @@ _TOKENS = _EntryTable(_token)  # least-rotation entry -> its token
 def _canonical_code(chords, bases) -> str:
     """serialize_gauss_code(canonical(d)) for the diagram d with these
     ``diagram._rows``, spelled straight from the least-rotation encoding
-    without building d or its canonical form."""
-    code = _least_rotations(chords, bases)
-    if code is None:
-        return ""
-    return " ".join(map(_TOKENS.__getitem__, code))
+    without building d or its canonical form: "" for the empty diagram."""
+    return " ".join(map(_TOKENS.__getitem__, _least_rotations(chords, bases)))
 
 
 def to_structured(d: GaussDiagram) -> dict:

@@ -235,6 +235,8 @@ def adjacent(d: GaussDiagram, p: int, q: int) -> bool:
     if m == 0:
         raise ValueError("empty diagram has no positions")
     for x in (p, q):
+        if type(x) is not int:
+            raise ValueError(f"position {x!r} is not an int")
         if not 0 <= x < m:
             raise ValueError(f"position {x} out of range for {m} endpoints")
     if p == q:
@@ -300,10 +302,10 @@ def _least_rotations(chords, bases):
     length, and the first one ends the scan: a diagram that ties with
     itself at shift k is periodic, so no later start can beat the best.
     The rest of the final best is encoded once at the end.  The empty
-    diagram has encoding None."""
+    diagram has encoding ()."""
     m = len(chords)
     if m == 0:
-        return None
+        return ()
     chords, bases = chords * 2, bases * 2  # doubled: rotation k reads k..k+m-1
     first = min(bases)
     starts = [k for k in range(m) if bases[k] == first]
@@ -366,10 +368,9 @@ def canonical(d: GaussDiagram) -> GaussDiagram:
     least.  Only rotations starting at a positive chord's tail (any tail if
     none is positive) are tried; every other start encodes larger at its
     first endpoint, so the result is unchanged.  Idempotent and
-    rotation-invariant; mirror images are NOT identified.
+    rotation-invariant; mirror images are NOT identified.  The empty
+    diagram's is a diagram equal to it.
     """
-    if d.n == 0:
-        return d
     code = _least_rotations(*_rows(d.endpoints, d.signs))
     ends = list(map(_CANONICAL_ENDS.__getitem__, code))
     return _trusted([ep for ep, _ in ends], {ep.chord: sign for ep, sign in ends})

@@ -6,17 +6,17 @@ best-first search over everything reachable by deletions and R3 (plus
 insertions under a chord cap when enabled), deduplicating states by their
 canonical code string, and returns a minimum-chord-count state with a
 replayable trace.  The search stores each state as its parent's code and
-the move from it, and keys children one chord count at a time from their
-parent's ``diagram._rows``.  A pending entry is a parent's code with one
-move family, tagged by the chords it adds: -1 for its R1 deletions, -2
-for its R2 deletions, 0 for its R3s, and 1 and 2 for its R1 and R2
-insertions where they fit under the cap.  A family's moves are found only
-when its chord count is keyed, by one walk, ``moves._family_rows``: it
-detects a deletion or R3 family or generates an insertion family and
-yields the children's rows, the parent's rows edited by
-``moves._edited``, and a move is built only for a child whose code is
-new.  Diagrams are built only for the states the search expands, from
-which it reads the trace back.
+the move from it.  It expands a state one move family at a time, as A*
+with partial expansion does: one priority queue holds both the states and
+the families still to key, a family being a parent's code with the
+chords it adds: -1 for its R1 deletions, -2 for its R2 deletions, 0 for
+its R3s, and 1 and 2 for its R1 and R2 insertions where they fit under
+the cap.  A family's moves are found only when it pops, by one walk,
+``moves._family_rows``: it detects a deletion or R3 family or generates
+an insertion family and yields the children's rows, the parent's
+``diagram._rows`` edited by ``moves._edited``, and a move is built only
+for a child whose code is new.  Diagrams are built only for the states
+the search expands, from which it reads the trace back.
 """
 
 from __future__ import annotations
@@ -45,7 +45,10 @@ from .moves import (
 class SearchLimits(_Record):
     """Limits for simplify: max_states bounds the states expanded,
     allow_insertions turns R1/R2 insertions on, and max_chords caps the
-    chord count they may grow a state to (None: input chord count + 2)."""
+    chord count they may grow a state to (None: input chord count + 2).
+    Construction checks nothing; simplify raises ValueError unless
+    max_states is an int of at least 1, max_chords None or an int, and
+    allow_insertions a bool."""
 
     __slots__ = ("max_states", "allow_insertions", "max_chords")
 
@@ -109,9 +112,9 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
     States are keyed by canonical code, the serialized canonical form
     spelled straight from the least-rotation encoding of a state's rows:
     the input's own for the start, and for a child its parent's rows as
-    ``moves._family_rows`` edits them.  The frontier is ordered by (chord
-    count, canonical code), which fixes the expansion order and makes the
-    result deterministic for given limits.
+    ``moves._family_rows`` edits them.  States are expanded in (chord
+    count, canonical code) order, which makes the result deterministic
+    for given limits.
     Ties among final states break toward the lexicographically least
     canonical code.
 
@@ -120,28 +123,37 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
     and its R2 insertions when two more do; insertions that cannot fit are
     never generated.
 
-    Each state stores only its parent's code and the move from it.  A
-    child can share a code only with states of its own chord count, so
-    children wait in a pending list per chord count: a count's list is
-    keyed (and deduplicated, the first generated child of a code winning)
-    before the frontier can pop a state of that count or higher.  A
-    generated empty child is keyed at once and ends the search.  An
-    expansion queues one pending entry per move family, (parent's code,
-    chords the family adds), at the count its children have: its R1
-    deletions (-1), R2 deletions (-2) and R3s (0), where that count is not
-    negative, and its R1 (1) and R2 (2) insertions, where they fit.  Each
-    family goes to its own count, so a list holds each parent at most
-    once and its entries in expansion order, and the children are keyed
-    in ``enumerate_moves`` order.  Keying an entry walks the family then,
-    through ``moves._family_rows``, so a family whose count the search
-    never keys is never detected, and a parent's rows are made only for a
-    family that has a move.  A move is built only for a child whose code is new.
-    Diagrams are built only for the states the search pops, each by
-    applying its move to its parent's, and at most one for the trace:
-    every state on its path but the last was popped.
+    Each state stores only its parent's code and the move from it.  An
+    expansion does not key its children: it pushes one family entry per
+    move family onto the queue the states wait in, at the count its
+    children have: its R1 deletions (-1), R2 deletions (-2) and R3s (0),
+    where that count is not negative, and its R1 (1) and R2 (2)
+    insertions, where they fit.  A state's entry is (count, 1, code), a
+    family's (count, 0, its parent's expansion number, parent's code,
+    chords it adds).  A child can share a code only with states of its own
+    chord count, and the tag 0 pops every family of a count before any
+    state of that count or higher: a count's children are all keyed (and
+    deduplicated, the first generated child of a code winning) before one
+    of them can be expanded.  One expansion pushes at most one family per
+    count, so the expansion number orders a count's families uniquely, in
+    expansion order, and the children are keyed in ``enumerate_moves``
+    order.  A family is walked through ``moves._family_rows`` only when it
+    pops, so a family whose count the search never reaches is never
+    detected, and a parent's rows are made only for a family that has a
+    move.  A move is built only for a child whose code is new.  An empty
+    child ends the search once its family is keyed; a popped state ends it
+    when the budget is spent.  Diagrams are built only for the states the
+    search expands, each by applying its move to its parent's, and at most
+    one for the trace: every state on its path but the last was expanded.
     """
+    if type(limits.max_states) is not int:
+        raise ValueError(f"max_states must be positive and an int, got {limits.max_states!r}")
     if limits.max_states < 1:
         raise ValueError("max_states must be positive")
+    if limits.max_chords is not None and type(limits.max_chords) is not int:
+        raise ValueError(f"max_chords must be None or an int, got {limits.max_chords!r}")
+    if type(limits.allow_insertions) is not bool:
+        raise ValueError(f"allow_insertions must be True or False, got {limits.allow_insertions!r}")
     max_chords = limits.max_chords if limits.max_chords is not None else d.n + 2
     if limits.allow_insertions and max_chords < d.n:
         raise ValueError("max_chords must be at least the input's chord count")
@@ -152,48 +164,43 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
     kinds = {-1: R1Delete, -2: R2Delete, 0: R3, 1: R1Insert, 2: R2Insert}
     start_key = _canonical_code(*_rows(d.endpoints, d.signs))
     info = {start_key: (None, None)}  # canonical code -> (parent's code, move)
-    concrete = {start_key: d}  # canonical code -> diagram, for popped states
-    pending = {}  # chord count -> [(parent's code, chords its family adds)]
-    frontier = [(d.n, start_key)]
-    best = (d.n, start_key)
+    concrete = {start_key: d}  # canonical code -> diagram, for expanded states
+    # a state is (chord count, 1, code); a family is (its children's chord
+    # count, 0, its parent's expansion number, parent's code, chords it adds)
+    best = (d.n, 1, start_key)
+    queue = [best]
     explored = 0
     limit_hit = False
 
-    while True:
-        # key every pending count that could hold the next state to pop
-        while pending:
-            count = min(pending)
-            if frontier and count > frontier[0][0]:
+    while queue and best[0]:  # an empty diagram ends the search: nothing beats it
+        entry = heapq.heappop(queue)
+        if entry[1]:  # a state: the budget stops the search, or it is expanded
+            if explored >= limits.max_states:
+                limit_hit = True
                 break
-            for parent, change in pending.pop(count):
-                for fields, chords, bases in _family_rows(concrete[parent], change):
-                    child_key = _canonical_code(chords, bases)
-                    if child_key in info:
-                        continue
-                    info[child_key] = (parent, kinds[change](*fields))
-                    entry = (count, child_key)
-                    if entry < best:
-                        best = entry
-                    heapq.heappush(frontier, entry)
-        if best[0] == 0:
-            break  # an empty diagram was found; nothing can beat it
-        if not frontier:
-            break
-        if explored >= limits.max_states:
-            limit_hit = True
-            break
-        count, key = heapq.heappop(frontier)
-        parent, move = info[key]
-        if parent is not None:
-            concrete[key] = apply_move(concrete[parent], move)
-        explored += 1
-        top = max_chords if limits.allow_insertions else count  # the most chords a child has
-        for change in kinds:  # one entry per family: its moves are found when keyed
-            if 0 <= count + change <= top:
-                pending.setdefault(count + change, []).append((key, change))
+            count, _, key = entry
+            parent, move = info[key]
+            if parent is not None:
+                concrete[key] = apply_move(concrete[parent], move)
+            explored += 1
+            top = max_chords if limits.allow_insertions else count  # the most chords a child has
+            for change in kinds:  # one entry per family: its moves are found when it pops
+                if 0 <= count + change <= top:
+                    heapq.heappush(queue, (count + change, 0, explored, key, change))
+            continue
+        count, _, _, parent, change = entry  # a family: key its children
+        for fields, chords, bases in _family_rows(concrete[parent], change):
+            child_key = _canonical_code(chords, bases)
+            if child_key in info:
+                continue
+            info[child_key] = (parent, kinds[change](*fields))
+            entry = (count, 1, child_key)
+            if entry < best:
+                best = entry
+            heapq.heappush(queue, entry)
 
     # the trace, read back from the final state to the start
-    key = best[1]
+    key = best[2]
     parent, move = info[key]
     final = concrete[key] if key in concrete else apply_move(concrete[parent], move)
     steps = []

@@ -258,6 +258,10 @@ def test_adjacency_wraps():
         adjacent(d, 1, 1)
     with pytest.raises(ValueError, match="out of range"):
         adjacent(d, 0, 4)
+    # a position must be an int: a float or a bool is not read as one
+    for p, q in ((0.5, 1), (1.0, 2), (True, 1)):
+        with pytest.raises(ValueError, match=f"position {p!r} is not an int"):
+            adjacent(d, p, q)
 
 
 def test_chords_cross_trefoil():

@@ -979,7 +979,7 @@ def test_truncated_simplify_matches_oracle(exhaustive_corpus, monkeypatch):
     cases = [(d, max_chords) for d in small for max_chords in (d.n, d.n + 1, d.n + 2)]
     cases += [(random_diagram(3 + s % 2, 800 + s), 5) for s in range(12)]
     # spy on the keying: a chord count keyed between two pops that pushes
-    # no new state is a pending count holding only duplicates
+    # no new state is a family whose children are all duplicates
     search = importlib.import_module("gaussdiag.simplify")
     family_rows = search._family_rows
     keyed, pushed, all_duplicates = set(), set(), []

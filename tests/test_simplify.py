@@ -225,6 +225,19 @@ def test_simplify_chord_cap_blocks_all_insertions():
 def test_simplify_rejects_nonpositive_state_budget():
     with pytest.raises(ValueError, match="max_states must be positive"):
         simplify(d(EX1), SearchLimits(max_states=0))
+    # a limit of the wrong type is rejected, not run: a float budget, a bool
+    # budget or a truthy int turning insertions on (constructing never raises)
+    for limits, message in [
+        (SearchLimits(max_states=2.5), "max_states must be positive"),
+        (SearchLimits(max_states=True), "max_states must be positive"),
+        (SearchLimits(max_states="5"), "max_states must be positive"),
+        (SearchLimits(max_chords=4.0), "max_chords must be None or an int"),
+        (SearchLimits(allow_insertions=True, max_chords=True), "max_chords must be None or an int"),
+        (SearchLimits(allow_insertions=1), "allow_insertions must be True or False"),
+        (SearchLimits(allow_insertions=None), "allow_insertions must be True or False"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            simplify(d(EX1), limits)
 
 
 def test_simplify_rejects_chord_cap_below_input():
@@ -313,6 +326,40 @@ def test_search_detects_only_the_families_it_keys(monkeypatch):
     assert res.final == EMPTY and not res.limit_hit
     assert res.states_explored == 15
     assert calls == {"r2_removable_pairs": 15}
+
+
+def test_search_keys_a_counts_families_in_expansion_order(monkeypatch):
+    # families keyed one after another at one chord count waited together,
+    # and are keyed in the order their parents were expanded, so the first
+    # child of a code comes from the earliest expanded parent (keying them
+    # newest first changes no outcome pinned elsewhere); each expansion but
+    # the start's builds its state through apply_move, so a family's parent
+    # is ranked by when its diagram was built
+    search = importlib.import_module("gaussdiag.simplify")
+    family_rows = search._family_rows
+    expanded, keyed = [], []
+
+    def build(state, move):
+        expanded.append(apply_move(state, move))
+        return expanded[-1]
+
+    def spy_family_rows(state, change):
+        rank = next(i for i, x in enumerate(expanded) if x is state)
+        keyed.append((state.n + change, rank))
+        return family_rows(state, change)
+
+    monkeypatch.setattr(search, "apply_move", build)
+    monkeypatch.setattr(search, "_family_rows", spy_family_rows)
+    runs = 0
+    for start, max_states in [(random_diagram(16, 3), 30), (d(STORED), 100), (d(TREFOIL), 20)]:
+        expanded[:] = [start]
+        keyed.clear()
+        simplify(start, SearchLimits(max_states=max_states, allow_insertions=True))
+        for (count, rank), (next_count, next_rank) in zip(keyed, keyed[1:]):
+            if count == next_count:
+                assert rank < next_rank, (start, count)
+                runs += 1
+    assert runs
 
 
 @pytest.mark.parametrize(
