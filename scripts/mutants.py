@@ -259,14 +259,20 @@ MUTANTS = (
     # the search
     Mutant(
         "search-key-late", "simplify.py",
-        "entry = (count, 1, child_key)",
-        "entry = (count, -1, child_key)",
+        "entry = (count, 1, child_key, state)",
+        "entry = (count, -1, child_key, state)",
         "search",
     ),
     Mutant(
         "search-newest-family-first", "simplify.py",
-        "heapq.heappush(queue, (count + change, 0, explored, key, change))",
-        "heapq.heappush(queue, (count + change, 0, -explored, key, change))",
+        "heapq.heappush(queue, (count + change, 0, explored, key, change, state))",
+        "heapq.heappush(queue, (count + change, 0, -explored, key, change, state))",
+        "search",
+    ),
+    Mutant(
+        "search-family-walks-parent", "simplify.py",
+        "state = apply_move(state, move)",
+        "apply_move(state, move)",
         "search",
     ),
     Mutant(

@@ -270,7 +270,10 @@ def writhe(d: GaussDiagram) -> int:
 
 
 def rotate(d: GaussDiagram, k: int) -> GaussDiagram:
-    """Move the basepoint: endpoint sequence cyclically shifted by k."""
+    """Move the basepoint: endpoint sequence cyclically shifted by k, an
+    int (negative shifts back); ValueError for any other type."""
+    if type(k) is not int:
+        raise ValueError(f"shift {k!r} is not an int")
     m = len(d.endpoints)
     if m == 0:
         return d

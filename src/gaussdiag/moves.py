@@ -517,7 +517,10 @@ def _rewrite(d: GaussDiagram, move: Move):
 
 def enumerate_moves(d: GaussDiagram, include_insertions: bool = False) -> list:
     """All applicable moves: R1 deletions, R2 deletions, R3 triples, then
-    (optionally) every parameterized insertion."""
+    (optionally) every parameterized insertion.  ValueError unless
+    include_insertions is a bool."""
+    if type(include_insertions) is not bool:
+        raise ValueError(f"include_insertions must be True or False, got {include_insertions!r}")
     moves = [R1Delete(c) for c in r1_removable_chords(d)]
     moves += [R2Delete(pair) for pair in r2_removable_pairs(d)]
     moves += [R3(t) for t in r3_movable_triples(d)]

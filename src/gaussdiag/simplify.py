@@ -16,7 +16,9 @@ the cap.  A family's moves are found only when it pops, by one walk,
 an insertion family and yields the children's rows, the parent's
 ``diagram._rows`` edited by ``moves._edited``, and a move is built only
 for a child whose code is new.  Diagrams are built only for the states
-the search expands, from which it reads the trace back.
+the search expands, and each is held only by the queue entries that need
+it: its own families and its children's states.  The trace is the final
+state's moves, read back to the start and replayed from the input.
 """
 
 from __future__ import annotations
@@ -128,13 +130,14 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
     move family onto the queue the states wait in, at the count its
     children have: its R1 deletions (-1), R2 deletions (-2) and R3s (0),
     where that count is not negative, and its R1 (1) and R2 (2)
-    insertions, where they fit.  A state's entry is (count, 1, code), a
-    family's (count, 0, its parent's expansion number, parent's code,
-    chords it adds).  A child can share a code only with states of its own
-    chord count, and the tag 0 pops every family of a count before any
-    state of that count or higher: a count's children are all keyed (and
-    deduplicated, the first generated child of a code winning) before one
-    of them can be expanded.  One expansion pushes at most one family per
+    insertions, where they fit.  A state's entry is (count, 1, code, the
+    diagram its move applies to), a family's (count, 0, its parent's
+    expansion number, parent's code, chords it adds, parent's diagram).
+    A child can share a code only with states of its own chord count, and
+    the tag 0 pops every family of a count before any state of that count
+    or higher: a count's children are all keyed (and deduplicated, the
+    first generated child of a code winning) before one of them can be
+    expanded.  One expansion pushes at most one family per
     count, so the expansion number orders a count's families uniquely, in
     expansion order, and the children are keyed in ``enumerate_moves``
     order.  A family is walked through ``moves._family_rows`` only when it
@@ -143,8 +146,11 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
     move.  A move is built only for a child whose code is new.  An empty
     child ends the search once its family is keyed; a popped state ends it
     when the budget is spent.  Diagrams are built only for the states the
-    search expands, each by applying its move to its parent's, and at most
-    one for the trace: every state on its path but the last was expanded.
+    search expands, each by applying its move to its parent's diagram,
+    which the state's entry carries; a family's entry carries its parent's.
+    No other store holds a diagram, so one is released once the last entry
+    holding it pops.  The trace is read back as the final state's moves and
+    replayed from the input, building each step's diagram once more.
     """
     if type(limits.max_states) is not int:
         raise ValueError(f"max_states must be positive and an int, got {limits.max_states!r}")
@@ -164,10 +170,13 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
     kinds = {-1: R1Delete, -2: R2Delete, 0: R3, 1: R1Insert, 2: R2Insert}
     start_key = _canonical_code(*_rows(d.endpoints, d.signs))
     info = {start_key: (None, None)}  # canonical code -> (parent's code, move)
-    concrete = {start_key: d}  # canonical code -> diagram, for expanded states
-    # a state is (chord count, 1, code); a family is (its children's chord
-    # count, 0, its parent's expansion number, parent's code, chords it adds)
-    best = (d.n, 1, start_key)
+    # a state is (chord count, 1, code, the diagram its move applies to: its
+    # parent's, the start's being itself); a family is (its children's chord
+    # count, 0, its parent's expansion number, parent's code, chords it adds,
+    # parent's diagram).  No two entries agree in their first three fields,
+    # so the heap never compares diagrams (they have no order), and a
+    # diagram is freed once the last entry holding it pops
+    best = (d.n, 1, start_key, d)
     queue = [best]
     explored = 0
     limit_hit = False
@@ -178,38 +187,39 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
             if explored >= limits.max_states:
                 limit_hit = True
                 break
-            count, _, key = entry
-            parent, move = info[key]
-            if parent is not None:
-                concrete[key] = apply_move(concrete[parent], move)
+            count, _, key, state = entry
+            move = info[key][1]
+            if move is not None:
+                state = apply_move(state, move)
             explored += 1
             top = max_chords if limits.allow_insertions else count  # the most chords a child has
             for change in kinds:  # one entry per family: its moves are found when it pops
                 if 0 <= count + change <= top:
-                    heapq.heappush(queue, (count + change, 0, explored, key, change))
+                    heapq.heappush(queue, (count + change, 0, explored, key, change, state))
             continue
-        count, _, _, parent, change = entry  # a family: key its children
-        for fields, chords, bases in _family_rows(concrete[parent], change):
+        count, _, _, parent, change, state = entry  # a family: key its children
+        for fields, chords, bases in _family_rows(state, change):
             child_key = _canonical_code(chords, bases)
             if child_key in info:
                 continue
             info[child_key] = (parent, kinds[change](*fields))
-            entry = (count, 1, child_key)
+            entry = (count, 1, child_key, state)
             if entry < best:
                 best = entry
             heapq.heappush(queue, entry)
 
-    # the trace, read back from the final state to the start
-    key = best[2]
-    parent, move = info[key]
-    final = concrete[key] if key in concrete else apply_move(concrete[parent], move)
-    steps = []
+    # the trace: the final state's moves read back to the start, then replayed
+    path = []
+    parent, move = info[best[2]]
     while parent is not None:
-        steps.append((move, canonical(concrete.get(key, final))))
-        key = parent
-        parent, move = info[key]
-    trace = tuple(reversed(steps))
-    return SimplifyResult(final=final, trace=trace, states_explored=explored, limit_hit=limit_hit)
+        path.append(move)
+        parent, move = info[parent]
+    final, steps = d, []
+    for move in reversed(path):
+        final = apply_move(final, move)
+        steps.append((move, canonical(final)))
+    return SimplifyResult(final=final, trace=tuple(steps), states_explored=explored,
+                          limit_hit=limit_hit)
 
 
 def verify_trace(start: GaussDiagram, trace) -> TraceCheck:

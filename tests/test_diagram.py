@@ -289,6 +289,11 @@ def test_rotate_cycles_reading_point():
     assert serialize_gauss_code(rotate(d, 1)) == "O2- U1- U2- O1-"
     assert rotate(d, 4) == d
     assert rotate(rotate(d, 3), 1) == d
+    assert rotate(d, -1) == rotate(d, 3)
+    # a shift must be an int: a float, a string or a bool is not read as one
+    for k in (1.5, "1", True):
+        with pytest.raises(ValueError, match=f"shift {k!r} is not an int"):
+            rotate(d, k)
 
 
 def test_canonical_trefoil_value():

@@ -363,6 +363,10 @@ def test_enumerate_moves_trefoil_insertion_count():
     # 4 gaps: 4*2*2 single-chord variants + 4*4*2*2 pair variants
     moves = enumerate_moves(d("O1-O2-U1-U2-"), include_insertions=True)
     assert len(moves) == 16 + 64
+    # only a bool turns insertions on: "x" or 1 is not read as True
+    for flag in ("x", 1, None):
+        with pytest.raises(ValueError, match=f"include_insertions must be True or False, got {flag!r}"):
+            enumerate_moves(d("O1-O2-U1-U2-"), flag)
 
 
 # --------------------------------------------------------------- move specs

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import heapq
 import importlib
 from collections import Counter
@@ -11,6 +12,7 @@ import pytest
 
 from gaussdiag import (
     EMPTY,
+    GaussDiagram,
     R1Delete,
     R2Delete,
     R3,
@@ -254,8 +256,9 @@ def test_search_never_worse_than_greedy_exhaustive_small():
 
 
 def test_search_builds_only_popped_states_and_the_trace(monkeypatch):
-    # every popped state but the start is built once, and so is every
-    # trace step; children are keyed without being built
+    # every popped state but the start is built once, from the diagram its
+    # entry carries, then every trace step once more as the trace is
+    # replayed from the input; children are keyed without being built
     search = importlib.import_module("gaussdiag.simplify")
     built = []
 
@@ -274,10 +277,35 @@ def test_search_builds_only_popped_states_and_the_trace(monkeypatch):
         built.clear()
         res = simplify(d(code), limits)
         assert len(built) <= res.states_explored - 1 + len(res.trace), code
-        # the search builds each popped state but the start; the trace
-        # replay reuses those and builds at most its last state
-        assert len(built) - (res.states_explored - 1) <= 1, code
+        assert len(built) == res.states_explored - 1 + len(res.trace), code
         assert verify_trace(d(code), res.trace), code
+
+
+def test_search_releases_the_diagrams_no_entry_holds(monkeypatch):
+    # a built diagram is held only by queue entries: its state's families
+    # and its children's states.  This search expands 51 states, until its
+    # queue runs dry, so when the trace replay first calls canonical only
+    # the best state's entry and the replay's first step hold a diagram (a
+    # search that kept every expanded state's diagram would hold 50 here)
+    search = importlib.import_module("gaussdiag.simplify")
+    start = random_diagram(8, 36)
+
+    def live():
+        return sum(type(x) is GaussDiagram for x in gc.get_objects())
+
+    gc.collect()
+    before = live()
+    counts = []
+
+    def spy(diagram, canonical=search.canonical):
+        if not counts:
+            counts.append(live() - before)
+        return canonical(diagram)
+
+    monkeypatch.setattr(search, "canonical", spy)
+    res = simplify(start)
+    assert (res.states_explored, res.limit_hit, len(res.trace)) == (51, False, 6)
+    assert counts[0] < res.states_explored // 4
 
 
 def test_search_builds_insertion_moves_only_for_kept_children(monkeypatch):
