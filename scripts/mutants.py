@@ -4,10 +4,10 @@ kill each one.
 ``MUTANTS`` is the mutant table: one row per mutant, giving its name, the
 module it edits, the exact source line (without its indentation, which
 must occur exactly once in the module), the one line that replaces it and
-the layer it breaks.  The layers are the Gauss-code reader, the scan and
-canonical code, move detection, the R3 triple kernel, the rewrite, the
-search's walk over a move family, the census, the search and the value
-types' record base.
+the layer it breaks.  The layers are the Gauss-code reader, a diagram's
+position map and shared endpoints, the scan and canonical code, move
+detection, the R3 triple kernel, the rewrite, the search's walk over a
+move family, the census, the search and the value types' record base.
 
 For each mutant the runner copies ``src/`` to a temporary directory,
 applies the mutant there and runs the tier-1 pytest command with ``-x``
@@ -37,7 +37,9 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
-LAYERS = ("codec", "scan", "detection", "kernel", "rewrite", "walk", "census", "search", "values")
+LAYERS = (
+    "codec", "layout", "scan", "detection", "kernel", "rewrite", "walk", "census", "search", "values"
+)
 KNOWN_FAILURE = "tests/test_acceptance.py::test_criterion_6_rearrangement_preserves_structure"
 TIMEOUT = 1800  # seconds per mutant; a mutant that hangs the suite counts as killed
 
@@ -75,6 +77,25 @@ MUTANTS = (
         "elif held is None and signs.setdefault(label, sign) != sign:",
         "elif signs.setdefault(label, sign) != sign:",
         "codec",
+    ),
+    # a diagram's position map and shared endpoints
+    Mutant(
+        "trusted-pair-swapped", "diagram.py",
+        "pos[ep.chord] = (j, i) if ep.role == HEAD else (i, j)",
+        "pos[ep.chord] = (i, j) if ep.role == HEAD else (j, i)",
+        "layout",
+    ),
+    Mutant(
+        "constructor-repeat-missed", "diagram.py",
+        "if type(j) is tuple or endpoints[j].role == ep.role:",
+        "if type(j) is tuple:",
+        "layout",
+    ),
+    Mutant(
+        "table-other-role", "diagram.py",
+        "_TAILS = _Table(lambda label: Endpoint(label, TAIL))",
+        "_TAILS = _Table(lambda label: Endpoint(label, HEAD))",
+        "layout",
     ),
     # the scan and canonical code
     Mutant(
@@ -122,7 +143,7 @@ MUTANTS = (
     ),
     Mutant(
         "r2-tails-unchecked", "moves.py",
-        "if not _adjacent(m, pa[TAIL], pb[TAIL]):",
+        "if not _adjacent(m, ta, tb):",
         "if False:",
         "detection",
     ),

@@ -14,7 +14,8 @@ raises at once, but a chord error (a repeated role, a changed sign) is
 held until the whole text is read, so an unreadable token later on wins
 over it; a chord that appears only once is reported last.  Those checks,
 whose messages name the token, prove every diagram invariant, so the
-parser builds through ``diagram._trusted``; ``from_structured`` checks
+parser builds through ``diagram._trusted``, from the shared endpoints of
+``diagram._TAILS`` and ``_HEADS``; ``from_structured`` checks
 only the document's shape and builds through the validating
 ``make_diagram``.
 
@@ -30,7 +31,10 @@ from .diagram import (
     TAIL,
     Endpoint,
     GaussDiagram,
-    _EntryTable,
+    _HEADS,
+    _TAILS,
+    _Table,
+    _entry_parts,
     _least_rotations,
     _trusted,
     make_diagram,
@@ -83,7 +87,7 @@ def parse_gauss_code(text: str) -> GaussDiagram:
             )
         sign = _SIGN_CHARS[text[i]]
         i += 1
-        role = TAIL if ch in "Oo" else HEAD
+        role, ends = (TAIL, _TAILS) if ch in "Oo" else (HEAD, _HEADS)
         roles = seen.setdefault(label, {})
         if held is None and role in roles:
             held = ParseError(
@@ -92,7 +96,7 @@ def parse_gauss_code(text: str) -> GaussDiagram:
         elif held is None and signs.setdefault(label, sign) != sign:
             held = ParseError(f"token {ti}: sign mismatch for chord {label}", ti, start)
         roles[role] = ti
-        endpoints.append(Endpoint(label, role))
+        endpoints.append(ends[label])
         ti += 1
     if held is not None:
         raise held
@@ -105,8 +109,8 @@ def parse_gauss_code(text: str) -> GaussDiagram:
 
 def _token(head: int, label: str, negative: int) -> str:
     """The one emitted token spelling: role letter (0 tail O, 1 head U),
-    label, ASCII sign (0 +, 1 -)."""
-    return "OU"[head] + label + "+-"[negative]
+    label (or a chord number), ASCII sign (0 +, 1 -)."""
+    return f"{'OU'[head]}{label}{'+-'[negative]}"
 
 
 def serialize_gauss_code(d: GaussDiagram) -> str:
@@ -117,7 +121,7 @@ def serialize_gauss_code(d: GaussDiagram) -> str:
     )
 
 
-_TOKENS = _EntryTable(_token)  # least-rotation entry -> its token
+_TOKENS = _Table(lambda entry: _token(*_entry_parts(entry)))  # entry -> its token
 
 
 def _canonical_code(chords, bases) -> str:

@@ -17,6 +17,15 @@ checks, and by ``moves.apply_move``'s move preconditions.  The parser,
 applied moves and every internal rewrite then build through ``_trusted``
 without revalidating; both paths set attributes only in ``_assemble``.
 
+A diagram keeps its position map ``_pos``: each chord's positions as one
+(tail, head) pair, made in the one pass over the endpoints that checks
+them (``_trusted`` makes it in the same pass without the checks).  Every
+diagram the library builds, parsed, rewritten, canonical, enumerated or
+random, holds the one shared ``Endpoint`` of each label and role from the
+tables ``_TAILS`` and ``_HEADS``, which grow by one endpoint per distinct
+label seen; only the public constructor and ``codec.from_structured``
+keep the caller's objects.
+
 Every normal form scans (``_least_rotations``) a diagram's two position
 rows (``_rows``): chord labels, and one int per role and sign.
 
@@ -119,6 +128,26 @@ class Endpoint(_Record):
         return "{}{}".format("T" if self.role == TAIL else "H", self.chord)
 
 
+class _Table(dict):
+    """key -> ``spell(key)``, made on first use and kept.  The tables keyed
+    by least-rotation entries hold at most four (role x sign) per chord
+    number, the endpoint tables one per label seen."""
+
+    def __init__(self, spell):
+        super().__init__()
+        self.spell = spell
+
+    def __missing__(self, key):
+        value = self[key] = self.spell(key)
+        return value
+
+
+# the one endpoint of each label and role, which every diagram the library
+# builds shares: endpoints are frozen
+_TAILS = _Table(lambda label: Endpoint(label, TAIL))
+_HEADS = _Table(lambda label: Endpoint(label, HEAD))
+
+
 class GaussDiagram(_Record):
     """2n chord endpoints read counterclockwise, plus one sign per chord.
 
@@ -130,11 +159,11 @@ class GaussDiagram(_Record):
     return new values.
     """
 
-    __slots__ = ("endpoints", "signs", "_pos")  # _pos: chord -> {role: position}
+    __slots__ = ("endpoints", "signs", "_pos")  # _pos: chord -> (tail, head) positions
 
     def __init__(self, endpoints: Iterable[Endpoint], signs: Mapping[str, int]):
         endpoints = tuple(endpoints)
-        pos = {}  # chord -> {role: position}
+        pos = {}  # chord -> its first position, then its (tail, head) pair
         for i, ep in enumerate(endpoints):
             if not isinstance(ep, Endpoint):
                 raise ValueError(f"not an Endpoint: {ep!r}")
@@ -142,12 +171,13 @@ class GaussDiagram(_Record):
                 raise ValueError(f"invalid chord label {ep.chord!r}")
             if ep.role not in (TAIL, HEAD):
                 raise ValueError(f"invalid role {ep.role!r} for chord {ep.chord}")
-            roles = pos.setdefault(ep.chord, {})
-            if ep.role in roles:
-                raise ValueError(f"duplicate {ep.role} for chord {ep.chord}")
-            roles[ep.role] = i
-        for chord, roles in pos.items():
-            if len(roles) == 1:
+            j = pos.setdefault(ep.chord, i)
+            if j != i:
+                if type(j) is tuple or endpoints[j].role == ep.role:
+                    raise ValueError(f"duplicate {ep.role} for chord {ep.chord}")
+                pos[ep.chord] = (i, j) if ep.role == TAIL else (j, i)
+        for chord, p in pos.items():
+            if type(p) is int:
                 raise ValueError(f"chord {chord} appears only once")
         signs = dict(signs)
         for chord, sign in signs.items():
@@ -189,16 +219,16 @@ class GaussDiagram(_Record):
 
     def tail_position(self, chord: str) -> int:
         self.sign_of(chord)
-        return self._pos[chord][TAIL]
+        return self._pos[chord][0]
 
     def head_position(self, chord: str) -> int:
         self.sign_of(chord)
-        return self._pos[chord][HEAD]
+        return self._pos[chord][1]
 
     def positions_of(self, chord: str) -> tuple:
         """The chord's two endpoint positions, ascending."""
-        t, h = self.tail_position(chord), self.head_position(chord)
-        return (t, h) if t < h else (h, t)
+        self.sign_of(chord)
+        return tuple(sorted(self._pos[chord]))
 
 
 def make_diagram(endpoints: Iterable[Endpoint], signs: Mapping[str, int]) -> GaussDiagram:
@@ -211,15 +241,17 @@ def _trusted(endpoints: Iterable[Endpoint], signs: Mapping[str, int]) -> GaussDi
     validating them: the caller guarantees every chord appears once as tail
     and once as head, and that ``signs`` maps exactly those chords to +-1."""
     endpoints = tuple(endpoints)
-    pos = {}
+    pos = {}  # as in the constructor: the first position, then the pair
     for i, ep in enumerate(endpoints):
-        pos.setdefault(ep.chord, {})[ep.role] = i
+        j = pos.setdefault(ep.chord, i)
+        if j != i:
+            pos[ep.chord] = (j, i) if ep.role == HEAD else (i, j)
     return _assemble(object.__new__(GaussDiagram), endpoints, dict(signs), pos)
 
 
 def _assemble(d: GaussDiagram, endpoints: tuple, signs: dict, pos: dict) -> GaussDiagram:
     """Set d's three slots; no other code does.  d takes ``signs`` over
-    behind a read-only view; ``pos`` maps chord -> {role: position}."""
+    behind a read-only view; ``pos`` maps chord -> (tail, head) positions."""
     _set(d, "endpoints", endpoints)
     _set(d, "signs", MappingProxyType(signs))
     _set(d, "_pos", pos)
@@ -341,26 +373,13 @@ def _entry_parts(entry: int) -> tuple:
     return entry >> 32, entry >> 1 & 0x7FFFFFFF, entry & 1
 
 
-class _EntryTable(dict):
-    """Least-rotation entry -> ``spell(head, label, negative)``, with the
-    label its chord number's string, made on first use and kept: at most
-    four entries (role x sign) per chord number."""
-
-    def __init__(self, spell):
-        super().__init__()
-        self.spell = spell
-
-    def __missing__(self, entry):
-        head, number, negative = _entry_parts(entry)
-        value = self[entry] = self.spell(head, str(number), negative)
-        return value
+def _canonical_end(entry) -> tuple:
+    """A canonical form's endpoint and sign at one least-rotation entry."""
+    head, number, negative = _entry_parts(entry)
+    return (_HEADS if head else _TAILS)[str(number)], -1 if negative else 1
 
 
-# a canonical form's endpoint and sign at each entry; endpoints are frozen,
-# so every canonical form shares them
-_CANONICAL_ENDS = _EntryTable(
-    lambda head, label, negative: (Endpoint(label, HEAD if head else TAIL), -1 if negative else 1)
-)
+_CANONICAL_ENDS = _Table(_canonical_end)
 
 
 def canonical(d: GaussDiagram) -> GaussDiagram:
@@ -397,17 +416,25 @@ def _matchings(positions: list) -> Iterator[list]:
             yield [(first, positions[i])] + tail
 
 
+def _check_chord_count(n) -> None:
+    """ValueError unless the chord count n is an exact int (no bool, no
+    float), as ``rotate`` checks its shift."""
+    if type(n) is not int:
+        raise ValueError(f"chord count {n!r} is not an int")
+
+
 def _arrangements(n: int) -> Iterator[tuple]:
     """Each endpoint arrangement on 2n positions with chords labeled 1..n by
     first appearance, all perfect matchings x orientations, as (endpoints,
     sign maps): the 2^n sign maps, + before - chord by chord, one list
     shared by every arrangement, so callers must not change them."""
+    _check_chord_count(n)
     if n < 0:
         raise ValueError("chord count must be nonnegative")
     import itertools
 
     labels = [str(i + 1) for i in range(n)]
-    ends = [(Endpoint(lab, TAIL), Endpoint(lab, HEAD)) for lab in labels]
+    ends = [(_TAILS[lab], _HEADS[lab]) for lab in labels]
     sign_maps = [dict(zip(labels, signs)) for signs in itertools.product((1, -1), repeat=n)]
     for matching in _matchings(list(range(2 * n))):
         for tails in itertools.product((0, 1), repeat=n):
@@ -437,6 +464,7 @@ def random_diagram(n: int, seed: int) -> GaussDiagram:
     chosen partner, which is uniform over perfect matchings; orientation and
     sign are fair independent coin flips per chord.
     """
+    _check_chord_count(n)
     if n < 0:
         raise ValueError("chord count must be nonnegative")
     rng = random.Random(seed)
@@ -451,7 +479,7 @@ def random_diagram(n: int, seed: int) -> GaussDiagram:
     for k, (p, q) in enumerate(pairs):
         lab = str(k + 1)
         tp, hp = (p, q) if rng.randrange(2) == 0 else (q, p)
-        eps[tp] = Endpoint(lab, TAIL)
-        eps[hp] = Endpoint(lab, HEAD)
+        eps[tp] = _TAILS[lab]
+        eps[hp] = _HEADS[lab]
         signs[lab] = 1 if rng.randrange(2) == 0 else -1
     return _trusted(eps, signs)

@@ -46,10 +46,11 @@ Every precondition is an adjacency, read one way.  ``_adjacent_pairs`` is
 the one walk over cyclically adjacent endpoint pairs: R1 detection keeps
 the pairs that join one chord, R2 detection and ``_r3_candidates`` the
 pairs of heads.  ``diagram._adjacent`` is the one test on two positions
-read from the diagram's position map; ``_r2_blocker`` and the R1 rewrite
-call it.  The validating accessors (``adjacent``, ``sign_of`` and the
-position getters) are for outside callers; here only ``analyze_triple``,
-the public report, calls them.  The chords a move names are outside
+read from the diagram's position map, which holds each chord's (tail,
+head) pair; ``_r2_blocker`` and the R1 rewrite call it.  The validating
+accessors (``adjacent``, ``sign_of`` and the position getters) are for
+outside callers; here only ``analyze_triple``, the public report, calls
+them.  The chords a move names are outside
 input, so ``_check_chords`` guards them before any lookup.
 
 ``_rewrite`` checks each move's preconditions, written once, then makes
@@ -58,7 +59,9 @@ the only code that cuts or splices, applies by slicing: a deletion cuts
 its chords' positions, the ``_cuts``; an insertion splices its
 ``_insertion_blocks`` in at its gaps after ``_check_insertion`` (gaps, then
 sign, then flag); and R3 swaps the arcs of the ``_witness``.
-``apply_move`` builds the edited endpoint tuple without revalidation.
+``apply_move`` builds the edited endpoint tuple without revalidation; an
+insertion's new endpoints are the shared ones of ``diagram._TAILS`` and
+``_HEADS``, so no move makes an ``Endpoint``.
 
 The search keys children from one walk, ``_family_rows(d, change)``, over
 the move family of a parent that adds ``change`` chords: its R1 deletions
@@ -81,10 +84,12 @@ from .diagram import (
     EMPTY,
     HEAD,
     TAIL,
-    Endpoint,
     GaussDiagram,
+    _HEADS,
+    _TAILS,
     _adjacent,
     _arrangements,
+    _check_chord_count,
     _interleaved,
     _Record,
     _rows,
@@ -216,10 +221,10 @@ def _r2_blocker(d: GaussDiagram, a: str, b: str):
     if d.signs[a] == d.signs[b]:
         return f"chords {a} and {b} have the same sign"
     m = len(d.endpoints)
-    pa, pb = d._pos[a], d._pos[b]
-    if not _adjacent(m, pa[HEAD], pb[HEAD]):
+    (ta, ha), (tb, hb) = d._pos[a], d._pos[b]
+    if not _adjacent(m, ha, hb):
         return f"heads of chords {a} and {b} are not adjacent"
-    if not _adjacent(m, pa[TAIL], pb[TAIL]):
+    if not _adjacent(m, ta, tb):
         return f"tails of chords {a} and {b} are not adjacent"
     return None
 
@@ -234,7 +239,7 @@ def r2_removable_pairs(d: GaussDiagram) -> list:
     for x, y in _adjacent_pairs(d):
         if x.role == y.role == HEAD and _r2_blocker(d, x.chord, y.chord) is None:
             a, b = sorted((x.chord, y.chord), key=label_key)
-            found.append((sorted((*pos[a].values(), *pos[b].values())), (a, b)))
+            found.append((sorted((*pos[a], *pos[b])), (a, b)))
     return [pair for _, pair in sorted(found)]
 
 
@@ -267,9 +272,7 @@ def _qualifying_tilings(d: GaussDiagram, labels) -> list:
     m = len(eps)
     pos = d._pos
     a, b, c = labels
-    ta, ha = pos[a][TAIL], pos[a][HEAD]
-    tb, hb = pos[b][TAIL], pos[b][HEAD]
-    tc, hc = pos[c][TAIL], pos[c][HEAD]
+    (ta, ha), (tb, hb), (tc, hc) = pos[a], pos[b], pos[c]
     chords = ((a, ta, ha), (b, tb, hb), (c, tc, hc))
     q0, q1, q2, q3, q4, q5 = sorted((ta, ha, tb, hb, tc, hc))
     tilings = []
@@ -347,15 +350,8 @@ def analyze_triple(d: GaussDiagram, triple) -> TripleAnalysis:
     qualifying = _qualifying_tilings(d, labels)
     if not qualifying:
         return TripleAnalysis(False, False, None, None, None, {})
-    (heads, tails, mixed), numbers, movable = _witness(qualifying)
-    return TripleAnalysis(
-        matched=True,
-        movable=movable,
-        heads_arc=heads,
-        tails_arc=tails,
-        mixed_arc=mixed,
-        chords=numbers,
-    )
+    arcs, numbers, movable = _witness(qualifying)
+    return TripleAnalysis(True, movable, *arcs, numbers)
 
 
 def _r3_candidates(d: GaussDiagram) -> set:
@@ -378,12 +374,12 @@ def _r3_candidates(d: GaussDiagram) -> set:
     for x, y in _adjacent_pairs(d):
         if x.role == y.role == HEAD:
             a, b = x.chord, y.chord
-            ta, tb = pos[a][TAIL], pos[b][TAIL]
+            ta, tb = pos[a][0], pos[b][0]
             for t, other in ((ta, tb), (tb, ta)):
                 for z in (eps[t - 1], eps[(t + 1) % m]):
                     c = z.chord
                     if (z.role == TAIL and c != a and c != b
-                            and _adjacent(m, pos[c][HEAD], other)):
+                            and _adjacent(m, pos[c][1], other)):
                         candidates.add(frozenset((a, b, c)))
     return candidates
 
@@ -438,7 +434,7 @@ def _cuts(d: GaussDiagram, chords) -> list:
     order a deletion cuts them in."""
     cuts = []
     for c in chords:
-        cuts.extend(d._pos[c].values())
+        cuts.extend(d._pos[c])
     cuts.sort(reverse=True)
     return cuts
 
@@ -471,15 +467,16 @@ def _rewrite(d: GaussDiagram, move: Move):
     endpoints, giving the parts (endpoints, signs) of apply_move's result.
 
     A deletion cuts its chords' ``_cuts``.  An insertion splices in its
-    ``_insertion_blocks``, each (gap, labels, bases), as the endpoints read
-    off the labels and bases.  R3 swaps the three arcs of the ``_witness``.
-    ``_family_rows`` makes the same edits on the rows, unchecked."""
+    ``_insertion_blocks``, each (gap, labels, bases), as the shared
+    endpoints read off the labels and bases.  R3 swaps the three arcs of
+    the ``_witness``.  ``_family_rows`` makes the same edits on the rows,
+    unchecked."""
     splices = arcs = gone = ()  # gone: the chords cut
     add = {}  # the signs of the chords added
     if isinstance(move, R1Delete):
         c = move.chord
         _check_chords(d, (c,))
-        t, h = d._pos[c][TAIL], d._pos[c][HEAD]
+        t, h = d._pos[c]
         if not _adjacent(len(d.endpoints), t, h):
             raise MoveNotApplicable(
                 f"chord {c} endpoints are not adjacent (positions {t} and {h})"
@@ -497,7 +494,7 @@ def _rewrite(d: GaussDiagram, move: Move):
         _check_insertion(d, fields[:-2], fields[-2], flag, fields[-1])
         blocks, add = _insertion_blocks(fields, _fresh_labels(d, 2))
         splices = [
-            (gap, [Endpoint(lab, HEAD if base >> 32 else TAIL) for lab, base in zip(labels, bases)])
+            (gap, [(_HEADS if base >> 32 else _TAILS)[lab] for lab, base in zip(labels, bases)])
             for gap, labels, bases in blocks
         ]
     elif isinstance(move, R3):
@@ -732,6 +729,7 @@ def census_movable_triples(n: int) -> CensusResult:
     keys it by appending its chords' signs.  n is capped at 5 (967,680
     diagrams, about 1.3 s) to keep the walk at desk scale.
     """
+    _check_chord_count(n)
     if n < 3:
         raise ValueError("census needs at least 3 chords")
     if n > 5:

@@ -360,3 +360,14 @@ def test_random_diagram_valid_and_sized():
 
 def test_random_diagram_zero_chords():
     assert random_diagram(0, 42) == EMPTY
+
+
+@pytest.mark.parametrize("n", [2.0, True, False, "2", None])
+def test_chord_counts_must_be_exact_ints(n):
+    # a float, a bool, a string or None is not read as a chord count, as a
+    # shift is not by rotate: no TypeError, and True does not run as n = 1
+    message = f"^chord count {re.escape(repr(n))} is not an int$"
+    with pytest.raises(ValueError, match=message):
+        random_diagram(n, 1)
+    with pytest.raises(ValueError, match=message):
+        list(enumerate_diagrams(n))

@@ -25,6 +25,11 @@ exhaustive n <= 4 corpus and the 1000 seeded diagrams; n counts chords.
 - Walk: the rewrite oracle's children in ``oracle_enumerate_moves`` order;
   every family with n <= 3 and of the seeded corpus, and every deletion
   and R3 family with n = 4 (``test_family_rows_match_oracles``).
+- Layout: ``oracle_positions``, each chord's (tail, head) pair read off the
+  endpoints; both corpora as built by every library path, ``make_diagram``,
+  ``pickle`` and ``deepcopy``, with the library's diagrams holding the
+  shared endpoint tables' objects and the public constructors the
+  caller's (``test_position_layout_*``, ``test_public_constructors_*``).
 - Census: ``oracle_census``, every triple of every
   ``oracle_enumerate_diagrams`` diagram keyed by
   ``oracle_configuration_orbit_key``; n = 3 and 4
@@ -39,9 +44,11 @@ exhaustive n <= 4 corpus and the 1000 seeded diagrams; n counts chords.
 
 from __future__ import annotations
 
+import copy
 import heapq
 import importlib
 import itertools
+import pickle
 import random
 import time
 from types import MappingProxyType, SimpleNamespace
@@ -80,10 +87,12 @@ from gaussdiag import (
     serialize_gauss_code,
     simplify,
 )
-from gaussdiag.codec import _canonical_code
+from gaussdiag.codec import _canonical_code, from_structured, to_structured
 from gaussdiag.diagram import (
     HEAD,
     TAIL,
+    _HEADS,
+    _TAILS,
     _entry_parts,
     _least_rotations,
     _matchings,
@@ -123,6 +132,15 @@ def _rotation_encodings(d: GaussDiagram) -> list:
     """The ``_encode`` (encoding, chord mapping) of each rotation of d, by
     shift k (basepoint at position k)."""
     return [_encode(rotate(d, k)) for k in range(len(d.endpoints))]
+
+
+def oracle_positions(d: GaussDiagram) -> dict:
+    """chord -> (tail position, head position), read off the endpoints in
+    order of first appearance."""
+    found = {}
+    for i, ep in enumerate(d.endpoints):
+        found.setdefault(ep.chord, {})[ep.role] = i
+    return {c: (roles[TAIL], roles[HEAD]) for c, roles in found.items()}
 
 
 def oracle_canonical(d: GaussDiagram) -> GaussDiagram:
@@ -843,6 +861,41 @@ def test_trusted_results_match_validated_construction(exhaustive_corpus, random_
             assert isinstance(out.signs, MappingProxyType), out
             assert out == rebuilt and out._pos == rebuilt._pos, out
             assert hash(out) == hash(rebuilt), out
+
+
+def _table_end(ep: Endpoint) -> Endpoint:
+    """The one shared endpoint of ep's label and role."""
+    return (_HEADS if ep.role == HEAD else _TAILS)[ep.chord]
+
+
+def test_position_layout_matches_oracle(exhaustive_corpus, random_corpus):
+    # every way a diagram is built stores each chord's (tail, head) pair;
+    # every diagram the library builds shares the tables' endpoints, and
+    # pickle and deepcopy give back an equal diagram with an equal map
+    built = 0
+    for d in exhaustive_corpus + random_corpus:
+        half = max(1, len(d.endpoints)) // 2
+        insertions = [R1Insert(half, -1, False), R2Insert(0, half, 1, True)]
+        library = [d, parse_gauss_code(serialize_gauss_code(d)), canonical(d), rotate(d, 1)]
+        library += [apply_move(d, move) for move in enumerate_moves(d) + insertions]
+        for out in library:
+            assert out._pos == oracle_positions(out), out
+            assert all(ep is _table_end(ep) for ep in out.endpoints), out
+        for out in (make_diagram(d.endpoints, d.signs), pickle.loads(pickle.dumps(d)),
+                    copy.deepcopy(d)):
+            assert out == d and out._pos == oracle_positions(out) == d._pos, d
+        built += len(library) + 3
+    assert built > 200_000, built
+
+
+def test_public_constructors_keep_the_callers_endpoints(random_corpus):
+    for d in random_corpus:
+        ends = [Endpoint(ep.chord, ep.role) for ep in d.endpoints]
+        made = make_diagram(ends, d.signs)
+        assert all(a is b for a, b in zip(made.endpoints, ends)), d
+        for out in (made, from_structured(to_structured(d))):
+            assert out == d and out._pos == oracle_positions(d), d
+            assert not any(ep is _table_end(ep) for ep in out.endpoints), d
 
 
 CHANGE = {R1Delete: -1, R2Delete: -2, R3: 0, R1Insert: 1, R2Insert: 2}

@@ -553,6 +553,13 @@ def test_census_bounds():
         census_movable_triples(6)
 
 
+@pytest.mark.parametrize("n", [3.0, True, "3", None])
+def test_census_chord_count_must_be_an_exact_int(n):
+    # checked before the bounds: 3.0 is no TypeError and True no "at least 3"
+    with pytest.raises(ValueError, match=f"^chord count {re.escape(repr(n))} is not an int$"):
+        census_movable_triples(n)
+
+
 def test_only_analyze_triple_uses_the_validating_accessors():
     # the module's own code reads the position map; the accessors that
     # validate their chord or positions are for outside callers, and
