@@ -6,8 +6,9 @@ module it edits, the exact source line (without its indentation, which
 must occur exactly once in the module), the one line that replaces it and
 the layer it breaks.  The layers are the Gauss-code reader, a diagram's
 position map and shared endpoints, the scan and canonical code, move
-detection, the R3 triple kernel, the rewrite, the search's walk over a
-move family, the census, the search and the value types' record base.
+detection, the sign-free move sites an endpoint arrangement's diagrams
+share, the R3 triple kernel, the rewrite, the search's walk over a move
+family, the census, the search and the value types' record base.
 
 For each mutant the runner copies ``src/`` to a temporary directory,
 applies the mutant there and runs the tier-1 pytest command with ``-x``
@@ -38,7 +39,8 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 LAYERS = (
-    "codec", "layout", "scan", "detection", "kernel", "rewrite", "walk", "census", "search", "values"
+    "codec", "layout", "scan", "detection", "sites", "kernel", "rewrite", "walk", "census", "search",
+    "values",
 )
 KNOWN_FAILURE = "tests/test_acceptance.py::test_criterion_6_rearrangement_preserves_structure"
 TIMEOUT = 1800  # seconds per mutant; a mutant that hangs the suite counts as killed
@@ -73,6 +75,12 @@ MUTANTS = (
         "codec",
     ),
     Mutant(
+        "codec-table-before-accept", "codec.py",
+        "tokens.append((ends, label))",
+        "tokens.append((ends, ends[label].chord))",
+        "codec",
+    ),
+    Mutant(
         "codec-later-chord-error", "codec.py",
         "elif held is None and signs.setdefault(label, sign) != sign:",
         "elif signs.setdefault(label, sign) != sign:",
@@ -89,6 +97,12 @@ MUTANTS = (
         "constructor-repeat-missed", "diagram.py",
         "if type(j) is tuple or endpoints[j].role == ep.role:",
         "if type(j) is tuple:",
+        "layout",
+    ),
+    Mutant(
+        "copy-new-endpoint", "diagram.py",
+        "return _shared_endpoint, (self.chord, self.role)",
+        "return Endpoint, (self.chord, self.role)",
         "layout",
     ),
     Mutant(
@@ -136,7 +150,7 @@ MUTANTS = (
         "detection",
     ),
     Mutant(
-        "no-wrap-pair", "moves.py",
+        "no-wrap-pair", "sites.py",
         "return zip(eps, eps[1:] + eps[:1])",
         "return zip(eps, eps[1:])",
         "detection",
@@ -148,44 +162,81 @@ MUTANTS = (
         "detection",
     ),
     Mutant(
-        "r2-order", "moves.py",
+        "r2-order", "sites.py",
         "return [pair for _, pair in sorted(found)]",
         "return [pair for _, pair in found]",
         "detection",
     ),
     Mutant(
-        "r3-candidate-side", "moves.py",
+        "r2-site-tails-unchecked", "sites.py",
+        "if _adjacent(m, ta, tb):",
+        "if True:",
+        "detection",
+    ),
+    Mutant(
+        "r3-candidate-side", "sites.py",
         "for z in (eps[t - 1], eps[(t + 1) % m]):",
         "for z in (eps[(t + 1) % m],):",
         "detection",
     ),
+    # the sign-free move sites an endpoint arrangement's diagrams share
+    Mutant(
+        "sites-r2-signs-leak", "sites.py",
+        "if _adjacent(m, ta, tb):",
+        "if _adjacent(m, ta, tb) and d.signs[x.chord] != d.signs[y.chord]:",
+        "sites",
+    ),
+    Mutant(
+        "sites-r3-signs-leak", "sites.py",
+        "found[t] = _tilings(d, t)",
+        "found[t] = [x for x in _tilings(d, t) if len({d.signs[c] * f for c, f in zip(t, x[2])}) < 2]",
+        "sites",
+    ),
+    Mutant(
+        "sites-across-arrangements", "diagram.py",
+        "pos, sites = _trusted(eps, sign_maps[0])._pos, {}",
+        'pos, sites = _trusted(eps, sign_maps[0])._pos, enumerate_diagrams.__dict__.setdefault("s", {})',
+        "sites",
+    ),
+    Mutant(
+        "sites-not-kept", "sites.py",
+        "found = sites[find] = find(d)",
+        "found = find(d)",
+        "sites",
+    ),
     # the R3 triple kernel
     Mutant(
         "witness-first", "moves.py",
-        "return next((t for t in tilings if t[2]), tilings[0])",
-        "return tilings[0]",
+        "arcs, numbers, movable = next((t for t in qualifying if t[2]), qualifying[0])",
+        "arcs, numbers, movable = qualifying[0]",
         "kernel",
     ),
     Mutant(
-        "wrap-tiling-end", "moves.py",
+        "movable-arcs-two-signs", "moves.py",
+        "if sa * fa == sb * fb == sc * fc:",
+        "if sa * fa == sb * fb:",
+        "kernel",
+    ),
+    Mutant(
+        "wrap-tiling-end", "sites.py",
         "if q2 == q1 + 1 and q4 == q3 + 1 and q0 == 0 and q5 == m - 1:",
         "if q2 == q1 + 1 and q4 == q3 + 1 and q0 == 0:",
         "kernel",
     ),
     Mutant(
-        "parity", "moves.py",
+        "parity", "sites.py",
         "1 if xab == xbc else -1,",
         "1 if xab != xbc else -1,",
         "kernel",
     ),
     Mutant(
-        "direction", "moves.py",
+        "direction", "sites.py",
         "direction = 1 if (j - i) % 3 == 1 else -1",
         "direction = 1 if (i - j) % 3 == 1 else -1",
         "kernel",
     ),
     Mutant(
-        "mixed-same-chord", "moves.py",
+        "mixed-same-chord", "sites.py",
         "mixed = pair if x.chord != y.chord else None",
         "mixed = pair",
         "kernel",
@@ -242,8 +293,14 @@ MUTANTS = (
     ),
     Mutant(
         "walk-first-tiling", "moves.py",
-        "sites = [((t,), (), (), _witness(_qualifying_tilings(d, t))[0])",
-        "sites = [((t,), (), (), _qualifying_tilings(d, t)[0][0])",
+        "sites = [((t,), (), (), _movable_arcs(d.signs, t, found[t])) for t in triples]",
+        "sites = [((t,), (), (), found[t][0][0]) for t in triples]",
+        "walk",
+    ),
+    Mutant(
+        "walk-finds-twice", "sites.py",
+        "if d._sites is not None:",
+        "if True:",
         "walk",
     ),
     Mutant(

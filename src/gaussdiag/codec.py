@@ -15,7 +15,9 @@ held until the whole text is read, so an unreadable token later on wins
 over it; a chord that appears only once is reported last.  Those checks,
 whose messages name the token, prove every diagram invariant, so the
 parser builds through ``diagram._trusted``, from the shared endpoints of
-``diagram._TAILS`` and ``_HEADS``; ``from_structured`` checks
+``diagram._TAILS`` and ``_HEADS``, which it looks up only once the whole
+text is accepted, so rejected text leaves those tables as they were;
+``from_structured`` checks
 only the document's shape and builds through the validating
 ``make_diagram``.
 
@@ -61,7 +63,8 @@ def parse_gauss_code(text: str) -> GaussDiagram:
     """Parse a Gauss code in one pass; token i becomes endpoint i.  Raises
     ParseError with the offending token index on any malformed or
     inconsistent input, in the order the module docstring gives."""
-    endpoints, signs, seen = [], {}, {}  # seen: label -> {role: token index}
+    # tokens: each token's endpoint table and label; seen: label -> {role: token index}
+    tokens, signs, seen = [], {}, {}
     held = None  # the first chord error, raised once every token is read
     i = ti = 0
     while i < len(text):
@@ -96,7 +99,7 @@ def parse_gauss_code(text: str) -> GaussDiagram:
         elif held is None and signs.setdefault(label, sign) != sign:
             held = ParseError(f"token {ti}: sign mismatch for chord {label}", ti, start)
         roles[role] = ti
-        endpoints.append(ends[label])
+        tokens.append((ends, label))
         ti += 1
     if held is not None:
         raise held
@@ -104,7 +107,8 @@ def parse_gauss_code(text: str) -> GaussDiagram:
         if len(roles) == 1:
             (ti,) = roles.values()
             raise ParseError(f"token {ti}: chord {label} appears only once", ti)
-    return _trusted(endpoints, signs)
+    # the shared endpoints, looked up only now: rejected text adds none
+    return _trusted([ends[label] for ends, label in tokens], signs)
 
 
 def _token(head: int, label: str, negative: int) -> str:

@@ -29,6 +29,17 @@ keep the caller's objects.
 Every normal form scans (``_least_rotations``) a diagram's two position
 rows (``_rows``): chord labels, and one int per role and sign.
 
+Where a move can be made depends on the endpoints alone, except for a
+sign test that ``moves`` applies last: the R1 chords, the R2 candidate
+pairs and the R3 candidate triples with their tilings are sign-free (see
+``sites``).  A diagram's ``_sites`` is the holder of those sites that it
+shares with the other sign maps of its endpoint arrangement, a dict that
+``sites`` fills on first use, or None.  Only ``enumerate_diagrams`` hands
+out holders: each arrangement's 2^n diagrams share one holder, one
+position map and their endpoints.  Every other diagram (parsed,
+rewritten, canonical, random or built by the constructor) holds None, and
+its sites are found on each call and kept nowhere.
+
 Every value type of the package, here and in ``moves``, ``simplify`` and
 ``render``, is a ``_Record``: its fields are its ``__slots__``, and the
 base writes equality, hash, repr, pickling and immutability once.
@@ -127,6 +138,10 @@ class Endpoint(_Record):
     def __repr__(self):
         return "{}{}".format("T" if self.role == TAIL else "H", self.chord)
 
+    def __reduce__(self):
+        # a copy is the shared endpoint of its label and role
+        return _shared_endpoint, (self.chord, self.role)
+
 
 class _Table(dict):
     """key -> ``spell(key)``, made on first use and kept.  The tables keyed
@@ -148,6 +163,15 @@ _TAILS = _Table(lambda label: Endpoint(label, TAIL))
 _HEADS = _Table(lambda label: Endpoint(label, HEAD))
 
 
+def _shared_endpoint(chord, role) -> Endpoint:
+    """The endpoint that ``pickle`` and ``copy`` rebuild: the shared one of
+    a valid label and role, else a new one, so the tables hold no
+    invalid label."""
+    if valid_label(chord) and role in (TAIL, HEAD):
+        return (_TAILS if role == TAIL else _HEADS)[chord]
+    return Endpoint(chord, role)
+
+
 class GaussDiagram(_Record):
     """2n chord endpoints read counterclockwise, plus one sign per chord.
 
@@ -159,7 +183,8 @@ class GaussDiagram(_Record):
     return new values.
     """
 
-    __slots__ = ("endpoints", "signs", "_pos")  # _pos: chord -> (tail, head) positions
+    # _pos: chord -> (tail, head) positions; _sites: the shared holder or None
+    __slots__ = ("endpoints", "signs", "_pos", "_sites")
 
     def __init__(self, endpoints: Iterable[Endpoint], signs: Mapping[str, int]):
         endpoints = tuple(endpoints)
@@ -188,7 +213,7 @@ class GaussDiagram(_Record):
         for chord in pos:
             if chord not in signs:
                 raise ValueError(f"missing sign for chord {chord}")
-        _assemble(self, endpoints, signs, pos)
+        _assemble(self, endpoints, MappingProxyType(signs), pos)
 
     def __hash__(self):
         return hash((self.endpoints, tuple(sorted(self.signs.items()))))
@@ -246,15 +271,18 @@ def _trusted(endpoints: Iterable[Endpoint], signs: Mapping[str, int]) -> GaussDi
         j = pos.setdefault(ep.chord, i)
         if j != i:
             pos[ep.chord] = (j, i) if ep.role == HEAD else (i, j)
-    return _assemble(object.__new__(GaussDiagram), endpoints, dict(signs), pos)
+    return _assemble(object.__new__(GaussDiagram), endpoints, MappingProxyType(dict(signs)), pos)
 
 
-def _assemble(d: GaussDiagram, endpoints: tuple, signs: dict, pos: dict) -> GaussDiagram:
-    """Set d's three slots; no other code does.  d takes ``signs`` over
-    behind a read-only view; ``pos`` maps chord -> (tail, head) positions."""
+def _assemble(d: GaussDiagram, endpoints: tuple, signs: MappingProxyType, pos: dict,
+              sites: dict | None = None) -> GaussDiagram:
+    """Set d's four slots; no other code does.  ``signs`` is the read-only
+    view of a sign map no one changes, ``pos`` maps chord -> (tail, head)
+    positions, and ``sites`` is the holder d shares, if any."""
     _set(d, "endpoints", endpoints)
-    _set(d, "signs", MappingProxyType(signs))
+    _set(d, "signs", signs)
     _set(d, "_pos", pos)
+    _set(d, "_sites", sites)
     return d
 
 
@@ -449,10 +477,16 @@ def _arrangements(n: int) -> Iterator[tuple]:
 def enumerate_diagrams(n: int) -> Iterator[GaussDiagram]:
     """Every diagram on 2n positions with chords labeled 1..n by first
     appearance: each of the ``_arrangements`` with each of its sign maps,
-    so (2n-1)!! * 4^n diagrams, no duplicates.  Intended for small n."""
+    so (2n-1)!! * 4^n diagrams, no duplicates.  Intended for small n.
+
+    An arrangement's diagrams share its endpoints, one position map and
+    one holder of sign-free move sites, which the first of them asked for
+    a kind of site fills; each views its shared sign map without a
+    copy."""
     for eps, sign_maps in _arrangements(n):
-        for signs in sign_maps:  # _trusted copies the shared sign map
-            yield _trusted(eps, signs)
+        pos, sites = _trusted(eps, sign_maps[0])._pos, {}
+        for signs in sign_maps:
+            yield _assemble(object.__new__(GaussDiagram), eps, MappingProxyType(signs), pos, sites)
 
 
 def random_diagram(n: int, seed: int) -> GaussDiagram:

@@ -19,46 +19,43 @@ Six cyclically ordered endpoints admit at most two tilings into three
 consecutive pairs.  Both are admissible only when the six positions fill
 the whole circle (a standalone 3-chord diagram); a triple is matched when
 EITHER tiling qualifies, and movable when either qualifying tiling has
-equal 3-signs.  Analysis results report the witness tiling: the first
-movable one (preferring the pairing that starts at the least position),
-else the first qualifying one.  This keeps every verdict
-rotation-invariant.  ``_witness`` is that rule, written once:
-``analyze_triple`` reports the tiling it picks and the R3 rewrite swaps
-it.
+equal 3-signs.  Every R3 move swaps the first movable tiling (preferring
+the pairing that starts at the least position), and ``analyze_triple``
+reports that tiling, else the first qualifying one.  This keeps every
+verdict rotation-invariant.
 
-One integer kernel, ``_qualifying_tilings``, computes all of this from the
-triple's six endpoint positions: the tilings from their sorted order, each
-chord's parity from how its positions interleave with the other two
-chords' and its direction from the arcs holding its ends.  R3 detection,
-``_rewrite`` (and through it ``apply_move``) and the census call it
-directly; ``analyze_triple`` is the public report, which validates its
-labels and packages the witness tiling as a ``TripleAnalysis``.
+Only the sign depends on the sign map: parity, direction and the tilings
+depend on where the endpoints sit, and so do the R1 chords and the
+adjacencies of an R2 pair.  So detection is a sign-free find from
+``sites`` and a signed filter here: ``r1_removable_chords`` keeps every
+R1 chord, ``r2_removable_pairs`` the R2 pairs of opposite signs, and
+``r3_movable_triples`` the matched triples with a tiling whose three
+signed factors agree, the ``_movable_arcs``.  A find comes from the
+holder an enumerated arrangement's 2^n sign maps share, filled by
+whichever asks first, or afresh for any other diagram, which keeps
+nothing.  The census reads the same R3 finds, once per arrangement.
 
-Every matched triple contains two chords a, b whose heads are adjacent,
-and its third chord has its tail next to one of a's and b's tails and its
-head next to the other.  So one candidate generator, ``_r3_candidates``,
-yields the at most four triples each head adjacency gives, which are
-exactly the matched triples: O(n) triples, not all C(n, 3).  Both
-``r3_movable_triples`` and the census analyse only those, and
-``r3_movable_triples`` sorts only the triples it keeps.
+``sites._tilings``, one integer kernel, computes a triple's sign-free
+numbers from its six endpoint positions.  The R3 finds and ``_rewrite``
+(and through it ``apply_move``) call it directly;
+``_qualifying_tilings`` adds the signs, for ``analyze_triple``, the
+public report, which validates its labels and packages the witness
+tiling as a ``TripleAnalysis``.
 
-Every precondition is an adjacency, read one way.  ``_adjacent_pairs`` is
-the one walk over cyclically adjacent endpoint pairs: R1 detection keeps
-the pairs that join one chord, R2 detection and ``_r3_candidates`` the
-pairs of heads.  ``diagram._adjacent`` is the one test on two positions
-read from the diagram's position map, which holds each chord's (tail,
-head) pair; ``_r2_blocker`` and the R1 rewrite call it.  The validating
-accessors (``adjacent``, ``sign_of`` and the position getters) are for
-outside callers; here only ``analyze_triple``, the public report, calls
-them.  The chords a move names are outside
-input, so ``_check_chords`` guards them before any lookup.
+Every precondition is an adjacency, read one way (see ``sites``):
+``diagram._adjacent`` is the one test on two positions read from the
+diagram's position map; ``_r2_blocker`` and the R1 rewrite call it.  The
+validating accessors (``adjacent``, ``sign_of`` and the position getters)
+are for outside callers; here only ``analyze_triple``, the public
+report, calls them.  The chords a move names are outside input, so
+``_check_chords`` guards them before any lookup.
 
 ``_rewrite`` checks each move's preconditions, written once, then makes
 the move as one positional edit (cuts, splices, arcs), which ``_edited``,
 the only code that cuts or splices, applies by slicing: a deletion cuts
 its chords' positions, the ``_cuts``; an insertion splices its
 ``_insertion_blocks`` in at its gaps after ``_check_insertion`` (gaps, then
-sign, then flag); and R3 swaps the arcs of the ``_witness``.
+sign, then flag); and R3 swaps the ``_movable_arcs``.
 ``apply_move`` builds the edited endpoint tuple without revalidation; an
 insertion's new endpoints are the shared ones of ``diagram._TAILS`` and
 ``_HEADS``, so no move makes an ``Endpoint``.
@@ -69,9 +66,11 @@ the move family of a parent that adds ``change`` chords: its R1 deletions
 It describes each site as the edit ``_rewrite`` would make and has
 ``_edited`` apply it to the parent's ``diagram._rows``, yielding the
 moves' fields with the child's rows, with no check and no move built.
-Deletions and R3s come from the detectors; insertions come from one
-source, ``_insertion_fields``, which also gives ``enumerate_moves`` its
-insertion moves, and take the parent's ``_fresh_labels``.
+Deletions and R3s come from the detectors, and an R3's arcs from the
+tilings its detector read, so each candidate triple meets the kernel once
+per walk; insertions come from one source, ``_insertion_fields``, which
+also gives ``enumerate_moves`` its insertion moves, and take the parent's
+``_fresh_labels``.
 """
 
 from __future__ import annotations
@@ -83,14 +82,12 @@ from operator import itemgetter
 from .diagram import (
     EMPTY,
     HEAD,
-    TAIL,
     GaussDiagram,
     _HEADS,
     _TAILS,
     _adjacent,
     _arrangements,
     _check_chord_count,
-    _interleaved,
     _Record,
     _rows,
     _set,
@@ -101,6 +98,7 @@ from .diagram import (
 )
 # not called here; imported so that perfbench/tracing.py can patch them
 from .diagram import enumerate_diagrams, make_diagram  # noqa: F401
+from .sites import _holding, _r1_sites, _r2_sites, _r3_sites, _sign_free, _tilings
 
 
 class MoveNotApplicable(Exception):
@@ -203,17 +201,11 @@ class TripleAnalysis(_Record):
         _set(self, "chords", chords)
 
 
-def _adjacent_pairs(d: GaussDiagram):
-    """Each cyclically adjacent endpoint pair: the endpoints at positions p
-    and p + 1 (mod 2n), for p = 0 .. 2n - 1."""
-    eps = d.endpoints
-    return zip(eps, eps[1:] + eps[:1])
-
-
 def r1_removable_chords(d: GaussDiagram) -> list:
     """Chords whose head and tail are adjacent, ordered by the position
-    where the adjacent pair starts (the p of the (p, p+1) adjacency)."""
-    return list(dict.fromkeys(x.chord for x, y in _adjacent_pairs(d) if x.chord == y.chord))
+    where the adjacent pair starts (the p of the (p, p+1) adjacency): the
+    ``_r1_sites``, which need no sign test."""
+    return list(_sign_free(d, _r1_sites))
 
 
 def _r2_blocker(d: GaussDiagram, a: str, b: str):
@@ -232,15 +224,9 @@ def _r2_blocker(d: GaussDiagram, a: str, b: str):
 def r2_removable_pairs(d: GaussDiagram) -> list:
     """Unordered pairs {a, b} with adjacent heads, adjacent tails, and
     opposite signs; ordered by their sorted endpoint positions, each pair
-    in ``label_key`` order."""
-    pos = d._pos
-    found = []
-    # every R2 site has adjacent heads; adjacent heads never share a chord
-    for x, y in _adjacent_pairs(d):
-        if x.role == y.role == HEAD and _r2_blocker(d, x.chord, y.chord) is None:
-            a, b = sorted((x.chord, y.chord), key=label_key)
-            found.append((sorted((*pos[a], *pos[b])), (a, b)))
-    return [pair for _, pair in sorted(found)]
+    in ``label_key`` order: the ``_r2_sites`` of opposite signs."""
+    signs = d.signs
+    return [pair for pair in _sign_free(d, _r2_sites) if signs[pair[0]] != signs[pair[1]]]
 
 
 # every (sign, parity, direction) record, shared: a frozen value, built once
@@ -250,80 +236,29 @@ _NUMBERS = {
 }
 
 
-def _qualifying_tilings(d: GaussDiagram, labels) -> list:
-    """The qualifying tilings of the triple's six endpoints, each as
-    (arcs, {label: ChordNumbers}, movable) with arcs = (heads_arc,
-    tails_arc, mixed_arc).
-
-    The six positions, sorted as q0 < ... < q5, admit exactly two tilings
-    into consecutive pairs: (q0 q1)(q2 q3)(q4 q5) and (q1 q2)(q3 q4)(q5 q0).
-    Both can qualify only when the six endpoints fill the whole circle.  A
-    tiling qualifies when each pair is adjacent in the full diagram, one
-    pair joins two heads (then another joins two tails, and the third a
-    head and a tail) and the mixed pair joins distinct chords.
-
-    Everything is read from the endpoint positions: a chord's direction
-    from the indices of the arcs holding its tail and head (arcs in ccw
-    order = ascending start), its parity from the interleaving of its
-    positions with those of the other two chords.  The numbers dict follows
-    the order of ``labels``.
-    """
-    eps = d.endpoints
-    m = len(eps)
-    pos = d._pos
+def _movable_arcs(signs, labels, tilings):
+    """The arcs of the first of a triple's ``_tilings`` whose three 3-signs
+    agree under ``signs``, or None: the signed filter of an R3 site, and
+    the witness every R3 move swaps."""
     a, b, c = labels
-    (ta, ha), (tb, hb), (tc, hc) = pos[a], pos[b], pos[c]
-    chords = ((a, ta, ha), (b, tb, hb), (c, tc, hc))
-    q0, q1, q2, q3, q4, q5 = sorted((ta, ha, tb, hb, tc, hc))
-    tilings = []
-    if q1 == q0 + 1 and q3 == q2 + 1 and q5 == q4 + 1:
-        tilings.append(((q0, q1), (q2, q3), (q4, q5)))
-    if q2 == q1 + 1 and q4 == q3 + 1 and q0 == 0 and q5 == m - 1:
-        tilings.append(((q1, q2), (q3, q4), (q5, q0)))
-    out = []
-    parities = None
-    for pairs in tilings:
-        heads = tails = mixed = None
-        for pair in pairs:
-            x, y = eps[pair[0]], eps[pair[1]]
-            if x.role != y.role:
-                mixed = pair if x.chord != y.chord else None
-            elif x.role == HEAD:
-                heads = pair
-            else:
-                tails = pair
-        # 3 heads and 3 tails: with a heads pair, the other two pairs are a
-        # tails pair and a mixed pair, which must join distinct chords
-        if heads is None or mixed is None:
-            continue
-        if parities is None:
-            # +1 iff a chord crosses an even number of the other two
-            xab = _interleaved(ta, ha, tb, hb)
-            xac = _interleaved(ta, ha, tc, hc)
-            xbc = _interleaved(tb, hb, tc, hc)
-            parities = (
-                1 if xab == xac else -1,
-                1 if xab == xbc else -1,
-                1 if xac == xbc else -1,
-            )
-        # the arcs, in ccw order, start at s0 < s1 < s2; mod 3, a position's
-        # arc index is the number of starts at or before it
-        s0, s1, s2 = pairs[0][0], pairs[1][0], pairs[2][0]
-        numbers = {}
-        for (label, t, h), parity in zip(chords, parities):
-            i = (t >= s0) + (t >= s1) + (t >= s2)
-            j = (h >= s0) + (h >= s1) + (h >= s2)
-            direction = 1 if (j - i) % 3 == 1 else -1
-            numbers[label] = _NUMBERS[d.signs[label], parity, direction]
-        three_a, three_b, three_c = (rec.three_sign for rec in numbers.values())
-        out.append(((heads, tails, mixed), numbers, three_a == three_b == three_c))
-    return out
+    sa, sb, sc = signs[a], signs[b], signs[c]
+    for arcs, _, (fa, fb, fc) in tilings:
+        if sa * fa == sb * fb == sc * fc:
+            return arcs
+    return None
 
 
-def _witness(tilings):
-    """The tiling a verdict reports and an R3 move swaps: the first movable
-    one of the nonempty ``_qualifying_tilings``, else the first."""
-    return next((t for t in tilings if t[2]), tilings[0])
+def _qualifying_tilings(d: GaussDiagram, labels) -> list:
+    """The qualifying ``_tilings`` of the triple with their signs, each as
+    (arcs, {label: ChordNumbers}, movable); the numbers dict follows the
+    order of ``labels``."""
+    signs = d.signs
+    # a factor is parity * direction, so a chord's direction is parity * factor
+    return [
+        (arcs, {c: _NUMBERS[signs[c], p, p * f] for c, p, f in zip(labels, parities, factors)},
+         len({signs[c] * f for c, f in zip(labels, factors)}) == 1)
+        for arcs, parities, factors in _tilings(d, labels)
+    ]
 
 
 def analyze_triple(d: GaussDiagram, triple) -> TripleAnalysis:
@@ -350,56 +285,20 @@ def analyze_triple(d: GaussDiagram, triple) -> TripleAnalysis:
     qualifying = _qualifying_tilings(d, labels)
     if not qualifying:
         return TripleAnalysis(False, False, None, None, None, {})
-    arcs, numbers, movable = _witness(qualifying)
+    arcs, numbers, movable = next((t for t in qualifying if t[2]), qualifying[0])
     return TripleAnalysis(True, movable, *arcs, numbers)
 
 
-def _r3_candidates(d: GaussDiagram) -> set:
-    """The matched triples, as frozensets of labels.
-
-    Candidates come from head adjacencies.  A qualifying tiling pairs the
-    heads of two chords a, b on its heads arc, so the third chord c has its
-    head on the mixed arc, next to a tail of a or b, and its tail on the
-    tails arc (the mixed arc joins two distinct chords), next to the other
-    tail of a or b.  So c's tail is a cyclic neighbour of one tail of a, b
-    and c's head of the other: at most four candidates per head adjacency,
-    O(n) triples in all.  Conversely, three disjoint adjacent pairs of six
-    endpoints always form one of the two tilings ``_qualifying_tilings``
-    tries, and these pairs qualify, so every candidate is matched.
-    """
-    eps = d.endpoints
-    m = len(eps)
-    pos = d._pos
-    candidates = set()
-    for x, y in _adjacent_pairs(d):
-        if x.role == y.role == HEAD:
-            a, b = x.chord, y.chord
-            ta, tb = pos[a][0], pos[b][0]
-            for t, other in ((ta, tb), (tb, ta)):
-                for z in (eps[t - 1], eps[(t + 1) % m]):
-                    c = z.chord
-                    if (z.role == TAIL and c != a and c != b
-                            and _adjacent(m, pos[c][1], other)):
-                        candidates.add(frozenset((a, b, c)))
-    return candidates
-
-
 def r3_movable_triples(d: GaussDiagram) -> list:
-    """All movable triples, as label tuples in sorted order.
-
-    Each of the ``_r3_candidates`` is kept when one of its
-    ``_qualifying_tilings`` is movable (a verdict that does not depend on
-    the label order).  Only the kept triples are sorted: each by
-    ``label_key``, then the list by their labels' keys, which is
-    ``itertools.combinations`` order over the labels sorted by
-    ``label_key``.
+    """All movable triples, as label tuples in sorted order: the
+    ``_r3_sites`` with a tiling whose 3-signs agree (a verdict that does
+    not depend on the label order).  The order is ``label_key`` within a
+    triple, then ``itertools.combinations`` order over the labels sorted
+    by ``label_key``.
     """
-    kept = [
-        tuple(sorted(t, key=label_key))
-        for t in _r3_candidates(d)
-        if any(movable for _, _, movable in _qualifying_tilings(d, t))
-    ]
-    return sorted(kept, key=lambda t: tuple(map(label_key, t)))
+    signs = d.signs
+    found = _sign_free(d, _r3_sites)
+    return [t for t, tilings in found.items() if _movable_arcs(signs, t, tilings)]
 
 
 def _fresh_labels(d: GaussDiagram, count: int) -> list:
@@ -468,9 +367,9 @@ def _rewrite(d: GaussDiagram, move: Move):
 
     A deletion cuts its chords' ``_cuts``.  An insertion splices in its
     ``_insertion_blocks``, each (gap, labels, bases), as the shared
-    endpoints read off the labels and bases.  R3 swaps the three arcs of
-    the ``_witness``.  ``_family_rows`` makes the same edits on the rows,
-    unchecked."""
+    endpoints read off the labels and bases.  R3 swaps the three
+    ``_movable_arcs`` of its triple's ``_tilings``.  ``_family_rows`` makes
+    the same edits on the rows, unchecked."""
     splices = arcs = gone = ()  # gone: the chords cut
     add = {}  # the signs of the chords added
     if isinstance(move, R1Delete):
@@ -499,11 +398,11 @@ def _rewrite(d: GaussDiagram, move: Move):
         ]
     elif isinstance(move, R3):
         _check_chords(d, move.chords)
-        tilings = _qualifying_tilings(d, move.chords)
+        tilings = _tilings(d, move.chords)
         if not tilings:
             raise MoveNotApplicable(f"triple {move.chords} is not matched")
-        arcs, _, movable = _witness(tilings)
-        if not movable:
+        arcs = _movable_arcs(d.signs, move.chords, tilings)
+        if arcs is None:
             raise MoveNotApplicable(f"triple {move.chords} is matched but its 3-signs differ")
     else:
         raise MoveNotApplicable(f"unknown move {move!r}")
@@ -573,8 +472,10 @@ def _family_rows(d: GaussDiagram, change: int):
     elif change == -2:
         sites = [((pair,), _cuts(d, pair), (), ()) for pair in r2_removable_pairs(d)]
     elif change == 0:
-        sites = [((t,), (), (), _witness(_qualifying_tilings(d, t))[0])
-                 for t in r3_movable_triples(d)]
+        d = _holding(d)  # the detector fills its holder; the arcs are read from it
+        triples = r3_movable_triples(d)
+        found = _sign_free(d, _r3_sites)
+        sites = [((t,), (), (), _movable_arcs(d.signs, t, found[t])) for t in triples]
     else:
         fresh = _fresh_labels(d, 2)
         sites = [(fields, (), _insertion_blocks(fields, fresh)[0], ())
@@ -721,12 +622,12 @@ def census_movable_triples(n: int) -> CensusResult:
 
     The (2n-1)!! * 4^n diagrams are walked as the (2n-1)!! * 2^n endpoint
     ``diagram._arrangements`` times their 2^n sign maps.  The matched
-    triples (``_r3_candidates``), their tilings, each chord's parity and
-    direction and the sign-free part of each tiling's key depend on the
-    endpoints only, so each arrangement is analysed once, and a 3-sign is
-    the chord's sign times its sign-free factor parity * direction.  A sign
-    map then makes a tiling movable iff the three signed factors agree, and
-    keys it by appending its chords' signs.  n is capped at 5 (967,680
+    triples with their tilings and each chord's factor parity * direction
+    (``_r3_sites``) and the sign-free part of each tiling's key depend on
+    the endpoints only, so each arrangement is analysed once, and a 3-sign
+    is the chord's sign times its factor.  A sign map then makes a tiling
+    movable iff the three signed factors agree, and keys it by appending
+    its chords' signs.  n is capped at 5 (967,680
     diagrams, about 1.3 s) to keep the walk at desk scale.
     """
     _check_chord_count(n)
@@ -738,20 +639,18 @@ def census_movable_triples(n: int) -> CensusResult:
     movable_orbits = set()
     for endpoints, sign_maps in _arrangements(n):
         total += len(sign_maps)
-        d = _trusted(endpoints, sign_maps[0])
-        # each tiling's sign-free key, its sign reader and its chords'
-        # (label, parity * direction)
+        # each tiling's sign-free key, its sign reader, its chords and their
+        # factors, from the arrangement's R3 sites
         tilings = [
-            (*_heads_arc_key(endpoints, arcs),
-             [(c, r.parity * r.direction) for c, r in numbers.items()])
-            for triple in _r3_candidates(d)
-            for arcs, numbers, _ in _qualifying_tilings(d, triple)
+            (*_heads_arc_key(endpoints, arcs), labels, factors)
+            for labels, found in _r3_sites(_trusted(endpoints, sign_maps[0])).items()
+            for arcs, _, factors in found
         ]
         if not tilings:
             continue
         matched += len(tilings) * len(sign_maps)
         for signs in sign_maps:
-            for key, read, ((a, fa), (b, fb), (c, fc)) in tilings:
+            for key, read, (a, b, c), (fa, fb, fc) in tilings:
                 if signs[a] * fa == signs[b] * fb == signs[c] * fc:
                     movable += 1
                     movable_orbits.add(key + read(signs))

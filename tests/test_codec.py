@@ -201,3 +201,27 @@ def test_structured_rejects_bad_documents():
         mutate(doc)
         with pytest.raises(ValueError):
             from_structured(doc)
+
+
+def test_rejected_text_adds_no_shared_endpoints():
+    # the parser looks up the shared endpoint tables only once the whole
+    # text is accepted: 1,000 rejected texts, each with a fresh label and
+    # each rejected for one of five reasons, leave the tables' sizes as they
+    # were, and accepting a text then adds its labels
+    from gaussdiag.diagram import _HEADS, _TAILS
+
+    sizes = len(_TAILS), len(_HEADS)
+    for i in range(1000):
+        label = f"rejected{i}"
+        text = [
+            f"O{label}+ O{label}+",  # a repeated role
+            f"O{label}+ U{label}-",  # a sign mismatch
+            f"O{label}+ U{label}+ O1+",  # a lone chord
+            f"O{label}+ U{label}+ X1+",  # an unreadable token after a good chord
+            f"O{label}- U{label}- O{label}- U1+ x",  # a held error, then an unreadable token
+        ][i % 5]
+        with pytest.raises(ParseError):
+            parse_gauss_code(text)
+    assert (len(_TAILS), len(_HEADS)) == sizes
+    parse_gauss_code("Oaccepted0+ Uaccepted0+")
+    assert (len(_TAILS), len(_HEADS)) == (sizes[0] + 1, sizes[1] + 1)

@@ -10,6 +10,7 @@ import re
 
 import pytest
 
+from gaussdiag import diagram
 from gaussdiag import (
     EMPTY,
     HEAD,
@@ -199,6 +200,25 @@ def test_endpoint_repr():
 def test_diagram_repr_shows_code():
     assert repr(trefoil()) == "GaussDiagram('O1- O2- U1- U2-')"
     assert repr(EMPTY) == "GaussDiagram('')"
+
+
+def test_copies_hold_the_shared_endpoints():
+    # pickle and deepcopy give back the one shared endpoint of each label
+    # and role, for a diagram's endpoints and for an endpoint alone; an
+    # endpoint no diagram can hold comes back as a new one, outside the tables
+    d = trefoil()
+    for clone in (pickle.loads(pickle.dumps(d)), copy.deepcopy(d)):
+        assert clone.endpoints[0] is diagram._TAILS["1"]
+        assert all(
+            ep is (diagram._TAILS if ep.role == TAIL else diagram._HEADS)[ep.chord]
+            for ep in clone.endpoints
+        )
+    for clone in (pickle.loads(pickle.dumps(Endpoint("2", HEAD))), copy.copy(Endpoint("2", HEAD))):
+        assert clone is diagram._HEADS["2"]
+    for odd in (Endpoint("not a label", TAIL), Endpoint("1", "over")):
+        clone = pickle.loads(pickle.dumps(odd))
+        assert clone == odd and clone is not odd
+    assert "not a label" not in diagram._TAILS
 
 
 def test_pickle_and_deepcopy_roundtrip():

@@ -25,6 +25,10 @@ exhaustive n <= 4 corpus and the 1000 seeded diagrams; n counts chords.
 - Walk: the rewrite oracle's children in ``oracle_enumerate_moves`` order;
   every family with n <= 3 and of the seeded corpus, and every deletion
   and R3 family with n = 4 (``test_family_rows_match_oracles``).
+- Shared sites: each enumerated diagram's moves and deletion and R3 walks,
+  read through the sign-free sites its arrangement shares, against its
+  unshared parsed copy; every diagram with n <= 4, each arrangement's sign
+  maps visited forward and reversed (``test_shared_sites_*``).
 - Layout: ``oracle_positions``, each chord's (tail, head) pair read off the
   endpoints; both corpora as built by every library path, ``make_diagram``,
   ``pickle`` and ``deepcopy``, with the library's diagrams holding the
@@ -104,8 +108,8 @@ from gaussdiag.moves import (
     _fresh_labels,
     _heads_arc_key,
     _qualifying_tilings,
-    _r3_candidates,
 )
+from gaussdiag.sites import _r3_candidates
 
 # ------------------------------------------------------------------ oracles
 
@@ -922,6 +926,36 @@ def test_family_rows_match_oracles(exhaustive_corpus, random_corpus):
                 assert [chords, bases] == list(_rows(*REWRITES[kind](d, move))), (d, move)
             walked_moves += len(walked)
     assert walked_moves > 40_000
+
+
+def _site_outcome(d: GaussDiagram) -> tuple:
+    """What a diagram's move sites decide: its moves, in order, and the
+    search's walks over its deletion and R3 families."""
+    return enumerate_moves(d), [list(_family_rows(d, change)) for change in (-1, -2, 0)]
+
+
+def test_shared_sites_match_unshared_copies():
+    # an arrangement's 2^n diagrams share one holder of sign-free sites,
+    # which the first sign map to ask fills; each diagram's moves and walks
+    # equal its unshared copy's, with every arrangement's sign maps asking
+    # first to last and, in a second enumeration, last to first
+    checked = 0
+    for n in range(5):
+        forward, backward = enumerate_diagrams(n), enumerate_diagrams(n)
+        while group := list(itertools.islice(forward, 2 ** n)):
+            again = list(itertools.islice(backward, 2 ** n))
+            assert again == group and again[0]._sites is not group[0]._sites
+            for shared in (group, again):
+                assert all(d._sites is shared[0]._sites is not None for d in shared), group[0]
+            expected = []
+            for d in group:
+                copy = parse_gauss_code(serialize_gauss_code(d))
+                assert copy._sites is None
+                expected.append(_site_outcome(copy))
+            for d, outcome in [*zip(group, expected), *zip(again[::-1], expected[::-1])]:
+                assert _site_outcome(d) == outcome, d
+                checked += 1
+    assert checked == 2 * (1 + 4 + 48 + 960 + 26880)
 
 
 def test_enumerate_diagrams_matches_oracle():

@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import gaussdiag.moves
+import gaussdiag.sites
 
 from gaussdiag import (
     EMPTY,
@@ -28,6 +29,7 @@ from gaussdiag import (
     analyze_triple,
     apply_move,
     census_movable_triples,
+    enumerate_diagrams,
     enumerate_moves,
     format_move,
     parse_gauss_code,
@@ -35,6 +37,7 @@ from gaussdiag import (
     r1_removable_chords,
     r2_removable_pairs,
     r3_movable_triples,
+    random_diagram,
     rotate,
     serialize_gauss_code,
 )
@@ -534,7 +537,7 @@ def test_three_sign_factors_into_sign_and_a_sign_free_part():
             for signs in sign_maps:
                 g = make_diagram(endpoints, signs)
                 view = []
-                for triple in sorted(map(sorted, gaussdiag.moves._r3_candidates(g))):
+                for triple in sorted(map(sorted, gaussdiag.sites._r3_candidates(g))):
                     for arcs, numbers, _ in gaussdiag.moves._qualifying_tilings(g, triple):
                         for c, r in numbers.items():
                             assert r.sign == signs[c], (g, triple)
@@ -544,6 +547,38 @@ def test_three_sign_factors_into_sign_and_a_sign_free_part():
                 configurations += len(view)
             assert all(view == views[0] for view in views), endpoints
     assert configurations == 768 + 24_576
+
+
+def test_r3_walk_runs_the_kernel_once_per_candidate(monkeypatch):
+    # the search's R3 walk swaps the arcs of the tilings its detector read:
+    # on a diagram that shares no sites, each walk runs the sign-free kernel
+    # once per candidate triple; among the sign maps of one enumerated
+    # arrangement, only the first walk runs it
+    kernel = gaussdiag.sites._tilings
+    calls = []
+
+    def spy(g, labels):
+        calls.append(frozenset(labels))
+        return kernel(g, labels)
+
+    monkeypatch.setattr(gaussdiag.sites, "_tilings", spy)
+    walked = 0
+    unshared = [d(code) for code in (EX1, EX2, FIG_A, FIG_B, FIG_C)]
+    unshared += [random_diagram(3 + seed % 6, seed) for seed in range(60)]
+    for g in unshared:
+        candidates = gaussdiag.sites._r3_candidates(g)
+        for _ in range(2):
+            calls.clear()
+            walked += len(list(gaussdiag.moves._family_rows(g, 0)))
+            assert sorted(calls, key=sorted) == sorted(candidates, key=sorted), g
+    assert walked > 0
+    for n in (3, 4):
+        for i, g in enumerate(enumerate_diagrams(n)):
+            first = i % 2 ** n == 0
+            calls.clear()
+            list(gaussdiag.moves._family_rows(g, 0))
+            expected = gaussdiag.sites._r3_candidates(g) if first else set()
+            assert sorted(calls, key=sorted) == sorted(expected, key=sorted), g
 
 
 def test_census_bounds():
@@ -561,18 +596,19 @@ def test_census_chord_count_must_be_an_exact_int(n):
 
 
 def test_only_analyze_triple_uses_the_validating_accessors():
-    # the module's own code reads the position map; the accessors that
-    # validate their chord or positions are for outside callers, and
-    # analyze_triple is the public report that validates its labels
+    # the code of moves and of the sign-free sites reads the position map;
+    # the accessors that validate their chord or positions are for outside
+    # callers, and analyze_triple is the public report that validates its
+    # labels
     validating = {"adjacent", "head_position", "positions_of", "sign_of", "tail_position"}
-    tree = ast.parse(Path(gaussdiag.moves.__file__).read_text())
     uses = set()
-    for stmt in tree.body:
-        owner = getattr(stmt, "name", "<module>")
-        for node in ast.walk(stmt):
-            for field in ("id", "attr", "name"):  # a name, an attribute, an import
-                if getattr(node, field, None) in validating:
-                    uses.add((owner, getattr(node, field)))
+    for module in (gaussdiag.moves, gaussdiag.sites):
+        for stmt in ast.parse(Path(module.__file__).read_text()).body:
+            owner = getattr(stmt, "name", "<module>")
+            for node in ast.walk(stmt):
+                for field in ("id", "attr", "name"):  # a name, an attribute, an import
+                    if getattr(node, field, None) in validating:
+                        uses.add((owner, getattr(node, field)))
     assert uses == {("analyze_triple", "sign_of")}
 
 
