@@ -6,9 +6,10 @@ module it edits, the exact source line (without its indentation, which
 must occur exactly once in the module), the one line that replaces it and
 the layer it breaks.  The layers are the Gauss-code reader, a diagram's
 position map and shared endpoints, the scan and canonical code, move
-detection, the sign-free move sites an endpoint arrangement's diagrams
-share, the R3 triple kernel, the rewrite, the search's walk over a move
-family, the census, the search and the value types' record base.
+detection, the sign-free move sites and rewrites an endpoint
+arrangement's diagrams share, the R3 triple kernel, the rewrite, the
+search's walk over a move family, the census, the search and the value
+types' record base.
 
 For each mutant the runner copies ``src/`` to a temporary directory,
 applies the mutant there and runs the tier-1 pytest command with ``-x``
@@ -179,7 +180,7 @@ MUTANTS = (
         "for z in (eps[(t + 1) % m],):",
         "detection",
     ),
-    # the sign-free move sites an endpoint arrangement's diagrams share
+    # the sign-free move sites and rewrites an endpoint arrangement's diagrams share
     Mutant(
         "sites-r2-signs-leak", "sites.py",
         "if _adjacent(m, ta, tb):",
@@ -194,14 +195,28 @@ MUTANTS = (
     ),
     Mutant(
         "sites-across-arrangements", "diagram.py",
-        "pos, sites = _trusted(eps, sign_maps[0])._pos, {}",
-        'pos, sites = _trusted(eps, sign_maps[0])._pos, enumerate_diagrams.__dict__.setdefault("s", {})',
+        "pos, sites = _positions(eps), {}",
+        'pos, sites = _positions(eps), enumerate_diagrams.__dict__.setdefault("s", {})',
         "sites",
     ),
     Mutant(
         "sites-not-kept", "sites.py",
         "found = sites[find] = find(d)",
         "found = find(d)",
+        "sites",
+    ),
+    Mutant(
+        "sites-r3-edit-by-triple", "moves.py",
+        "key = (*cuts, *arcs)",
+        "key = (*cuts, *(move.chords if arcs else ()))",
+        "sites",
+    ),
+    Mutant(
+        "sites-r2-edit-before-check", "moves.py",
+        "_check_chords(d, move.chords)",
+        "_check_chords(d, move.chords); d._sites is None or d._sites.setdefault(tuple(_cuts(d, "
+        "move.chords)), ((e := tuple(_edited(d.endpoints, _cuts(d, move.chords), (), (), 1))), "
+        "_positions(e)))",
         "sites",
     ),
     # the R3 triple kernel

@@ -14,12 +14,13 @@ exactly +1 or -1) are checked once, where outside input enters: by the
 public constructor (``GaussDiagram(...)``, ``make_diagram``, and through
 it ``codec.from_structured``), by ``codec.parse_gauss_code``'s own token
 checks, and by ``moves.apply_move``'s move preconditions.  The parser,
-applied moves and every internal rewrite then build through ``_trusted``
-without revalidating; both paths set attributes only in ``_assemble``.
+applied moves and every internal rewrite then build without revalidating,
+through ``_trusted`` or, in ``apply_move``, its ``_positions``; every path
+sets attributes only in ``_assemble``.
 
 A diagram keeps its position map ``_pos``: each chord's positions as one
 (tail, head) pair, made in the one pass over the endpoints that checks
-them (``_trusted`` makes it in the same pass without the checks).  Every
+them (``_positions`` makes it in the same pass without the checks).  Every
 diagram the library builds, parsed, rewritten, canonical, enumerated or
 random, holds the one shared ``Endpoint`` of each label and role from the
 tables ``_TAILS`` and ``_HEADS``, which grow by one endpoint per distinct
@@ -32,13 +33,16 @@ rows (``_rows``): chord labels, and one int per role and sign.
 Where a move can be made depends on the endpoints alone, except for a
 sign test that ``moves`` applies last: the R1 chords, the R2 candidate
 pairs and the R3 candidate triples with their tilings are sign-free (see
-``sites``).  A diagram's ``_sites`` is the holder of those sites that it
-shares with the other sign maps of its endpoint arrangement, a dict that
-``sites`` fills on first use, or None.  Only ``enumerate_diagrams`` hands
-out holders: each arrangement's 2^n diagrams share one holder, one
+``sites``).  So is the child of a deletion or an R3 whose checks pass:
+its endpoints and their position map.  A diagram's ``_sites`` is the
+holder it shares with the other sign maps of its endpoint arrangement, or
+None.  The holder is a dict that ``sites`` fills with each kind of site,
+and ``moves.apply_move`` with each edit's child endpoints and position
+map, on first use; it never keeps a sign map.  Only ``enumerate_diagrams``
+hands out holders: each arrangement's 2^n diagrams share one holder, one
 position map and their endpoints.  Every other diagram (parsed,
-rewritten, canonical, random or built by the constructor) holds None, and
-its sites are found on each call and kept nowhere.
+rewritten, canonical, random or built by the constructor) holds None; its
+sites are found, and its children built, on each call and kept nowhere.
 
 Every value type of the package, here and in ``moves``, ``simplify`` and
 ``render``, is a ``_Record``: its fields are its ``__slots__``, and the
@@ -266,12 +270,19 @@ def _trusted(endpoints: Iterable[Endpoint], signs: Mapping[str, int]) -> GaussDi
     validating them: the caller guarantees every chord appears once as tail
     and once as head, and that ``signs`` maps exactly those chords to +-1."""
     endpoints = tuple(endpoints)
+    signs = MappingProxyType(dict(signs))
+    return _assemble(object.__new__(GaussDiagram), endpoints, signs, _positions(endpoints))
+
+
+def _positions(endpoints: tuple) -> dict:
+    """The position map of trusted endpoints, chord -> (tail, head), made
+    without the constructor's checks."""
     pos = {}  # as in the constructor: the first position, then the pair
     for i, ep in enumerate(endpoints):
         j = pos.setdefault(ep.chord, i)
         if j != i:
             pos[ep.chord] = (j, i) if ep.role == HEAD else (i, j)
-    return _assemble(object.__new__(GaussDiagram), endpoints, MappingProxyType(dict(signs)), pos)
+    return pos
 
 
 def _assemble(d: GaussDiagram, endpoints: tuple, signs: MappingProxyType, pos: dict,
@@ -480,11 +491,11 @@ def enumerate_diagrams(n: int) -> Iterator[GaussDiagram]:
     so (2n-1)!! * 4^n diagrams, no duplicates.  Intended for small n.
 
     An arrangement's diagrams share its endpoints, one position map and
-    one holder of sign-free move sites, which the first of them asked for
-    a kind of site fills; each views its shared sign map without a
-    copy."""
+    one holder of sign-free move sites and rewrites, which the first of
+    them asked for a kind of site or a rewrite fills; each views its
+    shared sign map without a copy."""
     for eps, sign_maps in _arrangements(n):
-        pos, sites = _trusted(eps, sign_maps[0])._pos, {}
+        pos, sites = _positions(eps), {}
         for signs in sign_maps:
             yield _assemble(object.__new__(GaussDiagram), eps, MappingProxyType(signs), pos, sites)
 

@@ -58,7 +58,8 @@ its chords' positions, the ``_cuts``; an insertion splices its
 sign, then flag); and R3 swaps the ``_movable_arcs``.
 ``apply_move`` builds the edited endpoint tuple without revalidation; an
 insertion's new endpoints are the shared ones of ``diagram._TAILS`` and
-``_HEADS``, so no move makes an ``Endpoint``.
+``_HEADS``, so no move makes an ``Endpoint``.  An enumerated diagram's
+deletions and R3s reuse the child its arrangement's holder keeps.
 
 The search keys children from one walk, ``_family_rows(d, change)``, over
 the move family of a parent that adds ``change`` chords: its R1 deletions
@@ -78,6 +79,7 @@ from __future__ import annotations
 import itertools
 from collections.abc import Mapping
 from operator import itemgetter
+from types import MappingProxyType
 
 from .diagram import (
     EMPTY,
@@ -87,7 +89,9 @@ from .diagram import (
     _TAILS,
     _adjacent,
     _arrangements,
+    _assemble,
     _check_chord_count,
+    _positions,
     _Record,
     _rows,
     _set,
@@ -304,7 +308,7 @@ def r3_movable_triples(d: GaussDiagram) -> list:
 def _fresh_labels(d: GaussDiagram, count: int) -> list:
     """The ``count`` least positive integers not used as labels in d."""
     candidates = map(str, range(1, len(d.signs) + count + 1))
-    return [lab for lab in candidates if lab not in d.signs][:count]
+    return list(itertools.islice(itertools.filterfalse(d.signs.__contains__, candidates), count))
 
 
 def _check_chords(d: GaussDiagram, chords):
@@ -355,21 +359,38 @@ def _edited(column, cuts, splices, arcs, field: int) -> list:
 def apply_move(d: GaussDiagram, move: Move) -> GaussDiagram:
     """Apply one move, or raise MoveNotApplicable naming the failed condition.
 
-    The result is ``_rewrite``'s parts, which its checks make valid by
-    construction, built through ``_trusted``."""
-    return _trusted(*_rewrite(d, move))
+    The result is d's endpoints with ``_rewrite``'s edit, valid by its
+    checks, and its fresh sign dict, built without revalidation.  A
+    deletion's or R3's edited endpoints and position map are sign-free, so
+    a diagram with a holder (see ``sites``) keeps them there, keyed by the
+    edit's cuts or arcs, for its arrangement's other sign maps; a failed
+    check keeps nothing.  Insertions, and diagrams without a holder, build
+    afresh."""
+    (cuts, splices, arcs), signs = _rewrite(d, move)
+    holder = None if splices else d._sites  # an insertion has no cuts or arcs to key it by
+    key = (*cuts, *arcs)
+    child = None if holder is None else holder.get(key)
+    if child is None:
+        endpoints = tuple(_edited(d.endpoints, cuts, splices, arcs, 1))
+        child = endpoints, _positions(endpoints)
+        if holder is not None:
+            holder[key] = child
+    return _assemble(object.__new__(GaussDiagram), child[0], MappingProxyType(signs), child[1])
 
 
 def _rewrite(d: GaussDiagram, move: Move):
     """Check every precondition of ``move`` on d (MoveNotApplicable like
-    apply_move), then apply the move as one ``_edited`` edit of d's
-    endpoints, giving the parts (endpoints, signs) of apply_move's result.
+    apply_move), then give the move as one edit of d's endpoints, (cuts,
+    splices, arcs) for ``_edited``, and the fresh sign dict of apply_move's
+    result.
 
     A deletion cuts its chords' ``_cuts``.  An insertion splices in its
     ``_insertion_blocks``, each (gap, labels, bases), as the shared
     endpoints read off the labels and bases.  R3 swaps the three
-    ``_movable_arcs`` of its triple's ``_tilings``.  ``_family_rows`` makes
-    the same edits on the rows, unchecked."""
+    ``_movable_arcs`` of its triple's ``_tilings``, read from the holder's
+    R3 find when d has a holder, where a triple without an entry is not
+    matched.  ``_family_rows`` makes the same edits on the rows,
+    unchecked."""
     splices = arcs = gone = ()  # gone: the chords cut
     add = {}  # the signs of the chords added
     if isinstance(move, R1Delete):
@@ -397,18 +418,18 @@ def _rewrite(d: GaussDiagram, move: Move):
             for gap, labels, bases in blocks
         ]
     elif isinstance(move, R3):
-        _check_chords(d, move.chords)
-        tilings = _tilings(d, move.chords)
+        t = move.chords
+        _check_chords(d, t)
+        tilings = _tilings(d, t) if d._sites is None else _sign_free(d, _r3_sites).get(t)
         if not tilings:
-            raise MoveNotApplicable(f"triple {move.chords} is not matched")
-        arcs = _movable_arcs(d.signs, move.chords, tilings)
+            raise MoveNotApplicable(f"triple {t} is not matched")
+        arcs = _movable_arcs(d.signs, t, tilings)
         if arcs is None:
-            raise MoveNotApplicable(f"triple {move.chords} is matched but its 3-signs differ")
+            raise MoveNotApplicable(f"triple {t} is matched but its 3-signs differ")
     else:
         raise MoveNotApplicable(f"unknown move {move!r}")
-    cuts = _cuts(d, gone) if gone else ()
     signs = {c: s for c, s in d.signs.items() if c not in gone} if gone else {**d.signs, **add}
-    return _edited(d.endpoints, cuts, splices, arcs, 1), signs
+    return (_cuts(d, gone) if gone else (), splices, arcs), signs
 
 
 def enumerate_moves(d: GaussDiagram, include_insertions: bool = False) -> list:

@@ -20,7 +20,11 @@ holder, where the first sign map to ask for a kind of site finds it, or
 found afresh for a diagram that holds none (parsed, rewritten,
 canonical, random or constructed), which keeps nothing.  ``_holding``
 gives such a diagram a holder for one walk, so that the search's R3 walk
-and the detector it calls read one find.
+and the detector it calls read one find.  The holder also keeps the
+rewrites: ``moves.apply_move`` keys each deletion's or R3's edit there by
+its cuts or arcs, with the child's endpoints and position map, which are
+sign-free too, once the edit's checks pass; ``moves._rewrite`` reads an
+R3's tilings from the holder's R3 find.  A holder never keeps signs.
 
 Every precondition is an adjacency, read one way.  ``_adjacent_pairs`` is
 the one walk over cyclically adjacent endpoint pairs: the R1 find keeps

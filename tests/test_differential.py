@@ -25,10 +25,13 @@ exhaustive n <= 4 corpus and the 1000 seeded diagrams; n counts chords.
 - Walk: the rewrite oracle's children in ``oracle_enumerate_moves`` order;
   every family with n <= 3 and of the seeded corpus, and every deletion
   and R3 family with n = 4 (``test_family_rows_match_oracles``).
-- Shared sites: each enumerated diagram's moves and deletion and R3 walks,
-  read through the sign-free sites its arrangement shares, against its
-  unshared parsed copy; every diagram with n <= 4, each arrangement's sign
-  maps visited forward and reversed (``test_shared_sites_*``).
+- Shared sites and rewrites: each enumerated diagram's moves and deletion
+  and R3 walks, read through the sign-free sites its arrangement shares,
+  and its ``apply_move`` results and errors for every move any sign map of
+  its arrangement offers, made through the edits the holder keeps, against
+  its unshared parsed copy; every diagram with n <= 4, each arrangement's
+  sign maps visited forward and reversed (``test_shared_sites_*``,
+  ``test_shared_rewrites_*``).
 - Layout: ``oracle_positions``, each chord's (tail, head) pair read off the
   endpoints; both corpora as built by every library path, ``make_diagram``,
   ``pickle`` and ``deepcopy``, with the library's diagrams holding the
@@ -48,6 +51,7 @@ exhaustive n <= 4 corpus and the 1000 seeded diagrams; n counts chords.
 
 from __future__ import annotations
 
+import collections
 import copy
 import heapq
 import importlib
@@ -934,6 +938,14 @@ def _site_outcome(d: GaussDiagram) -> tuple:
     return enumerate_moves(d), [list(_family_rows(d, change)) for change in (-1, -2, 0)]
 
 
+def _sign_map_groups(n: int):
+    """Each endpoint arrangement's 2^n enumerated diagrams, from two
+    enumerations, so with two holders: (group, again)."""
+    forward, backward = enumerate_diagrams(n), enumerate_diagrams(n)
+    while group := list(itertools.islice(forward, 2 ** n)):
+        yield group, list(itertools.islice(backward, 2 ** n))
+
+
 def test_shared_sites_match_unshared_copies():
     # an arrangement's 2^n diagrams share one holder of sign-free sites,
     # which the first sign map to ask fills; each diagram's moves and walks
@@ -941,9 +953,7 @@ def test_shared_sites_match_unshared_copies():
     # first to last and, in a second enumeration, last to first
     checked = 0
     for n in range(5):
-        forward, backward = enumerate_diagrams(n), enumerate_diagrams(n)
-        while group := list(itertools.islice(forward, 2 ** n)):
-            again = list(itertools.islice(backward, 2 ** n))
+        for group, again in _sign_map_groups(n):
             assert again == group and again[0]._sites is not group[0]._sites
             for shared in (group, again):
                 assert all(d._sites is shared[0]._sites is not None for d in shared), group[0]
@@ -956,6 +966,52 @@ def test_shared_sites_match_unshared_copies():
                 assert _site_outcome(d) == outcome, d
                 checked += 1
     assert checked == 2 * (1 + 4 + 48 + 960 + 26880)
+
+
+def _applied(result):
+    """An ``apply_move`` result as its endpoints, sign items, position
+    items and holder; a raised ``_raised`` (type, message) as it is."""
+    if isinstance(result, GaussDiagram):
+        signs, pos = list(result.signs.items()), list(result._pos.items())
+        return result.endpoints, signs, pos, result._sites
+    return result
+
+
+def test_shared_rewrites_match_unshared_copies():
+    # an arrangement's diagrams share each deletion's and R3's edited
+    # endpoints and position map in their holder, where the first sign map
+    # to make the edit keeps them; every result, and every error message,
+    # equals the unshared copy's, with the sign maps asking first to last
+    # and, in a second enumeration, last to first.  Each sign map is asked
+    # every move that some sign map of its arrangement offers, so it also
+    # meets R2 pairs of equal signs and matched triples whose 3-signs
+    # differ, and a failed check keeps nothing in the holder
+    errors = collections.Counter()
+    results = 0
+    for n in range(5):
+        for group, again in _sign_map_groups(n):
+            copies = [parse_gauss_code(serialize_gauss_code(d)) for d in group]
+            moves = list(dict.fromkeys(m for c in copies for m in enumerate_moves(c)))
+            expected = [[_applied(_raised(apply_move, c, move)) for move in moves] for c in copies]
+            for shared in (group, again):
+                enumerate_moves(shared[0])  # the holder's finds, made before any move
+            children = collections.defaultdict(list)  # (holder, move) -> its results
+            for d, outcome in [*zip(group, expected), *zip(again[::-1], expected[::-1])]:
+                for move, want in zip(moves, outcome):
+                    kept = dict(d._sites)
+                    got = _raised(apply_move, d, move)
+                    assert _applied(got) == want, (d, move)
+                    if isinstance(got, GaussDiagram):
+                        children[id(d._sites), move].append(got)
+                        results += 1
+                    else:
+                        assert d._sites == kept, (d, move)
+                        errors[type(move)] += 1
+            # one position map per child: the sign maps whose edit is the
+            # same read the one the first of them kept
+            for made in children.values():
+                assert len({id(c._pos) for c in made}) == len({c.endpoints for c in made})
+    assert results == 2 * 46_248 and errors == {R2Delete: 2 * 7_984, R3: 2 * 18_876}
 
 
 def test_enumerate_diagrams_matches_oracle():
