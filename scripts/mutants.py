@@ -5,11 +5,11 @@ kill each one.
 module it edits, the exact source line (without its indentation, which
 must occur exactly once in the module), the one line that replaces it and
 the layer it breaks.  The layers are the Gauss-code reader, a diagram's
-position map and shared endpoints, the scan and canonical code, move
-detection, the sign-free move sites and rewrites an endpoint
-arrangement's diagrams share, the R3 triple kernel, the rewrite, the
-search's walk over a move family, the census, the search and the value
-types' record base.
+position map and shared endpoints, the scan and canonical code (spelled
+and read back), move detection, the sign-free move sites and rewrites an
+endpoint arrangement's diagrams share, the R3 triple kernel, the
+rewrite, the search's walk over a move family, the census, the search
+and the value types' record base.
 
 For each mutant the runner copies ``src/`` to a temporary directory,
 applies the mutant there and runs the tier-1 pytest command with ``-x``
@@ -127,14 +127,26 @@ MUTANTS = (
     ),
     Mutant(
         "scan-last-start", "diagram.py",
-        "starts = [k for k in range(m) if bases[k] == first]",
-        "starts = [k for k in range(m - 1) if bases[k] == first]",
+        "if k >= m:",
+        "if k >= m - 1:",
+        "scan",
+    ),
+    Mutant(
+        "scan-shared-entry", "diagram.py",
+        "mine = {chords[k]: 1}",
+        "mine = {chords[k]: 2}",
         "scan",
     ),
     Mutant(
         "scan-numbering", "diagram.py",
         "entry = bases[p] | mine.setdefault(chords[p], len(mine) + 1) << 1",
         "entry = bases[p] | mine.setdefault(chords[p], len(mine) + 2) << 1",
+        "scan",
+    ),
+    Mutant(
+        "read-code-sign", "codec.py",
+        'return (_HEADS if token[0] == "U" else _TAILS)[token[1:-1]], -1 if token[-1] == "-" else 1',
+        'return (_HEADS if token[0] == "U" else _TAILS)[token[1:-1]], -1 if token[-1] == "+" else 1',
         "scan",
     ),
     # detection

@@ -22,7 +22,10 @@ only the document's shape and builds through the validating
 ``make_diagram``.
 
 ``_canonical_code`` spells the canonical code from the scan of a
-diagram's rows, so the search keys a child without building it.
+diagram's rows, so the search keys a child without building it, and
+``_read_canonical_code`` reads such a code back as the canonical form,
+without the parser's checks, so the search spells its trace from the codes
+it stored.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from .diagram import (
     _TAILS,
     _Table,
     _entry_parts,
+    _from_ends,
     _least_rotations,
     _trusted,
     make_diagram,
@@ -133,6 +137,20 @@ def _canonical_code(chords, bases) -> str:
     ``diagram._rows``, spelled straight from the least-rotation encoding
     without building d or its canonical form: "" for the empty diagram."""
     return " ".join(map(_TOKENS.__getitem__, _least_rotations(chords, bases)))
+
+
+def _token_end(token: str) -> tuple:
+    """An emitted token's shared endpoint and sign."""
+    return (_HEADS if token[0] == "U" else _TAILS)[token[1:-1]], -1 if token[-1] == "-" else 1
+
+
+_TOKEN_ENDS = _Table(_token_end)  # token -> its endpoint and sign
+
+
+def _read_canonical_code(code: str) -> GaussDiagram:
+    """canonical(d) from the canonical code ``_canonical_code`` spelled for
+    d, read token by token without checks: a diagram equal to EMPTY for ""."""
+    return _from_ends(list(map(_TOKEN_ENDS.__getitem__, code.split())))
 
 
 def to_structured(d: GaussDiagram) -> dict:

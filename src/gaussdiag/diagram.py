@@ -28,7 +28,9 @@ label seen; only the public constructor and ``codec.from_structured``
 keep the caller's objects.
 
 Every normal form scans (``_least_rotations``) a diagram's two position
-rows (``_rows``): chord labels, and one int per role and sign.
+rows (``_rows``): chord labels, and one int per role and sign.  The scan
+tries only the rotations that start at the least int, found one after
+another by ``list.index``, and all of them share their first entry.
 
 Where a move can be made depends on the endpoints alone, except for a
 sign test that ``moves`` applies last: the R1 chords, the R2 candidate
@@ -149,8 +151,8 @@ class Endpoint(_Record):
 
 class _Table(dict):
     """key -> ``spell(key)``, made on first use and kept.  The tables keyed
-    by least-rotation entries hold at most four (role x sign) per chord
-    number, the endpoint tables one per label seen."""
+    by least-rotation entries or their tokens hold at most four (role x
+    sign) per chord number, the endpoint tables one per label seen."""
 
     def __init__(self, spell):
         super().__init__()
@@ -369,25 +371,31 @@ def _least_rotations(chords, bases):
     negative``, which orders exactly like the tuple (head, number,
     negative); see ``_entry_parts``.  A least encoding starts with a
     positive chord's tail (any tail if none is positive), so only rotations
-    starting there are tried.  Each is compared against the best so far
-    lazily: the best's entries and first-appearance numbering are extended
-    only as far as a comparison reaches, and a rotation that wins at entry
-    i becomes the best with its i + 1 entries.  Only a tie runs the full
-    length, and the first one ends the scan: a diagram that ties with
-    itself at shift k is periodic, so no later start can beat the best.
-    The rest of the final best is encoded once at the end.  The empty
-    diagram has encoding ()."""
+    starting there, at the least base, are tried: ``list.index`` finds each
+    next one on the doubled row.  Every such start's entry 0 is that base
+    with number 1, so the scan shares it and compares from entry 1.  Each
+    start is compared against the best so far lazily: the best's entries
+    and first-appearance numbering are extended only as far as a
+    comparison reaches, and a rotation that wins at entry i becomes the
+    best with its i + 1 entries.  Only a tie runs the full length, and the
+    first one ends the scan: a diagram that ties with itself at shift k is
+    periodic, so no later start can beat the best.  The rest of the final
+    best is encoded once at the end.  The empty diagram has encoding ()."""
     m = len(chords)
     if m == 0:
         return ()
-    chords, bases = chords * 2, bases * 2  # doubled: rotation k reads k..k+m-1
     first = min(bases)
-    starts = [k for k in range(m) if bases[k] == first]
-    best = starts[0]
-    code, numbers = [], {}  # the best rotation's entries so far, its numbering
-    for k in starts[1:]:
-        mine = {}
-        for i in range(m):
+    chords, bases = chords * 2, bases * 2  # doubled: rotation k reads k..k+m-1
+    best = k = bases.index(first)
+    # the best rotation's entries so far and its numbering: every start's
+    # entry 0 is its chord, numbered 1
+    code, numbers = [first | 2], {chords[best]: 1}
+    while True:
+        k = bases.index(first, k + 1)  # best + m holds first, so this finds one
+        if k >= m:
+            break
+        mine = {chords[k]: 1}
+        for i in range(1, m):
             p = k + i
             entry = bases[p] | mine.setdefault(chords[p], len(mine) + 1) << 1
             if i == len(code):
@@ -433,7 +441,12 @@ def canonical(d: GaussDiagram) -> GaussDiagram:
     diagram's is a diagram equal to it.
     """
     code = _least_rotations(*_rows(d.endpoints, d.signs))
-    ends = list(map(_CANONICAL_ENDS.__getitem__, code))
+    return _from_ends(list(map(_CANONICAL_ENDS.__getitem__, code)))
+
+
+def _from_ends(ends: list) -> GaussDiagram:
+    """The diagram of these (shared endpoint, sign) pairs in order, as a
+    canonical form or its code spells them: signs in first-appearance order."""
     return _trusted([ep for ep, _ in ends], {ep.chord: sign for ep, sign in ends})
 
 

@@ -18,14 +18,16 @@ an insertion family and yields the children's rows, the parent's
 for a child whose code is new.  Diagrams are built only for the states
 the search expands, and each is held only by the queue entries that need
 it: its own families and its children's states.  The trace is the final
-state's moves, read back to the start and replayed from the input.
+state's moves and codes, read back to the start: the moves are replayed
+from the input for the final diagram, and each step's canonical form is
+spelled from the code the search stored for it, not scanned again.
 """
 
 from __future__ import annotations
 
 import heapq
 
-from .codec import _canonical_code, serialize_gauss_code
+from .codec import _canonical_code, _read_canonical_code, serialize_gauss_code
 from .diagram import GaussDiagram, _Record, _rows, _set, canonical
 from .moves import (
     MoveNotApplicable,
@@ -66,7 +68,7 @@ class SimplifyResult(_Record):
     states explored, and whether the state budget truncated the search.
     The trace is the search's stored moves from the input: the final
     diagram is where they lead, and each trace entry's canonical form is
-    built from the state after its move."""
+    read from the code the search stored for the state after its move."""
 
     __slots__ = ("final", "trace", "states_explored", "limit_hit")
 
@@ -149,8 +151,11 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
     search expands, each by applying its move to its parent's diagram,
     which the state's entry carries; a family's entry carries its parent's.
     No other store holds a diagram, so one is released once the last entry
-    holding it pops.  The trace is read back as the final state's moves and
-    replayed from the input, building each step's diagram once more.
+    holding it pops.  The trace is read back as the final state's moves,
+    each beside the code it leads to, and replayed from the input,
+    building each step's diagram once more for the final diagram; each
+    step's canonical form is read from its code
+    (``codec._read_canonical_code``), not scanned again.
     """
     if type(limits.max_states) is not int:
         raise ValueError(f"max_states must be positive and an int, got {limits.max_states!r}")
@@ -208,25 +213,31 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
                 best = entry
             heapq.heappush(queue, entry)
 
-    # the trace: the final state's moves read back to the start, then replayed
-    path = []
-    parent, move = info[best[2]]
+    # the trace: the final state's moves, each beside the code it leads to,
+    # read back to the start, then replayed
+    path, key = [], best[2]
+    parent, move = info[key]
     while parent is not None:
-        path.append(move)
-        parent, move = info[parent]
+        path.append((move, key))
+        key, (parent, move) = parent, info[parent]
     final, steps = d, []
-    for move in reversed(path):
+    for move, key in reversed(path):
         final = apply_move(final, move)
-        steps.append((move, canonical(final)))
+        steps.append((move, _read_canonical_code(key)))
     return SimplifyResult(final=final, trace=tuple(steps), states_explored=explored,
                           limit_hit=limit_hit)
 
 
 def verify_trace(start: GaussDiagram, trace) -> TraceCheck:
-    """Replay a trace; ok iff every move applies and every recorded
-    canonical form matches.  Truthiness is the verdict."""
+    """Replay a trace; ok iff every entry is a (move, canonical form)
+    pair, every move applies and every recorded canonical form matches.
+    Truthiness is the verdict."""
     d = start
-    for i, (move, recorded) in enumerate(trace):
+    for i, step in enumerate(trace):
+        try:
+            move, recorded = step
+        except (TypeError, ValueError):  # not a pair
+            return TraceCheck(False, i)
         try:
             d = apply_move(d, move)
         except (MoveNotApplicable, ValueError):

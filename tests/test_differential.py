@@ -64,6 +64,7 @@ from types import MappingProxyType, SimpleNamespace
 import pytest
 
 from gaussdiag import (
+    EMPTY,
     CensusResult,
     ChordNumbers,
     Endpoint,
@@ -95,7 +96,7 @@ from gaussdiag import (
     serialize_gauss_code,
     simplify,
 )
-from gaussdiag.codec import _canonical_code, from_structured, to_structured
+from gaussdiag.codec import _canonical_code, _read_canonical_code, from_structured, to_structured
 from gaussdiag.diagram import (
     HEAD,
     TAIL,
@@ -650,11 +651,10 @@ def test_canonical_matches_oracle(exhaustive_corpus, random_corpus):
         assert _rotated_codes(d, shifts) == [serialize_gauss_code(expected)] * len(shifts), d
 
 
-def test_least_rotations_match_oracle():
-    # the same at shifts 0, 1 and 5 on larger diagrams and on diagrams that
-    # a rotation carries onto themselves, so with two or more least
-    # rotations: symmetric ones, two 300-chord chains and periodic diagrams
-    # with many copies
+def _scan_cases() -> tuple:
+    """Larger diagrams, and diagrams that a rotation carries onto
+    themselves, so with two or more least rotations: symmetric ones, two
+    300-chord chains and periodic diagrams with many copies."""
     large = [random_diagram(n, 30_000 + 100 * n + s) for n in range(16, 65) for s in range(3)]
     symmetric = [
         _symmetric_diagram(block, copies, seed)
@@ -666,6 +666,12 @@ def test_least_rotations_match_oracle():
         parse_gauss_code(" ".join(f"O{i}{'+-'[i % 2]} U{i}{'+-'[i % 2]}" for i in range(1, 301))),
     ]
     symmetric += [_symmetric_diagram(block, 60, seed) for block in (1, 2, 3) for seed in range(3)]
+    return large, symmetric
+
+
+def test_least_rotations_match_oracle():
+    # the same at shifts 0, 1 and 5 on the larger and symmetric diagrams
+    large, symmetric = _scan_cases()
     for d in symmetric:
         encodings = [encoding for encoding, _ in _rotation_encodings(d)]
         assert encodings.count(min(encodings)) >= 2, d
@@ -686,6 +692,39 @@ def test_least_rotations_stop_at_the_first_tie():
     assert time.perf_counter() - start < 1.0
     assert _decode(code) == tuple((i % 2, i // 2 + 1, 0) for i in range(6000))
     assert key == serialize_gauss_code(chain)
+
+
+def _form_outcome(d: GaussDiagram) -> tuple:
+    """A diagram, its sign order and position map, and whether it holds the
+    tables' shared endpoints."""
+    return d, tuple(d.signs), d._pos, all(ep is _table_end(ep) for ep in d.endpoints)
+
+
+def test_read_canonical_code_matches_canonical(exhaustive_corpus, random_corpus):
+    # the canonical form read back from the code the search keys by, also
+    # with labels of 10 and up on the larger and symmetric diagrams
+    large, symmetric = _scan_cases()
+    for d in exhaustive_corpus + random_corpus + large + symmetric:
+        read = _read_canonical_code(_canonical_code(*_rows(d.endpoints, d.signs)))
+        assert _form_outcome(read) == _form_outcome(canonical(d)), d
+    assert _form_outcome(_read_canonical_code("")) == _form_outcome(EMPTY)
+
+
+def test_trace_forms_match_a_canonical_replay():
+    # each trace step's form, read from its stored code, against the
+    # canonical form of the diagram the trace's moves replay to
+    seeded = [random_diagram(5 + s % 6, 900 + s) for s in range(100)]
+    replayed = 0
+    for insertions in (False, True):  # without insertions every search ends within 16 states
+        limits = SearchLimits(max_states=40, allow_insertions=insertions)
+        for start in seeded:
+            trace, d, expected = simplify(start, limits).trace, start, []
+            for move, _ in trace:
+                d = apply_move(d, move)
+                expected.append((move, *_form_outcome(canonical(d))))
+            assert [(move, *_form_outcome(form)) for move, form in trace] == expected, start
+            replayed += len(trace)
+    assert replayed > 300, replayed
 
 
 def _value_outcome(fn, *args):

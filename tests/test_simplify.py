@@ -17,6 +17,7 @@ from gaussdiag import (
     R2Delete,
     R3,
     SearchLimits,
+    TraceCheck,
     apply_move,
     canonical,
     format_move,
@@ -284,9 +285,10 @@ def test_search_builds_only_popped_states_and_the_trace(monkeypatch):
 def test_search_releases_the_diagrams_no_entry_holds(monkeypatch):
     # a built diagram is held only by queue entries: its state's families
     # and its children's states.  This search expands 51 states, until its
-    # queue runs dry, so when the trace replay first calls canonical only
-    # the best state's entry and the replay's first step hold a diagram (a
-    # search that kept every expanded state's diagram would hold 50 here)
+    # queue runs dry, so when the trace replay first reads a step's
+    # canonical form from its code only the best state's entry and the
+    # replay's first step hold a diagram (a search that kept every expanded
+    # state's diagram would hold 50 here)
     search = importlib.import_module("gaussdiag.simplify")
     start = random_diagram(8, 36)
 
@@ -297,12 +299,12 @@ def test_search_releases_the_diagrams_no_entry_holds(monkeypatch):
     before = live()
     counts = []
 
-    def spy(diagram, canonical=search.canonical):
+    def spy(code, read=search._read_canonical_code):
         if not counts:
             counts.append(live() - before)
-        return canonical(diagram)
+        return read(code)
 
-    monkeypatch.setattr(search, "canonical", spy)
+    monkeypatch.setattr(search, "_read_canonical_code", spy)
     res = simplify(start)
     assert (res.states_explored, res.limit_hit, len(res.trace)) == (51, False, 6)
     assert counts[0] < res.states_explored // 4
@@ -440,6 +442,14 @@ def test_verify_trace_inapplicable_first_move():
     check = verify_trace(d(EX2), [(R2Delete(("2", "3")), canonical(EMPTY))])
     assert not check.ok
     assert check.failed_step == 0
+
+
+def test_verify_trace_rejects_entries_that_are_not_pairs():
+    res = reduce_greedy(d(EX1))
+    move, form = res.trace[0]
+    assert verify_trace(d(EX1), [1]) == TraceCheck(False, 0)
+    assert verify_trace(d(EX1), "ab") == TraceCheck(False, 0)
+    assert verify_trace(d(EX1), [(move, form), (move, form, form)]) == TraceCheck(False, 1)
 
 
 def test_format_trace_example_1():
