@@ -227,7 +227,7 @@ MUTANTS = (
         "sites-r2-edit-before-check", "moves.py",
         "_check_chords(d, move.chords)",
         "_check_chords(d, move.chords); d._sites is None or d._sites.setdefault(tuple(_cuts(d, "
-        "move.chords)), ((e := tuple(_edited(d.endpoints, _cuts(d, move.chords), (), (), 1))), "
+        "move.chords)), ((e := tuple(_edited(d.endpoints, _cuts(d, move.chords), (), ()))), "
         "_positions(e)))",
         "sites",
     ),
@@ -308,20 +308,20 @@ MUTANTS = (
     # the search's walk over a move family
     Mutant(
         "insertion-sign-order", "moves.py",
-        "return itertools.product(*(gaps,) * added, (1, -1), (True, False))",
-        "return itertools.product(*(gaps,) * added, (-1, 1), (True, False))",
+        "_VARIANTS = tuple(itertools.product((1, -1), (True, False)))",
+        "_VARIANTS = tuple(itertools.product((-1, 1), (True, False)))",
         "walk",
     ),
     Mutant(
         "insertion-last-gap", "moves.py",
-        "gaps = range(max(1, m))",
-        "gaps = range(max(1, m - 1))",
+        "return itertools.product(range(max(1, m)), repeat=added)",
+        "return itertools.product(range(max(1, m - 1)), repeat=added)",
         "walk",
     ),
     Mutant(
         "walk-first-tiling", "moves.py",
-        "sites = [((t,), (), (), _movable_arcs(d.signs, t, found[t])) for t in triples]",
-        "sites = [((t,), (), (), found[t][0][0]) for t in triples]",
+        "sites = [((t,), (), _movable_arcs(d.signs, t, found[t])) for t in triples]",
+        "sites = [((t,), (), found[t][0][0]) for t in triples]",
         "walk",
     ),
     Mutant(
@@ -340,6 +340,25 @@ MUTANTS = (
         "walk-one-fresh-label", "moves.py",
         "fresh = _fresh_labels(d, 2)",
         "fresh = _fresh_labels(d, 1) * 2",
+        "walk",
+    ),
+    Mutant(
+        "walk-r1-blocks-swapped", "moves.py",
+        "for variant, i, (block,) in variants:",
+        "for (variant, i, _), (_, _, (block,)) in zip(variants, [variants[1], variants[0], "
+        "*variants[2:]]):",
+        "walk",
+    ),
+    Mutant(
+        "walk-r2-heads-first", "moves.py",
+        "layouts = [_insertion_layout(gaps, fresh) for gaps in ((0, 1), (0, 0), (1, 0))]",
+        "layouts = [_insertion_layout(gaps, fresh) for gaps in ((0, 1), (0, 1), (1, 0))]",
+        "walk",
+    ),
+    Mutant(
+        "walk-skip-first-site", "moves.py",
+        "sites = [((c,), _cuts(d, (c,)), ()) for c in r1_removable_chords(d) if (c,) != undo]",
+        "sites = [((c,), _cuts(d, (c,)), ()) for c in r1_removable_chords(d)][len(undo) == 1:]",
         "walk",
     ),
     # the census
@@ -370,14 +389,14 @@ MUTANTS = (
     ),
     Mutant(
         "search-newest-family-first", "simplify.py",
-        "heapq.heappush(queue, (count + change, 0, explored, key, change, state))",
-        "heapq.heappush(queue, (count + change, 0, -explored, key, change, state))",
+        "heapq.heappush(queue, (count + change, 0, explored, key, change, state, undo))",
+        "heapq.heappush(queue, (count + change, 0, -explored, key, change, state, undo))",
         "search",
     ),
     Mutant(
         "search-family-walks-parent", "simplify.py",
-        "state = apply_move(state, move)",
-        "apply_move(state, move)",
+        "source, state = state, apply_move(state, move)",
+        "source = state; apply_move(state, move)",
         "search",
     ),
     Mutant(

@@ -51,27 +51,35 @@ report, calls them.  The chords a move names are outside input, so
 ``_check_chords`` guards them before any lookup.
 
 ``_rewrite`` checks each move's preconditions, written once, then makes
-the move as one positional edit (cuts, splices, arcs), which ``_edited``,
-the only code that cuts or splices, applies by slicing: a deletion cuts
-its chords' positions, the ``_cuts``; an insertion splices its
-``_insertion_blocks`` in at its gaps after ``_check_insertion`` (gaps, then
-sign, then flag); and R3 swaps the ``_movable_arcs``.
+the move as one positional edit (cuts, splices, arcs), which ``_edited``
+applies by slicing: a deletion cuts its chords' positions, the ``_cuts``;
+an insertion splices its ``_insertion_blocks`` in at its gaps after
+``_check_insertion`` (gaps, then sign, then flag); and R3 swaps the
+``_movable_arcs``.
 ``apply_move`` builds the edited endpoint tuple without revalidation; an
 insertion's new endpoints are the shared ones of ``diagram._TAILS`` and
 ``_HEADS``, so no move makes an ``Endpoint``.  An enumerated diagram's
 deletions and R3s reuse the child its arrangement's holder keeps.
 
-The search keys children from one walk, ``_family_rows(d, change)``, over
-the move family of a parent that adds ``change`` chords: its R1 deletions
-(-1), R2 deletions (-2), R3s (0), R1 insertions (1) or R2 insertions (2).
-It describes each site as the edit ``_rewrite`` would make and has
-``_edited`` apply it to the parent's ``diagram._rows``, yielding the
-moves' fields with the child's rows, with no check and no move built.
-Deletions and R3s come from the detectors, and an R3's arcs from the
-tilings its detector read, so each candidate triple meets the kernel once
-per walk; insertions come from one source, ``_insertion_fields``, which
-also gives ``enumerate_moves`` its insertion moves, and take the parent's
-``_fresh_labels``.
+The search keys children from one walk, ``_family_rows(d, change,
+undo)``, over the move family of a parent that adds ``change`` chords:
+its R1 deletions (-1), R2 deletions (-2), R3s (0), R1 insertions (1) or
+R2 insertions (2).  It yields the moves' fields with the child's rows,
+with no check and no move built.  A deletion or R3 is the edit
+``_rewrite`` would make, applied by ``_edited`` to the parent's
+``diagram._rows``; the deletion of the chords ``undo`` is dropped before
+any rows are made (the search passes the chords a state's own insertion
+added, so that child is the state's parent).  Deletions and R3s come
+from the detectors, and an R3's arcs from the tilings its detector read,
+so each candidate triple meets the kernel once per walk.  Insertions come
+in ``_insertion_fields`` order, which also gives ``enumerate_moves`` its
+insertion moves, and take the parent's ``_fresh_labels``.  Their rows,
+``_insertion_rows``, are slices of the parent's rows joined around each
+child's blocks: the slices are made once per gap or gap pair, and each
+(sign, flag) variant's blocks once per family, from ``_insertion_blocks``,
+the one definition of what an insertion puts in and in what order.  So
+two codes splice: ``_edited`` for the one child ``apply_move`` builds,
+and the walk for the many children that share a parent's slices.
 """
 
 from __future__ import annotations
@@ -342,15 +350,15 @@ def _cuts(d: GaussDiagram, chords) -> list:
     return cuts
 
 
-def _edited(column, cuts, splices, arcs, field: int) -> list:
+def _edited(column, cuts, splices, arcs) -> list:
     """A copy of ``column`` (one value per endpoint) edited by slicing:
-    ``cuts`` deleted in order, then each splice's block ``splice[field]``
-    put in at its gap ``splice[0]`` in order, then each arc swapped."""
+    ``cuts`` deleted in order, then each splice's (gap, block) put in in
+    order, then each arc swapped."""
     column = list(column)
     for p in cuts:
         del column[p]
-    for splice in splices:
-        column[splice[0]:splice[0]] = splice[field]
+    for gap, block in splices:
+        column[gap:gap] = block
     for a, b in arcs:
         column[a], column[b] = column[b], column[a]
     return column
@@ -371,7 +379,7 @@ def apply_move(d: GaussDiagram, move: Move) -> GaussDiagram:
     key = (*cuts, *arcs)
     child = None if holder is None else holder.get(key)
     if child is None:
-        endpoints = tuple(_edited(d.endpoints, cuts, splices, arcs, 1))
+        endpoints = tuple(_edited(d.endpoints, cuts, splices, arcs))
         child = endpoints, _positions(endpoints)
         if holder is not None:
             holder[key] = child
@@ -390,7 +398,7 @@ def _rewrite(d: GaussDiagram, move: Move):
     ``_movable_arcs`` of its triple's ``_tilings``, read from the holder's
     R3 find when d has a holder, where a triple without an entry is not
     matched.  ``_family_rows`` makes the same edits on the rows,
-    unchecked."""
+    unchecked, its insertions by joining slices (``_insertion_rows``)."""
     splices = arcs = gone = ()  # gone: the chords cut
     add = {}  # the signs of the chords added
     if isinstance(move, R1Delete):
@@ -447,13 +455,23 @@ def enumerate_moves(d: GaussDiagram, include_insertions: bool = False) -> list:
     return moves
 
 
+# the (sign, flag) of an insertion: the sign + before -, the flag True first
+_VARIANTS = tuple(itertools.product((1, -1), (True, False)))
+
+
+def _insertion_gaps(m: int, added: int):
+    """The gaps of every insertion that adds ``added`` chords to a diagram
+    with m endpoints, in order: one gap (R1), or a head gap, then a tail
+    gap (R2), each in 0..max(1, m) - 1."""
+    return itertools.product(range(max(1, m)), repeat=added)
+
+
 def _insertion_fields(m: int, added: int):
     """The fields of every insertion that adds ``added`` chords (1: an
     R1Insert, 2: an R2Insert) to a diagram with m endpoints, in
-    ``enumerate_moves`` order: the gap (R2: head gap, then tail gap), then
-    the sign, then the flag, the sign + before - and the flag True first."""
-    gaps = range(max(1, m))
-    return itertools.product(*(gaps,) * added, (1, -1), (True, False))
+    ``enumerate_moves`` order: the ``_insertion_gaps``, then the
+    ``_VARIANTS``."""
+    return ((*gaps, *variant) for gaps in _insertion_gaps(m, added) for variant in _VARIANTS)
 
 
 def _insertion_blocks(fields, fresh) -> tuple:
@@ -478,33 +496,81 @@ def _insertion_blocks(fields, fresh) -> tuple:
     return blocks, {x: sign, y: -sign}
 
 
-def _family_rows(d: GaussDiagram, change: int):
+def _insertion_layout(gaps, fresh) -> tuple:
+    """Each variant's ``_insertion_blocks`` at ``gaps``, in the order the
+    child reads them (the order they go in, reversed), which depends only
+    on how the gaps compare: the distinct label blocks, and per variant
+    (variant, the index of its label blocks, its bases blocks)."""
+    labels, variants = [], []
+    for variant in _VARIANTS:
+        blocks = _insertion_blocks((*gaps, *variant), fresh)[0][::-1]
+        row = [list(block[1]) for block in blocks]
+        if row not in labels:
+            labels.append(row)
+        variants.append((variant, labels.index(row), [list(block[2]) for block in blocks]))
+    return labels, variants
+
+
+def _insertion_rows(d: GaussDiagram, change: int):
+    """Each insertion of d that adds ``change`` chords, as ``_family_rows``
+    yields it: each child's rows are the slices of d's rows around its
+    blocks, joined.  The slices and the chords rows are made once per gap
+    (R1) or (head gap, tail gap) pair (R2), a chords row once per distinct
+    label block, and each variant's blocks once per family by
+    ``_insertion_layout``.  Children of one gap share their chords row."""
+    fresh = _fresh_labels(d, 2)
+    chords, bases = _rows(d.endpoints, d.signs)
+    m = len(chords)
+    if change == 1:
+        labels, variants = _insertion_layout((0,), fresh)
+        for (gap,) in _insertion_gaps(m, 1):
+            rows = [chords[:gap] + block + chords[gap:] for (block,) in labels]
+            left, right = bases[:gap], bases[gap:]
+            for variant, i, (block,) in variants:
+                yield (gap, *variant), rows[i], left + block + right
+        return
+    # the child reads its two blocks in one of three orders: the head gap
+    # before, at or after the tail gap
+    layouts = [_insertion_layout(gaps, fresh) for gaps in ((0, 1), (0, 0), (1, 0))]
+    for head_gap, tail_gap in _insertion_gaps(m, 2):
+        lo, hi = (head_gap, tail_gap) if head_gap < tail_gap else (tail_gap, head_gap)
+        labels, variants = layouts[(head_gap >= tail_gap) + (head_gap > tail_gap)]
+        c0, c1, c2 = chords[:lo], chords[lo:hi], chords[hi:]
+        b0, b1, b2 = bases[:lo], bases[lo:hi], bases[hi:]
+        rows = [c0 + x + c1 + y + c2 for x, y in labels]
+        for variant, i, (x, y) in variants:
+            yield (head_gap, tail_gap, *variant), rows[i], b0 + x + b1 + y + b2
+
+
+def _family_rows(d: GaussDiagram, change: int, undo: tuple = ()):
     """Each move of d that adds ``change`` chords, in ``enumerate_moves``
     order, as (fields, chords, bases): the move's fields and the child's
     rows.  The family is d's R1 deletions (-1), R2 deletions (-2), R3s (0),
-    R1 insertions (1) or R2 insertions (2).  Each site is the (cuts,
-    splices, arcs) edit ``_rewrite`` makes after its checks, applied by
-    ``_edited`` to d's ``diagram._rows``, which are made only once the
-    family has a site.  The detectors found every deletion and R3 and every
-    generated insertion is valid, so no site is checked again and no move
-    is built: the search keys children from these."""
+    R1 insertions (1) or R2 insertions (2).  A deletion of exactly the
+    chords ``undo`` (in ``label_key`` order) is dropped before any rows
+    are made: when d was made by inserting them, it gives back d's parent.
+    A deletion or R3 is the (cuts, arcs) edit ``_rewrite`` makes after its
+    checks, applied by ``_edited`` to d's ``diagram._rows``, which are made
+    only once the family has a site; insertions are ``_insertion_rows``.
+    The detectors found every deletion and R3 and every generated
+    insertion is valid, so no site is checked again and no move is built:
+    the search keys children from these, and reads the rows only."""
+    if change > 0:
+        return _insertion_rows(d, change)
     if change == -1:
-        sites = [((c,), _cuts(d, (c,)), (), ()) for c in r1_removable_chords(d)]
+        sites = [((c,), _cuts(d, (c,)), ()) for c in r1_removable_chords(d) if (c,) != undo]
     elif change == -2:
-        sites = [((pair,), _cuts(d, pair), (), ()) for pair in r2_removable_pairs(d)]
-    elif change == 0:
+        sites = [((pair,), _cuts(d, pair), ()) for pair in r2_removable_pairs(d) if pair != undo]
+    else:
         d = _holding(d)  # the detector fills its holder; the arcs are read from it
         triples = r3_movable_triples(d)
         found = _sign_free(d, _r3_sites)
-        sites = [((t,), (), (), _movable_arcs(d.signs, t, found[t])) for t in triples]
-    else:
-        fresh = _fresh_labels(d, 2)
-        sites = [(fields, (), _insertion_blocks(fields, fresh)[0], ())
-                 for fields in _insertion_fields(len(d.endpoints), change)]
-    if sites:
-        chords, bases = _rows(d.endpoints, d.signs)
-    for fields, cuts, blocks, arcs in sites:
-        yield fields, _edited(chords, cuts, blocks, arcs, 1), _edited(bases, cuts, blocks, arcs, 2)
+        sites = [((t,), (), _movable_arcs(d.signs, t, found[t])) for t in triples]
+    if not sites:
+        return iter(())
+    chords, bases = _rows(d.endpoints, d.signs)
+    return ((fields, _edited(chords, cuts, (), arcs), _edited(bases, cuts, (), arcs))
+            for fields, cuts, arcs in sites)
 
 
 # ---------------------------------------------------------------- move specs

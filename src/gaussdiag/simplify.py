@@ -13,14 +13,17 @@ chords it adds: -1 for its R1 deletions, -2 for its R2 deletions, 0 for
 its R3s, and 1 and 2 for its R1 and R2 insertions where they fit under
 the cap.  A family's moves are found only when it pops, by one walk,
 ``moves._family_rows``: it detects a deletion or R3 family or generates
-an insertion family and yields the children's rows, the parent's
-``diagram._rows`` edited by ``moves._edited``, and a move is built only
-for a child whose code is new.  Diagrams are built only for the states
-the search expands, and each is held only by the queue entries that need
-it: its own families and its children's states.  The trace is the final
-state's moves and codes, read back to the start: the moves are replayed
-from the input for the final diagram, and each step's canonical form is
-spelled from the code the search stored for it, not scanned again.
+an insertion family and yields the children's rows, made from the
+parent's ``diagram._rows``, and a move is built only for a child whose
+code is new.  A state its parent's insertion built never keys the
+deletion of the chords that insertion added: that child is the parent,
+already keyed, so the walk drops it before making its rows.  Diagrams are
+built only for the states the search expands, and each is held only by
+the queue entries that need it: its own families and its children's
+states.  The final diagram is the best state's one move applied to the
+diagram its entry carries, and the trace is the final state's moves and
+codes, read back to the start; each step's canonical form is spelled from
+the code the search stored for it, not scanned again.
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ from __future__ import annotations
 import heapq
 
 from .codec import _canonical_code, _read_canonical_code, serialize_gauss_code
-from .diagram import GaussDiagram, _Record, _rows, _set, canonical
+from .diagram import GaussDiagram, _Record, _rows, _set, canonical, label_key
 from .moves import (
     MoveNotApplicable,
     R1Delete,
@@ -66,9 +69,10 @@ class SearchLimits(_Record):
 class SimplifyResult(_Record):
     """final diagram, trace of (move, canonical form after the move),
     states explored, and whether the state budget truncated the search.
-    The trace is the search's stored moves from the input: the final
-    diagram is where they lead, and each trace entry's canonical form is
-    read from the code the search stored for the state after its move."""
+    The trace is the search's stored moves from the input, and the final
+    diagram is where they lead, built by the same chain of moves; each
+    trace entry's canonical form is read from the code the search stored
+    for the state after its move."""
 
     __slots__ = ("final", "trace", "states_explored", "limit_hit")
 
@@ -134,7 +138,10 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
     where that count is not negative, and its R1 (1) and R2 (2)
     insertions, where they fit.  A state's entry is (count, 1, code, the
     diagram its move applies to), a family's (count, 0, its parent's
-    expansion number, parent's code, chords it adds, parent's diagram).
+    expansion number, parent's code, chords it adds, parent's diagram, the
+    chords the parent's own insertion added, in ``label_key`` order, or
+    ()).  The walk drops the deletion of those chords: its child is the
+    state the parent was built from, whose code is keyed.
     A child can share a code only with states of its own chord count, and
     the tag 0 pops every family of a count before any state of that count
     or higher: a count's children are all keyed (and deduplicated, the
@@ -151,11 +158,11 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
     search expands, each by applying its move to its parent's diagram,
     which the state's entry carries; a family's entry carries its parent's.
     No other store holds a diagram, so one is released once the last entry
-    holding it pops.  The trace is read back as the final state's moves,
-    each beside the code it leads to, and replayed from the input,
-    building each step's diagram once more for the final diagram; each
-    step's canonical form is read from its code
-    (``codec._read_canonical_code``), not scanned again.
+    holding it pops.  The final diagram is the best state's move applied
+    to the diagram its entry carries (the start needs none): the same
+    chain of moves built it.  The trace is read back as the final state's
+    moves, each beside the code it leads to; each step's canonical form is
+    read from its code (``codec._read_canonical_code``), not scanned again.
     """
     if type(limits.max_states) is not int:
         raise ValueError(f"max_states must be positive and an int, got {limits.max_states!r}")
@@ -178,7 +185,8 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
     # a state is (chord count, 1, code, the diagram its move applies to: its
     # parent's, the start's being itself); a family is (its children's chord
     # count, 0, its parent's expansion number, parent's code, chords it adds,
-    # parent's diagram).  No two entries agree in their first three fields,
+    # parent's diagram, the labels whose deletion undoes the parent's own
+    # insertion).  No two entries agree in their first three fields,
     # so the heap never compares diagrams (they have no order), and a
     # diagram is freed once the last entry holding it pops
     best = (d.n, 1, start_key, d)
@@ -194,16 +202,19 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
                 break
             count, _, key, state = entry
             move = info[key][1]
+            undo = ()  # the chords an insertion added: deleting them gives back the parent
             if move is not None:
-                state = apply_move(state, move)
+                source, state = state, apply_move(state, move)
+                if len(state.signs) > len(source.signs):
+                    undo = tuple(sorted(state.signs.keys() - source.signs.keys(), key=label_key))
             explored += 1
             top = max_chords if limits.allow_insertions else count  # the most chords a child has
             for change in kinds:  # one entry per family: its moves are found when it pops
                 if 0 <= count + change <= top:
-                    heapq.heappush(queue, (count + change, 0, explored, key, change, state))
+                    heapq.heappush(queue, (count + change, 0, explored, key, change, state, undo))
             continue
-        count, _, _, parent, change, state = entry  # a family: key its children
-        for fields, chords, bases in _family_rows(state, change):
+        count, _, _, parent, change, state, undo = entry  # a family: key its children
+        for fields, chords, bases in _family_rows(state, change, undo):
             child_key = _canonical_code(chords, bases)
             if child_key in info:
                 continue
@@ -213,17 +224,19 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
                 best = entry
             heapq.heappush(queue, entry)
 
-    # the trace: the final state's moves, each beside the code it leads to,
-    # read back to the start, then replayed
-    path, key = [], best[2]
+    # the final diagram: the best state's move applied to the diagram its
+    # entry carries, which the same chain of moves built
+    _, _, key, final = best
     parent, move = info[key]
-    while parent is not None:
-        path.append((move, key))
-        key, (parent, move) = parent, info[parent]
-    final, steps = d, []
-    for move, key in reversed(path):
+    if move is not None:
         final = apply_move(final, move)
+    # the trace: the final state's moves, each beside the code it leads to,
+    # read back to the start
+    steps = []
+    while parent is not None:
         steps.append((move, _read_canonical_code(key)))
+        key, (parent, move) = parent, info[parent]
+    steps.reverse()
     return SimplifyResult(final=final, trace=tuple(steps), states_explored=explored,
                           limit_hit=limit_hit)
 

@@ -46,7 +46,10 @@ exhaustive n <= 4 corpus and the 1000 seeded diagrams; n counts chords.
   n <= 2, 100 seeded 5- to 10-chord diagrams, and 1 to 13 expansions on
   n <= 2 and 12 seeded 3- and 4-chord diagrams; three searches pinned
   (``test_simplify_*``, ``test_truncated_*``, ``test_search_generates_*``,
-  ``test_pinned_insertion_searches``).
+  ``test_pinned_insertion_searches``).  A spy on the same stopped
+  searches, up to 200 expansions, checks that the walk drops only the
+  deletion that undoes a state's own insertion
+  (``test_search_skips_only_*``).
 """
 
 from __future__ import annotations
@@ -1154,20 +1157,28 @@ def test_pinned_insertion_searches(start, max_states, expected):
     assert _search_outcome(simplify(start(), limits)) == expected
 
 
-def test_truncated_simplify_matches_oracle(exhaustive_corpus, monkeypatch):
-    # every diagram with n <= 2 at room 0, 1 and 2, and seeded diagrams,
-    # 3 chords at room 2 and 4 at room 1, each stopped after a few expansions
+def _truncated_cases(exhaustive_corpus) -> list:
+    """Every diagram with n <= 2 at room 0, 1 and 2, and seeded diagrams,
+    3 chords at room 2 and 4 at room 1, each with its chord cap."""
     small = [d for d in exhaustive_corpus if d.n <= 2]
     cases = [(d, max_chords) for d in small for max_chords in (d.n, d.n + 1, d.n + 2)]
-    cases += [(random_diagram(3 + s % 2, 800 + s), 5) for s in range(12)]
+    return cases + [(random_diagram(3 + s % 2, 800 + s), 5) for s in range(12)]
+
+
+TRUNCATED_BUDGETS = (1, 2, 3, 5, 8, 13)
+
+
+def test_truncated_simplify_matches_oracle(exhaustive_corpus, monkeypatch):
+    # the _truncated_cases, each stopped after a few expansions
+    cases = _truncated_cases(exhaustive_corpus)
     # spy on the keying: a chord count keyed between two pops that pushes
     # no new state is a family whose children are all duplicates
     search = importlib.import_module("gaussdiag.simplify")
     family_rows = search._family_rows
     keyed, pushed, all_duplicates = set(), set(), []
 
-    def spy_family_rows(state, change):
-        for fields, chords, bases in family_rows(state, change):
+    def spy_family_rows(state, change, undo):
+        for fields, chords, bases in family_rows(state, change, undo):
             keyed.add(len(chords) // 2)
             yield fields, chords, bases
 
@@ -1184,11 +1195,55 @@ def test_truncated_simplify_matches_oracle(exhaustive_corpus, monkeypatch):
     monkeypatch.setattr(search, "_family_rows", spy_family_rows)
     monkeypatch.setattr(search, "heapq", SimpleNamespace(heappush=spy_push, heappop=spy_pop))
     for d, max_chords in cases:
-        for max_states in (1, 2, 3, 5, 8, 13):
+        for max_states in TRUNCATED_BUDGETS:
             limits = SearchLimits(max_states, allow_insertions=True, max_chords=max_chords)
             expected = _search_outcome(oracle_simplify(d, limits))
             assert _search_outcome(simplify(d, limits)) == expected, (d, max_chords, max_states)
     assert all_duplicates
+
+
+def test_search_skips_only_the_deletion_that_undoes_an_insertion(exhaustive_corpus, monkeypatch):
+    # a state its parent's insertion built does not key the deletion of the
+    # chords it added, which gives back the parent.  Spy on the search, over
+    # the _truncated_cases: the walk drops what the same walk without the
+    # undo yields and it does not, which must be exactly that deletion, and
+    # that deletion's child must have the parent's code
+    search = importlib.import_module("gaussdiag.simplify")
+    family_rows = search._family_rows
+    kinds = {change: kind for kind, change in CHANGE.items()}
+    made_from = {}  # each built state's id: (the state, its parent, the move)
+    skipped = collections.Counter()
+
+    def build(parent, move):
+        state = apply_move(parent, move)
+        made_from[id(state)] = state, parent, move
+        return state
+
+    def spy_family_rows(state, change, undo):
+        kept = list(family_rows(state, change, undo))
+        every = list(family_rows(state, change))
+        dropped = [row for row in every if row not in kept]
+        assert [row for row in every if row not in dropped] == kept, (state, change)
+        expected = []
+        if id(state) in made_from:
+            _, parent, move = made_from[id(state)]
+            added = tuple(sorted(state.signs.keys() - parent.signs.keys(), key=label_key))
+            if CHANGE[type(move)] == len(added) == -change > 0:
+                expected = [(added,) if change == -2 else added]  # the deletion's fields
+        assert [fields for fields, _, _ in dropped] == expected, (state, change)
+        for fields, _, _ in dropped:
+            child = apply_move(state, kinds[change](*fields))
+            assert canonical(child) == canonical(parent), (state, change)
+            skipped[change] += 1
+        return iter(kept)
+
+    monkeypatch.setattr(search, "apply_move", build)
+    monkeypatch.setattr(search, "_family_rows", spy_family_rows)
+    for d, max_chords in _truncated_cases(exhaustive_corpus):
+        for max_states in (*TRUNCATED_BUDGETS, 40, 200):
+            limits = SearchLimits(max_states, allow_insertions=True, max_chords=max_chords)
+            simplify(d, limits)
+    assert skipped[-1] > 1_000 and skipped[-2] > 200, skipped
 
 
 def test_search_generates_only_insertions_that_fit(exhaustive_corpus, monkeypatch):
@@ -1201,9 +1256,9 @@ def test_search_generates_only_insertions_that_fit(exhaustive_corpus, monkeypatc
     family_rows = search._family_rows
     generated = []
 
-    def record(state, change):
+    def record(state, change, undo):
         rows = _rows(state.endpoints, state.signs)
-        for fields, _, _ in family_rows(state, change):
+        for fields, _, _ in family_rows(state, change, undo):
             generated.append(kind[change](*fields))
             yield fields, rows[0], rows[1]
 

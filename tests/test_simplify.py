@@ -258,8 +258,9 @@ def test_search_never_worse_than_greedy_exhaustive_small():
 
 def test_search_builds_only_popped_states_and_the_trace(monkeypatch):
     # every popped state but the start is built once, from the diagram its
-    # entry carries, then every trace step once more as the trace is
-    # replayed from the input; children are keyed without being built
+    # entry carries, and the final state once more, from the diagram its
+    # entry carries (the start needs no move); children are keyed without
+    # being built
     search = importlib.import_module("gaussdiag.simplify")
     built = []
 
@@ -277,18 +278,17 @@ def test_search_builds_only_popped_states_and_the_trace(monkeypatch):
     for code, limits in cases:
         built.clear()
         res = simplify(d(code), limits)
-        assert len(built) <= res.states_explored - 1 + len(res.trace), code
-        assert len(built) == res.states_explored - 1 + len(res.trace), code
+        assert len(built) == res.states_explored - 1 + (1 if res.trace else 0), code
         assert verify_trace(d(code), res.trace), code
 
 
 def test_search_releases_the_diagrams_no_entry_holds(monkeypatch):
     # a built diagram is held only by queue entries: its state's families
     # and its children's states.  This search expands 51 states, until its
-    # queue runs dry, so when the trace replay first reads a step's
-    # canonical form from its code only the best state's entry and the
-    # replay's first step hold a diagram (a search that kept every expanded
-    # state's diagram would hold 50 here)
+    # queue runs dry, so when the trace first reads a step's canonical form
+    # from its code only the best state's entry and the final diagram hold
+    # one (a search that kept every expanded state's diagram would hold 50
+    # here)
     search = importlib.import_module("gaussdiag.simplify")
     start = random_diagram(8, 36)
 
@@ -373,10 +373,10 @@ def test_search_keys_a_counts_families_in_expansion_order(monkeypatch):
         expanded.append(apply_move(state, move))
         return expanded[-1]
 
-    def spy_family_rows(state, change):
+    def spy_family_rows(state, change, undo):
         rank = next(i for i, x in enumerate(expanded) if x is state)
         keyed.append((state.n + change, rank))
-        return family_rows(state, change)
+        return family_rows(state, change, undo)
 
     monkeypatch.setattr(search, "apply_move", build)
     monkeypatch.setattr(search, "_family_rows", spy_family_rows)

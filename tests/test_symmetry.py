@@ -19,6 +19,14 @@ the image: a deletion cuts the same chords, and R3 swaps the same arcs,
 read the other way by *reverse*.  So, move by move, the image of a child
 is the image's child up to rotation.
 
+Every offered move should also have an offered inverse.  An R1 or R2
+insertion is undone exactly by deleting the chords it added, which the
+child offers; the search relies on this to skip that deletion.  An R1
+deletion is undone, up to rotation, by some offered R1 insertion, and an
+R3 move by some offered R3 move, except twelve moves, each into one of the
+twelve three-chord diagrams with two movable pairings, where R3 swaps the
+first pairing and the way back is the other one.
+
 No oracle is needed: the detectors and ``apply_move`` are checked against
 themselves.  The images are built by the public constructor from the
 corpus diagrams, which the library built, so every detector reads
@@ -36,13 +44,21 @@ from gaussdiag import (
     HEAD,
     TAIL,
     Endpoint,
+    R1Delete,
+    R1Insert,
+    R2Delete,
+    R2Insert,
+    R3,
     apply_move,
+    canonical,
     enumerate_moves,
     make_diagram,
     r1_removable_chords,
     r2_removable_pairs,
     r3_movable_triples,
 )
+from gaussdiag.diagram import label_key
+from gaussdiag.moves import _qualifying_tilings
 
 
 def reverse(d):
@@ -100,3 +116,79 @@ def test_children_commute_with_the_symmetries(name, exhaustive_corpus, random_co
         children.update(type(move).__name__ for move in moves)
     # every kind of child occurs often, so the check is not vacuous
     assert len(children) == 3 and min(children.values()) > 300, children
+
+
+# the inverse checks walk every 13th insertion of each diagram, from an
+# offset that cycles with the diagram's index, so each gap and variant is
+# checked across the corpus and the run stays at a few seconds
+STRIDE = 13
+
+
+def _corpus(exhaustive_corpus, random_corpus) -> list:
+    return [d for d in exhaustive_corpus if d.n <= 3] + random_corpus
+
+
+def _insertions(d, i: int) -> list:
+    moves = enumerate_moves(d, include_insertions=True)
+    return [m for m in moves if isinstance(m, (R1Insert, R2Insert))][i % STRIDE::STRIDE]
+
+
+def test_insertions_are_undone_by_deleting_their_chords(exhaustive_corpus, random_corpus):
+    # exactly: the endpoints, the sign order and the position map come
+    # back, and the child offers the deletion
+    undone = collections.Counter()
+    for i, d in enumerate(_corpus(exhaustive_corpus, random_corpus)):
+        for move in _insertions(d, i):
+            child = apply_move(d, move)
+            added = tuple(sorted(child.signs.keys() - d.signs.keys(), key=label_key))
+            if isinstance(move, R1Insert):
+                undo, offered = R1Delete(*added), [(c,) for c in r1_removable_chords(child)]
+            else:
+                undo, offered = R2Delete(added), r2_removable_pairs(child)
+            assert added in offered, (d, move)
+            back = apply_move(child, undo)
+            assert back.endpoints == d.endpoints, (d, move)
+            assert tuple(back.signs.items()) == tuple(d.signs.items()), (d, move)
+            assert back._pos == d._pos, (d, move)
+            undone[type(move).__name__] += 1
+    assert min(undone.values()) > 4_000, undone
+
+
+def test_r1_deletions_are_undone_by_an_offered_insertion(exhaustive_corpus, random_corpus):
+    # up to rotation: the insertion puts the chord back at some gap
+    undone = 0
+    for d in _corpus(exhaustive_corpus, random_corpus):
+        form = canonical(d)
+        for c in r1_removable_chords(d):
+            child = apply_move(d, R1Delete(c))
+            inserts = [m for m in enumerate_moves(child, True) if isinstance(m, R1Insert)]
+            assert any(canonical(apply_move(child, m)) == form for m in inserts), (d, c)
+            undone += 1
+    assert undone > 2_000, undone
+
+
+def _two_pairings(d) -> bool:
+    """Whether some triple of d has two movable tilings."""
+    return any(
+        sum(movable for _, _, movable in _qualifying_tilings(d, t)) == 2
+        for t in r3_movable_triples(d)
+    )
+
+
+def test_r3_moves_are_undone_by_an_offered_r3(exhaustive_corpus, random_corpus):
+    # up to rotation, for every move but twelve, each into a diagram with
+    # two movable pairings whose offered R3 swaps the other pairing
+    undone, stuck = 0, []
+    for d in _corpus(exhaustive_corpus, random_corpus):
+        form = canonical(d)
+        for t in r3_movable_triples(d):
+            child = apply_move(d, R3(t))
+            back = [canonical(apply_move(child, R3(u))) for u in r3_movable_triples(child)]
+            if form in back:
+                undone += 1
+            else:
+                stuck.append((d, child))
+    # the seeded corpus repeats two of the twelve
+    assert all(d.n == 3 and _two_pairings(c) for d, c in stuck), stuck
+    assert len(set(stuck)) == 12, stuck
+    assert undone > 300, undone
