@@ -393,6 +393,24 @@ def test_move_spec_roundtrip(move, text):
 
 
 @pytest.mark.parametrize(
+    "text, shown",
+    [
+        ("r1:del:7", "R1Delete(chord='7')"),
+        ("r2:del:5,2", "R2Delete(chords=('2', '5'))"),
+        ("r3:c,a,b", "R3(chords=('a', 'b', 'c'))"),
+        ("r1:ins:3:-:tf", "R1Insert(gap=3, sign=-1, head_first=False)"),
+        ("r2:ins:0:2:+:x", "R2Insert(head_gap=0, tail_gap=2, first_sign=1, crossed=True)"),
+    ],
+)
+def test_move_spec_roundtrip_repr(text, shown):
+    # one spec per kind, in enumerate_moves order: the move it reads as,
+    # shown by its repr, and the spec that move writes back
+    move = parse_move(text)
+    assert repr(move) == shown
+    assert parse_move(format_move(move)) == move
+
+
+@pytest.mark.parametrize(
     "spec, message",
     [
         ("r9:del:1", "move spec 'r9:del:1': unknown move kind"),
@@ -408,6 +426,25 @@ def test_move_spec_roundtrip(move, text):
         ("r2:del:\u00b2,1", "move spec 'r2:del:\u00b2,1': invalid chord label '\u00b2'"),
         ("r3:\u00b2,1,2", "move spec 'r3:\u00b2,1,2': invalid chord label '\u00b2'"),
         ("r2:del:1,a b", "move spec 'r2:del:1,a b': invalid chord label 'a b'"),
+        ("r1:del:a,b", "move spec 'r1:del:a,b': invalid chord label 'a,b'"),
+        # a wrong field count
+        ("r1:ins:0:+", "move spec 'r1:ins:0:+': r1:ins needs gap:sign:hf|tf"),
+        ("r2:ins:0:0:+", "move spec 'r2:ins:0:0:+': r2:ins needs hgap:tgap:sign:x|u"),
+        ("r3", "move spec 'r3': r3 needs chord,chord,chord"),
+        ("r2:del:a:b", "move spec 'r2:del:a:b': r2:del needs chord,chord"),
+        # an empty label
+        ("r2:del:1,,2", "move spec 'r2:del:1,,2': r2:del needs chord,chord"),
+        # a malformed sign, flag or gap
+        ("r1:ins:0:*:hf", "move spec 'r1:ins:0:*:hf': sign must be + or -, got '*'"),
+        ("r1:ins:0:\u2212:hf", "move spec 'r1:ins:0:\u2212:hf': sign must be + or -, got '\u2212'"),
+        ("r1:ins:0:+:xx", "move spec 'r1:ins:0:+:xx': order must be hf or tf"),
+        ("r2:ins:0:0:+:y", "move spec 'r2:ins:0:0:+:y': pattern must be x or u"),
+        ("r2:ins:a:0:+:x", "move spec 'r2:ins:a:0:+:x': head gap must be a nonnegative integer"),
+        ("r2:ins:0:a:+:x", "move spec 'r2:ins:0:a:+:x': tail gap must be a nonnegative integer"),
+        # a prefix that is not a kind's, whole and in lower case
+        ("r1", "move spec 'r1': unknown move kind"),
+        ("r1:foo:1", "move spec 'r1:foo:1': unknown move kind"),
+        ("R1:del:1", "move spec 'R1:del:1': unknown move kind"),
     ],
 )
 def test_move_spec_errors(spec, message):
