@@ -3,23 +3,30 @@ kill each one.
 
 ``MUTANTS`` is the mutant table: one row per mutant, giving its name, the
 module it edits, the exact source line (without its indentation, which
-must occur exactly once in the module), the one line that replaces it and
-the layer it breaks.  The layers are the Gauss-code reader, a diagram's
-position map and shared endpoints, the scan and canonical code (spelled
-and read back), move detection, the sign-free move sites and rewrites an
-endpoint arrangement's diagrams share, the R3 triple kernel, the
-rewrite, the search's walk over a move family, the census, the search
+must occur exactly once in the module), the one line that replaces it,
+the layer it breaks and its killer, the test that last killed it.  The
+layers are the Gauss-code reader, a diagram's position map and shared
+endpoints, the scan and canonical code (spelled and read back), move
+detection, the sign-free move sites and rewrites an endpoint
+arrangement's diagrams share, the R3 triple kernel, the rewrite, the
+search's walk over a move family, the move specs, the census, the search
 and the value types' record base.
 
 For each mutant the runner copies ``src/`` to a temporary directory,
-applies the mutant there and runs the tier-1 pytest command with ``-x``
-from the repository root, with the copy first on ``PYTHONPATH``.  It
-prints ``killed`` with the first test that failed, or ``survived``, and
-exits 1 if any mutant survived.  The one tier-1 test that fails by
-design, criterion 6, is deselected, since under ``-x`` it would kill
-every mutant.  Two tests are timed (criterion 7 within 10 s, the
-3,000-chord chain's scan within 1 s); on a loaded machine they can fail
-on their own and report false kills, so run the gate on an idle one.
+applies the mutant there and runs pytest from the repository root, with
+the copy first on ``PYTHONPATH``: the mutant's killer alone first, and
+only if that test passes, the whole tier-1 suite with ``-x``.  So a
+mutant is judged by every tier-1 test before it survives, and the killer
+spares the run the files before it (a kill by the killer alone needs a
+test that fails or errs, so a killer that names no test never kills).
+It prints ``killed`` with the failing test and the first line of its
+failure, marking a kill that took the whole suite (``suite``: store the
+new killer in the row), or ``survived``, and exits 1 if any mutant
+survived.  The one tier-1 test that fails by design, criterion 6, is
+deselected, since under ``-x`` it would kill every mutant.  Two tests
+are timed (criterion 7 within 10 s, the 3,000-chord chain's scan within
+1 s); on a loaded machine they can fail on their own and report false
+kills, so run the gate on an idle one.
 
     python scripts/mutants.py                    # every mutant, whole suite
     python scripts/mutants.py witness-first      # only the named mutants
@@ -40,8 +47,8 @@ from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parents[1]
 LAYERS = (
-    "codec", "layout", "scan", "detection", "sites", "kernel", "rewrite", "walk", "census", "search",
-    "values",
+    "codec", "layout", "scan", "detection", "sites", "kernel", "rewrite", "walk", "spec", "census",
+    "search", "values",
 )
 KNOWN_FAILURE = "tests/test_acceptance.py::test_criterion_6_rearrangement_preserves_structure"
 TIMEOUT = 1800  # seconds per mutant; a mutant that hangs the suite counts as killed
@@ -53,6 +60,7 @@ class Mutant(NamedTuple):
     line: str  # the source line, stripped
     replacement: str  # the line put in its place, stripped
     layer: str
+    killer: str  # the pytest node id of the test that last killed it
 
 
 MUTANTS = (
@@ -62,30 +70,35 @@ MUTANTS = (
         'held = ParseError(f"token {ti}: sign mismatch for chord {label}", ti, start)',
         'raise ParseError(f"token {ti}: sign mismatch for chord {label}", ti, start)',
         "codec",
+        "tests/test_codec.py::test_error_location[21]",
     ),
     Mutant(
         "codec-offset-one-past", "codec.py",
         'f"token {ti}: chord {label} has two {ch.upper()} occurrences", ti, start',
         'f"token {ti}: chord {label} has two {ch.upper()} occurrences", ti, start + 1',
         "codec",
+        "tests/test_codec.py::test_error_location[4]",
     ),
     Mutant(
         "codec-repeated-role", "codec.py",
         "if held is None and role in roles:",
         "if False:",
         "codec",
+        "tests/test_acceptance.py::test_criterion_8_codec_totality",
     ),
     Mutant(
         "codec-table-before-accept", "codec.py",
         "tokens.append((ends, label))",
         "tokens.append((ends, ends[label].chord))",
         "codec",
+        "tests/test_codec.py::test_rejected_text_adds_no_shared_endpoints",
     ),
     Mutant(
         "codec-later-chord-error", "codec.py",
         "elif held is None and signs.setdefault(label, sign) != sign:",
         "elif signs.setdefault(label, sign) != sign:",
         "codec",
+        "tests/test_codec.py::test_error_location[22]",
     ),
     # a diagram's position map and shared endpoints
     Mutant(
@@ -93,24 +106,28 @@ MUTANTS = (
         "pos[ep.chord] = (j, i) if ep.role == HEAD else (i, j)",
         "pos[ep.chord] = (i, j) if ep.role == HEAD else (j, i)",
         "layout",
+        "tests/test_acceptance.py::test_criterion_2_example_1_end_to_end",
     ),
     Mutant(
         "constructor-repeat-missed", "diagram.py",
         "if type(j) is tuple or endpoints[j].role == ep.role:",
         "if type(j) is tuple:",
         "layout",
+        "tests/test_diagram.py::test_validation_errors[endpoints0-signs0-duplicate tail for chord 1]",
     ),
     Mutant(
         "copy-new-endpoint", "diagram.py",
         "return _shared_endpoint, (self.chord, self.role)",
         "return Endpoint, (self.chord, self.role)",
         "layout",
+        "tests/test_diagram.py::test_copies_hold_the_shared_endpoints",
     ),
     Mutant(
         "table-other-role", "diagram.py",
         "_TAILS = _Table(lambda label: Endpoint(label, TAIL))",
         "_TAILS = _Table(lambda label: Endpoint(label, HEAD))",
         "layout",
+        "tests/test_acceptance.py::test_triangle_oracle_matches_three_chord_census",
     ),
     # the scan and canonical code
     Mutant(
@@ -118,36 +135,42 @@ MUTANTS = (
         "else:  # k ties with best, so the diagram repeats every k - best",
         "if False:  # every tie is compared in full",
         "scan",
+        "tests/test_differential.py::test_least_rotations_stop_at_the_first_tie",
     ),
     Mutant(
         "scan-greater-wins", "diagram.py",
         "if entry < code[i]:  # k wins: the common prefix, then its entry",
         "if entry > code[i]:",
         "scan",
+        "tests/test_diagram.py::test_canonical_trefoil_value",
     ),
     Mutant(
         "scan-last-start", "diagram.py",
         "if k >= m:",
         "if k >= m - 1:",
         "scan",
+        "tests/test_diagram.py::test_canonical_idempotent_and_rotation_invariant",
     ),
     Mutant(
         "scan-shared-entry", "diagram.py",
         "mine = {chords[k]: 1}",
         "mine = {chords[k]: 2}",
         "scan",
+        "tests/test_diagram.py::test_canonical_idempotent_and_rotation_invariant",
     ),
     Mutant(
         "scan-numbering", "diagram.py",
         "entry = bases[p] | mine.setdefault(chords[p], len(mine) + 1) << 1",
         "entry = bases[p] | mine.setdefault(chords[p], len(mine) + 2) << 1",
         "scan",
+        "tests/test_diagram.py::test_canonical_idempotent_and_rotation_invariant",
     ),
     Mutant(
         "read-code-sign", "codec.py",
         'return (_HEADS if token[0] == "U" else _TAILS)[token[1:-1]], -1 if token[-1] == "-" else 1',
         'return (_HEADS if token[0] == "U" else _TAILS)[token[1:-1]], -1 if token[-1] == "+" else 1',
         "scan",
+        "tests/test_acceptance.py::test_criterion_2_example_1_end_to_end",
     ),
     # detection
     Mutant(
@@ -155,42 +178,49 @@ MUTANTS = (
         "return (0, int(label), label) if label.isascii() and label.isdigit() else (1, 0, label)",
         'return (0, int(label), "") if label.isascii() and label.isdigit() else (1, 0, label)',
         "detection",
+        "tests/test_acceptance.py::test_criterion_3a_movable_triple_listing",
     ),
     Mutant(
         "adjacent-one-way", "diagram.py",
         "return (p - q) % m in (1, m - 1)",
         "return (p - q) % m == 1",
         "detection",
+        "tests/test_acceptance.py::test_criterion_2_example_1_end_to_end",
     ),
     Mutant(
         "no-wrap-pair", "sites.py",
         "return zip(eps, eps[1:] + eps[:1])",
         "return zip(eps, eps[1:])",
         "detection",
+        "tests/test_acceptance.py::test_criterion_5_theorem_census",
     ),
     Mutant(
         "r2-tails-unchecked", "moves.py",
         "if not _adjacent(m, ta, tb):",
         "if False:",
         "detection",
+        "tests/test_differential.py::test_r2_pairs_and_messages_match_oracle",
     ),
     Mutant(
         "r2-order", "sites.py",
         "return [pair for _, pair in sorted(found)]",
         "return [pair for _, pair in found]",
         "detection",
+        "tests/test_differential.py::test_r2_pairs_and_messages_match_oracle",
     ),
     Mutant(
         "r2-site-tails-unchecked", "sites.py",
         "if _adjacent(m, ta, tb):",
         "if True:",
         "detection",
+        "tests/test_acceptance.py::test_criterion_2_example_1_end_to_end",
     ),
     Mutant(
         "r3-candidate-side", "sites.py",
         "for z in (eps[t - 1], eps[(t + 1) % m]):",
         "for z in (eps[(t + 1) % m],):",
         "detection",
+        "tests/test_acceptance.py::test_criterion_3a_movable_triple_listing",
     ),
     # the sign-free move sites and rewrites an endpoint arrangement's diagrams share
     Mutant(
@@ -198,30 +228,35 @@ MUTANTS = (
         "if _adjacent(m, ta, tb):",
         "if _adjacent(m, ta, tb) and d.signs[x.chord] != d.signs[y.chord]:",
         "sites",
+        "tests/test_differential.py::test_r2_pairs_and_messages_match_oracle",
     ),
     Mutant(
         "sites-r3-signs-leak", "sites.py",
         "found[t] = _tilings(d, t)",
         "found[t] = [x for x in _tilings(d, t) if len({d.signs[c] * f for c, f in zip(t, x[2])}) < 2]",
         "sites",
+        "tests/test_acceptance.py::test_criterion_5_theorem_census",
     ),
     Mutant(
         "sites-across-arrangements", "diagram.py",
         "pos, sites = _positions(eps), {}",
         'pos, sites = _positions(eps), enumerate_diagrams.__dict__.setdefault("s", {})',
         "sites",
+        "tests/test_differential.py::test_r1_chords_and_deletion_match_oracle",
     ),
     Mutant(
         "sites-not-kept", "sites.py",
         "found = sites[find] = find(d)",
         "found = find(d)",
         "sites",
+        "tests/test_moves.py::test_r3_walk_runs_the_kernel_once_per_candidate",
     ),
     Mutant(
         "sites-r3-edit-by-triple", "moves.py",
         "key = (*cuts, *arcs)",
         "key = (*cuts, *(move.chords if arcs else ()))",
         "sites",
+        "tests/test_differential.py::test_r3_rewrite_matches_oracle",
     ),
     Mutant(
         "sites-r2-edit-before-check", "moves.py",
@@ -230,6 +265,7 @@ MUTANTS = (
         "move.chords)), ((e := tuple(_edited(d.endpoints, _cuts(d, move.chords), (), ()))), "
         "_positions(e)))",
         "sites",
+        "tests/test_differential.py::test_shared_rewrites_match_unshared_copies",
     ),
     # the R3 triple kernel
     Mutant(
@@ -237,36 +273,42 @@ MUTANTS = (
         "arcs, numbers, movable = next((t for t in qualifying if t[2]), qualifying[0])",
         "arcs, numbers, movable = qualifying[0]",
         "kernel",
+        "tests/test_acceptance.py::test_triangle_oracle_matches_three_chord_census",
     ),
     Mutant(
         "movable-arcs-two-signs", "moves.py",
         "if sa * fa == sb * fb == sc * fc:",
         "if sa * fa == sb * fb:",
         "kernel",
+        "tests/test_cli.py::test_moves_text",
     ),
     Mutant(
         "wrap-tiling-end", "sites.py",
         "if q2 == q1 + 1 and q4 == q3 + 1 and q0 == 0 and q5 == m - 1:",
         "if q2 == q1 + 1 and q4 == q3 + 1 and q0 == 0:",
         "kernel",
+        "tests/test_differential.py::test_r3_triples_match_oracle",
     ),
     Mutant(
         "parity", "sites.py",
         "1 if xab == xbc else -1,",
         "1 if xab != xbc else -1,",
         "kernel",
+        "tests/test_acceptance.py::test_triangle_oracle_matches_three_chord_census",
     ),
     Mutant(
         "direction", "sites.py",
         "direction = 1 if (j - i) % 3 == 1 else -1",
         "direction = 1 if (i - j) % 3 == 1 else -1",
         "kernel",
+        "tests/test_acceptance.py::test_criterion_3a_movable_triple_listing",
     ),
     Mutant(
         "mixed-same-chord", "sites.py",
         "mixed = pair if x.chord != y.chord else None",
         "mixed = pair",
         "kernel",
+        "tests/test_acceptance.py::test_triangle_oracle_matches_three_chord_census",
     ),
     # the rewrite
     Mutant(
@@ -274,36 +316,42 @@ MUTANTS = (
         "if type(gap) is not int or not 0 <= gap < limit:",
         "if type(gap) is not int or not 0 <= gap <= limit:",
         "rewrite",
+        "tests/test_differential.py::test_row_rewrite_matches_endpoint_oracle",
     ),
     Mutant(
         "fresh-short", "moves.py",
         "candidates = map(str, range(1, len(d.signs) + count + 1))",
         "candidates = map(str, range(1, len(d.signs) + count))",
         "rewrite",
+        "tests/test_acceptance.py::test_criterion_7_move_invariance_suite",
     ),
     Mutant(
         "cut-order", "moves.py",
         "cuts.sort(reverse=True)",
         "cuts.sort()",
         "rewrite",
+        "tests/test_acceptance.py::test_criterion_2_example_1_end_to_end",
     ),
     Mutant(
         "sign-order", "moves.py",
         "signs = {c: s for c, s in d.signs.items() if c not in gone} if gone else {**d.signs, **add}",
         "signs = {c: s for c, s in d.signs.items() if c not in gone} if gone else {**add, **d.signs}",
         "rewrite",
+        "tests/test_differential.py::test_row_rewrite_matches_endpoint_oracle",
     ),
     Mutant(
         "r2-shared-gap", "moves.py",
         "blocks = (heads, tails) if head_gap >= tail_gap else (tails, heads)",
         "blocks = (heads, tails) if head_gap > tail_gap else (tails, heads)",
         "rewrite",
+        "tests/test_differential.py::test_row_rewrite_matches_endpoint_oracle",
     ),
     Mutant(
         "r1-head-first", "moves.py",
         "bases = (1 << 32 | negative, negative) if head_first else (negative, 1 << 32 | negative)",
         "bases = (1 << 32 | negative, negative) if not head_first else (negative, 1 << 32 | negative)",
         "rewrite",
+        "tests/test_differential.py::test_row_rewrite_matches_endpoint_oracle",
     ),
     # the search's walk over a move family
     Mutant(
@@ -311,36 +359,42 @@ MUTANTS = (
         "_VARIANTS = tuple(itertools.product((1, -1), (True, False)))",
         "_VARIANTS = tuple(itertools.product((-1, 1), (True, False)))",
         "walk",
+        "tests/test_differential.py::test_family_rows_match_oracles",
     ),
     Mutant(
         "insertion-last-gap", "moves.py",
         "return itertools.product(range(max(1, m)), repeat=added)",
         "return itertools.product(range(max(1, m - 1)), repeat=added)",
         "walk",
+        "tests/test_cli.py::test_moves_with_insertions",
     ),
     Mutant(
         "walk-first-tiling", "moves.py",
         "sites = [((t,), (), _movable_arcs(d.signs, t, found[t])) for t in triples]",
         "sites = [((t,), (), found[t][0][0]) for t in triples]",
         "walk",
+        "tests/test_differential.py::test_family_rows_match_oracles",
     ),
     Mutant(
         "walk-finds-twice", "sites.py",
         "if d._sites is not None:",
         "if True:",
         "walk",
+        "tests/test_moves.py::test_r3_walk_runs_the_kernel_once_per_candidate",
     ),
     Mutant(
         "walk-r2-sign-bits", "moves.py",
         "nx, ny = (0, 1) if sign == 1 else (1, 0)",
         "nx, ny = (0, 0) if sign == 1 else (1, 1)",
         "walk",
+        "tests/test_differential.py::test_family_rows_match_oracles",
     ),
     Mutant(
         "walk-one-fresh-label", "moves.py",
         "fresh = _fresh_labels(d, 2)",
         "fresh = _fresh_labels(d, 1) * 2",
         "walk",
+        "tests/test_differential.py::test_family_rows_match_oracles",
     ),
     Mutant(
         "walk-r1-blocks-swapped", "moves.py",
@@ -348,18 +402,43 @@ MUTANTS = (
         "for (variant, i, _), (_, _, (block,)) in zip(variants, [variants[1], variants[0], "
         "*variants[2:]]):",
         "walk",
+        "tests/test_differential.py::test_trace_forms_match_a_canonical_replay",
     ),
     Mutant(
         "walk-r2-heads-first", "moves.py",
         "layouts = [_insertion_layout(gaps, fresh) for gaps in ((0, 1), (0, 0), (1, 0))]",
         "layouts = [_insertion_layout(gaps, fresh) for gaps in ((0, 1), (0, 1), (1, 0))]",
         "walk",
+        "tests/test_differential.py::test_family_rows_match_oracles",
     ),
     Mutant(
         "walk-skip-first-site", "moves.py",
         "sites = [((c,), _cuts(d, (c,)), ()) for c in r1_removable_chords(d) if (c,) != undo]",
         "sites = [((c,), _cuts(d, (c,)), ()) for c in r1_removable_chords(d)][len(undo) == 1:]",
         "walk",
+        "tests/test_differential.py::test_search_skips_only_the_deletion_that_undoes_an_insertion",
+    ),
+    # the move specs
+    Mutant(
+        "spec-flag-texts-swapped", "moves.py",
+        '(("gap", "head gap"), ("gap", "tail gap"), ("sign",), ("flag", "pattern", ("u", "x")))),',
+        '(("gap", "head gap"), ("gap", "tail gap"), ("sign",), ("flag", "pattern", ("x", "u")))),',
+        "spec",
+        "tests/test_moves.py::test_move_spec_roundtrip",
+    ),
+    Mutant(
+        "spec-prefix-any-case", "moves.py",
+        "if parts[:len(head)] == head:",
+        "if [part.lower() for part in parts[:len(head)]] == head:",
+        "spec",
+        "tests/test_moves.py::test_move_spec_errors",
+    ),
+    Mutant(
+        "spec-one-label-too-many", "moves.py",
+        "if len(labels) != form[1] or not all(labels):",
+        "if len(labels) not in (form[1], form[1] + 1) or not all(labels):",
+        "spec",
+        "tests/test_moves.py::test_format_move_rejects_what_has_no_spec",
     ),
     # the census
     Mutant(
@@ -367,18 +446,21 @@ MUTANTS = (
         "m, h = len(endpoints), arcs[0][0]",
         "m, h = len(endpoints), 0",
         "census",
+        "tests/test_acceptance.py::test_criterion_5_theorem_census",
     ),
     Mutant(
         "census-two-signs", "moves.py",
         "if signs[a] * fa == signs[b] * fb == signs[c] * fc:",
         "if signs[a] * fa == signs[b] * fb:",
         "census",
+        "tests/test_acceptance.py::test_criterion_5_theorem_census",
     ),
     Mutant(
         "census-matched", "moves.py",
         "matched += len(tilings) * len(sign_maps)",
         "matched += len(tilings)",
         "census",
+        "tests/test_cli.py::test_census_output",
     ),
     # the search
     Mutant(
@@ -386,42 +468,49 @@ MUTANTS = (
         "entry = (count, 1, child_key, state)",
         "entry = (count, -1, child_key, state)",
         "search",
+        "tests/test_differential.py::test_simplify_matches_oracle_without_insertions",
     ),
     Mutant(
         "search-newest-family-first", "simplify.py",
         "heapq.heappush(queue, (count + change, 0, explored, key, change, state, undo))",
         "heapq.heappush(queue, (count + change, 0, -explored, key, change, state, undo))",
         "search",
+        "tests/test_simplify.py::test_search_keys_a_counts_families_in_expansion_order",
     ),
     Mutant(
         "search-family-walks-parent", "simplify.py",
         "source, state = state, apply_move(state, move)",
         "source = state; apply_move(state, move)",
         "search",
+        "tests/test_acceptance.py::test_criterion_2_example_1_end_to_end",
     ),
     Mutant(
         "search-best-tie", "simplify.py",
         "if entry < best:",
         "if entry[0] < best[0]:",
         "search",
+        "tests/test_differential.py::test_simplify_matches_oracle_without_insertions",
     ),
     Mutant(
         "search-budget", "simplify.py",
         "if explored >= limits.max_states:",
         "if explored > limits.max_states:",
         "search",
+        "tests/test_differential.py::test_simplify_matches_oracle_with_insertions",
     ),
     Mutant(
         "search-no-empty-child", "simplify.py",
         "if 0 <= count + change <= top:",
         "if 0 < count + change <= top:",
         "search",
+        "tests/test_acceptance.py::test_criterion_2_example_1_end_to_end",
     ),
     Mutant(
         "search-insertions-always", "simplify.py",
         "top = max_chords if limits.allow_insertions else count  # the most chords a child has",
         "top = max_chords",
         "search",
+        "tests/test_differential.py::test_simplify_matches_oracle_without_insertions",
     ),
     # the value types' record base
     Mutant(
@@ -429,12 +518,14 @@ MUTANTS = (
         "if other.__class__ is not self.__class__:",
         "if False:",
         "values",
+        "tests/test_diagram.py::test_value_type_parity[Endpoint]",
     ),
     Mutant(
         "record-drop-last-field", "diagram.py",
         'cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")',
         'cls._fields = tuple(name for name in cls.__slots__ if name[0] != "_")[:-1]',
         "values",
+        "tests/test_acceptance.py::test_criterion_7_move_invariance_suite",
     ),
 )
 
@@ -454,7 +545,8 @@ def mutated(source: str, mutant: Mutant) -> str:
 
 def run(mutant: Mutant, tests) -> tuple:
     """Run the tests against a copy of ``src/`` with the mutant applied:
-    (killed, the first failing test or what stopped the run)."""
+    (pytest's exit status, or None for a timeout; the first failing test
+    with its failure's first line, or what stopped the run)."""
     with tempfile.TemporaryDirectory() as tmp:
         src = Path(tmp) / "src"
         shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
@@ -471,33 +563,52 @@ def run(mutant: Mutant, tests) -> tuple:
                 command, cwd=ROOT, env=env, capture_output=True, text=True, timeout=TIMEOUT
             )
         except subprocess.TimeoutExpired:
-            return True, f"timed out after {TIMEOUT} s"
-    if proc.returncode == 0:
-        return False, ""
-    for line in proc.stdout.splitlines():
+            return None, f"timed out after {TIMEOUT} s"
+    lines = proc.stdout.splitlines()
+    for line in lines:
         if line.startswith(("FAILED ", "ERROR ")):
-            return True, line.split(" - ")[0]
-    return True, (proc.stdout.strip().splitlines() or [f"exit status {proc.returncode}"])[-1]
+            # the summary line cuts its message to the terminal's width
+            first = next((e[1:].strip() for e in lines if e.startswith("E ")), "")
+            return proc.returncode, f"{line.split(' - ')[0]} - {first}"
+    return proc.returncode, (proc.stdout.strip().splitlines() or [f"exit status {proc.returncode}"])[-1]
+
+
+def judge(mutant: Mutant, tests) -> tuple:
+    """(killed, by, the run that killed: ``killer`` or ``suite``): the
+    mutant's killer alone first, unless ``tests`` are given, then the
+    tests (default: tier-1)."""
+    if not tests:
+        status, by = run(mutant, [mutant.killer])
+        if status is None or by.startswith(("FAILED ", "ERROR ")):
+            return True, by, "killer"
+    status, by = run(mutant, tests)
+    return status != 0, (by if status != 0 else ""), "suite"
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("names", nargs="*", help="mutants to run (default: all)")
-    parser.add_argument("--tests", nargs="+", default=[], help="test paths (default: tier-1)")
+    parser.add_argument(
+        "--tests", nargs="+", default=[],
+        help="test paths, run without the killer first (default: each killer, then tier-1)",
+    )
     args = parser.parse_args(argv)
     chosen = [m for m in MUTANTS if not args.names or m.name in args.names]
     unknown = set(args.names) - {m.name for m in chosen}
     if unknown:
         parser.error(f"unknown mutants: {', '.join(sorted(unknown))}")
     survivors = 0
+    total = time.perf_counter()
     for mutant in chosen:
         start = time.perf_counter()
-        killed, by = run(mutant, args.tests)
+        killed, by, where = judge(mutant, args.tests)
         survivors += not killed
         verdict = "killed" if killed else "survived"
         seconds = time.perf_counter() - start
-        print(f"{mutant.name:<26} {mutant.layer:<9} {verdict:<8} {seconds:6.1f} s  {by}", flush=True)
-    print(f"{len(chosen) - survivors} of {len(chosen)} mutants killed")
+        print(f"{mutant.name:<26} {mutant.layer:<9} {verdict:<8} {where:<6} {seconds:6.1f} s  {by}",
+              flush=True)
+    seconds = time.perf_counter() - total
+    print(f"{len(chosen) - survivors} of {len(chosen)} mutants killed in {seconds:.0f} s")
     return 1 if survivors else 0
 
 

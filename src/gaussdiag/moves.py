@@ -15,6 +15,15 @@ The 3-sign is the product.  A matched triple is 3-movable exactly when
 all three 3-signs agree; applying the move swaps the two chord ends on
 each of the three arcs.
 
+The move kinds, their order and their specs are one table, ``_KINDS``, in
+``enumerate_moves`` order: R1 deletions, R2 deletions, R3s, R1 insertions
+and R2 insertions.  A row holds the kind's class, the chords it adds (-1,
+-2, 0, 1, 2), its spec's prefix, what its spec needs after the prefix, and
+each spec field's form (a label, comma-joined labels, a gap, the sign or a
+flag).  ``format_move`` and ``parse_move`` read each spec from it,
+``enumerate_moves`` its insertion kinds, and the search its family order
+and the class it builds each child's move with.
+
 Six cyclically ordered endpoints admit at most two tilings into three
 consecutive pairs.  Both are admissible only when the six positions fill
 the whole circle (a standalone 3-chord diagram); a triple is matched when
@@ -85,12 +94,12 @@ and the walk for the many children that share a parent's slices.
 from __future__ import annotations
 
 import itertools
+from collections import namedtuple
 from collections.abc import Mapping
 from operator import itemgetter
 from types import MappingProxyType
 
 from .diagram import (
-    EMPTY,
     HEAD,
     GaussDiagram,
     _HEADS,
@@ -178,6 +187,25 @@ class R3(_Record):
 
 
 Move = R1Delete | R1Insert | R2Delete | R2Insert | R3
+
+
+# one move kind: its class, the chords it adds, its spec's prefix, what its
+# spec needs after the prefix (for the error) and the form of each spec
+# field, in the record's field order
+_Kind = namedtuple("_Kind", "move change prefix needs fields")
+# the move kinds, in enumerate_moves order.  A spec field's form is one chord
+# label ("label", 1), count comma-joined labels ("labels", count), a gap and
+# its name ("gap", name), the sign ("sign",), or a flag, its name and its
+# (False, True) texts ("flag", name, texts)
+_KINDS = (
+    _Kind(R1Delete, -1, "r1:del", "a chord label", (("label", 1),)),
+    _Kind(R2Delete, -2, "r2:del", "chord,chord", (("labels", 2),)),
+    _Kind(R3, 0, "r3", "chord,chord,chord", (("labels", 3),)),
+    _Kind(R1Insert, 1, "r1:ins", "gap:sign:hf|tf",
+          (("gap", "gap"), ("sign",), ("flag", "order", ("tf", "hf")))),
+    _Kind(R2Insert, 2, "r2:ins", "hgap:tgap:sign:x|u",
+          (("gap", "head gap"), ("gap", "tail gap"), ("sign",), ("flag", "pattern", ("u", "x")))),
+)
 
 
 class ChordNumbers(_Record):
@@ -325,19 +353,21 @@ def _check_chords(d: GaussDiagram, chords):
             raise MoveNotApplicable(f"chord {c} not in diagram")
 
 
-def _check_insertion(d: GaussDiagram, gaps, sign, flag: str, value, error=MoveNotApplicable):
-    """Raise ``error`` unless an insertion's parameters are valid, checked
-    in this order: each gap, an exact int (no bool, no float) in
-    0..max(1, 2n) - 1; the sign, the int +1 or -1; the ``flag``
-    (``head_first`` or ``crossed``), a bool."""
-    limit = max(1, len(d.endpoints))
-    for gap in gaps:
-        if type(gap) is not int or not 0 <= gap < limit:
-            raise error(f"invalid gap {gap!r}: valid gaps are 0..{limit - 1}")
+def _check_insertion(move, d: GaussDiagram | None = None, error=MoveNotApplicable):
+    """Raise ``error`` unless an insertion's fields are valid, checked in
+    this order: each gap, only when a diagram d is given, an exact int (no
+    bool, no float) in 0..max(1, 2n) - 1; the sign, the int +1 or -1; the
+    flag, the record's last field (``head_first`` or ``crossed``), a bool."""
+    *gaps, sign, value = move._values()
+    if d is not None:
+        limit = max(1, len(d.endpoints))
+        for gap in gaps:
+            if type(gap) is not int or not 0 <= gap < limit:
+                raise error(f"invalid gap {gap!r}: valid gaps are 0..{limit - 1}")
     if not _valid_sign(sign):
         raise error(f"sign must be +1 or -1, got {sign!r}")
     if type(value) is not bool:
-        raise error(f"{flag} must be True or False, got {value!r}")
+        raise error(f"{type(move)._fields[-1]} must be True or False, got {value!r}")
 
 
 def _cuts(d: GaussDiagram, chords) -> list:
@@ -417,10 +447,8 @@ def _rewrite(d: GaussDiagram, move: Move):
             raise MoveNotApplicable(blocker)
         gone = move.chords
     elif isinstance(move, (R1Insert, R2Insert)):
-        fields = move._values()  # gap(s), sign, flag: _insertion_fields order
-        flag = "head_first" if isinstance(move, R1Insert) else "crossed"
-        _check_insertion(d, fields[:-2], fields[-2], flag, fields[-1])
-        blocks, add = _insertion_blocks(fields, _fresh_labels(d, 2))
+        _check_insertion(move, d)
+        blocks, add = _insertion_blocks(move._values(), _fresh_labels(d, 2))
         splices = [
             (gap, [(_HEADS if base >> 32 else _TAILS)[lab] for lab, base in zip(labels, bases)])
             for gap, labels, bases in blocks
@@ -450,8 +478,8 @@ def enumerate_moves(d: GaussDiagram, include_insertions: bool = False) -> list:
     moves += [R2Delete(pair) for pair in r2_removable_pairs(d)]
     moves += [R3(t) for t in r3_movable_triples(d)]
     if include_insertions:
-        for added, kind in ((1, R1Insert), (2, R2Insert)):
-            moves += itertools.starmap(kind, _insertion_fields(len(d.endpoints), added))
+        moves += [kind.move(*fields) for kind in _KINDS if kind.change > 0
+                  for fields in _insertion_fields(len(d.endpoints), kind.change)]
     return moves
 
 
@@ -575,92 +603,74 @@ def _family_rows(d: GaussDiagram, change: int, undo: tuple = ()):
 
 # ---------------------------------------------------------------- move specs
 
-def _insertion_text(sign, flag: str, value, texts) -> tuple:
-    """An insertion spec's sign and flag fields, the flag's from ``texts``
-    (False, True); ValueError when either field has no spec."""
-    _check_insertion(EMPTY, (), sign, flag, value, ValueError)
-    return ("+" if sign == 1 else "-"), texts[value]
+def _field_text(form, value) -> str:
+    """The text of one spec field of this form (see ``_KINDS``)."""
+    if form[0] == "labels":
+        return ",".join(value)
+    if form[0] == "sign":
+        return "+" if value == 1 else "-"
+    return form[2][value] if form[0] == "flag" else str(value)
 
 
 def format_move(move: Move) -> str:
-    """Compact one-line spec, the CLI's move syntax.  ValueError for a move
-    without one: a sign or flag ``_insertion_text`` rejects, or a spec that
-    ``parse_move`` rejects (its error) or reads back as another move."""
-    if isinstance(move, R1Delete):
-        spec = f"r1:del:{move.chord}"
-    elif isinstance(move, R1Insert):
-        sign, order = _insertion_text(move.sign, "head_first", move.head_first, ("tf", "hf"))
-        spec = f"r1:ins:{move.gap}:{sign}:{order}"
-    elif isinstance(move, R2Delete):
-        spec = "r2:del:{},{}".format(*move.chords)
-    elif isinstance(move, R2Insert):
-        sign, pattern = _insertion_text(move.first_sign, "crossed", move.crossed, ("u", "x"))
-        spec = f"r2:ins:{move.head_gap}:{move.tail_gap}:{sign}:{pattern}"
-    elif isinstance(move, R3):
-        spec = "r3:{},{},{}".format(*move.chords)
-    else:
+    """Compact one-line spec, the CLI's move syntax: its kind's prefix and
+    fields, as ``_KINDS`` gives them.  ValueError for a move without one:
+    an insertion's sign or flag that ``_check_insertion`` rejects, or a
+    spec that ``parse_move`` rejects (its error) or reads back as another
+    move."""
+    kind = next((kind for kind in _KINDS if isinstance(move, kind.move)), None)
+    if kind is None:
         raise ValueError(f"unknown move {move!r}")
+    if kind.change > 0:
+        _check_insertion(move, None, ValueError)  # the gaps are parse_move's to judge
+    spec = ":".join([kind.prefix, *map(_field_text, kind.fields, move._values())])
     if parse_move(spec) != move:  # else parse_move raises on the spec
         raise ValueError(f"{move!r} has no spec: {spec!r} parses to another move")
     return spec
 
 
-def _parse_sign(text: str, spec: str) -> int:
-    if text not in ("+", "-"):
-        raise ValueError(f"move spec {spec!r}: sign must be + or -, got {text!r}")
-    return 1 if text == "+" else -1
-
-
-def _parse_gap(text: str, spec: str, what: str = "gap") -> int:
-    if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"move spec {spec!r}: {what} must be a nonnegative integer")
-    return int(text)
-
-
-def _parse_labels(texts, spec: str) -> tuple:
-    """The chord labels of a spec; ValueError naming the first that
+def _read_field(form, text: str, spec: str, needs: str):
+    """The value of one spec field of this form (see ``_KINDS``); ValueError
+    naming the malformed field (``needs`` for a label field), or a label
     ``valid_label`` rejects, since no diagram holds it."""
-    for text in texts:
-        if not valid_label(text):
-            raise ValueError(f"move spec {spec!r}: invalid chord label {text!r}")
-    return tuple(texts)
+    tag = form[0]
+    if tag == "gap":
+        if not (text.isascii() and text.isdigit()):
+            raise ValueError(f"move spec {spec!r}: {form[1]} must be a nonnegative integer")
+        return int(text)
+    if tag == "sign":
+        if text not in ("+", "-"):
+            raise ValueError(f"move spec {spec!r}: sign must be + or -, got {text!r}")
+        return 1 if text == "+" else -1
+    if tag == "flag":
+        _, name, texts = form
+        if text not in texts:
+            raise ValueError(f"move spec {spec!r}: {name} must be {texts[1]} or {texts[0]}")
+        return text == texts[1]
+    labels = text.split(",") if tag == "labels" else [text]
+    if len(labels) != form[1] or not all(labels):
+        raise ValueError(needs)
+    for label in labels:
+        if not valid_label(label):
+            raise ValueError(f"move spec {spec!r}: invalid chord label {label!r}")
+    return tuple(labels) if tag == "labels" else text
 
 
 def parse_move(spec: str) -> Move:
-    """Inverse of format_move; errors name the malformed field, and a
-    well-formed spec's invalid chord label."""
+    """Inverse of format_move: the first of ``_KINDS`` whose prefix the spec
+    starts with, then its fields in order.  Errors name a wrong field
+    count, the malformed field, and a well-formed spec's invalid chord
+    label."""
     parts = spec.strip().split(":")
-    if parts[0] == "r1" and len(parts) >= 2 and parts[1] == "del":
-        if len(parts) != 3 or not parts[2]:
-            raise ValueError(f"move spec {spec!r}: r1:del needs a chord label")
-        return R1Delete(*_parse_labels(parts[2:], spec))
-    if parts[0] == "r1" and len(parts) >= 2 and parts[1] == "ins":
-        if len(parts) != 5:
-            raise ValueError(f"move spec {spec!r}: r1:ins needs gap:sign:hf|tf")
-        gap = _parse_gap(parts[2], spec)
-        sign = _parse_sign(parts[3], spec)
-        if parts[4] not in ("hf", "tf"):
-            raise ValueError(f"move spec {spec!r}: order must be hf or tf")
-        return R1Insert(gap, sign, parts[4] == "hf")
-    if parts[0] == "r2" and len(parts) >= 2 and parts[1] == "del":
-        chords = parts[2].split(",") if len(parts) == 3 else []
-        if len(chords) != 2 or not all(chords):
-            raise ValueError(f"move spec {spec!r}: r2:del needs chord,chord")
-        return R2Delete(_parse_labels(chords, spec))
-    if parts[0] == "r2" and len(parts) >= 2 and parts[1] == "ins":
-        if len(parts) != 6:
-            raise ValueError(f"move spec {spec!r}: r2:ins needs hgap:tgap:sign:x|u")
-        head_gap = _parse_gap(parts[2], spec, "head gap")
-        tail_gap = _parse_gap(parts[3], spec, "tail gap")
-        sign = _parse_sign(parts[4], spec)
-        if parts[5] not in ("x", "u"):
-            raise ValueError(f"move spec {spec!r}: pattern must be x or u")
-        return R2Insert(head_gap, tail_gap, sign, parts[5] == "x")
-    if parts[0] == "r3":
-        chords = parts[1].split(",") if len(parts) == 2 else []
-        if len(chords) != 3 or not all(chords):
-            raise ValueError(f"move spec {spec!r}: r3 needs chord,chord,chord")
-        return R3(_parse_labels(chords, spec))
+    for kind in _KINDS:
+        head = kind.prefix.split(":")
+        if parts[:len(head)] == head:
+            texts = parts[len(head):]
+            needs = f"move spec {spec!r}: {kind.prefix} needs {kind.needs}"
+            if len(texts) != len(kind.fields):
+                raise ValueError(needs)
+            return kind.move(*[_read_field(form, text, spec, needs)
+                               for form, text in zip(kind.fields, texts)])
     raise ValueError(f"move spec {spec!r}: unknown move kind")
 
 

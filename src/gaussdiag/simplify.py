@@ -11,7 +11,9 @@ with partial expansion does: one priority queue holds both the states and
 the families still to key, a family being a parent's code with the
 chords it adds: -1 for its R1 deletions, -2 for its R2 deletions, 0 for
 its R3s, and 1 and 2 for its R1 and R2 insertions where they fit under
-the cap.  A family's moves are found only when it pops, by one walk,
+the cap.  The families, their order and the class each one's moves are
+built with come from the table of move kinds, ``moves._KINDS``.  A
+family's moves are found only when it pops, by one walk,
 ``moves._family_rows``: it detects a deletion or R3 family or generates
 an insertion family and yields the children's rows, made from the
 parent's ``diagram._rows``, and a move is built only for a child whose
@@ -35,10 +37,8 @@ from .diagram import GaussDiagram, _Record, _rows, _set, canonical, label_key
 from .moves import (
     MoveNotApplicable,
     R1Delete,
-    R1Insert,
     R2Delete,
-    R2Insert,
-    R3,
+    _KINDS,
     _family_rows,
     apply_move,
     # not called here; imported so that perfbench/tracing.py can patch it
@@ -179,7 +179,7 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
         return SimplifyResult(final=d, trace=(), states_explored=1, limit_hit=False)
 
     # the move families by the chords they add, in enumerate_moves order
-    kinds = {-1: R1Delete, -2: R2Delete, 0: R3, 1: R1Insert, 2: R2Insert}
+    kinds = {kind.change: kind.move for kind in _KINDS}
     start_key = _canonical_code(*_rows(d.endpoints, d.signs))
     info = {start_key: (None, None)}  # canonical code -> (parent's code, move)
     # a state is (chord count, 1, code, the diagram its move applies to: its

@@ -65,6 +65,7 @@ import time
 from types import MappingProxyType, SimpleNamespace
 
 import pytest
+from invariants import affine_index_polynomial
 
 from gaussdiag import (
     EMPTY,
@@ -1154,7 +1155,9 @@ PINNED_SEARCHES = [
 @pytest.mark.parametrize("start, max_states, expected", PINNED_SEARCHES)
 def test_pinned_insertion_searches(start, max_states, expected):
     limits = SearchLimits(max_states=max_states, allow_insertions=True)
-    assert _search_outcome(simplify(start(), limits)) == expected
+    result = simplify(start(), limits)
+    assert _search_outcome(result) == expected
+    assert affine_index_polynomial(result.final) == affine_index_polynomial(start())
 
 
 def _truncated_cases(exhaustive_corpus) -> list:

@@ -11,18 +11,23 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_reproduce_examples_script():
-    # the script asserts every value it prints (3-signs of the worked
-    # examples and figure triples included) and ends with a summary line
+def _env() -> dict:
+    """The environment with this checkout's sources first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         [str(ROOT / "src")] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else [])
     )
+    return env
+
+
+def test_reproduce_examples_script():
+    # the script asserts every value it prints (3-signs of the worked
+    # examples and figure triples included) and ends with a summary line
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "reproduce_examples.py")],
         capture_output=True,
         text=True,
-        env=env,
+        env=_env(),
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
@@ -68,12 +73,17 @@ def test_code_lines_script(tmp_path):
     assert _code_lines(tmp_path) == [["5", "sample.py"], ["5", "total"]]
 
 
-def test_mutant_table_lines_occur_once():
-    # each mutant replaces one source line that occurs exactly once in its
-    # module; no test is run
+def _mutants():
     spec = importlib.util.spec_from_file_location("mutants", ROOT / "scripts" / "mutants.py")
     mutants = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mutants)
+    return mutants
+
+
+def test_mutant_table_lines_occur_once():
+    # each mutant replaces one source line that occurs exactly once in its
+    # module; no test is run
+    mutants = _mutants()
     assert len({m.name for m in mutants.MUTANTS}) == len(mutants.MUTANTS) >= 20
     assert {m.layer for m in mutants.MUTANTS} == set(mutants.LAYERS)
     for mutant in mutants.MUTANTS:
@@ -86,3 +96,22 @@ def test_mutant_table_lines_occur_once():
         assert [(old.strip(), new.strip()) for old, new in changed] == [
             (mutant.line, mutant.replacement)
         ], mutant.name
+
+
+def test_mutant_killers_name_existing_tests():
+    # the runner tries each mutant's stored killer alone first, so each must
+    # be a node id pytest collects: one test, or a test function with all
+    # its parameters; only collection runs
+    killers = sorted({m.killer for m in _mutants().MUTANTS})
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider", *killers],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        env=_env(),
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    collected = [line for line in proc.stdout.splitlines() if "::" in line]
+    for killer in killers:
+        assert any(node == killer or node.startswith(killer + "[") for node in collected), killer

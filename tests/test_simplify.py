@@ -9,6 +9,7 @@ from collections import Counter
 from types import SimpleNamespace
 
 import pytest
+from invariants import affine_index_polynomial
 
 from gaussdiag import (
     EMPTY,
@@ -177,6 +178,7 @@ def test_simplify_example_1():
     assert res.trace[0][0] == R2Delete(("1", "4"))
     assert not res.limit_hit
     assert verify_trace(d(EX1), res.trace)
+    assert affine_index_polynomial(res.final) == affine_index_polynomial(d(EX1))
 
 
 def test_simplify_example_2_reaches_unknot():
@@ -188,6 +190,7 @@ def test_simplify_example_2_reaches_unknot():
         R2Delete(("1", "4")),
     ]
     assert verify_trace(d(EX2), res.trace)
+    assert affine_index_polynomial(res.final) == affine_index_polynomial(d(EX2))
 
 
 def test_simplify_trefoil_is_stuck_without_insertions():
@@ -209,6 +212,7 @@ def test_simplify_truncation_reports_limit():
     assert res.limit_hit
     assert res.states_explored == 50
     assert res.final.n == 2  # nothing better than the start was found
+    assert affine_index_polynomial(res.final) == affine_index_polynomial(d(TREFOIL))
 
 
 def test_simplify_truncated_trace_still_verifies():
@@ -216,6 +220,7 @@ def test_simplify_truncated_trace_still_verifies():
     assert res.limit_hit and res.states_explored == 1
     assert res.final.n == 4
     assert verify_trace(d(EX2), res.trace)
+    assert affine_index_polynomial(res.final) == affine_index_polynomial(d(EX2))
 
 
 def test_simplify_chord_cap_blocks_all_insertions():
@@ -327,8 +332,10 @@ def test_search_builds_insertion_moves_only_for_kept_children(monkeypatch):
         pushed.append(entry)
         heapq.heappush(heap, entry)
 
-    monkeypatch.setattr(search, "R1Insert", counting(search.R1Insert))
-    monkeypatch.setattr(search, "R2Insert", counting(search.R2Insert))
+    # the search builds its moves from the table of move kinds
+    kinds = [kind._replace(move=counting(kind.move)) if kind.change > 0 else kind
+             for kind in search._KINDS]
+    monkeypatch.setattr(search, "_KINDS", kinds)
     monkeypatch.setattr(search, "heapq", SimpleNamespace(heappush=push, heappop=heapq.heappop))
     cases = [(random_diagram(16, 3), 5), (random_diagram(16, 3), 20), (d(STORED), 30), (d(STORED), 100)]
     for start, max_states in cases:
@@ -402,6 +409,7 @@ def test_pinned_descents(code, expected):
     trace = [(format_move(m), serialize_gauss_code(c), tuple(c.signs)) for m, c in res.trace]
     outcome = serialize_gauss_code(res.final), tuple(res.final.signs), trace
     assert (*outcome, res.states_explored, res.limit_hit) == expected
+    assert affine_index_polynomial(res.final) == affine_index_polynomial(d(code))
 
 
 def test_search_limit_defaults():
