@@ -152,7 +152,8 @@ class Endpoint(_Record):
 class _Table(dict):
     """key -> ``spell(key)``, made on first use and kept.  The tables keyed
     by least-rotation entries or their tokens hold at most four (role x
-    sign) per chord number, the endpoint tables one per label seen."""
+    sign) per chord number, the endpoint and label-key tables one per
+    label seen."""
 
     def __init__(self, spell):
         super().__init__()
@@ -167,6 +168,11 @@ class _Table(dict):
 # builds shares: endpoints are frozen
 _TAILS = _Table(lambda label: Endpoint(label, TAIL))
 _HEADS = _Table(lambda label: Endpoint(label, HEAD))
+
+
+# each label's label_key, for the orders the library's own walks sort by;
+# the public move constructors take outside labels and call label_key
+_LABEL_KEYS = _Table(label_key)
 
 
 def _shared_endpoint(chord, role) -> Endpoint:

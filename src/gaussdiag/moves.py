@@ -85,10 +85,12 @@ in ``_insertion_fields`` order, which also gives ``enumerate_moves`` its
 insertion moves, and take the parent's ``_fresh_labels``.  Their rows,
 ``_insertion_rows``, are slices of the parent's rows joined around each
 child's blocks: the slices are made once per gap or gap pair, and each
-(sign, flag) variant's blocks once per family, from ``_insertion_blocks``,
-the one definition of what an insertion puts in and in what order.  So
-two codes splice: ``_edited`` for the one child ``apply_move`` builds,
-and the walk for the many children that share a parent's slices.
+(sign, flag) variant's blocks once per process, from ``_insertion_blocks``,
+the one definition of what an insertion puts in and in what order; the
+table ``_LAYOUTS`` keeps them by their sample gaps and fresh labels, and
+every family that reads them shares them, unchanged.  So two codes
+splice: ``_edited`` for the one child ``apply_move`` builds, and the walk
+for the many children that share a parent's slices.
 """
 
 from __future__ import annotations
@@ -110,6 +112,7 @@ from .diagram import (
     _check_chord_count,
     _positions,
     _Record,
+    _Table,
     _rows,
     _set,
     _trusted,
@@ -528,7 +531,8 @@ def _insertion_layout(gaps, fresh) -> tuple:
     """Each variant's ``_insertion_blocks`` at ``gaps``, in the order the
     child reads them (the order they go in, reversed), which depends only
     on how the gaps compare: the distinct label blocks, and per variant
-    (variant, the index of its label blocks, its bases blocks)."""
+    (variant, the index of its label blocks, its bases blocks).  The walk
+    reads it from ``_LAYOUTS``."""
     labels, variants = [], []
     for variant in _VARIANTS:
         blocks = _insertion_blocks((*gaps, *variant), fresh)[0][::-1]
@@ -539,18 +543,24 @@ def _insertion_layout(gaps, fresh) -> tuple:
     return labels, variants
 
 
+# (sample gaps, fresh labels) -> their _insertion_layout, made on first use
+# and kept for the process: its blocks are shared, and no caller changes them
+_LAYOUTS = _Table(lambda key: _insertion_layout(*key))
+
+
 def _insertion_rows(d: GaussDiagram, change: int):
     """Each insertion of d that adds ``change`` chords, as ``_family_rows``
     yields it: each child's rows are the slices of d's rows around its
     blocks, joined.  The slices and the chords rows are made once per gap
     (R1) or (head gap, tail gap) pair (R2), a chords row once per distinct
-    label block, and each variant's blocks once per family by
-    ``_insertion_layout``.  Children of one gap share their chords row."""
-    fresh = _fresh_labels(d, 2)
+    label block, and each variant's blocks once per process by
+    ``_insertion_layout``, kept in ``_LAYOUTS`` by the sample gaps and
+    the fresh labels.  Children of one gap share their chords row."""
+    fresh = tuple(_fresh_labels(d, 2))
     chords, bases = _rows(d.endpoints, d.signs)
     m = len(chords)
     if change == 1:
-        labels, variants = _insertion_layout((0,), fresh)
+        labels, variants = _LAYOUTS[(0,), fresh]
         for (gap,) in _insertion_gaps(m, 1):
             rows = [chords[:gap] + block + chords[gap:] for (block,) in labels]
             left, right = bases[:gap], bases[gap:]
@@ -559,7 +569,7 @@ def _insertion_rows(d: GaussDiagram, change: int):
         return
     # the child reads its two blocks in one of three orders: the head gap
     # before, at or after the tail gap
-    layouts = [_insertion_layout(gaps, fresh) for gaps in ((0, 1), (0, 0), (1, 0))]
+    layouts = [_LAYOUTS[gaps, fresh] for gaps in ((0, 1), (0, 0), (1, 0))]
     for head_gap, tail_gap in _insertion_gaps(m, 2):
         lo, hi = (head_gap, tail_gap) if head_gap < tail_gap else (tail_gap, head_gap)
         labels, variants = layouts[(head_gap >= tail_gap) + (head_gap > tail_gap)]

@@ -5,27 +5,30 @@ enough for diagrams whose simplification never needs R3.  simplify runs a
 best-first search over everything reachable by deletions and R3 (plus
 insertions under a chord cap when enabled), deduplicating states by their
 canonical code string, and returns a minimum-chord-count state with a
-replayable trace.  The search stores each state as its parent's code and
-the move from it.  It expands a state one move family at a time, as A*
-with partial expansion does: one priority queue holds both the states and
-the families still to key, a family being a parent's code with the
-chords it adds: -1 for its R1 deletions, -2 for its R2 deletions, 0 for
-its R3s, and 1 and 2 for its R1 and R2 insertions where they fit under
-the cap.  The families, their order and the class each one's moves are
-built with come from the table of move kinds, ``moves._KINDS``.  A
-family's moves are found only when it pops, by one walk,
-``moves._family_rows``: it detects a deletion or R3 family or generates
-an insertion family and yields the children's rows, made from the
-parent's ``diagram._rows``, and a move is built only for a child whose
-code is new.  A state its parent's insertion built never keys the
-deletion of the chords that insertion added: that child is the parent,
-already keyed, so the walk drops it before making its rows.  Diagrams are
-built only for the states the search expands, and each is held only by
-the queue entries that need it: its own families and its children's
-states.  The final diagram is the best state's one move applied to the
-diagram its entry carries, and the trace is the final state's moves and
-codes, read back to the start; each step's canonical form is spelled from
-the code the search stored for it, not scanned again.
+replayable trace.  The search stores each state as its parent's code, the
+chords its move's family adds and the move's fields; the move record is
+built from them, through ``moves._KINDS``, only when it is needed: to
+expand the state, for the final diagram and for the trace.  It expands a
+state one move family at a time, as A* with partial expansion does: one
+priority queue holds both the states and the families still to key, a
+family being a parent's code with the chords it adds: -1 for its R1
+deletions, -2 for its R2 deletions, 0 for its R3s, and 1 and 2 for its R1
+and R2 insertions where they fit under the cap.  The families, their
+order and the class each one's moves are built with come from the table
+of move kinds, ``moves._KINDS``.  A family's moves are found only when it
+pops, by one walk, ``moves._family_rows``: it detects a deletion or R3
+family or generates an insertion family and yields each child's move
+fields and rows, made from the parent's ``diagram._rows``; a child whose
+code is new is stored as those fields, with no move built.  A state its
+parent's insertion built never keys the deletion of the chords that
+insertion added: that child is the parent, already keyed, so the walk
+drops it before making its rows.  Diagrams are built only for the states
+the search expands, and each is held only by the queue entries that need
+it: its own families and its children's states.  The final diagram is
+the best state's one move applied to the diagram its entry carries, and
+the trace is the final state's moves and codes, read back to the start;
+each step's canonical form is spelled from the code the search stored
+for it, not scanned again.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from __future__ import annotations
 import heapq
 
 from .codec import _canonical_code, _read_canonical_code, serialize_gauss_code
-from .diagram import GaussDiagram, _Record, _rows, _set, canonical, label_key
+from .diagram import GaussDiagram, _LABEL_KEYS, _Record, _rows, _set, canonical
 from .moves import (
     MoveNotApplicable,
     R1Delete,
@@ -131,17 +134,23 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
     and its R2 insertions when two more do; insertions that cannot fit are
     never generated.
 
-    Each state stores only its parent's code and the move from it.  An
-    expansion does not key its children: it pushes one family entry per
-    move family onto the queue the states wait in, at the count its
-    children have: its R1 deletions (-1), R2 deletions (-2) and R3s (0),
-    where that count is not negative, and its R1 (1) and R2 (2)
-    insertions, where they fit.  A state's entry is (count, 1, code, the
+    ``info`` maps each state's code to (its parent's code, the chords its
+    move's family adds, the move's fields), the start's to (None, None,
+    None).  A move record is built from these, by the class its row of
+    ``moves._KINDS`` names, only to expand the state (``apply_move`` on the
+    diagram its entry carries), for the final state's move and for each
+    trace step: at most one per expanded state but the start, one for the
+    final diagram and one per trace step.  An expansion does not key its
+    children: it pushes one family entry per move family onto the queue
+    the states wait in, at the count its children have: its R1 deletions
+    (-1), R2 deletions (-2) and R3s (0), where that count is not negative,
+    and its R1 (1) and R2 (2) insertions, where they fit.  A state's entry is (count, 1, code, the
     diagram its move applies to), a family's (count, 0, its parent's
     expansion number, parent's code, chords it adds, parent's diagram, the
-    chords the parent's own insertion added, in ``label_key`` order, or
-    ()).  The walk drops the deletion of those chords: its child is the
-    state the parent was built from, whose code is keyed.
+    chords the parent's own insertion added, in ``label_key`` order, read
+    from the table ``diagram._LABEL_KEYS``, or ()).  The walk drops the
+    deletion of those chords: its child is the state the parent was built
+    from, whose code is keyed.
     A child can share a code only with states of its own chord count, and
     the tag 0 pops every family of a count before any state of that count
     or higher: a count's children are all keyed (and deduplicated, the
@@ -152,11 +161,12 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
     order.  A family is walked through ``moves._family_rows`` only when it
     pops, so a family whose count the search never reaches is never
     detected, and a parent's rows are made only for a family that has a
-    move.  A move is built only for a child whose code is new.  An empty
-    child ends the search once its family is keyed; a popped state ends it
-    when the budget is spent.  Diagrams are built only for the states the
-    search expands, each by applying its move to its parent's diagram,
-    which the state's entry carries; a family's entry carries its parent's.
+    move.  A child whose code is new is stored as its walk's fields.  An
+    empty child ends the search once its family is keyed; a popped state
+    ends it when the budget is spent.  Diagrams are built only for the
+    states the search expands, each by applying its move to its parent's
+    diagram, which the state's entry carries; a family's entry carries its
+    parent's.
     No other store holds a diagram, so one is released once the last entry
     holding it pops.  The final diagram is the best state's move applied
     to the diagram its entry carries (the start needs none): the same
@@ -181,7 +191,9 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
     # the move families by the chords they add, in enumerate_moves order
     kinds = {kind.change: kind.move for kind in _KINDS}
     start_key = _canonical_code(*_rows(d.endpoints, d.signs))
-    info = {start_key: (None, None)}  # canonical code -> (parent's code, move)
+    # canonical code -> (parent's code, chords its family adds, the move's
+    # fields): a state's move is built from these only when it is needed
+    info = {start_key: (None, None, None)}
     # a state is (chord count, 1, code, the diagram its move applies to: its
     # parent's, the start's being itself); a family is (its children's chord
     # count, 0, its parent's expansion number, parent's code, chords it adds,
@@ -201,12 +213,13 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
                 limit_hit = True
                 break
             count, _, key, state = entry
-            move = info[key][1]
+            parent, added, fields = info[key]  # its move, built only now
             undo = ()  # the chords an insertion added: deleting them gives back the parent
-            if move is not None:
-                source, state = state, apply_move(state, move)
-                if len(state.signs) > len(source.signs):
-                    undo = tuple(sorted(state.signs.keys() - source.signs.keys(), key=label_key))
+            if parent is not None:
+                source, state = state, apply_move(state, kinds[added](*fields))
+                if added > 0:
+                    undo = tuple(sorted(state.signs.keys() - source.signs.keys(),
+                                        key=_LABEL_KEYS.__getitem__))
             explored += 1
             top = max_chords if limits.allow_insertions else count  # the most chords a child has
             for change in kinds:  # one entry per family: its moves are found when it pops
@@ -218,7 +231,7 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
             child_key = _canonical_code(chords, bases)
             if child_key in info:
                 continue
-            info[child_key] = (parent, kinds[change](*fields))
+            info[child_key] = (parent, change, fields)
             entry = (count, 1, child_key, state)
             if entry < best:
                 best = entry
@@ -227,15 +240,15 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
     # the final diagram: the best state's move applied to the diagram its
     # entry carries, which the same chain of moves built
     _, _, key, final = best
-    parent, move = info[key]
-    if move is not None:
-        final = apply_move(final, move)
+    parent, added, fields = info[key]
+    if parent is not None:
+        final = apply_move(final, kinds[added](*fields))
     # the trace: the final state's moves, each beside the code it leads to,
     # read back to the start
     steps = []
     while parent is not None:
-        steps.append((move, _read_canonical_code(key)))
-        key, (parent, move) = parent, info[parent]
+        steps.append((kinds[added](*fields), _read_canonical_code(key)))
+        key, (parent, added, fields) = parent, info[parent]
     steps.reverse()
     return SimplifyResult(final=final, trace=tuple(steps), states_explored=explored,
                           limit_hit=limit_hit)

@@ -26,6 +26,10 @@ its cuts or arcs, with the child's endpoints and position map, which are
 sign-free too, once the edit's checks pass; ``moves._rewrite`` reads an
 R3's tilings from the holder's R3 find.  A holder never keeps signs.
 
+The R2 pair order and the R3 triple order are ``label_key`` order, read
+from the table ``diagram._LABEL_KEYS``, which grows by one entry per
+label seen.
+
 Every precondition is an adjacency, read one way.  ``_adjacent_pairs`` is
 the one walk over cyclically adjacent endpoint pairs: the R1 find keeps
 the pairs that join one chord, the R2 find and ``_r3_candidates`` the
@@ -36,7 +40,7 @@ head) pair.
 
 from __future__ import annotations
 
-from .diagram import HEAD, TAIL, GaussDiagram, _adjacent, _assemble, _interleaved, label_key
+from .diagram import HEAD, TAIL, GaussDiagram, _LABEL_KEYS, _adjacent, _assemble, _interleaved
 
 
 def _adjacent_pairs(d: GaussDiagram):
@@ -80,6 +84,7 @@ def _r2_sites(d: GaussDiagram) -> list:
     ``label_key`` order."""
     m = len(d.endpoints)
     pos = d._pos
+    keys = _LABEL_KEYS
     found = []
     # adjacent heads never share a chord
     for x, y in _adjacent_pairs(d):
@@ -87,7 +92,7 @@ def _r2_sites(d: GaussDiagram) -> list:
             (ta, ha), (tb, hb) = pos[x.chord], pos[y.chord]
             if _adjacent(m, ta, tb):
                 a, b = x.chord, y.chord
-                pair = (a, b) if label_key(a) < label_key(b) else (b, a)
+                pair = (a, b) if keys[a] < keys[b] else (b, a)
                 found.append((sorted((ta, ha, tb, hb)), pair))
     return [pair for _, pair in sorted(found)]
 
@@ -198,7 +203,7 @@ def _r3_sites(d: GaussDiagram) -> dict:
     labels' keys, which is ``itertools.combinations`` order over the
     labels sorted by ``label_key``."""
     found = {}
-    for a, b, c in sorted([sorted(map(label_key, t)) for t in _r3_candidates(d)]):
+    for a, b, c in sorted([sorted(map(_LABEL_KEYS.__getitem__, t)) for t in _r3_candidates(d)]):
         t = a[2], b[2], c[2]  # a label is the last entry of its key
         found[t] = _tilings(d, t)
     return found

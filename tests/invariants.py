@@ -14,7 +14,10 @@ variant is not invariant under R2.  Then
 held here as ``{k: a_k}``, the coefficient a_k of t^k, zero coefficients
 left out.  The odd writhe J sums the signs of the odd chords, those that
 cross an odd number of other chords; a chord is odd iff W(c) is, so J is
-the sum of P's odd coefficients.
+the sum of P's odd coefficients.  Each chord adds its sign to at most one
+coefficient a_k with k != 0, so B = sum over k != 0 of |a_k| is a lower
+bound on the chord count of the diagram and of every diagram its moves
+reach.
 """
 
 from __future__ import annotations
@@ -65,3 +68,9 @@ def odd_writhe(d) -> int:
         if sum(count == 1 for count in ends.values()) % 2:
             odd += d.signs[c]
     return odd
+
+
+def chord_bound(d) -> int:
+    """B: the sum of |a_k| over P's coefficients with k != 0, at most the
+    chord count of every diagram with d's P."""
+    return sum(abs(a) for k, a in affine_index_polynomial(d).items() if k)

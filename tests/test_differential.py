@@ -24,7 +24,12 @@ exhaustive n <= 4 corpus and the 1000 seeded diagrams; n counts chords.
   ``test_row_rewrite_*``, ``test_fresh_labels_*``, ``test_trusted_*``).
 - Walk: the rewrite oracle's children in ``oracle_enumerate_moves`` order;
   every family with n <= 3 and of the seeded corpus, and every deletion
-  and R3 family with n = 4 (``test_family_rows_match_oracles``).
+  and R3 family with n = 4 (``test_family_rows_match_oracles``).  The
+  tables the walk and the sites read, kept for the process, against the
+  layouts ``_insertion_layout`` makes afresh and against ``label_key``:
+  every layout the n <= 3 insertion searches read, and every label of
+  both corpora with ties and labels that are not numbers
+  (``test_layout_table_*``, ``test_label_key_table_*``).
 - Shared sites and rewrites: each enumerated diagram's moves and deletion
   and R3 walks, read through the sign-free sites its arrangement shares,
   and its ``apply_move`` results and errors for every move any sign map of
@@ -46,9 +51,11 @@ exhaustive n <= 4 corpus and the 1000 seeded diagrams; n counts chords.
   n <= 2, 100 seeded 5- to 10-chord diagrams, and 1 to 13 expansions on
   n <= 2 and 12 seeded 3- and 4-chord diagrams; three searches pinned
   (``test_simplify_*``, ``test_truncated_*``, ``test_search_generates_*``,
-  ``test_pinned_insertion_searches``).  A spy on the same stopped
-  searches, up to 200 expansions, checks that the walk drops only the
-  deletion that undoes a state's own insertion
+  ``test_pinned_insertion_searches``).  Each differential, truncated and
+  pinned search also keeps the start's affine index polynomial P and ends
+  at no fewer chords than its bound B (see ``invariants``).  A spy on the
+  same stopped searches, up to 200 expansions, checks that the walk drops
+  only the deletion that undoes a state's own insertion
   (``test_search_skips_only_*``).
 """
 
@@ -65,7 +72,7 @@ import time
 from types import MappingProxyType, SimpleNamespace
 
 import pytest
-from invariants import affine_index_polynomial
+from invariants import affine_index_polynomial, chord_bound
 
 from gaussdiag import (
     EMPTY,
@@ -105,6 +112,7 @@ from gaussdiag.diagram import (
     HEAD,
     TAIL,
     _HEADS,
+    _LABEL_KEYS,
     _TAILS,
     _entry_parts,
     _least_rotations,
@@ -113,9 +121,11 @@ from gaussdiag.diagram import (
     label_key,
 )
 from gaussdiag.moves import (
+    _LAYOUTS,
     _family_rows,
     _fresh_labels,
     _heads_arc_key,
+    _insertion_layout,
     _qualifying_tilings,
 )
 from gaussdiag.sites import _r3_candidates
@@ -975,6 +985,53 @@ def test_family_rows_match_oracles(exhaustive_corpus, random_corpus):
     assert walked_moves > 40_000
 
 
+# the sample gaps of every insertion layout: R1's one gap, and R2's head gap
+# before, at and after its tail gap
+LAYOUT_GAPS = ((0,), (0, 1), (0, 0), (1, 0))
+
+
+def test_layout_table_matches_fresh_layouts(exhaustive_corpus, monkeypatch):
+    # the walk reads each insertion layout from a table kept for the
+    # process, whose blocks every family with those fresh labels shares:
+    # each entry the n <= 3 insertion searches read equals the layout made
+    # afresh, and so does every entry after them, so a shared block that a
+    # caller changed shows up
+    moves = importlib.import_module("gaussdiag.moves")
+    fresh_labels = moves._fresh_labels
+    used = set()
+
+    def spy(d, count):
+        labels = fresh_labels(d, count)
+        used.add(tuple(labels))
+        return labels
+
+    monkeypatch.setattr(moves, "_fresh_labels", spy)
+    for d in [d for d in exhaustive_corpus if d.n <= 3]:
+        for max_chords in (d.n + 1, d.n + 2):
+            simplify(d, SearchLimits(max_states=12, allow_insertions=True, max_chords=max_chords))
+    assert len(used) >= 4, used
+    for fresh in used:
+        for gaps in LAYOUT_GAPS:
+            assert _LAYOUTS[gaps, fresh] == _insertion_layout(gaps, fresh), (gaps, fresh)
+    # every layout is kept under its sample gaps and both fresh labels
+    assert all(len(key) == 2 and key[0] in LAYOUT_GAPS and len(key[1]) == 2 for key in _LAYOUTS)
+    for (gaps, fresh), layout in _LAYOUTS.items():
+        assert layout == _insertion_layout(gaps, fresh), (gaps, fresh)
+
+
+def test_label_key_table_matches_label_key(exhaustive_corpus, random_corpus):
+    # the table the sites and the search sort by holds each label's
+    # label_key: the corpora's labels, number ties ("02" before "2") and
+    # labels that are not numbers
+    labels = {c for d in exhaustive_corpus + random_corpus for c in d.signs}
+    labels |= {"2", "02", "002", "10", "010", "a", "A", "_", "a1", "1a", "Z9"}
+    for label in labels:
+        assert _LABEL_KEYS[label] == label_key(label), label
+    assert sorted(labels, key=_LABEL_KEYS.__getitem__)[:4] == ["1", "002", "02", "2"]
+    for label, key in _LABEL_KEYS.items():
+        assert key == label_key(label), label
+
+
 def _site_outcome(d: GaussDiagram) -> tuple:
     """What a diagram's move sites decide: its moves, in order, and the
     search's walks over its deletion and R3 families."""
@@ -1100,10 +1157,20 @@ def _search_outcome(result: SimplifyResult):
     )
 
 
+def _keeps_the_invariants(start: GaussDiagram, result: SimplifyResult) -> bool:
+    """Whether the search's final diagram has the start's affine index
+    polynomial P and at least B(start) chords (``invariants.chord_bound``)."""
+    final = result.final
+    return (affine_index_polynomial(final) == affine_index_polynomial(start)
+            and final.n >= chord_bound(start))
+
+
 def test_simplify_matches_oracle_without_insertions(exhaustive_corpus):
     seeded = [random_diagram(5 + s % 6, 900 + s) for s in range(100)]
     for d in [d for d in exhaustive_corpus if d.n <= 3] + seeded:
-        assert _search_outcome(simplify(d)) == _search_outcome(oracle_simplify(d)), d
+        result = simplify(d)
+        assert _search_outcome(result) == _search_outcome(oracle_simplify(d)), d
+        assert _keeps_the_invariants(d, result), d
 
 
 def test_simplify_matches_oracle_with_insertions(exhaustive_corpus):
@@ -1112,7 +1179,9 @@ def test_simplify_matches_oracle_with_insertions(exhaustive_corpus):
         for max_chords in (None, d.n + 1, d.n):
             limits = SearchLimits(max_states=40, allow_insertions=True, max_chords=max_chords)
             expected = _search_outcome(oracle_simplify(d, limits))
-            assert _search_outcome(simplify(d, limits)) == expected, (d, max_chords)
+            result = simplify(d, limits)
+            assert _search_outcome(result) == expected, (d, max_chords)
+            assert _keeps_the_invariants(d, result), (d, max_chords)
 
 
 # with insertions, these searches walk far more insertions than they keep;
@@ -1157,7 +1226,7 @@ def test_pinned_insertion_searches(start, max_states, expected):
     limits = SearchLimits(max_states=max_states, allow_insertions=True)
     result = simplify(start(), limits)
     assert _search_outcome(result) == expected
-    assert affine_index_polynomial(result.final) == affine_index_polynomial(start())
+    assert _keeps_the_invariants(start(), result)
 
 
 def _truncated_cases(exhaustive_corpus) -> list:
@@ -1201,7 +1270,9 @@ def test_truncated_simplify_matches_oracle(exhaustive_corpus, monkeypatch):
         for max_states in TRUNCATED_BUDGETS:
             limits = SearchLimits(max_states, allow_insertions=True, max_chords=max_chords)
             expected = _search_outcome(oracle_simplify(d, limits))
-            assert _search_outcome(simplify(d, limits)) == expected, (d, max_chords, max_states)
+            result = simplify(d, limits)
+            assert _search_outcome(result) == expected, (d, max_chords, max_states)
+            assert _keeps_the_invariants(d, result), (d, max_chords, max_states)
     assert all_duplicates
 
 

@@ -4,7 +4,7 @@ odd writhe J, which is the sum of P's odd coefficients."""
 
 from __future__ import annotations
 
-from invariants import affine_index_polynomial, index, odd_writhe
+from invariants import affine_index_polynomial, chord_bound, index, odd_writhe
 
 from gaussdiag import EMPTY, R2Insert, apply_move, enumerate_moves, parse_gauss_code
 
@@ -31,6 +31,14 @@ def test_odd_writhe_is_the_sum_of_the_odd_coefficients(exhaustive_corpus, random
     for d in exhaustive_corpus[::7] + random_corpus:
         p = affine_index_polynomial(d)
         assert odd_writhe(d) == sum(a for k, a in p.items() if k % 2), d
+
+
+def test_chord_bound_is_at_most_the_chord_count(exhaustive_corpus, random_corpus):
+    # the trefoil's bound is its chord count; the corpora never exceed theirs
+    assert chord_bound(parse_gauss_code("O1- O2- U1- U2-")) == 2
+    bounds = [chord_bound(d) for d in exhaustive_corpus[::7] + random_corpus]
+    assert all(b <= d.n for b, d in zip(bounds, exhaustive_corpus[::7] + random_corpus))
+    assert max(bounds) >= 6, max(bounds)
 
 
 def test_every_offered_move_keeps_the_affine_index_polynomial(exhaustive_corpus):

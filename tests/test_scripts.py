@@ -101,8 +101,12 @@ def test_mutant_table_lines_occur_once():
 def test_mutant_killers_name_existing_tests():
     # the runner tries each mutant's stored killer alone first, so each must
     # be a node id pytest collects: one test, or a test function with all
-    # its parameters; only collection runs
-    killers = sorted({m.killer for m in _mutants().MUTANTS})
+    # its parameters; so must each timed test, which the runner deselects
+    # to judge a kill on time again.  Only a mutant meant to be caught by
+    # time keeps a timed killer.  Only collection runs
+    mutants = _mutants()
+    assert all(m.timed == (m.killer in mutants.TIMED) for m in mutants.MUTANTS)
+    killers = sorted({m.killer for m in mutants.MUTANTS} | set(mutants.TIMED))
     proc = subprocess.run(
         [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider", *killers],
         cwd=ROOT,

@@ -3,10 +3,8 @@
 from __future__ import annotations
 
 import gc
-import heapq
 import importlib
 from collections import Counter
-from types import SimpleNamespace
 
 import pytest
 from invariants import affine_index_polynomial
@@ -15,7 +13,9 @@ from gaussdiag import (
     EMPTY,
     GaussDiagram,
     R1Delete,
+    R1Insert,
     R2Delete,
+    R2Insert,
     R3,
     SearchLimits,
     TraceCheck,
@@ -315,35 +315,40 @@ def test_search_releases_the_diagrams_no_entry_holds(monkeypatch):
     assert counts[0] < res.states_explored // 4
 
 
-def test_search_builds_insertion_moves_only_for_kept_children(monkeypatch):
-    # an insertion is walked as rows and becomes a move only when its
-    # child's code is new, so no more are built than states are pushed
+def test_search_builds_moves_only_for_expanded_states_and_the_trace(monkeypatch):
+    # every child is keyed from its fields and stored as them; a move of
+    # any kind is built only to expand its state, for the final diagram and
+    # for the trace, so at most one per expanded state but the start, one
+    # for the final diagram and one per trace step
     search = importlib.import_module("gaussdiag.simplify")
-    built, pushed = [], []
+    built = Counter()
 
     def counting(kind):
         def build(*fields):
-            built.append(kind)
+            built[kind] += 1
             return kind(*fields)
 
         return build
 
-    def push(heap, entry):
-        pushed.append(entry)
-        heapq.heappush(heap, entry)
-
     # the search builds its moves from the table of move kinds
-    kinds = [kind._replace(move=counting(kind.move)) if kind.change > 0 else kind
-             for kind in search._KINDS]
+    kinds = [kind._replace(move=counting(kind.move)) for kind in search._KINDS]
     monkeypatch.setattr(search, "_KINDS", kinds)
-    monkeypatch.setattr(search, "heapq", SimpleNamespace(heappush=push, heappop=heapq.heappop))
-    cases = [(random_diagram(16, 3), 5), (random_diagram(16, 3), 20), (d(STORED), 30), (d(STORED), 100)]
-    for start, max_states in cases:
+    cases = [
+        (random_diagram(16, 3), SearchLimits(max_states=5, allow_insertions=True)),
+        (random_diagram(16, 3), SearchLimits(max_states=20, allow_insertions=True)),
+        (d(STORED), SearchLimits(max_states=30, allow_insertions=True)),
+        (d(STORED), SearchLimits(max_states=100, allow_insertions=True)),
+        (d(EX2), SearchLimits()),
+        (random_diagram(12, 5), SearchLimits()),
+    ]
+    kinds_built = set()
+    for start, limits in cases:
         built.clear()
-        pushed.clear()
-        simplify(start, SearchLimits(max_states=max_states, allow_insertions=True))
-        assert built, (start, max_states)
-        assert len(built) <= len(pushed), (start, max_states)
+        res = simplify(start, limits)
+        assert res.states_explored > 1, (start, limits)
+        assert sum(built.values()) <= res.states_explored + len(res.trace), (start, limits)
+        kinds_built.update(built)
+    assert kinds_built == {R1Delete, R2Delete, R3, R1Insert, R2Insert}, kinds_built
 
 
 def test_search_detects_only_the_families_it_keys(monkeypatch):
