@@ -271,7 +271,7 @@ MUTANTS = (
         "found = sites[find] = find(d)",
         "found = find(d)",
         "sites",
-        "tests/test_moves.py::test_r3_walk_runs_the_kernel_once_per_candidate",
+        "tests/test_moves.py::test_r3_walk_runs_the_kernel_once_per_candidate_and_kept_triple",
     ),
     Mutant(
         "sites-r3-edit-by-triple", "moves.py",
@@ -375,6 +375,26 @@ MUTANTS = (
         "rewrite",
         "tests/test_differential.py::test_row_rewrite_matches_endpoint_oracle",
     ),
+    # two rewrites, on the apply_move path only, that no Reidemeister move
+    # makes: an R2 insertion whose chords share a sign, which the checks of
+    # the affine index polynomial kill among others, and an R3 that swaps
+    # the first tiling of a movable triple, whose 3-signs may differ, which
+    # keeps that polynomial and only the rewrite oracles and the R3 inverse
+    # check kill
+    Mutant(
+        "r2-insert-equal-signs", "moves.py",
+        "return blocks, {x: sign, y: -sign}",
+        "return blocks, {x: sign, y: sign}",
+        "rewrite",
+        "tests/test_invariants.py::test_insertions_keep_it_on_seeded_diagrams",
+    ),
+    Mutant(
+        "r3-swaps-unmovable-tiling", "moves.py",
+        "arcs = _movable_arcs(d.signs, t, tilings)",
+        "arcs = _movable_arcs(d.signs, t, tilings) and tilings[0][0]",
+        "rewrite",
+        "tests/test_differential.py::test_r3_rewrite_matches_oracle",
+    ),
     # the search's walk over a move family
     Mutant(
         "insertion-sign-order", "moves.py",
@@ -392,17 +412,10 @@ MUTANTS = (
     ),
     Mutant(
         "walk-first-tiling", "moves.py",
-        "sites = [((t,), (), _movable_arcs(d.signs, t, found[t])) for t in triples]",
-        "sites = [((t,), (), found[t][0][0]) for t in triples]",
+        "sites = [((t,), (), _movable_arcs(d.signs, t, _tilings(d, t))) for t in r3_movable_triples(d)]",
+        "sites = [((t,), (), _tilings(d, t)[0][0]) for t in r3_movable_triples(d)]",
         "walk",
         "tests/test_differential.py::test_family_rows_match_oracles",
-    ),
-    Mutant(
-        "walk-finds-twice", "sites.py",
-        "if d._sites is not None:",
-        "if True:",
-        "walk",
-        "tests/test_moves.py::test_r3_walk_runs_the_kernel_once_per_candidate",
     ),
     Mutant(
         "walk-r2-sign-bits", "moves.py",

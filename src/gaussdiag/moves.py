@@ -45,15 +45,15 @@ whichever asks first, or afresh for any other diagram, which keeps
 nothing.  The census reads the same R3 finds, once per arrangement.
 
 ``sites._tilings``, one integer kernel, computes a triple's sign-free
-numbers from its six endpoint positions.  The R3 finds and ``_rewrite``
-(and through it ``apply_move``) call it directly;
+numbers from its six endpoint positions.  The R3 finds, ``_rewrite``
+(and through it ``apply_move``) and the search's R3 walk call it directly;
 ``_qualifying_tilings`` adds the signs, for ``analyze_triple``, the
 public report, which validates its labels and packages the witness
 tiling as a ``TripleAnalysis``.
 
 Every precondition is an adjacency, read one way (see ``sites``):
 ``diagram._adjacent`` is the one test on two positions read from the
-diagram's position map; ``_r2_blocker`` and the R1 rewrite call it.  The
+diagram's position map; ``_rewrite``'s R1 and R2 checks call it.  The
 validating accessors (``adjacent``, ``sign_of`` and the position getters)
 are for outside callers; here only ``analyze_triple``, the public
 report, calls them.  The chords a move names are outside input, so
@@ -79,8 +79,10 @@ with no check and no move built.  A deletion or R3 is the edit
 ``diagram._rows``; the deletion of the chords ``undo`` is dropped before
 any rows are made (the search passes the chords a state's own insertion
 added, so that child is the state's parent).  Deletions and R3s come
-from the detectors, and an R3's arcs from the tilings its detector read,
-so each candidate triple meets the kernel once per walk.  Insertions come
+from the detectors, called on the parent itself, and an R3's arcs from
+the kernel, run again on each triple the detector keeps: each candidate
+triple meets the kernel in the detector's find (unless the parent's
+holder already holds it) and each kept triple once more.  Insertions come
 in ``_insertion_fields`` order, which also gives ``enumerate_moves`` its
 insertion moves, and take the parent's ``_fresh_labels``.  Their rows,
 ``_insertion_rows``, are slices of the parent's rows joined around each
@@ -122,7 +124,7 @@ from .diagram import (
 )
 # not called here; imported so that perfbench/tracing.py can patch them
 from .diagram import enumerate_diagrams, make_diagram  # noqa: F401
-from .sites import _holding, _r1_sites, _r2_sites, _r3_sites, _sign_free, _tilings
+from .sites import _r1_sites, _r2_sites, _r3_sites, _sign_free, _tilings
 
 
 class MoveNotApplicable(Exception):
@@ -251,32 +253,12 @@ def r1_removable_chords(d: GaussDiagram) -> list:
     return list(_sign_free(d, _r1_sites))
 
 
-def _r2_blocker(d: GaussDiagram, a: str, b: str):
-    """Why chords a and b are not an R2 site, or None when they are."""
-    if d.signs[a] == d.signs[b]:
-        return f"chords {a} and {b} have the same sign"
-    m = len(d.endpoints)
-    (ta, ha), (tb, hb) = d._pos[a], d._pos[b]
-    if not _adjacent(m, ha, hb):
-        return f"heads of chords {a} and {b} are not adjacent"
-    if not _adjacent(m, ta, tb):
-        return f"tails of chords {a} and {b} are not adjacent"
-    return None
-
-
 def r2_removable_pairs(d: GaussDiagram) -> list:
     """Unordered pairs {a, b} with adjacent heads, adjacent tails, and
     opposite signs; ordered by their sorted endpoint positions, each pair
     in ``label_key`` order: the ``_r2_sites`` of opposite signs."""
     signs = d.signs
     return [pair for pair in _sign_free(d, _r2_sites) if signs[pair[0]] != signs[pair[1]]]
-
-
-# every (sign, parity, direction) record, shared: a frozen value, built once
-_NUMBERS = {
-    (sign, parity, direction): ChordNumbers(sign, parity, direction, sign * parity * direction)
-    for sign in (1, -1) for parity in (1, -1) for direction in (1, -1)
-}
 
 
 def _movable_arcs(signs, labels, tilings):
@@ -295,11 +277,12 @@ def _qualifying_tilings(d: GaussDiagram, labels) -> list:
     """The qualifying ``_tilings`` of the triple with their signs, each as
     (arcs, {label: ChordNumbers}, movable); the numbers dict follows the
     order of ``labels``."""
-    signs = d.signs
+    signs = [d.signs[c] for c in labels]
     # a factor is parity * direction, so a chord's direction is parity * factor
     return [
-        (arcs, {c: _NUMBERS[signs[c], p, p * f] for c, p, f in zip(labels, parities, factors)},
-         len({signs[c] * f for c, f in zip(labels, factors)}) == 1)
+        (arcs, {c: ChordNumbers(sign, p, p * f, sign * f)
+                for c, sign, p, f in zip(labels, signs, parities, factors)},
+         len({sign * f for sign, f in zip(signs, factors)}) == 1)
         for arcs, parities, factors in _tilings(d, labels)
     ]
 
@@ -445,10 +428,15 @@ def _rewrite(d: GaussDiagram, move: Move):
         gone = (c,)
     elif isinstance(move, R2Delete):
         _check_chords(d, move.chords)
-        blocker = _r2_blocker(d, *move.chords)
-        if blocker is not None:
-            raise MoveNotApplicable(blocker)
-        gone = move.chords
+        a, b = gone = move.chords
+        if d.signs[a] == d.signs[b]:
+            raise MoveNotApplicable(f"chords {a} and {b} have the same sign")
+        m = len(d.endpoints)
+        (ta, ha), (tb, hb) = d._pos[a], d._pos[b]
+        if not _adjacent(m, ha, hb):
+            raise MoveNotApplicable(f"heads of chords {a} and {b} are not adjacent")
+        if not _adjacent(m, ta, tb):
+            raise MoveNotApplicable(f"tails of chords {a} and {b} are not adjacent")
     elif isinstance(move, (R1Insert, R2Insert)):
         _check_insertion(move, d)
         blocks, add = _insertion_blocks(move._values(), _fresh_labels(d, 2))
@@ -589,7 +577,10 @@ def _family_rows(d: GaussDiagram, change: int, undo: tuple = ()):
     are made: when d was made by inserting them, it gives back d's parent.
     A deletion or R3 is the (cuts, arcs) edit ``_rewrite`` makes after its
     checks, applied by ``_edited`` to d's ``diagram._rows``, which are made
-    only once the family has a site; insertions are ``_insertion_rows``.
+    only once the family has a site; an R3's arcs are its ``_movable_arcs``
+    among the ``_tilings`` the kernel gives again for each triple
+    ``r3_movable_triples(d)`` keeps, so no copy of d is made to share the
+    detector's find.  Insertions are ``_insertion_rows``.
     The detectors found every deletion and R3 and every generated
     insertion is valid, so no site is checked again and no move is built:
     the search keys children from these, and reads the rows only."""
@@ -600,10 +591,7 @@ def _family_rows(d: GaussDiagram, change: int, undo: tuple = ()):
     elif change == -2:
         sites = [((pair,), _cuts(d, pair), ()) for pair in r2_removable_pairs(d) if pair != undo]
     else:
-        d = _holding(d)  # the detector fills its holder; the arcs are read from it
-        triples = r3_movable_triples(d)
-        found = _sign_free(d, _r3_sites)
-        sites = [((t,), (), _movable_arcs(d.signs, t, found[t])) for t in triples]
+        sites = [((t,), (), _movable_arcs(d.signs, t, _tilings(d, t))) for t in r3_movable_triples(d)]
     if not sites:
         return iter(())
     chords, bases = _rows(d.endpoints, d.signs)

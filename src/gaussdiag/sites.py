@@ -18,13 +18,14 @@ diagrams from ``diagram.enumerate_diagrams`` share one holder, their
 ``_sites`` dict.  ``_sign_free`` hands a detector its find: from that
 holder, where the first sign map to ask for a kind of site finds it, or
 found afresh for a diagram that holds none (parsed, rewritten,
-canonical, random or constructed), which keeps nothing.  ``_holding``
-gives such a diagram a holder for one walk, so that the search's R3 walk
-and the detector it calls read one find.  The holder also keeps the
-rewrites: ``moves.apply_move`` keys each deletion's or R3's edit there by
-its cuts or arcs, with the child's endpoints and position map, which are
-sign-free too, once the edit's checks pass; ``moves._rewrite`` reads an
-R3's tilings from the holder's R3 find.  A holder never keeps signs.
+canonical, random or constructed), which keeps nothing.  So the search's
+R3 walk, which calls the detector on its parent and then runs the kernel
+``_tilings`` again on each triple the detector keeps, copies no diagram
+to share a find.  The holder also keeps the rewrites:
+``moves.apply_move`` keys each deletion's or R3's edit there by its cuts
+or arcs, with the child's endpoints and position map, which are sign-free
+too, once the edit's checks pass; ``moves._rewrite`` reads an R3's
+tilings from the holder's R3 find.  A holder never keeps signs.
 
 The R2 pair order and the R3 triple order are ``label_key`` order, read
 from the table ``diagram._LABEL_KEYS``, which grows by one entry per
@@ -40,7 +41,7 @@ head) pair.
 
 from __future__ import annotations
 
-from .diagram import HEAD, TAIL, GaussDiagram, _LABEL_KEYS, _adjacent, _assemble, _interleaved
+from .diagram import HEAD, TAIL, GaussDiagram, _LABEL_KEYS, _adjacent, _interleaved
 
 
 def _adjacent_pairs(d: GaussDiagram):
@@ -61,14 +62,6 @@ def _sign_free(d: GaussDiagram, find):
     if found is None:
         found = sites[find] = find(d)
     return found
-
-
-def _holding(d: GaussDiagram) -> GaussDiagram:
-    """d, or when it shares no holder a copy of d with one of its own, so
-    that a walk's detector and the walk read one find of its sites."""
-    if d._sites is not None:
-        return d
-    return _assemble(object.__new__(GaussDiagram), d.endpoints, d.signs, d._pos, {})
 
 
 def _r1_sites(d: GaussDiagram) -> dict:

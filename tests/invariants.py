@@ -17,7 +17,7 @@ cross an odd number of other chords; a chord is odd iff W(c) is, so J is
 the sum of P's odd coefficients.  Each chord adds its sign to at most one
 coefficient a_k with k != 0, so B = sum over k != 0 of |a_k| is a lower
 bound on the chord count of the diagram and of every diagram its moves
-reach.
+reach.  ``keeps_the_invariants`` checks a search result against both.
 """
 
 from __future__ import annotations
@@ -74,3 +74,10 @@ def chord_bound(d) -> int:
     """B: the sum of |a_k| over P's coefficients with k != 0, at most the
     chord count of every diagram with d's P."""
     return sum(abs(a) for k, a in affine_index_polynomial(d).items() if k)
+
+
+def keeps_the_invariants(start, final) -> bool:
+    """Whether ``final`` has ``start``'s P and at least B(start) chords, as
+    every diagram that moves reach from ``start`` must."""
+    return (affine_index_polynomial(final) == affine_index_polynomial(start)
+            and final.n >= chord_bound(start))

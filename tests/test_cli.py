@@ -11,6 +11,7 @@ import xml.etree.ElementTree as ET
 from pathlib import Path
 
 import pytest
+from invariants import keeps_the_invariants
 
 import gaussdiag
 from gaussdiag import parse_gauss_code
@@ -131,10 +132,17 @@ def test_apply_malformed_spec_exits_1(capsys):
 # ------------------------------------------------------------------ simplify
 
 
+def _keeps_the_invariants(start: str, final: str) -> bool:
+    """Whether the final code a search printed keeps the start code's
+    invariants (see ``invariants.keeps_the_invariants``)."""
+    return keeps_the_invariants(parse_gauss_code(start), parse_gauss_code(final))
+
+
 def test_simplify_text(capsys):
     code, out, _ = run(capsys, "simplify", EX1)
     assert code == 0
     assert out == "\n"  # the final code of the unknot is empty
+    assert _keeps_the_invariants(EX1, out.strip())
 
 
 def test_simplify_trace(capsys):
@@ -146,6 +154,7 @@ def test_simplify_trace(capsys):
         "r1:del:2 => ",
         "",
     ]
+    assert _keeps_the_invariants(EX1, out.splitlines()[-1])
 
 
 def test_simplify_json(capsys):
@@ -165,6 +174,7 @@ def test_simplify_json(capsys):
         },
         "error": None,
     }
+    assert _keeps_the_invariants(EX1, json.loads(out)["result"]["final"])
 
 
 def test_simplify_json_invalid_limits(capsys):
@@ -176,20 +186,21 @@ def test_simplify_json_invalid_limits(capsys):
 def test_simplify_max_states(capsys):
     code, out, _ = run(capsys, "simplify", "--json", "--max-states", "1", EX2)
     assert code == 0
-    assert json.loads(out)["result"]["limit_hit"] is True
+    result = json.loads(out)["result"]
+    assert result["limit_hit"] is True
+    assert _keeps_the_invariants(EX2, result["final"])
 
 
 def test_simplify_insertions_truncated_wide_search(capsys):
     # 300 expansions generate tens of thousands of children, keyed from
     # their parts and stored as moves: a fraction of a second, tens of MB
-    code, out, _ = run(
-        capsys, "simplify", "--insertions", "--max-states", "300", "--json",
-        "U1- O1- O2+ O3+ U2+ O4+ U4+ U3+",
-    )
+    start = "U1- O1- O2+ O3+ U2+ O4+ U4+ U3+"
+    code, out, _ = run(capsys, "simplify", "--insertions", "--max-states", "300", "--json", start)
     assert code == 0
     result = json.loads(out)["result"]
     assert parse_gauss_code(result["final"]).n == 2
     assert result["limit_hit"] is True
+    assert _keeps_the_invariants(start, result["final"])
 
 
 # ---------------------------------------------------- canonical, render, random

@@ -586,36 +586,49 @@ def test_three_sign_factors_into_sign_and_a_sign_free_part():
     assert configurations == 768 + 24_576
 
 
-def test_r3_walk_runs_the_kernel_once_per_candidate(monkeypatch):
-    # the search's R3 walk swaps the arcs of the tilings its detector read:
-    # on a diagram that shares no sites, each walk runs the sign-free kernel
-    # once per candidate triple; among the sign maps of one enumerated
-    # arrangement, only the first walk runs it
+def test_r3_walk_runs_the_kernel_once_per_candidate_and_kept_triple(monkeypatch):
+    # the search's R3 walk calls the detector on its parent, then runs the
+    # sign-free kernel again on each triple the detector keeps, in the
+    # detector's order.  On a diagram that shares no sites, the detector's
+    # find runs the kernel once per candidate triple on every walk; among
+    # the sign maps of one enumerated arrangement, only the first walk's
+    # find runs it
     kernel = gaussdiag.sites._tilings
-    calls = []
+    calls = {"find": [], "walk": []}
 
-    def spy(g, labels):
-        calls.append(frozenset(labels))
-        return kernel(g, labels)
+    def spy(caller):
+        def run(g, labels):
+            calls[caller].append(tuple(labels))
+            return kernel(g, labels)
+        return run
 
-    monkeypatch.setattr(gaussdiag.sites, "_tilings", spy)
+    monkeypatch.setattr(gaussdiag.sites, "_tilings", spy("find"))
+    monkeypatch.setattr(gaussdiag.moves, "_tilings", spy("walk"))
+
+    def walk(g):
+        calls["find"].clear()
+        calls["walk"].clear()
+        rows = list(gaussdiag.moves._family_rows(g, 0))
+        found, ran = sorted(map(frozenset, calls["find"]), key=sorted), calls["walk"][:]
+        kept = r3_movable_triples(g)
+        assert [fields for fields, _, _ in rows] == [(t,) for t in kept], g
+        assert ran == kept, g
+        return found
+
     walked = 0
     unshared = [d(code) for code in (EX1, EX2, FIG_A, FIG_B, FIG_C)]
     unshared += [random_diagram(3 + seed % 6, seed) for seed in range(60)]
     for g in unshared:
-        candidates = gaussdiag.sites._r3_candidates(g)
+        candidates = sorted(gaussdiag.sites._r3_candidates(g), key=sorted)
         for _ in range(2):
-            calls.clear()
-            walked += len(list(gaussdiag.moves._family_rows(g, 0)))
-            assert sorted(calls, key=sorted) == sorted(candidates, key=sorted), g
+            assert walk(g) == candidates, g
+        walked += len(calls["walk"])
     assert walked > 0
     for n in (3, 4):
         for i, g in enumerate(enumerate_diagrams(n)):
             first = i % 2 ** n == 0
-            calls.clear()
-            list(gaussdiag.moves._family_rows(g, 0))
             expected = gaussdiag.sites._r3_candidates(g) if first else set()
-            assert sorted(calls, key=sorted) == sorted(expected, key=sorted), g
+            assert walk(g) == sorted(expected, key=sorted), g
 
 
 def test_census_bounds():

@@ -7,7 +7,7 @@ import importlib
 from collections import Counter
 
 import pytest
-from invariants import affine_index_polynomial
+from invariants import keeps_the_invariants
 
 from gaussdiag import (
     EMPTY,
@@ -178,7 +178,7 @@ def test_simplify_example_1():
     assert res.trace[0][0] == R2Delete(("1", "4"))
     assert not res.limit_hit
     assert verify_trace(d(EX1), res.trace)
-    assert affine_index_polynomial(res.final) == affine_index_polynomial(d(EX1))
+    assert keeps_the_invariants(d(EX1), res.final)
 
 
 def test_simplify_example_2_reaches_unknot():
@@ -190,7 +190,7 @@ def test_simplify_example_2_reaches_unknot():
         R2Delete(("1", "4")),
     ]
     assert verify_trace(d(EX2), res.trace)
-    assert affine_index_polynomial(res.final) == affine_index_polynomial(d(EX2))
+    assert keeps_the_invariants(d(EX2), res.final)
 
 
 def test_simplify_trefoil_is_stuck_without_insertions():
@@ -199,12 +199,14 @@ def test_simplify_trefoil_is_stuck_without_insertions():
     assert res.trace == ()
     assert res.states_explored == 1
     assert not res.limit_hit
+    assert keeps_the_invariants(d(TREFOIL), res.final)
 
 
 def test_simplify_empty_is_instant():
     res = simplify(EMPTY, SearchLimits(allow_insertions=True))
     assert res.final == EMPTY
     assert res.trace == () and res.states_explored == 1 and not res.limit_hit
+    assert keeps_the_invariants(EMPTY, res.final)
 
 
 def test_simplify_truncation_reports_limit():
@@ -212,7 +214,7 @@ def test_simplify_truncation_reports_limit():
     assert res.limit_hit
     assert res.states_explored == 50
     assert res.final.n == 2  # nothing better than the start was found
-    assert affine_index_polynomial(res.final) == affine_index_polynomial(d(TREFOIL))
+    assert keeps_the_invariants(d(TREFOIL), res.final)
 
 
 def test_simplify_truncated_trace_still_verifies():
@@ -220,7 +222,7 @@ def test_simplify_truncated_trace_still_verifies():
     assert res.limit_hit and res.states_explored == 1
     assert res.final.n == 4
     assert verify_trace(d(EX2), res.trace)
-    assert affine_index_polynomial(res.final) == affine_index_polynomial(d(EX2))
+    assert keeps_the_invariants(d(EX2), res.final)
 
 
 def test_simplify_chord_cap_blocks_all_insertions():
@@ -228,6 +230,7 @@ def test_simplify_chord_cap_blocks_all_insertions():
     assert res.final == d(TREFOIL)
     assert res.states_explored == 1
     assert not res.limit_hit
+    assert keeps_the_invariants(d(TREFOIL), res.final)
 
 
 def test_simplify_rejects_nonpositive_state_budget():
@@ -312,6 +315,7 @@ def test_search_releases_the_diagrams_no_entry_holds(monkeypatch):
     monkeypatch.setattr(search, "_read_canonical_code", spy)
     res = simplify(start)
     assert (res.states_explored, res.limit_hit, len(res.trace)) == (51, False, 6)
+    assert keeps_the_invariants(start, res.final)
     assert counts[0] < res.states_explored // 4
 
 
@@ -367,6 +371,7 @@ def test_search_detects_only_the_families_it_keys(monkeypatch):
     res = simplify(d(R2_SCRAMBLE))
     assert res.final == EMPTY and not res.limit_hit
     assert res.states_explored == 15
+    assert keeps_the_invariants(d(R2_SCRAMBLE), res.final)
     assert calls == {"r2_removable_pairs": 15}
 
 
@@ -414,7 +419,7 @@ def test_pinned_descents(code, expected):
     trace = [(format_move(m), serialize_gauss_code(c), tuple(c.signs)) for m, c in res.trace]
     outcome = serialize_gauss_code(res.final), tuple(res.final.signs), trace
     assert (*outcome, res.states_explored, res.limit_hit) == expected
-    assert affine_index_polynomial(res.final) == affine_index_polynomial(d(code))
+    assert keeps_the_invariants(d(code), res.final)
 
 
 def test_search_limit_defaults():
@@ -477,3 +482,4 @@ def test_format_trace_example_1():
 def test_trace_canonicals_match_replay():
     res = simplify(d(EX2))
     assert canonical(res.final) == res.trace[-1][1]
+    assert keeps_the_invariants(d(EX2), res.final)

@@ -17,7 +17,13 @@ movable triples of a diagram and of its image must be the same sets.
 Each map also carries a move's child to the child of the same move on
 the image: a deletion cuts the same chords, and R3 swaps the same arcs,
 read the other way by *reverse*.  So, move by move, the image of a child
-is the image's child up to rotation.
+is the image's child up to rotation.  So without insertions the states a
+search can reach from a diagram and from its image correspond one to
+one, chord count for chord count, and an exhaustive ``simplify`` of the
+two must reach the same final chord count and the same ``limit_hit``.
+The offered R2 insertions do not commute with *reverse* and *flip* (a
+shared gap takes its two pairs in one order only), yet exhaustive
+searches with insertions agree too, on the small diagrams checked.
 
 Every offered move should also have an offered inverse.  An R1 or R2
 insertion is undone exactly by deleting the chords it added, which the
@@ -27,11 +33,12 @@ R3 move by some offered R3 move, except twelve moves, each into one of the
 twelve three-chord diagrams with two movable pairings, where R3 swaps the
 first pairing and the way back is the other one.
 
-No oracle is needed: the detectors and ``apply_move`` are checked against
-themselves.  The images are built by the public constructor from the
-corpus diagrams, which the library built, so every detector reads
-position maps made both ways, and ``apply_move`` runs both with the holder
-that the enumerated corpus diagrams share and without one.
+No oracle is needed: the detectors, ``apply_move`` and the search are
+checked against themselves.  The images are built by the public
+constructor from the corpus diagrams, which the library built, so every
+detector reads position maps made both ways, and ``apply_move`` runs
+both with the holder that the enumerated corpus diagrams share and
+without one.
 """
 
 from __future__ import annotations
@@ -49,6 +56,7 @@ from gaussdiag import (
     R2Delete,
     R2Insert,
     R3,
+    SearchLimits,
     apply_move,
     canonical,
     enumerate_moves,
@@ -56,6 +64,7 @@ from gaussdiag import (
     r1_removable_chords,
     r2_removable_pairs,
     r3_movable_triples,
+    simplify,
 )
 from gaussdiag.diagram import label_key
 from gaussdiag.moves import _qualifying_tilings
@@ -192,3 +201,29 @@ def test_r3_moves_are_undone_by_an_offered_r3(exhaustive_corpus, random_corpus):
     assert all(d.n == 3 and _two_pairings(c) for d, c in stuck), stuck
     assert len(set(stuck)) == 12, stuck
     assert undone > 300, undone
+
+
+# a budget no search below reaches, so each is exhaustive
+EXHAUSTIVE = 200_000
+
+
+@pytest.mark.parametrize("name", MAPS)
+def test_searches_commute_with_the_symmetries(name, exhaustive_corpus, random_corpus):
+    # each diagram with n <= 4 up to rotation and the seeded corpus without
+    # insertions, and each diagram with n <= 2 up to rotation with them
+    # (the chord cap is n + 2 for both)
+    image = MAPS[name]
+    forms = {}
+    for d in exhaustive_corpus:
+        forms.setdefault(canonical(d), d)
+    cases = [(d, False) for d in [*forms.values(), *random_corpus]]
+    cases += [(d, True) for d in forms.values() if d.n <= 2]
+    finals = collections.Counter()
+    for d, insertions in cases:
+        limits = SearchLimits(EXHAUSTIVE, insertions)
+        found, mapped = simplify(d, limits), simplify(image(d), limits)
+        assert not found.limit_hit, d
+        assert (mapped.final.n, mapped.limit_hit) == (found.final.n, found.limit_hit), (name, d)
+        finals[insertions, found.final.n > 0] += 1
+    # knots that stop short of the unknot occur with insertions and without
+    assert min(finals.values()) >= 2 and len(finals) == 4, finals
