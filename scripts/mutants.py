@@ -19,7 +19,9 @@ the copy first on ``PYTHONPATH``: the mutant's killer alone first, and
 only if that test passes, the whole tier-1 suite with ``-x``.  So a
 mutant is judged by every tier-1 test before it survives, and the killer
 spares the run the files before it (a kill by the killer alone needs a
-test that fails or errs, so a killer that names no test never kills).
+test that fails or errs, so a killer that names no test never kills; a
+mutant that breaks the package's import errs every test, since pytest
+cannot load the tests' ``conftest.py``).
 It prints ``killed`` with the failing test and the first line of its
 failure, marking a kill that took the whole suite (``suite``: store the
 new killer in the row), or ``survived``, and exits 1 if any mutant
@@ -576,6 +578,13 @@ MUTANTS = (
         "values",
         "tests/test_cli.py::test_moves_text",
     ),
+    Mutant(
+        "record-values-reversed", "diagram.py",
+        "for name, value in zip(self._fields, values, strict=True):",
+        "for name, value in zip(self._fields, values[::-1], strict=True):",
+        "values",
+        "tests/test_diagram.py::test_records_that_only_store_keep_each_argument_in_its_field[Endpoint]",
+    ),
 )
 
 
@@ -621,6 +630,13 @@ def run(mutant: Mutant, tests, deselect=()) -> tuple:
             # the summary line cuts its message to the terminal's width
             first = next((e[1:].strip() for e in lines if e.startswith("E ")), "")
             return proc.returncode, f"{line.split(' - ')[0]} - {first}"
+    errors = proc.stderr.splitlines()
+    if errors and errors[0].startswith("ImportError while loading conftest"):
+        # the mutant breaks the package's import, so no test can run: an
+        # error of every test, the killer's included
+        conftest = Path(errors[0].split("'")[1]).relative_to(ROOT)
+        first = next((e[1:].strip() for e in errors if e.startswith("E ")), "")
+        return proc.returncode, f"ERROR {conftest} - {first}"
     return proc.returncode, (proc.stdout.strip().splitlines() or [f"exit status {proc.returncode}"])[-1]
 
 

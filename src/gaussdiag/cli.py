@@ -1,7 +1,8 @@
 """Command-line surface for the Gauss-diagram toolkit.
 
 Subcommands: validate, moves, apply, simplify, canonical, render, random,
-census.  A CODE argument of "-" reads the code from standard input.
+census.  A CODE argument of "-" reads the code from standard input;
+``main`` parses it, once, before the subcommand runs.
 Exit codes, set only by ``main``: 0 success, 1 parse/validation/usage/file
 error, 2 move not applicable.  With --json, failures fill the envelope.
 """
@@ -38,14 +39,12 @@ def _emit_json(ok: bool, result, error):
     print(json.dumps({"ok": ok, "result": result, "error": error}))
 
 
-def _cmd_validate(args) -> int:
-    d = parse_gauss_code(_read_code(args.code))
+def _cmd_validate(args, d) -> int:
     print(f"ok: {d.n} chords, writhe {writhe(d)}")
     return 0
 
 
-def _cmd_moves(args) -> int:
-    d = parse_gauss_code(_read_code(args.code))
+def _cmd_moves(args, d) -> int:
     specs = [format_move(m) for m in enumerate_moves(d, args.insertions)]
     if args.json:
         _emit_json(True, specs, None)
@@ -55,15 +54,13 @@ def _cmd_moves(args) -> int:
     return 0
 
 
-def _cmd_apply(args) -> int:
-    d = parse_gauss_code(_read_code(args.code))
+def _cmd_apply(args, d) -> int:
     move = parse_move(args.move)
     print(serialize_gauss_code(apply_move(d, move)))
     return 0
 
 
-def _cmd_simplify(args) -> int:
-    d = parse_gauss_code(_read_code(args.code))
+def _cmd_simplify(args, d) -> int:
     limits = SearchLimits(
         max_states=args.max_states,
         allow_insertions=args.insertions,
@@ -92,14 +89,12 @@ def _cmd_simplify(args) -> int:
     return 0
 
 
-def _cmd_canonical(args) -> int:
-    d = parse_gauss_code(_read_code(args.code))
+def _cmd_canonical(args, d) -> int:
     print(_canonical_code(*_rows(d.endpoints, d.signs)))
     return 0
 
 
-def _cmd_render(args) -> int:
-    d = parse_gauss_code(_read_code(args.code))
+def _cmd_render(args, d) -> int:
     text = render(d, RenderOptions(format=args.format))
     if args.output:
         with open(args.output, "w", encoding="utf-8") as handle:
@@ -109,14 +104,14 @@ def _cmd_render(args) -> int:
     return 0
 
 
-def _cmd_random(args) -> int:
+def _cmd_random(args, _) -> int:
     if args.chords > _MAX_RANDOM_CHORDS:
         raise ValueError(f"random is capped at {_MAX_RANDOM_CHORDS} chords")
     print(serialize_gauss_code(random_diagram(args.chords, args.seed)))
     return 0
 
 
-def _cmd_census(args) -> int:
+def _cmd_census(args, _) -> int:
     result = census_movable_triples(args.chords)
     print(f"total {result.total}")
     print(f"matched {result.matched}")
@@ -180,7 +175,8 @@ def main(argv=None) -> int:
     args = None
     try:
         args = _build_parser().parse_args(argv)
-        return args.func(args)
+        d = parse_gauss_code(_read_code(args.code)) if "code" in args else None
+        return args.func(args, d)
     except SystemExit as exc:
         # argparse exits 0 after --help and 2 on a usage error; this tool
         # reserves 2 for move-not-applicable, so usage errors exit 1

@@ -48,7 +48,8 @@ sites are found, and its children built, on each call and kept nowhere.
 
 Every value type of the package, here and in ``moves``, ``simplify`` and
 ``render``, is a ``_Record``: its fields are its ``__slots__``, and the
-base writes equality, hash, repr, pickling and immutability once.
+base writes equality, hash, repr, pickling and immutability once, and the
+construction of every record that only stores its arguments.
 """
 
 from __future__ import annotations
@@ -91,11 +92,21 @@ class _Record:
     """Base of the library's immutable value types.
 
     A record lists its fields once, as its ``__slots__`` (a slot whose name
-    starts with ``_`` is not a field), and its own ``__init__`` sets them
-    with ``_set``.  Two records are equal when they are of one class with
-    equal fields; a record hashes and prints (``Name(field=value, ...)``)
-    as its fields, pickles and copies through its constructor, and refuses
-    assignment and deletion.  ``__match_args__`` is the fields in order.
+    starts with ``_`` is not a field).  Two records are equal when they are
+    of one class with equal fields; a record hashes and prints
+    (``Name(field=value, ...)``) as its fields, pickles and copies through
+    its constructor, and refuses assignment and deletion.
+    ``__match_args__`` is the fields in order.
+
+    A record that only stores its arguments (``Endpoint``, ``ChordNumbers``,
+    ``TripleAnalysis``, ``CensusResult``, ``SearchLimits``,
+    ``SimplifyResult``, ``TraceCheck``, ``RenderOptions``) keeps its own
+    signature and defaults and hands its field values, in field order, to
+    this ``__init__``.  The five move kinds and ``GaussDiagram`` set their
+    slots themselves with ``_set``: moves are built in the hot loops of the
+    search, the sweep and the move-invariance suite, where the base's
+    generic loop costs more than twice a direct store, and a diagram is
+    set only by ``_assemble``.
     """
 
     __slots__ = ()
@@ -105,6 +116,10 @@ class _Record:
         cls.__match_args__ = cls._fields
         # the class and then the field values: what == and hash compare
         cls._key = attrgetter("__class__", *cls._fields)
+
+    def __init__(self, *values):
+        for name, value in zip(self._fields, values, strict=True):
+            _set(self, name, value)
 
     def _values(self) -> tuple:
         """The field values in field order: the constructor's arguments."""
@@ -138,8 +153,7 @@ class Endpoint(_Record):
     __slots__ = ("chord", "role")
 
     def __init__(self, chord: str, role: str):
-        _set(self, "chord", chord)
-        _set(self, "role", role)
+        super().__init__(chord, role)
 
     def __repr__(self):
         return "{}{}".format("T" if self.role == TAIL else "H", self.chord)

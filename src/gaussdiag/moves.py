@@ -219,10 +219,7 @@ class ChordNumbers(_Record):
     __slots__ = ("sign", "parity", "direction", "three_sign")
 
     def __init__(self, sign: int, parity: int, direction: int, three_sign: int):
-        _set(self, "sign", sign)
-        _set(self, "parity", parity)
-        _set(self, "direction", direction)
-        _set(self, "three_sign", three_sign)
+        super().__init__(sign, parity, direction, three_sign)
 
 
 class TripleAnalysis(_Record):
@@ -238,12 +235,7 @@ class TripleAnalysis(_Record):
     def __init__(self, matched: bool, movable: bool, heads_arc: tuple | None,
                  tails_arc: tuple | None, mixed_arc: tuple | None,
                  chords: Mapping[str, ChordNumbers]):
-        _set(self, "matched", matched)
-        _set(self, "movable", movable)
-        _set(self, "heads_arc", heads_arc)
-        _set(self, "tails_arc", tails_arc)
-        _set(self, "mixed_arc", mixed_arc)
-        _set(self, "chords", chords)
+        super().__init__(matched, movable, heads_arc, tails_arc, mixed_arc, chords)
 
 
 def r1_removable_chords(d: GaussDiagram) -> list:
@@ -679,11 +671,7 @@ class CensusResult(_Record):
 
     def __init__(self, chords: int, total: int, matched: int, movable: int,
                  movable_up_to_rotation: int):
-        _set(self, "chords", chords)
-        _set(self, "total", total)
-        _set(self, "matched", matched)
-        _set(self, "movable", movable)
-        _set(self, "movable_up_to_rotation", movable_up_to_rotation)
+        super().__init__(chords, total, matched, movable, movable_up_to_rotation)
 
 
 def _heads_arc_key(endpoints, arcs) -> tuple:

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .diagram import TAIL, GaussDiagram, _Record, _set
+from .diagram import TAIL, GaussDiagram, _Record
 
 ASCII_FORMAT = "ascii"
 SVG_FORMAT = "svg"
@@ -22,8 +22,7 @@ class RenderOptions(_Record):
     __slots__ = ("format", "size")
 
     def __init__(self, format: str = ASCII_FORMAT, size: int = 480):
-        _set(self, "format", format)
-        _set(self, "size", size)
+        super().__init__(format, size)
 
 
 def _angle(d: GaussDiagram, pos: int) -> float:
@@ -41,6 +40,8 @@ def render(d: GaussDiagram, opts: RenderOptions = RenderOptions()) -> str:
 
 
 def _render_svg(d: GaussDiagram, size: int) -> str:
+    if type(size) is not int:
+        raise ValueError(f"size {size!r} is not an int")
     if size < 1:
         raise ValueError("size must be positive")
     c = size / 2.0

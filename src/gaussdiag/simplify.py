@@ -36,7 +36,7 @@ from __future__ import annotations
 import heapq
 
 from .codec import _canonical_code, _read_canonical_code, serialize_gauss_code
-from .diagram import GaussDiagram, _LABEL_KEYS, _Record, _rows, _set, canonical
+from .diagram import GaussDiagram, _LABEL_KEYS, _Record, _rows, canonical
 from .moves import (
     MoveNotApplicable,
     R1Delete,
@@ -64,9 +64,7 @@ class SearchLimits(_Record):
 
     def __init__(self, max_states: int = 100000, allow_insertions: bool = False,
                  max_chords: int | None = None):
-        _set(self, "max_states", max_states)
-        _set(self, "allow_insertions", allow_insertions)
-        _set(self, "max_chords", max_chords)
+        super().__init__(max_states, allow_insertions, max_chords)
 
 
 class SimplifyResult(_Record):
@@ -80,18 +78,14 @@ class SimplifyResult(_Record):
     __slots__ = ("final", "trace", "states_explored", "limit_hit")
 
     def __init__(self, final: GaussDiagram, trace: tuple, states_explored: int, limit_hit: bool):
-        _set(self, "final", final)
-        _set(self, "trace", trace)
-        _set(self, "states_explored", states_explored)
-        _set(self, "limit_hit", limit_hit)
+        super().__init__(final, trace, states_explored, limit_hit)
 
 
 class TraceCheck(_Record):
     __slots__ = ("ok", "failed_step")
 
     def __init__(self, ok: bool, failed_step: int | None = None):
-        _set(self, "ok", ok)
-        _set(self, "failed_step", failed_step)
+        super().__init__(ok, failed_step)
 
     def __bool__(self):
         return self.ok

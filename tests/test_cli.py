@@ -45,6 +45,18 @@ def test_validate_parse_error(capsys):
     assert err == "error: token 1: sign mismatch for chord 1\n"
 
 
+@pytest.mark.parametrize("command, options", [
+    ("moves", ()), ("apply", ("--move", "r1:del:1")), ("simplify", ()),
+    ("canonical", ()), ("render", ("--format", "ascii")),
+])
+def test_parse_error_before_subcommand(capsys, command, options):
+    # main parses CODE once, before any subcommand runs
+    code, out, err = run(capsys, command, *options, "O1+ U1-")
+    assert code == 1
+    assert out == ""
+    assert err == "error: token 1: sign mismatch for chord 1\n"
+
+
 def test_validate_reads_stdin(capsys, monkeypatch):
     monkeypatch.setattr(sys, "stdin", io.StringIO(TREFOIL + "\n"))
     code, out, _ = run(capsys, "validate", "-")
@@ -73,6 +85,16 @@ def test_moves_json(capsys):
 
 def test_moves_json_parse_error(capsys):
     code, out, _ = run(capsys, "moves", "--json", "O1+ U1-")
+    assert code == 1
+    assert json.loads(out) == {
+        "ok": False,
+        "result": None,
+        "error": "token 1: sign mismatch for chord 1",
+    }
+
+
+def test_simplify_json_parse_error(capsys):
+    code, out, _ = run(capsys, "simplify", "--json", "O1+ U1-")
     assert code == 1
     assert json.loads(out) == {
         "ok": False,

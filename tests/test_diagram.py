@@ -5,6 +5,7 @@ behaviour (equality, hash, repr, pickling, immutability)."""
 from __future__ import annotations
 
 import copy
+import inspect
 import pickle
 import re
 
@@ -249,6 +250,22 @@ def test_value_type_parity(name):
     assert repr(value) == text
     assert type(value).__match_args__ == fields
     assert type(value)(**{field: getattr(value, field) for field in fields}) == value
+    # the constructor's parameters are the fields in order, so a record that
+    # forwards its arguments positionally to the base puts each in its field
+    assert tuple(inspect.signature(type(value).__init__).parameters)[1:] == fields
+
+
+@pytest.mark.parametrize("name", [
+    "Endpoint", "R1Insert", "R2Insert", "ChordNumbers", "TripleAnalysis", "CensusResult",
+    "SearchLimits", "SimplifyResult", "TraceCheck", "RenderOptions",
+])
+def test_records_that_only_store_keep_each_argument_in_its_field(name):
+    # distinct arguments, so a constructor that swaps two of them is seen
+    # even where the pinned values of the parity test are equal
+    cls = type(RECORDS[name][1])
+    values = [object() for _ in cls._fields]
+    record = cls(*values)
+    assert all(getattr(record, field) is value for field, value in zip(cls._fields, values))
 
 
 # ----------------------------------------------------------------- accessors

@@ -1,0 +1,50 @@
+"""The package's imports: each module uses every name it imports, and the
+public names are exactly those ``gaussdiag/__init__.py`` imports."""
+
+from __future__ import annotations
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import gaussdiag
+
+PACKAGE = Path(__file__).resolve().parents[1] / "src" / "gaussdiag"
+# a name imported only so that another program can reach it through the
+# module (the benchmark's tracer patches such names) carries this marker
+UNUSED_ON_PURPOSE = "# noqa: F401"
+
+
+def _imports(tree: ast.Module):
+    """Each (bound name, line) that an import in ``tree`` binds, at any
+    depth; ``from __future__`` imports bind no name."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            for alias in node.names:
+                yield (alias.asname or alias.name).split(".")[0], alias.lineno
+
+
+@pytest.mark.parametrize(
+    "module", sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
+)
+def test_every_imported_name_is_used(module):
+    source = (PACKAGE / module).read_text()
+    tree = ast.parse(source)
+    lines = source.splitlines()
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    unused = [
+        name for name, line in _imports(tree)
+        if name not in used and UNUSED_ON_PURPOSE not in lines[line - 1]
+    ]
+    assert unused == []
+
+
+def test_public_names_are_the_names_init_imports():
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = [name for name, _ in _imports(tree)]
+    assert len(imported) == len(set(imported))
+    assert sorted(gaussdiag.__all__) == sorted(imported)
+    assert len(gaussdiag.__all__) == len(set(gaussdiag.__all__))

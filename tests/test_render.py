@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 import xml.etree.ElementTree as ET
 
 import pytest
@@ -88,6 +89,17 @@ def test_svg_size_option():
     assert root.get("width") == "300"
     assert root.get("height") == "300"
     assert root.get("viewBox") == "0 0 300 300"
+
+
+@pytest.mark.parametrize("size, message", [
+    (True, "size True is not an int"),
+    (2.5, "size 2.5 is not an int"),
+    ("10", "size '10' is not an int"),
+    (0, "size must be positive"),
+])
+def test_svg_size_must_be_a_positive_int(size, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        render(EMPTY, RenderOptions(format="svg", size=size))
 
 
 def test_svg_wellformed_for_random_diagrams():
