@@ -457,10 +457,10 @@ MUTANTS = (
     ),
     Mutant(
         "walk-skip-first-site", "moves.py",
-        "sites = [((c,), _cuts(d, (c,)), ()) for c in r1_removable_chords(d) if (c,) != undo]",
-        "sites = [((c,), _cuts(d, (c,)), ()) for c in r1_removable_chords(d)][len(undo) == 1:]",
+        "sites = [((pair,), _cuts(d, pair), ()) for pair in r2_removable_pairs(d) if pair != undo]",
+        "sites = [((pair,), _cuts(d, pair), ()) for pair in r2_removable_pairs(d)][len(undo) == 2:]",
         "walk",
-        "tests/test_differential.py::test_search_skips_only_the_deletion_that_undoes_an_insertion",
+        "tests/test_differential.py::test_search_walks_no_deletion_whose_children_are_not_keyed",
     ),
     # the move specs
     Mutant(
@@ -551,10 +551,17 @@ MUTANTS = (
     ),
     Mutant(
         "search-no-empty-child", "simplify.py",
-        "if 0 <= count + change <= top:",
-        "if 0 < count + change <= top:",
+        "if least <= count + change <= top:",
+        "if max(least, 1) <= count + change <= top:",
         "search",
         "tests/test_acceptance.py::test_criterion_2_example_1_end_to_end",
+    ),
+    Mutant(
+        "search-r2-made-skips-deletions", "simplify.py",
+        "least = count if added == 1 else 0  # an R1-made state's deletions are all keyed",
+        "least = count if added in (1, 2) else 0  # an R1-made state's deletions are all keyed",
+        "search",
+        "tests/test_differential.py::test_search_walks_no_deletion_whose_children_are_not_keyed",
     ),
     Mutant(
         "search-insertions-always", "simplify.py",
@@ -685,7 +692,7 @@ def main(argv=None) -> int:
         survivors += not killed
         verdict = "killed" if killed else "survived"
         seconds = time.perf_counter() - start
-        print(f"{mutant.name:<26} {mutant.layer:<9} {verdict:<8} {where:<7} {seconds:6.1f} s  {by}",
+        print(f"{mutant.name:<30} {mutant.layer:<9} {verdict:<8} {where:<7} {seconds:6.1f} s  {by}",
               flush=True)
     seconds = time.perf_counter() - total
     print(f"{len(chosen) - survivors} of {len(chosen)} mutants killed in {seconds:.0f} s")

@@ -76,9 +76,10 @@ its R1 deletions (-1), R2 deletions (-2), R3s (0), R1 insertions (1) or
 R2 insertions (2).  It yields the moves' fields with the child's rows,
 with no check and no move built.  A deletion or R3 is the edit
 ``_rewrite`` would make, applied by ``_edited`` to the parent's
-``diagram._rows``; the deletion of the chords ``undo`` is dropped before
-any rows are made (the search passes the chords a state's own insertion
-added, so that child is the state's parent).  Deletions and R3s come
+``diagram._rows``; the R2 deletion of the chords ``undo`` is dropped
+before any rows are made (the search passes the chords a state's own R2
+insertion added, so that child is the state's parent; a state its R1
+insertion made walks no deletion family).  Deletions and R3s come
 from the detectors, called on the parent itself, and an R3's arcs from
 the kernel, run again on each triple the detector keeps: each candidate
 triple meets the kernel in the detector's find (unless the parent's
@@ -564,9 +565,10 @@ def _family_rows(d: GaussDiagram, change: int, undo: tuple = ()):
     """Each move of d that adds ``change`` chords, in ``enumerate_moves``
     order, as (fields, chords, bases): the move's fields and the child's
     rows.  The family is d's R1 deletions (-1), R2 deletions (-2), R3s (0),
-    R1 insertions (1) or R2 insertions (2).  A deletion of exactly the
-    chords ``undo`` (in ``label_key`` order) is dropped before any rows
-    are made: when d was made by inserting them, it gives back d's parent.
+    R1 insertions (1) or R2 insertions (2).  An R2 deletion of exactly
+    the chords ``undo`` (in ``label_key`` order) is dropped before any
+    rows are made: when d was made by inserting them, it gives back d's
+    parent.
     A deletion or R3 is the (cuts, arcs) edit ``_rewrite`` makes after its
     checks, applied by ``_edited`` to d's ``diagram._rows``, which are made
     only once the family has a site; an R3's arcs are its ``_movable_arcs``
@@ -579,7 +581,7 @@ def _family_rows(d: GaussDiagram, change: int, undo: tuple = ()):
     if change > 0:
         return _insertion_rows(d, change)
     if change == -1:
-        sites = [((c,), _cuts(d, (c,)), ()) for c in r1_removable_chords(d) if (c,) != undo]
+        sites = [((c,), _cuts(d, (c,)), ()) for c in r1_removable_chords(d)]
     elif change == -2:
         sites = [((pair,), _cuts(d, pair), ()) for pair in r2_removable_pairs(d) if pair != undo]
     else:

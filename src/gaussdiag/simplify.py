@@ -19,16 +19,17 @@ of move kinds, ``moves._KINDS``.  A family's moves are found only when it
 pops, by one walk, ``moves._family_rows``: it detects a deletion or R3
 family or generates an insertion family and yields each child's move
 fields and rows, made from the parent's ``diagram._rows``; a child whose
-code is new is stored as those fields, with no move built.  A state its
-parent's insertion built never keys the deletion of the chords that
-insertion added: that child is the parent, already keyed, so the walk
-drops it before making its rows.  Diagrams are built only for the states
-the search expands, and each is held only by the queue entries that need
-it: its own families and its children's states.  The final diagram is
-the best state's one move applied to the diagram its entry carries, and
-the trace is the final state's moves and codes, read back to the start;
-each step's canonical form is spelled from the code the search stored
-for it, not scanned again.
+code is new is stored as those fields, with no move built.  A state an R1
+insertion built pushes no deletion family, since every child of one is
+keyed before it is expanded, and a state an R2 insertion built never keys
+the deletion of the two chords it added: that child is the parent, so
+the walk drops it before making its rows.  Diagrams are built only for
+the states the search expands, and each is held only by the queue
+entries that need it: its own families and its children's states.  The
+final diagram is the best state's one move applied to the diagram its
+entry carries, and the trace is the final state's moves and codes, read
+back to the start; each step's canonical form is spelled from the code
+the search stored for it, not scanned again.
 """
 
 from __future__ import annotations
@@ -138,13 +139,27 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
     children: it pushes one family entry per move family onto the queue
     the states wait in, at the count its children have: its R1 deletions
     (-1), R2 deletions (-2) and R3s (0), where that count is not negative,
-    and its R1 (1) and R2 (2) insertions, where they fit.  A state's entry is (count, 1, code, the
-    diagram its move applies to), a family's (count, 0, its parent's
-    expansion number, parent's code, chords it adds, parent's diagram, the
-    chords the parent's own insertion added, in ``label_key`` order, read
-    from the table ``diagram._LABEL_KEYS``, or ()).  The walk drops the
-    deletion of those chords: its child is the state the parent was built
-    from, whose code is keyed.
+    and its R1 (1) and R2 (2) insertions, where they fit.  A state's entry
+    is (count, 1, code, the diagram its move applies to), a family's
+    (count, 0, its parent's expansion number, parent's code, chords it
+    adds, parent's diagram, the two chords the parent's own R2 insertion
+    added, in ``label_key`` order, read from the table
+    ``diagram._LABEL_KEYS``, or ()).  The walk drops the deletion of those
+    chords: its child is the state the parent was built from, whose code
+    is keyed.
+    A state S made by an R1 insertion pushes no deletion family: every
+    child of its R1 and R2 deletions is keyed before S is expanded.  By
+    induction over the expansion order, say S is Q with the kink k
+    inserted.  A deletion D of other chords is also one of Q, since an
+    insertion separates endpoints and never joins them, and D(S) is D(Q)
+    with k at one gap.  D(Q) has fewer chords than S and is keyed (by Q's
+    deletion families, or by induction when Q is R1-made), so it was
+    expanded before S, and its R1 insertion family, which holds k at that
+    gap, popped before S.  Deleting k gives Q, and an R2 deletion of k and
+    a gives Q - a, a being an R1 chord of Q.  The rule stops at R1: in an
+    R2-made state a deletion can empty one side between the two inserted
+    blocks, leaving heads before tails in one gap, an order no R2
+    insertion makes.
     A child can share a code only with states of its own chord count, and
     the tag 0 pops every family of a count before any state of that count
     or higher: a count's children are all keyed (and deduplicated, the
@@ -192,7 +207,7 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
     # parent's, the start's being itself); a family is (its children's chord
     # count, 0, its parent's expansion number, parent's code, chords it adds,
     # parent's diagram, the labels whose deletion undoes the parent's own
-    # insertion).  No two entries agree in their first three fields,
+    # R2 insertion).  No two entries agree in their first three fields,
     # so the heap never compares diagrams (they have no order), and a
     # diagram is freed once the last entry holding it pops
     best = (d.n, 1, start_key, d)
@@ -208,16 +223,16 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
                 break
             count, _, key, state = entry
             parent, added, fields = info[key]  # its move, built only now
-            undo = ()  # the chords an insertion added: deleting them gives back the parent
             if parent is not None:
                 source, state = state, apply_move(state, kinds[added](*fields))
-                if added > 0:
-                    undo = tuple(sorted(state.signs.keys() - source.signs.keys(),
-                                        key=_LABEL_KEYS.__getitem__))
+            # an R2 insertion's chords: deleting them gives back the parent
+            undo = (tuple(sorted(state.signs.keys() - source.signs.keys(),
+                                 key=_LABEL_KEYS.__getitem__)) if added == 2 else ())
             explored += 1
             top = max_chords if limits.allow_insertions else count  # the most chords a child has
+            least = count if added == 1 else 0  # an R1-made state's deletions are all keyed
             for change in kinds:  # one entry per family: its moves are found when it pops
-                if 0 <= count + change <= top:
+                if least <= count + change <= top:
                     heapq.heappush(queue, (count + change, 0, explored, key, change, state, undo))
             continue
         count, _, _, parent, change, state, undo = entry  # a family: key its children

@@ -54,9 +54,11 @@ exhaustive n <= 4 corpus and the 1000 seeded diagrams; n counts chords.
   ``test_pinned_insertion_searches``).  Each differential, truncated and
   pinned search also keeps the start's affine index polynomial P and ends
   at no fewer chords than its bound B (see ``invariants``).  A spy on the
-  same stopped searches, up to 200 expansions, checks that the walk drops
-  only the deletion that undoes a state's own insertion
-  (``test_search_skips_only_*``).
+  same stopped searches, up to 200 expansions, checks that a state an R1
+  insertion built walks no deletion family, whose children are all keyed
+  at its expansion, and that every other state's deletion walks drop only
+  the deletion that undoes an R2 insertion
+  (``test_search_walks_no_deletion_*``).
 """
 
 from __future__ import annotations
@@ -1268,48 +1270,88 @@ def test_truncated_simplify_matches_oracle(exhaustive_corpus, monkeypatch):
     assert all_duplicates
 
 
-def test_search_skips_only_the_deletion_that_undoes_an_insertion(exhaustive_corpus, monkeypatch):
-    # a state its parent's insertion built does not key the deletion of the
-    # chords it added, which gives back the parent.  Spy on the search, over
-    # the _truncated_cases: the walk drops what the same walk without the
-    # undo yields and it does not, which must be exactly that deletion, and
-    # that deletion's child must have the parent's code
+def test_search_walks_no_deletion_whose_children_are_not_keyed(exhaustive_corpus, monkeypatch):
+    # a state an R1 insertion built pushes and walks no deletion family: at
+    # its expansion every child of both is keyed already.  Every other
+    # expanded state pushes both deletion families where its count allows,
+    # and a state an R2 insertion built drops only the deletion of the two
+    # chords it added, whose child has its parent's code.  Spy on the
+    # search, over the _truncated_cases
     search = importlib.import_module("gaussdiag.simplify")
-    family_rows = search._family_rows
+    family_rows, canonical_code = search._family_rows, search._canonical_code
     kinds = {change: kind for kind, change in CHANGE.items()}
-    made_from = {}  # each built state's id: (the state, its parent, the move)
-    skipped = collections.Counter()
+    made_from = {}  # each built state's id: (its parent, the move)
+    # per apply_move: (the state, and if an R1 insertion made it, how many
+    # deletion children it has and the codes of those not yet keyed)
+    built = []
+    keyed = set()  # every code the search has made
+    pushed = collections.defaultdict(set)  # a diagram's id: the chords its pushed families add
+    seen = collections.Counter()
+
+    def spy_canonical_code(chords, bases):
+        code = canonical_code(chords, bases)
+        keyed.add(code)
+        return code
 
     def build(parent, move):
         state = apply_move(parent, move)
-        made_from[id(state)] = state, parent, move
+        made_from[id(state)] = parent, move
+        codes = []
+        if type(move) is R1Insert:
+            for change in (-1, -2):
+                codes += [canonical_code(*rows) for _, *rows in family_rows(state, change)]
+        built.append((state, len(codes), [code for code in codes if code not in keyed]))
         return state
+
+    def spy_push(heap, entry):
+        if not entry[1]:  # a family: its parent's diagram and the chords it adds
+            pushed[id(entry[5])].add(entry[4])
+        heapq.heappush(heap, entry)
 
     def spy_family_rows(state, change, undo):
         kept = list(family_rows(state, change, undo))
+        if change >= 0:
+            return iter(kept)
+        parent, move = made_from.get(id(state), (None, None))
+        assert type(move) is not R1Insert, (state, change)
         every = list(family_rows(state, change))
         dropped = [row for row in every if row not in kept]
         assert [row for row in every if row not in dropped] == kept, (state, change)
         expected = []
-        if id(state) in made_from:
-            _, parent, move = made_from[id(state)]
-            added = tuple(sorted(state.signs.keys() - parent.signs.keys(), key=label_key))
-            if CHANGE[type(move)] == len(added) == -change > 0:
-                expected = [(added,) if change == -2 else added]  # the deletion's fields
+        if type(move) is R2Insert and change == -2:
+            expected = [(tuple(sorted(state.signs.keys() - parent.signs.keys(), key=label_key)),)]
         assert [fields for fields, _, _ in dropped] == expected, (state, change)
         for fields, _, _ in dropped:
             child = apply_move(state, kinds[change](*fields))
             assert canonical(child) == canonical(parent), (state, change)
-            skipped[change] += 1
+            seen["undo"] += 1
         return iter(kept)
 
     monkeypatch.setattr(search, "apply_move", build)
+    monkeypatch.setattr(search, "_canonical_code", spy_canonical_code)
     monkeypatch.setattr(search, "_family_rows", spy_family_rows)
+    monkeypatch.setattr(search, "heapq", SimpleNamespace(heappush=spy_push, heappop=heapq.heappop))
     for d, max_chords in _truncated_cases(exhaustive_corpus):
         for max_states in (*TRUNCATED_BUDGETS, 40, 200):
+            for store in (made_from, built, keyed, pushed):
+                store.clear()
             limits = SearchLimits(max_states, allow_insertions=True, max_chords=max_chords)
-            simplify(d, limits)
-    assert skipped[-1] > 1_000 and skipped[-2] > 200, skipped
+            explored = simplify(d, limits).states_explored
+            # the expanded states: the start, then the states the search's
+            # first explored - 1 apply_moves built (a later one builds the
+            # final diagram after the search)
+            for state, children, unkeyed in [(d, 0, []), *built[:explored - 1]]:
+                deletions = {change for change in pushed[id(state)] if change < 0}
+                if type(made_from.get(id(state), (None, None))[1]) is R1Insert:
+                    assert not deletions and not unkeyed, (d, max_chords, max_states, state)
+                    seen["r1-made"] += 1
+                    seen["keyed"] += children
+                else:
+                    expected = {change for change in (-1, -2) if state.n + change >= 0}
+                    assert deletions == expected, (d, max_chords, max_states, state)
+                    seen["other"] += 1
+    assert seen["r1-made"] > 2_000 and seen["keyed"] > 3_000, seen
+    assert seen["other"] > 2_000 and seen["undo"] > 400, seen
 
 
 def test_search_generates_only_insertions_that_fit(exhaustive_corpus, monkeypatch):

@@ -21,6 +21,7 @@ from gaussdiag import (
     TraceCheck,
     apply_move,
     canonical,
+    enumerate_moves,
     format_move,
     format_trace,
     parse_gauss_code,
@@ -407,6 +408,23 @@ def test_search_keys_a_counts_families_in_expansion_order(monkeypatch):
                 assert rank < next_rank, (start, count)
                 runs += 1
     assert runs
+
+
+def test_an_r2_made_state_has_a_deletion_child_no_r2_insertion_makes():
+    # why the search skips the deletion families of R1-made states only: a
+    # deletion of a chord between an R2 insertion's two blocks can leave
+    # its heads before its tails in one gap, an order no R2 insertion makes,
+    # so that child is not an R2 insertion of the parent's same deletion
+    parent = d("U1+ O1+ O2+ O3+ U2+ U3+")
+    state = apply_move(parent, R2Insert(0, 2, 1, True))
+    assert serialize_gauss_code(state) == "U4+ U5- U1+ O1+ O4+ O5- O2+ O3+ U2+ U3+"
+    child = canonical(apply_move(state, R1Delete("1")))
+    assert serialize_gauss_code(child) == "O1+ O2+ U1+ U2+ U3+ U4- O3+ O4-"
+    smaller = apply_move(parent, R1Delete("1"))
+    assert serialize_gauss_code(smaller) == "O2+ O3+ U2+ U3+"
+    insertions = [m for m in enumerate_moves(smaller, True) if isinstance(m, R2Insert)]
+    assert len(insertions) == 64
+    assert all(canonical(apply_move(smaller, m)) != child for m in insertions)
 
 
 @pytest.mark.parametrize(

@@ -37,11 +37,12 @@ DETECTORS = {
 
 
 # searches with insertions, each with its expansions and its calls to each
-# detector: the trefoil keys every family of its 20 states; the other
+# detector: the trefoil keys the R3 family of each of its 20 states and
+# the deletion families of the 3 that no R1 insertion made; the other
 # reaches the empty diagram by an R3 and two R2 deletions, and keys the R1
 # and R3 families of its start only
 SEARCHES = [
-    ("O1- O2- U1- U2-", 20, {"moves.r1_detect": 20, "moves.r2_detect": 20, "moves.r3_detect": 20}),
+    ("O1- O2- U1- U2-", 20, {"moves.r1_detect": 3, "moves.r2_detect": 3, "moves.r3_detect": 20}),
     ("O3+ U4- O1+ U2- U1+ U3+ O2- O4-", 3,
      {"moves.r1_detect": 1, "moves.r2_detect": 3, "moves.r3_detect": 1}),
 ]
