@@ -126,8 +126,8 @@ MUTANTS = (
     ),
     Mutant(
         "constructor-repeat-missed", "diagram.py",
-        "if type(j) is tuple or endpoints[j].role == ep.role:",
-        "if type(j) is tuple:",
+        "if key in seen:  # a repeated role, or a third endpoint",
+        "if False:",
         "layout",
         "tests/test_diagram.py::test_validation_errors[endpoints0-signs0-duplicate tail for chord 1]",
     ),
@@ -372,17 +372,18 @@ MUTANTS = (
     ),
     Mutant(
         "r1-head-first", "moves.py",
-        "bases = (1 << 32 | negative, negative) if head_first else (negative, 1 << 32 | negative)",
-        "bases = (1 << 32 | negative, negative) if not head_first else (negative, 1 << 32 | negative)",
+        "ends = (_HEADS[lab], _TAILS[lab]) if head_first else (_TAILS[lab], _HEADS[lab])",
+        "ends = (_HEADS[lab], _TAILS[lab]) if not head_first else (_TAILS[lab], _HEADS[lab])",
         "rewrite",
         "tests/test_differential.py::test_row_rewrite_matches_endpoint_oracle",
     ),
-    # two rewrites, on the apply_move path only, that no Reidemeister move
-    # makes: an R2 insertion whose chords share a sign, which the checks of
-    # the affine index polynomial kill among others, and an R3 that swaps
-    # the first tiling of a movable triple, whose 3-signs may differ, which
-    # keeps that polynomial and only the rewrite oracles and the R3 inverse
-    # check kill
+    # two rewrites that no Reidemeister move makes: an R2 insertion whose
+    # chords share a sign (the one place an insertion's signs are written,
+    # so the search's walk reads it too), which the checks of the affine
+    # index polynomial kill among others, and an R3, on the apply_move path
+    # only, that swaps the first tiling of a movable triple, whose 3-signs
+    # may differ, which keeps that polynomial and only the rewrite oracles
+    # and the R3 inverse check kill
     Mutant(
         "r2-insert-equal-signs", "moves.py",
         "return blocks, {x: sign, y: -sign}",
@@ -416,13 +417,6 @@ MUTANTS = (
         "walk-first-tiling", "moves.py",
         "sites = [((t,), (), _movable_arcs(d.signs, t, _tilings(d, t))) for t in r3_movable_triples(d)]",
         "sites = [((t,), (), _tilings(d, t)[0][0]) for t in r3_movable_triples(d)]",
-        "walk",
-        "tests/test_differential.py::test_family_rows_match_oracles",
-    ),
-    Mutant(
-        "walk-r2-sign-bits", "moves.py",
-        "nx, ny = (0, 1) if sign == 1 else (1, 0)",
-        "nx, ny = (0, 0) if sign == 1 else (1, 1)",
         "walk",
         "tests/test_differential.py::test_family_rows_match_oracles",
     ),
@@ -527,6 +521,13 @@ MUTANTS = (
         "source = state; apply_move(state, kinds[added](*fields))",
         "search",
         "tests/test_acceptance.py::test_criterion_2_example_1_end_to_end",
+    ),
+    Mutant(
+        "search-undo-from-child", "simplify.py",
+        "undo = tuple(_fresh_labels(source, 2)) if added == 2 else ()",
+        "undo = tuple(_fresh_labels(state, 2)) if added == 2 else ()",
+        "search",
+        "tests/test_differential.py::test_search_walks_no_deletion_whose_children_are_not_keyed",
     ),
     Mutant(
         "search-walked-fields", "simplify.py",

@@ -12,8 +12,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .codec import _canonical_code, parse_gauss_code, serialize_gauss_code
-from .diagram import _rows, random_diagram, writhe
+from .codec import parse_gauss_code, serialize_gauss_code
+from .diagram import canonical, random_diagram, writhe
 from .moves import (
     MoveNotApplicable,
     apply_move,
@@ -90,7 +90,7 @@ def _cmd_simplify(args, d) -> int:
 
 
 def _cmd_canonical(args, d) -> int:
-    print(_canonical_code(*_rows(d.endpoints, d.signs)))
+    print(serialize_gauss_code(canonical(d)))
     return 0
 
 

@@ -19,8 +19,9 @@ through ``_trusted`` or, in ``apply_move``, its ``_positions``; every path
 sets attributes only in ``_assemble``.
 
 A diagram keeps its position map ``_pos``: each chord's positions as one
-(tail, head) pair, made in the one pass over the endpoints that checks
-them (``_positions`` makes it in the same pass without the checks).  Every
+(tail, head) pair, made by ``_positions``, the one pairing of a chord's
+two endpoints; the public constructor first checks that no (chord, role)
+repeats, so every pair it hands that function is whole.  Every
 diagram the library builds, parsed, rewritten, canonical, enumerated or
 random, holds the one shared ``Endpoint`` of each label and role from the
 tables ``_TAILS`` and ``_HEADS``, which grow by one endpoint per distinct
@@ -214,19 +215,19 @@ class GaussDiagram(_Record):
 
     def __init__(self, endpoints: Iterable[Endpoint], signs: Mapping[str, int]):
         endpoints = tuple(endpoints)
-        pos = {}  # chord -> its first position, then its (tail, head) pair
-        for i, ep in enumerate(endpoints):
+        seen = set()  # the (chord, role) of each endpoint so far
+        for ep in endpoints:
             if not isinstance(ep, Endpoint):
                 raise ValueError(f"not an Endpoint: {ep!r}")
             if not valid_label(ep.chord):
                 raise ValueError(f"invalid chord label {ep.chord!r}")
             if ep.role not in (TAIL, HEAD):
                 raise ValueError(f"invalid role {ep.role!r} for chord {ep.chord}")
-            j = pos.setdefault(ep.chord, i)
-            if j != i:
-                if type(j) is tuple or endpoints[j].role == ep.role:
-                    raise ValueError(f"duplicate {ep.role} for chord {ep.chord}")
-                pos[ep.chord] = (i, j) if ep.role == TAIL else (j, i)
+            key = ep.chord, ep.role
+            if key in seen:  # a repeated role, or a third endpoint
+                raise ValueError(f"duplicate {ep.role} for chord {ep.chord}")
+            seen.add(key)
+        pos = _positions(endpoints)
         for chord, p in pos.items():
             if type(p) is int:
                 raise ValueError(f"chord {chord} appears only once")
@@ -297,9 +298,10 @@ def _trusted(endpoints: Iterable[Endpoint], signs: Mapping[str, int]) -> GaussDi
 
 
 def _positions(endpoints: tuple) -> dict:
-    """The position map of trusted endpoints, chord -> (tail, head), made
-    without the constructor's checks."""
-    pos = {}  # as in the constructor: the first position, then the pair
+    """The position map of endpoints in which no (chord, role) repeats:
+    chord -> (tail, head), or its one position for a chord that appears
+    once, which only the constructor's input can hold."""
+    pos = {}  # chord -> its first position, then its (tail, head) pair
     for i, ep in enumerate(endpoints):
         j = pos.setdefault(ep.chord, i)
         if j != i:
@@ -328,8 +330,7 @@ def adjacent(d: GaussDiagram, p: int, q: int) -> bool:
     if m == 0:
         raise ValueError("empty diagram has no positions")
     for x in (p, q):
-        if type(x) is not int:
-            raise ValueError(f"position {x!r} is not an int")
+        _check_int(x, "position")
         if not 0 <= x < m:
             raise ValueError(f"position {x} out of range for {m} endpoints")
     if p == q:
@@ -365,8 +366,7 @@ def writhe(d: GaussDiagram) -> int:
 def rotate(d: GaussDiagram, k: int) -> GaussDiagram:
     """Move the basepoint: endpoint sequence cyclically shifted by k, an
     int (negative shifts back); ValueError for any other type."""
-    if type(k) is not int:
-        raise ValueError(f"shift {k!r} is not an int")
+    _check_int(k, "shift")
     m = len(d.endpoints)
     if m == 0:
         return d
@@ -376,7 +376,9 @@ def rotate(d: GaussDiagram, k: int) -> GaussDiagram:
 
 def _rows(endpoints, signs) -> tuple:
     """Each endpoint's chord label, and its base ``head << 32 | negative``
-    (role O<U, sign +<-): the rows ``_least_rotations`` scans."""
+    (role O<U, sign +<-): the rows ``_least_rotations`` scans.  This is
+    the one writer of the encoding; ``moves`` makes its insertion blocks'
+    rows through it too."""
     chords = [ep.chord for ep in endpoints]
     return chords, [(ep.role == HEAD) << 32 | (signs[ep.chord] < 0) for ep in endpoints]
 
@@ -488,11 +490,12 @@ def _matchings(positions: list) -> Iterator[list]:
             yield [(first, positions[i])] + tail
 
 
-def _check_chord_count(n) -> None:
-    """ValueError unless the chord count n is an exact int (no bool, no
-    float), as ``rotate`` checks its shift."""
-    if type(n) is not int:
-        raise ValueError(f"chord count {n!r} is not an int")
+def _check_int(value, name: str) -> None:
+    """ValueError naming ``value`` as ``name`` unless it is an exact int (no
+    bool, no float): the check on every int argument the library takes (a
+    position, a shift, a chord count, a seed, an SVG size)."""
+    if type(value) is not int:
+        raise ValueError(f"{name} {value!r} is not an int")
 
 
 def _arrangements(n: int) -> Iterator[tuple]:
@@ -500,7 +503,7 @@ def _arrangements(n: int) -> Iterator[tuple]:
     first appearance, all perfect matchings x orientations, as (endpoints,
     sign maps): the 2^n sign maps, + before - chord by chord, one list
     shared by every arrangement, so callers must not change them."""
-    _check_chord_count(n)
+    _check_int(n, "chord count")
     if n < 0:
         raise ValueError("chord count must be nonnegative")
     import itertools
@@ -542,9 +545,10 @@ def random_diagram(n: int, seed: int) -> GaussDiagram:
     chosen partner, which is uniform over perfect matchings; orientation and
     sign are fair independent coin flips per chord.
     """
-    _check_chord_count(n)
+    _check_int(n, "chord count")
     if n < 0:
         raise ValueError("chord count must be nonnegative")
+    _check_int(seed, "seed")
     rng = random.Random(seed)
     unmatched = list(range(2 * n))
     pairs = []

@@ -17,12 +17,8 @@ each of the three arcs.
 
 The move kinds, their order and their specs are one table, ``_KINDS``, in
 ``enumerate_moves`` order: R1 deletions, R2 deletions, R3s, R1 insertions
-and R2 insertions.  A row holds the kind's class, the chords it adds (-1,
--2, 0, 1, 2), its spec's prefix, what its spec needs after the prefix, and
-each spec field's form (a label, comma-joined labels, a gap, the sign or a
-flag).  ``format_move`` and ``parse_move`` read each spec from it,
-``enumerate_moves`` its insertion kinds, and the search its family order
-and the class it builds each child's move with.
+and R2 insertions.  The specs, ``enumerate_moves`` and the search read each
+kind from it.
 
 Six cyclically ordered endpoints admit at most two tilings into three
 consecutive pairs.  Both are admissible only when the six positions fill
@@ -35,65 +31,31 @@ verdict rotation-invariant.
 
 Only the sign depends on the sign map: parity, direction and the tilings
 depend on where the endpoints sit, and so do the R1 chords and the
-adjacencies of an R2 pair.  So detection is a sign-free find from
-``sites`` and a signed filter here: ``r1_removable_chords`` keeps every
-R1 chord, ``r2_removable_pairs`` the R2 pairs of opposite signs, and
-``r3_movable_triples`` the matched triples with a tiling whose three
-signed factors agree, the ``_movable_arcs``.  A find comes from the
-holder an enumerated arrangement's 2^n sign maps share, filled by
-whichever asks first, or afresh for any other diagram, which keeps
-nothing.  The census reads the same R3 finds, once per arrangement.
-
-``sites._tilings``, one integer kernel, computes a triple's sign-free
-numbers from its six endpoint positions.  The R3 finds, ``_rewrite``
-(and through it ``apply_move``) and the search's R3 walk call it directly;
-``_qualifying_tilings`` adds the signs, for ``analyze_triple``, the
-public report, which validates its labels and packages the witness
-tiling as a ``TripleAnalysis``.
+adjacencies of an R2 pair.  So each detector is a sign-free find from
+``sites`` and a signed filter here, and one integer kernel,
+``sites._tilings``, gives a triple's sign-free numbers to the R3 finds,
+the rewrite, the search's R3 walk and, with the signs added, the public
+report ``analyze_triple``.
 
 Every precondition is an adjacency, read one way (see ``sites``):
-``diagram._adjacent`` is the one test on two positions read from the
-diagram's position map; ``_rewrite``'s R1 and R2 checks call it.  The
-validating accessors (``adjacent``, ``sign_of`` and the position getters)
-are for outside callers; here only ``analyze_triple``, the public
-report, calls them.  The chords a move names are outside input, so
+``diagram._adjacent`` on two positions from the diagram's position map.
+The validating accessors (``adjacent``, ``sign_of`` and the position
+getters) are for outside callers; here only ``analyze_triple``, the
+public report, calls them.  The chords a move names are outside input, so
 ``_check_chords`` guards them before any lookup.
 
-``_rewrite`` checks each move's preconditions, written once, then makes
-the move as one positional edit (cuts, splices, arcs), which ``_edited``
-applies by slicing: a deletion cuts its chords' positions, the ``_cuts``;
-an insertion splices its ``_insertion_blocks`` in at its gaps after
-``_check_insertion`` (gaps, then sign, then flag); and R3 swaps the
-``_movable_arcs``.
-``apply_move`` builds the edited endpoint tuple without revalidation; an
-insertion's new endpoints are the shared ones of ``diagram._TAILS`` and
-``_HEADS``, so no move makes an ``Endpoint``.  An enumerated diagram's
-deletions and R3s reuse the child its arrangement's holder keeps.
-
-The search keys children from one walk, ``_family_rows(d, change,
-undo)``, over the move family of a parent that adds ``change`` chords:
-its R1 deletions (-1), R2 deletions (-2), R3s (0), R1 insertions (1) or
-R2 insertions (2).  It yields the moves' fields with the child's rows,
-with no check and no move built.  A deletion or R3 is the edit
-``_rewrite`` would make, applied by ``_edited`` to the parent's
-``diagram._rows``; the R2 deletion of the chords ``undo`` is dropped
-before any rows are made (the search passes the chords a state's own R2
-insertion added, so that child is the state's parent; a state its R1
-insertion made walks no deletion family).  Deletions and R3s come
-from the detectors, called on the parent itself, and an R3's arcs from
-the kernel, run again on each triple the detector keeps: each candidate
-triple meets the kernel in the detector's find (unless the parent's
-holder already holds it) and each kept triple once more.  Insertions come
-in ``_insertion_fields`` order, which also gives ``enumerate_moves`` its
-insertion moves, and take the parent's ``_fresh_labels``.  Their rows,
-``_insertion_rows``, are slices of the parent's rows joined around each
-child's blocks: the slices are made once per gap or gap pair, and each
-(sign, flag) variant's blocks once per process, from ``_insertion_blocks``,
-the one definition of what an insertion puts in and in what order; the
-table ``_LAYOUTS`` keeps them by their sample gaps and fresh labels, and
-every family that reads them shares them, unchanged.  So two codes
-splice: ``_edited`` for the one child ``apply_move`` builds, and the walk
-for the many children that share a parent's slices.
+A move is one positional edit of the endpoints, checked once by
+``_rewrite``: a deletion cuts its chords' positions, an insertion splices
+its blocks in at its gaps, and an R3 swaps the arcs of its first movable
+tiling.  An insertion's blocks are the shared endpoints of
+``diagram._TAILS`` and ``_HEADS``, so no move makes an ``Endpoint``, and
+``_insertion_blocks`` is the one place that says what an insertion puts
+in, in what order and with which signs.  The search keys children from
+``_family_rows``, which makes the same edits on a parent's
+``diagram._rows`` with no check and no move built.  So two codes splice:
+``_edited`` for the one child ``apply_move`` builds, and the walk, which
+joins slices of the parent's rows around each child's blocks, for the many
+children that share a parent's slices.
 """
 
 from __future__ import annotations
@@ -112,7 +74,7 @@ from .diagram import (
     _adjacent,
     _arrangements,
     _assemble,
-    _check_chord_count,
+    _check_int,
     _positions,
     _Record,
     _Table,
@@ -402,8 +364,7 @@ def _rewrite(d: GaussDiagram, move: Move):
     result.
 
     A deletion cuts its chords' ``_cuts``.  An insertion splices in its
-    ``_insertion_blocks``, each (gap, labels, bases), as the shared
-    endpoints read off the labels and bases.  R3 swaps the three
+    ``_insertion_blocks`` as they are.  R3 swaps the three
     ``_movable_arcs`` of its triple's ``_tilings``, read from the holder's
     R3 find when d has a holder, where a triple without an entry is not
     matched.  ``_family_rows`` makes the same edits on the rows,
@@ -432,11 +393,7 @@ def _rewrite(d: GaussDiagram, move: Move):
             raise MoveNotApplicable(f"tails of chords {a} and {b} are not adjacent")
     elif isinstance(move, (R1Insert, R2Insert)):
         _check_insertion(move, d)
-        blocks, add = _insertion_blocks(move._values(), _fresh_labels(d, 2))
-        splices = [
-            (gap, [(_HEADS if base >> 32 else _TAILS)[lab] for lab, base in zip(labels, bases)])
-            for gap, labels, bases in blocks
-        ]
+        splices, add = _insertion_blocks(move._values(), _fresh_labels(d, 2))
     elif isinstance(move, R3):
         t = move.chords
         _check_chords(d, t)
@@ -488,39 +445,40 @@ def _insertion_fields(m: int, added: int):
 
 def _insertion_blocks(fields, fresh) -> tuple:
     """The blocks the insertion with these ``_insertion_fields`` splices
-    in, in the order they go in, each (gap, labels, bases), and the signs of
-    the chords it adds.  R1 adds chord ``fresh[0]``, its head first when
-    the flag is set.  R2 adds x = ``fresh[0]``, signed first_sign, and y =
-    ``fresh[1]``: heads (x, y) at the head gap and tails (x, y) if crossed
-    else (y, x) at the tail gap, the later gap first (a shared gap: heads
-    first, so the tails land before them)."""
+    in, in the order they go in, each (gap, the added chords' shared
+    endpoints in circle order), and the signs of the chords it adds.  R1
+    adds chord ``fresh[0]``, its head first when the flag is set.  R2 adds
+    x = ``fresh[0]``, signed first_sign, and y = ``fresh[1]``: heads (x, y)
+    at the head gap and tails (x, y) if crossed else (y, x) at the tail
+    gap, the later gap first (a shared gap: heads first, so the tails land
+    before them)."""
     if len(fields) == 3:
         gap, sign, head_first = fields
-        lab, negative = fresh[0], int(sign < 0)
-        bases = (1 << 32 | negative, negative) if head_first else (negative, 1 << 32 | negative)
-        return ((gap, (lab, lab), bases),), {lab: sign}
+        lab = fresh[0]
+        ends = (_HEADS[lab], _TAILS[lab]) if head_first else (_TAILS[lab], _HEADS[lab])
+        return ((gap, ends),), {lab: sign}
     head_gap, tail_gap, sign, crossed = fields
     x, y = fresh[0], fresh[1]
-    nx, ny = (0, 1) if sign == 1 else (1, 0)
-    heads = (head_gap, (x, y), (1 << 32 | nx, 1 << 32 | ny))
-    tails = (tail_gap, (x, y), (nx, ny)) if crossed else (tail_gap, (y, x), (ny, nx))
+    heads = (head_gap, (_HEADS[x], _HEADS[y]))
+    tails = (tail_gap, (_TAILS[x], _TAILS[y]) if crossed else (_TAILS[y], _TAILS[x]))
     blocks = (heads, tails) if head_gap >= tail_gap else (tails, heads)
     return blocks, {x: sign, y: -sign}
 
 
 def _insertion_layout(gaps, fresh) -> tuple:
-    """Each variant's ``_insertion_blocks`` at ``gaps``, in the order the
-    child reads them (the order they go in, reversed), which depends only
-    on how the gaps compare: the distinct label blocks, and per variant
-    (variant, the index of its label blocks, its bases blocks).  The walk
-    reads it from ``_LAYOUTS``."""
+    """Each variant's ``_insertion_blocks`` at ``gaps`` as ``diagram._rows``,
+    in the order the child reads them (the order they go in, reversed),
+    which depends only on how the gaps compare: the distinct chords blocks,
+    and per variant (variant, the index of its chords blocks, its bases
+    blocks).  The walk reads it from ``_LAYOUTS``."""
     labels, variants = [], []
     for variant in _VARIANTS:
-        blocks = _insertion_blocks((*gaps, *variant), fresh)[0][::-1]
-        row = [list(block[1]) for block in blocks]
+        blocks, signs = _insertion_blocks((*gaps, *variant), fresh)
+        rows = [_rows(ends, signs) for _, ends in blocks[::-1]]
+        row = [chords for chords, _ in rows]
         if row not in labels:
             labels.append(row)
-        variants.append((variant, labels.index(row), [list(block[2]) for block in blocks]))
+        variants.append((variant, labels.index(row), [bases for _, bases in rows]))
     return labels, variants
 
 
@@ -715,7 +673,7 @@ def census_movable_triples(n: int) -> CensusResult:
     its chords' signs.  n is capped at 5 (967,680
     diagrams, about 1.3 s) to keep the walk at desk scale.
     """
-    _check_chord_count(n)
+    _check_int(n, "chord count")
     if n < 3:
         raise ValueError("census needs at least 3 chords")
     if n > 5:

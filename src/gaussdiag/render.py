@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 
-from .diagram import TAIL, GaussDiagram, _Record
+from .diagram import TAIL, GaussDiagram, _check_int, _Record
 
 ASCII_FORMAT = "ascii"
 SVG_FORMAT = "svg"
@@ -40,8 +40,7 @@ def render(d: GaussDiagram, opts: RenderOptions = RenderOptions()) -> str:
 
 
 def _render_svg(d: GaussDiagram, size: int) -> str:
-    if type(size) is not int:
-        raise ValueError(f"size {size!r} is not an int")
+    _check_int(size, "size")
     if size < 1:
         raise ValueError("size must be positive")
     c = size / 2.0

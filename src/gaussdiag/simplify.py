@@ -5,31 +5,18 @@ enough for diagrams whose simplification never needs R3.  simplify runs a
 best-first search over everything reachable by deletions and R3 (plus
 insertions under a chord cap when enabled), deduplicating states by their
 canonical code string, and returns a minimum-chord-count state with a
-replayable trace.  The search stores each state as its parent's code, the
-chords its move's family adds and the move's fields; the move record is
-built from them, through ``moves._KINDS``, only when it is needed: to
-expand the state, for the final diagram and for the trace.  It expands a
-state one move family at a time, as A* with partial expansion does: one
-priority queue holds both the states and the families still to key, a
-family being a parent's code with the chords it adds: -1 for its R1
-deletions, -2 for its R2 deletions, 0 for its R3s, and 1 and 2 for its R1
-and R2 insertions where they fit under the cap.  The families, their
-order and the class each one's moves are built with come from the table
-of move kinds, ``moves._KINDS``.  A family's moves are found only when it
-pops, by one walk, ``moves._family_rows``: it detects a deletion or R3
-family or generates an insertion family and yields each child's move
-fields and rows, made from the parent's ``diagram._rows``; a child whose
-code is new is stored as those fields, with no move built.  A state an R1
-insertion built pushes no deletion family, since every child of one is
-keyed before it is expanded, and a state an R2 insertion built never keys
-the deletion of the two chords it added: that child is the parent, so
-the walk drops it before making its rows.  Diagrams are built only for
-the states the search expands, and each is held only by the queue
-entries that need it: its own families and its children's states.  The
-final diagram is the best state's one move applied to the diagram its
-entry carries, and the trace is the final state's moves and codes, read
-back to the start; each step's canonical form is spelled from the code
-the search stored for it, not scanned again.
+replayable trace.
+
+The search is A* with partial expansion: one priority queue holds both
+the states and the move families still to key, and a family's moves are
+found only when it pops, by one walk, ``moves._family_rows``, which yields
+each child's move fields and rows with no move built.  The families,
+their order and the class each one's moves are built with come from the
+table of move kinds, ``moves._KINDS``.  A state is stored as its parent's
+code, the chords its move's family adds and the move's fields; a move
+record and a diagram are built only for the states the search expands,
+for the final diagram and for the trace.  ``simplify`` gives the order,
+the families a state skips and why the result stays the same.
 """
 
 from __future__ import annotations
@@ -37,13 +24,14 @@ from __future__ import annotations
 import heapq
 
 from .codec import _canonical_code, _read_canonical_code, serialize_gauss_code
-from .diagram import GaussDiagram, _LABEL_KEYS, _Record, _rows, canonical
+from .diagram import GaussDiagram, _Record, _rows, canonical
 from .moves import (
     MoveNotApplicable,
     R1Delete,
     R2Delete,
     _KINDS,
     _family_rows,
+    _fresh_labels,
     apply_move,
     # not called here; imported so that perfbench/tracing.py can patch it
     enumerate_moves,  # noqa: F401
@@ -134,19 +122,20 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
     None).  A move record is built from these, by the class its row of
     ``moves._KINDS`` names, only to expand the state (``apply_move`` on the
     diagram its entry carries), for the final state's move and for each
-    trace step: at most one per expanded state but the start, one for the
-    final diagram and one per trace step.  An expansion does not key its
-    children: it pushes one family entry per move family onto the queue
-    the states wait in, at the count its children have: its R1 deletions
-    (-1), R2 deletions (-2) and R3s (0), where that count is not negative,
-    and its R1 (1) and R2 (2) insertions, where they fit.  A state's entry
-    is (count, 1, code, the diagram its move applies to), a family's
-    (count, 0, its parent's expansion number, parent's code, chords it
-    adds, parent's diagram, the two chords the parent's own R2 insertion
-    added, in ``label_key`` order, read from the table
-    ``diagram._LABEL_KEYS``, or ()).  The walk drops the deletion of those
-    chords: its child is the state the parent was built from, whose code
-    is keyed.
+    trace step.  An expansion does not key its children: it pushes one
+    family entry per move family onto the queue the states wait in, at the
+    count its children have: its R1 deletions (-1), R2 deletions (-2) and
+    R3s (0), where that count is not negative, and its R1 (1) and R2 (2)
+    insertions, where they fit.  A state's entry is (count, 1, code, the
+    diagram its move applies to), a family's (count, 0, its parent's
+    expansion number, parent's code, chords it adds, parent's diagram,
+    ``undo``).
+    ``undo`` names the two chords the parent's own R2 insertion added, or
+    is ().  The insertion took them as the ``moves._fresh_labels`` of the
+    diagram it applied to: the two least unused positive integers,
+    ascending, which is the ``label_key`` order a walk names a pair in.
+    The walk drops the deletion of those chords: its child is the state
+    the parent was built from, whose code is keyed.
     A state S made by an R1 insertion pushes no deletion family: every
     child of its R1 and R2 deletions is keyed before S is expanded.  By
     induction over the expansion order, say S is Q with the kink k
@@ -226,8 +215,7 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
             if parent is not None:
                 source, state = state, apply_move(state, kinds[added](*fields))
             # an R2 insertion's chords: deleting them gives back the parent
-            undo = (tuple(sorted(state.signs.keys() - source.signs.keys(),
-                                 key=_LABEL_KEYS.__getitem__)) if added == 2 else ())
+            undo = tuple(_fresh_labels(source, 2)) if added == 2 else ()
             explored += 1
             top = max_chords if limits.allow_insertions else count  # the most chords a child has
             least = count if added == 1 else 0  # an R1-made state's deletions are all keyed

@@ -15,28 +15,21 @@ one sign-free kernel ``_tilings``.
 
 An endpoint arrangement of n chords carries 2^n sign maps, and its
 diagrams from ``diagram.enumerate_diagrams`` share one holder, their
-``_sites`` dict.  ``_sign_free`` hands a detector its find: from that
-holder, where the first sign map to ask for a kind of site finds it, or
-found afresh for a diagram that holds none (parsed, rewritten,
-canonical, random or constructed), which keeps nothing.  So the search's
-R3 walk, which calls the detector on its parent and then runs the kernel
-``_tilings`` again on each triple the detector keeps, copies no diagram
-to share a find.  The holder also keeps the rewrites:
-``moves.apply_move`` keys each deletion's or R3's edit there by its cuts
-or arcs, with the child's endpoints and position map, which are sign-free
-too, once the edit's checks pass; ``moves._rewrite`` reads an R3's
-tilings from the holder's R3 find.  A holder never keeps signs.
+``_sites`` dict, so the exhaustive corpus finds each kind of site once
+per arrangement, not once per sign map (``_sign_free``).  Any other
+diagram (parsed, rewritten, canonical, random or constructed) holds none
+and keeps nothing, so the search's R3 walk calls the detector on its
+parent itself and copies no diagram to share a find.  The holder also
+keeps ``moves.apply_move``'s deletion and R3 rewrites, which are
+sign-free too.  A holder never keeps signs.
 
 The R2 pair order and the R3 triple order are ``label_key`` order, read
 from the table ``diagram._LABEL_KEYS``, which grows by one entry per
 label seen.
 
-Every precondition is an adjacency, read one way.  ``_adjacent_pairs`` is
-the one walk over cyclically adjacent endpoint pairs: the R1 find keeps
-the pairs that join one chord, the R2 find and ``_r3_candidates`` the
-pairs of heads.  ``diagram._adjacent`` is the one test on two positions
-read from the diagram's position map, which holds each chord's (tail,
-head) pair.
+Every precondition is an adjacency, read one way: the finds walk
+``_adjacent_pairs``, and a test on two positions is ``diagram._adjacent``
+on the diagram's position map.
 """
 
 from __future__ import annotations

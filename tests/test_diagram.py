@@ -399,6 +399,15 @@ def test_random_diagram_zero_chords():
     assert random_diagram(0, 42) == EMPTY
 
 
+@pytest.mark.parametrize("seed", [None, 2.0, True, "2"])
+def test_seeds_must_be_exact_ints(seed):
+    # random.Random takes each of these: None seeds from the clock, so the
+    # diagram would change from run to run, and 2.0 and True would pass as
+    # the seeds 2 and 1
+    with pytest.raises(ValueError, match=f"^seed {re.escape(repr(seed))} is not an int$"):
+        random_diagram(4, seed)
+
+
 @pytest.mark.parametrize("n", [2.0, True, False, "2", None])
 def test_chord_counts_must_be_exact_ints(n):
     # a float, a bool, a string or None is not read as a chord count, as a

@@ -1,5 +1,6 @@
-"""The package's imports: each module uses every name it imports, and the
-public names are exactly those ``gaussdiag/__init__.py`` imports."""
+"""The package's imports: each module uses every name it imports, the
+public names are exactly those ``gaussdiag/__init__.py`` imports, and the
+command line imports only public names."""
 
 from __future__ import annotations
 
@@ -48,3 +49,12 @@ def test_public_names_are_the_names_init_imports():
     assert len(imported) == len(set(imported))
     assert sorted(gaussdiag.__all__) == sorted(imported)
     assert len(gaussdiag.__all__) == len(set(gaussdiag.__all__))
+
+
+def test_cli_imports_no_private_name():
+    # the command line is a client of the library: what it needs of a
+    # module's private encoding, a public function gives
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    names = [alias.name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+             for alias in node.names]
+    assert [name for name in names if name.startswith("_")] == []
