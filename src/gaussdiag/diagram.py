@@ -20,8 +20,8 @@ sets attributes only in ``_assemble``.
 
 A diagram keeps its position map ``_pos``: each chord's positions as one
 (tail, head) pair, made by ``_positions``, the one pairing of a chord's
-two endpoints; the public constructor first checks that no (chord, role)
-repeats, so every pair it hands that function is whole.  Every
+two endpoints; the public constructor checks first that no (chord, role)
+repeats and then that each chord was paired.  Every
 diagram the library builds, parsed, rewritten, canonical, enumerated or
 random, holds the one shared ``Endpoint`` of each label and role from the
 tables ``_TAILS`` and ``_HEADS``, which grow by one endpoint per distinct
@@ -492,8 +492,7 @@ def _matchings(positions: list) -> Iterator[list]:
 
 def _check_int(value, name: str) -> None:
     """ValueError naming ``value`` as ``name`` unless it is an exact int (no
-    bool, no float): the check on every int argument the library takes (a
-    position, a shift, a chord count, a seed, an SVG size)."""
+    bool, no float): the one check on the int arguments the library takes."""
     if type(value) is not int:
         raise ValueError(f"{name} {value!r} is not an int")
 
