@@ -116,6 +116,13 @@ MUTANTS = (
         "codec",
         "tests/test_codec.py::test_error_location[22]",
     ),
+    Mutant(
+        "codec-any-type", "codec.py",
+        "if not isinstance(text, str):",
+        "if False:",
+        "codec",
+        "tests/test_fuzz.py::test_readers_reject_input_that_is_not_a_str",
+    ),
     # a diagram's position map and shared endpoints
     Mutant(
         "trusted-pair-swapped", "diagram.py",
@@ -144,6 +151,13 @@ MUTANTS = (
         "_TAILS = _Table(lambda label: Endpoint(label, HEAD))",
         "layout",
         "tests/test_acceptance.py::test_triangle_oracle_matches_three_chord_census",
+    ),
+    Mutant(
+        "placed-flips-ignored", "diagram.py",
+        "eps[pair[flip]], eps[pair[1 - flip]] = tail, head",
+        "eps[pair[0]], eps[pair[1]] = tail, head",
+        "layout",
+        "tests/test_diagram.py::test_enumeration_distinct_and_valid",
     ),
     # the scan and canonical code
     Mutant(
@@ -437,8 +451,8 @@ MUTANTS = (
     ),
     Mutant(
         "walk-r2-heads-first", "moves.py",
-        "layouts = [_LAYOUTS[gaps, fresh] for gaps in ((0, 1), (0, 0), (1, 0))]",
-        "layouts = [_LAYOUTS[gaps, fresh] for gaps in ((0, 1), (0, 1), (1, 0))]",
+        "layouts = [_LAYOUTS[gaps, fresh] for gaps in ((0, 1), (0, 0))]",
+        "layouts = [_LAYOUTS[gaps, fresh] for gaps in ((0, 1), (0, 1))]",
         "walk",
         "tests/test_differential.py::test_family_rows_match_oracles",
     ),
@@ -456,7 +470,21 @@ MUTANTS = (
         "walk",
         "tests/test_differential.py::test_search_walks_no_deletion_whose_children_are_not_keyed",
     ),
+    Mutant(
+        "walk-r1-insertion-last-gap", "moves.py",
+        "for (gap,) in _insertion_gaps(m, 1):",
+        "for (gap,) in _insertion_gaps(m - 1, 1):",
+        "walk",
+        "tests/test_move_graph.py::test_exhaustive_searches_end_at_the_graph_minimum",
+    ),
     # the move specs
+    Mutant(
+        "spec-any-type", "moves.py",
+        "if not isinstance(spec, str):",
+        "if False:",
+        "spec",
+        "tests/test_fuzz.py::test_readers_reject_input_that_is_not_a_str",
+    ),
     Mutant(
         "spec-flag-texts-swapped", "moves.py",
         '(("gap", "head gap"), ("gap", "tail gap"), ("sign",), ("flag", "pattern", ("u", "x")))),',

@@ -65,8 +65,11 @@ class ParseError(ValueError):
 
 def parse_gauss_code(text: str) -> GaussDiagram:
     """Parse a Gauss code in one pass; token i becomes endpoint i.  Raises
-    ParseError with the offending token index on any malformed or
-    inconsistent input, in the order the module docstring gives."""
+    ParseError on input that is not a str, and with the offending token
+    index on any malformed or inconsistent text, in the order the module
+    docstring gives."""
+    if not isinstance(text, str):
+        raise ParseError(f"Gauss code {text!r} is not a str")
     # tokens: each token's endpoint table and label; seen: label -> {role: token index}
     tokens, signs, seen = [], {}, {}
     held = None  # the first chord error, raised once every token is read

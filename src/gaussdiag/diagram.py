@@ -497,11 +497,25 @@ def _check_int(value, name: str) -> None:
         raise ValueError(f"{name} {value!r} is not an int")
 
 
+def _placed(pairs, flips, ends) -> tuple:
+    """The endpoints with each chord's (tail, head) from ``ends`` on its
+    position pair (p, q) from ``pairs``: the tail at p and the head at q,
+    the other way round where its flip, 0 or 1, is 1.  The one code that
+    puts endpoints on positions, for ``_arrangements`` and
+    ``random_diagram``; callers look each chord's endpoints up once, not
+    per placement."""
+    eps = [None] * (2 * len(pairs))
+    for pair, (tail, head), flip in zip(pairs, ends, flips):
+        eps[pair[flip]], eps[pair[1 - flip]] = tail, head
+    return tuple(eps)
+
+
 def _arrangements(n: int) -> Iterator[tuple]:
     """Each endpoint arrangement on 2n positions with chords labeled 1..n by
-    first appearance, all perfect matchings x orientations, as (endpoints,
-    sign maps): the 2^n sign maps, + before - chord by chord, one list
-    shared by every arrangement, so callers must not change them."""
+    first appearance, all perfect matchings x orientations, each
+    ``_placed``, as (endpoints, sign maps): the 2^n sign maps, + before -
+    chord by chord, one list shared by every arrangement, so callers must
+    not change them."""
     _check_int(n, "chord count")
     if n < 0:
         raise ValueError("chord count must be nonnegative")
@@ -511,13 +525,8 @@ def _arrangements(n: int) -> Iterator[tuple]:
     ends = [(_TAILS[lab], _HEADS[lab]) for lab in labels]
     sign_maps = [dict(zip(labels, signs)) for signs in itertools.product((1, -1), repeat=n)]
     for matching in _matchings(list(range(2 * n))):
-        for tails in itertools.product((0, 1), repeat=n):
-            eps = [None] * (2 * n)
-            for (p, q), (tail, head), t in zip(matching, ends, tails):
-                tp, hp = (p, q) if t == 0 else (q, p)
-                eps[tp] = tail
-                eps[hp] = head
-            yield tuple(eps), sign_maps
+        for flips in itertools.product((0, 1), repeat=n):
+            yield _placed(matching, flips, ends), sign_maps
 
 
 def enumerate_diagrams(n: int) -> Iterator[GaussDiagram]:
@@ -542,7 +551,8 @@ def random_diagram(n: int, seed: int) -> GaussDiagram:
     platforms and versions for the methods used here.  The matching is built
     by repeatedly pairing the least unmatched position with a uniformly
     chosen partner, which is uniform over perfect matchings; orientation and
-    sign are fair independent coin flips per chord.
+    sign are fair independent coin flips per chord, drawn in that order
+    chord by chord, and the chords are ``_placed`` on their pairs.
     """
     _check_int(n, "chord count")
     if n < 0:
@@ -555,12 +565,8 @@ def random_diagram(n: int, seed: int) -> GaussDiagram:
         first = unmatched.pop(0)
         partner = unmatched.pop(rng.randrange(len(unmatched)))
         pairs.append((first, partner))
-    eps = [None] * (2 * n)
-    signs = {}
-    for k, (p, q) in enumerate(pairs):
-        lab = str(k + 1)
-        tp, hp = (p, q) if rng.randrange(2) == 0 else (q, p)
-        eps[tp] = _TAILS[lab]
-        eps[hp] = _HEADS[lab]
-        signs[lab] = 1 if rng.randrange(2) == 0 else -1
-    return _trusted(eps, signs)
+    flips, signs = [], {}
+    for k in range(n):
+        flips.append(rng.randrange(2))
+        signs[str(k + 1)] = 1 if rng.randrange(2) == 0 else -1
+    return _trusted(_placed(pairs, flips, [(_TAILS[lab], _HEADS[lab]) for lab in signs]), signs)

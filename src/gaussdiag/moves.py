@@ -468,9 +468,10 @@ def _insertion_blocks(fields, fresh) -> tuple:
 def _insertion_layout(gaps, fresh) -> tuple:
     """Each variant's ``_insertion_blocks`` at ``gaps`` as ``diagram._rows``,
     in the order the child reads them (the order they go in, reversed),
-    which depends only on how the gaps compare: the distinct chords blocks,
-    and per variant (variant, the index of its chords blocks, its bases
-    blocks).  The walk reads it from ``_LAYOUTS``."""
+    which for R2 depends only on whether the head gap is before the tail
+    gap, so the walk samples it at gaps (0, 1) and (0, 0): the distinct
+    chords blocks, and per variant (variant, the index of its chords
+    blocks, its bases blocks).  The walk reads it from ``_LAYOUTS``."""
     labels, variants = [], []
     for variant in _VARIANTS:
         blocks, signs = _insertion_blocks((*gaps, *variant), fresh)
@@ -506,12 +507,13 @@ def _insertion_rows(d: GaussDiagram, change: int):
             for variant, i, (block,) in variants:
                 yield (gap, *variant), rows[i], left + block + right
         return
-    # the child reads its two blocks in one of three orders: the head gap
-    # before, at or after the tail gap
-    layouts = [_LAYOUTS[gaps, fresh] for gaps in ((0, 1), (0, 0), (1, 0))]
+    # the child reads its two blocks in one of two orders: heads first when
+    # the head gap is before the tail gap, else tails first, since
+    # _insertion_blocks orders a later head gap's blocks as a shared gap's
+    layouts = [_LAYOUTS[gaps, fresh] for gaps in ((0, 1), (0, 0))]
     for head_gap, tail_gap in _insertion_gaps(m, 2):
         lo, hi = (head_gap, tail_gap) if head_gap < tail_gap else (tail_gap, head_gap)
-        labels, variants = layouts[(head_gap >= tail_gap) + (head_gap > tail_gap)]
+        labels, variants = layouts[head_gap >= tail_gap]
         c0, c1, c2 = chords[:lo], chords[lo:hi], chords[hi:]
         b0, b1, b2 = bases[:lo], bases[lo:hi], bases[hi:]
         rows = [c0 + x + c1 + y + c2 for x, y in labels]
@@ -608,9 +610,11 @@ def _read_field(form, text: str, spec: str, needs: str):
 
 def parse_move(spec: str) -> Move:
     """Inverse of format_move: the first of ``_KINDS`` whose prefix the spec
-    starts with, then its fields in order.  Errors name a wrong field
-    count, the malformed field, and a well-formed spec's invalid chord
-    label."""
+    starts with, then its fields in order.  Errors name a spec that is not
+    a str, a wrong field count, the malformed field, and a well-formed
+    spec's invalid chord label."""
+    if not isinstance(spec, str):
+        raise ValueError(f"move spec {spec!r} is not a str")
     parts = spec.strip().split(":")
     for kind in _KINDS:
         head = kind.prefix.split(":")

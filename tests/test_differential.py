@@ -27,9 +27,10 @@ exhaustive n <= 4 corpus and the 1000 seeded diagrams; n counts chords.
   and R3 family with n = 4 (``test_family_rows_match_oracles``).  The
   tables the walk and the sites read, kept for the process, against the
   layouts ``_insertion_layout`` makes afresh and against ``label_key``:
-  every layout the n <= 3 insertion searches read, and every label of
-  both corpora with ties and labels that are not numbers
-  (``test_layout_table_*``, ``test_label_key_table_*``).
+  every layout the n <= 3 insertion searches read, of which there are
+  none at a head gap after its tail gap, and every label of both corpora
+  with ties and labels that are not numbers (``test_layout_table_*``,
+  ``test_label_key_table_*``).
 - Shared sites and rewrites: each enumerated diagram's moves and deletion
   and R3 walks, read through the sign-free sites its arrangement shares,
   and its ``apply_move`` results and errors for every move any sign map of
@@ -988,8 +989,8 @@ def test_family_rows_match_oracles(exhaustive_corpus, random_corpus):
 
 
 # the sample gaps of every insertion layout: R1's one gap, and R2's head gap
-# before, at and after its tail gap
-LAYOUT_GAPS = ((0,), (0, 1), (0, 0), (1, 0))
+# before its tail gap, and at it, which serves a head gap after it too
+LAYOUT_GAPS = ((0,), (0, 1), (0, 0))
 
 
 def test_layout_table_matches_fresh_layouts(exhaustive_corpus, monkeypatch):
@@ -1015,7 +1016,10 @@ def test_layout_table_matches_fresh_layouts(exhaustive_corpus, monkeypatch):
     for fresh in used:
         for gaps in LAYOUT_GAPS:
             assert _LAYOUTS[gaps, fresh] == _insertion_layout(gaps, fresh), (gaps, fresh)
-    # every layout is kept under its sample gaps and both fresh labels
+        # a head gap after its tail gap reads the blocks as a shared gap does
+        assert _insertion_layout((1, 0), fresh) == _insertion_layout((0, 0), fresh), fresh
+    # every layout is kept under its sample gaps and both fresh labels: no
+    # search keys one at a head gap after its tail gap
     assert all(len(key) == 2 and key[0] in LAYOUT_GAPS and len(key[1]) == 2 for key in _LAYOUTS)
     for (gaps, fresh), layout in _LAYOUTS.items():
         assert layout == _insertion_layout(gaps, fresh), (gaps, fresh)

@@ -169,6 +169,19 @@ def test_parse_move_raises_only_value_error(spec):
             assert parse_move(kind + ":" + ",".join(chords)) == move, chords
 
 
+@pytest.mark.parametrize("value", [None, b"O1+U1+", 5, ["r1:del:1"]])
+def test_readers_reject_input_that_is_not_a_str(value):
+    # both readers are trust boundaries: input of another type is an error
+    # of the reader's own class, naming the input, not a TypeError or an
+    # AttributeError from inside
+    with pytest.raises(ParseError) as caught:
+        parse_gauss_code(value)
+    assert str(caught.value) == f"Gauss code {value!r} is not a str"
+    with pytest.raises(ValueError) as caught:
+        parse_move(value)
+    assert str(caught.value) == f"move spec {value!r} is not a str"
+
+
 @pytest.mark.parametrize("command", COMMAND_LINES)
 # a draw of random --chords at the cap builds 10,000 chords (about 0.1 s)
 @settings(deadline=None)
