@@ -277,8 +277,8 @@ MUTANTS = (
     ),
     Mutant(
         "sites-across-arrangements", "diagram.py",
-        "pos, sites = _positions(eps), {}",
-        'pos, sites = _positions(eps), enumerate_diagrams.__dict__.setdefault("s", {})',
+        "for pos, sites in [(_positions(eps), {})]",
+        'for pos, sites in [(_positions(eps), enumerate_diagrams.__dict__.setdefault("s", {}))]',
         "sites",
         "tests/test_differential.py::test_r1_chords_and_deletion_match_oracle",
     ),
@@ -443,9 +443,8 @@ MUTANTS = (
     ),
     Mutant(
         "walk-r1-blocks-swapped", "moves.py",
-        "for variant, i, (block,) in variants:",
-        "for (variant, i, _), (_, _, (block,)) in zip(variants, [variants[1], variants[0], "
-        "*variants[2:]]):",
+        "for variant, (x,), (u,) in layout:",
+        "for (variant, (x,), _), (_, _, (u,)) in zip(layout, [layout[1], layout[0], *layout[2:]]):",
         "walk",
         "tests/test_differential.py::test_trace_forms_match_a_canonical_replay",
     ),
@@ -457,9 +456,17 @@ MUTANTS = (
         "tests/test_differential.py::test_family_rows_match_oracles",
     ),
     Mutant(
+        "walk-r2-first-chords-blocks", "moves.py",
+        "for variant, (x, y), (u, v) in layouts[head_gap >= tail_gap]:",
+        "for (variant, _, (u, v)), (x, y) in zip(layouts[head_gap >= tail_gap], "
+        "itertools.repeat(layouts[head_gap >= tail_gap][0][1])):",
+        "walk",
+        "tests/test_differential.py::test_family_rows_match_oracles",
+    ),
+    Mutant(
         "walk-layout-key-no-fresh", "moves.py",
-        "labels, variants = _LAYOUTS[(0,), fresh]",
-        "labels, variants = _LAYOUTS.setdefault((0,), _insertion_layout((0,), fresh))",
+        "layout = _LAYOUTS[(0,), fresh]",
+        "layout = _LAYOUTS.setdefault((0,), _insertion_layout((0,), fresh))",
         "walk",
         "tests/test_differential.py::test_layout_table_matches_fresh_layouts",
     ),

@@ -515,7 +515,8 @@ def _arrangements(n: int) -> Iterator[tuple]:
     first appearance, all perfect matchings x orientations, each
     ``_placed``, as (endpoints, sign maps): the 2^n sign maps, + before -
     chord by chord, one list shared by every arrangement, so callers must
-    not change them."""
+    not change them.  n is checked at the call, before the iterator is
+    returned."""
     _check_int(n, "chord count")
     if n < 0:
         raise ValueError("chord count must be nonnegative")
@@ -524,9 +525,9 @@ def _arrangements(n: int) -> Iterator[tuple]:
     labels = [str(i + 1) for i in range(n)]
     ends = [(_TAILS[lab], _HEADS[lab]) for lab in labels]
     sign_maps = [dict(zip(labels, signs)) for signs in itertools.product((1, -1), repeat=n)]
-    for matching in _matchings(list(range(2 * n))):
-        for flips in itertools.product((0, 1), repeat=n):
-            yield _placed(matching, flips, ends), sign_maps
+    return ((_placed(matching, flips, ends), sign_maps)
+            for matching in _matchings(list(range(2 * n)))
+            for flips in itertools.product((0, 1), repeat=n))
 
 
 def enumerate_diagrams(n: int) -> Iterator[GaussDiagram]:
@@ -537,11 +538,12 @@ def enumerate_diagrams(n: int) -> Iterator[GaussDiagram]:
     An arrangement's diagrams share its endpoints, one position map and
     one holder of sign-free move sites and rewrites, which the first of
     them asked for a kind of site or a rewrite fills; each views its
-    shared sign map without a copy."""
-    for eps, sign_maps in _arrangements(n):
-        pos, sites = _positions(eps), {}
-        for signs in sign_maps:
-            yield _assemble(object.__new__(GaussDiagram), eps, MappingProxyType(signs), pos, sites)
+    shared sign map without a copy.  n is checked at the call, as
+    ``_arrangements`` does."""
+    return (_assemble(object.__new__(GaussDiagram), eps, MappingProxyType(signs), pos, sites)
+            for eps, sign_maps in _arrangements(n)  # evaluated, and n checked, at the call
+            for pos, sites in [(_positions(eps), {})]
+            for signs in sign_maps)
 
 
 def random_diagram(n: int, seed: int) -> GaussDiagram:

@@ -419,8 +419,8 @@ def enumerate_moves(d: GaussDiagram, include_insertions: bool = False) -> list:
     moves += [R2Delete(pair) for pair in r2_removable_pairs(d)]
     moves += [R3(t) for t in r3_movable_triples(d)]
     if include_insertions:
-        moves += [kind.move(*fields) for kind in _KINDS if kind.change > 0
-                  for fields in _insertion_fields(len(d.endpoints), kind.change)]
+        moves += [kind.move(*gaps, *variant) for kind in _KINDS if kind.change > 0
+                  for gaps in _insertion_gaps(2 * d.n, kind.change) for variant in _VARIANTS]
     return moves
 
 
@@ -435,23 +435,15 @@ def _insertion_gaps(m: int, added: int):
     return itertools.product(range(max(1, m)), repeat=added)
 
 
-def _insertion_fields(m: int, added: int):
-    """The fields of every insertion that adds ``added`` chords (1: an
-    R1Insert, 2: an R2Insert) to a diagram with m endpoints, in
-    ``enumerate_moves`` order: the ``_insertion_gaps``, then the
-    ``_VARIANTS``."""
-    return ((*gaps, *variant) for gaps in _insertion_gaps(m, added) for variant in _VARIANTS)
-
-
 def _insertion_blocks(fields, fresh) -> tuple:
-    """The blocks the insertion with these ``_insertion_fields`` splices
-    in, in the order they go in, each (gap, the added chords' shared
-    endpoints in circle order), and the signs of the chords it adds.  R1
-    adds chord ``fresh[0]``, its head first when the flag is set.  R2 adds
-    x = ``fresh[0]``, signed first_sign, and y = ``fresh[1]``: heads (x, y)
-    at the head gap and tails (x, y) if crossed else (y, x) at the tail
-    gap, the later gap first (a shared gap: heads first, so the tails land
-    before them)."""
+    """The blocks the insertion with these fields (its gaps, then its
+    variant) splices in, in the order they go in, each (gap, the added
+    chords' shared endpoints in circle order), and the signs of the chords
+    it adds.  R1 adds chord ``fresh[0]``, its head first when the flag is
+    set.  R2 adds x = ``fresh[0]``, signed first_sign, and y =
+    ``fresh[1]``: heads (x, y) at the head gap and tails (x, y) if crossed
+    else (y, x) at the tail gap, the later gap first (a shared gap: heads
+    first, so the tails land before them)."""
     if len(fields) == 3:
         gap, sign, head_first = fields
         lab = fresh[0]
@@ -465,22 +457,19 @@ def _insertion_blocks(fields, fresh) -> tuple:
     return blocks, {x: sign, y: -sign}
 
 
-def _insertion_layout(gaps, fresh) -> tuple:
+def _insertion_layout(gaps, fresh) -> list:
     """Each variant's ``_insertion_blocks`` at ``gaps`` as ``diagram._rows``,
     in the order the child reads them (the order they go in, reversed),
     which for R2 depends only on whether the head gap is before the tail
-    gap, so the walk samples it at gaps (0, 1) and (0, 0): the distinct
-    chords blocks, and per variant (variant, the index of its chords
-    blocks, its bases blocks).  The walk reads it from ``_LAYOUTS``."""
-    labels, variants = [], []
+    gap, so the walk samples it at gaps (0, 1) and (0, 0): per variant
+    (variant, its chords blocks, its bases blocks).  The walk reads it
+    from ``_LAYOUTS``."""
+    layout = []
     for variant in _VARIANTS:
         blocks, signs = _insertion_blocks((*gaps, *variant), fresh)
         rows = [_rows(ends, signs) for _, ends in blocks[::-1]]
-        row = [chords for chords, _ in rows]
-        if row not in labels:
-            labels.append(row)
-        variants.append((variant, labels.index(row), [bases for _, bases in rows]))
-    return labels, variants
+        layout.append((variant, [chords for chords, _ in rows], [bases for _, bases in rows]))
+    return layout
 
 
 # (sample gaps, fresh labels) -> their _insertion_layout, made on first use
@@ -491,21 +480,19 @@ _LAYOUTS = _Table(lambda key: _insertion_layout(*key))
 def _insertion_rows(d: GaussDiagram, change: int):
     """Each insertion of d that adds ``change`` chords, as ``_family_rows``
     yields it: each child's rows are the slices of d's rows around its
-    blocks, joined.  The slices and the chords rows are made once per gap
-    (R1) or (head gap, tail gap) pair (R2), a chords row once per distinct
-    label block, and each variant's blocks once per process by
+    blocks, joined.  The slices are made once per gap (R1) or (head gap,
+    tail gap) pair (R2), and each variant's blocks once per process by
     ``_insertion_layout``, kept in ``_LAYOUTS`` by the sample gaps and
-    the fresh labels.  Children of one gap share their chords row."""
+    the fresh labels."""
     fresh = tuple(_fresh_labels(d, 2))
     chords, bases = _rows(d.endpoints, d.signs)
     m = len(chords)
     if change == 1:
-        labels, variants = _LAYOUTS[(0,), fresh]
+        layout = _LAYOUTS[(0,), fresh]
         for (gap,) in _insertion_gaps(m, 1):
-            rows = [chords[:gap] + block + chords[gap:] for (block,) in labels]
-            left, right = bases[:gap], bases[gap:]
-            for variant, i, (block,) in variants:
-                yield (gap, *variant), rows[i], left + block + right
+            c0, c1, b0, b1 = chords[:gap], chords[gap:], bases[:gap], bases[gap:]
+            for variant, (x,), (u,) in layout:
+                yield (gap, *variant), c0 + x + c1, b0 + u + b1
         return
     # the child reads its two blocks in one of two orders: heads first when
     # the head gap is before the tail gap, else tails first, since
@@ -513,12 +500,10 @@ def _insertion_rows(d: GaussDiagram, change: int):
     layouts = [_LAYOUTS[gaps, fresh] for gaps in ((0, 1), (0, 0))]
     for head_gap, tail_gap in _insertion_gaps(m, 2):
         lo, hi = (head_gap, tail_gap) if head_gap < tail_gap else (tail_gap, head_gap)
-        labels, variants = layouts[head_gap >= tail_gap]
         c0, c1, c2 = chords[:lo], chords[lo:hi], chords[hi:]
         b0, b1, b2 = bases[:lo], bases[lo:hi], bases[hi:]
-        rows = [c0 + x + c1 + y + c2 for x, y in labels]
-        for variant, i, (x, y) in variants:
-            yield (head_gap, tail_gap, *variant), rows[i], b0 + x + b1 + y + b2
+        for variant, (x, y), (u, v) in layouts[head_gap >= tail_gap]:
+            yield (head_gap, tail_gap, *variant), c0 + x + c1 + y + c2, b0 + u + b1 + v + b2
 
 
 def _family_rows(d: GaussDiagram, change: int, undo: tuple = ()):

@@ -417,3 +417,15 @@ def test_chord_counts_must_be_exact_ints(n):
         random_diagram(n, 1)
     with pytest.raises(ValueError, match=message):
         list(enumerate_diagrams(n))
+
+
+@pytest.mark.parametrize("n", [-1, 2.0, True, "2", None])
+def test_enumerate_diagrams_checks_its_chord_count_at_the_call(n):
+    # as random_diagram and census_movable_triples do: a bad chord count
+    # raises when enumerate_diagrams is called, not at the first next()
+    if n == -1:
+        message = "^chord count must be nonnegative$"
+    else:
+        message = f"^chord count {re.escape(repr(n))} is not an int$"
+    with pytest.raises(ValueError, match=message):
+        enumerate_diagrams(n)
