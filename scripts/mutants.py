@@ -515,9 +515,9 @@ MUTANTS = (
     ),
     # the census
     Mutant(
-        "census-heads-arc-start", "moves.py",
-        "m, h = len(endpoints), arcs[0][0]",
-        "m, h = len(endpoints), 0",
+        "census-class-size", "moves.py",
+        "return CensusResult(n, total, matched, movable, movable // (2 * n))",
+        "return CensusResult(n, total, matched, movable, movable // n)",
         "census",
         "tests/test_acceptance.py::test_criterion_5_theorem_census",
     ),

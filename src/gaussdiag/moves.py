@@ -63,11 +63,9 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 from collections.abc import Mapping
-from operator import itemgetter
 from types import MappingProxyType
 
 from .diagram import (
-    HEAD,
     GaussDiagram,
     _HEADS,
     _TAILS,
@@ -623,25 +621,6 @@ class CensusResult(_Record):
         super().__init__(chords, total, matched, movable, movable_up_to_rotation)
 
 
-def _heads_arc_key(endpoints, arcs) -> tuple:
-    """The sign-free part of the orbit key of a configuration with these
-    endpoints and tiling ``arcs``, and a reader of its signs in key order.
-
-    The diagram is read from the start h of the tiling's one heads arc,
-    each endpoint as ``number << 1 | head`` with its chord numbered by
-    first appearance from h, then the tails and mixed arcs' starts less h
-    (mod 2n).  A rotation carries the heads arc along with the diagram, so
-    every configuration of an orbit reads the same, and the reading gives
-    back the diagram rotated to h up to labels, and its tiling.  So two
-    configurations share ``key + read(signs)`` iff they share an orbit.
-    """
-    m, h = len(endpoints), arcs[0][0]
-    numbers = {}
-    key = [numbers.setdefault(ep.chord, len(numbers) + 1) << 1 | (ep.role == HEAD)
-           for ep in endpoints[h:] + endpoints[:h]]
-    return (*key, *[(start - h) % m for start, _ in arcs[1:]]), itemgetter(*numbers)
-
-
 def census_movable_triples(n: int) -> CensusResult:
     """Exhaustive triple-configuration census over every n-chord diagram.
 
@@ -649,18 +628,21 @@ def census_movable_triples(n: int) -> CensusResult:
     triple contributes one configuration per qualifying tiling (two only
     when the triple's endpoints fill the whole circle).  Counts matched
     configurations, movable ones (all three 3-signs equal), and the
-    movable configurations up to rotation of the underlying diagram, as
-    distinct ``_heads_arc_key`` orbit keys.
+    movable configurations up to rotation of the underlying diagram.
+
+    The 2n rotations act freely on configurations: a configuration has
+    exactly one heads arc, and a rotation other than the identity moves
+    it.  So every class holds 2n configurations, and there are
+    movable / 2n of them.
 
     The (2n-1)!! * 4^n diagrams are walked as the (2n-1)!! * 2^n endpoint
     ``diagram._arrangements`` times their 2^n sign maps.  The matched
     triples with their tilings and each chord's factor parity * direction
-    (``_r3_sites``) and the sign-free part of each tiling's key depend on
-    the endpoints only, so each arrangement is analysed once, and a 3-sign
-    is the chord's sign times its factor.  A sign map then makes a tiling
-    movable iff the three signed factors agree, and keys it by appending
-    its chords' signs.  n is capped at 5 (967,680
-    diagrams, about 1.3 s) to keep the walk at desk scale.
+    (``_r3_sites``) depend on the endpoints only, so each arrangement is
+    analysed once, and a 3-sign is the chord's sign times its factor.  A
+    sign map then makes a tiling movable iff the three signed factors
+    agree.  n is capped at 5 (967,680 diagrams, about 0.55 s) to keep the
+    walk at desk scale.
     """
     _check_int(n, "chord count")
     if n < 3:
@@ -668,22 +650,14 @@ def census_movable_triples(n: int) -> CensusResult:
     if n > 5:
         raise ValueError("census is capped at 5 chords")
     total = matched = movable = 0
-    movable_orbits = set()
     for endpoints, sign_maps in _arrangements(n):
         total += len(sign_maps)
-        # each tiling's sign-free key, its sign reader, its chords and their
-        # factors, from the arrangement's R3 sites
-        tilings = [
-            (*_heads_arc_key(endpoints, arcs), labels, factors)
-            for labels, found in _r3_sites(_trusted(endpoints, sign_maps[0])).items()
-            for arcs, _, factors in found
-        ]
-        if not tilings:
-            continue
+        # each tiling's chords and their factors, from the arrangement's R3 sites
+        sites = _r3_sites(_trusted(endpoints, sign_maps[0]))
+        tilings = [(labels, factors) for labels, found in sites.items() for _, _, factors in found]
         matched += len(tilings) * len(sign_maps)
         for signs in sign_maps:
-            for key, read, (a, b, c), (fa, fb, fc) in tilings:
+            for (a, b, c), (fa, fb, fc) in tilings:
                 if signs[a] * fa == signs[b] * fb == signs[c] * fc:
                     movable += 1
-                    movable_orbits.add(key + read(signs))
-    return CensusResult(n, total, matched, movable, len(movable_orbits))
+    return CensusResult(n, total, matched, movable, movable // (2 * n))

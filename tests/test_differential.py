@@ -46,7 +46,7 @@ exhaustive n <= 4 corpus and the 1000 seeded diagrams; n counts chords.
 - Census: ``oracle_census``, every triple of every
   ``oracle_enumerate_diagrams`` diagram keyed by
   ``oracle_configuration_orbit_key``; n = 3 and 4
-  (``test_enumerate_diagrams_*``, ``test_census_*``, ``test_heads_arc_*``).
+  (``test_enumerate_diagrams_*``, ``test_census_*``).
 - Search: ``oracle_simplify``, which builds and keys every child; every
   diagram with n <= 3, with insertions at caps leaving room 0 to 2 with
   n <= 2, 100 seeded 5- to 10-chord diagrams, and 1 to 13 expansions on
@@ -127,7 +127,6 @@ from gaussdiag.moves import (
     _LAYOUTS,
     _family_rows,
     _fresh_labels,
-    _heads_arc_key,
     _insertion_layout,
     _qualifying_tilings,
 )
@@ -1131,22 +1130,6 @@ def test_enumerate_diagrams_matches_oracle():
 @pytest.mark.parametrize("n", [3, 4])
 def test_census_matches_oracle(n):
     assert census_movable_triples(n) == oracle_census(n)
-
-
-def test_heads_arc_keys_partition_configurations_like_the_oracle():
-    # two movable configurations share the census key iff they share the
-    # oracle's key, minimised over every rotation: the pairs of keys that
-    # occur are a bijection between the two key sets
-    for n in (3, 4):
-        pairs = set()
-        for d in enumerate_diagrams(n):
-            for triple in itertools.combinations(d.chords(), 3):
-                for arcs, _numbers, movable in _qualifying_tilings(d, triple):
-                    if movable:
-                        key, read = _heads_arc_key(d.endpoints, arcs)
-                        pairs.add((key + read(d.signs), oracle_configuration_orbit_key(d, arcs)))
-        keys, oracle_keys = zip(*pairs)
-        assert len(set(keys)) == len(set(oracle_keys)) == len(pairs)
 
 
 def _search_outcome(result: SimplifyResult):

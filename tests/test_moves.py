@@ -530,8 +530,8 @@ def test_numerically_equal_labels_have_one_order():
 # -------------------------------------------------------------------- census
 
 
-# movable == 2n * movable_up_to_rotation in every pin: a rotation that fixes
-# a configuration fixes its single heads arc, so it is the identity
+# movable == 2n * movable_up_to_rotation in every pin, by construction: the
+# census docstring shows that every rotation class holds 2n configurations
 
 
 def test_census_three_chords():
@@ -553,8 +553,8 @@ def test_census_four_chords():
 
 
 def test_census_five_chords():
-    # the README's figures; the only check of the census key at five
-    # chords, where the oracle's rotation-minimised key is too slow to run
+    # the README's figures; the only check of the census at five chords,
+    # where the oracle's rotation-minimised count is too slow to run
     res = census_movable_triples(5)
     assert res.chords == 5
     assert res.total == 967_680

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -122,3 +123,27 @@ def test_mutant_killers_name_existing_tests():
     collected = [line for line in proc.stdout.splitlines() if "::" in line]
     for killer in killers:
         assert any(node == killer or node.startswith(killer + "[") for node in collected), killer
+
+
+def test_readme_counts_match_the_suite_and_the_mutant_table():
+    # the README states the tier-1 test count and the mutant count; the
+    # first is what pytest collects from the repository root, this test
+    # included, and the second is the length of the mutant table
+    readme = (ROOT / "README.md").read_text()
+    tests = re.search(r"tier-1 suite holds (\d+) tests", readme)
+    mutants = re.search(r"(\d+) one-line mutants", readme)
+    killed = re.search(r"Tier-1 kills all (\d+)\.", readme)
+    assert tests and mutants and killed
+    assert int(mutants[1]) == int(killed[1]) == len(_mutants().MUTANTS)
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "--collect-only", "-q", "-p", "no:cacheprovider",
+         "--continue-on-collection-errors"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        env=_env(),
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    collected = [line for line in proc.stdout.splitlines() if "::" in line]
+    assert int(tests[1]) == len(collected)
