@@ -10,8 +10,8 @@ layers are the Gauss-code reader, a diagram's position map and shared
 endpoints, the scan and canonical code (spelled and read back), move
 detection, the sign-free move sites and rewrites an endpoint
 arrangement's diagrams share, the R3 triple kernel, the rewrite, the
-search's walk over a move family, the move specs, the census, the search
-and the value types' record base.
+search's walk over a move family, the move specs, the census, the search,
+the value types' record base and the command line's output path.
 
 For each mutant the runner copies ``src/`` to a temporary directory,
 applies the mutant there and runs pytest from the repository root, with
@@ -28,12 +28,10 @@ new killer in the row), or ``survived``, and exits 1 if any mutant
 survived.  The one tier-1 test that fails by design, criterion 6, is
 deselected, since under ``-x`` it would kill every mutant.  Two tests
 are timed (criterion 7 within 10 s, the 3,000-chord chain's scan within
-1 s), and on a loaded machine they can fail on their own.  So a kill by
-a ``TIMED`` test or by the 1,800 s timeout counts only for a mutant its
-row marks as caught by time (``timed``).  Any other mutant so killed is
-judged again with the timed tests deselected, its killer first unless
-the killer is timed, and is killed only if something else fails
-(printed ``untimed``).
+1 s), and on a loaded machine they can fail on their own.  So only a
+mutant its row marks as caught by time (``timed``) faces the ``TIMED``
+tests; every other mutant is judged, in one pass, with them deselected.
+A mutant that hangs the suite past the 1,800 s timeout counts as killed.
 
     python scripts/mutants.py                    # every mutant, whole suite
     python scripts/mutants.py witness-first      # only the named mutants
@@ -55,14 +53,14 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parents[1]
 LAYERS = (
     "codec", "layout", "scan", "detection", "sites", "kernel", "rewrite", "walk", "spec", "census",
-    "search", "values",
+    "search", "values", "cli",
 )
 KNOWN_FAILURE = "tests/test_acceptance.py::test_criterion_6_rearrangement_preserves_structure"
 TIMEOUT = 1800  # seconds per mutant; a mutant that hangs the suite counts as killed
 
 
-# the tests that fail on time: a kill by one of them, or by the timeout,
-# may be the machine's load and not the mutant
+# the tests that fail on time: a kill by one of them may be the machine's
+# load and not the mutant, so only a timed mutant faces them
 TIMED = (
     "tests/test_acceptance.py::test_criterion_7_move_invariance_suite",
     "tests/test_differential.py::test_least_rotations_stop_at_the_first_tie",
@@ -628,6 +626,36 @@ MUTANTS = (
         "values",
         "tests/test_diagram.py::test_records_that_only_store_keep_each_argument_in_its_field[Endpoint]",
     ),
+    # the command line's output path: main prints each subcommand's report,
+    # wraps it under --json and sets the exit code
+    Mutant(
+        "cli-not-applicable-exits-1", "cli.py",
+        "return 2 if isinstance(exc, MoveNotApplicable) else 1",
+        "return 1",
+        "cli",
+        "tests/test_cli.py::test_apply_not_applicable_exits_2",
+    ),
+    Mutant(
+        "cli-success-envelope-not-ok", "cli.py",
+        "_emit_json(True, report, None)",
+        "_emit_json(False, report, None)",
+        "cli",
+        "tests/test_cli.py::test_moves_json",
+    ),
+    Mutant(
+        "cli-first-line-only", "cli.py",
+        "for line in report:",
+        "for line in report[:1]:",
+        "cli",
+        "tests/test_cli.py::test_census_output",
+    ),
+    Mutant(
+        "cli-insertion-cap-lifted", "cli.py",
+        "if args.insertions and d.n > _MAX_INSERTION_CHORDS:",
+        "if False:",
+        "cli",
+        "tests/test_cli.py::test_moves_insertions_above_cap_exits_1",
+    ),
 )
 
 
@@ -683,29 +711,18 @@ def run(mutant: Mutant, tests, deselect=()) -> tuple:
     return proc.returncode, (proc.stdout.strip().splitlines() or [f"exit status {proc.returncode}"])[-1]
 
 
-def attempt(mutant: Mutant, tests, deselect=()) -> tuple:
-    """(pytest's exit status or None, by, the run that ended it: ``killer``
-    or ``suite``): the mutant's killer alone first, unless ``tests`` are
-    given or the killer is deselected, then the tests (default: tier-1)."""
-    if not tests and mutant.killer not in deselect:
+def judge(mutant: Mutant, tests) -> tuple:
+    """(killed, by, the run that killed: ``killer`` or ``suite``), in one
+    pass with the ``TIMED`` tests deselected unless the mutant is meant to
+    be caught by time: its killer alone first, unless ``tests`` are given,
+    then the tests (default: tier-1)."""
+    deselect = () if mutant.timed else TIMED
+    if not tests:
         status, by = run(mutant, [mutant.killer], deselect)
         if status is None or by.startswith(("FAILED ", "ERROR ")):
-            return status, by, "killer"
+            return True, by, "killer"
     status, by = run(mutant, tests, deselect)
-    return status, by, "suite"
-
-
-def judge(mutant: Mutant, tests) -> tuple:
-    """(killed, by, the run that killed: ``killer``, ``suite`` or
-    ``untimed``).  A kill by the timeout or a ``TIMED`` test counts only
-    for a mutant meant to be caught by time; any other is attempted again
-    with the timed tests deselected."""
-    status, by, where = attempt(mutant, tests)
-    on_time = status is None or by.split(" - ")[0].split(" ")[-1] in TIMED
-    if status != 0 and on_time and not mutant.timed:
-        status, by, _ = attempt(mutant, tests, TIMED)
-        where = "untimed"
-    return status != 0, (by if status != 0 else ""), where
+    return status != 0, (by if status != 0 else ""), "suite"
 
 
 def main(argv=None) -> int:
@@ -728,7 +745,7 @@ def main(argv=None) -> int:
         survivors += not killed
         verdict = "killed" if killed else "survived"
         seconds = time.perf_counter() - start
-        print(f"{mutant.name:<30} {mutant.layer:<9} {verdict:<8} {where:<7} {seconds:6.1f} s  {by}",
+        print(f"{mutant.name:<30} {mutant.layer:<9} {verdict:<8} {where:<6} {seconds:6.1f} s  {by}",
               flush=True)
     seconds = time.perf_counter() - total
     print(f"{len(chosen) - survivors} of {len(chosen)} mutants killed in {seconds:.0f} s")

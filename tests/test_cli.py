@@ -14,8 +14,10 @@ import pytest
 from invariants import keeps_the_invariants
 
 import gaussdiag
-from gaussdiag import parse_gauss_code
-from gaussdiag.cli import _MAX_RANDOM_CHORDS, main
+from gaussdiag import (
+    enumerate_moves, format_move, parse_gauss_code, random_diagram, serialize_gauss_code,
+)
+from gaussdiag.cli import _MAX_INSERTION_CHORDS, _MAX_RANDOM_CHORDS, main
 
 EX1 = "O1- U2- O3- U1- U4+ U3- O2- O4+"
 EX2 = "O3+ U4- O1+ U2- U1+ U3+ O2- O4-"
@@ -107,6 +109,27 @@ def test_moves_with_insertions(capsys):
     code, out, _ = run(capsys, "moves", "--insertions", TREFOIL)
     assert code == 0
     assert len(out.splitlines()) == 80  # 16 single-chord + 64 pair insertions
+
+
+def test_moves_insertions_above_cap_exits_1(capsys):
+    # 16n^2 + 8n insertions: above the cap the listing is refused before it
+    # is built, in either output mode; without insertions it is listed
+    above = serialize_gauss_code(random_diagram(_MAX_INSERTION_CHORDS + 1, 1))
+    message = f"moves --insertions is capped at {_MAX_INSERTION_CHORDS} chords"
+    assert run(capsys, "moves", "--insertions", above) == (1, "", f"error: {message}\n")
+    code, out, err = run(capsys, "moves", "--insertions", "--json", above)
+    assert (code, err) == (1, "")
+    assert json.loads(out) == {"ok": False, "result": None, "error": message}
+    code, out, err = run(capsys, "moves", above)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [format_move(m) for m in enumerate_moves(parse_gauss_code(above))]
+
+
+def test_moves_insertions_cap_is_inclusive(capsys, monkeypatch):
+    monkeypatch.setattr("gaussdiag.cli._MAX_INSERTION_CHORDS", 2)
+    assert run(capsys, "moves", "--insertions", TREFOIL)[0] == 0
+    code, out, err = run(capsys, "moves", "--insertions", "O1-O2-U1-U2-O3+U3+")
+    assert (code, out, err) == (1, "", "error: moves --insertions is capped at 2 chords\n")
 
 
 # --------------------------------------------------------------------- apply

@@ -58,3 +58,18 @@ def test_cli_imports_no_private_name():
     names = [alias.name for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
              for alias in node.names]
     assert [name for name in names if name.startswith("_")] == []
+
+
+def test_cli_prints_only_through_main():
+    # one output path: the subcommands return their reports, and main alone
+    # prints them, emits the --json envelope (through _emit_json, the one
+    # other printer) and sets the exit code
+    tree = ast.parse((PACKAGE / "cli.py").read_text())
+    callers = {}
+    for statement in tree.body:
+        scope = statement.name if isinstance(statement, ast.FunctionDef) else "<module>"
+        for node in ast.walk(statement):
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                callers.setdefault(node.func.id, set()).add(scope)
+    assert callers["print"] == {"main", "_emit_json"}
+    assert callers["_emit_json"] == {"main"}

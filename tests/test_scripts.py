@@ -106,8 +106,8 @@ def test_mutant_killers_name_existing_tests():
     # the runner tries each mutant's stored killer alone first, so each must
     # be a node id pytest collects: one test, or a test function with all
     # its parameters; so must each timed test, which the runner deselects
-    # to judge a kill on time again.  Only a mutant meant to be caught by
-    # time keeps a timed killer.  Only collection runs
+    # for every mutant not meant to be caught by time.  Only such a mutant
+    # keeps a timed killer.  Only collection runs
     mutants = _mutants()
     assert all(m.timed == (m.killer in mutants.TIMED) for m in mutants.MUTANTS)
     killers = sorted({m.killer for m in mutants.MUTANTS} | set(mutants.TIMED))
@@ -123,6 +123,28 @@ def test_mutant_killers_name_existing_tests():
     collected = [line for line in proc.stdout.splitlines() if "::" in line]
     for killer in killers:
         assert any(node == killer or node.startswith(killer + "[") for node in collected), killer
+
+
+def test_mutant_gate_judges_each_mutant_in_one_pass(monkeypatch):
+    # the runner is replaced by a recorder, so no test runs: every run of a
+    # mutant not meant to be caught by time deselects the timed tests, no
+    # run of a timed mutant does, and a mutant takes at most two runs (its
+    # killer, then the suite) whether the killer passes, fails or times out
+    mutants = _mutants()
+    timed = set(mutants.TIMED)
+    outcomes = [
+        ((0, "1 passed"), False),
+        ((1, f"FAILED {mutants.TIMED[0]} - assert 10.5 < 10"), True),
+        ((None, "timed out"), True),
+    ]
+    runs = []
+    monkeypatch.setattr(mutants, "run", lambda m, tests, deselect=(): runs.append(set(deselect)) or outcome)
+    for outcome, killed in outcomes:
+        for mutant in mutants.MUTANTS:
+            runs.clear()
+            assert mutants.judge(mutant, [])[0] is killed
+            assert 1 <= len(runs) <= 2
+            assert all(deselected & timed == (set() if mutant.timed else timed) for deselected in runs)
 
 
 def test_readme_counts_match_the_suite_and_the_mutant_table():
