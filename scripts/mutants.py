@@ -427,8 +427,8 @@ MUTANTS = (
     ),
     Mutant(
         "walk-first-tiling", "moves.py",
-        "sites = [((t,), (), _movable_arcs(d.signs, t, _tilings(d, t))) for t in r3_movable_triples(d)]",
-        "sites = [((t,), (), _tilings(d, t)[0][0]) for t in r3_movable_triples(d)]",
+        "sites = [((t,), (), _movable_arcs(d.signs, t, _tilings(d, t))) for t in triples]",
+        "sites = [((t,), (), _tilings(d, t)[0][0]) for t in triples]",
         "walk",
         "tests/test_differential.py::test_family_rows_match_oracles",
     ),
@@ -441,8 +441,9 @@ MUTANTS = (
     ),
     Mutant(
         "walk-r1-blocks-swapped", "moves.py",
-        "for variant, (x,), (u,) in layout:",
-        "for (variant, (x,), _), (_, _, (u,)) in zip(layout, [layout[1], layout[0], *layout[2:]]):",
+        "for (variant, (x,), (u,)), skipped in zip(layout, flags):",
+        "for (variant, (x,), _), (_, _, (u,)), skipped in "
+        "zip(layout, [layout[1], layout[0], *layout[2:]], flags):",
         "walk",
         "tests/test_differential.py::test_trace_forms_match_a_canonical_replay",
     ),
@@ -470,8 +471,8 @@ MUTANTS = (
     ),
     Mutant(
         "walk-skip-first-site", "moves.py",
-        "sites = [((pair,), _cuts(d, pair), ()) for pair in r2_removable_pairs(d) if pair != undo]",
-        "sites = [((pair,), _cuts(d, pair), ()) for pair in r2_removable_pairs(d)][len(undo) == 2:]",
+        "sites = [((pair,), _cuts(d, pair), ()) for pair in r2_removable_pairs(d) if pair != made]",
+        "sites = [((pair,), _cuts(d, pair), ()) for pair in r2_removable_pairs(d)][len(made) == 2:]",
         "walk",
         "tests/test_differential.py::test_search_walks_no_deletion_whose_children_are_not_keyed",
     ),
@@ -481,6 +482,13 @@ MUTANTS = (
         "for (gap,) in _insertion_gaps(m - 1, 1):",
         "walk",
         "tests/test_move_graph.py::test_exhaustive_searches_end_at_the_graph_minimum",
+    ),
+    Mutant(
+        "walk-kink-filter-r2-made", "moves.py",
+        "if len(made) == 1:",
+        "if made:",
+        "walk",
+        "tests/test_differential.py::test_search_skips_only_children_it_has_keyed",
     ),
     # the move specs
     Mutant(
@@ -536,15 +544,15 @@ MUTANTS = (
     # the search
     Mutant(
         "search-key-late", "simplify.py",
-        "entry = (count, 1, child_key, state)",
-        "entry = (count, -1, child_key, state)",
+        "entry = (count, 1, child_key, state, walk)",
+        "entry = (count, -1, child_key, state, walk)",
         "search",
         "tests/test_differential.py::test_simplify_matches_oracle_without_insertions",
     ),
     Mutant(
         "search-newest-family-first", "simplify.py",
-        "heapq.heappush(queue, (count + change, 0, explored, key, change, state, undo))",
-        "heapq.heappush(queue, (count + change, 0, -explored, key, change, state, undo))",
+        "heapq.heappush(queue, (count + change, 0, explored, key, change, state, made,",
+        "heapq.heappush(queue, (count + change, 0, -explored, key, change, state, made,",
         "search",
         "tests/test_simplify.py::test_search_keys_a_counts_families_in_expansion_order",
     ),
@@ -556,9 +564,9 @@ MUTANTS = (
         "tests/test_acceptance.py::test_criterion_2_example_1_end_to_end",
     ),
     Mutant(
-        "search-undo-from-child", "simplify.py",
-        "undo = tuple(_fresh_labels(source, 2)) if added == 2 else ()",
-        "undo = tuple(_fresh_labels(state, 2)) if added == 2 else ()",
+        "search-made-from-child", "simplify.py",
+        "made = tuple(_fresh_labels(source, added)) if added in (1, 2) else ()",
+        "made = tuple(_fresh_labels(state, added)) if added in (1, 2) else ()",
         "search",
         "tests/test_differential.py::test_search_walks_no_deletion_whose_children_are_not_keyed",
     ),
@@ -604,6 +612,20 @@ MUTANTS = (
         "search",
         "tests/test_differential.py::test_simplify_matches_oracle_without_insertions",
     ),
+    Mutant(
+        "search-skips-kink-gap", "simplify.py",
+        "skip = flags[:4 * gap + 4] + [False] * 4 + flags[4 * gap:]",
+        "skip = flags[:4 * gap + 4] + flags[4 * gap:4 * gap + 4] + flags[4 * gap:]",
+        "search",
+        "tests/test_differential.py::test_search_skips_only_children_it_has_keyed",
+    ),
+    Mutant(
+        "search-skips-equal-rank", "simplify.py",
+        "flags = [rank < own for rank in ranks]",
+        "flags = [rank <= own for rank in ranks]",
+        "search",
+        "tests/test_differential.py::test_search_skips_only_children_it_has_keyed",
+    ),
     # the value types' record base
     Mutant(
         "record-eq-any-class", "diagram.py",
@@ -630,15 +652,15 @@ MUTANTS = (
     # wraps it under --json and sets the exit code
     Mutant(
         "cli-not-applicable-exits-1", "cli.py",
-        "return 2 if isinstance(exc, MoveNotApplicable) else 1",
+        "return 2 if isinstance(report, MoveNotApplicable) else 1",
         "return 1",
         "cli",
         "tests/test_cli.py::test_apply_not_applicable_exits_2",
     ),
     Mutant(
         "cli-success-envelope-not-ok", "cli.py",
-        "_emit_json(True, report, None)",
-        "_emit_json(False, report, None)",
+        "_emit_json(not failed, None if failed else report, str(report) if failed else None)",
+        "_emit_json(False, None if failed else report, str(report) if failed else None)",
         "cli",
         "tests/test_cli.py::test_moves_json",
     ),
@@ -655,6 +677,13 @@ MUTANTS = (
         "if False:",
         "cli",
         "tests/test_cli.py::test_moves_insertions_above_cap_exits_1",
+    ),
+    Mutant(
+        "cli-failed-write-kept", "cli.py",
+        "_drop_stdout()",
+        "pass",
+        "cli",
+        "tests/test_cli.py::test_failed_write_is_reported_on_stderr_only",
     ),
 )
 

@@ -12,6 +12,7 @@ error or a capped size, 2 move not applicable.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from .codec import parse_gauss_code, serialize_gauss_code
@@ -160,28 +161,49 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _drop_stdout():
+    """Point stdout's descriptor, if it has one, at devnull: what stdout
+    still buffers then goes there, so the interpreter's final flush cannot
+    raise (Python's ``signal`` docs do this on SIGPIPE)."""
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(devnull, sys.stdout.fileno())
+    except (OSError, ValueError):  # no descriptor (io.UnsupportedOperation is both)
+        pass
+    os.close(devnull)
+
+
 def main(argv=None) -> int:
     args = None
     try:
         args = _build_parser().parse_args(argv)
         d = parse_gauss_code(_read_code(args.code)) if "code" in args else None
         report = args.func(args, d)
-        if getattr(args, "json", False):
-            _emit_json(True, report, None)
-        else:
-            for line in report:
-                print(line)
-        return 0
     except SystemExit as exc:
         # argparse exits 0 after --help and 2 on a usage error; this tool
         # reserves 2 for move-not-applicable, so usage errors exit 1
         return 0 if exc.code == 0 else 1
     except (MoveNotApplicable, ValueError, OSError) as exc:
+        report = exc
+    failed = isinstance(report, Exception)
+    try:
         if getattr(args, "json", False):
-            _emit_json(False, None, str(exc))
+            _emit_json(not failed, None if failed else report, str(report) if failed else None)
+        elif failed:
+            print(f"error: {report}", file=sys.stderr)
         else:
-            print(f"error: {exc}", file=sys.stderr)
-        return 2 if isinstance(exc, MoveNotApplicable) else 1
+            for line in report:
+                print(line)
+        sys.stdout.flush()  # so that a failed write raises here, not at exit
+    except OSError as exc:
+        # the write itself failed (a closed pipe, a full disk): stdout can
+        # take nothing more, not even an error envelope
+        _drop_stdout()
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
+    if not failed:
+        return 0
+    return 2 if isinstance(report, MoveNotApplicable) else 1
 
 
 if __name__ == "__main__":

@@ -475,22 +475,25 @@ def _insertion_layout(gaps, fresh) -> list:
 _LAYOUTS = _Table(lambda key: _insertion_layout(*key))
 
 
-def _insertion_rows(d: GaussDiagram, change: int):
+def _insertion_rows(d: GaussDiagram, change: int, skip=()):
     """Each insertion of d that adds ``change`` chords, as ``_family_rows``
     yields it: each child's rows are the slices of d's rows around its
     blocks, joined.  The slices are made once per gap (R1) or (head gap,
     tail gap) pair (R2), and each variant's blocks once per process by
     ``_insertion_layout``, kept in ``_LAYOUTS`` by the sample gaps and
-    the fresh labels."""
+    the fresh labels.  An R1 insertion whose flag in ``skip`` (one per
+    child, in walk order; () for none) is true is left out, no rows made."""
     fresh = tuple(_fresh_labels(d, 2))
     chords, bases = _rows(d.endpoints, d.signs)
     m = len(chords)
     if change == 1:
         layout = _LAYOUTS[(0,), fresh]
+        flags = iter(skip) if skip else itertools.repeat(False)
         for (gap,) in _insertion_gaps(m, 1):
             c0, c1, b0, b1 = chords[:gap], chords[gap:], bases[:gap], bases[gap:]
-            for variant, (x,), (u,) in layout:
-                yield (gap, *variant), c0 + x + c1, b0 + u + b1
+            for (variant, (x,), (u,)), skipped in zip(layout, flags):
+                if not skipped:
+                    yield (gap, *variant), c0 + x + c1, b0 + u + b1
         return
     # the child reads its two blocks in one of two orders: heads first when
     # the head gap is before the tail gap, else tails first, since
@@ -504,14 +507,18 @@ def _insertion_rows(d: GaussDiagram, change: int):
             yield (head_gap, tail_gap, *variant), c0 + x + c1 + y + c2, b0 + u + b1 + v + b2
 
 
-def _family_rows(d: GaussDiagram, change: int, undo: tuple = ()):
+def _family_rows(d: GaussDiagram, change: int, made: tuple = (), skip=()):
     """Each move of d that adds ``change`` chords, in ``enumerate_moves``
     order, as (fields, chords, bases): the move's fields and the child's
     rows.  The family is d's R1 deletions (-1), R2 deletions (-2), R3s (0),
-    R1 insertions (1) or R2 insertions (2).  An R2 deletion of exactly
-    the chords ``undo`` (in ``label_key`` order) is dropped before any
-    rows are made: when d was made by inserting them, it gives back d's
-    parent.
+    R1 insertions (1) or R2 insertions (2).  ``made`` names the chords
+    d's own insertion added, in ``label_key`` order, or is (), and
+    ``skip`` flags the R1 insertions to leave out (see ``_insertion_rows``).
+    The search gives both so that it keys no child it has keyed already
+    (see ``simplify``), and these moves are dropped before any rows are
+    made: an R2 deletion of exactly the two chords ``made`` names, whose
+    child is d's parent, and when ``made`` names one chord, a kink, every
+    R3 of a triple without it.
     A deletion or R3 is the (cuts, arcs) edit ``_rewrite`` makes after its
     checks, applied by ``_edited`` to d's ``diagram._rows``, which are made
     only once the family has a site; an R3's arcs are its ``_movable_arcs``
@@ -522,13 +529,16 @@ def _family_rows(d: GaussDiagram, change: int, undo: tuple = ()):
     insertion is valid, so no site is checked again and no move is built:
     the search keys children from these, and reads the rows only."""
     if change > 0:
-        return _insertion_rows(d, change)
+        return _insertion_rows(d, change, skip)
     if change == -1:
         sites = [((c,), _cuts(d, (c,)), ()) for c in r1_removable_chords(d)]
     elif change == -2:
-        sites = [((pair,), _cuts(d, pair), ()) for pair in r2_removable_pairs(d) if pair != undo]
+        sites = [((pair,), _cuts(d, pair), ()) for pair in r2_removable_pairs(d) if pair != made]
     else:
-        sites = [((t,), (), _movable_arcs(d.signs, t, _tilings(d, t))) for t in r3_movable_triples(d)]
+        triples = r3_movable_triples(d)
+        if len(made) == 1:
+            triples = [t for t in triples if made[0] in t]
+        sites = [((t,), (), _movable_arcs(d.signs, t, _tilings(d, t))) for t in triples]
     if not sites:
         return iter(())
     chords, bases = _rows(d.endpoints, d.signs)

@@ -16,12 +16,14 @@ table of move kinds, ``moves._KINDS``.  A state is stored as its parent's
 code, the chords its move's family adds and the move's fields; a move
 record and a diagram are built only for the states the search expands,
 for the final diagram and for the trace.  ``simplify`` gives the order,
-the families a state skips and why the result stays the same.
+the families and children a state skips and why the result stays the
+same.
 """
 
 from __future__ import annotations
 
 import heapq
+from array import array
 
 from .codec import _canonical_code, _read_canonical_code, serialize_gauss_code
 from .diagram import GaussDiagram, _Record, _rows, canonical
@@ -30,6 +32,7 @@ from .moves import (
     R1Delete,
     R2Delete,
     _KINDS,
+    _VARIANTS,
     _family_rows,
     _fresh_labels,
     apply_move,
@@ -127,15 +130,22 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
     count its children have: its R1 deletions (-1), R2 deletions (-2) and
     R3s (0), where that count is not negative, and its R1 (1) and R2 (2)
     insertions, where they fit.  A state's entry is (count, 1, code, the
-    diagram its move applies to), a family's (count, 0, its parent's
-    expansion number, parent's code, chords it adds, parent's diagram,
-    ``undo``).
-    ``undo`` names the two chords the parent's own R2 insertion added, or
-    is ().  The insertion took them as the ``moves._fresh_labels`` of the
-    diagram it applied to: the two least unused positive integers,
-    ascending, which is the ``label_key`` order a walk names a pair in.
-    The walk drops the deletion of those chords: its child is the state
-    the parent was built from, whose code is keyed.
+    diagram its move applies to, ranks), a family's (count, 0, its
+    parent's expansion number, parent's code, chords it adds, parent's
+    diagram, ``made``, ranks), where ranks is None but for the R1-made
+    states and their R1 families (see below).
+    ``made`` names the chords the parent's own insertion added, or is ().
+    The insertion took them as the ``moves._fresh_labels`` of the diagram
+    it applied to: the least unused positive integers, ascending, which is
+    the ``label_key`` order a walk names a pair in.
+
+    Four rules leave out children that are keyed already.  Each needs only
+    that a child is keyed when its family pops, and a walk that leaves out
+    a child keyed already keys nothing new: a keyed code is never stored
+    again.  So the rules prove each other, by induction over the pops.
+    The R2 deletion walk of an R2-made state drops the deletion of
+    ``made``: its child is the state the parent was built from, whose
+    code is keyed.
     A state S made by an R1 insertion pushes no deletion family: every
     child of its R1 and R2 deletions is keyed before S is expanded.  By
     induction over the expansion order, say S is Q with the kink k
@@ -149,6 +159,36 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
     R2-made state a deletion can empty one side between the two inserted
     blocks, leaving heads before tails in one gap, an order no R2
     insertion makes.
+    S walks only the R3s of the triples that hold k.  A triple T without k
+    whose tiling qualifies in S qualifies in Q, as k's two adjacent
+    endpoints lie in none of its arcs, and a sign, a parity or a direction
+    reads only T's six endpoints.  So T is movable in Q by the same tiling,
+    unless both tilings of T are movable in Q, and R3_T(S) is R3_T(Q) with
+    k at the same gap: an R3 swaps endpoints within its arcs only.
+    R3_T(Q) has fewer chords than S and is keyed once Q's R3 family has
+    popped, so it was expanded before S's R3 family pops, and its R1
+    insertion family, which holds k at that gap, popped first: it has S's
+    count, so it fits under max_chords, and a lower expansion number.  Both tilings of T are
+    movable only when Q is one of the twelve three-chord diagrams with two
+    movable pairings.  Each of them has an R2 deletion to a one-chord
+    diagram, keyed (by Q's R2 deletion family, or before Q when Q is
+    R1-made) and expanded before any four-chord state.  It is not R1-made,
+    since the empty diagram is never expanded, so its R1 deletion family
+    keys the empty diagram, which ends the search: such an S is never
+    expanded.
+    S's R1 walk skips each insertion that a sibling's walk keys first.
+    Say k went in at Q's gap g, and i is an R1 insertion at S's gap h,
+    other than g + 1, the gap inside k.  If h <= g, S + i has the same
+    endpoints, up to labels, as T + k, where T is Q + i at Q's gap h and k
+    goes in at T's gap g + 2.  If h >= g + 2, T is Q + i at Q's gap h - 2,
+    and k goes in at T's gap g.  Q's R1 walk keyed T and S, and it keeps
+    each child's dense rank among the walk's codes in one array, a child it
+    left out ranking above them all.  Each state that walk stored carries
+    the array, and so does that state's R1 family, so the array is freed
+    once they have all popped.  When T ranks below S, T's code is less than
+    S's at the same count, and T was keyed before S could pop, so T was
+    expanded first.  Its R1 family, at S's count plus one, which fits, and
+    at a lower expansion number, popped before S's, and T + k is keyed.
     A child can share a code only with states of its own chord count, and
     the tag 0 pops every family of a count before any state of that count
     or higher: a count's children are all keyed (and deduplicated, the
@@ -193,13 +233,15 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
     # fields): a state's move is built from these only when it is needed
     info = {start_key: (None, None, None)}
     # a state is (chord count, 1, code, the diagram its move applies to: its
-    # parent's, the start's being itself); a family is (its children's chord
-    # count, 0, its parent's expansion number, parent's code, chords it adds,
-    # parent's diagram, the labels whose deletion undoes the parent's own
-    # R2 insertion).  No two entries agree in their first three fields,
-    # so the heap never compares diagrams (they have no order), and a
-    # diagram is freed once the last entry holding it pops
-    best = (d.n, 1, start_key, d)
+    # parent's, the start's being itself, and for a state an R1 insertion
+    # made, the ranks of its parent's R1 walk, else None); a family is (its
+    # children's chord count, 0, its parent's expansion number, parent's
+    # code, chords it adds, parent's diagram, the chords the parent's own
+    # insertion added, and for an R1-made parent's R1 family, the ranks its
+    # state carried, else None).  No two entries agree in their first three
+    # fields, so the heap never compares diagrams (they have no order), and
+    # a diagram or ranks array is freed once the last entry holding it pops
+    best = (d.n, 1, start_key, d, None)
     queue = [best]
     explored = 0
     limit_hit = False
@@ -210,33 +252,52 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
             if explored >= limits.max_states:
                 limit_hit = True
                 break
-            count, _, key, state = entry
+            count, _, key, state, ranks = entry
             parent, added, fields = info[key]  # its move, built only now
             if parent is not None:
                 source, state = state, apply_move(state, kinds[added](*fields))
-            # an R2 insertion's chords: deleting them gives back the parent
-            undo = tuple(_fresh_labels(source, 2)) if added == 2 else ()
+            made = tuple(_fresh_labels(source, added)) if added in (1, 2) else ()
             explored += 1
             top = max_chords if limits.allow_insertions else count  # the most chords a child has
             least = count if added == 1 else 0  # an R1-made state's deletions are all keyed
             for change in kinds:  # one entry per family: its moves are found when it pops
                 if least <= count + change <= top:
-                    heapq.heappush(queue, (count + change, 0, explored, key, change, state, undo))
+                    heapq.heappush(queue, (count + change, 0, explored, key, change, state, made,
+                                           ranks if change == 1 else None))
             continue
-        count, _, _, parent, change, state, undo = entry  # a family: key its children
-        for fields, chords, bases in _family_rows(state, change, undo):
+        count, _, _, parent, change, state, made, ranks = entry  # a family: key its children
+        skip = ()
+        if ranks is not None:  # an R1-made state's R1 insertions: skip its siblings' children
+            gap, sign, head_first = info[parent][2]
+            own = ranks[4 * gap + _VARIANTS.index((sign, head_first))]
+            flags = [rank < own for rank in ranks]
+            # gap h of this state is its parent's gap h up to gap, none
+            # inside the kink (gap + 1), and its parent's gap h - 2 after
+            skip = flags[:4 * gap + 4] + [False] * 4 + flags[4 * gap:]
+        # this R1 walk's ranks, filled once walked: each is at most 4 * 2n,
+        # which 32 bits hold at any size ('H' would stop at 8,191 chords)
+        walk = array("I") if change == 1 else None
+        codes = []
+        for fields, chords, bases in _family_rows(state, change, made, skip):
             child_key = _canonical_code(chords, bases)
+            codes.append(child_key)
             if child_key in info:
                 continue
             info[child_key] = (parent, change, fields)
-            entry = (count, 1, child_key, state)
+            entry = (count, 1, child_key, state, walk)
             if entry < best:
                 best = entry
             heapq.heappush(queue, entry)
+        if walk is not None:  # each child's dense code rank, in walk order
+            order = {code: rank for rank, code in enumerate(sorted(set(codes)))}
+            keyed = map(order.__getitem__, codes)
+            # a child left out ranks above every code, so it never makes a sibling skip
+            walk.extend(len(codes) if skipped else next(keyed)
+                        for skipped in skip or [False] * len(codes))
 
     # the final diagram: the best state's move applied to the diagram its
     # entry carries, which the same chain of moves built
-    _, _, key, final = best
+    _, _, key, final, _ = best
     parent, added, fields = info[key]
     if parent is not None:
         final = apply_move(final, kinds[added](*fields))

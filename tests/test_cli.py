@@ -334,6 +334,41 @@ def test_census_too_small(capsys):
     assert err == "error: census needs at least 3 chords\n"
 
 
+# ------------------------------------------------------------- failed writes
+
+
+def _failing_stdout(kind: str):
+    """A stdout whose writes raise: a pipe whose reader has gone, or /dev/full."""
+    if kind == "closed pipe":
+        read, write = os.pipe()
+        os.close(read)
+        return open(write, "w")
+    return open("/dev/full", "w")
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("kind, argv, error", [
+    ("full disk", ("simplify", "--json", "O1+ U1+"), "No space left on device"),
+    ("closed pipe", ("moves", "--insertions", "--json", serialize_gauss_code(random_diagram(60, 3))),
+     "Broken pipe"),
+], ids=["full-disk", "closed-pipe"])
+def test_failed_write_is_reported_on_stderr_only(capsys, monkeypatch, kind, argv, error):
+    # gaussdiag simplify --json ... > /dev/full, and moves --json ... | head:
+    # the report's write raises, and main says so on stderr only (no error
+    # envelope to the stdout that failed, no traceback) and exits 1.  What
+    # stdout still buffers goes to devnull, so the interpreter's last flush
+    # of it, and any later write, cannot raise
+    with _failing_stdout(kind) as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = main(list(argv))
+        print("after", file=stdout)
+        stdout.flush()
+    assert code == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: [Errno ") and err.endswith(f"] {error}\n") and err.count("\n") == 1
+
+
 # --------------------------------------------------------------------- usage
 
 

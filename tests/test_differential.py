@@ -59,7 +59,11 @@ exhaustive n <= 4 corpus and the 1000 seeded diagrams; n counts chords.
   insertion built walks no deletion family, whose children are all keyed
   at its expansion, and that every other state's deletion walks drop only
   the deletion that undoes an R2 insertion
-  (``test_search_walks_no_deletion_*``).
+  (``test_search_walks_no_deletion_*``).  A second spy, over the same
+  searches and the benchmark's ``insertion`` inputs at seeds 1 to 5,
+  checks that only a state an R1 insertion built leaves out R3s and R1
+  insertions, and that each child it leaves out is keyed then
+  (``test_search_skips_only_*``).
 """
 
 from __future__ import annotations
@@ -72,6 +76,7 @@ import itertools
 import pickle
 import random
 import time
+from pathlib import Path
 from types import MappingProxyType, SimpleNamespace
 
 import pytest
@@ -1230,8 +1235,8 @@ def test_truncated_simplify_matches_oracle(exhaustive_corpus, monkeypatch):
     family_rows = search._family_rows
     keyed, pushed, all_duplicates = set(), set(), []
 
-    def spy_family_rows(state, change, undo):
-        for fields, chords, bases in family_rows(state, change, undo):
+    def spy_family_rows(state, change, *walk):
+        for fields, chords, bases in family_rows(state, change, *walk):
             keyed.add(len(chords) // 2)
             yield fields, chords, bases
 
@@ -1295,8 +1300,8 @@ def test_search_walks_no_deletion_whose_children_are_not_keyed(exhaustive_corpus
             pushed[id(entry[5])].add(entry[4])
         heapq.heappush(heap, entry)
 
-    def spy_family_rows(state, change, undo):
-        kept = list(family_rows(state, change, undo))
+    def spy_family_rows(state, change, *walk):
+        kept = list(family_rows(state, change, *walk))
         if change >= 0:
             return iter(kept)
         parent, move = made_from.get(id(state), (None, None))
@@ -1341,6 +1346,57 @@ def test_search_walks_no_deletion_whose_children_are_not_keyed(exhaustive_corpus
     assert seen["other"] > 2_000 and seen["undo"] > 400, seen
 
 
+def _insertion_workload_inputs(monkeypatch) -> list:
+    """The benchmark's ``insertion`` inputs at seeds 1 to 5, each parsed."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    inputs = importlib.import_module("inputs")
+    return [parse_gauss_code(code) for seed in range(1, 6) for _, code in inputs.insertion_inputs(seed)]
+
+
+def test_search_skips_only_children_it_has_keyed(exhaustive_corpus, monkeypatch):
+    # a state an R1 insertion built walks only the R3s of the triples that
+    # hold its kink, and no R1 insertion that a sibling, expanded first,
+    # keys; no other state leaves out an R3 or an R1 insertion.  Each child
+    # left out is keyed when its family is walked.  Spy on the search, over
+    # the _truncated_cases and the benchmark's insertion inputs
+    search = importlib.import_module("gaussdiag.simplify")
+    family_rows, canonical_code = search._family_rows, search._canonical_code
+    keyed = set()  # every code the search has made
+    seen = collections.Counter()
+
+    def spy_canonical_code(chords, bases):
+        code = canonical_code(chords, bases)
+        keyed.add(code)
+        return code
+
+    def spy_family_rows(state, change, made, skip):
+        kept = list(family_rows(state, change, made, skip))
+        if change not in (0, 1):  # the R2 deletion that undoes an insertion: see above
+            return iter(kept)
+        every = list(family_rows(state, change))
+        left_out = [row for row in every if row not in kept]
+        assert [row for row in every if row not in left_out] == kept, (state, change)
+        assert len(made) == 1 or not left_out, (state, change, made)
+        for fields, chords, bases in left_out:
+            assert canonical_code(chords, bases) in keyed, (state, change, made, fields)
+            seen[change] += 1
+        seen["walked", change] += len(kept)
+        return iter(kept)
+
+    monkeypatch.setattr(search, "_canonical_code", spy_canonical_code)
+    monkeypatch.setattr(search, "_family_rows", spy_family_rows)
+    cases = [
+        (d, max_chords, max_states)
+        for d, max_chords in _truncated_cases(exhaustive_corpus)
+        for max_states in (*TRUNCATED_BUDGETS, 40, 200)
+    ]
+    cases += [(d, d.n + 2, 60) for d in _insertion_workload_inputs(monkeypatch)]
+    for d, max_chords, max_states in cases:
+        keyed.clear()
+        simplify(d, SearchLimits(max_states, allow_insertions=True, max_chords=max_chords))
+    assert seen[0] > 800 and seen[1] > 10_000, seen
+
+
 def test_search_generates_only_insertions_that_fit(exhaustive_corpus, monkeypatch):
     # record every move simplify keys after expanding its start state, as
     # the moves its walk's fields name; yielding the state's own rows makes
@@ -1351,9 +1407,9 @@ def test_search_generates_only_insertions_that_fit(exhaustive_corpus, monkeypatc
     family_rows = search._family_rows
     generated = []
 
-    def record(state, change, undo):
+    def record(state, change, *walk):
         rows = _rows(state.endpoints, state.signs)
-        for fields, _, _ in family_rows(state, change, undo):
+        for fields, _, _ in family_rows(state, change, *walk):
             generated.append(kind[change](*fields))
             yield fields, rows[0], rows[1]
 

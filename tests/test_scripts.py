@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import importlib.util
+import json
 import os
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -169,3 +171,39 @@ def test_readme_counts_match_the_suite_and_the_mutant_table():
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
     collected = [line for line in proc.stdout.splitlines() if "::" in line]
     assert int(tests[1]) == len(collected)
+
+
+def _bench():
+    spec = importlib.util.spec_from_file_location("bench", ROOT / "scripts" / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    return bench
+
+
+def test_bench_compare_on_a_tiny_configuration(tmp_path):
+    # two copies of this checkout's sources and benchmark, one pair of
+    # 0.1 s insertion runs: each end-to-end metric of BENCHMARK.json gets
+    # one line, and neither tree keeps a __pycache__.  The pairs alternate
+    # which side runs first
+    assert _bench().schedule(4) == [(1, "parent"), (2, "change"), (3, "parent"), (4, "change")]
+    ignore = shutil.ignore_patterns("__pycache__", "out")
+    for side in ("parent", "change"):
+        for name in ("src", "perfbench"):
+            shutil.copytree(ROOT / name, tmp_path / side / name, ignore=ignore)
+        shutil.copy(ROOT / "BENCHMARK.json", tmp_path / side)
+    (tmp_path / "parent" / "src" / "gaussdiag" / "__pycache__").mkdir()
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench.py"), "compare", str(tmp_path / "parent"),
+         str(tmp_path / "change"), "--workloads", "insertion", "--pairs", "1", "--seconds", "0.1"],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert header == "insertion: 1 pairs, parent median [IQR] -> change median"
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    assert [row.split()[0] for row in rows] == [m["name"] for m in metrics]
+    line = re.compile(r"  \S+ +\S+ \[\S+, \S+\] -> +\S+ \S+ +wins [01]/1  (ok|worse)")
+    assert all(line.fullmatch(row) for row in rows), rows
+    assert not list(tmp_path.rglob("__pycache__"))

@@ -21,10 +21,13 @@ from gaussdiag import (
     TraceCheck,
     apply_move,
     canonical,
+    enumerate_diagrams,
     enumerate_moves,
     format_move,
     format_trace,
     parse_gauss_code,
+    r2_removable_pairs,
+    r3_movable_triples,
     random_diagram,
     reduce_greedy,
     serialize_gauss_code,
@@ -258,8 +261,6 @@ def test_simplify_rejects_chord_cap_below_input():
 
 
 def test_search_never_worse_than_greedy_exhaustive_small():
-    from gaussdiag import enumerate_diagrams
-
     for n in range(4):
         for start in enumerate_diagrams(n):
             assert simplify(start).final.n <= reduce_greedy(start).final.n
@@ -391,10 +392,10 @@ def test_search_keys_a_counts_families_in_expansion_order(monkeypatch):
         expanded.append(apply_move(state, move))
         return expanded[-1]
 
-    def spy_family_rows(state, change, undo):
+    def spy_family_rows(state, change, *walk):
         rank = next(i for i, x in enumerate(expanded) if x is state)
         keyed.append((state.n + change, rank))
-        return family_rows(state, change, undo)
+        return family_rows(state, change, *walk)
 
     monkeypatch.setattr(search, "apply_move", build)
     monkeypatch.setattr(search, "_family_rows", spy_family_rows)
@@ -425,6 +426,29 @@ def test_an_r2_made_state_has_a_deletion_child_no_r2_insertion_makes():
     insertions = [m for m in enumerate_moves(smaller, True) if isinstance(m, R2Insert)]
     assert len(insertions) == 64
     assert all(canonical(apply_move(smaller, m)) != child for m in insertions)
+
+
+def test_a_three_chord_diagram_with_two_movable_tilings_has_an_r2_deletion():
+    # why an R1-made state's R3 walk may drop every triple without its kink
+    # even when its parent Q has three chords.  Q's one triple can have two
+    # movable tilings, and a kink in one of them leaves the other, whose R3
+    # child need not be an R1 insertion of R3(Q).  But each such Q has an
+    # R2 deletion, to a one-chord diagram, so a search that expands Q
+    # reaches the empty diagram before it expands a four-chord state
+    from gaussdiag.moves import _qualifying_tilings
+
+    triple = ("1", "2", "3")
+    two = [q for q in enumerate_diagrams(3)
+           if sum(movable for _, _, movable in _qualifying_tilings(q, triple)) == 2]
+    assert len(two) == 12
+    assert all(r2_removable_pairs(q) for q in two)
+    q = two[0]
+    image = apply_move(q, R3(triple))
+    kinks = {canonical(apply_move(image, m)) for m in enumerate_moves(image, True)
+             if isinstance(m, R1Insert)}
+    kinked = [apply_move(q, m) for m in enumerate_moves(q, True) if isinstance(m, R1Insert)]
+    assert any(canonical(apply_move(s, R3(triple))) not in kinks
+               for s in kinked if triple in r3_movable_triples(s))
 
 
 @pytest.mark.parametrize(
