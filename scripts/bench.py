@@ -1,7 +1,9 @@
-"""Paired benchmark runs of two checkouts, through their own ``perfbench/run.py``.
+"""Paired benchmark runs of two checkouts, through their own ``perfbench/run.py``,
+and program-only layer timings of one checkout.
 
     python scripts/bench.py compare PARENT CHANGE
     python scripts/bench.py compare PARENT CHANGE --workloads insertion --pairs 10 --seconds 30
+    python scripts/bench.py layers [--tree CHECKOUT] [--sizes 4 8 16 32] [--output BENCH_layers.json]
 
 ``compare`` runs ``perfbench/run.py --workload W --seed S --seconds T
 --trace 0`` of each checkout, unchanged, in that checkout, for each
@@ -15,6 +17,23 @@ and interquartile range, the change's median, the pairs the change wins,
 and ``worse`` where the change's median is worse than the parent's by
 more than the metric's bound, else ``ok``.  A run whose checks fail, or
 that fails an input, is reported on stderr, and the script then exits 1.
+
+``layers`` times the program alone, with no checker, in this process, on
+the ``src/`` of a checkout (default: this one).  Each layer runs on fixed
+seeded diagrams at each size n: ``random_diagram(n, 1000 * n + s)`` for s
+< 20, and for the R3 family two R1 insertions into each, a positive kink
+at gaps 0 and n.  A layer's figure is the best of ``--repeats`` passes
+over its cases, in microseconds per call:
+- ``canonical_code``: ``codec._canonical_code`` on a diagram's rows, the
+  key of every search state;
+- ``r3_find``: the full sign-free R3 find, ``sites._r3_sites``;
+- ``r3_family_r1_child``: ``moves._family_rows`` over the R3 family of a
+  state an R1 insertion made, as the search walks it, the kink named as
+  the chord its insertion added.
+It adds one seed-1 round of the ``insertion`` and ``descent`` searches, on
+their ``perfbench`` inputs and budgets parsed beforehand: the median
+process CPU time of ``--repeats`` rounds after one warm-up round.  It
+prints each figure and writes them all as JSON to ``--output``.
 """
 
 from __future__ import annotations
@@ -22,10 +41,12 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import shutil
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 WORKLOADS = ("sweep", "descent", "insertion")
@@ -90,6 +111,61 @@ def compare(parent: Path, change: Path, workloads, pairs: int, seconds: float) -
     return 1 if failed else 0
 
 
+def _per_call_us(fn, cases, repeats: int) -> float:
+    """The best of ``repeats`` passes of ``fn`` over ``cases``, in microseconds per call."""
+    best = float("inf")
+    for _ in range(repeats):
+        start = time.perf_counter()
+        for case in cases:
+            fn(*case)
+        best = min(best, time.perf_counter() - start)
+    return best / len(cases) * 1e6
+
+
+def layers(tree: Path, sizes, repeats: int) -> dict:
+    """The ``layers`` figures of the gaussdiag in ``tree``, imported here."""
+    sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
+    import inputs
+    from gaussdiag import R1Insert, SearchLimits, apply_move, parse_gauss_code, random_diagram, simplify
+    from gaussdiag.codec import _canonical_code
+    from gaussdiag.diagram import _rows
+    from gaussdiag.moves import _family_rows
+    from gaussdiag.sites import _r3_sites
+
+    figures = {name: {} for name in ("canonical_code", "r3_find", "r3_family_r1_child")}
+    for n in sizes:
+        diagrams = [random_diagram(n, 1000 * n + s) for s in range(20)]
+        children = []
+        for d in diagrams:
+            for gap in (0, n):
+                child = apply_move(d, R1Insert(gap, 1, True))
+                children.append((child, 0, tuple(set(child.signs) - set(d.signs))))
+        rows = [_rows(d.endpoints, d.signs) for d in diagrams]
+        figures["canonical_code"][n] = _per_call_us(_canonical_code, rows, repeats)
+        figures["r3_find"][n] = _per_call_us(_r3_sites, [(d,) for d in diagrams], repeats)
+        figures["r3_family_r1_child"][n] = _per_call_us(
+            lambda *walk: list(_family_rows(*walk)), children, repeats)
+    rounds = {}
+    for name, limits in (("insertion", SearchLimits(60, allow_insertions=True)),
+                         ("descent", SearchLimits(20_000))):
+        starts = [parse_gauss_code(code) for _, code in getattr(inputs, f"{name}_inputs")(1)]
+        times = []
+        for _ in range(repeats + 1):  # the first round warms up
+            start = time.process_time()
+            for d in starts:
+                simplify(d, limits)
+            times.append(time.process_time() - start)
+        rounds[name] = statistics.median(times[1:])
+    return {
+        "python": platform.python_version(),
+        "cpus": os.cpu_count(),
+        "repeats": repeats,
+        "layers_us_per_call": {name: {str(n): round(us, 3) for n, us in by_size.items()}
+                               for name, by_size in figures.items()},
+        "seed_1_round_cpu_s": {name: round(s, 5) for name, s in rounds.items()},
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -99,7 +175,22 @@ def main(argv=None) -> int:
     p.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, default=30.0)
+    p = sub.add_parser("layers", help="program-only layer timings of one checkout")
+    p.add_argument("--tree", type=Path, default=Path(__file__).resolve().parents[1])
+    p.add_argument("--sizes", nargs="+", type=int, default=[4, 8, 16, 32])
+    p.add_argument("--repeats", type=int, default=5)
+    p.add_argument("--output", type=Path, default=Path("BENCH_layers.json"))
     args = parser.parse_args(argv)
+    if args.command == "layers":
+        if args.repeats < 1 or min(args.sizes) < 1:
+            parser.error("--repeats and each of --sizes must be at least 1")
+        result = layers(args.tree.resolve(), args.sizes, args.repeats)
+        for name, by_size in result["layers_us_per_call"].items():
+            print(f"{name:<19} " + "  ".join(f"n={n} {us:.4g} us" for n, us in by_size.items()))
+        for name, seconds in result["seed_1_round_cpu_s"].items():
+            print(f"{name:<19} seed-1 round {seconds:.4g} s CPU")
+        args.output.write_text(json.dumps(result, indent=2) + "\n")
+        return 0
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     return compare(args.parent.resolve(), args.change.resolve(), args.workloads, args.pairs,

@@ -171,7 +171,7 @@ MUTANTS = (
         "if entry < code[i]:  # k wins: the common prefix, then its entry",
         "if entry > code[i]:",
         "scan",
-        "tests/test_diagram.py::test_canonical_trefoil_value",
+        "tests/test_differential.py::test_canonical_matches_oracle",
     ),
     Mutant(
         "scan-last-start", "diagram.py",
@@ -182,10 +182,17 @@ MUTANTS = (
     ),
     Mutant(
         "scan-shared-entry", "diagram.py",
-        "mine = {chords[k]: 1}",
-        "mine = {chords[k]: 2}",
+        "mine = {chords[k + 1]: 2, c: 1}  # c alone when c's own head is next",
+        "mine = {chords[k + 1]: 2, c: 2}",
         "scan",
         "tests/test_diagram.py::test_canonical_idempotent_and_rotation_invariant",
+    ),
+    Mutant(
+        "scan-entry1-own-head", "diagram.py",
+        "entry = bases[k + 1] | (2 if chords[k + 1] == c else 4)",
+        "entry = bases[k + 1] | 4",
+        "scan",
+        "tests/test_differential.py::test_least_rotations_entry_one_screen",
     ),
     Mutant(
         "scan-numbering", "diagram.py",
@@ -427,8 +434,8 @@ MUTANTS = (
     ),
     Mutant(
         "walk-first-tiling", "moves.py",
-        "sites = [((t,), (), _movable_arcs(d.signs, t, _tilings(d, t))) for t in triples]",
-        "sites = [((t,), (), _tilings(d, t)[0][0]) for t in triples]",
+        "sites = [((t,), (), _movable_arcs(d.signs, t, _tilings(d, t))) for t in r3_movable_triples(d)]",
+        "sites = [((t,), (), _tilings(d, t)[0][0]) for t in r3_movable_triples(d)]",
         "walk",
         "tests/test_differential.py::test_family_rows_match_oracles",
     ),
@@ -485,10 +492,17 @@ MUTANTS = (
     ),
     Mutant(
         "walk-kink-filter-r2-made", "moves.py",
-        "if len(made) == 1:",
-        "if made:",
+        "elif len(made) == 1:  # a kink: only the triples that hold it, arcs from the find's tilings",
+        "elif made:",
         "walk",
         "tests/test_differential.py::test_search_skips_only_children_it_has_keyed",
+    ),
+    Mutant(
+        "walk-kink-one-flank", "sites.py",
+        "flanks = eps[tail - 1], eps[(tail + 1) % m]",
+        "flanks = (eps[tail - 1],)",
+        "walk",
+        "tests/test_differential.py::test_kink_local_r3_find_is_the_full_find_restricted",
     ),
     # the move specs
     Mutant(
@@ -558,15 +572,15 @@ MUTANTS = (
     ),
     Mutant(
         "search-family-walks-parent", "simplify.py",
-        "source, state = state, apply_move(state, kinds[added](*fields))",
-        "source = state; apply_move(state, kinds[added](*fields))",
+        "signs, state = state.signs, apply_move(state, kinds[added](*fields))",
+        "signs = state.signs; apply_move(state, kinds[added](*fields))",
         "search",
         "tests/test_acceptance.py::test_criterion_2_example_1_end_to_end",
     ),
     Mutant(
-        "search-made-from-child", "simplify.py",
-        "made = tuple(_fresh_labels(source, added)) if added in (1, 2) else ()",
-        "made = tuple(_fresh_labels(state, added)) if added in (1, 2) else ()",
+        "search-made-one-label-too-many", "simplify.py",
+        "made = tuple(state.signs)[len(signs):]  # apply_move signs them last",
+        "made = tuple(state.signs)[len(signs) - 1:]",
         "search",
         "tests/test_differential.py::test_search_walks_no_deletion_whose_children_are_not_keyed",
     ),
@@ -677,6 +691,13 @@ MUTANTS = (
         "if False:",
         "cli",
         "tests/test_cli.py::test_moves_insertions_above_cap_exits_1",
+    ),
+    Mutant(
+        "cli-help-written-by-argparse", "cli.py",
+        "raise _HelpReport(self.format_help().splitlines())",
+        "super().print_help(file)",
+        "cli",
+        "tests/test_cli.py::test_failed_write_is_reported_on_stderr_only[help-full-disk]",
     ),
     Mutant(
         "cli-failed-write-kept", "cli.py",

@@ -110,8 +110,19 @@ def _cmd_census(args, _):
     ]
 
 
+class _HelpReport(Exception):
+    """The lines of a parser's help, raised in place of printing them: the
+    help is a report, which ``main`` prints like any other."""
+
+
+class _Parser(argparse.ArgumentParser):
+    def print_help(self, file=None):
+        # argparse's own print drops a failed write, and --help then exits 0
+        raise _HelpReport(self.format_help().splitlines())
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="gaussdiag", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="gaussdiag", description=__doc__.splitlines()[0])
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="parse a Gauss code and report basics")
@@ -179,10 +190,12 @@ def main(argv=None) -> int:
         args = _build_parser().parse_args(argv)
         d = parse_gauss_code(_read_code(args.code)) if "code" in args else None
         report = args.func(args, d)
-    except SystemExit as exc:
-        # argparse exits 0 after --help and 2 on a usage error; this tool
-        # reserves 2 for move-not-applicable, so usage errors exit 1
-        return 0 if exc.code == 0 else 1
+    except _HelpReport as help_report:
+        report = help_report.args[0]
+    except SystemExit:
+        # argparse exits 2 on a usage error; this tool reserves 2 for
+        # move-not-applicable, so usage errors exit 1
+        return 1
     except (MoveNotApplicable, ValueError, OSError) as exc:
         report = exc
     failed = isinstance(report, Exception)

@@ -31,7 +31,8 @@ keep the caller's objects.
 Every normal form scans (``_least_rotations``) a diagram's two position
 rows (``_rows``): chord labels, and one int per role and sign.  The scan
 tries only the rotations that start at the least int, found one after
-another by ``list.index``, and all of them share their first entry.
+another by ``list.index``; all of them share their first entry, and most
+are decided at their second, read off the rows without a numbering.
 
 Where a move can be made depends on the endpoints alone, except for a
 sign test that ``moves`` applies last: the R1 chords, the R2 candidate
@@ -395,14 +396,19 @@ def _least_rotations(chords, bases):
     positive chord's tail (any tail if none is positive), so only rotations
     starting there, at the least base, are tried: ``list.index`` finds each
     next one on the doubled row.  Every such start's entry 0 is that base
-    with number 1, so the scan shares it and compares from entry 1.  Each
-    start is compared against the best so far lazily: the best's entries
-    and first-appearance numbering are extended only as far as a
-    comparison reaches, and a rotation that wins at entry i becomes the
-    best with its i + 1 entries.  Only a tie runs the full length, and the
-    first one ends the scan: a diagram that ties with itself at shift k is
-    periodic, so no later start can beat the best.  The rest of the final
-    best is encoded once at the end.  The empty diagram has encoding ()."""
+    with number 1, so the scan shares it, and its entry 1 is read off the
+    rows: the next endpoint's base, numbered 1 if it is the start chord's
+    own head and 2 otherwise.  A start whose entry 1 is greater than the
+    best's loses there, and one whose entry 1 is less becomes the best with
+    its two entries; most starts end here.  Only a start that ties at
+    entry 1 is numbered entry by entry and compared further, lazily: the
+    best's entries and first-appearance numbering are extended only as
+    far as a comparison reaches, and a rotation that wins at entry i
+    becomes the best with its i + 1 entries.  Only a tie runs the full
+    length, and the first one ends the scan: a diagram that ties with
+    itself at shift k is periodic, so no later start can beat the best.
+    The rest of the final best is encoded once at the end.  The empty
+    diagram has encoding ()."""
     m = len(chords)
     if m == 0:
         return ()
@@ -410,14 +416,23 @@ def _least_rotations(chords, bases):
     chords, bases = chords * 2, bases * 2  # doubled: rotation k reads k..k+m-1
     best = k = bases.index(first)
     # the best rotation's entries so far and its numbering: every start's
-    # entry 0 is its chord, numbered 1
+    # entry 0 is its chord, numbered 1, and the best's entry 1 is read now
     code, numbers = [first | 2], {chords[best]: 1}
+    code.append(bases[best + 1] | numbers.setdefault(chords[best + 1], 2) << 1)
     while True:
         k = bases.index(first, k + 1)  # best + m holds first, so this finds one
         if k >= m:
             break
-        mine = {chords[k]: 1}
-        for i in range(1, m):
+        c = chords[k]
+        entry = bases[k + 1] | (2 if chords[k + 1] == c else 4)
+        if entry > code[1]:  # k loses at entry 1: no numbering, no compare
+            continue
+        mine = {chords[k + 1]: 2, c: 1}  # c alone when c's own head is next
+        if entry < code[1]:  # k wins at entry 1
+            code[1], best, numbers = entry, k, mine
+            del code[2:]
+            continue
+        for i in range(2, m):
             p = k + i
             entry = bases[p] | mine.setdefault(chords[p], len(mine) + 1) << 1
             if i == len(code):

@@ -359,7 +359,9 @@ def _rewrite(d: GaussDiagram, move: Move):
     """Check every precondition of ``move`` on d (MoveNotApplicable like
     apply_move), then give the move as one edit of d's endpoints, (cuts,
     splices, arcs) for ``_edited``, and the fresh sign dict of apply_move's
-    result.
+    result: d's signs in d's order, less the chords cut, then an
+    insertion's chords in ``label_key`` order, which the search reads as
+    the chords a state's own insertion added.
 
     A deletion cuts its chords' ``_cuts``.  An insertion splices in its
     ``_insertion_blocks`` as they are.  R3 swaps the three
@@ -515,16 +517,19 @@ def _family_rows(d: GaussDiagram, change: int, made: tuple = (), skip=()):
     d's own insertion added, in ``label_key`` order, or is (), and
     ``skip`` flags the R1 insertions to leave out (see ``_insertion_rows``).
     The search gives both so that it keys no child it has keyed already
-    (see ``simplify``), and these moves are dropped before any rows are
+    (see ``simplify``), and these moves are left out before any rows are
     made: an R2 deletion of exactly the two chords ``made`` names, whose
     child is d's parent, and when ``made`` names one chord, a kink, every
-    R3 of a triple without it.
+    R3 of a triple without it, which the walk never finds: it asks
+    ``sites._r3_sites`` for the kink's triples only, past the detector
+    ``r3_movable_triples``, and reads each one's arcs, its
+    ``_movable_arcs``, from the tilings that find holds.
     A deletion or R3 is the (cuts, arcs) edit ``_rewrite`` makes after its
     checks, applied by ``_edited`` to d's ``diagram._rows``, which are made
-    only once the family has a site; an R3's arcs are its ``_movable_arcs``
-    among the ``_tilings`` the kernel gives again for each triple
-    ``r3_movable_triples(d)`` keeps, so no copy of d is made to share the
-    detector's find.  Insertions are ``_insertion_rows``.
+    only once the family has a site.  Any other R3 family is the triples
+    ``r3_movable_triples(d)`` keeps, each with the arcs among the
+    ``_tilings`` the kernel gives again, so no copy of d is made to share
+    the detector's find.  Insertions are ``_insertion_rows``.
     The detectors found every deletion and R3 and every generated
     insertion is valid, so no site is checked again and no move is built:
     the search keys children from these, and reads the rows only."""
@@ -534,11 +539,12 @@ def _family_rows(d: GaussDiagram, change: int, made: tuple = (), skip=()):
         sites = [((c,), _cuts(d, (c,)), ()) for c in r1_removable_chords(d)]
     elif change == -2:
         sites = [((pair,), _cuts(d, pair), ()) for pair in r2_removable_pairs(d) if pair != made]
+    elif len(made) == 1:  # a kink: only the triples that hold it, arcs from the find's tilings
+        signs = d.signs
+        sites = [((t,), (), arcs) for t, tilings in _r3_sites(d, made[0]).items()
+                 if (arcs := _movable_arcs(signs, t, tilings))]
     else:
-        triples = r3_movable_triples(d)
-        if len(made) == 1:
-            triples = [t for t in triples if made[0] in t]
-        sites = [((t,), (), _movable_arcs(d.signs, t, _tilings(d, t))) for t in triples]
+        sites = [((t,), (), _movable_arcs(d.signs, t, _tilings(d, t))) for t in r3_movable_triples(d)]
     if not sites:
         return iter(())
     chords, bases = _rows(d.endpoints, d.signs)

@@ -34,7 +34,6 @@ from .moves import (
     _KINDS,
     _VARIANTS,
     _family_rows,
-    _fresh_labels,
     apply_move,
     # not called here; imported so that perfbench/tracing.py can patch it
     enumerate_moves,  # noqa: F401
@@ -137,7 +136,9 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
     ``made`` names the chords the parent's own insertion added, or is ().
     The insertion took them as the ``moves._fresh_labels`` of the diagram
     it applied to: the least unused positive integers, ascending, which is
-    the ``label_key`` order a walk names a pair in.
+    the ``label_key`` order a walk names a pair in.  The expansion reads
+    them off the end of the sign map ``apply_move`` gave the state, which
+    adds them last (see ``moves._rewrite``).
 
     Four rules leave out children that are keyed already.  Each needs only
     that a child is keyed when its family pops, and a walk that leaves out
@@ -159,7 +160,9 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
     R2-made state a deletion can empty one side between the two inserted
     blocks, leaving heads before tails in one gap, an order no R2
     insertion makes.
-    S walks only the R3s of the triples that hold k.  A triple T without k
+    S's R3 walk finds only the triples that hold k: ``sites._r3_sites``,
+    given k, reads the few head adjacencies such a triple can be found
+    from, and none of the others.  It needs no more.  A triple T without k
     whose tiling qualifies in S qualifies in Q, as k's two adjacent
     endpoints lie in none of its arcs, and a sign, a parity or a direction
     reads only T's six endpoints.  So T is movable in Q by the same tiling,
@@ -254,9 +257,10 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
                 break
             count, _, key, state, ranks = entry
             parent, added, fields = info[key]  # its move, built only now
+            made = ()  # the chords its own insertion added
             if parent is not None:
-                source, state = state, apply_move(state, kinds[added](*fields))
-            made = tuple(_fresh_labels(source, added)) if added in (1, 2) else ()
+                signs, state = state.signs, apply_move(state, kinds[added](*fields))
+                made = tuple(state.signs)[len(signs):]  # apply_move signs them last
             explored += 1
             top = max_chords if limits.allow_insertions else count  # the most chords a child has
             least = count if added == 1 else 0  # an R1-made state's deletions are all keyed

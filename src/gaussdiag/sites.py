@@ -19,7 +19,8 @@ diagrams from ``diagram.enumerate_diagrams`` share one holder, their
 per arrangement, not once per sign map (``_sign_free``).  Any other
 diagram (parsed, rewritten, canonical, random or constructed) holds none
 and keeps nothing, so the search's R3 walk calls the detector on its
-parent itself and copies no diagram to share a find.  The holder also
+parent itself, or for a state an R1 insertion made ``_r3_sites`` given
+its kink, and copies no diagram to share a find.  The holder also
 keeps ``moves.apply_move``'s deletion and R3 rewrites, which are
 sign-free too.  A holder never keeps signs.
 
@@ -152,8 +153,9 @@ def _tilings(d: GaussDiagram, labels) -> list:
     return out
 
 
-def _r3_candidates(d: GaussDiagram) -> set:
-    """The matched triples, as frozensets of labels.
+def _r3_candidates(d: GaussDiagram, kink=None) -> set:
+    """The matched triples, as frozensets of labels; given the label of a
+    chord whose head and tail are adjacent, a kink, only those that hold it.
 
     Candidates come from head adjacencies.  A qualifying tiling pairs the
     heads of two chords a, b on its heads arc, so the third chord c has its
@@ -164,12 +166,25 @@ def _r3_candidates(d: GaussDiagram) -> set:
     O(n) triples in all.  Conversely, three disjoint adjacent pairs of six
     endpoints always form one of the two tilings ``_tilings`` tries, and
     these pairs qualify, so every candidate is matched.
+
+    The walk visits every head adjacency, or, given a kink k, only those
+    that can find a triple holding k: k is a or b, so the adjacency holds
+    k's head, or k is c, so one of a, b has its tail next to k's tail and
+    the adjacency holds that chord's head.  That is at most six adjacencies
+    whatever the size of d, and the walk keeps only the candidates with k.
     """
     eps = d.endpoints
     m = len(eps)
     pos = d._pos
+    if kink is None:
+        adjacencies = _adjacent_pairs(d)
+    else:
+        tail, head = pos[kink]
+        flanks = eps[tail - 1], eps[(tail + 1) % m]
+        heads = [head] + [pos[z.chord][1] for z in flanks if z.role == TAIL]
+        adjacencies = [(eps[p - 1], eps[p]) for h in heads for p in (h, (h + 1) % m)]
     candidates = set()
-    for x, y in _adjacent_pairs(d):
+    for x, y in adjacencies:
         if x.role == y.role == HEAD:
             a, b = x.chord, y.chord
             ta, tb = pos[a][0], pos[b][0]
@@ -177,19 +192,22 @@ def _r3_candidates(d: GaussDiagram) -> set:
                 for z in (eps[t - 1], eps[(t + 1) % m]):
                     c = z.chord
                     if (z.role == TAIL and c != a and c != b
-                            and _adjacent(m, pos[c][1], other)):
+                            and _adjacent(m, pos[c][1], other)
+                            and kink in (None, a, b, c)):
                         candidates.add(frozenset((a, b, c)))
     return candidates
 
 
-def _r3_sites(d: GaussDiagram) -> dict:
+def _r3_sites(d: GaussDiagram, kink=None) -> dict:
     """The R3 find: each of the ``_r3_candidates``, as its labels in
     ``label_key`` order, mapped to its ``_tilings``, which the kernel finds
     once per candidate.  The triples come in detection order, by their
     labels' keys, which is ``itertools.combinations`` order over the
-    labels sorted by ``label_key``."""
+    labels sorted by ``label_key``.  Given a kink, the find is the same
+    restricted to the triples that hold it (see ``_r3_candidates``); the
+    search's R3 walk of a state an R1 insertion made asks for it."""
     found = {}
-    for a, b, c in sorted([sorted(map(_LABEL_KEYS.__getitem__, t)) for t in _r3_candidates(d)]):
+    for a, b, c in sorted([sorted(map(_LABEL_KEYS.__getitem__, t)) for t in _r3_candidates(d, kink)]):
         t = a[2], b[2], c[2]  # a label is the last entry of its key
         found[t] = _tilings(d, t)
     return found

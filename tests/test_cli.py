@@ -351,13 +351,18 @@ def _failing_stdout(kind: str):
     ("full disk", ("simplify", "--json", "O1+ U1+"), "No space left on device"),
     ("closed pipe", ("moves", "--insertions", "--json", serialize_gauss_code(random_diagram(60, 3))),
      "Broken pipe"),
-], ids=["full-disk", "closed-pipe"])
+    ("full disk", ("--help",), "No space left on device"),
+    ("closed pipe", ("--help",), "Broken pipe"),
+    ("full disk", ("simplify", "--help"), "No space left on device"),
+    ("closed pipe", ("simplify", "--help"), "Broken pipe"),
+], ids=["full-disk", "closed-pipe", "help-full-disk", "help-closed-pipe",
+        "simplify-help-full-disk", "simplify-help-closed-pipe"])
 def test_failed_write_is_reported_on_stderr_only(capsys, monkeypatch, kind, argv, error):
     # gaussdiag simplify --json ... > /dev/full, and moves --json ... | head:
     # the report's write raises, and main says so on stderr only (no error
     # envelope to the stdout that failed, no traceback) and exits 1.  What
     # stdout still buffers goes to devnull, so the interpreter's last flush
-    # of it, and any later write, cannot raise
+    # of it, and any later write, cannot raise.  A help is a report too
     with _failing_stdout(kind) as stdout:
         monkeypatch.setattr(sys, "stdout", stdout)
         code = main(list(argv))
@@ -370,6 +375,14 @@ def test_failed_write_is_reported_on_stderr_only(capsys, monkeypatch, kind, argv
 
 
 # --------------------------------------------------------------------- usage
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("-h",), ("simplify", "--help")])
+def test_help_is_printed_and_exits_0(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.startswith(f"usage: {' '.join(('gaussdiag', *argv[:-1]))} [-h]")
+    assert out.endswith("\n") and not out.endswith("\n\n")
 
 
 def test_unknown_subcommand_exits_1(capsys):

@@ -135,7 +135,7 @@ from gaussdiag.moves import (
     _insertion_layout,
     _qualifying_tilings,
 )
-from gaussdiag.sites import _r3_candidates
+from gaussdiag.sites import _r1_sites, _r3_candidates, _r3_sites
 
 # ------------------------------------------------------------------ oracles
 
@@ -702,6 +702,55 @@ def test_least_rotations_match_oracle():
         assert _rotated_codes(d, (0, 1, 5)) == [serialize_gauss_code(expected)] * 3, d
 
 
+def _entry_one_cases() -> dict:
+    """Diagrams by the way the scan's entry-1 screen meets their starts."""
+    _, symmetric = _scan_cases()
+    return {
+        # the start chord's own head next, numbered 1: it beats another's
+        # head, and ties with a later such start, which wins further on in
+        # the last case
+        "own head": [parse_gauss_code(code) for code in (
+            "O1+ U1+ O2+ U3+ O3+ U2+", "O1+ U2+ O2+ U1+ O3+ U3+", "O1- U1- O2- U3- O3- U2-",
+            "O1+ U1+ O2- U2- O3+ U3+",
+        )],
+        # the 300-chord chains: every start ties at entry 1, so each is
+        # compared further
+        "all tie": [d for d in symmetric if d.n == 300],
+        # two endpoints: one start, whose entry 1 is its own head
+        "one chord": list(enumerate_diagrams(1)),
+        # the first start in row order loses at entry 1 to a later one
+        "later wins": [parse_gauss_code(code) for code in (
+            "O1+ U2+ O2+ O3+ U1+ U3+", "O1+ U2- O2- O3+ U3+ U1+",
+        )],
+    }
+
+
+def test_least_rotations_entry_one_screen():
+    # the starts' entries 1, read off the oracle's encodings of their
+    # rotations, are as each case says; the scan and the search's code
+    # agree with the oracle at every shift (the chains at 0, 1 and 5)
+    cases = _entry_one_cases()
+    for name, diagrams in cases.items():
+        for d in diagrams:
+            # the starts: the tails of the least sign
+            sign = max(d.signs.values())
+            starts = [k for k, ep in enumerate(d.endpoints)
+                      if ep.role == TAIL and d.signs[ep.chord] == sign]
+            ones = [_encode(rotate(d, k))[0][1] for k in starts]
+            expected = oracle_canonical(d)
+            if name == "own head":
+                assert _encode(expected)[0][1] == (1, 1, int(sign < 0)), d
+            elif name == "all tie":
+                assert len(set(ones)) == 1 and len(starts) >= 150, d
+            elif name == "one chord":
+                assert len(starts) == 1, d
+            else:
+                assert ones.index(min(ones)) > 0, d
+            assert canonical(d) == expected, d
+            shifts = (0, 1, 5) if name == "all tie" else range(len(d.endpoints))
+            assert _rotated_codes(d, shifts) == [serialize_gauss_code(expected)] * len(shifts), d
+
+
 def test_least_rotations_stop_at_the_first_tie():
     # in the chain O1+ U1+ O2+ U2+ ... every positive tail's rotation ties;
     # the scan must read the period off the first tie, not compare each
@@ -801,6 +850,26 @@ def test_r3_candidates_are_the_matched_triples(exhaustive_corpus, random_corpus)
             if _qualifying_tilings(d, t)
         }
         assert _r3_candidates(d) == matched, d
+
+
+def test_kink_local_r3_find_is_the_full_find_restricted(exhaustive_corpus, random_corpus):
+    # the R3 find given a kink k is the full find's entries for the triples
+    # that hold k, in the same order with the same tilings: for each R1 chord
+    # of each diagram of both corpora, and for the kink of each R1 insertion
+    # child of each diagram up to 3 chords, as the search's walk asks for it
+    cases = [(d, k) for d in exhaustive_corpus + random_corpus for k in _r1_sites(d)]
+    for d in exhaustive_corpus:
+        if d.n <= 3:
+            kink = _fresh_labels(d, 1)[0]
+            cases += [(apply_move(d, R1Insert(gap, sign, head_first)), kink)
+                      for gap in range(max(1, 2 * d.n))
+                      for sign, head_first in itertools.product((1, -1), (True, False))]
+    kinks = collections.Counter()
+    for d, k in cases:
+        found = list(_r3_sites(d, k).items())
+        assert found == [(t, tilings) for t, tilings in _r3_sites(d).items() if k in t], (d, k)
+        kinks[bool(found)] += 1
+    assert kinks[True] > 5_000 and kinks[False] > 5_000, kinks
 
 
 def _triple_cases(exhaustive_corpus, random_corpus):

@@ -207,3 +207,24 @@ def test_bench_compare_on_a_tiny_configuration(tmp_path):
     line = re.compile(r"  \S+ +\S+ \[\S+, \S+\] -> +\S+ \S+ +wins [01]/1  (ok|worse)")
     assert all(line.fullmatch(row) for row in rows), rows
     assert not list(tmp_path.rglob("__pycache__"))
+
+
+def test_bench_layers_on_a_tiny_configuration(tmp_path):
+    # one size and one pass: every layer has a figure at that size, both
+    # seed-1 rounds a CPU time, and the figures are written as JSON
+    output = tmp_path / "BENCH_layers.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench.py"), "layers", "--sizes", "4",
+         "--repeats", "1", "--output", str(output)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(output.read_text())
+    layers = result["layers_us_per_call"]
+    assert sorted(layers) == ["canonical_code", "r3_family_r1_child", "r3_find"]
+    assert all(list(by_size) == ["4"] and by_size["4"] > 0 for by_size in layers.values()), layers
+    rounds = result["seed_1_round_cpu_s"]
+    assert sorted(rounds) == ["descent", "insertion"] and all(s > 0 for s in rounds.values())
+    assert len(proc.stdout.splitlines()) == len(layers) + len(rounds)
