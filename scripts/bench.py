@@ -17,6 +17,9 @@ and interquartile range, the change's median, the pairs the change wins,
 and ``worse`` where the change's median is worse than the parent's by
 more than the metric's bound, else ``ok``.  A run whose checks fail, or
 that fails an input, is reported on stderr, and the script then exits 1.
+Each run starts in its own session, so its process group is the run and
+its workers: when the script is stopped by SIGTERM (exit status 143) or
+Ctrl-C, it kills that group before it exits, and leaves nothing running.
 
 ``layers`` times the program alone, with no checker, in this process, on
 the ``src/`` of a checkout (default: this one).  Each layer runs on fixed
@@ -30,6 +33,13 @@ over its cases, in microseconds per call:
 - ``r3_family_r1_child``: ``moves._family_rows`` over the R3 family of a
   state an R1 insertion made, as the search walks it, the kink named as
   the chord its insertion added.
+``expand`` gives, for each move kind, ``apply_move`` against
+``moves._edit``, the unchecked edit the search builds each expanded state
+with, from the move's fields (an R3's arcs found by the edit, as in the
+search): R1 and R2 insertions at gap n (R2: heads at gap n, tails at 0),
+the deletion of the chords those insertions added, and every movable
+triple's R3 on the diagrams (none, and no R3 figure, at a size with no
+movable triple).
 It adds one seed-1 round of the ``insertion`` and ``descent`` searches, on
 their ``perfbench`` inputs and budgets parsed beforehand: the median
 process CPU time of ``--repeats`` rounds after one warm-up round.  It
@@ -39,10 +49,12 @@ prints each figure and writes them all as JSON to ``--output``.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -58,15 +70,30 @@ def schedule(pairs: int) -> list:
 
 
 def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``perfbench/run.py`` run in ``tree``: its last line, as JSON."""
+    """One ``perfbench/run.py`` run in ``tree``, in its own session: its last
+    line, as JSON.  Stopped while it waits (an exception, SIGTERM's
+    included), it kills the run's process group first."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
     command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
                "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.run(command, cwd=tree, env=env, capture_output=True, text=True)
+    proc = subprocess.Popen(command, cwd=tree, env=env, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, text=True, start_new_session=True)
+    try:
+        stdout, stderr = proc.communicate()
+    except BaseException:
+        with contextlib.suppress(ProcessLookupError):  # the group has ended already
+            os.killpg(proc.pid, signal.SIGKILL)
+        proc.wait()
+        raise
     if proc.returncode != 0:
         raise SystemExit(f"{tree}: {' '.join(command[1:])} exited with {proc.returncode}\n"
-                         f"{proc.stderr}")
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+                         f"{stderr}")
+    return json.loads(stdout.strip().splitlines()[-1])
+
+
+def _stop(signum, frame):
+    """SIGTERM's handler: exit as the signal would, through ``run``'s cleanup."""
+    raise SystemExit(128 + signum)
 
 
 def _number(value: float) -> str:
@@ -126,13 +153,16 @@ def layers(tree: Path, sizes, repeats: int) -> dict:
     """The ``layers`` figures of the gaussdiag in ``tree``, imported here."""
     sys.path[:0] = [str(tree / "src"), str(tree / "perfbench")]
     import inputs
-    from gaussdiag import R1Insert, SearchLimits, apply_move, parse_gauss_code, random_diagram, simplify
+    from gaussdiag import (R1Delete, R1Insert, R2Delete, R2Insert, R3, SearchLimits, apply_move,
+                           parse_gauss_code, r3_movable_triples, random_diagram, simplify)
     from gaussdiag.codec import _canonical_code
     from gaussdiag.diagram import _rows
-    from gaussdiag.moves import _family_rows
+    from gaussdiag.moves import _KINDS, _edit, _family_rows
     from gaussdiag.sites import _r3_sites
 
     figures = {name: {} for name in ("canonical_code", "r3_find", "r3_family_r1_child")}
+    changes = {kind.move: kind.change for kind in _KINDS}
+    expand = {kind.move.__name__: {"apply_move": {}, "edit": {}} for kind in _KINDS}
     for n in sizes:
         diagrams = [random_diagram(n, 1000 * n + s) for s in range(20)]
         children = []
@@ -145,6 +175,21 @@ def layers(tree: Path, sizes, repeats: int) -> dict:
         figures["r3_find"][n] = _per_call_us(_r3_sites, [(d,) for d in diagrams], repeats)
         figures["r3_family_r1_child"][n] = _per_call_us(
             lambda *walk: list(_family_rows(*walk)), children, repeats)
+        moves = {kind.move: [] for kind in _KINDS}  # (diagram, move) cases of each kind
+        for d in diagrams:
+            for insertion, deletion in ((R1Insert(n, 1, True), R1Delete),
+                                        (R2Insert(n, 0, 1, True), R2Delete)):
+                child = apply_move(d, insertion)
+                added = sorted(set(child.signs) - set(d.signs))
+                moves[type(insertion)].append((d, insertion))
+                moves[deletion].append((child, deletion(added[0] if deletion is R1Delete else added)))
+            moves[R3] += [(d, R3(t)) for t in r3_movable_triples(d)]
+        for kind, cases in moves.items():
+            if not cases:  # no movable triple below three chords
+                continue
+            edits = [(d, changes[kind], move._values()) for d, move in cases]
+            expand[kind.__name__]["apply_move"][n] = _per_call_us(apply_move, cases, repeats)
+            expand[kind.__name__]["edit"][n] = _per_call_us(_edit, edits, repeats)
     rounds = {}
     for name, limits in (("insertion", SearchLimits(60, allow_insertions=True)),
                          ("descent", SearchLimits(20_000))):
@@ -162,6 +207,9 @@ def layers(tree: Path, sizes, repeats: int) -> dict:
         "repeats": repeats,
         "layers_us_per_call": {name: {str(n): round(us, 3) for n, us in by_size.items()}
                                for name, by_size in figures.items()},
+        "expand_us_per_call": {kind: {path: {str(n): round(us, 3) for n, us in by_size.items()}
+                                      for path, by_size in paths.items()}
+                               for kind, paths in expand.items()},
         "seed_1_round_cpu_s": {name: round(s, 5) for name, s in rounds.items()},
     }
 
@@ -187,12 +235,17 @@ def main(argv=None) -> int:
         result = layers(args.tree.resolve(), args.sizes, args.repeats)
         for name, by_size in result["layers_us_per_call"].items():
             print(f"{name:<19} " + "  ".join(f"n={n} {us:.4g} us" for n, us in by_size.items()))
+        for kind, paths in result["expand_us_per_call"].items():
+            for path, by_size in paths.items():
+                print(f"expand {kind:<8} {path:<10} "
+                      + "  ".join(f"n={n} {us:.4g} us" for n, us in by_size.items()))
         for name, seconds in result["seed_1_round_cpu_s"].items():
             print(f"{name:<19} seed-1 round {seconds:.4g} s CPU")
         args.output.write_text(json.dumps(result, indent=2) + "\n")
         return 0
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
+    signal.signal(signal.SIGTERM, _stop)
     return compare(args.parent.resolve(), args.change.resolve(), args.workloads, args.pairs,
                    args.seconds)
 

@@ -127,7 +127,7 @@ MUTANTS = (
         "pos[ep.chord] = (j, i) if ep.role == HEAD else (i, j)",
         "pos[ep.chord] = (i, j) if ep.role == HEAD else (j, i)",
         "layout",
-        "tests/test_acceptance.py::test_criterion_2_example_1_end_to_end",
+        "tests/test_acceptance.py::test_criterion_3a_movable_triple_listing",
     ),
     Mutant(
         "constructor-repeat-missed", "diagram.py",
@@ -256,7 +256,7 @@ MUTANTS = (
         "if _adjacent(m, ta, tb):",
         "if True:",
         "detection",
-        "tests/test_acceptance.py::test_criterion_2_example_1_end_to_end",
+        "tests/test_acceptance.py::test_criterion_3c_example_2_simplifies",
     ),
     Mutant(
         "r3-candidate-side", "sites.py",
@@ -297,7 +297,7 @@ MUTANTS = (
     Mutant(
         "sites-r3-edit-by-triple", "moves.py",
         "key = (*cuts, *arcs)",
-        "key = (*cuts, *(move.chords if arcs else ()))",
+        "key = (*cuts, *(fields[0] if arcs else ()))",
         "sites",
         "tests/test_differential.py::test_r3_rewrite_matches_oracle",
     ),
@@ -377,8 +377,8 @@ MUTANTS = (
     ),
     Mutant(
         "sign-order", "moves.py",
-        "signs = {c: s for c, s in d.signs.items() if c not in gone} if gone else {**d.signs, **add}",
-        "signs = {c: s for c, s in d.signs.items() if c not in gone} if gone else {**add, **d.signs}",
+        "signs = {**d.signs, **add}",
+        "signs = {**add, **d.signs}",
         "rewrite",
         "tests/test_differential.py::test_row_rewrite_matches_endpoint_oracle",
     ),
@@ -395,6 +395,15 @@ MUTANTS = (
         "ends = (_HEADS[lab], _TAILS[lab]) if not head_first else (_TAILS[lab], _HEADS[lab])",
         "rewrite",
         "tests/test_differential.py::test_row_rewrite_matches_endpoint_oracle",
+    ),
+    # the search's own edit of an R3, which finds its arcs without the
+    # check apply_move makes first: the first tiling, movable or not
+    Mutant(
+        "edit-r3-first-tiling", "moves.py",
+        "arcs = arcs or _movable_arcs(d.signs, fields[0], _tilings(d, fields[0]))",
+        "arcs = arcs or _tilings(d, fields[0])[0][0]",
+        "rewrite",
+        "tests/test_differential.py::test_unchecked_edit_builds_what_apply_move_builds",
     ),
     # two rewrites that no Reidemeister move makes: an R2 insertion whose
     # chords share a sign (the one place an insertion's signs are written,
@@ -558,8 +567,8 @@ MUTANTS = (
     # the search
     Mutant(
         "search-key-late", "simplify.py",
-        "entry = (count, 1, child_key, state, walk)",
-        "entry = (count, -1, child_key, state, walk)",
+        "entry = (count, 1, child_key, state, codes if change == 1 else None)",
+        "entry = (count, -1, child_key, state, codes if change == 1 else None)",
         "search",
         "tests/test_differential.py::test_simplify_matches_oracle_without_insertions",
     ),
@@ -572,22 +581,22 @@ MUTANTS = (
     ),
     Mutant(
         "search-family-walks-parent", "simplify.py",
-        "signs, state = state.signs, apply_move(state, kinds[added](*fields))",
-        "signs = state.signs; apply_move(state, kinds[added](*fields))",
+        "signs, state = state.signs, _edit(state, added, fields)",
+        "signs = state.signs; _edit(state, added, fields)",
         "search",
         "tests/test_acceptance.py::test_criterion_2_example_1_end_to_end",
     ),
     Mutant(
         "search-made-one-label-too-many", "simplify.py",
-        "made = tuple(state.signs)[len(signs):]  # apply_move signs them last",
+        "made = tuple(state.signs)[len(signs):]  # _edit signs them last",
         "made = tuple(state.signs)[len(signs) - 1:]",
         "search",
         "tests/test_differential.py::test_search_walks_no_deletion_whose_children_are_not_keyed",
     ),
     Mutant(
         "search-walked-fields", "simplify.py",
-        "parent, added, fields = info[key]  # its move, built only now",
-        "parent, added, _ = info[key]  # its move, built only now",
+        "parent, added, fields = info[key]  # its edit, made only now",
+        "parent, added, _ = info[key]  # its edit, made only now",
         "search",
         "tests/test_differential.py::test_simplify_matches_oracle_without_insertions",
     ),
@@ -634,9 +643,16 @@ MUTANTS = (
         "tests/test_differential.py::test_search_skips_only_children_it_has_keyed",
     ),
     Mutant(
-        "search-skips-equal-rank", "simplify.py",
-        "flags = [rank < own for rank in ranks]",
-        "flags = [rank <= own for rank in ranks]",
+        "search-skips-equal-code", "simplify.py",
+        "flags = [code < parent for code in codes]  # parent: this state's own code",
+        "flags = [code <= parent for code in codes]",
+        "search",
+        "tests/test_differential.py::test_search_skips_only_children_it_has_keyed",
+    ),
+    Mutant(
+        "search-left-out-below-codes", "simplify.py",
+        'codes[:] = ["~" if skipped else next(keyed) for skipped in skip]',
+        'codes[:] = ["" if skipped else next(keyed) for skipped in skip]',
         "search",
         "tests/test_differential.py::test_search_skips_only_children_it_has_keyed",
     ),

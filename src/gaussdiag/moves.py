@@ -44,18 +44,20 @@ getters) are for outside callers; here only ``analyze_triple``, the
 public report, calls them.  The chords a move names are outside input, so
 ``_check_chords`` guards them before any lookup.
 
-A move is one positional edit of the endpoints, checked once by
-``_rewrite``: a deletion cuts its chords' positions, an insertion splices
-its blocks in at its gaps, and an R3 swaps the arcs of its first movable
-tiling.  An insertion's blocks are the shared endpoints of
-``diagram._TAILS`` and ``_HEADS``, so no move makes an ``Endpoint``, and
-``_insertion_blocks`` is the one place that says what an insertion puts
-in, in what order and with which signs.  The search keys children from
-``_family_rows``, which makes the same edits on a parent's
-``diagram._rows`` with no check and no move built.  So two codes splice:
-``_edited`` for the one child ``apply_move`` builds, and the walk, which
-joins slices of the parent's rows around each child's blocks, for the many
-children that share a parent's slices.
+A move is one positional edit of the endpoints, ``_edit``: a deletion
+cuts its chords' positions, an insertion splices its blocks in at its
+gaps, and an R3 swaps the arcs of its first movable tiling.
+``apply_move`` is the move's checks, then that edit; the search builds
+each state it expands with the edit alone, from the fields its walk found
+on the same parent diagram, so the move applies and is not checked again.
+An insertion's blocks are the shared endpoints of ``diagram._TAILS`` and
+``_HEADS``, so no move makes an ``Endpoint``, and ``_insertion_blocks``
+is the one place that says what an insertion puts in, in what order and
+with which signs.  The search keys children from ``_family_rows``, which
+makes the same edits on a parent's ``diagram._rows`` with no check and no
+move built.  So two codes splice: ``_edited`` for the one child ``_edit``
+builds, and the walk, which joins slices of the parent's rows around each
+child's blocks, for the many children that share a parent's slices.
 """
 
 from __future__ import annotations
@@ -336,14 +338,77 @@ def _edited(column, cuts, splices, arcs) -> list:
 def apply_move(d: GaussDiagram, move: Move) -> GaussDiagram:
     """Apply one move, or raise MoveNotApplicable naming the failed condition.
 
-    The result is d's endpoints with ``_rewrite``'s edit, valid by its
-    checks, and its fresh sign dict, built without revalidation.  A
-    deletion's or R3's edited endpoints and position map are sign-free, so
-    a diagram with a holder (see ``sites``) keeps them there, keyed by the
-    edit's cuts or arcs, for its arrangement's other sign maps; a failed
-    check keeps nothing.  Insertions, and diagrams without a holder, build
-    afresh."""
-    (cuts, splices, arcs), signs = _rewrite(d, move)
+    Every precondition of ``move`` on d is checked here, and the result is
+    then the move's ``_edit`` of d, valid by those checks.  R3 reads its
+    triple's ``_tilings`` from the holder's R3 find when d has a holder
+    (see ``sites``), where a triple without an entry is not matched, and
+    hands the arcs of the first movable one, the ``_movable_arcs`` it
+    checked, to the edit."""
+    if isinstance(move, R1Delete):
+        c = move.chord
+        _check_chords(d, (c,))
+        t, h = d._pos[c]
+        if not _adjacent(len(d.endpoints), t, h):
+            raise MoveNotApplicable(f"chord {c} endpoints are not adjacent (positions {t} and {h})")
+        return _edit(d, -1, (c,))
+    if isinstance(move, R2Delete):
+        _check_chords(d, move.chords)
+        a, b = move.chords
+        if d.signs[a] == d.signs[b]:
+            raise MoveNotApplicable(f"chords {a} and {b} have the same sign")
+        m = len(d.endpoints)
+        (ta, ha), (tb, hb) = d._pos[a], d._pos[b]
+        if not _adjacent(m, ha, hb):
+            raise MoveNotApplicable(f"heads of chords {a} and {b} are not adjacent")
+        if not _adjacent(m, ta, tb):
+            raise MoveNotApplicable(f"tails of chords {a} and {b} are not adjacent")
+        return _edit(d, -2, (move.chords,))
+    if isinstance(move, (R1Insert, R2Insert)):
+        _check_insertion(move, d)
+        return _edit(d, len(move._fields) - 2, move._values())  # a chord per gap, a sign, a flag
+    if isinstance(move, R3):
+        t = move.chords
+        _check_chords(d, t)
+        tilings = _tilings(d, t) if d._sites is None else _sign_free(d, _r3_sites).get(t)
+        if not tilings:
+            raise MoveNotApplicable(f"triple {t} is not matched")
+        arcs = _movable_arcs(d.signs, t, tilings)
+        if arcs is None:
+            raise MoveNotApplicable(f"triple {t} is matched but its 3-signs differ")
+        return _edit(d, 0, (t,), arcs)
+    raise MoveNotApplicable(f"unknown move {move!r}")
+
+
+def _edit(d: GaussDiagram, change: int, fields: tuple, arcs=()) -> GaussDiagram:
+    """The diagram the move of d that adds ``change`` chords makes, its
+    fields given in its record's order, with no check: the caller knows
+    the move applies to d.  ``apply_move`` calls it after its checks, and
+    the search on the fields its walk found on the same diagram.
+
+    The move is one edit of d's endpoints, (cuts, splices, arcs) for
+    ``_edited``, with a fresh sign dict: d's signs in d's order, less the
+    chords cut, then an insertion's chords in ``label_key`` order, which
+    the search reads as the chords a state's own insertion added.  A
+    deletion cuts its chords' ``_cuts``.  An insertion splices in its
+    ``_insertion_blocks`` as they are.  R3 swaps ``arcs``, the
+    ``_movable_arcs`` of its triple's ``_tilings``, found here when not
+    given.  A deletion's or R3's edited endpoints and position map are
+    sign-free, so a diagram with a holder (see ``sites``) keeps them
+    there, keyed by the edit's cuts or arcs, for its arrangement's other
+    sign maps.  Insertions, and diagrams without a holder, build afresh.
+    ``_family_rows`` makes the same edits on the rows, its insertions by
+    joining slices (``_insertion_rows``)."""
+    cuts = splices = ()
+    if change > 0:
+        splices, add = _insertion_blocks(fields, _fresh_labels(d, 2))
+        signs = {**d.signs, **add}
+    elif change:
+        gone = fields[0] if change == -2 else fields  # the chords cut
+        cuts = _cuts(d, gone)
+        signs = {c: s for c, s in d.signs.items() if c not in gone}
+    else:
+        signs = dict(d.signs)
+        arcs = arcs or _movable_arcs(d.signs, fields[0], _tilings(d, fields[0]))
     holder = None if splices else d._sites  # an insertion has no cuts or arcs to key it by
     key = (*cuts, *arcs)
     child = None if holder is None else holder.get(key)
@@ -353,60 +418,6 @@ def apply_move(d: GaussDiagram, move: Move) -> GaussDiagram:
         if holder is not None:
             holder[key] = child
     return _assemble(object.__new__(GaussDiagram), child[0], MappingProxyType(signs), child[1])
-
-
-def _rewrite(d: GaussDiagram, move: Move):
-    """Check every precondition of ``move`` on d (MoveNotApplicable like
-    apply_move), then give the move as one edit of d's endpoints, (cuts,
-    splices, arcs) for ``_edited``, and the fresh sign dict of apply_move's
-    result: d's signs in d's order, less the chords cut, then an
-    insertion's chords in ``label_key`` order, which the search reads as
-    the chords a state's own insertion added.
-
-    A deletion cuts its chords' ``_cuts``.  An insertion splices in its
-    ``_insertion_blocks`` as they are.  R3 swaps the three
-    ``_movable_arcs`` of its triple's ``_tilings``, read from the holder's
-    R3 find when d has a holder, where a triple without an entry is not
-    matched.  ``_family_rows`` makes the same edits on the rows,
-    unchecked, its insertions by joining slices (``_insertion_rows``)."""
-    splices = arcs = gone = ()  # gone: the chords cut
-    add = {}  # the signs of the chords added
-    if isinstance(move, R1Delete):
-        c = move.chord
-        _check_chords(d, (c,))
-        t, h = d._pos[c]
-        if not _adjacent(len(d.endpoints), t, h):
-            raise MoveNotApplicable(
-                f"chord {c} endpoints are not adjacent (positions {t} and {h})"
-            )
-        gone = (c,)
-    elif isinstance(move, R2Delete):
-        _check_chords(d, move.chords)
-        a, b = gone = move.chords
-        if d.signs[a] == d.signs[b]:
-            raise MoveNotApplicable(f"chords {a} and {b} have the same sign")
-        m = len(d.endpoints)
-        (ta, ha), (tb, hb) = d._pos[a], d._pos[b]
-        if not _adjacent(m, ha, hb):
-            raise MoveNotApplicable(f"heads of chords {a} and {b} are not adjacent")
-        if not _adjacent(m, ta, tb):
-            raise MoveNotApplicable(f"tails of chords {a} and {b} are not adjacent")
-    elif isinstance(move, (R1Insert, R2Insert)):
-        _check_insertion(move, d)
-        splices, add = _insertion_blocks(move._values(), _fresh_labels(d, 2))
-    elif isinstance(move, R3):
-        t = move.chords
-        _check_chords(d, t)
-        tilings = _tilings(d, t) if d._sites is None else _sign_free(d, _r3_sites).get(t)
-        if not tilings:
-            raise MoveNotApplicable(f"triple {t} is not matched")
-        arcs = _movable_arcs(d.signs, t, tilings)
-        if arcs is None:
-            raise MoveNotApplicable(f"triple {t} is matched but its 3-signs differ")
-    else:
-        raise MoveNotApplicable(f"unknown move {move!r}")
-    signs = {c: s for c, s in d.signs.items() if c not in gone} if gone else {**d.signs, **add}
-    return (_cuts(d, gone) if gone else (), splices, arcs), signs
 
 
 def enumerate_moves(d: GaussDiagram, include_insertions: bool = False) -> list:
@@ -524,9 +535,9 @@ def _family_rows(d: GaussDiagram, change: int, made: tuple = (), skip=()):
     ``sites._r3_sites`` for the kink's triples only, past the detector
     ``r3_movable_triples``, and reads each one's arcs, its
     ``_movable_arcs``, from the tilings that find holds.
-    A deletion or R3 is the (cuts, arcs) edit ``_rewrite`` makes after its
-    checks, applied by ``_edited`` to d's ``diagram._rows``, which are made
-    only once the family has a site.  Any other R3 family is the triples
+    A deletion or R3 is the (cuts, arcs) edit ``_edit`` makes, applied by
+    ``_edited`` to d's ``diagram._rows``, which are made only once the
+    family has a site.  Any other R3 family is the triples
     ``r3_movable_triples(d)`` keeps, each with the arcs among the
     ``_tilings`` the kernel gives again, so no copy of d is made to share
     the detector's find.  Insertions are ``_insertion_rows``.

@@ -13,17 +13,18 @@ found only when it pops, by one walk, ``moves._family_rows``, which yields
 each child's move fields and rows with no move built.  The families,
 their order and the class each one's moves are built with come from the
 table of move kinds, ``moves._KINDS``.  A state is stored as its parent's
-code, the chords its move's family adds and the move's fields; a move
-record and a diagram are built only for the states the search expands,
-for the final diagram and for the trace.  ``simplify`` gives the order,
-the families and children a state skips and why the result stays the
-same.
+code, the chords its move's family adds and the move's fields.  A diagram
+is built only for the states the search expands, by the move's unchecked
+edit (``moves._edit``) of the parent diagram its walk found the move on,
+and for the final state; a move record only for the final diagram and
+the trace, which go through ``apply_move``.  ``simplify`` gives the
+order, the families and children a state skips and why the result stays
+the same.
 """
 
 from __future__ import annotations
 
 import heapq
-from array import array
 
 from .codec import _canonical_code, _read_canonical_code, serialize_gauss_code
 from .diagram import GaussDiagram, _Record, _rows, canonical
@@ -32,7 +33,7 @@ from .moves import (
     R1Delete,
     R2Delete,
     _KINDS,
-    _VARIANTS,
+    _edit,
     _family_rows,
     apply_move,
     # not called here; imported so that perfbench/tracing.py can patch it
@@ -121,24 +122,26 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
 
     ``info`` maps each state's code to (its parent's code, the chords its
     move's family adds, the move's fields), the start's to (None, None,
-    None).  A move record is built from these, by the class its row of
-    ``moves._KINDS`` names, only to expand the state (``apply_move`` on the
-    diagram its entry carries), for the final state's move and for each
-    trace step.  An expansion does not key its children: it pushes one
-    family entry per move family onto the queue the states wait in, at the
-    count its children have: its R1 deletions (-1), R2 deletions (-2) and
-    R3s (0), where that count is not negative, and its R1 (1) and R2 (2)
-    insertions, where they fit.  A state's entry is (count, 1, code, the
-    diagram its move applies to, ranks), a family's (count, 0, its
-    parent's expansion number, parent's code, chords it adds, parent's
-    diagram, ``made``, ranks), where ranks is None but for the R1-made
-    states and their R1 families (see below).
+    None).  To expand the state, ``moves._edit`` makes the move these name
+    on the diagram its entry carries, with no check: that is the diagram
+    the parent's walk found the move on, so the move applies.  A move
+    record is built from them, by the class its row of ``moves._KINDS``
+    names, only for the final state's move and for each trace step.  An
+    expansion does not key its children: it pushes one family entry per
+    move family onto the queue the states wait in, at the count its
+    children have: its R1 deletions (-1), R2 deletions (-2) and R3s (0),
+    where that count is not negative, and its R1 (1) and R2 (2) insertions,
+    where they fit.  A state's entry is (count, 1, code, the diagram its
+    move applies to, codes), a family's (count, 0, its parent's expansion
+    number, parent's code, chords it adds, parent's diagram, ``made``,
+    codes), where codes is None but for the R1-made states and their R1
+    families (see below).
     ``made`` names the chords the parent's own insertion added, or is ().
     The insertion took them as the ``moves._fresh_labels`` of the diagram
     it applied to: the least unused positive integers, ascending, which is
     the ``label_key`` order a walk names a pair in.  The expansion reads
-    them off the end of the sign map ``apply_move`` gave the state, which
-    adds them last (see ``moves._rewrite``).
+    them off the end of the sign map the edit gave the state, which adds
+    them last (see ``moves._edit``).
 
     Four rules leave out children that are keyed already.  Each needs only
     that a child is keyed when its family pops, and a walk that leaves out
@@ -185,13 +188,14 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
     endpoints, up to labels, as T + k, where T is Q + i at Q's gap h and k
     goes in at T's gap g + 2.  If h >= g + 2, T is Q + i at Q's gap h - 2,
     and k goes in at T's gap g.  Q's R1 walk keyed T and S, and it keeps
-    each child's dense rank among the walk's codes in one array, a child it
-    left out ranking above them all.  Each state that walk stored carries
-    the array, and so does that state's R1 family, so the array is freed
-    once they have all popped.  When T ranks below S, T's code is less than
-    S's at the same count, and T was keyed before S could pop, so T was
-    expanded first.  Its R1 family, at S's count plus one, which fits, and
-    at a lower expansion number, popped before S's, and T + k is keyed.
+    its children's codes in one list, in walk order, a child it left out
+    holding a code above every code, so that it makes no sibling skip.
+    Each state that walk stored carries the list, and so does that state's
+    R1 family, so the list is freed once they have all popped.  When T's
+    code is less than S's, at the same count, T was keyed before S could
+    pop, so T was expanded first.  Its R1 family, at S's count plus one,
+    which fits, and at a lower expansion number, popped before S's, and
+    T + k is keyed.
     A child can share a code only with states of its own chord count, and
     the tag 0 pops every family of a count before any state of that count
     or higher: a count's children are all keyed (and deduplicated, the
@@ -205,9 +209,11 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
     move.  A child whose code is new is stored as its walk's fields.  An
     empty child ends the search once its family is keyed; a popped state
     ends it when the budget is spent.  Diagrams are built only for the
-    states the search expands, each by applying its move to its parent's
-    diagram, which the state's entry carries; a family's entry carries its
-    parent's.
+    states the search expands, each by its move's unchecked edit of its
+    parent's diagram, which the state's entry carries; a family's entry
+    carries its parent's.  That is the diagram the walk found the move on,
+    with the fields it yielded, so no check can fail, and the edit makes
+    the diagram ``apply_move`` would.
     No other store holds a diagram, so one is released once the last entry
     holding it pops.  The final diagram is the best state's move applied
     to the diagram its entry carries (the start needs none): the same
@@ -237,13 +243,13 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
     info = {start_key: (None, None, None)}
     # a state is (chord count, 1, code, the diagram its move applies to: its
     # parent's, the start's being itself, and for a state an R1 insertion
-    # made, the ranks of its parent's R1 walk, else None); a family is (its
+    # made, the codes of its parent's R1 walk, else None); a family is (its
     # children's chord count, 0, its parent's expansion number, parent's
     # code, chords it adds, parent's diagram, the chords the parent's own
-    # insertion added, and for an R1-made parent's R1 family, the ranks its
+    # insertion added, and for an R1-made parent's R1 family, the codes its
     # state carried, else None).  No two entries agree in their first three
     # fields, so the heap never compares diagrams (they have no order), and
-    # a diagram or ranks array is freed once the last entry holding it pops
+    # a diagram or codes list is freed once the last entry holding it pops
     best = (d.n, 1, start_key, d, None)
     queue = [best]
     explored = 0
@@ -255,49 +261,44 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
             if explored >= limits.max_states:
                 limit_hit = True
                 break
-            count, _, key, state, ranks = entry
-            parent, added, fields = info[key]  # its move, built only now
+            count, _, key, state, codes = entry
+            parent, added, fields = info[key]  # its edit, made only now
             made = ()  # the chords its own insertion added
-            if parent is not None:
-                signs, state = state.signs, apply_move(state, kinds[added](*fields))
-                made = tuple(state.signs)[len(signs):]  # apply_move signs them last
+            if parent is not None:  # the walk found the move on this diagram: no check
+                signs, state = state.signs, _edit(state, added, fields)
+                made = tuple(state.signs)[len(signs):]  # _edit signs them last
             explored += 1
             top = max_chords if limits.allow_insertions else count  # the most chords a child has
             least = count if added == 1 else 0  # an R1-made state's deletions are all keyed
             for change in kinds:  # one entry per family: its moves are found when it pops
                 if least <= count + change <= top:
                     heapq.heappush(queue, (count + change, 0, explored, key, change, state, made,
-                                           ranks if change == 1 else None))
+                                           codes if change == 1 else None))
             continue
-        count, _, _, parent, change, state, made, ranks = entry  # a family: key its children
+        count, _, _, parent, change, state, made, codes = entry  # a family: key its children
         skip = ()
-        if ranks is not None:  # an R1-made state's R1 insertions: skip its siblings' children
-            gap, sign, head_first = info[parent][2]
-            own = ranks[4 * gap + _VARIANTS.index((sign, head_first))]
-            flags = [rank < own for rank in ranks]
+        if codes is not None:  # an R1-made state's R1 insertions: skip its siblings' children
+            flags = [code < parent for code in codes]  # parent: this state's own code
+            gap = info[parent][2][0]
             # gap h of this state is its parent's gap h up to gap, none
             # inside the kink (gap + 1), and its parent's gap h - 2 after
             skip = flags[:4 * gap + 4] + [False] * 4 + flags[4 * gap:]
-        # this R1 walk's ranks, filled once walked: each is at most 4 * 2n,
-        # which 32 bits hold at any size ('H' would stop at 8,191 chords)
-        walk = array("I") if change == 1 else None
-        codes = []
+        codes = []  # the walk's child codes, in walk order: an R1 walk's children keep them
         for fields, chords, bases in _family_rows(state, change, made, skip):
             child_key = _canonical_code(chords, bases)
             codes.append(child_key)
             if child_key in info:
                 continue
             info[child_key] = (parent, change, fields)
-            entry = (count, 1, child_key, state, walk)
+            entry = (count, 1, child_key, state, codes if change == 1 else None)
             if entry < best:
                 best = entry
             heapq.heappush(queue, entry)
-        if walk is not None:  # each child's dense code rank, in walk order
-            order = {code: rank for rank, code in enumerate(sorted(set(codes)))}
-            keyed = map(order.__getitem__, codes)
-            # a child left out ranks above every code, so it never makes a sibling skip
-            walk.extend(len(codes) if skipped else next(keyed)
-                        for skipped in skip or [False] * len(codes))
+        # a child left out holds "~", which sorts above every code (a run of O
+        # and U tokens), so it makes no sibling skip
+        if skip:
+            keyed = iter(codes)
+            codes[:] = ["~" if skipped else next(keyed) for skipped in skip]
 
     # the final diagram: the best state's move applied to the diagram its
     # entry carries, which the same chain of moves built

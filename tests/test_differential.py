@@ -22,6 +22,10 @@ exhaustive n <= 4 corpus and the 1000 seeded diagrams; n counts chords.
   one with n = 4 and every insertion with n <= 2 and of the seeded
   three-chord diagrams, invalid ones included (``test_r3_rewrite_*``,
   ``test_row_rewrite_*``, ``test_fresh_labels_*``, ``test_trusted_*``).
+  The search's unchecked edit, ``moves._edit``, against ``apply_move``:
+  every move with n <= 3, every insertion gap and variant included, every
+  deletion and R3 with n = 4 and of the seeded corpus, and every insertion
+  of the seeded diagrams with n <= 4 (``test_unchecked_edit_*``).
 - Walk: the rewrite oracle's children in ``oracle_enumerate_moves`` order;
   every family with n <= 3 and of the seeded corpus, and every deletion
   and R3 family with n = 4 (``test_family_rows_match_oracles``).  The
@@ -60,10 +64,10 @@ exhaustive n <= 4 corpus and the 1000 seeded diagrams; n counts chords.
   at its expansion, and that every other state's deletion walks drop only
   the deletion that undoes an R2 insertion
   (``test_search_walks_no_deletion_*``).  A second spy, over the same
-  searches and the benchmark's ``insertion`` inputs at seeds 1 to 5,
-  checks that only a state an R1 insertion built leaves out R3s and R1
-  insertions, and that each child it leaves out is keyed then
-  (``test_search_skips_only_*``).
+  searches, the benchmark's ``insertion`` inputs at seeds 1 to 5 and the
+  two-chord diagrams with room for three insertions, checks that only a
+  state an R1 insertion built leaves out R3s and R1 insertions, and that
+  each child it leaves out is keyed then (``test_search_skips_only_*``).
 """
 
 from __future__ import annotations
@@ -126,10 +130,12 @@ from gaussdiag.diagram import (
     _least_rotations,
     _matchings,
     _rows,
+    _trusted,
     label_key,
 )
 from gaussdiag.moves import (
     _LAYOUTS,
+    _edit,
     _family_rows,
     _fresh_labels,
     _insertion_layout,
@@ -1193,6 +1199,30 @@ def test_shared_rewrites_match_unshared_copies():
     assert results == 2 * 46_248 and errors == {R2Delete: 2 * 7_984, R3: 2 * 18_876}
 
 
+def test_unchecked_edit_builds_what_apply_move_builds(exhaustive_corpus, random_corpus):
+    # the search builds each state it expands by the move's edit alone, with
+    # no check, from the fields its walk found on the same diagram (the
+    # walk's fields are the moves' fields: see test_family_rows_match_oracles).
+    # For every move of both corpora, every insertion gap and variant of
+    # every diagram with n <= 3 and of the seeded diagrams with n <= 4, the
+    # edit of a copy with no holder builds apply_move's diagram: the same
+    # endpoints, sign map in the same order, position map and chords its
+    # insertion added (``made``).  An R3's edit finds by itself the arcs
+    # apply_move's check hands it
+    checked = collections.Counter()
+    cases = [(d, d.n <= 3) for d in exhaustive_corpus] + [(d, d.n <= 4) for d in random_corpus]
+    for d, insertions in cases:
+        bare = _trusted(d.endpoints, d.signs)
+        for move in enumerate_moves(d, insertions):
+            change = CHANGE[type(move)]
+            got, expected = _edit(bare, change, move._values()), apply_move(d, move)
+            assert _applied(got) == _applied(expected), (d, move)
+            assert tuple(got.signs)[d.n:] == tuple(expected.signs)[d.n:], (d, move)
+            checked[type(move)] += 1
+    assert checked == {R1Delete: 32_932, R2Delete: 8_201, R3: 6_478, R1Insert: 33_172,
+                       R2Insert: 195_108}, checked
+
+
 def test_enumerate_diagrams_matches_oracle():
     # the same diagrams in the same order, sign maps in the same key order
     for n in range(5):
@@ -1339,11 +1369,11 @@ def test_search_walks_no_deletion_whose_children_are_not_keyed(exhaustive_corpus
     # chords it added, whose child has its parent's code.  Spy on the
     # search, over the _truncated_cases
     search = importlib.import_module("gaussdiag.simplify")
-    family_rows, canonical_code = search._family_rows, search._canonical_code
+    edit, family_rows, canonical_code = search._edit, search._family_rows, search._canonical_code
     kinds = {change: kind for kind, change in CHANGE.items()}
     made_from = {}  # each built state's id: (its parent, the move)
-    # per apply_move: (the state, and if an R1 insertion made it, how many
-    # deletion children it has and the codes of those not yet keyed)
+    # per expansion's edit: (the state, and if an R1 insertion made it, how
+    # many deletion children it has and the codes of those not yet keyed)
     built = []
     keyed = set()  # every code the search has made
     pushed = collections.defaultdict(set)  # a diagram's id: the chords its pushed families add
@@ -1354,8 +1384,8 @@ def test_search_walks_no_deletion_whose_children_are_not_keyed(exhaustive_corpus
         keyed.add(code)
         return code
 
-    def build(parent, move):
-        state = apply_move(parent, move)
+    def build(parent, change, fields):
+        state, move = edit(parent, change, fields), kinds[change](*fields)
         made_from[id(state)] = parent, move
         codes = []
         if type(move) is R1Insert:
@@ -1388,7 +1418,7 @@ def test_search_walks_no_deletion_whose_children_are_not_keyed(exhaustive_corpus
             seen["undo"] += 1
         return iter(kept)
 
-    monkeypatch.setattr(search, "apply_move", build)
+    monkeypatch.setattr(search, "_edit", build)
     monkeypatch.setattr(search, "_canonical_code", spy_canonical_code)
     monkeypatch.setattr(search, "_family_rows", spy_family_rows)
     monkeypatch.setattr(search, "heapq", SimpleNamespace(heappush=spy_push, heappop=heapq.heappop))
@@ -1399,9 +1429,9 @@ def test_search_walks_no_deletion_whose_children_are_not_keyed(exhaustive_corpus
             limits = SearchLimits(max_states, allow_insertions=True, max_chords=max_chords)
             explored = simplify(d, limits).states_explored
             # the expanded states: the start, then the states the search's
-            # first explored - 1 apply_moves built (a later one builds the
-            # final diagram after the search)
-            for state, children, unkeyed in [(d, 0, []), *built[:explored - 1]]:
+            # edits built (apply_move builds the final diagram)
+            assert len(built) == explored - 1, (d, max_chords, max_states)
+            for state, children, unkeyed in [(d, 0, []), *built]:
                 deletions = {change for change in pushed[id(state)] if change < 0}
                 if type(made_from.get(id(state), (None, None))[1]) is R1Insert:
                     assert not deletions and not unkeyed, (d, max_chords, max_states, state)
@@ -1427,7 +1457,10 @@ def test_search_skips_only_children_it_has_keyed(exhaustive_corpus, monkeypatch)
     # hold its kink, and no R1 insertion that a sibling, expanded first,
     # keys; no other state leaves out an R3 or an R1 insertion.  Each child
     # left out is keyed when its family is walked.  Spy on the search, over
-    # the _truncated_cases and the benchmark's insertion inputs
+    # the _truncated_cases, the benchmark's insertion inputs and the
+    # two-chord diagrams with room for three insertions: only there does an
+    # R1-made state's R1 walk read a child its parent's walk left out, which
+    # holds a code above every code and so makes no sibling skip
     search = importlib.import_module("gaussdiag.simplify")
     family_rows, canonical_code = search._family_rows, search._canonical_code
     keyed = set()  # every code the search has made
@@ -1460,6 +1493,7 @@ def test_search_skips_only_children_it_has_keyed(exhaustive_corpus, monkeypatch)
         for max_states in (*TRUNCATED_BUDGETS, 40, 200)
     ]
     cases += [(d, d.n + 2, 60) for d in _insertion_workload_inputs(monkeypatch)]
+    cases += [(d, d.n + 3, 400) for d in exhaustive_corpus if d.n == 2]
     for d, max_chords, max_states in cases:
         keyed.clear()
         simplify(d, SearchLimits(max_states, allow_insertions=True, max_chords=max_chords))

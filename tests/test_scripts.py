@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import contextlib
 import importlib.util
 import json
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
+import time
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -180,21 +185,28 @@ def _bench():
     return bench
 
 
+def _bench_trees(tmp_path) -> list:
+    """Two copies, parent and change, of this checkout's sources and
+    benchmark under ``tmp_path``: ``bench.py compare``'s two arguments."""
+    ignore = shutil.ignore_patterns("__pycache__", "out")
+    for side in ("parent", "change"):
+        for name in ("src", "perfbench"):
+            shutil.copytree(ROOT / name, tmp_path / side / name, ignore=ignore)
+        shutil.copy(ROOT / "BENCHMARK.json", tmp_path / side)
+    return [str(tmp_path / "parent"), str(tmp_path / "change")]
+
+
 def test_bench_compare_on_a_tiny_configuration(tmp_path):
     # two copies of this checkout's sources and benchmark, one pair of
     # 0.1 s insertion runs: each end-to-end metric of BENCHMARK.json gets
     # one line, and neither tree keeps a __pycache__.  The pairs alternate
     # which side runs first
     assert _bench().schedule(4) == [(1, "parent"), (2, "change"), (3, "parent"), (4, "change")]
-    ignore = shutil.ignore_patterns("__pycache__", "out")
-    for side in ("parent", "change"):
-        for name in ("src", "perfbench"):
-            shutil.copytree(ROOT / name, tmp_path / side / name, ignore=ignore)
-        shutil.copy(ROOT / "BENCHMARK.json", tmp_path / side)
+    trees = _bench_trees(tmp_path)
     (tmp_path / "parent" / "src" / "gaussdiag" / "__pycache__").mkdir()
     proc = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "bench.py"), "compare", str(tmp_path / "parent"),
-         str(tmp_path / "change"), "--workloads", "insertion", "--pairs", "1", "--seconds", "0.1"],
+        [sys.executable, str(ROOT / "scripts" / "bench.py"), "compare", *trees,
+         "--workloads", "insertion", "--pairs", "1", "--seconds", "0.1"],
         capture_output=True,
         text=True,
         timeout=300,
@@ -209,8 +221,58 @@ def test_bench_compare_on_a_tiny_configuration(tmp_path):
     assert not list(tmp_path.rglob("__pycache__"))
 
 
+def _processes_under(tree: Path) -> dict:
+    """pid -> arguments of each live process whose working directory, or
+    one of whose arguments, lies under ``tree``, read from ``/proc``."""
+    tree = str(tree.resolve())
+    found = {}
+    for entry in Path("/proc").iterdir():
+        if entry.name.isdigit():
+            with contextlib.suppress(OSError):  # gone, or a zombie with no working directory
+                cwd = os.readlink(entry / "cwd")
+                args = (entry / "cmdline").read_bytes().decode().split("\0")
+                if cwd.startswith(tree) or any(arg.startswith(tree) for arg in args):
+                    found[int(entry.name)] = args
+    return found
+
+
+@pytest.mark.skipif(not Path("/proc/self/cwd").exists(), reason="reads processes from /proc")
+def test_bench_compare_stopped_by_sigterm_leaves_no_process(tmp_path):
+    # one long run, stopped by SIGTERM once its perfbench/run.py has started
+    # that run's worker.py: the script exits 143, and no process of the
+    # trees survives it
+    trees = _bench_trees(tmp_path)
+    proc = subprocess.Popen(
+        [sys.executable, str(ROOT / "scripts" / "bench.py"), "compare", *trees,
+         "--workloads", "insertion", "--pairs", "1", "--seconds", "60"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    try:
+        deadline = time.monotonic() + 60
+        while not any(arg.endswith("/perfbench/worker.py")
+                      for args in _processes_under(tmp_path).values() for arg in args):
+            assert proc.poll() is None and time.monotonic() < deadline, "no worker started"
+            time.sleep(0.05)
+        assert any("perfbench/run.py" in args for args in _processes_under(tmp_path).values())
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=60) == 128 + signal.SIGTERM
+        deadline = time.monotonic() + 10
+        while _processes_under(tmp_path) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        assert _processes_under(tmp_path) == {}
+    finally:
+        proc.kill()
+        proc.communicate()
+        for pid in _processes_under(tmp_path):
+            with contextlib.suppress(OSError):
+                os.kill(pid, signal.SIGKILL)
+
+
 def test_bench_layers_on_a_tiny_configuration(tmp_path):
-    # one size and one pass: every layer has a figure at that size, both
+    # one size and one pass: every layer has a figure at that size, so do
+    # apply_move and the search's unchecked edit for each move kind, both
     # seed-1 rounds a CPU time, and the figures are written as JSON
     output = tmp_path / "BENCH_layers.json"
     proc = subprocess.run(
@@ -225,6 +287,11 @@ def test_bench_layers_on_a_tiny_configuration(tmp_path):
     layers = result["layers_us_per_call"]
     assert sorted(layers) == ["canonical_code", "r3_family_r1_child", "r3_find"]
     assert all(list(by_size) == ["4"] and by_size["4"] > 0 for by_size in layers.values()), layers
+    expand = result["expand_us_per_call"]
+    assert list(expand) == ["R1Delete", "R2Delete", "R3", "R1Insert", "R2Insert"]
+    figures = [by_size for paths in expand.values() for by_size in paths.values()]
+    assert all(list(paths) == ["apply_move", "edit"] for paths in expand.values()), expand
+    assert all(list(by_size) == ["4"] and by_size["4"] > 0 for by_size in figures), expand
     rounds = result["seed_1_round_cpu_s"]
     assert sorted(rounds) == ["descent", "insertion"] and all(s > 0 for s in rounds.values())
-    assert len(proc.stdout.splitlines()) == len(layers) + len(rounds)
+    assert len(proc.stdout.splitlines()) == len(layers) + len(figures) + len(rounds)

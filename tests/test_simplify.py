@@ -267,17 +267,22 @@ def test_search_never_worse_than_greedy_exhaustive_small():
 
 
 def test_search_builds_only_popped_states_and_the_trace(monkeypatch):
-    # every popped state but the start is built once, from the diagram its
-    # entry carries, and the final state once more, from the diagram its
-    # entry carries (the start needs no move); children are keyed without
-    # being built
+    # every popped state but the start is built once, by the unchecked
+    # edit of the diagram its entry carries, and the final state once
+    # more, through apply_move on the diagram its entry carries (the start
+    # needs no move); children are keyed without being built
     search = importlib.import_module("gaussdiag.simplify")
-    built = []
+    edit, edited, built = search._edit, [], []
+
+    def edit_and_count(state, change, fields):
+        edited.append(change)
+        return edit(state, change, fields)
 
     def apply_and_count(state, move):
         built.append(move)
         return apply_move(state, move)
 
+    monkeypatch.setattr(search, "_edit", edit_and_count)
     monkeypatch.setattr(search, "apply_move", apply_and_count)
     cases = [
         (EX1, SearchLimits()),
@@ -286,9 +291,11 @@ def test_search_builds_only_popped_states_and_the_trace(monkeypatch):
         (STORED, SearchLimits(max_states=30, allow_insertions=True)),
     ]
     for code, limits in cases:
+        edited.clear()
         built.clear()
         res = simplify(d(code), limits)
-        assert len(built) == res.states_explored - 1 + (1 if res.trace else 0), code
+        assert len(edited) == res.states_explored - 1, code
+        assert len(built) == (1 if res.trace else 0), code
         assert verify_trace(d(code), res.trace), code
 
 
@@ -322,10 +329,10 @@ def test_search_releases_the_diagrams_no_entry_holds(monkeypatch):
 
 
 def test_search_builds_moves_only_for_expanded_states_and_the_trace(monkeypatch):
-    # every child is keyed from its fields and stored as them; a move of
-    # any kind is built only to expand its state, for the final diagram and
-    # for the trace, so at most one per expanded state but the start, one
-    # for the final diagram and one per trace step
+    # every child is keyed from its fields and stored as them, and every
+    # expanded state is built from them with no move; a move of any kind is
+    # built only for the final diagram and for the trace: one for the final
+    # state's own move and one per trace step
     search = importlib.import_module("gaussdiag.simplify")
     built = Counter()
 
@@ -346,15 +353,18 @@ def test_search_builds_moves_only_for_expanded_states_and_the_trace(monkeypatch)
         (d(STORED), SearchLimits(max_states=100, allow_insertions=True)),
         (d(EX2), SearchLimits()),
         (random_diagram(12, 5), SearchLimits()),
+        # its trace inserts a kink
+        (d("U1+ O2- O1+ U3+ U2- O3+"), SearchLimits(max_states=200, allow_insertions=True)),
     ]
     kinds_built = set()
     for start, limits in cases:
         built.clear()
         res = simplify(start, limits)
-        assert res.states_explored > 1, (start, limits)
-        assert sum(built.values()) <= res.states_explored + len(res.trace), (start, limits)
+        assert res.states_explored > 1 and res.trace, (start, limits)
+        moves = [move for move, _ in res.trace] + [res.trace[-1][0]]
+        assert built == Counter(type(move) for move in moves), (start, limits)
         kinds_built.update(built)
-    assert kinds_built == {R1Delete, R2Delete, R3, R1Insert, R2Insert}, kinds_built
+    assert kinds_built == {R1Delete, R2Delete, R3, R1Insert}, kinds_built
 
 
 def test_search_detects_only_the_families_it_keys(monkeypatch):
@@ -382,14 +392,14 @@ def test_search_keys_a_counts_families_in_expansion_order(monkeypatch):
     # and are keyed in the order their parents were expanded, so the first
     # child of a code comes from the earliest expanded parent (keying them
     # newest first changes no outcome pinned elsewhere); each expansion but
-    # the start's builds its state through apply_move, so a family's parent
-    # is ranked by when its diagram was built
+    # the start's builds its state by the unchecked edit, so a family's
+    # parent is ranked by when its diagram was built
     search = importlib.import_module("gaussdiag.simplify")
-    family_rows = search._family_rows
+    edit, family_rows = search._edit, search._family_rows
     expanded, keyed = [], []
 
-    def build(state, move):
-        expanded.append(apply_move(state, move))
+    def build(state, change, fields):
+        expanded.append(edit(state, change, fields))
         return expanded[-1]
 
     def spy_family_rows(state, change, *walk):
@@ -397,7 +407,7 @@ def test_search_keys_a_counts_families_in_expansion_order(monkeypatch):
         keyed.append((state.n + change, rank))
         return family_rows(state, change, *walk)
 
-    monkeypatch.setattr(search, "apply_move", build)
+    monkeypatch.setattr(search, "_edit", build)
     monkeypatch.setattr(search, "_family_rows", spy_family_rows)
     runs = 0
     for start, max_states in [(random_diagram(16, 3), 30), (d(STORED), 100), (d(TREFOIL), 20)]:
