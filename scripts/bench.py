@@ -26,13 +26,17 @@ the ``src/`` of a checkout (default: this one).  Each layer runs on fixed
 seeded diagrams at each size n: ``random_diagram(n, 1000 * n + s)`` for s
 < 20, and for the R3 family two R1 insertions into each, a positive kink
 at gaps 0 and n.  A layer's figure is the best of ``--repeats`` passes
-over its cases, in microseconds per call:
+over its cases, in microseconds per call; a pass repeats the cases in
+turn until it makes at least ``MIN_CALLS`` calls, so that a layer with
+few cases, such as ``expand``'s R3, is not timed in passes of a few
+dozen microseconds, which one burst of contention can all inflate:
 - ``canonical_code``: ``codec._canonical_code`` on a diagram's rows, the
   key of every search state;
 - ``r3_find``: the full sign-free R3 find, ``sites._r3_sites``;
 - ``r3_family_r1_child``: ``moves._family_rows`` over the R3 family of a
   state an R1 insertion made, as the search walks it, the kink named as
-  the chord its insertion added.
+  the chord its insertion added: the one triple next to the kink
+  (``sites._kink_triple``), walked here whether or not it is movable.
 ``expand`` gives, for each move kind, ``apply_move`` against
 ``moves._edit``, the unchecked edit the search builds each expanded state
 with, from the move's fields (an R3's arcs found by the edit, as in the
@@ -62,6 +66,7 @@ import time
 from pathlib import Path
 
 WORKLOADS = ("sweep", "descent", "insertion")
+MIN_CALLS = 20  # the fewest calls one timed pass of a layer makes
 
 
 def schedule(pairs: int) -> list:
@@ -139,7 +144,9 @@ def compare(parent: Path, change: Path, workloads, pairs: int, seconds: float) -
 
 
 def _per_call_us(fn, cases, repeats: int) -> float:
-    """The best of ``repeats`` passes of ``fn`` over ``cases``, in microseconds per call."""
+    """The best of ``repeats`` passes of ``fn`` over ``cases``, repeated in
+    turn to at least ``MIN_CALLS`` calls a pass, in microseconds per call."""
+    cases = cases * -(-MIN_CALLS // len(cases))
     best = float("inf")
     for _ in range(repeats):
         start = time.perf_counter()

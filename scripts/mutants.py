@@ -501,15 +501,15 @@ MUTANTS = (
     ),
     Mutant(
         "walk-kink-filter-r2-made", "moves.py",
-        "elif len(made) == 1:  # a kink: only the triples that hold it, arcs from the find's tilings",
+        "elif len(made) == 1:  # a kink: only the one triple that can hold it",
         "elif made:",
         "walk",
         "tests/test_differential.py::test_search_skips_only_children_it_has_keyed",
     ),
     Mutant(
-        "walk-kink-one-flank", "sites.py",
-        "flanks = eps[tail - 1], eps[(tail + 1) % m]",
-        "flanks = (eps[tail - 1],)",
+        "kink-triple-inner-neighbour", "sites.py",
+        "a, b = eps[p - 1].chord, eps[(p + 2) % m].chord",
+        "a, b = eps[p - 1].chord, eps[(p + 1) % m].chord",
         "walk",
         "tests/test_differential.py::test_kink_local_r3_find_is_the_full_find_restricted",
     ),
@@ -634,6 +634,13 @@ MUTANTS = (
         "top = max_chords",
         "search",
         "tests/test_differential.py::test_simplify_matches_oracle_without_insertions",
+    ),
+    Mutant(
+        "search-r1-made-skips-r3", "simplify.py",
+        "if added == 1 and not _kink_r3_sites(state, made[0]):  # its R3s are keyed too",
+        "if added == 1:",
+        "search",
+        "tests/test_differential.py::test_search_skips_only_children_it_has_keyed",
     ),
     Mutant(
         "search-skips-kink-gap", "simplify.py",

@@ -87,7 +87,7 @@ from .diagram import (
 )
 # not called here; imported so that perfbench/tracing.py can patch them
 from .diagram import enumerate_diagrams, make_diagram  # noqa: F401
-from .sites import _r1_sites, _r2_sites, _r3_sites, _sign_free, _tilings
+from .sites import _kink_triple, _r1_sites, _r2_sites, _r3_sites, _sign_free, _tilings
 
 
 class MoveNotApplicable(Exception):
@@ -520,6 +520,17 @@ def _insertion_rows(d: GaussDiagram, change: int, skip=()):
             yield (head_gap, tail_gap, *variant), c0 + x + c1 + y + c2, b0 + u + b1 + v + b2
 
 
+def _kink_r3_sites(d: GaussDiagram, kink) -> list:
+    """The R3 sites of d that hold ``kink``, a chord whose head and tail
+    are adjacent, as ``_family_rows`` walks them: at most one, the triple
+    ``sites._kink_triple`` names, as ((triple,), (), arcs) with the arcs
+    of its ``_movable_arcs``, when that triple is movable.  O(1): one
+    triple's ``_tilings``, whatever the size of d."""
+    t = _kink_triple(d, kink)
+    arcs = t and _movable_arcs(d.signs, t, _tilings(d, t))
+    return [((t,), (), arcs)] if arcs else []
+
+
 def _family_rows(d: GaussDiagram, change: int, made: tuple = (), skip=()):
     """Each move of d that adds ``change`` chords, in ``enumerate_moves``
     order, as (fields, chords, bases): the move's fields and the child's
@@ -531,10 +542,9 @@ def _family_rows(d: GaussDiagram, change: int, made: tuple = (), skip=()):
     (see ``simplify``), and these moves are left out before any rows are
     made: an R2 deletion of exactly the two chords ``made`` names, whose
     child is d's parent, and when ``made`` names one chord, a kink, every
-    R3 of a triple without it, which the walk never finds: it asks
-    ``sites._r3_sites`` for the kink's triples only, past the detector
-    ``r3_movable_triples``, and reads each one's arcs, its
-    ``_movable_arcs``, from the tilings that find holds.
+    R3 of a triple without it, which the walk never finds: it reads only
+    the one triple that can hold the kink, ``_kink_r3_sites``, past the
+    detector ``r3_movable_triples``.
     A deletion or R3 is the (cuts, arcs) edit ``_edit`` makes, applied by
     ``_edited`` to d's ``diagram._rows``, which are made only once the
     family has a site.  Any other R3 family is the triples
@@ -550,10 +560,8 @@ def _family_rows(d: GaussDiagram, change: int, made: tuple = (), skip=()):
         sites = [((c,), _cuts(d, (c,)), ()) for c in r1_removable_chords(d)]
     elif change == -2:
         sites = [((pair,), _cuts(d, pair), ()) for pair in r2_removable_pairs(d) if pair != made]
-    elif len(made) == 1:  # a kink: only the triples that hold it, arcs from the find's tilings
-        signs = d.signs
-        sites = [((t,), (), arcs) for t, tilings in _r3_sites(d, made[0]).items()
-                 if (arcs := _movable_arcs(signs, t, tilings))]
+    elif len(made) == 1:  # a kink: only the one triple that can hold it
+        sites = _kink_r3_sites(d, made[0])
     else:
         sites = [((t,), (), _movable_arcs(d.signs, t, _tilings(d, t))) for t in r3_movable_triples(d)]
     if not sites:

@@ -35,6 +35,7 @@ from .moves import (
     _KINDS,
     _edit,
     _family_rows,
+    _kink_r3_sites,
     apply_move,
     # not called here; imported so that perfbench/tracing.py can patch it
     enumerate_moves,  # noqa: F401
@@ -163,25 +164,32 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
     R2-made state a deletion can empty one side between the two inserted
     blocks, leaving heads before tails in one gap, an order no R2
     insertion makes.
-    S's R3 walk finds only the triples that hold k: ``sites._r3_sites``,
-    given k, reads the few head adjacencies such a triple can be found
-    from, and none of the others.  It needs no more.  A triple T without k
-    whose tiling qualifies in S qualifies in Q, as k's two adjacent
-    endpoints lie in none of its arcs, and a sign, a parity or a direction
-    reads only T's six endpoints.  So T is movable in Q by the same tiling,
-    unless both tilings of T are movable in Q, and R3_T(S) is R3_T(Q) with
-    k at the same gap: an R3 swaps endpoints within its arcs only.
-    R3_T(Q) has fewer chords than S and is keyed once Q's R3 family has
-    popped, so it was expanded before S's R3 family pops, and its R1
-    insertion family, which holds k at that gap, popped first: it has S's
-    count, so it fits under max_chords, and a lower expansion number.  Both tilings of T are
-    movable only when Q is one of the twelve three-chord diagrams with two
-    movable pairings.  Each of them has an R2 deletion to a one-chord
-    diagram, keyed (by Q's R2 deletion family, or before Q when Q is
-    R1-made) and expanded before any four-chord state.  It is not R1-made,
-    since the empty diagram is never expanded, so its R1 deletion family
-    keys the empty diagram, which ends the search: such an S is never
-    expanded.
+    S's R3 family needs at most one child, the R3 of the one triple that
+    can hold k: the kink and the chords next to its two endpoints
+    (``sites._kink_triple``).  A qualifying tiling cannot pair k's
+    endpoints with each other (a mixed pair joins distinct chords, a heads
+    or tails pair equal roles), so each pairs with its outer neighbour.
+    The expansion reads that triple on the diagram its edit just built,
+    and pushes S's R3 family only when the triple is movable: an empty
+    family keys nothing, and the entries pushed keep their order keys.
+    The walk reads that triple alone (``moves._kink_r3_sites``).
+    It needs no other: a triple T without k whose tiling qualifies in S
+    qualifies in Q, as k's two adjacent endpoints lie in none of its arcs,
+    and a sign, a parity or a direction reads only T's six endpoints.  So
+    T is movable in Q by the same tiling, unless both tilings of T are
+    movable in Q, and R3_T(S) is R3_T(Q) with k at the same gap: an R3
+    swaps endpoints within its arcs only.  R3_T(Q) has fewer chords than S
+    and is keyed once Q's R3 family has popped, before S pops, so it was
+    expanded before S, and its R1 insertion family, which holds k at that
+    gap, popped before S: it has S's count, so it fits under max_chords,
+    and the family tag.  So every R3 child of a triple without k is keyed
+    when S is expanded.  Both tilings of T are movable only when Q is
+    one of the twelve three-chord diagrams with two movable pairings.
+    Each of them has an R2 deletion to a one-chord diagram, keyed (by Q's
+    R2 deletion family, or before Q when Q is R1-made) and expanded before
+    any four-chord state.  It is not R1-made, since the empty diagram is
+    never expanded, so its R1 deletion family keys the empty diagram,
+    which ends the search: such an S is never expanded.
     S's R1 walk skips each insertion that a sibling's walk keys first.
     Say k went in at Q's gap g, and i is an R1 insertion at S's gap h,
     other than g + 1, the gap inside k.  If h <= g, S + i has the same
@@ -270,6 +278,8 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
             explored += 1
             top = max_chords if limits.allow_insertions else count  # the most chords a child has
             least = count if added == 1 else 0  # an R1-made state's deletions are all keyed
+            if added == 1 and not _kink_r3_sites(state, made[0]):  # its R3s are keyed too
+                least += 1
             for change in kinds:  # one entry per family: its moves are found when it pops
                 if least <= count + change <= top:
                     heapq.heappush(queue, (count + change, 0, explored, key, change, state, made,

@@ -19,10 +19,10 @@ diagrams from ``diagram.enumerate_diagrams`` share one holder, their
 per arrangement, not once per sign map (``_sign_free``).  Any other
 diagram (parsed, rewritten, canonical, random or constructed) holds none
 and keeps nothing, so the search's R3 walk calls the detector on its
-parent itself, or for a state an R1 insertion made ``_r3_sites`` given
-its kink, and copies no diagram to share a find.  The holder also
-keeps ``moves.apply_move``'s deletion and R3 rewrites, which are
-sign-free too.  A holder never keeps signs.
+parent itself, or for a state an R1 insertion made reads the one triple
+next to its kink (``_kink_triple``), and copies no diagram to share a
+find.  The holder also keeps ``moves.apply_move``'s deletion and R3
+rewrites, which are sign-free too.  A holder never keeps signs.
 
 The R2 pair order and the R3 triple order are ``label_key`` order, read
 from the table ``diagram._LABEL_KEYS``, which grows by one entry per
@@ -153,9 +153,8 @@ def _tilings(d: GaussDiagram, labels) -> list:
     return out
 
 
-def _r3_candidates(d: GaussDiagram, kink=None) -> set:
-    """The matched triples, as frozensets of labels; given the label of a
-    chord whose head and tail are adjacent, a kink, only those that hold it.
+def _r3_candidates(d: GaussDiagram) -> set:
+    """The matched triples, as frozensets of labels.
 
     Candidates come from head adjacencies.  A qualifying tiling pairs the
     heads of two chords a, b on its heads arc, so the third chord c has its
@@ -165,26 +164,15 @@ def _r3_candidates(d: GaussDiagram, kink=None) -> set:
     and c's head of the other: at most four candidates per head adjacency,
     O(n) triples in all.  Conversely, three disjoint adjacent pairs of six
     endpoints always form one of the two tilings ``_tilings`` tries, and
-    these pairs qualify, so every candidate is matched.
-
-    The walk visits every head adjacency, or, given a kink k, only those
-    that can find a triple holding k: k is a or b, so the adjacency holds
-    k's head, or k is c, so one of a, b has its tail next to k's tail and
-    the adjacency holds that chord's head.  That is at most six adjacencies
-    whatever the size of d, and the walk keeps only the candidates with k.
+    these pairs qualify, so every candidate is matched.  The walk visits
+    every head adjacency; the triples that hold a kink need none of it
+    (see ``_kink_triple``).
     """
     eps = d.endpoints
     m = len(eps)
     pos = d._pos
-    if kink is None:
-        adjacencies = _adjacent_pairs(d)
-    else:
-        tail, head = pos[kink]
-        flanks = eps[tail - 1], eps[(tail + 1) % m]
-        heads = [head] + [pos[z.chord][1] for z in flanks if z.role == TAIL]
-        adjacencies = [(eps[p - 1], eps[p]) for h in heads for p in (h, (h + 1) % m)]
     candidates = set()
-    for x, y in adjacencies:
+    for x, y in _adjacent_pairs(d):
         if x.role == y.role == HEAD:
             a, b = x.chord, y.chord
             ta, tb = pos[a][0], pos[b][0]
@@ -192,22 +180,46 @@ def _r3_candidates(d: GaussDiagram, kink=None) -> set:
                 for z in (eps[t - 1], eps[(t + 1) % m]):
                     c = z.chord
                     if (z.role == TAIL and c != a and c != b
-                            and _adjacent(m, pos[c][1], other)
-                            and kink in (None, a, b, c)):
+                            and _adjacent(m, pos[c][1], other)):
                         candidates.add(frozenset((a, b, c)))
     return candidates
 
 
-def _r3_sites(d: GaussDiagram, kink=None) -> dict:
+def _r3_sites(d: GaussDiagram) -> dict:
     """The R3 find: each of the ``_r3_candidates``, as its labels in
     ``label_key`` order, mapped to its ``_tilings``, which the kernel finds
     once per candidate.  The triples come in detection order, by their
     labels' keys, which is ``itertools.combinations`` order over the
-    labels sorted by ``label_key``.  Given a kink, the find is the same
-    restricted to the triples that hold it (see ``_r3_candidates``); the
-    search's R3 walk of a state an R1 insertion made asks for it."""
+    labels sorted by ``label_key``.  Its entries for the triples that hold
+    a kink are at most one, ``_kink_triple``'s, which the search's R3 walk
+    of a state an R1 insertion made reads instead."""
     found = {}
-    for a, b, c in sorted([sorted(map(_LABEL_KEYS.__getitem__, t)) for t in _r3_candidates(d, kink)]):
+    for a, b, c in sorted([sorted(map(_LABEL_KEYS.__getitem__, t)) for t in _r3_candidates(d)]):
         t = a[2], b[2], c[2]  # a label is the last entry of its key
         found[t] = _tilings(d, t)
     return found
+
+
+def _kink_triple(d: GaussDiagram, kink):
+    """The one triple that can be matched holding ``kink``, a chord whose
+    endpoints sit at adjacent positions p and p + 1 (mod 2n): the kink and
+    the chords at p - 1 and p + 2, in ``label_key`` order, or None when
+    those two are one chord (as they are at n <= 2).
+
+    A qualifying tiling (see ``_tilings``) of a triple holding the kink
+    cannot pair the kink's two endpoints with each other: a mixed pair
+    must join distinct chords, and a heads or tails pair needs two equal
+    roles.  Each pair joins positions adjacent in d, so the endpoint at p
+    pairs with the one at p - 1, and the endpoint at p + 1 with the one at
+    p + 2: their chords are the triple's other two.  So the full find's
+    entries for the triples that hold the kink are this triple's, when its
+    ``_tilings`` are not empty, and none otherwise.  The triple is read
+    in O(1), whatever the size of d.
+    """
+    eps = d.endpoints
+    m = len(eps)
+    tail, head = d._pos[kink]
+    p = tail if head == (tail + 1) % m else head
+    a, b = eps[p - 1].chord, eps[(p + 2) % m].chord
+    keys = sorted(map(_LABEL_KEYS.__getitem__, (kink, a, b)))
+    return None if a == b else tuple(key[2] for key in keys)  # a label is its key's last entry

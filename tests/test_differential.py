@@ -11,7 +11,10 @@ exhaustive n <= 4 corpus and the 1000 seeded diagrams; n counts chords.
   ``oracle_r3_movable_triples`` (all C(n, 3) triples) and
   ``oracle_adjacent``; both corpora, label ties and 300 seeded 9- to
   29-chord diagrams (``test_r1_*``, ``test_r2_*``, ``test_r3_triples_*``,
-  ``test_r3_candidates_*``, ``test_adjacent_*``).
+  ``test_r3_candidates_*``, ``test_adjacent_*``).  The one triple next to
+  a kink against the full find's triples that hold it, for every R1 chord
+  of both corpora and every R1 insertion's kink with n <= 3
+  (``test_kink_local_*``).
 - R3 kernel: ``oracle_qualifying_tilings``, which classifies each tiling
   and counts crossings by ``oracle_chords_cross``; every triple in every
   label order with n <= 3, every triple with n = 4 and of the seeded
@@ -67,7 +70,10 @@ exhaustive n <= 4 corpus and the 1000 seeded diagrams; n counts chords.
   searches, the benchmark's ``insertion`` inputs at seeds 1 to 5 and the
   two-chord diagrams with room for three insertions, checks that only a
   state an R1 insertion built leaves out R3s and R1 insertions, and that
-  each child it leaves out is keyed then (``test_search_skips_only_*``).
+  each child it leaves out is keyed then; and that such a state pushes an
+  R3 family exactly when a movable triple holds its kink, every R3 child
+  of a triple without the kink being keyed at its expansion
+  (``test_search_skips_only_*``).
 """
 
 from __future__ import annotations
@@ -141,7 +147,7 @@ from gaussdiag.moves import (
     _insertion_layout,
     _qualifying_tilings,
 )
-from gaussdiag.sites import _r1_sites, _r3_candidates, _r3_sites
+from gaussdiag.sites import _kink_triple, _r1_sites, _r3_candidates, _r3_sites, _tilings
 
 # ------------------------------------------------------------------ oracles
 
@@ -859,10 +865,11 @@ def test_r3_candidates_are_the_matched_triples(exhaustive_corpus, random_corpus)
 
 
 def test_kink_local_r3_find_is_the_full_find_restricted(exhaustive_corpus, random_corpus):
-    # the R3 find given a kink k is the full find's entries for the triples
-    # that hold k, in the same order with the same tilings: for each R1 chord
-    # of each diagram of both corpora, and for the kink of each R1 insertion
-    # child of each diagram up to 3 chords, as the search's walk asks for it
+    # the one triple next to a kink k, with its tilings, is the full find's
+    # entries for the triples that hold k: none when there is no such
+    # triple or it is not matched.  For each R1 chord of each diagram of
+    # both corpora, and for the kink of each R1 insertion child of each
+    # diagram up to 3 chords, as the search's walk asks for it
     cases = [(d, k) for d in exhaustive_corpus + random_corpus for k in _r1_sites(d)]
     for d in exhaustive_corpus:
         if d.n <= 3:
@@ -870,12 +877,14 @@ def test_kink_local_r3_find_is_the_full_find_restricted(exhaustive_corpus, rando
             cases += [(apply_move(d, R1Insert(gap, sign, head_first)), kink)
                       for gap in range(max(1, 2 * d.n))
                       for sign, head_first in itertools.product((1, -1), (True, False))]
-    kinks = collections.Counter()
+    kinds = collections.Counter()
     for d, k in cases:
-        found = list(_r3_sites(d, k).items())
-        assert found == [(t, tilings) for t, tilings in _r3_sites(d).items() if k in t], (d, k)
-        kinks[bool(found)] += 1
-    assert kinks[True] > 5_000 and kinks[False] > 5_000, kinks
+        triple = _kink_triple(d, k)
+        tilings = _tilings(d, triple) if triple else []
+        found = [(triple, tilings)] if tilings else []
+        assert found == [entry for entry in _r3_sites(d).items() if k in entry[0]], (d, k)
+        kinds["none" if triple is None else "matched" if tilings else "unmatched"] += 1
+    assert min(kinds["none"], kinds["matched"], kinds["unmatched"]) > 10_000, kinds
 
 
 def _triple_cases(exhaustive_corpus, random_corpus):
@@ -1453,23 +1462,49 @@ def _insertion_workload_inputs(monkeypatch) -> list:
 
 
 def test_search_skips_only_children_it_has_keyed(exhaustive_corpus, monkeypatch):
-    # a state an R1 insertion built walks only the R3s of the triples that
-    # hold its kink, and no R1 insertion that a sibling, expanded first,
-    # keys; no other state leaves out an R3 or an R1 insertion.  Each child
-    # left out is keyed when its family is walked.  Spy on the search, over
-    # the _truncated_cases, the benchmark's insertion inputs and the
-    # two-chord diagrams with room for three insertions: only there does an
-    # R1-made state's R1 walk read a child its parent's walk left out, which
-    # holds a code above every code and so makes no sibling skip
+    # a state an R1 insertion built pushes its R3 family only when the one
+    # triple that can hold its kink is movable, walks only that triple's R3,
+    # and walks no R1 insertion that a sibling, expanded first, keys; no
+    # other state leaves out an R3 or an R1 insertion.  At such a state's
+    # expansion every R3 child of a triple without its kink is keyed, and
+    # it pushes an R3 family exactly when the full find has a movable
+    # triple that holds the kink; each child a walk leaves out is keyed
+    # when its family is walked.  Spy on the search, over the
+    # _truncated_cases, the benchmark's insertion inputs and the two-chord
+    # diagrams with room for three insertions: only there does an R1-made
+    # state's R1 walk read a child its parent's walk left out, which holds
+    # a code above every code and so makes no sibling skip
     search = importlib.import_module("gaussdiag.simplify")
-    family_rows, canonical_code = search._family_rows, search._canonical_code
+    edit, family_rows, canonical_code = search._edit, search._family_rows, search._canonical_code
     keyed = set()  # every code the search has made
+    # each state the search's edits built, kept so that no id is reused, and
+    # for an R1-made state whether a movable triple holds its kink, else None
+    built = []
+    pushed = set()  # the ids of the diagrams whose R3 family was pushed
     seen = collections.Counter()
 
     def spy_canonical_code(chords, bases):
         code = canonical_code(chords, bases)
         keyed.add(code)
         return code
+
+    def build(parent, change, fields):
+        state, movable = edit(parent, change, fields), None
+        if change == 1:
+            (kink,) = state.signs.keys() - parent.signs.keys()
+            r3s = list(family_rows(state, 0))
+            for (triple,), chords, bases in r3s:
+                if kink not in triple:
+                    assert canonical_code(chords, bases) in keyed, (state, triple)
+                    seen["keyed at expansion"] += 1
+            movable = any(kink in triple for (triple,), _, _ in r3s)
+        built.append((state, movable))
+        return state
+
+    def spy_push(heap, entry):
+        if not entry[1] and entry[4] == 0:  # an R3 family: its parent's diagram
+            pushed.add(id(entry[5]))
+        heapq.heappush(heap, entry)
 
     def spy_family_rows(state, change, made, skip):
         kept = list(family_rows(state, change, made, skip))
@@ -1485,8 +1520,10 @@ def test_search_skips_only_children_it_has_keyed(exhaustive_corpus, monkeypatch)
         seen["walked", change] += len(kept)
         return iter(kept)
 
+    monkeypatch.setattr(search, "_edit", build)
     monkeypatch.setattr(search, "_canonical_code", spy_canonical_code)
     monkeypatch.setattr(search, "_family_rows", spy_family_rows)
+    monkeypatch.setattr(search, "heapq", SimpleNamespace(heappush=spy_push, heappop=heapq.heappop))
     cases = [
         (d, max_chords, max_states)
         for d, max_chords in _truncated_cases(exhaustive_corpus)
@@ -1495,9 +1532,15 @@ def test_search_skips_only_children_it_has_keyed(exhaustive_corpus, monkeypatch)
     cases += [(d, d.n + 2, 60) for d in _insertion_workload_inputs(monkeypatch)]
     cases += [(d, d.n + 3, 400) for d in exhaustive_corpus if d.n == 2]
     for d, max_chords, max_states in cases:
-        keyed.clear()
+        for store in (keyed, built, pushed):
+            store.clear()
         simplify(d, SearchLimits(max_states, allow_insertions=True, max_chords=max_chords))
-    assert seen[0] > 800 and seen[1] > 10_000, seen
+        for state, movable in built:
+            if movable is not None:
+                assert (id(state) in pushed) == movable, (d, max_chords, max_states, state)
+                seen["r3 family" if movable else "no r3 family"] += 1
+    assert seen["keyed at expansion"] > 1_000 and seen[0] > 50 and seen[1] > 10_000, seen
+    assert seen["r3 family"] > 300 and seen["no r3 family"] > 5_000, seen
 
 
 def test_search_generates_only_insertions_that_fit(exhaustive_corpus, monkeypatch):

@@ -37,11 +37,11 @@ DETECTORS = {
 
 
 # searches with insertions, each with its expansions and its calls to each
-# detector: the trefoil keys the R3 family of each of its 20 states and
-# the deletion families of the 3 that no R1 insertion made, and only those
-# 3 call the R3 detector: the other 17 find the triples that hold their
-# kink without it; the other search reaches the empty diagram by an R3 and
-# two R2 deletions, and keys the R1 and R3 families of its start only
+# detector: of the trefoil's 20 states, only the 3 that no R1 insertion
+# made key deletion families and call the R3 detector: the other 17 read
+# the one triple next to their kink without it; the other search reaches
+# the empty diagram by an R3 and two R2 deletions, and keys the R1 and R3
+# families of its start only
 SEARCHES = [
     ("O1- O2- U1- U2-", 20, {"moves.r1_detect": 3, "moves.r2_detect": 3, "moves.r3_detect": 3}),
     ("O3+ U4- O1+ U2- U1+ U3+ O2- O4-", 3,
@@ -79,8 +79,8 @@ def test_tracer_wraps_one_search_and_restores_the_module(monkeypatch):
         assert tracer.calls["simplify.search"] == 1, code
         assert tracer.counts["simplify.states_expanded"] == traced.states_explored == expanded
         # the search detects a move family only when it keys the family's
-        # chord count, through the detectors but for the kink-local R3
-        # finds, and never enumerates moves
+        # chord count, through the detectors but for the R3 triple next to
+        # a kink, and never enumerates moves
         assert tracer.calls["moves.enumerate_moves"] == 0, code
         assert {span: tracer.calls[span] for span in DETECTORS.values()} == spied == detections
         assert tracer.counts["simplify.new_states"] > 0, code
