@@ -32,6 +32,10 @@ few cases, such as ``expand``'s R3, is not timed in passes of a few
 dozen microseconds, which one burst of contention can all inflate:
 - ``canonical_code``: ``codec._canonical_code`` on a diagram's rows, the
   key of every search state;
+- ``canonical_code_barred``: the same scan given a bar that the rows'
+  code is above, as the search scans a child it leaves out: each
+  diagram's rows against the entries of the next lower code among the
+  size's 20 diagrams (the least code's diagram is left out);
 - ``r3_find``: the full sign-free R3 find, ``sites._r3_sites``;
 - ``r3_family_r1_child``: ``moves._family_rows`` over the R3 family of a
   state an R1 insertion made, as the search walks it, the kink named as
@@ -162,12 +166,13 @@ def layers(tree: Path, sizes, repeats: int) -> dict:
     import inputs
     from gaussdiag import (R1Delete, R1Insert, R2Delete, R2Insert, R3, SearchLimits, apply_move,
                            parse_gauss_code, r3_movable_triples, random_diagram, simplify)
-    from gaussdiag.codec import _canonical_code
+    from gaussdiag.codec import _canonical_code, _code_entries
     from gaussdiag.diagram import _rows
     from gaussdiag.moves import _KINDS, _edit, _family_rows
     from gaussdiag.sites import _r3_sites
 
-    figures = {name: {} for name in ("canonical_code", "r3_find", "r3_family_r1_child")}
+    figures = {name: {} for name in
+               ("canonical_code", "canonical_code_barred", "r3_find", "r3_family_r1_child")}
     changes = {kind.move: kind.change for kind in _KINDS}
     expand = {kind.move.__name__: {"apply_move": {}, "edit": {}} for kind in _KINDS}
     for n in sizes:
@@ -179,6 +184,10 @@ def layers(tree: Path, sizes, repeats: int) -> dict:
                 children.append((child, 0, tuple(set(child.signs) - set(d.signs))))
         rows = [_rows(d.endpoints, d.signs) for d in diagrams]
         figures["canonical_code"][n] = _per_call_us(_canonical_code, rows, repeats)
+        codes = sorted(_canonical_code(*row) for row in rows)
+        barred = [(*row, _code_entries(codes[codes.index(_canonical_code(*row)) - 1]))
+                  for row in rows if _canonical_code(*row) != codes[0]]
+        figures["canonical_code_barred"][n] = _per_call_us(_canonical_code, barred, repeats)
         figures["r3_find"][n] = _per_call_us(_r3_sites, [(d,) for d in diagrams], repeats)
         figures["r3_family_r1_child"][n] = _per_call_us(
             lambda *walk: list(_family_rows(*walk)), children, repeats)

@@ -160,7 +160,7 @@ MUTANTS = (
     # the scan and canonical code
     Mutant(
         "scan-tie-stop", "diagram.py",
-        "else:  # k ties with best, so the diagram repeats every k - best",
+        "else:  # k ties with best: the diagram repeats every k - best positions, and",
         "if False:  # every tie is compared in full",
         "scan",
         "tests/test_differential.py::test_least_rotations_stop_at_the_first_tie",
@@ -200,6 +200,13 @@ MUTANTS = (
         "entry = bases[p] | mine.setdefault(chords[p], len(mine) + 2) << 1",
         "scan",
         "tests/test_diagram.py::test_canonical_idempotent_and_rotation_invariant",
+    ),
+    Mutant(
+        "scan-bar-equal-above", "diagram.py",
+        "elif first | 2 > bar[0]:  # every encoding is above the bar",
+        "elif first | 2 >= bar[0]:",
+        "scan",
+        "tests/test_differential.py::test_least_rotations_against_a_bar",
     ),
     Mutant(
         "read-code-sign", "codec.py",
@@ -662,6 +669,27 @@ MUTANTS = (
         'codes[:] = ["" if skipped else next(keyed) for skipped in skip]',
         "search",
         "tests/test_differential.py::test_search_skips_only_children_it_has_keyed",
+    ),
+    Mutant(
+        "search-bar-rank-room", "simplify.py",
+        "while self.live > room + 1 or heap[0] in gone:",
+        "while self.live > room or heap[0] in gone:",
+        "search",
+        "tests/test_differential.py::test_search_bar_leaves_out_only_children_it_never_expands",
+    ),
+    Mutant(
+        "search-bar-ten-chords-and-up", "simplify.py",
+        "if count < 10 and len(info) > limits.max_states:",
+        "if len(info) > limits.max_states:",
+        "search",
+        "tests/test_differential.py::test_search_bar_leaves_out_only_children_it_never_expands",
+    ),
+    Mutant(
+        "search-bar-keeps-popped", "simplify.py",
+        "bars[count].pop(key)",
+        "pass",
+        "search",
+        "tests/test_differential.py::test_search_bar_leaves_out_only_children_it_never_expands",
     ),
     # the value types' record base
     Mutant(

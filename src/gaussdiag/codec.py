@@ -25,7 +25,8 @@ only the document's shape and builds through the validating
 diagram's rows, so the search keys a child without building it, and
 ``_read_canonical_code`` reads such a code back as the canonical form,
 without the parser's checks, so the search spells its trace from the codes
-it stored.
+it stored.  Given a bar, the scan entries ``_code_entries`` reads off a
+code, ``_canonical_code`` is None for a child whose code is above it.
 """
 
 from __future__ import annotations
@@ -135,11 +136,29 @@ def serialize_gauss_code(d: GaussDiagram) -> str:
 _TOKENS = _Table(lambda entry: _token(*_entry_parts(entry)))  # entry -> its token
 
 
-def _canonical_code(chords, bases) -> str:
+def _canonical_code(chords, bases, bar=None) -> str | None:
     """serialize_gauss_code(canonical(d)) for the diagram d with these
     ``diagram._rows``, spelled straight from the least-rotation encoding
-    without building d or its canonical form: "" for the empty diagram."""
-    return " ".join(map(_TOKENS.__getitem__, _least_rotations(chords, bases)))
+    without building d or its canonical form: "" for the empty diagram.
+    Given a ``bar``, the entries of a code of d's length
+    (``_code_entries``), None when d's code is above it (see
+    ``diagram._least_rotations``)."""
+    code = _least_rotations(chords, bases, bar)
+    return None if code is None else " ".join(map(_TOKENS.__getitem__, code))
+
+
+def _entry(token: str) -> int:
+    """The least-rotation entry an emitted token spells: ``_TOKENS``'
+    inverse."""
+    return (token[0] == "U") << 32 | int(token[1:-1]) << 1 | (token[-1] == "-")
+
+
+_ENTRIES = _Table(_entry)  # token -> its entry
+
+
+def _code_entries(code: str) -> tuple:
+    """The least-rotation entries ``_canonical_code`` spelled as ``code``."""
+    return tuple(map(_ENTRIES.__getitem__, code.split()))
 
 
 def _token_end(token: str) -> tuple:

@@ -384,10 +384,13 @@ def _rows(endpoints, signs) -> tuple:
     return chords, [(ep.role == HEAD) << 32 | (signs[ep.chord] < 0) for ep in endpoints]
 
 
-def _least_rotations(chords, bases):
+def _least_rotations(chords, bases, bar=None):
     """The least encoding over the rotations of the diagram with these
     ``_rows``.  Taking rows, not a diagram, lets the search key a child
-    from its parent's rows edited by ``moves._family_rows``.
+    from its parent's rows edited by ``moves._family_rows``.  Given a
+    ``bar``, the least encoding of a diagram with as many endpoints, it
+    returns None when the least encoding is above the bar, and the least
+    encoding otherwise.
 
     Each endpoint encodes as one int entry, its base with its chord number
     (by first appearance) in bits 1..31: ``head << 32 | number << 1 |
@@ -408,17 +411,31 @@ def _least_rotations(chords, bases):
     length, and the first one ends the scan: a diagram that ties with
     itself at shift k is periodic, so no later start can beat the best.
     The rest of the final best is encoded once at the end.  The empty
-    diagram has encoding ()."""
+    diagram has encoding ().
+
+    A bar is taken as the first best, with no start and every entry known,
+    so each start is screened and compared against it by the same lazy
+    compare; a start that wins becomes the best as above.  When no start
+    has won at the end, every encoding is above the bar: None.  Entry 0
+    is every start's, so a bar whose entry 0 is less is below every
+    encoding, which ends the scan at once, and one whose entry 0 is
+    greater is above every encoding and is dropped.  A start that ties
+    with the bar has a least encoding, so it ends the scan as the best."""
     m = len(chords)
     if m == 0:
         return ()
     first = min(bases)
     chords, bases = chords * 2, bases * 2  # doubled: rotation k reads k..k+m-1
-    best = k = bases.index(first)
-    # the best rotation's entries so far and its numbering: every start's
-    # entry 0 is its chord, numbered 1, and the best's entry 1 is read now
-    code, numbers = [first | 2], {chords[best]: 1}
-    code.append(bases[best + 1] | numbers.setdefault(chords[best + 1], 2) << 1)
+    if bar is None or first | 2 < bar[0]:  # no bar, or one above every encoding
+        best = k = bases.index(first)
+        # the best rotation's entries so far and its numbering: every start's
+        # entry 0 is its chord, numbered 1, and the best's entry 1 is read now
+        code, numbers = [first | 2], {chords[best]: 1}
+        code.append(bases[best + 1] | numbers.setdefault(chords[best + 1], 2) << 1)
+    elif first | 2 > bar[0]:  # every encoding is above the bar
+        return None
+    else:  # the bar is the best until a start beats it: every start is tried
+        best, k, code = None, -1, list(bar)
     while True:
         k = bases.index(first, k + 1)  # best + m holds first, so this finds one
         if k >= m:
@@ -444,9 +461,13 @@ def _least_rotations(chords, bases):
                     code.append(entry)
                     best, numbers = k, mine
                 break
-        else:  # k ties with best, so the diagram repeats every k - best
-            # positions: no start before k beat best, so nothing beats it
-            break
+        else:  # k ties with best: the diagram repeats every k - best positions, and
+            # no start before k beat best, or k's encoding is the bar, a least one
+            if best is None:
+                best, numbers = k, mine
+            break  # either way no later start beats it
+    if best is None:  # no start reached the bar
+        return None
     for q in range(best + len(code), best + m):
         code.append(bases[q] | numbers.setdefault(chords[q], len(numbers) + 1) << 1)
     return tuple(code)

@@ -19,14 +19,22 @@ edit (``moves._edit``) of the parent diagram its walk found the move on,
 and for the final state; a move record only for the final diagram and
 the trace, which go through ``apply_move``.  ``simplify`` gives the
 order, the families and children a state skips and why the result stays
-the same.
+the same.  Once more states wait at a chord count than the budget has
+expansions left, the first waiting code past that many is a bar: a child
+of that count whose code is above it is never expanded, so it is not
+stored, and its key scan stops as soon as it is sure to land above it.
 """
 
 from __future__ import annotations
 
 import heapq
+from collections import Counter
+# the bar heaps' own: perfbench/tracing.py and the tests replace the queue's
+# heapq with one that holds heappush and heappop only, and count its pushes
+from heapq import heapify, heappop as _bar_pop, heappush as _bar_push
+from itertools import islice
 
-from .codec import _canonical_code, _read_canonical_code, serialize_gauss_code
+from .codec import _canonical_code, _code_entries, _read_canonical_code, serialize_gauss_code
 from .diagram import GaussDiagram, _Record, _rows, canonical
 from .moves import (
     MoveNotApplicable,
@@ -43,6 +51,63 @@ from .moves import (
     r1_removable_chords,
     r2_removable_pairs,
 )
+
+
+def _rank(code: str) -> int:
+    """A code read as one big-endian number, negated: among codes of one
+    length, the greater the code, the less its rank."""
+    return -int.from_bytes(code.encode(), "big")
+
+
+def _unrank(rank: int) -> str:
+    """The code of this ``_rank``: a code starts with O, so its first byte
+    is not 0."""
+    return (-rank).to_bytes((rank.bit_length() + 7) // 8, "big").decode()
+
+
+class _Bar:
+    """The states waiting at one chord count whose codes are at or below
+    its bar, for ``simplify``: a heap of their ranks, whose top is the
+    bar's.  A popped state is deleted lazily but exactly, its rank kept in
+    ``gone`` until it reaches the top or the heap is compacted, once dead
+    entries outnumber live ones."""
+
+    __slots__ = ("heap", "gone", "live", "top", "entries")
+
+    def __init__(self, codes):
+        self.heap = list(map(_rank, codes))
+        heapify(self.heap)
+        self.gone, self.live, self.top = set(), len(self.heap), None
+
+    def add(self, codes):
+        """States stored below the bar start waiting."""
+        for code in codes:
+            _bar_push(self.heap, _rank(code))
+            self.live += 1
+
+    def pop(self, code):
+        """A state at or below the bar pops."""
+        self.gone.add(_rank(code))
+        self.live -= 1
+        if len(self.gone) > self.live:
+            self.heap = [rank for rank in self.heap if rank not in self.gone]
+            heapify(self.heap)
+            self.gone.clear()
+
+    def bar(self, room: int) -> tuple:
+        """The entries of the (room + 1)-th least waiting code, once the
+        codes above it leave the heap."""
+        heap, gone = self.heap, self.gone
+        while self.live > room + 1 or heap[0] in gone:
+            rank = _bar_pop(heap)
+            if rank in gone:
+                gone.remove(rank)
+            else:
+                self.live -= 1
+        if heap[0] != self.top:
+            self.top = heap[0]
+            self.entries = _code_entries(_unrank(self.top))
+        return self.entries
 
 
 class SearchLimits(_Record):
@@ -204,6 +269,38 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
     pop, so T was expanded first.  Its R1 family, at S's count plus one,
     which fits, and at a lower expansion number, popped before S's, and
     T + k is keyed.
+    A fifth rule leaves out children that can never count.  When a family
+    of c chords pops, no entry of fewer chords is left in the queue.  Say
+    room is max_states less the states expanded, and more than room
+    states wait at c chords: then the (room + 1)-th least of their codes
+    is a bar.  A child of c chords whose code is above it is never
+    expanded: the room + 1 states at or below the bar pop before it, and
+    each is expanded or ends the search, so the last of them ends it with
+    ``limit_hit``.  It is never the best, which is at or below every code
+    stored, the bar's included.  And it changes no sibling skip: every
+    state of c chords expanded later has a code at or below the bar, so a
+    ``"~"`` in the child's walk slot gives the same flags as its code.
+    So the walk stores and pushes nothing for such a child, and puts
+    ``"~"`` in its slot.  The bar holds as the search goes on: the states
+    waiting at or below it, less room, never fall (a state of c chords
+    that pops takes one from each, an expansion at another count one from
+    room, a child stored below the bar adds one), so a bar read once per
+    walk is enough, and a count where one applies never drains before the
+    search ends.  A bar only falls, so a code above one is above every
+    later bar of its count and is never stored; and since no count below
+    an expanded state's ever had a bar, the four rules above still hold,
+    a child left out by any of them being keyed or above a bar.  The bar
+    applies only below ten chords: there chord numbers have one digit, so
+    a code sorts like the ``_least_rotations`` entries the key scan
+    compares, and ``_canonical_code`` given the bar's entries returns None
+    for a child above it, most often at the scan's first entries.  No
+    more states wait than are stored and not expanded, so no bar applies
+    until more states are stored than max_states.  From the first family
+    pop below ten chords where that holds, the search keeps the number of
+    states waiting at each count, counted once off the queue and then
+    updated once per walk and per popped state; from the first family pop
+    where a bar applies at a count, a ``_Bar`` keeps that count's codes
+    waiting at or below it.
     A child can share a code only with states of its own chord count, and
     the tag 0 pops every family of a count before any state of that count
     or higher: a count's children are all keyed (and deduplicated, the
@@ -262,6 +359,8 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
     queue = [best]
     explored = 0
     limit_hit = False
+    waiting = None  # chord count -> the states waiting at it, once a bar can apply
+    bars = {}  # chord count -> its _Bar, once a bar applies there
 
     while queue and best[0]:  # an empty diagram ends the search: nothing beats it
         entry = heapq.heappop(queue)
@@ -270,6 +369,10 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
                 limit_hit = True
                 break
             count, _, key, state, codes = entry
+            if waiting is not None:
+                waiting[count] -= 1
+                if count in bars:  # its code is at or below the bar
+                    bars[count].pop(key)
             parent, added, fields = info[key]  # its edit, made only now
             made = ()  # the chords its own insertion added
             if parent is not None:  # the walk found the move on this diagram: no check
@@ -293,9 +396,25 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
             # gap h of this state is its parent's gap h up to gap, none
             # inside the kink (gap + 1), and its parent's gap h - 2 after
             skip = flags[:4 * gap + 4] + [False] * 4 + flags[4 * gap:]
+        bar = None  # the entries of the code above which a child is left out
+        # below 10 a code sorts like its entries; no more states wait than
+        # are stored and not expanded
+        if count < 10 and len(info) > limits.max_states:
+            if waiting is None:
+                waiting = Counter(e[0] for e in queue if e[1])
+            room = limits.max_states - explored
+            if waiting[count] > room:
+                if count not in bars:
+                    bars[count] = _Bar(e[2] for e in queue if e[:2] == (count, 1))
+                bar = bars[count].bar(room)
+        if waiting is not None:
+            stored = len(info)
         codes = []  # the walk's child codes, in walk order: an R1 walk's children keep them
         for fields, chords, bases in _family_rows(state, change, made, skip):
-            child_key = _canonical_code(chords, bases)
+            child_key = _canonical_code(chords, bases, bar)
+            if child_key is None:  # above the bar: never expanded, never the best
+                codes.append("~")
+                continue
             codes.append(child_key)
             if child_key in info:
                 continue
@@ -304,6 +423,10 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
             if entry < best:
                 best = entry
             heapq.heappush(queue, entry)
+        if waiting is not None:
+            waiting[count] += len(info) - stored
+            if bar is not None:  # the states this walk stored, each below the bar
+                bars[count].add(islice(reversed(info), len(info) - stored))
         # a child left out holds "~", which sorts above every code (a run of O
         # and U tokens), so it makes no sibling skip
         if skip:

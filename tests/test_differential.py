@@ -776,6 +776,43 @@ def test_least_rotations_stop_at_the_first_tie():
     assert key == serialize_gauss_code(chain)
 
 
+def test_least_rotations_against_a_bar(exhaustive_corpus, random_corpus):
+    # given a bar, an encoding of the same length, the scan is None exactly
+    # when the least encoding is above the bar, and the least encoding
+    # otherwise.  The bars: the diagram's own encoding, its neighbours below
+    # and above among the sorted encodings of its chord count, and two
+    # seeded ones of that count; the rows at shifts 0, 1 and 5.  The
+    # symmetric diagrams have two or more least rotations, so one start
+    # can tie with the bar and a later one with it
+    _, symmetric = _scan_cases()
+    diagrams = exhaustive_corpus + random_corpus + symmetric
+    periodic = {id(d) for d in symmetric}
+    encodings = collections.defaultdict(set)
+    for d in diagrams:
+        encodings[d.n].add(_least_rotations(*_rows(d.endpoints, d.signs)))
+    ordered = {n: sorted(found) for n, found in encodings.items()}
+    rng = random.Random(45)
+    seen = collections.Counter()
+    for d in diagrams:
+        chords, bases = _rows(d.endpoints, d.signs)
+        least = _least_rotations(chords, bases)
+        codes = ordered[d.n]
+        i = codes.index(least)
+        bars = {least, codes[max(i - 1, 0)], codes[min(i + 1, len(codes) - 1)],
+                rng.choice(codes), rng.choice(codes)}
+        for k in sorted({0, 1, 5} if chords else {0}):
+            k %= max(1, len(chords))
+            rows = chords[k:] + chords[:k], bases[k:] + bases[:k]
+            for bar in bars:
+                expected = None if least > bar else least
+                assert _least_rotations(*rows, bar) == expected, (d, k, bar)
+                seen["above" if expected is None else "equal" if bar == least else "below"] += 1
+                seen["symmetric tie"] += id(d) in periodic and bar == least
+                seen["entry 0 decides"] += bool(least) and least[0] != bar[0]
+    assert seen["above"] > 50_000 and seen["below"] > 50_000 and seen["equal"] > 80_000, seen
+    assert seen["symmetric tie"] > 300 and seen["entry 0 decides"] > 10_000, seen
+
+
 def _form_outcome(d: GaussDiagram) -> tuple:
     """A diagram, its sign order and position map, and whether it holds the
     tables' shared endpoints."""
@@ -1372,7 +1409,9 @@ def test_truncated_simplify_matches_oracle(exhaustive_corpus, monkeypatch):
 
 def test_search_walks_no_deletion_whose_children_are_not_keyed(exhaustive_corpus, monkeypatch):
     # a state an R1 insertion built pushes and walks no deletion family: at
-    # its expansion every child of both is keyed already.  Every other
+    # its expansion every child of both is keyed already, none of them left
+    # out by a bar, since no count below an expanded state's ever has one
+    # (the bar is passed through; a child above it is not keyed).  Every other
     # expanded state pushes both deletion families where its count allows,
     # and a state an R2 insertion built drops only the deletion of the two
     # chords it added, whose child has its parent's code.  Spy on the
@@ -1388,8 +1427,8 @@ def test_search_walks_no_deletion_whose_children_are_not_keyed(exhaustive_corpus
     pushed = collections.defaultdict(set)  # a diagram's id: the chords its pushed families add
     seen = collections.Counter()
 
-    def spy_canonical_code(chords, bases):
-        code = canonical_code(chords, bases)
+    def spy_canonical_code(chords, bases, bar=None):
+        code = canonical_code(chords, bases, bar)  # None: above the bar, not keyed
         keyed.add(code)
         return code
 
@@ -1469,7 +1508,9 @@ def test_search_skips_only_children_it_has_keyed(exhaustive_corpus, monkeypatch)
     # expansion every R3 child of a triple without its kink is keyed, and
     # it pushes an R3 family exactly when the full find has a movable
     # triple that holds the kink; each child a walk leaves out is keyed
-    # when its family is walked.  Spy on the search, over the
+    # when its family is walked.  Read "keyed" as keyed or left out above a
+    # bar (the bar is passed through): such a child is never expanded, and
+    # both kinds are seen.  Spy on the search, over the
     # _truncated_cases, the benchmark's insertion inputs and the two-chord
     # diagrams with room for three insertions: only there does an R1-made
     # state's R1 walk read a child its parent's walk left out, which holds
@@ -1477,14 +1518,17 @@ def test_search_skips_only_children_it_has_keyed(exhaustive_corpus, monkeypatch)
     search = importlib.import_module("gaussdiag.simplify")
     edit, family_rows, canonical_code = search._edit, search._family_rows, search._canonical_code
     keyed = set()  # every code the search has made
+    barred = set()  # every code the search's bar left out
     # each state the search's edits built, kept so that no id is reused, and
     # for an R1-made state whether a movable triple holds its kink, else None
     built = []
     pushed = set()  # the ids of the diagrams whose R3 family was pushed
     seen = collections.Counter()
 
-    def spy_canonical_code(chords, bases):
-        code = canonical_code(chords, bases)
+    def spy_canonical_code(chords, bases, bar=None):
+        code = canonical_code(chords, bases, bar)
+        if code is None:  # above the bar: left out, and never expanded
+            barred.add(canonical_code(chords, bases))
         keyed.add(code)
         return code
 
@@ -1495,8 +1539,10 @@ def test_search_skips_only_children_it_has_keyed(exhaustive_corpus, monkeypatch)
             r3s = list(family_rows(state, 0))
             for (triple,), chords, bases in r3s:
                 if kink not in triple:
-                    assert canonical_code(chords, bases) in keyed, (state, triple)
+                    code = canonical_code(chords, bases)
+                    assert code in keyed or code in barred, (state, triple)
                     seen["keyed at expansion"] += 1
+                    seen["barred at expansion"] += code in barred
             movable = any(kink in triple for (triple,), _, _ in r3s)
         built.append((state, movable))
         return state
@@ -1515,8 +1561,10 @@ def test_search_skips_only_children_it_has_keyed(exhaustive_corpus, monkeypatch)
         assert [row for row in every if row not in left_out] == kept, (state, change)
         assert len(made) == 1 or not left_out, (state, change, made)
         for fields, chords, bases in left_out:
-            assert canonical_code(chords, bases) in keyed, (state, change, made, fields)
+            code = canonical_code(chords, bases)
+            assert code in keyed or code in barred, (state, change, made, fields)
             seen[change] += 1
+            seen["barred", change] += code in barred
         seen["walked", change] += len(kept)
         return iter(kept)
 
@@ -1532,7 +1580,7 @@ def test_search_skips_only_children_it_has_keyed(exhaustive_corpus, monkeypatch)
     cases += [(d, d.n + 2, 60) for d in _insertion_workload_inputs(monkeypatch)]
     cases += [(d, d.n + 3, 400) for d in exhaustive_corpus if d.n == 2]
     for d, max_chords, max_states in cases:
-        for store in (keyed, built, pushed):
+        for store in (keyed, barred, built, pushed):
             store.clear()
         simplify(d, SearchLimits(max_states, allow_insertions=True, max_chords=max_chords))
         for state, movable in built:
@@ -1540,7 +1588,105 @@ def test_search_skips_only_children_it_has_keyed(exhaustive_corpus, monkeypatch)
                 assert (id(state) in pushed) == movable, (d, max_chords, max_states, state)
                 seen["r3 family" if movable else "no r3 family"] += 1
     assert seen["keyed at expansion"] > 1_000 and seen[0] > 50 and seen[1] > 10_000, seen
+    # both kinds of child left out: keyed already, and above the bar
+    assert seen["barred at expansion"] > 300 and seen["barred", 1] > 10_000, seen
+    assert seen["keyed at expansion"] - seen["barred at expansion"] > 500, seen
+    assert seen[1] - seen["barred", 1] > 2_000, seen
     assert seen["r3 family"] > 300 and seen["no r3 family"] > 5_000, seen
+
+
+# ten-chord searches with a cap of 11, where a code does not sort like its
+# entries: a bar there would leave out a child that is expanded
+ELEVEN_CHORD_CASES = (
+    ("U1+ U2+ O3+ U4+ O5+ U6- U7+ U8+ U9- O7+ U5+ O1+ O10- O2+ O6- U3+ O8+ O4+ O9- U10-", 150),
+    ("O1+ U2- O3+ O2- U4+ U5+ U6+ O7- U8+ U1+ U3+ U9+ O8+ U10- O10- O6+ O9+ U7- O4+ O5+", 400),
+)
+
+
+def test_search_bar_leaves_out_only_children_it_never_expands(exhaustive_corpus, monkeypatch):
+    # each search runs twice: as it is, and with the bar dropped, as the
+    # search was before it had one.  The two give the same result and trace
+    # and make the same expansions, in the same order, and no child the bar
+    # left out is expanded or the best in the run without it.  Each family
+    # walk below ten chords is handed the (room + 1)-th least code waiting
+    # at its count when more than room wait, room being the expansions the
+    # budget has left, and no bar otherwise.  Over the _truncated_cases, the
+    # benchmark's insertion inputs, seeded diagrams of 2 to 4 chords with
+    # room for two or three insertions, and the ELEVEN_CHORD_CASES; the
+    # _truncated_cases at every budget up to 24, so that some walks have
+    # exactly one waiting state to spare
+    search = importlib.import_module("gaussdiag.simplify")
+    edit, canonical_code = search._edit, search._canonical_code
+    edits = []  # the code of each state the search expands, in order
+    keyed = set()  # every code the search has keyed
+    barred = set()  # every code the bar left out, not keyed before
+    walk = {}  # the bar the popped family's walk must be handed
+    seen = collections.Counter()
+
+    def spy_edit(parent, change, fields):
+        state = edit(parent, change, fields)
+        edits.append(serialize_gauss_code(canonical(state)))
+        return state
+
+    def spy_pop(heap):
+        entry = heapq.heappop(heap)
+        if not entry[1]:  # a family: the codes waiting at its count
+            count, room = entry[0], walk["budget"] - 1 - len(edits)  # the start: no edit
+            waiting = sorted(e[2] for e in heap if e[:2] == (count, 1))
+            walk["bar"] = None
+            if count < 10 and len(waiting) > room:
+                bar = parse_gauss_code(waiting[room])
+                walk["bar"] = _least_rotations(*_rows(bar.endpoints, bar.signs))
+                seen["one to spare"] += len(waiting) == room + 1
+        return entry
+
+    def spy_canonical_code(chords, bases, bar=None):
+        assert bar == walk["bar"], (chords, bar, walk)
+        code = canonical_code(chords, bases, bar)
+        if code is None:  # above the bar: a new child is never keyed later
+            full = canonical_code(chords, bases)
+            if full not in keyed:
+                barred.add(full)
+        assert code not in barred, code
+        keyed.add(code)
+        seen["walked with a bar"] += bar is not None
+        return code
+
+    def bar_free(chords, bases, bar=None):
+        return canonical_code(chords, bases)
+
+    monkeypatch.setattr(search, "_edit", spy_edit)
+    monkeypatch.setattr(search, "heapq", SimpleNamespace(heappush=heapq.heappush, heappop=spy_pop))
+    cases = [
+        (d, max_chords, max_states)
+        for d, max_chords in _truncated_cases(exhaustive_corpus)
+        for max_states in (*range(1, 25), 40, 200)
+    ]
+    cases += [(d, d.n + 2, 60) for d in _insertion_workload_inputs(monkeypatch)]
+    cases += [
+        (d, d.n + 2 + s % 2, (20, 40, 80, 150)[s % 4])
+        for s, d in ((s, random_diagram(2 + s % 3, 3000 + s)) for s in range(200))
+    ]
+    cases += [(parse_gauss_code(code), 11, max_states) for code, max_states in ELEVEN_CHORD_CASES]
+    for d, max_chords, max_states in cases:
+        limits = SearchLimits(max_states, allow_insertions=True, max_chords=max_chords)
+        walk.update(budget=max_states, bar=None)
+        runs = []
+        for scan in (spy_canonical_code, bar_free):
+            monkeypatch.setattr(search, "_canonical_code", scan)
+            edits.clear()
+            result = simplify(d, limits)
+            runs.append((_search_outcome(result), tuple(edits)))
+        assert runs[0] == runs[1], (d, max_chords, max_states)
+        # the bar-free run's expanded states: the start, then each edit's
+        expanded = {serialize_gauss_code(canonical(d)), *edits}
+        assert not barred & {*expanded, serialize_gauss_code(canonical(result.final))}, d
+        seen["left out"] += len(barred)
+        seen["searches with a bar"] += bool(barred)
+        keyed.clear()
+        barred.clear()
+    assert seen["left out"] > 30_000 and seen["searches with a bar"] > 300, seen
+    assert seen["one to spare"] > 100 and seen["walked with a bar"] > 40_000, seen
 
 
 def test_search_generates_only_insertions_that_fit(exhaustive_corpus, monkeypatch):

@@ -271,7 +271,8 @@ def test_bench_compare_stopped_by_sigterm_leaves_no_process(tmp_path):
 
 
 def test_bench_layers_on_a_tiny_configuration(tmp_path):
-    # one size and one pass: every layer has a figure at that size, so do
+    # one size and one pass: every layer has a figure at that size, the
+    # key scan given a bar as well as the full key, so do
     # apply_move and the search's unchecked edit for each move kind, both
     # seed-1 rounds a CPU time, and the figures are written as JSON
     output = tmp_path / "BENCH_layers.json"
@@ -285,7 +286,8 @@ def test_bench_layers_on_a_tiny_configuration(tmp_path):
     assert proc.returncode == 0, proc.stderr
     result = json.loads(output.read_text())
     layers = result["layers_us_per_call"]
-    assert sorted(layers) == ["canonical_code", "r3_family_r1_child", "r3_find"]
+    assert sorted(layers) == [
+        "canonical_code", "canonical_code_barred", "r3_family_r1_child", "r3_find"]
     assert all(list(by_size) == ["4"] and by_size["4"] > 0 for by_size in layers.values()), layers
     expand = result["expand_us_per_call"]
     assert list(expand) == ["R1Delete", "R2Delete", "R3", "R1Insert", "R2Insert"]
