@@ -3,7 +3,9 @@ and program-only layer timings of one checkout.
 
     python scripts/bench.py compare PARENT CHANGE
     python scripts/bench.py compare PARENT CHANGE --workloads insertion --pairs 10 --seconds 30
+    python scripts/bench.py compare PARENT CHANGE --workloads descent --output .
     python scripts/bench.py layers [--tree CHECKOUT] [--sizes 4 8 16 32] [--output BENCH_layers.json]
+    python scripts/bench.py layers --against PARENT [--tree CHANGE] [--pairs 5]
 
 ``compare`` runs ``perfbench/run.py --workload W --seed S --seconds T
 --trace 0`` of each checkout, unchanged, in that checkout, for each
@@ -17,9 +19,13 @@ and interquartile range, the change's median, the pairs the change wins,
 and ``worse`` where the change's median is worse than the parent's by
 more than the metric's bound, else ``ok``.  A run whose checks fail, or
 that fails an input, is reported on stderr, and the script then exits 1.
-Each run starts in its own session, so its process group is the run and
-its workers: when the script is stopped by SIGTERM (exit status 143) or
-Ctrl-C, it kills that group before it exits, and leaves nothing running.
+With ``--output DIR`` it also writes ``DIR/BENCH_<workload>.json`` for
+each workload: the change's median and interquartile range of each
+end-to-end metric, with the parent's median and the pairs the change
+wins.  Each run, ``layers --against``'s too, starts in its own session,
+so its process group is the run and its workers: when the script is
+stopped by SIGTERM (exit status 143) or Ctrl-C, it kills that group
+before it exits, and leaves nothing running.
 
 ``layers`` times the program alone, with no checker, in this process, on
 the ``src/`` of a checkout (default: this one).  Each layer runs on fixed
@@ -50,14 +56,31 @@ triple's R3 on the diagrams (none, and no R3 figure, at a size with no
 movable triple).
 It adds one seed-1 round of the ``insertion`` and ``descent`` searches, on
 their ``perfbench`` inputs and budgets parsed beforehand: the median
-process CPU time of ``--repeats`` rounds after one warm-up round.  It
-prints each figure and writes them all as JSON to ``--output``.
+process CPU time of ``--repeats`` rounds after one warm-up round, and
+the keys of one more round, counted by wrapping the search's
+``_canonical_code`` and its queue's ``heappush``: the full keys of rows
+scanned for the first time, the scans given a bar and those of them that
+returned None, the deferred children (in the round without insertions,
+whose budget never binds, a scan given a bar is one against its count's
+least stored code, and its child is deferred when the scan returns None
+or a code above that one), the re-keyed children (full keys of rows
+scanned with a bar before), and the states stored.  It prints each
+figure and writes them all as JSON to ``--output``.
+
+``layers --against PARENT`` times two checkouts' layers, the change's
+(``--tree``) and the parent's, with this script, in ``--pairs`` pairs of
+``layers`` subprocesses whose order alternates as ``compare``'s does.
+It writes the change's medians over the pairs in the single-tree form,
+and under ``against`` the parent's medians and, for each figure, the
+change/parent ratio: [median, first quartile, third quartile] of the
+pairs' ratios.
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib
 import json
 import os
 import platform
@@ -66,7 +89,9 @@ import signal
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
+import types
 from pathlib import Path
 
 WORKLOADS = ("sweep", "descent", "insertion")
@@ -78,14 +103,12 @@ def schedule(pairs: int) -> list:
     return [(seed, ("parent", "change")[(seed - 1) % 2]) for seed in range(1, pairs + 1)]
 
 
-def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One ``perfbench/run.py`` run in ``tree``, in its own session: its last
-    line, as JSON.  Stopped while it waits (an exception, SIGTERM's
-    included), it kills the run's process group first."""
+def _child(command: list, cwd: Path) -> str:
+    """Run ``command`` in ``cwd``, in its own session, and return its
+    stdout.  Stopped while it waits (an exception, SIGTERM's included), it
+    kills the run's process group first."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-               "--seconds", str(seconds), "--trace", "0"]
-    proc = subprocess.Popen(command, cwd=tree, env=env, stdout=subprocess.PIPE,
+    proc = subprocess.Popen(command, cwd=cwd, env=env, stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE, text=True, start_new_session=True)
     try:
         stdout, stderr = proc.communicate()
@@ -95,9 +118,16 @@ def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
         proc.wait()
         raise
     if proc.returncode != 0:
-        raise SystemExit(f"{tree}: {' '.join(command[1:])} exited with {proc.returncode}\n"
+        raise SystemExit(f"{cwd}: {' '.join(command[1:])} exited with {proc.returncode}\n"
                          f"{stderr}")
-    return json.loads(stdout.strip().splitlines()[-1])
+    return stdout
+
+
+def run(tree: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One ``perfbench/run.py`` run in ``tree``: its last line, as JSON."""
+    command = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
+               "--seconds", str(seconds), "--trace", "0"]
+    return json.loads(_child(command, tree).strip().splitlines()[-1])
 
 
 def _stop(signum, frame):
@@ -109,12 +139,26 @@ def _number(value: float) -> str:
     return f"{value:.4g}" if abs(value) < 10_000 else f"{value:.0f}"
 
 
+def _quartiles(values: list) -> tuple:
+    """(first quartile, median, third quartile); one value is all three."""
+    if len(values) == 1:
+        return values * 3
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return q1, statistics.median(values), q3
+
+
+def _wins(metric: dict, parent: list, change: list) -> int:
+    """The pairs whose change is better than its parent."""
+    lower = metric["better"] == "lower"
+    return sum(c < p if lower else c > p for p, c in zip(parent, change))
+
+
 def summary(metric: dict, parent: list, change: list) -> str:
     """One metric's line: parent median [IQR] -> change median, wins, verdict."""
     lower = metric["better"] == "lower"
     base, new = statistics.median(parent), statistics.median(change)
-    q1, _, q3 = statistics.quantiles(parent, n=4) if len(parent) > 1 else (base, base, base)
-    wins = sum(c < p if lower else c > p for p, c in zip(parent, change))
+    q1, _, q3 = _quartiles(parent)
+    wins = _wins(metric, parent, change)
     limit = base * (1 + metric["bound"]) if lower else base * (1 - metric["bound"])
     worse = new > limit if lower else new < limit
     return (f"  {metric['name']:<13} {_number(base):>8} [{_number(q1)}, {_number(q3)}] -> "
@@ -122,7 +166,23 @@ def summary(metric: dict, parent: list, change: list) -> str:
             f"{'worse' if worse else 'ok'}")
 
 
-def compare(parent: Path, change: Path, workloads, pairs: int, seconds: float) -> int:
+def bench_file(workload: str, pairs: int, seconds: float, metrics: list, values: dict) -> dict:
+    """A workload's ``BENCH_<workload>.json``: the change's median and
+    interquartile range of each end-to-end metric, beside the parent's
+    median and the pairs the change wins."""
+    figures = {}
+    for m in metrics:
+        parent, change = values["parent"][m["name"]], values["change"][m["name"]]
+        q1, median, q3 = _quartiles(change)
+        figures[m["name"]] = {"unit": m["unit"], "better": m["better"], "median": median,
+                              "iqr": [q1, q3], "parent_median": statistics.median(parent),
+                              "wins": _wins(m, parent, change)}
+    return {"workload": workload, "pairs": pairs, "seconds": seconds, "python":
+            platform.python_version(), "cpus": os.cpu_count(), "metrics": figures}
+
+
+def compare(parent: Path, change: Path, workloads, pairs: int, seconds: float,
+            output: Path | None = None) -> int:
     trees = {"parent": parent, "change": change}
     for tree in trees.values():
         for cache in list(tree.rglob("__pycache__")):
@@ -144,6 +204,9 @@ def compare(parent: Path, change: Path, workloads, pairs: int, seconds: float) -
         print(f"{workload}: {pairs} pairs, parent median [IQR] -> change median")
         for m in metrics:
             print(summary(m, values["parent"][m["name"]], values["change"][m["name"]]), flush=True)
+        if output is not None:
+            figures = bench_file(workload, pairs, seconds, metrics, values)
+            (output / f"BENCH_{workload}.json").write_text(json.dumps(figures, indent=2) + "\n")
     return 1 if failed else 0
 
 
@@ -158,6 +221,43 @@ def _per_call_us(fn, cases, repeats: int) -> float:
             fn(*case)
         best = min(best, time.perf_counter() - start)
     return best / len(cases) * 1e6
+
+
+def _round_keys(search, starts: list, limits) -> dict:
+    """The keys of one round of searches, counted by wrapping the search
+    module's ``_canonical_code`` and its queue's ``heappush`` (see
+    ``layers``)."""
+    from gaussdiag.codec import _TOKENS
+
+    canonical_code, queue = search._canonical_code, search.heapq
+    counts = dict.fromkeys(("full_keys", "barred", "barred_none", "deferred", "rekeyed",
+                            "stored_states"), 0)
+    barred = {}  # id of rows scanned with a bar -> the rows, kept so that no id is reused
+
+    def key(chords, bases, bar=None):
+        code = canonical_code(chords, bases, bar)
+        if bar is None:
+            counts["rekeyed" if id(chords) in barred else "full_keys"] += 1
+            return code
+        barred[id(chords)] = chords
+        counts["barred"] += 1
+        counts["barred_none"] += code is None
+        if not limits.allow_insertions:  # against the count's least stored code
+            counts["deferred"] += code is None or code > " ".join(map(_TOKENS.__getitem__, bar))
+        return code
+
+    def push(heap, entry):
+        counts["stored_states"] += entry[1]  # a state, not a family
+        queue.heappush(heap, entry)
+
+    search._canonical_code = key
+    search.heapq = types.SimpleNamespace(heappush=push, heappop=queue.heappop)
+    try:
+        for d in starts:
+            search.simplify(d, limits)
+    finally:
+        search._canonical_code, search.heapq = canonical_code, queue
+    return counts
 
 
 def layers(tree: Path, sizes, repeats: int) -> dict:
@@ -206,7 +306,8 @@ def layers(tree: Path, sizes, repeats: int) -> dict:
             edits = [(d, changes[kind], move._values()) for d, move in cases]
             expand[kind.__name__]["apply_move"][n] = _per_call_us(apply_move, cases, repeats)
             expand[kind.__name__]["edit"][n] = _per_call_us(_edit, edits, repeats)
-    rounds = {}
+    rounds, keys = {}, {}
+    search = importlib.import_module("gaussdiag.simplify")
     for name, limits in (("insertion", SearchLimits(60, allow_insertions=True)),
                          ("descent", SearchLimits(20_000))):
         starts = [parse_gauss_code(code) for _, code in getattr(inputs, f"{name}_inputs")(1)]
@@ -217,6 +318,7 @@ def layers(tree: Path, sizes, repeats: int) -> dict:
                 simplify(d, limits)
             times.append(time.process_time() - start)
         rounds[name] = statistics.median(times[1:])
+        keys[name] = _round_keys(search, starts, limits)
     return {
         "python": platform.python_version(),
         "cpus": os.cpu_count(),
@@ -227,7 +329,73 @@ def layers(tree: Path, sizes, repeats: int) -> dict:
                                       for path, by_size in paths.items()}
                                for kind, paths in expand.items()},
         "seed_1_round_cpu_s": {name: round(s, 5) for name, s in rounds.items()},
+        "seed_1_round_keys": keys,
     }
+
+
+FIXED = ("python", "cpus", "repeats")  # the fields of a layers file that are not figures
+
+
+def _figures(result: dict, path: tuple = ()):
+    """(path, value) for each figure of a layers result, nested keys in order."""
+    for name, value in result.items():
+        if isinstance(value, dict):
+            yield from _figures(value, (*path, name))
+        elif path or name not in FIXED:
+            yield (*path, name), value
+
+
+def _nest(pairs) -> dict:
+    """The nested dict whose ``_figures`` are these (path, value) pairs."""
+    nested = {}
+    for path, value in pairs:
+        node = nested
+        for name in path[:-1]:
+            node = node.setdefault(name, {})
+        node[path[-1]] = value
+    return nested
+
+
+def _median(values: list):
+    """The median, an int when the values are ints and it is one (a count)."""
+    median = statistics.median(values)
+    return int(median) if all(type(v) is int for v in values) and median == int(median) else median
+
+
+def layers_against(parent: Path, change: Path, sizes, repeats: int, pairs: int) -> dict:
+    """The change's layers against its parent's: ``pairs`` pairs of
+    ``layers`` subprocesses, each run by this script on one tree, in the
+    order ``schedule`` gives.  The change's medians in the single-tree
+    form, with the parent's medians and each figure's change/parent ratio
+    under ``against``: [median, first quartile, third quartile] of the
+    pairs' ratios, for each figure the parent has and is not 0."""
+    trees = {"parent": parent, "change": change}
+    runs = {side: [] for side in trees}
+    with tempfile.TemporaryDirectory() as scratch:
+        output = Path(scratch) / "layers.json"
+        for _, first in schedule(pairs):
+            for side in sorted(trees, key=lambda side: side != first):
+                _child([sys.executable, str(Path(__file__).resolve()), "layers",
+                        "--tree", str(trees[side]), "--sizes", *map(str, sizes),
+                        "--repeats", str(repeats), "--output", str(output)], trees[side])
+                runs[side].append(json.loads(output.read_text()))
+    figures = {side: [dict(_figures(result)) for result in results]
+               for side, results in runs.items()}
+    medians = {side: {path: _median([run[path] for run in values]) for path in values[0]}
+               for side, values in figures.items()}
+    ratios = []
+    for path in medians["change"]:
+        pair_ratios = [change[path] / parent[path]
+                       for parent, change in zip(figures["parent"], figures["change"])
+                       if parent.get(path)]  # a figure the parent has and is not 0
+        if pair_ratios:
+            q1, median, q3 = _quartiles(pair_ratios)
+            ratios.append((path, [round(median, 4), round(q1, 4), round(q3, 4)]))
+    result = {name: runs["change"][0][name] for name in FIXED}
+    result.update(_nest(medians["change"].items()))
+    result["against"] = {"pairs": pairs, "parent": _nest(medians["parent"].items()),
+                         "ratio": _nest(ratios)}
+    return result
 
 
 def main(argv=None) -> int:
@@ -239,31 +407,44 @@ def main(argv=None) -> int:
     p.add_argument("--workloads", nargs="+", choices=WORKLOADS, default=list(WORKLOADS))
     p.add_argument("--pairs", type=int, default=10)
     p.add_argument("--seconds", type=float, default=30.0)
+    p.add_argument("--output", type=Path, help="write BENCH_<workload>.json files here")
     p = sub.add_parser("layers", help="program-only layer timings of one checkout")
     p.add_argument("--tree", type=Path, default=Path(__file__).resolve().parents[1])
     p.add_argument("--sizes", nargs="+", type=int, default=[4, 8, 16, 32])
     p.add_argument("--repeats", type=int, default=5)
     p.add_argument("--output", type=Path, default=Path("BENCH_layers.json"))
+    p.add_argument("--against", type=Path, help="a parent checkout to time in alternation")
+    p.add_argument("--pairs", type=int, default=5, help="pairs of runs with --against")
     args = parser.parse_args(argv)
-    if args.command == "layers":
-        if args.repeats < 1 or min(args.sizes) < 1:
-            parser.error("--repeats and each of --sizes must be at least 1")
-        result = layers(args.tree.resolve(), args.sizes, args.repeats)
-        for name, by_size in result["layers_us_per_call"].items():
-            print(f"{name:<19} " + "  ".join(f"n={n} {us:.4g} us" for n, us in by_size.items()))
-        for kind, paths in result["expand_us_per_call"].items():
-            for path, by_size in paths.items():
-                print(f"expand {kind:<8} {path:<10} "
-                      + "  ".join(f"n={n} {us:.4g} us" for n, us in by_size.items()))
-        for name, seconds in result["seed_1_round_cpu_s"].items():
-            print(f"{name:<19} seed-1 round {seconds:.4g} s CPU")
-        args.output.write_text(json.dumps(result, indent=2) + "\n")
-        return 0
     if args.pairs < 1:
         parser.error("--pairs must be at least 1")
     signal.signal(signal.SIGTERM, _stop)
-    return compare(args.parent.resolve(), args.change.resolve(), args.workloads, args.pairs,
-                   args.seconds)
+    if args.command == "compare":
+        if args.output is not None and not args.output.is_dir():
+            parser.error(f"--output {args.output} is not a directory")
+        return compare(args.parent.resolve(), args.change.resolve(), args.workloads, args.pairs,
+                       args.seconds, args.output)
+    if args.repeats < 1 or min(args.sizes) < 1:
+        parser.error("--repeats and each of --sizes must be at least 1")
+    if args.against is None:
+        result = layers(args.tree.resolve(), args.sizes, args.repeats)
+    else:
+        result = layers_against(args.against.resolve(), args.tree.resolve(), args.sizes,
+                                args.repeats, args.pairs)
+    for name, by_size in result["layers_us_per_call"].items():
+        print(f"{name:<19} " + "  ".join(f"n={n} {us:.4g} us" for n, us in by_size.items()))
+    for kind, paths in result["expand_us_per_call"].items():
+        for path, by_size in paths.items():
+            print(f"expand {kind:<8} {path:<10} "
+                  + "  ".join(f"n={n} {us:.4g} us" for n, us in by_size.items()))
+    for name, seconds in result["seed_1_round_cpu_s"].items():
+        keys = ", ".join(f"{key} {count}" for key, count in result["seed_1_round_keys"][name].items())
+        print(f"{name:<19} seed-1 round {seconds:.4g} s CPU; {keys}")
+    if args.against is not None:
+        for path, (median, q1, q3) in _figures(result["against"]["ratio"]):
+            print(f"{'/'.join(path):<48} change/parent {median:.4g} [{q1:.4g}, {q3:.4g}]")
+    args.output.write_text(json.dumps(result, indent=2) + "\n")
+    return 0
 
 
 if __name__ == "__main__":

@@ -168,8 +168,8 @@ MUTANTS = (
     ),
     Mutant(
         "scan-greater-wins", "diagram.py",
-        "if entry < code[i]:  # k wins: the common prefix, then its entry",
-        "if entry > code[i]:",
+        "if entry < code[i] or i > 8 and best is None and _straddle(entry, code[i]):",
+        "if entry > code[i] or i > 8 and best is None and _straddle(entry, code[i]):",
         "scan",
         "tests/test_differential.py::test_canonical_matches_oracle",
     ),
@@ -207,6 +207,13 @@ MUTANTS = (
         "elif first | 2 >= bar[0]:",
         "scan",
         "tests/test_differential.py::test_least_rotations_against_a_bar",
+    ),
+    Mutant(
+        "scan-bar-straddle-loss", "diagram.py",
+        "if entry < code[i] or i > 8 and best is None and _straddle(entry, code[i]):",
+        "if entry < code[i]:",
+        "scan",
+        "tests/test_differential.py::test_barred_key_is_exact_in_string_order",
     ),
     Mutant(
         "read-code-sign", "codec.py",
@@ -577,7 +584,7 @@ MUTANTS = (
         "entry = (count, 1, child_key, state, codes if change == 1 else None)",
         "entry = (count, -1, child_key, state, codes if change == 1 else None)",
         "search",
-        "tests/test_differential.py::test_simplify_matches_oracle_without_insertions",
+        "tests/test_differential.py::test_search_skips_only_children_it_has_keyed",
     ),
     Mutant(
         "search-newest-family-first", "simplify.py",
@@ -612,7 +619,7 @@ MUTANTS = (
         "if entry < best:",
         "if entry[0] < best[0]:",
         "search",
-        "tests/test_differential.py::test_simplify_matches_oracle_without_insertions",
+        "tests/test_differential.py::test_truncated_simplify_matches_oracle",
     ),
     Mutant(
         "search-budget", "simplify.py",
@@ -678,18 +685,39 @@ MUTANTS = (
         "tests/test_differential.py::test_search_bar_leaves_out_only_children_it_never_expands",
     ),
     Mutant(
-        "search-bar-ten-chords-and-up", "simplify.py",
-        "if count < 10 and len(info) > limits.max_states:",
-        "if len(info) > limits.max_states:",
-        "search",
-        "tests/test_differential.py::test_search_bar_leaves_out_only_children_it_never_expands",
-    ),
-    Mutant(
         "search-bar-keeps-popped", "simplify.py",
         "bars[count].pop(key)",
         "pass",
         "search",
         "tests/test_differential.py::test_search_bar_leaves_out_only_children_it_never_expands",
+    ),
+    Mutant(
+        "search-defer-keeps-threshold", "simplify.py",
+        "del thresholds[count]",
+        "thresholds.get(count)",
+        "search",
+        "tests/test_differential.py::test_search_defers_exactly_the_children_above_its_counts_threshold",
+    ),
+    Mutant(
+        "search-defer-resolves-out-of-order", "simplify.py",
+        "for parent, change, fields, state, chords, bases in later.pop(count):",
+        "for parent, change, fields, state, chords, bases in reversed(later.pop(count)):",
+        "search",
+        "tests/test_differential.py::test_search_defers_exactly_the_children_above_its_counts_threshold",
+    ),
+    Mutant(
+        "search-defer-resolves-late", "simplify.py",
+        "and head[2] > thresholds[pending][0]):",
+        "and head[2] > thresholds[pending][0] and False):",
+        "search",
+        "tests/test_differential.py::test_search_defers_exactly_the_children_above_its_counts_threshold",
+    ),
+    Mutant(
+        "search-defer-under-a-bar", "simplify.py",
+        "_resolve(count, later, thresholds, info, queue, waiting)",
+        "pass",
+        "search",
+        "tests/test_differential.py::test_search_defers_exactly_the_children_above_its_counts_threshold",
     ),
     # the value types' record base
     Mutant(

@@ -389,8 +389,10 @@ def _least_rotations(chords, bases, bar=None):
     ``_rows``.  Taking rows, not a diagram, lets the search key a child
     from its parent's rows edited by ``moves._family_rows``.  Given a
     ``bar``, the least encoding of a diagram with as many endpoints, it
-    returns None when the least encoding is above the bar, and the least
-    encoding otherwise.
+    returns None only when the code the least encoding spells
+    (``codec._canonical_code``) is above the code the bar spells, in string
+    order, and the least encoding otherwise: always when the least
+    encoding is at or below the bar.
 
     Each endpoint encodes as one int entry, its base with its chord number
     (by first appearance) in bits 1..31: ``head << 32 | number << 1 |
@@ -420,7 +422,15 @@ def _least_rotations(chords, bases, bar=None):
     is every start's, so a bar whose entry 0 is less is below every
     encoding, which ends the scan at once, and one whose entry 0 is
     greater is above every encoding and is dropped.  A start that ties
-    with the bar has a least encoding, so it ends the scan as the best."""
+    with the bar has a least encoding, so it ends the scan as the best.
+    The queue the search keeps orders codes as strings, and a loss at entry
+    i holds there too, its earlier entries equal, when the two entries
+    differ in role, or in sign alone, or hold chord numbers of one length
+    (spelled with as many digits).  Entry i holds a number of at most
+    i + 1, so a loss at entries 0-8 always holds.  A start that would lose
+    to the bar later, at two numbers of different lengths (``_straddle``),
+    is taken as the best instead, so the scan goes on to the least
+    encoding."""
     m = len(chords)
     if m == 0:
         return ()
@@ -456,7 +466,9 @@ def _least_rotations(chords, bases, bar=None):
                 q = best + i
                 code.append(bases[q] | numbers.setdefault(chords[q], len(numbers) + 1) << 1)
             if entry != code[i]:
-                if entry < code[i]:  # k wins: the common prefix, then its entry
+                # k wins: the common prefix, then its entry; a loss to the bar
+                # past entry 8 that may not hold between tokens is taken as a win
+                if entry < code[i] or i > 8 and best is None and _straddle(entry, code[i]):
                     del code[i:]
                     code.append(entry)
                     best, numbers = k, mine
@@ -471,6 +483,14 @@ def _least_rotations(chords, bases, bar=None):
     for q in range(best + len(code), best + m):
         code.append(bases[q] | numbers.setdefault(chords[q], len(numbers) + 1) << 1)
     return tuple(code)
+
+
+def _straddle(entry: int, other: int) -> bool:
+    """Whether two entries of one role hold chord numbers of different
+    lengths: only then can the spelled tokens (``codec._token``) order
+    otherwise than the entries, as U2+ and U10+ do."""
+    return entry >> 32 == other >> 32 and len(str(entry >> 1 & 0x7FFFFFFF)) != len(
+        str(other >> 1 & 0x7FFFFFFF))
 
 
 def _entry_parts(entry: int) -> tuple:

@@ -23,6 +23,10 @@ the same.  Once more states wait at a chord count than the budget has
 expansions left, the first waiting code past that many is a bar: a child
 of that count whose code is above it is never expanded, so it is not
 stored, and its key scan stops as soon as it is sure to land above it.
+Without insertions, a child whose code is above the least code stored at
+its count since that count's last resolution is deferred: it is keyed in
+full, with the rest of its count's remainder, only just before a state
+above that code could pop, which in a dive that ends first is never.
 """
 
 from __future__ import annotations
@@ -108,6 +112,12 @@ class _Bar:
             self.top = heap[0]
             self.entries = _code_entries(_unrank(self.top))
         return self.entries
+
+
+def _defers(limits) -> bool:
+    """Whether a search with these limits runs ``simplify``'s sixth rule:
+    only one without insertions."""
+    return not limits.allow_insertions
 
 
 class SearchLimits(_Record):
@@ -289,23 +299,58 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
     search ends.  A bar only falls, so a code above one is above every
     later bar of its count and is never stored; and since no count below
     an expanded state's ever had a bar, the four rules above still hold,
-    a child left out by any of them being keyed or above a bar.  The bar
-    applies only below ten chords: there chord numbers have one digit, so
-    a code sorts like the ``_least_rotations`` entries the key scan
-    compares, and ``_canonical_code`` given the bar's entries returns None
-    for a child above it, most often at the scan's first entries.  No
-    more states wait than are stored and not expanded, so no bar applies
-    until more states are stored than max_states.  From the first family
-    pop below ten chords where that holds, the search keeps the number of
+    a child left out by any of them being keyed or above a bar.
+    ``_canonical_code`` given the bar's entries returns None only for a
+    child whose code is above the bar in string order, the queue's order,
+    most often at the scan's first entries, and the child's code
+    otherwise.  Where the scan gives up a verdict (``diagram._straddle``)
+    that code may still be above the bar: it is stored, waits above the
+    bar and is never expanded, and it leaves the ``_Bar``'s heap at its
+    next read, being above every code there.  No more states wait than
+    are stored and not expanded, so no bar applies until more states are
+    stored than max_states.  From the first family pop where that holds,
+    the search keeps the number of
     states waiting at each count, counted once off the queue and then
     updated once per walk and per popped state; from the first family pop
     where a bar applies at a count, a ``_Bar`` keeps that count's codes
     waiting at or below it.
+    A sixth rule defers the children a dive never pops, in a search
+    without insertions only (``_defers``).  Per chord count c, T_c is the
+    least code stored at c since c's last resolution.  A walk where no bar
+    applies scans each child of c chords against T_c's entries, as
+    against a bar, and a child whose code is above T_c (None, or a code
+    kept past a straddle and above T_c) is deferred: its fields, rows and
+    parent go, in generation order, into c's one remainder, and nothing is
+    stored or pushed.  A child the walk stores is below T_c, and is T_c
+    from then on.  Just before the queue would pop a state of c chords
+    above T_c, an entry of a higher count, or nothing, the least count c
+    with a remainder is resolved: its remainder is keyed in full, in
+    order, the new codes are stored, and T_c is reset.  By then every
+    family of c has popped, and so has every state up to T_c.  The result
+    stays the same.  Every code stored at c while its remainder is pending
+    is at most T_c, which only falls, and every deferred code is above the
+    T_c it was scanned against, so no later child stores a deferred code
+    first, and the remainder, keyed in generation order, lets the first
+    child generated for each code still win.  Each deferred child is
+    stored before any state at or above its code could pop, so the pops,
+    and so the expansions, stay the same.  A deferred child is above a
+    stored code of its own count, so it is never the best.  Resolution is
+    not an expansion, so it does not count against max_states.  And the
+    rule leaves the bar alone: before a bar's first walk at c, c's
+    remainder is resolved, so the bar counts every state stored at c, and
+    a bar, once it applies at a count, applies there for good, so no
+    child there is deferred again.  Whether a bar applies at c is read
+    before c's remainder is resolved, so a bar may come later than it
+    would without the rule, which changes no result.  The rule is kept off
+    searches with insertions: there the budget keeps the search returning
+    to each count, so resolution would key nearly every deferred child
+    again.
     A child can share a code only with states of its own chord count, and
     the tag 0 pops every family of a count before any state of that count
-    or higher: a count's children are all keyed (and deduplicated, the
-    first generated child of a code winning) before one of them can be
-    expanded.  One expansion pushes at most one family per
+    or higher: a count's children are all keyed or deferred (and
+    deduplicated, the first generated child of a code winning) before one
+    of them can be expanded, and a deferred one is stored before it could
+    pop.  One expansion pushes at most one family per
     count, so the expansion number orders a count's families uniquely, in
     expansion order, and the children are keyed in ``enumerate_moves``
     order.  A family is walked through ``moves._family_rows`` only when it
@@ -319,8 +364,9 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
     carries its parent's.  That is the diagram the walk found the move on,
     with the fields it yielded, so no check can fail, and the edit makes
     the diagram ``apply_move`` would.
-    No other store holds a diagram, so one is released once the last entry
-    holding it pops.  The final diagram is the best state's move applied
+    No other store holds a diagram but a remainder, so one is released
+    once the last entry holding it pops and the remainders holding it are
+    resolved.  The final diagram is the best state's move applied
     to the diagram its entry carries (the start needs none): the same
     chain of moves built it.  The trace is read back as the final state's
     moves, each beside the code it leads to; each step's canonical form is
@@ -361,8 +407,28 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
     limit_hit = False
     waiting = None  # chord count -> the states waiting at it, once a bar can apply
     bars = {}  # chord count -> its _Bar, once a bar applies there
+    defers = _defers(limits)
+    # chord count -> (T_c, the least code stored there since its last
+    # resolution, and its entries), in a search that defers
+    thresholds = {}
+    # chord count -> its remainder: each child deferred there since, as its
+    # parent's code, the chords its family adds, its fields, the parent's
+    # diagram and its rows, in generation order
+    later = {}
+    pending = None  # the least count with a remainder
 
-    while queue and best[0]:  # an empty diagram ends the search: nothing beats it
+    while best[0]:  # an empty diagram ends the search: nothing beats it
+        # the least count with a remainder resolves before a state above its
+        # T_c, an entry of a higher count or nothing pops
+        if pending is not None:
+            head = queue[0] if queue else (pending + 1,)
+            if head[0] > pending or (head[0] == pending and head[1]
+                                     and head[2] > thresholds[pending][0]):
+                _resolve(pending, later, thresholds, info, queue, waiting)
+                pending = min(later, default=None)
+                continue
+        if not queue:
+            break
         entry = heapq.heappop(queue)
         if entry[1]:  # a state: the budget stops the search, or it is expanded
             if explored >= limits.max_states:
@@ -397,18 +463,40 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
             # inside the kink (gap + 1), and its parent's gap h - 2 after
             skip = flags[:4 * gap + 4] + [False] * 4 + flags[4 * gap:]
         bar = None  # the entries of the code above which a child is left out
-        # below 10 a code sorts like its entries; no more states wait than
-        # are stored and not expanded
-        if count < 10 and len(info) > limits.max_states:
+        # no more states wait than are stored and not expanded
+        if len(info) > limits.max_states:
             if waiting is None:
                 waiting = Counter(e[0] for e in queue if e[1])
             room = limits.max_states - explored
             if waiting[count] > room:
+                if count in later:  # no child is deferred where a bar applies
+                    _resolve(count, later, thresholds, info, queue, waiting)
+                    pending = min(later, default=None)
                 if count not in bars:
                     bars[count] = _Bar(e[2] for e in queue if e[:2] == (count, 1))
                 bar = bars[count].bar(room)
         if waiting is not None:
             stored = len(info)
+        if defers and bar is None:  # the sixth rule: "~" sorts above every code, no T_c yet
+            threshold, bar = thresholds.get(count, ("~", None))
+            for fields, chords, bases in _family_rows(state, change, made, skip):
+                child_key = _canonical_code(chords, bases, bar)
+                if child_key is None or child_key > threshold:  # above T_c: deferred
+                    later.setdefault(count, []).append((parent, change, fields, state, chords,
+                                                        bases))
+                elif child_key not in info:  # below T_c: stored, and the new T_c
+                    info[child_key] = (parent, change, fields)
+                    entry = (count, 1, child_key, state, None)
+                    best = min(best, entry)
+                    heapq.heappush(queue, entry)
+                    threshold, bar = child_key, _code_entries(child_key)
+            if bar is not None:
+                thresholds[count] = threshold, bar
+                if count in later and (pending is None or count < pending):
+                    pending = count
+            if waiting is not None:
+                waiting[count] += len(info) - stored
+            continue
         codes = []  # the walk's child codes, in walk order: an R1 walk's children keep them
         for fields, chords, bases in _family_rows(state, change, made, skip):
             child_key = _canonical_code(chords, bases, bar)
@@ -425,7 +513,10 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
             heapq.heappush(queue, entry)
         if waiting is not None:
             waiting[count] += len(info) - stored
-            if bar is not None:  # the states this walk stored, each below the bar
+            # the states this walk stored, each below the bar but for one
+            # kept past a _straddle, which is above the rest and leaves the
+            # _Bar's heap at its next read
+            if bar is not None:
                 bars[count].add(islice(reversed(info), len(info) - stored))
         # a child left out holds "~", which sorts above every code (a run of O
         # and U tokens), so it makes no sibling skip
@@ -448,6 +539,21 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
     steps.reverse()
     return SimplifyResult(final=final, trace=tuple(steps), states_explored=explored,
                           limit_hit=limit_hit)
+
+
+def _resolve(count, later, thresholds, info, queue, waiting) -> None:
+    """Resolve ``simplify``'s remainder at a chord count: key its children
+    in full, in the order they were generated, store the new codes, count
+    them as waiting once ``waiting`` is kept, and reset the count's T_c."""
+    del thresholds[count]
+    stored = len(info)
+    for parent, change, fields, state, chords, bases in later.pop(count):
+        key = _canonical_code(chords, bases)
+        if key not in info:
+            info[key] = (parent, change, fields)
+            heapq.heappush(queue, (count, 1, key, state, None))
+    if waiting is not None:
+        waiting[count] += len(info) - stored
 
 
 def verify_trace(start: GaussDiagram, trace) -> TraceCheck:

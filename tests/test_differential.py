@@ -125,7 +125,13 @@ from gaussdiag import (
     serialize_gauss_code,
     simplify,
 )
-from gaussdiag.codec import _canonical_code, _read_canonical_code, from_structured, to_structured
+from gaussdiag.codec import (
+    _canonical_code,
+    _code_entries,
+    _read_canonical_code,
+    from_structured,
+    to_structured,
+)
 from gaussdiag.diagram import (
     HEAD,
     TAIL,
@@ -776,12 +782,46 @@ def test_least_rotations_stop_at_the_first_tie():
     assert key == serialize_gauss_code(chain)
 
 
+def _spelled(encoding) -> str:
+    """The code a least-rotation encoding spells, token by token from its
+    (head, number, negative) parts: what the search's queue compares."""
+    return " ".join(f"{'OU'[head]}{number}{'+-'[negative]}" for head, number, negative
+                    in _decode(encoding))
+
+
+def _straddles(least, bar) -> bool:
+    """Whether two encodings first differ at entries of one role whose
+    numbers have different lengths, where the order of their tokens may
+    differ from the order of their entries."""
+    i = next(i for i, (a, b) in enumerate(zip(least, bar)) if a != b)
+    (role, number, _), (bar_role, bar_number, _) = _decode((least[i], bar[i]))
+    return role == bar_role and len(str(number)) != len(str(bar_number))
+
+
+def _near_codes(d: GaussDiagram) -> set:
+    """The least encodings of the diagrams that d's canonical form makes
+    with two neighbouring endpoints of different chords swapped, from
+    entry 9 on: codes of d's count that mostly share d's first entries."""
+    form = canonical(d)
+    ends = list(form.endpoints)
+    near = set()
+    for p in range(9, len(ends) - 1):
+        if ends[p].chord != ends[p + 1].chord:
+            swapped = make_diagram(ends[:p] + [ends[p + 1], ends[p]] + ends[p + 2:], form.signs)
+            near.add(_least_rotations(*_rows(swapped.endpoints, swapped.signs)))
+    return near
+
+
 def test_least_rotations_against_a_bar(exhaustive_corpus, random_corpus):
-    # given a bar, an encoding of the same length, the scan is None exactly
-    # when the least encoding is above the bar, and the least encoding
-    # otherwise.  The bars: the diagram's own encoding, its neighbours below
-    # and above among the sorted encodings of its chord count, and two
-    # seeded ones of that count; the rows at shifts 0, 1 and 5.  The
+    # given a bar, an encoding of the same length, the scan is the least
+    # encoding when it is at or below the bar, and when the two first
+    # differ at numbers of different lengths (a "straddle", where the
+    # spelled codes may sort the other way); otherwise it is None or the
+    # least encoding, and None only when the spelled code is above the
+    # spelled bar.  The bars: the diagram's own encoding, its neighbours
+    # below and above among the sorted encodings of its chord count, two
+    # seeded ones of that count and, on the symmetric diagrams of 10 chords
+    # and more, the _near_codes; the rows at shifts 0, 1 and 5.  The
     # symmetric diagrams have two or more least rotations, so one start
     # can tie with the bar and a later one with it
     _, symmetric = _scan_cases()
@@ -800,17 +840,60 @@ def test_least_rotations_against_a_bar(exhaustive_corpus, random_corpus):
         i = codes.index(least)
         bars = {least, codes[max(i - 1, 0)], codes[min(i + 1, len(codes) - 1)],
                 rng.choice(codes), rng.choice(codes)}
+        if id(d) in periodic and 10 <= d.n <= 40:
+            bars |= _near_codes(d)
         for k in sorted({0, 1, 5} if chords else {0}):
             k %= max(1, len(chords))
             rows = chords[k:] + chords[:k], bases[k:] + bases[:k]
             for bar in bars:
-                expected = None if least > bar else least
-                assert _least_rotations(*rows, bar) == expected, (d, k, bar)
-                seen["above" if expected is None else "equal" if bar == least else "below"] += 1
+                got = _least_rotations(*rows, bar)
+                if least <= bar or _straddles(least, bar):
+                    assert got == least, (d, k, bar)
+                else:
+                    assert got in (None, least), (d, k, bar)
+                if got is None:
+                    assert _spelled(least) > _spelled(bar), (d, k, bar)
+                seen["above" if got is None else "equal" if bar == least else "below"] += 1
                 seen["symmetric tie"] += id(d) in periodic and bar == least
                 seen["entry 0 decides"] += bool(least) and least[0] != bar[0]
+                if least > bar and _straddles(least, bar):
+                    seen["straddle"] += 1
+                    seen["straddle, tokens sort the other way"] += _spelled(least) < _spelled(bar)
     assert seen["above"] > 50_000 and seen["below"] > 50_000 and seen["equal"] > 80_000, seen
     assert seen["symmetric tie"] > 300 and seen["entry 0 decides"] > 10_000, seen
+    assert seen["straddle"] > 150 and seen["straddle, tokens sort the other way"] > 100, seen
+
+
+def test_barred_key_is_exact_in_string_order():
+    # the search's key given a bar, against the full key: None only when
+    # the full code is above the bar's code as strings, and the full code
+    # otherwise.  Seeded diagrams of 10 to 40 chords and the symmetric
+    # diagrams of that size, each against its _near_codes spelled, and
+    # against its own code; the verdict is reached past entry 8 (where
+    # chord numbers reach 10), at numbers of two digits on both sides, and
+    # given up at a straddle above the bar, where the code is kept
+    _, symmetric = _scan_cases()
+    diagrams = [random_diagram(n, 46_000 + 10 * n + s) for n in range(10, 41) for s in range(3)]
+    diagrams += [d for d in symmetric if 10 <= d.n <= 40]
+    seen = collections.Counter()
+    for d in diagrams:
+        rows = _rows(d.endpoints, d.signs)
+        full = _canonical_code(*rows)
+        least = _least_rotations(*rows)
+        for bar in _near_codes(d) | {least}:
+            got = _canonical_code(*rows, _code_entries(_spelled(bar)))
+            assert got is None and full > _spelled(bar) or got == full, (d, bar)
+            if got is None:
+                i = next(i for i, (a, b) in enumerate(zip(least, bar)) if a != b)
+                (_, number, _), (_, bar_number, _) = _decode((least[i], bar[i]))
+                seen["above"] += 1
+                seen["above, decided past entry 8"] += i > 8
+                seen["above, two digits each"] += min(number, bar_number) >= 10
+            else:
+                seen["kept above" if full > _spelled(bar) else "kept"] += 1
+    assert seen["above"] > 2_000 and seen["kept"] > 2_000 and seen["kept above"] > 200, seen
+    assert seen["above, decided past entry 8"] > 1_000, seen
+    assert seen["above, two digits each"] > 100, seen
 
 
 def _form_outcome(d: GaussDiagram) -> tuple:
@@ -1493,11 +1576,13 @@ def test_search_walks_no_deletion_whose_children_are_not_keyed(exhaustive_corpus
     assert seen["other"] > 2_000 and seen["undo"] > 400, seen
 
 
-def _insertion_workload_inputs(monkeypatch) -> list:
-    """The benchmark's ``insertion`` inputs at seeds 1 to 5, each parsed."""
+def _workload_inputs(monkeypatch, workload: str, seeds=range(1, 6), kind=None) -> list:
+    """The benchmark's inputs of a search workload at these seeds, each
+    parsed; only those of one class, when ``kind`` names it."""
     monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
-    inputs = importlib.import_module("inputs")
-    return [parse_gauss_code(code) for seed in range(1, 6) for _, code in inputs.insertion_inputs(seed)]
+    inputs = getattr(importlib.import_module("inputs"), f"{workload}_inputs")
+    return [parse_gauss_code(code) for seed in seeds for name, code in inputs(seed)
+            if kind in (None, name)]
 
 
 def test_search_skips_only_children_it_has_keyed(exhaustive_corpus, monkeypatch):
@@ -1577,7 +1662,7 @@ def test_search_skips_only_children_it_has_keyed(exhaustive_corpus, monkeypatch)
         for d, max_chords in _truncated_cases(exhaustive_corpus)
         for max_states in (*TRUNCATED_BUDGETS, 40, 200)
     ]
-    cases += [(d, d.n + 2, 60) for d in _insertion_workload_inputs(monkeypatch)]
+    cases += [(d, d.n + 2, 60) for d in _workload_inputs(monkeypatch, "insertion")]
     cases += [(d, d.n + 3, 400) for d in exhaustive_corpus if d.n == 2]
     for d, max_chords, max_states in cases:
         for store in (keyed, barred, built, pushed):
@@ -1595,8 +1680,9 @@ def test_search_skips_only_children_it_has_keyed(exhaustive_corpus, monkeypatch)
     assert seen["r3 family"] > 300 and seen["no r3 family"] > 5_000, seen
 
 
-# ten-chord searches with a cap of 11, where a code does not sort like its
-# entries: a bar there would leave out a child that is expanded
+# ten-chord searches with a cap of 11, where chord numbers reach 10 and a
+# code need not sort like its entries: a bar whose verdict followed the
+# entries there would leave out a child that is expanded
 ELEVEN_CHORD_CASES = (
     ("U1+ U2+ O3+ U4+ O5+ U6- U7+ U8+ U9- O7+ U5+ O1+ O10- O2+ O6- U3+ O8+ O4+ O9- U10-", 150),
     ("O1+ U2- O3+ O2- U4+ U5+ U6+ O7- U8+ U1+ U3+ U9+ O8+ U10- O10- O6+ O9+ U7- O4+ O5+", 400),
@@ -1608,9 +1694,9 @@ def test_search_bar_leaves_out_only_children_it_never_expands(exhaustive_corpus,
     # search was before it had one.  The two give the same result and trace
     # and make the same expansions, in the same order, and no child the bar
     # left out is expanded or the best in the run without it.  Each family
-    # walk below ten chords is handed the (room + 1)-th least code waiting
-    # at its count when more than room wait, room being the expansions the
-    # budget has left, and no bar otherwise.  Over the _truncated_cases, the
+    # walk is handed the (room + 1)-th least code waiting at its count when
+    # more than room wait, room being the expansions the budget has left,
+    # and no bar otherwise, at any count.  Over the _truncated_cases, the
     # benchmark's insertion inputs, seeded diagrams of 2 to 4 chords with
     # room for two or three insertions, and the ELEVEN_CHORD_CASES; the
     # _truncated_cases at every budget up to 24, so that some walks have
@@ -1634,7 +1720,7 @@ def test_search_bar_leaves_out_only_children_it_never_expands(exhaustive_corpus,
             count, room = entry[0], walk["budget"] - 1 - len(edits)  # the start: no edit
             waiting = sorted(e[2] for e in heap if e[:2] == (count, 1))
             walk["bar"] = None
-            if count < 10 and len(waiting) > room:
+            if len(waiting) > room:
                 bar = parse_gauss_code(waiting[room])
                 walk["bar"] = _least_rotations(*_rows(bar.endpoints, bar.signs))
                 seen["one to spare"] += len(waiting) == room + 1
@@ -1650,6 +1736,7 @@ def test_search_bar_leaves_out_only_children_it_never_expands(exhaustive_corpus,
         assert code not in barred, code
         keyed.add(code)
         seen["walked with a bar"] += bar is not None
+        seen["walked with a bar, ten chords and up"] += bar is not None and len(chords) >= 20
         return code
 
     def bar_free(chords, bases, bar=None):
@@ -1662,7 +1749,7 @@ def test_search_bar_leaves_out_only_children_it_never_expands(exhaustive_corpus,
         for d, max_chords in _truncated_cases(exhaustive_corpus)
         for max_states in (*range(1, 25), 40, 200)
     ]
-    cases += [(d, d.n + 2, 60) for d in _insertion_workload_inputs(monkeypatch)]
+    cases += [(d, d.n + 2, 60) for d in _workload_inputs(monkeypatch, "insertion")]
     cases += [
         (d, d.n + 2 + s % 2, (20, 40, 80, 150)[s % 4])
         for s, d in ((s, random_diagram(2 + s % 3, 3000 + s)) for s in range(200))
@@ -1687,6 +1774,166 @@ def test_search_bar_leaves_out_only_children_it_never_expands(exhaustive_corpus,
         barred.clear()
     assert seen["left out"] > 30_000 and seen["searches with a bar"] > 300, seen
     assert seen["one to spare"] > 100 and seen["walked with a bar"] > 40_000, seen
+    assert seen["walked with a bar, ten chords and up"] > 100, seen
+
+
+def _deferral_cases(monkeypatch) -> list:
+    """Searches without insertions: the benchmark's seed-1 ``descent``
+    inputs and its 30-chord R2 scrambles of seeds 2 and 3 at its budget,
+    and budget-bound ones, where a bar applies: seeded diagrams of 8 to 16
+    chords, the seed-1 inputs at small budgets, and the 10-chord trefoil
+    scrambles of seeds 2 to 4 and two 22-chord diagrams at budgets where a
+    bar comes to a count with a remainder, which is resolved first."""
+    descent = _workload_inputs(monkeypatch, "descent", [1])
+    cases = [(d, 20_000) for d in descent]
+    cases += [(d, 20_000) for d in _workload_inputs(monkeypatch, "descent", [2, 3], "unknot")]
+    cases += [(random_diagram(8 + s % 9, 11_000 + s), (5, 20, 60, 150)[s % 4]) for s in range(60)]
+    cases += [(d, budget) for d in descent for budget in (3, 10, 40)]
+    trefoils = _workload_inputs(monkeypatch, "descent", [2, 3, 4], "trefoil")
+    cases += [(d, budget) for d in trefoils for budget in (11, 23, 50)]
+    return cases + [(random_diagram(22, 15_200), 6), (random_diagram(22, 15_201), 25)]
+
+
+def test_search_deferral_changes_no_result(monkeypatch):
+    # each search without insertions runs twice: as it is, and with its
+    # sixth rule patched off (``_defers``), as the search was before it.
+    # The two give the same result and trace and make the same edits, in
+    # the same order, over the _deferral_cases; both rules act, and in
+    # budget-bound searches both act in one search
+    search = importlib.import_module("gaussdiag.simplify")
+    edit, canonical_code = search._edit, search._canonical_code
+    edits = []  # each edit the search makes, as (its parent's code, family, fields)
+    scans = collections.Counter()  # the current run's keys, by kind
+    seen = collections.Counter()
+
+    def spy_edit(parent, change, fields):
+        edits.append((serialize_gauss_code(parent), change, fields))
+        return edit(parent, change, fields)
+
+    def spy_canonical_code(chords, bases, bar=None):
+        code = canonical_code(chords, bases, bar)
+        scans["barred" if bar is not None else "full"] += 1
+        scans["barred, None"] += bar is not None and code is None
+        return code
+
+    monkeypatch.setattr(search, "_edit", spy_edit)
+    monkeypatch.setattr(search, "_canonical_code", spy_canonical_code)
+    defers = search._defers
+    for d, max_states in _deferral_cases(monkeypatch):
+        limits = SearchLimits(max_states)
+        runs = []
+        for rule in (defers, lambda limits: False):
+            monkeypatch.setattr(search, "_defers", rule)
+            edits.clear()
+            scans.clear()
+            result = simplify(d, limits)
+            runs.append((_search_outcome(result), tuple(edits), +scans))
+        (outcome, made, deferring), (expected, oracle_made, plain) = runs
+        assert (outcome, made) == (expected, oracle_made), (d, max_states)
+        assert keeps_the_invariants(d, result.final), (d, max_states)
+        seen["deferred"] += deferring["barred"] - plain["barred"]
+        seen["full keys saved"] += plain["full"] - deferring["full"]
+        # patched off, a barred scan is a bar's
+        seen["searches with a bar and deferrals"] += bool(plain["barred"]) and (
+            deferring["barred"] > plain["barred"])
+    assert seen["deferred"] > 0 and seen["full keys saved"] > 0, seen
+    assert seen["searches with a bar and deferrals"] > 0, seen
+
+
+def test_search_defers_exactly_the_children_above_its_counts_threshold(monkeypatch):
+    # in a search without insertions: a model of the sixth rule, kept from
+    # what the search keys, pushes and pops, against the search.  Per
+    # chord count c the model keeps T_c, the least code a walk pushed at c
+    # since c's last resolution, and the remainder, the rows deferred
+    # there since.  A walk at c where no bar applies (more states wait at
+    # c when its family pops than the budget has expansions left) must
+    # hand the key scan T_c's entries (none while there is no T_c); a
+    # child whose code is above T_c (None, or above it as strings) is
+    # deferred and not pushed, and any other new one is pushed.  A walk
+    # where a bar applies finds no remainder at its count: it was resolved
+    # when the family popped.  A key outside a walk is a resolution: it
+    # must key, in full, the least count's remainder in generation order,
+    # and the count's T_c is reset.  And no entry may pop while a count c
+    # with a remainder is due: the entry of a higher count, or a state of
+    # c above T_c.  Over the _deferral_cases
+    search = importlib.import_module("gaussdiag.simplify")
+    family_rows, canonical_code = search._family_rows, search._canonical_code
+    threshold = {}  # chord count -> T_c
+    remainder = collections.defaultdict(list)  # chord count -> the rows deferred there
+    # the walking family's count, whether a bar applies to it, whether its
+    # walk has begun, and whether the last child keyed was deferred
+    walk = {}
+    seen = collections.Counter()
+
+    def spy_family_rows(state, change, *rest):
+        walk["count"] = state.n + change
+        yield from family_rows(state, change, *rest)
+        walk["count"] = None
+
+    def spy_canonical_code(chords, bases, bar=None):
+        code = canonical_code(chords, bases, bar)
+        count = len(chords) // 2
+        if walk.pop("start", False):  # the start's key
+            return code
+        if walk["count"] is None:  # a resolution: the least count's remainder, in order
+            assert bar is None, bar
+            least = min(c for c, rows in remainder.items() if rows)
+            assert count == least and remainder[least][0] is chords, count
+            remainder[least].pop(0)
+            threshold.pop(least, None)  # reset when the resolution starts
+            seen["re-keyed"] += 1
+            seen["re-keyed for a bar"] += walk["bar"] and walk["popped"] == count
+            return code
+        walk["popped"] = None
+        assert count == walk["count"], count
+        if walk["bar"]:  # the bar's walk: left out above it, nothing deferred
+            assert not remainder[count], count
+            walk["deferred"] = False
+            seen["walked with a bar"] += 1
+            return code
+        low = threshold.get(count)
+        assert bar == (None if low is None else _code_entries(low)), (count, low)
+        walk["deferred"] = code is None or low is not None and code > low
+        if walk["deferred"]:
+            remainder[count].append(chords)
+            seen["deferred"] += 1
+        return code
+
+    def spy_push(heap, entry):
+        if entry[1] and walk["count"] is not None and not walk["bar"]:  # a deferring walk's
+            assert not walk["deferred"], entry[2]
+            low = threshold.get(entry[0])
+            assert low is None or entry[2] < low, (entry[2], low)
+            threshold[entry[0]] = entry[2]
+        heapq.heappush(heap, entry)
+
+    def spy_pop(heap):
+        head = heap[0]
+        for count, rows in remainder.items():
+            if rows:
+                assert head[0] <= count and not (
+                    head[0] == count and head[1] and head[2] > threshold[count]), (head[:3], count)
+        entry = heapq.heappop(heap)
+        if entry[1]:  # a state: expanded, or the budget is spent
+            walk["room"] -= 1
+        else:
+            count = walk["popped"] = entry[0]
+            walk["bar"] = sum(e[:2] == (count, 1) for e in heap) > walk["room"]
+        return entry
+
+    monkeypatch.setattr(search, "_family_rows", spy_family_rows)
+    monkeypatch.setattr(search, "_canonical_code", spy_canonical_code)
+    monkeypatch.setattr(search, "heapq", SimpleNamespace(heappush=spy_push, heappop=spy_pop))
+    for d, max_states in _deferral_cases(monkeypatch):
+        threshold.clear()
+        remainder.clear()
+        walk.update(start=True, count=None, bar=False, popped=None, deferred=False,
+                    room=max_states)
+        simplify(d, SearchLimits(max_states))
+        seen["left pending"] += sum(map(len, remainder.values()))
+    assert seen["deferred"] > 5_000 and seen["re-keyed"] > 300, seen
+    assert seen["left pending"] > 3_000, seen
+    assert seen["walked with a bar"] > 0 and seen["re-keyed for a bar"] > 3, seen
 
 
 def test_search_generates_only_insertions_that_fit(exhaustive_corpus, monkeypatch):

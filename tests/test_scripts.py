@@ -200,13 +200,14 @@ def test_bench_compare_on_a_tiny_configuration(tmp_path):
     # two copies of this checkout's sources and benchmark, one pair of
     # 0.1 s insertion runs: each end-to-end metric of BENCHMARK.json gets
     # one line, and neither tree keeps a __pycache__.  The pairs alternate
-    # which side runs first
+    # which side runs first.  --output writes the workload's BENCH file:
+    # each metric's median and IQR, its parent's median and the wins
     assert _bench().schedule(4) == [(1, "parent"), (2, "change"), (3, "parent"), (4, "change")]
     trees = _bench_trees(tmp_path)
     (tmp_path / "parent" / "src" / "gaussdiag" / "__pycache__").mkdir()
     proc = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / "bench.py"), "compare", *trees,
-         "--workloads", "insertion", "--pairs", "1", "--seconds", "0.1"],
+         "--workloads", "insertion", "--pairs", "1", "--seconds", "0.1", "--output", str(tmp_path)],
         capture_output=True,
         text=True,
         timeout=300,
@@ -219,6 +220,11 @@ def test_bench_compare_on_a_tiny_configuration(tmp_path):
     line = re.compile(r"  \S+ +\S+ \[\S+, \S+\] -> +\S+ \S+ +wins [01]/1  (ok|worse)")
     assert all(line.fullmatch(row) for row in rows), rows
     assert not list(tmp_path.rglob("__pycache__"))
+    written = json.loads((tmp_path / "BENCH_insertion.json").read_text())
+    assert (written["workload"], written["pairs"], written["seconds"]) == ("insertion", 1, 0.1)
+    assert list(written["metrics"]) == [m["name"] for m in metrics]
+    for figure in written["metrics"].values():
+        assert figure["iqr"] == [figure["median"]] * 2 and figure["wins"] in (0, 1), figure
 
 
 def _processes_under(tree: Path) -> dict:
@@ -297,3 +303,42 @@ def test_bench_layers_on_a_tiny_configuration(tmp_path):
     rounds = result["seed_1_round_cpu_s"]
     assert sorted(rounds) == ["descent", "insertion"] and all(s > 0 for s in rounds.values())
     assert len(proc.stdout.splitlines()) == len(layers) + len(figures) + len(rounds)
+    # the keys of each round: the search without insertions defers, and
+    # keys again some of the children it deferred; the one with them does not
+    keys = result["seed_1_round_keys"]
+    assert sorted(keys) == ["descent", "insertion"]
+    assert all(list(counts) == ["full_keys", "barred", "barred_none", "deferred", "rekeyed",
+                                "stored_states"] for counts in keys.values()), keys
+    assert keys["insertion"]["deferred"] == keys["insertion"]["rekeyed"] == 0, keys
+    assert 0 < keys["descent"]["rekeyed"] < keys["descent"]["deferred"] <= keys["descent"]["barred"]
+
+
+def test_bench_layers_against_a_parent(tmp_path):
+    # two copies of this checkout, two pairs at one size and one pass: the
+    # change's figures in the single-tree form, and under "against" the
+    # parent's and each figure's change/parent ratio as [median, first
+    # quartile, third quartile]; the key counts of two equal trees are equal
+    parent, change = _bench_trees(tmp_path)
+    output = tmp_path / "BENCH_layers.json"
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "bench.py"), "layers", "--tree", change,
+         "--against", parent, "--pairs", "2", "--sizes", "4", "--repeats", "1",
+         "--output", str(output)],
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(output.read_text())
+    against = result.pop("against")
+    assert against["pairs"] == 2
+    bench = _bench()
+    figures = dict(bench._figures(result))
+    assert list(figures) == list(dict(bench._figures(against["parent"])))
+    ratios = dict(bench._figures(against["ratio"]))
+    assert set(ratios) == {path for path, value in figures.items() if value}, ratios
+    assert all(q1 <= median <= q3 for median, q1, q3 in ratios.values()), ratios
+    keys = [path for path in ratios if path[0] == "seed_1_round_keys"]
+    assert keys and all(ratios[path] == [1, 1, 1] for path in keys), ratios
+    layers = len(result["layers_us_per_call"]) + 2 * len(result["expand_us_per_call"]) + 2
+    assert len(proc.stdout.splitlines()) == layers + len(ratios)
