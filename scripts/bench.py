@@ -58,13 +58,14 @@ It adds one seed-1 round of the ``insertion`` and ``descent`` searches, on
 their ``perfbench`` inputs and budgets parsed beforehand: the median
 process CPU time of ``--repeats`` rounds after one warm-up round, and
 the keys of one more round, counted by wrapping the search's
-``_canonical_code`` and its queue's ``heappush``: the full keys of rows
-scanned for the first time, the scans given a bar and those of them that
-returned None, the deferred children (in the round without insertions,
-whose budget never binds, a scan given a bar is one against its count's
-least stored code, and its child is deferred when the scan returns None
-or a code above that one), the re-keyed children (full keys of rows
-scanned with a bar before), and the states stored.  It prints each
+``_canonical_code`` and ``_canonical_code_entries`` and its queue's
+``heappush``: the full keys of starts and of walks' children, the scans
+given a bar and those of them that returned None, the deferred children
+(in the round without insertions, whose budget never binds, a scan given
+a bar is one against its count's least stored code, and its child is
+deferred when the scan returns None or a code above that one), the
+re-keyed children (the full keys a resolution makes), and the states
+stored.  It prints each
 figure and writes them all as JSON to ``--output``.
 
 ``layers --against PARENT`` times two checkouts' layers, the change's
@@ -225,38 +226,56 @@ def _per_call_us(fn, cases, repeats: int) -> float:
 
 def _round_keys(search, starts: list, limits) -> dict:
     """The keys of one round of searches, counted by wrapping the search
-    module's ``_canonical_code`` and its queue's ``heappush`` (see
-    ``layers``)."""
+    module's ``_canonical_code`` and ``_canonical_code_entries`` (its
+    deferring walk's) and its queue's ``heappush`` (see ``layers``)."""
     from gaussdiag.codec import _TOKENS
 
     canonical_code, queue = search._canonical_code, search.heapq
+    canonical_code_entries = getattr(search, "_canonical_code_entries", None)
     counts = dict.fromkeys(("full_keys", "barred", "barred_none", "deferred", "rekeyed",
                             "stored_states"), 0)
-    barred = {}  # id of rows scanned with a bar -> the rows, kept so that no id is reused
+    # in a tree with the sixth rule, a search without insertions keys its
+    # walks where no bar applies through _canonical_code_entries, so a full
+    # key through _canonical_code after the start's is a resolution's
+    rekeys = canonical_code_entries is not None and not limits.allow_insertions
+    start = [False]  # whether the next key is a search's start
 
-    def key(chords, bases, bar=None):
-        code = canonical_code(chords, bases, bar)
+    def tally(bar, code, rekey):
         if bar is None:
-            counts["rekeyed" if id(chords) in barred else "full_keys"] += 1
-            return code
-        barred[id(chords)] = chords
+            counts["rekeyed" if rekey else "full_keys"] += 1
+            return
         counts["barred"] += 1
         counts["barred_none"] += code is None
         if not limits.allow_insertions:  # against the count's least stored code
             counts["deferred"] += code is None or code > " ".join(map(_TOKENS.__getitem__, bar))
+
+    def key(chords, bases, bar=None):
+        code = canonical_code(chords, bases, bar)
+        tally(bar, code, rekeys and not start[0])
+        start[0] = False
         return code
+
+    def key_entries(chords, bases, bar):
+        code, entries = canonical_code_entries(chords, bases, bar)
+        tally(bar, code, False)
+        return code, entries
 
     def push(heap, entry):
         counts["stored_states"] += entry[1]  # a state, not a family
         queue.heappush(heap, entry)
 
     search._canonical_code = key
+    if canonical_code_entries is not None:  # a tree without the sixth rule has none
+        search._canonical_code_entries = key_entries
     search.heapq = types.SimpleNamespace(heappush=push, heappop=queue.heappop)
     try:
         for d in starts:
+            start[0] = True
             search.simplify(d, limits)
     finally:
         search._canonical_code, search.heapq = canonical_code, queue
+        if canonical_code_entries is not None:
+            search._canonical_code_entries = canonical_code_entries
     return counts
 
 

@@ -463,6 +463,13 @@ MUTANTS = (
         "tests/test_differential.py::test_family_rows_match_oracles",
     ),
     Mutant(
+        "walk-child-rows-first-tiling", "moves.py",
+        "arcs = _movable_arcs(d.signs, t, _tilings(d, t))",
+        "arcs = _tilings(d, t)[0][0]",
+        "walk",
+        "tests/test_differential.py::test_child_rows_match_the_walk",
+    ),
+    Mutant(
         "walk-one-fresh-label", "moves.py",
         "fresh = tuple(_fresh_labels(d, 2))",
         "fresh = tuple(_fresh_labels(d, 1) * 2)",
@@ -700,8 +707,15 @@ MUTANTS = (
     ),
     Mutant(
         "search-defer-resolves-out-of-order", "simplify.py",
-        "for parent, change, fields, state, chords, bases in later.pop(count):",
-        "for parent, change, fields, state, chords, bases in reversed(later.pop(count)):",
+        "for parent, change, fields, made_on in later.pop(count):",
+        "for parent, change, fields, made_on in reversed(later.pop(count)):",
+        "search",
+        "tests/test_differential.py::test_search_defers_exactly_the_children_above_its_counts_threshold",
+    ),
+    Mutant(
+        "search-defer-rows-of-first-family", "simplify.py",
+        "if made_on is not state:  # a family's deferred children are consecutive",
+        "if state is None:",
         "search",
         "tests/test_differential.py::test_search_defers_exactly_the_children_above_its_counts_threshold",
     ),

@@ -134,9 +134,6 @@ def serialize_gauss_code(d: GaussDiagram) -> str:
 
 
 _TOKENS = _Table(lambda entry: _token(*_entry_parts(entry)))  # entry -> its token
-# the code _canonical_code spelled last, with its entries, for _code_entries:
-# the search reads a code it has just stored back as a bar
-_last = ("", ())
 
 
 def _canonical_code(chords, bases, bar=None) -> str | None:
@@ -146,13 +143,16 @@ def _canonical_code(chords, bases, bar=None) -> str | None:
     Given a ``bar``, the entries of a code of d's length
     (``_code_entries``), None when d's code is above it (see
     ``diagram._least_rotations``)."""
-    global _last
     code = _least_rotations(chords, bases, bar)
-    if code is None:
-        return None
-    spelled = " ".join(map(_TOKENS.__getitem__, code))
-    _last = spelled, code
-    return spelled
+    return None if code is None else " ".join(map(_TOKENS.__getitem__, code))
+
+
+def _canonical_code_entries(chords, bases, bar) -> tuple:
+    """``_canonical_code`` with the entries it spells, (code, entries), or
+    (None, None) when d's code is above the ``bar``: for a caller that may
+    hand the code on as a bar, without ``_code_entries`` parsing it."""
+    code = _least_rotations(chords, bases, bar)
+    return (None, None) if code is None else (" ".join(map(_TOKENS.__getitem__, code)), code)
 
 
 def _entry(token: str) -> int:
@@ -165,11 +165,8 @@ _ENTRIES = _Table(_entry)  # token -> its entry
 
 
 def _code_entries(code: str) -> tuple:
-    """The least-rotation entries ``_canonical_code`` spelled as ``code``:
-    read back from ``_last`` when ``code`` is the string it spelled last,
-    else token by token."""
-    last = _last
-    return last[1] if code is last[0] else tuple(map(_ENTRIES.__getitem__, code.split()))
+    """The least-rotation entries ``_canonical_code`` spelled as ``code``."""
+    return tuple(map(_ENTRIES.__getitem__, code.split()))
 
 
 def _token_end(token: str) -> tuple:

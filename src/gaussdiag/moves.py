@@ -571,6 +571,22 @@ def _family_rows(d: GaussDiagram, change: int, made: tuple = (), skip=()):
             for fields, cuts, arcs in sites)
 
 
+def _child_rows(d: GaussDiagram, change: int, fields: tuple, rows: tuple) -> tuple:
+    """The (chords, bases) ``_family_rows`` yields for d's deletion or R3
+    (``change`` <= 0) with these fields, made again from d's ``rows``: the
+    same cuts or arcs, edited the same way.  The search keeps a deferred
+    child as its fields, not its rows, and makes them here when it keys
+    the child."""
+    cuts = arcs = ()
+    if change:
+        cuts = _cuts(d, fields[0] if change == -2 else fields)
+    else:
+        (t,) = fields
+        arcs = _movable_arcs(d.signs, t, _tilings(d, t))
+    chords, bases = rows
+    return _edited(chords, cuts, (), arcs), _edited(bases, cuts, (), arcs)
+
+
 # ---------------------------------------------------------------- move specs
 
 def _field_text(form, value) -> str:

@@ -38,13 +38,20 @@ from collections import Counter
 from heapq import heapify, heappop as _bar_pop, heappush as _bar_push
 from itertools import islice
 
-from .codec import _canonical_code, _code_entries, _read_canonical_code, serialize_gauss_code
+from .codec import (
+    _canonical_code,
+    _canonical_code_entries,
+    _code_entries,
+    _read_canonical_code,
+    serialize_gauss_code,
+)
 from .diagram import GaussDiagram, _Record, _rows, canonical
 from .moves import (
     MoveNotApplicable,
     R1Delete,
     R2Delete,
     _KINDS,
+    _child_rows,
     _edit,
     _family_rows,
     _kink_r3_sites,
@@ -317,34 +324,36 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
     A sixth rule defers the children a dive never pops, in a search
     without insertions only (``_defers``).  Per chord count c, T_c is the
     least code stored at c since c's last resolution.  A walk where no bar
-    applies scans each child of c chords against T_c's entries, as
-    against a bar, and a child whose code is above T_c (None, or a code
-    kept past a straddle and above T_c) is deferred: its fields, rows and
-    parent go, in generation order, into c's one remainder, and nothing is
-    stored or pushed.  A child the walk stores is below T_c, and is T_c
-    from then on.  Just before the queue would pop a state of c chords
-    above T_c, an entry of a higher count, or nothing, the least count c
-    with a remainder is resolved: its remainder is keyed in full, in
-    order, the new codes are stored, and T_c is reset.  By then every
-    family of c has popped, and so has every state up to T_c.  The result
-    stays the same.  Every code stored at c while its remainder is pending
-    is at most T_c, which only falls, and every deferred code is above the
-    T_c it was scanned against, so no later child stores a deferred code
-    first, and the remainder, keyed in generation order, lets the first
-    child generated for each code still win.  Each deferred child is
-    stored before any state at or above its code could pop, so the pops,
-    and so the expansions, stay the same.  A deferred child is above a
-    stored code of its own count, so it is never the best.  Resolution is
-    not an expansion, so it does not count against max_states.  And the
-    rule leaves the bar alone: before a bar's first walk at c, c's
-    remainder is resolved, so the bar counts every state stored at c, and
-    a bar, once it applies at a count, applies there for good, so no
-    child there is deferred again.  Whether a bar applies at c is read
-    before c's remainder is resolved, so a bar may come later than it
-    would without the rule, which changes no result.  The rule is kept off
-    searches with insertions: there the budget keeps the search returning
-    to each count, so resolution would key nearly every deferred child
-    again.
+    applies scans each child of c chords against T_c's entries, as against
+    a bar, and a child whose code is above T_c (None, or a code kept past
+    a straddle and above T_c) is deferred: its fields and parent go, in
+    generation order, into c's one remainder, and nothing is stored or
+    pushed; its rows are made again when it is keyed
+    (``moves._child_rows``), so a pending child holds less than a stored
+    one.  A child the walk stores is below T_c, and is T_c from then on,
+    its entries as the scan made them (``codec._canonical_code_entries``).
+    Just before the queue would pop a state of c chords above T_c, an
+    entry of a higher count, or nothing, the least count c with a
+    remainder is resolved: its remainder is keyed in full, in order, the
+    new codes are stored, and T_c is reset.  By then every family of c has
+    popped, and so has every state up to T_c.  The result stays the same.
+    Every code stored at c while its remainder is pending is at most T_c,
+    which only falls, and every deferred code is above the T_c it was
+    scanned against, so no later child stores a deferred code first, and
+    the remainder, keyed in generation order, lets the first child
+    generated for each code still win.  Each deferred child is stored
+    before any state at or above its code could pop, so the pops, and so
+    the expansions, stay the same.  A deferred child is above a stored
+    code of its own count, so it is never the best.  Resolution is not an
+    expansion, so it does not count against max_states.  And the rule
+    leaves the bar alone: before a bar's first walk at c, c's remainder is
+    resolved, so the bar counts every state stored at c, and a bar, once
+    it applies at a count, applies there for good, so no child there is
+    deferred again.  Whether a bar applies at c is read before c's
+    remainder is resolved, so a bar may come later than it would without
+    the rule, which changes no result.  The rule is kept off searches with
+    insertions: there the budget keeps the search returning to each count,
+    so resolution would key nearly every deferred child again.
     A child can share a code only with states of its own chord count, and
     the tag 0 pops every family of a count before any state of that count
     or higher: a count's children are all keyed or deferred (and
@@ -412,8 +421,8 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
     # resolution, and its entries), in a search that defers
     thresholds = {}
     # chord count -> its remainder: each child deferred there since, as its
-    # parent's code, the chords its family adds, its fields, the parent's
-    # diagram and its rows, in generation order
+    # parent's code, the chords its family adds, its fields and the parent's
+    # diagram, in generation order
     later = {}
     pending = None  # the least count with a remainder
 
@@ -480,16 +489,15 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
         if defers and bar is None:  # the sixth rule: "~" sorts above every code, no T_c yet
             threshold, bar = thresholds.get(count, ("~", None))
             for fields, chords, bases in _family_rows(state, change, made, skip):
-                child_key = _canonical_code(chords, bases, bar)
+                child_key, entries = _canonical_code_entries(chords, bases, bar)
                 if child_key is None or child_key > threshold:  # above T_c: deferred
-                    later.setdefault(count, []).append((parent, change, fields, state, chords,
-                                                        bases))
+                    later.setdefault(count, []).append((parent, change, fields, state))
                 elif child_key not in info:  # below T_c: stored, and the new T_c
                     info[child_key] = (parent, change, fields)
                     entry = (count, 1, child_key, state, None)
                     best = min(best, entry)
                     heapq.heappush(queue, entry)
-                    threshold, bar = child_key, _code_entries(child_key)
+                    threshold, bar = child_key, entries
             if bar is not None:
                 thresholds[count] = threshold, bar
                 if count in later and (pending is None or count < pending):
@@ -543,12 +551,17 @@ def simplify(d: GaussDiagram, limits: SearchLimits = SearchLimits()) -> Simplify
 
 def _resolve(count, later, thresholds, info, queue, waiting) -> None:
     """Resolve ``simplify``'s remainder at a chord count: key its children
-    in full, in the order they were generated, store the new codes, count
-    them as waiting once ``waiting`` is kept, and reset the count's T_c."""
+    in full, in the order they were generated, each from its rows made
+    again off its parent's (``moves._child_rows``), store the new codes,
+    count them as waiting once ``waiting`` is kept, and reset the count's
+    T_c."""
     del thresholds[count]
     stored = len(info)
-    for parent, change, fields, state, chords, bases in later.pop(count):
-        key = _canonical_code(chords, bases)
+    state = None
+    for parent, change, fields, made_on in later.pop(count):
+        if made_on is not state:  # a family's deferred children are consecutive
+            state, rows = made_on, _rows(made_on.endpoints, made_on.signs)
+        key = _canonical_code(*_child_rows(state, change, fields, rows))
         if key not in info:
             info[key] = (parent, change, fields)
             heapq.heappush(queue, (count, 1, key, state, None))

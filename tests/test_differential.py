@@ -147,6 +147,7 @@ from gaussdiag.diagram import (
 )
 from gaussdiag.moves import (
     _LAYOUTS,
+    _child_rows,
     _edit,
     _family_rows,
     _fresh_labels,
@@ -814,16 +815,18 @@ def _near_codes(d: GaussDiagram) -> set:
 
 def test_least_rotations_against_a_bar(exhaustive_corpus, random_corpus):
     # given a bar, an encoding of the same length, the scan is the least
-    # encoding when it is at or below the bar, and when the two first
-    # differ at numbers of different lengths (a "straddle", where the
-    # spelled codes may sort the other way); otherwise it is None or the
-    # least encoding, and None only when the spelled code is above the
-    # spelled bar.  The bars: the diagram's own encoding, its neighbours
-    # below and above among the sorted encodings of its chord count, two
-    # seeded ones of that count and, on the symmetric diagrams of 10 chords
-    # and more, the _near_codes; the rows at shifts 0, 1 and 5.  The
-    # symmetric diagrams have two or more least rotations, so one start
-    # can tie with the bar and a later one with it
+    # encoding when it is at or below the bar, and when the two first differ
+    # at numbers of different lengths (a "straddle", where the spelled codes
+    # may sort the other way).  Otherwise it is None below ten chords, where
+    # no number has two digits; from ten chords on it is None or the least
+    # encoding (a start that is not the least may straddle the bar, and is
+    # then kept), and None only when the spelled code is above the spelled
+    # bar.  The bars: the diagram's own encoding, its neighbours below and
+    # above among the sorted encodings of its chord count, two seeded ones
+    # of that count and, on the symmetric diagrams of 10 chords and more,
+    # the _near_codes; the rows at shifts 0, 1 and 5.  The symmetric
+    # diagrams have two or more least rotations, so one start can tie with
+    # the bar and a later one with it
     _, symmetric = _scan_cases()
     diagrams = exhaustive_corpus + random_corpus + symmetric
     periodic = {id(d) for d in symmetric}
@@ -849,8 +852,11 @@ def test_least_rotations_against_a_bar(exhaustive_corpus, random_corpus):
                 got = _least_rotations(*rows, bar)
                 if least <= bar or _straddles(least, bar):
                     assert got == least, (d, k, bar)
+                elif d.n < 10:
+                    assert got is None, (d, k, bar)
                 else:
                     assert got in (None, least), (d, k, bar)
+                    seen["above, ten chords and up"] += got is None
                 if got is None:
                     assert _spelled(least) > _spelled(bar), (d, k, bar)
                 seen["above" if got is None else "equal" if bar == least else "below"] += 1
@@ -862,6 +868,7 @@ def test_least_rotations_against_a_bar(exhaustive_corpus, random_corpus):
     assert seen["above"] > 50_000 and seen["below"] > 50_000 and seen["equal"] > 80_000, seen
     assert seen["symmetric tie"] > 300 and seen["entry 0 decides"] > 10_000, seen
     assert seen["straddle"] > 150 and seen["straddle, tokens sort the other way"] > 100, seen
+    assert seen["above, ten chords and up"] > 1_000, seen
 
 
 def test_barred_key_is_exact_in_string_order():
@@ -1194,6 +1201,23 @@ def test_family_rows_match_oracles(exhaustive_corpus, random_corpus):
                 assert [chords, bases] == list(_rows(*REWRITES[kind](d, move))), (d, move)
             walked_moves += len(walked)
     assert walked_moves > 40_000
+
+
+def test_child_rows_match_the_walk(exhaustive_corpus, random_corpus, monkeypatch):
+    # a deferred child's rows, made again from its parent's rows and its
+    # fields, are the rows the walk over its family yielded: every deletion
+    # and R3 of the exhaustive and seeded corpora and of the benchmark's
+    # seed-1 descent inputs
+    diagrams = exhaustive_corpus + random_corpus
+    diagrams += _workload_inputs(monkeypatch, "descent", [1])
+    seen = collections.Counter()
+    for d in diagrams:
+        rows = _rows(d.endpoints, d.signs)
+        for change in (-2, -1, 0):
+            for fields, chords, bases in _family_rows(d, change):
+                assert _child_rows(d, change, fields, rows) == (chords, bases), (d, fields)
+                seen[change] += 1
+    assert min(seen.values()) > 5_000, seen
 
 
 # the sample gaps of every insertion layout: R1's one gap, and R2's head gap
@@ -1802,6 +1826,7 @@ def test_search_deferral_changes_no_result(monkeypatch):
     # budget-bound searches both act in one search
     search = importlib.import_module("gaussdiag.simplify")
     edit, canonical_code = search._edit, search._canonical_code
+    canonical_code_entries = search._canonical_code_entries
     edits = []  # each edit the search makes, as (its parent's code, family, fields)
     scans = collections.Counter()  # the current run's keys, by kind
     seen = collections.Counter()
@@ -1810,14 +1835,23 @@ def test_search_deferral_changes_no_result(monkeypatch):
         edits.append((serialize_gauss_code(parent), change, fields))
         return edit(parent, change, fields)
 
-    def spy_canonical_code(chords, bases, bar=None):
-        code = canonical_code(chords, bases, bar)
+    def count(bar, code):
         scans["barred" if bar is not None else "full"] += 1
         scans["barred, None"] += bar is not None and code is None
+
+    def spy_canonical_code(chords, bases, bar=None):
+        code = canonical_code(chords, bases, bar)
+        count(bar, code)
         return code
+
+    def spy_canonical_code_entries(chords, bases, bar):  # the deferring walk's keys
+        code, entries = canonical_code_entries(chords, bases, bar)
+        count(bar, code)
+        return code, entries
 
     monkeypatch.setattr(search, "_edit", spy_edit)
     monkeypatch.setattr(search, "_canonical_code", spy_canonical_code)
+    monkeypatch.setattr(search, "_canonical_code_entries", spy_canonical_code_entries)
     defers = search._defers
     for d, max_states in _deferral_cases(monkeypatch):
         limits = SearchLimits(max_states)
@@ -1847,8 +1881,9 @@ def test_search_defers_exactly_the_children_above_its_counts_threshold(monkeypat
     # since c's last resolution, and the remainder, the rows deferred
     # there since.  A walk at c where no bar applies (more states wait at
     # c when its family pops than the budget has expansions left) must
-    # hand the key scan T_c's entries (none while there is no T_c); a
-    # child whose code is above T_c (None, or above it as strings) is
+    # hand the key scan T_c's entries (none while there is no T_c), and
+    # key through ``_canonical_code_entries``, which returns the entries
+    # its code spells; no other key goes through it.  A child whose code is above T_c (None, or above it as strings) is
     # deferred and not pushed, and any other new one is pushed.  A walk
     # where a bar applies finds no remainder at its count: it was resolved
     # when the family popped.  A key outside a walk is a resolution: it
@@ -1858,6 +1893,7 @@ def test_search_defers_exactly_the_children_above_its_counts_threshold(monkeypat
     # c above T_c.  Over the _deferral_cases
     search = importlib.import_module("gaussdiag.simplify")
     family_rows, canonical_code = search._family_rows, search._canonical_code
+    canonical_code_entries = search._canonical_code_entries
     threshold = {}  # chord count -> T_c
     remainder = collections.defaultdict(list)  # chord count -> the rows deferred there
     # the walking family's count, whether a bar applies to it, whether its
@@ -1872,32 +1908,46 @@ def test_search_defers_exactly_the_children_above_its_counts_threshold(monkeypat
 
     def spy_canonical_code(chords, bases, bar=None):
         code = canonical_code(chords, bases, bar)
+        observe(chords, bar, code, deferring=False)
+        return code
+
+    def spy_canonical_code_entries(chords, bases, bar):
+        code, entries = canonical_code_entries(chords, bases, bar)
+        assert entries == (None if code is None else _code_entries(code)), (code, entries)
+        observe(chords, bar, code, deferring=True)
+        return code, entries
+
+    def observe(chords, bar, code, deferring):
+        # deferring: the key is the deferring walk's, which hands on its
+        # entries; a walk where no bar applies keys that way, and no other key
         count = len(chords) // 2
         if walk.pop("start", False):  # the start's key
-            return code
+            assert not deferring
+            return
         if walk["count"] is None:  # a resolution: the least count's remainder, in order
+            assert not deferring
             assert bar is None, bar
             least = min(c for c, rows in remainder.items() if rows)
-            assert count == least and remainder[least][0] is chords, count
+            assert count == least and remainder[least][0] == chords, count
             remainder[least].pop(0)
             threshold.pop(least, None)  # reset when the resolution starts
             seen["re-keyed"] += 1
             seen["re-keyed for a bar"] += walk["bar"] and walk["popped"] == count
-            return code
+            return
         walk["popped"] = None
         assert count == walk["count"], count
+        assert deferring != walk["bar"], (count, deferring)
         if walk["bar"]:  # the bar's walk: left out above it, nothing deferred
             assert not remainder[count], count
             walk["deferred"] = False
             seen["walked with a bar"] += 1
-            return code
+            return
         low = threshold.get(count)
         assert bar == (None if low is None else _code_entries(low)), (count, low)
         walk["deferred"] = code is None or low is not None and code > low
         if walk["deferred"]:
             remainder[count].append(chords)
             seen["deferred"] += 1
-        return code
 
     def spy_push(heap, entry):
         if entry[1] and walk["count"] is not None and not walk["bar"]:  # a deferring walk's
@@ -1923,6 +1973,7 @@ def test_search_defers_exactly_the_children_above_its_counts_threshold(monkeypat
 
     monkeypatch.setattr(search, "_family_rows", spy_family_rows)
     monkeypatch.setattr(search, "_canonical_code", spy_canonical_code)
+    monkeypatch.setattr(search, "_canonical_code_entries", spy_canonical_code_entries)
     monkeypatch.setattr(search, "heapq", SimpleNamespace(heappush=spy_push, heappop=spy_pop))
     for d, max_states in _deferral_cases(monkeypatch):
         threshold.clear()
